@@ -10,9 +10,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from .errors import ConfigError
 from .geometry import Box, iou
-from .model import ModelConfig, ModelParams, PairBatch, decode_step, encode_pair_batch, init_state
+from .model import (ModelConfig, ModelParams, PairBatch, encode_pair_batch,
+                    teacher_forced_unroll)
 
 
 @dataclass
@@ -141,18 +143,14 @@ def retrieval_score(query_ids, batch: PairBatch, params: ModelParams,
     if n == 0:
         raise ValueError("retrieval needs at least one candidate pair")
     codes = encode_pair_batch(batch, params, config)
-    state = init_state(n, config)
+    steps = teacher_forced_unroll(codes, np.tile(np.asarray(query, dtype=np.intp), (n, 1)),
+                                  params, config)
     log_scores = np.zeros(n)
     probs = np.zeros((n, len(query)))
-    for t, word in enumerate(query):
-        prev = None if t == 0 else np.full(n, query[t - 1], dtype=np.intp)
-        word_logits, _, state = decode_step(codes if t == 0 else None, prev, state,
-                                            params, config)
-        logits = word_logits.data
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        probs[:, t] = np.exp(logp[:, word])
-        log_scores += logp[:, word]
+    for t, ((word_logits, _, _), word) in enumerate(zip(steps, query)):
+        logp = ad.log_softmax(word_logits.data)[:, word]
+        probs[:, t] = np.exp(logp)
+        log_scores += logp
     best = int(np.argmax(log_scores))
     return float(math.exp(log_scores[best])), best, probs[best].tolist()
 

@@ -108,11 +108,6 @@ def backward(loss: Tensor) -> None:
         node._backward = None
 
 
-def as_tensor(value) -> Tensor:
-    """Wrap raw array data as a constant graph leaf."""
-    return value if isinstance(value, Tensor) else Tensor(value)
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a broadcasted gradient back down to ``shape``."""
     while grad.ndim > len(shape):
@@ -227,24 +222,23 @@ def tanh(x: Tensor) -> Tensor:
     return out
 
 
-_ACTIVATIONS = {"relu": relu, "sigmoid": sigmoid, "tanh": tanh}
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over each row of a plain array, stabilized by max subtraction."""
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
-def activation(x: Tensor, kind: str) -> Tensor:
-    """Elementwise nonlinearity, ``kind`` one of relu / sigmoid / tanh."""
-    try:
-        return _ACTIVATIONS[kind](x)
-    except KeyError:
-        raise ValueError(f"unknown activation kind {kind!r}") from None
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log-softmax over each row of a plain array."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
 def row_softmax(x: Tensor) -> Tensor:
     """Softmax over each row, stabilized by per-row max subtraction."""
     if x.data.ndim != 2:
         raise ValueError(f"row_softmax expects a 2-D tensor, got shape {x.data.shape}")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
+    y = softmax(x.data)
     out = Tensor(y, _parents=(x,))
 
     def _back(g):
@@ -307,13 +301,6 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) ->
     return out
 
 
-def _log_softmax(logits: np.ndarray):
-    m = logits.max(axis=1, keepdims=True)
-    shifted = logits - m
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return shifted - lse
-
-
 def weighted_cross_entropy(logits: Tensor, targets, weights) -> Tensor:
     """Sum over rows of ``weights[i] * -log softmax(logits)[i, targets[i]]``.
 
@@ -327,7 +314,7 @@ def weighted_cross_entropy(logits: Tensor, targets, weights) -> Tensor:
         raise ValueError(f"cross_entropy: {n} logit rows but {t.shape} targets / {w.shape} weights")
     if t.size and (t.min() < 0 or t.max() >= v):
         raise IndexError(f"cross_entropy: target index out of range for {v} classes")
-    logp = _log_softmax(logits.data)
+    logp = log_softmax(logits.data)
     nll = -logp[np.arange(n), t]
     out = Tensor(np.float64(np.dot(w, nll)), _parents=(logits,))
 

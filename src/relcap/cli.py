@@ -22,13 +22,13 @@ from .apps import RetrievalProtocol, build_caption_graph, export_graph, retrieva
 from .checkpoint import write_atomic
 from .data import (SCHEMA_VERSION, ToyFeatureProvider, ToyWorldConfig, build_vocab,
                    enrich_attributes, generate_toy_world, load_attributes, load_dataset,
-                   load_pos_lexicon, save_dataset, split_records)
+                   load_jsonl, load_pos_lexicon, save_dataset, save_jsonl, split_records)
 from .errors import ConfigError, DataError, InvariantError
 from .geometry import Box
 from .metrics import MetricConfig, PredictionRecord
 from .model import ModelConfig, load_model, save_model
-from .pipeline import (ProposalSettings, TrainSettings, build_proposals, evaluate_model,
-                       history_to_csv, make_pair_batch, predict_image, train_model)
+from .pipeline import (ProposalSettings, TrainSettings, evaluate_model, history_to_csv,
+                       kept_pair_batch, predict_records, train_model)
 
 
 def _sha256_bytes(payload: bytes) -> str:
@@ -83,27 +83,11 @@ def prediction_from_json(obj: dict) -> PredictionRecord:
 
 
 def write_predictions(path: str, predictions) -> None:
-    lines = [json.dumps(prediction_to_json(p.validate()), sort_keys=True,
-                        separators=(",", ":")) for p in predictions]
-    write_atomic(path, ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8"))
+    save_jsonl(path, (prediction_to_json(p.validate()) for p in predictions))
 
 
 def read_predictions(path: str):
-    preds = []
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot open predictions file {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                preds.append(prediction_from_json(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: bad prediction record: {exc}") from exc
-    return preds
+    return load_jsonl(path, prediction_from_json, "prediction")
 
 
 # ---------------------------------------------------------------------------
@@ -286,19 +270,24 @@ def _eval_like_setup(args, cfg_file):
     return params, config, vocab, records, provider, settings
 
 
+def _predict_options(args, cfg_file) -> dict:
+    """predict_image keyword options shared by eval and infer."""
+    pair_cap = _resolve(args, cfg_file, "pair-cap", None)
+    min_conf = _resolve(args, cfg_file, "min-confidence", None)
+    return {
+        "metric_config": MetricConfig(
+            keep_after_nms=int(_resolve(args, cfg_file, "keep-after-nms", 50))),
+        "nms_iou": float(_resolve(args, cfg_file, "nms-iou", 0.5)),
+        "pair_cap": None if pair_cap is None else int(pair_cap),
+        "min_confidence": None if min_conf is None else float(min_conf),
+    }
+
+
 def cmd_eval(args) -> int:
     cfg_file = _load_config_file(args.config)
     params, config, vocab, records, provider, settings = _eval_like_setup(args, cfg_file)
-    metric_config = MetricConfig(
-        keep_after_nms=int(_resolve(args, cfg_file, "keep-after-nms", 50)))
-    pair_cap = _resolve(args, cfg_file, "pair-cap", None)
-    min_conf = _resolve(args, cfg_file, "min-confidence", None)
-    report, predictions = evaluate_model(
-        records, params, config, vocab, provider, settings,
-        metric_config=metric_config,
-        nms_iou=float(_resolve(args, cfg_file, "nms-iou", 0.5)),
-        pair_cap=None if pair_cap is None else int(pair_cap),
-        min_confidence=None if min_conf is None else float(min_conf))
+    report, predictions = evaluate_model(records, params, config, vocab, provider, settings,
+                                         **_predict_options(args, cfg_file))
     payload = {"report": report.to_json(),
                "n_predictions": len(predictions),
                "provenance": provenance({"eval": vars(args).get("data")}, settings.seed)}
@@ -311,22 +300,11 @@ def cmd_eval(args) -> int:
 def cmd_infer(args) -> int:
     cfg_file = _load_config_file(args.config)
     params, config, vocab, records, provider, settings = _eval_like_setup(args, cfg_file)
-    metric_config = MetricConfig(
-        keep_after_nms=int(_resolve(args, cfg_file, "keep-after-nms", 50)))
-    pair_cap = _resolve(args, cfg_file, "pair-cap", None)
-    min_conf = _resolve(args, cfg_file, "min-confidence", None)
     mode = _resolve(args, cfg_file, "mode", "greedy")
     rng = np.random.default_rng(np.random.SeedSequence([settings.seed, 99])) \
         if mode == "stochastic" else None
-    predictions = []
-    for record in records:
-        predictions.extend(predict_image(
-            record, params, config, vocab, provider, settings,
-            metric_config=metric_config,
-            nms_iou=float(_resolve(args, cfg_file, "nms-iou", 0.5)),
-            pair_cap=None if pair_cap is None else int(pair_cap),
-            min_confidence=None if min_conf is None else float(min_conf),
-            mode=mode, rng=rng))
+    predictions = predict_records(records, params, config, vocab, provider, settings,
+                                  mode=mode, rng=rng, **_predict_options(args, cfg_file))
     write_predictions(args.out, predictions)
     print(f"wrote {len(predictions)} predictions to {args.out}")
     return 0
@@ -366,13 +344,10 @@ def cmd_retrieve(args) -> int:
     )
     keep = int(_resolve(args, cfg_file, "keep-after-nms", 100))
     nms_iou = float(_resolve(args, cfg_file, "nms-iou", 0.5))
-    from .geometry import nms as run_nms
     scorables = []
     gt_captions = {}
     for record in records:
-        proposals = run_nms(build_proposals(record, provider, config, settings),
-                            nms_iou, keep)
-        batch, boxes = make_pair_batch(record, proposals, provider, config)
+        batch, boxes = kept_pair_batch(record, provider, config, settings, nms_iou, keep)
         if not boxes:
             continue
         scorables.append((record.image_id, batch))

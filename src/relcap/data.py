@@ -15,6 +15,7 @@ from enum import IntEnum
 
 import numpy as np
 
+from .checkpoint import write_atomic
 from .errors import ConfigError, DataError
 from .geometry import Box, RegionProposal, intersection_area, iou
 
@@ -187,7 +188,11 @@ def record_from_json(obj: dict) -> RelationalRecord:
     ).validate()
 
 
-def _load_jsonl(path: str, parse, what: str):
+def load_jsonl(path: str, parse, what: str):
+    """Parse every non-blank line of a JSON-lines file with ``parse``.
+
+    Unreadable files and bad lines raise DataError naming the file (and line).
+    """
     items = []
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -205,16 +210,19 @@ def _load_jsonl(path: str, parse, what: str):
     return items
 
 
+def save_jsonl(path: str, objects) -> None:
+    """Atomically write one compact, key-sorted JSON object per line."""
+    lines = [json.dumps(obj, sort_keys=True, separators=(",", ":")) for obj in objects]
+    write_atomic(path, ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8"))
+
+
 def load_dataset(path: str):
     """Read and validate a relational dataset; errors carry line numbers."""
-    return _load_jsonl(path, record_from_json, "dataset")
+    return load_jsonl(path, record_from_json, "dataset")
 
 
 def save_dataset(path: str, records) -> None:
-    from .checkpoint import write_atomic
-    lines = [json.dumps(record_to_json(r), sort_keys=True, separators=(",", ":"))
-             for r in records]
-    write_atomic(path, ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8"))
+    save_jsonl(path, (record_to_json(r) for r in records))
 
 
 def attributes_from_json(obj: dict) -> ImageAttributes:
@@ -240,14 +248,11 @@ def attributes_to_json(rec: ImageAttributes) -> dict:
 
 
 def load_attributes(path: str):
-    return _load_jsonl(path, attributes_from_json, "attributes")
+    return load_jsonl(path, attributes_from_json, "attributes")
 
 
 def save_attributes(path: str, records) -> None:
-    from .checkpoint import write_atomic
-    lines = [json.dumps(attributes_to_json(r), sort_keys=True, separators=(",", ":"))
-             for r in records]
-    write_atomic(path, ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8"))
+    save_jsonl(path, (attributes_to_json(r) for r in records))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import END_ID, PAD_ID, PosTag, Vocabulary
-from .errors import ConfigError
+from .errors import CheckpointError, ConfigError
 from .geometry import Box, RegionPair
 
 STREAM_NAMES = ("subject", "predicate", "object")
@@ -278,6 +278,41 @@ class PairBatch:
     def __len__(self):
         return len(self.subject_index)
 
+    @staticmethod
+    def from_pair(pair: RegionPair, union_feature,
+                  all_region_features=None) -> "PairBatch":
+        """Batch of one pair.
+
+        ``all_region_features`` maps proposal id -> feature row (default: the
+        two members); the relational embedding runs over all of them jointly
+        before the pair is selected. ``union_feature`` is the provider
+        descriptor of the pair's union box.
+        """
+        if all_region_features is None:
+            all_region_features = {pair.subject.id: pair.subject.feature,
+                                   pair.object.id: pair.object.feature}
+        if pair.subject.id not in all_region_features or pair.object.id not in all_region_features:
+            raise ValueError("pair members must be present in all_region_features")
+        ids = sorted(all_region_features)
+        return PairBatch(
+            features=np.vstack([np.asarray(all_region_features[i]).reshape(1, -1) for i in ids]),
+            subject_index=[ids.index(pair.subject.id)],
+            object_index=[ids.index(pair.object.id)],
+            union_features=np.asarray(union_feature).reshape(1, -1),
+            geos=pair.geo.reshape(1, -1),
+        )
+
+    @staticmethod
+    def from_targets(features: np.ndarray, targets) -> "PairBatch":
+        """Batch of one image's supervisable pairs (``CaptionTarget`` list)."""
+        return PairBatch(
+            features=features,
+            subject_index=[t.subject_index for t in targets],
+            object_index=[t.object_index for t in targets],
+            union_features=np.vstack([t.union_feature.reshape(1, -1) for t in targets]),
+            geos=np.vstack([t.geo.reshape(1, -1) for t in targets]),
+        )
+
 
 def encode_pair_batch(batch: PairBatch, params: ModelParams, config: ModelConfig,
                       z: Tensor | None = None, training: bool = False,
@@ -305,33 +340,6 @@ def encode_pair_batch(batch: PairBatch, params: ModelParams, config: ModelConfig
     elif config.use_coord:
         codes["geo"] = geo64
     return codes
-
-
-def encode_pair(pair: RegionPair, all_region_features, params: ModelParams,
-                config: ModelConfig, union_feature=None,
-                training: bool = False, rng: np.random.Generator | None = None):
-    """Codes (code_s, code_o, code_u) for one pair.
-
-    ``all_region_features`` maps proposal id -> feature row; the relational
-    embedding runs over all of them jointly before the pair is selected.
-    ``union_feature`` is the provider descriptor of the pair's union box.
-    """
-    ids = sorted(all_region_features)
-    if pair.subject.id not in all_region_features or pair.object.id not in all_region_features:
-        raise ValueError("pair members must be present in all_region_features")
-    stack = np.vstack([np.asarray(all_region_features[i]).reshape(1, -1) for i in ids])
-    if config.use_union and union_feature is None:
-        raise ValueError("this configuration needs the union-box feature")
-    batch = PairBatch(
-        features=stack,
-        subject_index=[ids.index(pair.subject.id)],
-        object_index=[ids.index(pair.object.id)],
-        union_features=(np.asarray(union_feature).reshape(1, -1)
-                        if union_feature is not None else np.zeros((1, stack.shape[1]))),
-        geos=pair.geo.reshape(1, -1),
-    )
-    codes = encode_pair_batch(batch, params, config, training=training, rng=rng)
-    return codes.get("subject"), codes.get("object"), codes.get("union")
 
 
 def _stream_names(config: ModelConfig):
@@ -410,6 +418,23 @@ def _pad_targets(sequences, pad_value):
     return out
 
 
+def teacher_forced_unroll(codes, padded_targets, params: ModelParams, config: ModelConfig):
+    """Run the decoder over (P, T) target ids, feeding ground-truth words.
+
+    Step 0 consumes the region codes; step t feeds column t - 1 of
+    ``padded_targets``. Returns one (word logits, POS logits or None, state)
+    triple per step.
+    """
+    state = init_state(padded_targets.shape[0], config)
+    steps = []
+    for t in range(padded_targets.shape[1]):
+        prev = None if t == 0 else padded_targets[:, t - 1]
+        word_logits, pos_logits, state = decode_step(
+            codes if t == 0 else None, prev, state, params, config)
+        steps.append((word_logits, pos_logits, state))
+    return steps
+
+
 def caption_losses(codes, token_ids, tags, params: ModelParams, config: ModelConfig):
     """Teacher-forced word and POS losses, summed over pairs.
 
@@ -419,69 +444,24 @@ def caption_losses(codes, token_ids, tags, params: ModelParams, config: ModelCon
     """
     if not token_ids or any(len(seq) == 0 for seq in token_ids):
         raise ValueError("teacher forcing needs non-empty target captions")
-    n = len(token_ids)
     targets = _pad_targets(token_ids, PAD_ID)
-    steps = targets.shape[1]
     lengths = np.array([len(s) for s in token_ids])
-    mask = np.arange(steps)[None, :] < lengths[:, None]
+    mask = np.arange(targets.shape[1])[None, :] < lengths[:, None]
     weights = np.where(mask, 1.0 / lengths[:, None], 0.0)
+    steps = teacher_forced_unroll(codes, targets, params, config)
 
-    state = init_state(n, config)
-    word_steps = []
-    pos_steps = []
-    for t in range(steps):
-        prev = None if t == 0 else targets[:, t - 1]
-        word_logits, pos_logits, state = decode_step(
-            codes if t == 0 else None, prev, state, params, config)
-        word_steps.append(word_logits)
-        if config.mtl:
-            pos_steps.append(pos_logits)
-
-    flat_logits = ad.concat(word_steps, axis=0)           # step-major (T*P, V)
+    flat_logits = ad.concat([word for word, _, _ in steps], axis=0)   # step-major (T*P, V)
     flat_targets = targets.T.reshape(-1)
     flat_weights = weights.T.reshape(-1)
     l_cap = ad.weighted_cross_entropy(flat_logits, flat_targets, flat_weights)
     if config.mtl:
         tag_targets = _pad_targets([[int(x) for x in seq] for seq in tags], 0)
         l_pos = ad.weighted_cross_entropy(
-            ad.concat(pos_steps, axis=0), tag_targets.T.reshape(-1), flat_weights)
+            ad.concat([pos for _, pos, _ in steps], axis=0), tag_targets.T.reshape(-1),
+            flat_weights)
     else:
         l_pos = Tensor(0.0)
     return l_cap, l_pos
-
-
-def forward_teacher_forced(pair: RegionPair, gt_token_ids, gt_tags,
-                           params: ModelParams, config: ModelConfig,
-                           all_region_features=None, union_feature=None):
-    """Teacher-forced (L_cap, L_POS) for a single pair.
-
-    ``gt_token_ids`` must already carry the end token; POS covers every
-    step including it.
-    """
-    if all_region_features is None:
-        all_region_features = {pair.subject.id: pair.subject.feature,
-                               pair.object.id: pair.object.feature}
-    ids = sorted(all_region_features)
-    stack = np.vstack([np.asarray(all_region_features[i]).reshape(1, -1) for i in ids])
-    batch = PairBatch(
-        features=stack,
-        subject_index=[ids.index(pair.subject.id)],
-        object_index=[ids.index(pair.object.id)],
-        union_features=(np.asarray(union_feature).reshape(1, -1) if union_feature is not None
-                        else np.zeros((1, stack.shape[1]))),
-        geos=pair.geo.reshape(1, -1),
-    )
-    codes = encode_pair_batch(batch, params, config)
-    return caption_losses(codes, [list(gt_token_ids)], [list(gt_tags)], params, config)
-
-
-def smooth_l1(pred, target) -> float:
-    """Detection-style smoothed L1 over four box offsets."""
-    p = np.asarray(pred, dtype=np.float64).reshape(-1)
-    t = np.asarray(target, dtype=np.float64).reshape(-1)
-    if p.shape != (4,) or t.shape != (4,):
-        raise ValueError("smooth_l1 compares exactly four offsets")
-    return float(ad.smooth_l1(Tensor(p), t).data)
 
 
 @dataclass
@@ -548,14 +528,8 @@ def total_loss(batch: ImageBatch, params: ModelParams, config: ModelConfig,
     x, z = encode_regions(batch.features, params, config, training, rng)
 
     if batch.targets:
-        pair_batch = PairBatch(
-            features=batch.features,
-            subject_index=[t.subject_index for t in batch.targets],
-            object_index=[t.object_index for t in batch.targets],
-            union_features=np.vstack([t.union_feature.reshape(1, -1) for t in batch.targets]),
-            geos=np.vstack([t.geo.reshape(1, -1) for t in batch.targets]),
-        )
-        codes = encode_pair_batch(pair_batch, params, config, z=z, training=training, rng=rng)
+        codes = encode_pair_batch(PairBatch.from_targets(batch.features, batch.targets),
+                                  params, config, z=z, training=training, rng=rng)
         l_cap, l_pos = caption_losses(
             codes, [t.token_ids for t in batch.targets], [t.tags for t in batch.targets],
             params, config)
@@ -614,13 +588,6 @@ class CaptionPrediction:
     pos: list                    # PosTag per emitted token; empty without mtl
     word_probs: list
     confidence: float
-    pair: RegionPair | None = None
-
-
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def decode_batch(batch: PairBatch, params: ModelParams, config: ModelConfig,
@@ -647,7 +614,7 @@ def decode_batch(batch: PairBatch, params: ModelParams, config: ModelConfig,
     for _step in range(limit):
         word_logits, pos_logits, state = decode_step(
             codes if prev is None else None, prev, state, params, config)
-        probs = _softmax_rows(word_logits.data)
+        probs = ad.softmax(word_logits.data)
         pos_argmax = pos_logits.data.argmax(axis=1) if pos_logits is not None else None
         chosen = np.full(n, END_ID, dtype=np.intp)
         for row in range(n):
@@ -679,67 +646,22 @@ def decode_batch(batch: PairBatch, params: ModelParams, config: ModelConfig,
     return out
 
 
-def decode(pair: RegionPair, params: ModelParams, config: ModelConfig,
-           mode: str = "greedy", rng: np.random.Generator | None = None,
-           max_len: int | None = None, all_region_features=None,
-           union_feature=None) -> CaptionPrediction:
-    """Decode a single pair; see decode_batch for mode semantics."""
-    if all_region_features is None:
-        all_region_features = {pair.subject.id: pair.subject.feature,
-                               pair.object.id: pair.object.feature}
-    ids = sorted(all_region_features)
-    stack = np.vstack([np.asarray(all_region_features[i]).reshape(1, -1) for i in ids])
-    batch = PairBatch(
-        features=stack,
-        subject_index=[ids.index(pair.subject.id)],
-        object_index=[ids.index(pair.object.id)],
-        union_features=(np.asarray(union_feature).reshape(1, -1) if union_feature is not None
-                        else np.zeros((1, stack.shape[1]))),
-        geos=pair.geo.reshape(1, -1),
-    )
-    result = decode_batch(batch, params, config, mode=mode, rng=rng, max_len=max_len)[0]
-    result.pair = pair
-    return result
-
-
-def importance_trace(codes_or_pair, gt_token_ids, params: ModelParams,
-                     config: ModelConfig, all_region_features=None,
-                     union_feature=None) -> np.ndarray:
+def importance_trace(codes, gt_token_ids, params: ModelParams,
+                     config: ModelConfig) -> np.ndarray:
     """Per-step L2 norms of the three stream hidden states, mean-centered.
 
-    Returns a T x 3 matrix ordered (subject, predicate, object); each
-    column sums to zero. Only defined for triple-stream configurations.
+    ``codes`` are the region codes of one pair. Returns a T x 3 matrix
+    ordered (subject, predicate, object); each column sums to zero. Only
+    defined for triple-stream configurations.
     """
     if config.streams != "triple":
         raise ValueError("importance traces need a triple-stream configuration")
-    if isinstance(codes_or_pair, RegionPair):
-        pair = codes_or_pair
-        if all_region_features is None:
-            all_region_features = {pair.subject.id: pair.subject.feature,
-                                   pair.object.id: pair.object.feature}
-        ids = sorted(all_region_features)
-        stack = np.vstack([np.asarray(all_region_features[i]).reshape(1, -1) for i in ids])
-        batch = PairBatch(
-            features=stack,
-            subject_index=[ids.index(pair.subject.id)],
-            object_index=[ids.index(pair.object.id)],
-            union_features=(np.asarray(union_feature).reshape(1, -1)
-                            if union_feature is not None else np.zeros((1, stack.shape[1]))),
-            geos=pair.geo.reshape(1, -1),
-        )
-        codes = encode_pair_batch(batch, params, config)
-    else:
-        codes = codes_or_pair
     targets = list(gt_token_ids)
     if not targets:
         raise ValueError("importance trace needs a non-empty token sequence")
-    state = init_state(1, config)
-    norms = []
-    for t in range(len(targets)):
-        prev = None if t == 0 else [targets[t - 1]]
-        _, _, state = decode_step(codes if t == 0 else None, prev, state, params, config)
-        norms.append([float(np.linalg.norm(state[name][0].data)) for name in STREAM_NAMES])
-    trace = np.array(norms)
+    steps = teacher_forced_unroll(codes, np.array([targets], dtype=np.intp), params, config)
+    trace = np.array([[float(np.linalg.norm(state[name][0].data)) for name in STREAM_NAMES]
+                      for _, _, state in steps])
     return trace - trace.mean(axis=0, keepdims=True)
 
 
@@ -768,17 +690,23 @@ def save_model(path: str, params: ModelParams, config: ModelConfig,
 def load_model(path: str):
     """Returns (params, config, vocab, optimizer_or_None, meta)."""
     arrays, meta = load_checkpoint(path)
-    config = ModelConfig.from_json(meta["model_config"])
-    vocab = Vocabulary.from_json(meta["vocab"])
-    params = ModelParams.from_arrays(
-        {n: a for n, a in arrays.items() if not n.startswith("adam.")})
-    optimizer = None
-    if "adam" in meta:
-        info = meta["adam"]
-        optimizer = ad.OptimizerState(params.all(), lr=info["lr"], beta1=info["beta1"],
-                                      beta2=info["beta2"], epsilon=info["epsilon"])
-        optimizer.step_count = int(info["step_count"])
-        for name in params.names():
-            optimizer.m[name] = arrays[f"adam.m.{name}"]
-            optimizer.v[name] = arrays[f"adam.v.{name}"]
+    try:
+        config = ModelConfig.from_json(meta["model_config"])
+        vocab = Vocabulary.from_json(meta["vocab"])
+        if len(vocab) != config.vocab_size:
+            raise ValueError(f"{len(vocab)} vocabulary entries for vocab_size "
+                             f"{config.vocab_size}")
+        params = ModelParams.from_arrays(
+            {n: a for n, a in arrays.items() if not n.startswith("adam.")})
+        optimizer = None
+        if "adam" in meta:
+            info = meta["adam"]
+            optimizer = ad.OptimizerState(params.all(), lr=info["lr"], beta1=info["beta1"],
+                                          beta2=info["beta2"], epsilon=info["epsilon"])
+            optimizer.step_count = int(info["step_count"])
+            for name in params.names():
+                optimizer.m[name] = arrays[f"adam.m.{name}"]
+                optimizer.v[name] = arrays[f"adam.v.{name}"]
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad checkpoint metadata: {exc!r}") from exc
     return params, config, vocab, optimizer, meta

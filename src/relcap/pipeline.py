@@ -3,6 +3,7 @@ loop, batched decoding into prediction records, and full evaluation."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -10,14 +11,15 @@ import numpy as np
 from . import autodiff as ad
 from .data import (ObjectAnnotation, PosTag, RelationalRecord, Vocabulary,
                    encode_caption, proposals_for_record)
-from .errors import ConfigError
+from .errors import ConfigError, DataError, InvariantError
 from .geometry import (Box, combination_layer, geometric_feature, iou,
                        match_to_gt, nms, union_box)
 from .metrics import (EvalReport, MetricConfig, PredictionRecord, diversity_stats,
                       image_level_recall, mean_meteor, pos_accuracy, relational_map,
                       vrd_recall_at_k)
 from .model import (CaptionTarget, ImageBatch, ModelConfig, ModelParams, PairBatch,
-                    decode_batch, decode_step, init_params, init_state, total_loss)
+                    _pad_targets, decode_batch, encode_pair_batch, init_params,
+                    teacher_forced_unroll, total_loss)
 
 
 @dataclass
@@ -48,6 +50,9 @@ def _match_relation_endpoints(record: RelationalRecord):
         for i, obj in enumerate(record.objects):
             if obj.box == box:
                 return i
+        if not record.objects:
+            raise DataError(f"image {record.image_id}: relations need annotated objects "
+                            "to match their boxes, but the image has none")
         return int(np.argmax([iou(box, obj.box) for obj in record.objects]))
 
     lookup = {}
@@ -164,19 +169,24 @@ def train_model(records, provider, vocab: Vocabulary, config: ModelConfig,
     dropout_rng = np.random.default_rng(np.random.SeedSequence([settings.seed, 1]))
 
     batches = [
-        build_image_batch(rec, build_proposals(rec, provider, config, settings.proposals),
-                          provider, vocab, config)
+        (rec.image_id,
+         build_image_batch(rec, build_proposals(rec, provider, config, settings.proposals),
+                           provider, vocab, config))
         for rec in records
     ]
     history = []
     keys = ("l_cap", "l_pos", "l_det", "l_box", "total")
     for epoch in range(settings.epochs):
         sums = dict.fromkeys(keys, 0.0)
-        for batch in batches:
+        for image_id, batch in batches:
             loss, report = total_loss(batch, params, config,
                                       alpha=settings.alpha, beta=settings.beta,
                                       gamma=settings.gamma, training=True,
                                       rng=dropout_rng)
+            bad = [key for key in keys if not math.isfinite(getattr(report, key))]
+            if bad:
+                raise InvariantError(f"epoch {epoch + 1}, image {image_id}: non-finite "
+                                     f"{bad[0]} = {getattr(report, bad[0])!r}")
             ad.backward(loss)
             ad.adam_step(params.all(), optimizer)
             for key in keys:
@@ -233,6 +243,14 @@ def make_pair_batch(record: RelationalRecord, proposals, provider,
     return batch, [(p.subject.box, p.object.box) for p in pairs]
 
 
+def kept_pair_batch(record: RelationalRecord, provider, config: ModelConfig,
+                    settings: ProposalSettings, nms_iou: float, keep: int,
+                    pair_cap: int | None = None):
+    """Proposals, NMS down to ``keep``, then make_pair_batch over the survivors."""
+    kept = nms(build_proposals(record, provider, config, settings), nms_iou, keep)
+    return make_pair_batch(record, kept, provider, config, pair_cap)
+
+
 def predict_image(record: RelationalRecord, params: ModelParams, config: ModelConfig,
                   vocab: Vocabulary, provider, settings: ProposalSettings,
                   metric_config: MetricConfig | None = None,
@@ -241,9 +259,8 @@ def predict_image(record: RelationalRecord, params: ModelParams, config: ModelCo
                   mode: str = "greedy", rng: np.random.Generator | None = None):
     """Decode captions for every surviving pair of one image."""
     metric_config = metric_config or MetricConfig()
-    proposals = build_proposals(record, provider, config, settings)
-    kept = nms(proposals, nms_iou, metric_config.keep_after_nms)
-    batch, boxes = make_pair_batch(record, kept, provider, config, pair_cap)
+    batch, boxes = kept_pair_batch(record, provider, config, settings, nms_iou,
+                                   metric_config.keep_after_nms, pair_cap)
     if not boxes:
         return []
     decoded = decode_batch(batch, params, config, mode=mode, rng=rng)
@@ -264,43 +281,34 @@ def predict_image(record: RelationalRecord, params: ModelParams, config: ModelCo
     return out
 
 
+def predict_records(records, params: ModelParams, config: ModelConfig, vocab: Vocabulary,
+                    provider, settings: ProposalSettings, **predict_options):
+    """predict_image over every record, concatenated in record order."""
+    return [pred for record in records
+            for pred in predict_image(record, params, config, vocab, provider, settings,
+                                      **predict_options)]
+
+
 def predicted_pos_tags(batch_targets, codes, params, config):
     """Teacher-forced POS argmax per step for each caption target."""
-    n = len(batch_targets)
-    lengths = [len(t.token_ids) for t in batch_targets]
-    steps = max(lengths)
-    padded = np.zeros((n, steps), dtype=np.intp)
-    for i, t in enumerate(batch_targets):
-        padded[i, :lengths[i]] = t.token_ids
-    state = init_state(n, config)
-    picks = []
-    for t in range(steps):
-        prev = None if t == 0 else padded[:, t - 1]
-        _, pos_logits, state = decode_step(codes if t == 0 else None, prev, state,
-                                           params, config)
-        picks.append(pos_logits.data.argmax(axis=1))
-    picks = np.stack(picks, axis=1)
-    return [[PosTag(int(x)).name for x in picks[i, :lengths[i]]] for i in range(n)]
+    padded = _pad_targets([t.token_ids for t in batch_targets], 0)
+    steps = teacher_forced_unroll(codes, padded, params, config)
+    picks = np.stack([pos.data.argmax(axis=1) for _, pos, _ in steps], axis=1)
+    return [[PosTag(int(x)).name for x in picks[i, :len(t.token_ids)]]
+            for i, t in enumerate(batch_targets)]
 
 
 def model_pos_accuracy(records, params, config: ModelConfig, vocab, provider,
                        settings: ProposalSettings):
     """Teacher-forced tag accuracy over all GT-matched pairs."""
-    from .model import encode_pair_batch
     predicted, reference = [], []
     for record in records:
         proposals = build_proposals(record, provider, config, settings)
         batch = build_image_batch(record, proposals, provider, vocab, config)
         if not batch.targets:
             continue
-        pair_batch = PairBatch(
-            features=batch.features,
-            subject_index=[t.subject_index for t in batch.targets],
-            object_index=[t.object_index for t in batch.targets],
-            union_features=np.vstack([t.union_feature.reshape(1, -1) for t in batch.targets]),
-            geos=np.vstack([t.geo.reshape(1, -1) for t in batch.targets]),
-        )
-        codes = encode_pair_batch(pair_batch, params, config)
+        codes = encode_pair_batch(PairBatch.from_targets(batch.features, batch.targets),
+                                  params, config)
         predicted.extend(predicted_pos_tags(batch.targets, codes, params, config))
         reference.extend([[PosTag(int(x)).name for x in t.tags] for t in batch.targets])
     if not predicted:
@@ -314,13 +322,12 @@ def evaluate_model(records, params, config: ModelConfig, vocab: Vocabulary, prov
                    min_confidence: float | None = None, vrd_ks=(50, 100)):
     """Full evaluation report plus the prediction records it was computed from."""
     metric_config = metric_config or MetricConfig()
-    predictions = []
-    for record in records:
-        predictions.extend(predict_image(
-            record, params, config, vocab, provider, settings,
-            metric_config=metric_config, nms_iou=nms_iou, pair_cap=pair_cap,
-            min_confidence=min_confidence))
     gts = [rel for record in records for rel in record.relations]
+    if not gts:
+        raise DataError("evaluation needs ground-truth relations; the dataset has none")
+    predictions = predict_records(records, params, config, vocab, provider, settings,
+                                  metric_config=metric_config, nms_iou=nms_iou,
+                                  pair_cap=pair_cap, min_confidence=min_confidence)
     words_img, words_box = diversity_stats(predictions)
     report = EvalReport(
         map_percent=relational_map(predictions, gts, metric_config),

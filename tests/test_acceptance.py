@@ -230,13 +230,8 @@ class TestCriterion5ToyLearning:
             proposals = build_proposals(record, provider, config, ProposalSettings())
             batch = build_image_batch(record, proposals, provider, vocab, config)
             for target in batch.targets:
-                pair_batch = PairBatch(
-                    features=batch.features,
-                    subject_index=[target.subject_index],
-                    object_index=[target.object_index],
-                    union_features=target.union_feature.reshape(1, -1),
-                    geos=target.geo.reshape(1, -1))
-                codes = encode_pair_batch(pair_batch, params, config)
+                codes = encode_pair_batch(PairBatch.from_targets(batch.features, [target]),
+                                          params, config)
                 yield (importance_trace(codes, target.token_ids, params, config),
                        target.tags)
 

@@ -58,18 +58,13 @@ class TestAffine:
 
 class TestActivations:
     def test_relu(self):
-        assert np.array_equal(ad.activation(Tensor([[-1.0, 0.0, 2.0]]), "relu").data,
-                              [[0.0, 0.0, 2.0]])
+        assert np.array_equal(ad.relu(Tensor([[-1.0, 0.0, 2.0]])).data, [[0.0, 0.0, 2.0]])
 
     def test_sigmoid_zero(self):
-        assert ad.activation(Tensor([[0.0]]), "sigmoid").data[0, 0] == 0.5
+        assert ad.sigmoid(Tensor([[0.0]])).data[0, 0] == 0.5
 
     def test_tanh_zero(self):
-        assert ad.activation(Tensor([[0.0]]), "tanh").data[0, 0] == 0.0
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            ad.activation(Tensor([[0.0]]), "gelu")
+        assert ad.tanh(Tensor([[0.0]])).data[0, 0] == 0.0
 
     def test_relu_derivative_at_zero_is_zero(self):
         p = Parameter("p", np.array([[0.0]]))
@@ -100,6 +95,11 @@ class TestRowSoftmax:
     def test_hand_evaluation(self):
         out = ad.row_softmax(Tensor([[math.log(1.0), math.log(3.0)]]))
         assert np.allclose(out.data, [[0.25, 0.75]], atol=1e-15)
+
+    def test_log_softmax_is_log_of_array_softmax(self):
+        x = np.array([[math.log(1.0), math.log(3.0)], [1000.0, 1000.0]])
+        assert np.allclose(ad.softmax(x), [[0.25, 0.75], [0.5, 0.5]], atol=1e-15)
+        assert np.allclose(ad.log_softmax(x), np.log(ad.softmax(x)), atol=1e-15)
 
 
 class TestCrossEntropy:

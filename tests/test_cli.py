@@ -7,6 +7,7 @@ import jsonschema
 import pytest
 
 from relcap import schemas
+from relcap.checkpoint import load_checkpoint, save_checkpoint
 from relcap.cli import main, read_predictions, write_predictions
 from relcap.data import save_attributes, ImageAttributes, AttributeRecord
 from relcap.geometry import Box
@@ -246,10 +247,61 @@ class TestExitCodes:
                     "--data", bad,
                     "--provider", os.path.join(toy_dir, "provider.json")]) == 3
 
-    def test_corrupt_checkpoint_is_data_error(self, toy_dir, tmp_path):
+    def test_corrupt_checkpoint_is_data_error(self, toy_dir, trained_dir, tmp_path, capsys):
         fake = str(tmp_path / "fake.rckpt")
         with open(fake, "wb") as fh:
             fh.write(b"NOTACKPT" + b"\x00" * 32)
-        assert run(["eval", "--checkpoint", fake,
-                    "--data", os.path.join(toy_dir, "test.jsonl"),
+        arrays, meta = load_checkpoint(os.path.join(trained_dir, "model.rckpt"))
+        broken_metas = [
+            {**meta, "model_config": {**meta["model_config"], "colour": "red"}},
+            {k: v for k, v in meta.items() if k != "vocab"},
+            {**meta, "vocab": {**meta["vocab"], "words": meta["vocab"]["words"][1:]}},
+            {**meta, "model_config": {**meta["model_config"], "streams": "quad"}},
+            {**meta, "model_config": {k: v for k, v in meta["model_config"].items()
+                                      if k != "hidden"}},
+        ]
+        paths = [fake]
+        for i, broken in enumerate(broken_metas):
+            paths.append(str(tmp_path / f"meta{i}.rckpt"))
+            save_checkpoint(paths[-1], arrays, broken)
+        for path in paths:
+            assert run(["eval", "--checkpoint", path,
+                        "--data", os.path.join(toy_dir, "test.jsonl"),
+                        "--provider", os.path.join(toy_dir, "provider.json")]) == 3, path
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
+
+    def _dataset_variant(self, toy_dir, tmp_path, name, edit):
+        with open(os.path.join(toy_dir, "test.jsonl")) as fh:
+            objs = [json.loads(line) for line in fh]
+        for obj in objs:
+            edit(obj)
+        path = str(tmp_path / name)
+        with open(path, "w") as fh:
+            fh.write("".join(json.dumps(obj) + "\n" for obj in objs))
+        return path
+
+    def test_relations_without_objects_are_data_errors(self, toy_dir, trained_dir,
+                                                      tmp_path, capsys):
+        bad = self._dataset_variant(toy_dir, tmp_path, "no_objects.jsonl",
+                                    lambda obj: obj.update(objects=[]))
+        provider = os.path.join(toy_dir, "provider.json")
+        assert run(["train", "--data", bad, "--provider", provider,
+                    "--out", str(tmp_path / "run"), "--epochs", "1", "--hidden", "8",
+                    "--d-subj-obj", "10", "--d-union", "8", "--rem-dim", "6"]) == 3
+        assert run(["eval", "--checkpoint", os.path.join(trained_dir, "model.rckpt"),
+                    "--data", bad, "--provider", provider]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("relations need annotated objects") == 2
+
+    def test_eval_without_relations_is_data_error(self, toy_dir, trained_dir, tmp_path,
+                                                  capsys):
+        bad = self._dataset_variant(toy_dir, tmp_path, "no_relations.jsonl",
+                                    lambda obj: obj.update(relations=[]))
+        assert run(["eval", "--checkpoint", os.path.join(trained_dir, "model.rckpt"),
+                    "--data", bad,
                     "--provider", os.path.join(toy_dir, "provider.json")]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "evaluation needs ground-truth relations" in err

@@ -13,11 +13,10 @@ from relcap.data import END_ID, PosTag, Vocabulary
 from relcap.errors import ConfigError
 from relcap.geometry import Box, MatchLabel, RegionPair, RegionProposal
 from relcap.model import (MODEL_PRESETS, CaptionTarget, ImageBatch, ModelConfig,
-                          PairBatch, caption_losses, decode, decode_batch,
-                          decode_step, encode_pair, encode_pair_batch,
-                          forward_teacher_forced, importance_trace, init_params,
+                          PairBatch, caption_losses, decode_batch, decode_step,
+                          encode_pair_batch, importance_trace, init_params,
                           init_state, load_model, lstm_step, rem_forward,
-                          save_model, smooth_l1, total_loss)
+                          save_model, teacher_forced_unroll, total_loss)
 
 S, P, O = PosTag.SUBJ, PosTag.PRED, PosTag.OBJ
 
@@ -156,6 +155,11 @@ def one_pair(feature_width=14, seed=0):
     return pair, feats, union_feat
 
 
+def pair_codes(pair, feats, union_feat, params, cfg):
+    """Region codes of one pair, keyed by input kind."""
+    return encode_pair_batch(PairBatch.from_pair(pair, union_feat, feats), params, cfg)
+
+
 class TestEncodePair:
     def test_zero_second_fc_gives_bias(self):
         cfg = tiny_config(14, 20)
@@ -165,9 +169,8 @@ class TestEncodePair:
             params[f"{prefix}.w"].data[...] = 0.0
             params[f"{prefix}.b"].data[...] = beta
         pair, feats, union_feat = one_pair()
-        code_s, code_o, code_u = encode_pair(pair, feats, params, cfg,
-                                             union_feature=union_feat)
-        for code in (code_s, code_o, code_u):
+        codes = pair_codes(pair, feats, union_feat, params, cfg)
+        for code in (codes["subject"], codes["object"], codes["union"]):
             assert np.allclose(code.data, beta, atol=1e-15)
 
     def test_shared_first_fc_with_equalized_second_fcs(self):
@@ -181,9 +184,8 @@ class TestEncodePair:
         a = proposal(5, 5, feat, 0)
         b = proposal(15, 5, feat, 1)
         pair = RegionPair(a, b)
-        code_s, code_o, _ = encode_pair(pair, {0: feat, 1: feat}, params, cfg,
-                                        union_feature=feat)
-        assert np.array_equal(code_s.data, code_o.data)
+        codes = pair_codes(pair, {0: feat, 1: feat}, feat, params, cfg)
+        assert np.array_equal(codes["subject"].data, codes["object"].data)
 
     def test_two_region_hand_evaluation(self):
         cfg = tiny_config(2, 20, d_subj_obj=2, d_union=2, code_width=2, hidden=2)
@@ -196,24 +198,22 @@ class TestEncodePair:
         feat_b = np.array([[0.5, 0.25]])
         a = proposal(5, 5, feat_a, 0)
         b = proposal(15, 5, feat_b, 1)
-        code_s, _, _ = encode_pair(RegionPair(a, b), {0: feat_a, 1: feat_b},
-                                   params, cfg, union_feature=feat_b)
+        codes = pair_codes(RegionPair(a, b), {0: feat_a, 1: feat_b}, feat_b, params, cfg)
         # relu([1, -2]) = [1, 0]; affine: [1*1+0.5, 0*2-0.5]
-        assert np.allclose(code_s.data, [[1.5, -0.5]], atol=1e-15)
+        assert np.allclose(codes["subject"].data, [[1.5, -0.5]], atol=1e-15)
 
     def test_missing_member_rejected(self):
         cfg = tiny_config(14, 20)
         pair, feats, union_feat = one_pair()
         del feats[1]
-        with pytest.raises(ValueError):
-            encode_pair(pair, feats, fresh_params(cfg), cfg, union_feature=union_feat)
+        with pytest.raises(ValueError, match="pair members must be present"):
+            PairBatch.from_pair(pair, union_feat, feats)
 
     def test_feature_width_mismatch_raises_dimension_error(self):
         cfg = tiny_config(14, 20)
         pair, feats, _ = one_pair(feature_width=9)
         with pytest.raises(ValueError):
-            encode_pair(pair, feats, fresh_params(cfg), cfg,
-                        union_feature=np.zeros((1, 9)))
+            pair_codes(pair, feats, np.zeros((1, 9)), fresh_params(cfg), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +372,8 @@ class TestDecode:
         out = []
         for _ in range(2):
             rng = np.random.default_rng(123)
-            pred = decode(pair, params, cfg, mode="stochastic", rng=rng,
-                          all_region_features=feats, union_feature=union_feat)
+            pred = decode_batch(PairBatch.from_pair(pair, union_feat, feats), params, cfg,
+                                mode="stochastic", rng=rng)[0]
             out.append((tuple(pred.token_ids), tuple(pred.word_probs)))
         assert out[0] == out[1]
 
@@ -381,15 +381,14 @@ class TestDecode:
         cfg = tiny_config(14, 10)
         pair, feats, union_feat = one_pair()
         with pytest.raises(ValueError):
-            decode(pair, fresh_params(cfg), cfg, mode="stochastic",
-                   all_region_features=feats, union_feature=union_feat)
+            decode_batch(PairBatch.from_pair(pair, union_feat, feats), fresh_params(cfg),
+                         cfg, mode="stochastic")
 
     def test_confidence_is_product_of_word_probs(self):
         cfg = tiny_config(14, 10)
         params = fresh_params(cfg, seed=6)
         pair, feats, union_feat = one_pair(seed=9)
-        pred = decode(pair, params, cfg, all_region_features=feats,
-                      union_feature=union_feat)
+        pred = decode_batch(PairBatch.from_pair(pair, union_feat, feats), params, cfg)[0]
         assert pred.confidence == pytest.approx(math.prod(pred.word_probs), abs=1e-12)
 
     def test_max_len_caps_output(self):
@@ -413,25 +412,41 @@ class TestTeacherForcing:
         assert float(l_cap.data) < 1e-10
         assert float(l_pos.data) == 0.0  # mtl off
 
+    def test_unroll_feeds_previous_target_each_step(self):
+        cfg = tiny_config(14, 10)
+        params = fresh_params(cfg, seed=5)
+        pair, feats, union_feat = one_pair()
+        codes = pair_codes(pair, feats, union_feat, params, cfg)
+        targets = np.array([[4, 5, END_ID]])
+        steps = teacher_forced_unroll(codes, targets, params, cfg)
+        assert len(steps) == 3
+        state = init_state(1, cfg)
+        for t, (word, pos, step_state) in enumerate(steps):
+            prev = None if t == 0 else targets[:, t - 1]
+            want_word, want_pos, state = decode_step(codes if t == 0 else None, prev, state,
+                                                     params, cfg)
+            assert np.array_equal(word.data, want_word.data)
+            assert np.array_equal(pos.data, want_pos.data)
+            for name in state:
+                assert np.array_equal(step_state[name][0].data, state[name][0].data)
+
     def test_uniform_model_gives_log_vocab(self):
         cfg = tiny_config(14, 20)
         params = fresh_params(cfg)
         for name in ("head.word.w", "head.word.b"):
             params[name].data[...] = 0.0
         pair, feats, union_feat = one_pair()
-        l_cap, _ = forward_teacher_forced(pair, [4, 5, END_ID], [S, P, O],
-                                          params, cfg,
-                                          all_region_features=feats,
-                                          union_feature=union_feat)
+        l_cap, _ = caption_losses(pair_codes(pair, feats, union_feat, params, cfg),
+                                  [[4, 5, END_ID]], [[S, P, O]], params, cfg)
         assert float(l_cap.data) == pytest.approx(math.log(20.0), abs=1e-12)
 
     def test_empty_caption_rejected(self):
         cfg = tiny_config(14, 20)
         pair, feats, union_feat = one_pair()
+        params = fresh_params(cfg)
         with pytest.raises(ValueError):
-            forward_teacher_forced(pair, [], [], fresh_params(cfg), cfg,
-                                   all_region_features=feats,
-                                   union_feature=union_feat)
+            caption_losses(pair_codes(pair, feats, union_feat, params, cfg),
+                           [[]], [[]], params, cfg)
 
 
 def loss_fixture(rem=False, mtl=True, seed=0, rig_perfect=False):
@@ -513,17 +528,6 @@ class TestTotalLoss:
             assert np.any(params[name].grad != 0.0), f"no gradient reached {name}"
 
 
-class TestSmoothL1Wrapper:
-    def test_examples(self):
-        assert smooth_l1([1, 2, 3, 4], [1, 2, 3, 4]) == 0.0
-        assert smooth_l1([1, 0, 0, 0], [0, 0, 0, 0]) == pytest.approx(0.5)
-        assert smooth_l1([2, 0, 0, 0], [0, 0, 0, 0]) == pytest.approx(1.5)
-
-    def test_wrong_arity(self):
-        with pytest.raises(ValueError):
-            smooth_l1([1, 2, 3], [1, 2, 3])
-
-
 # ---------------------------------------------------------------------------
 # weight sharing, importance traces, gradient checks, checkpoints
 # ---------------------------------------------------------------------------
@@ -540,9 +544,7 @@ class TestWeightSharing:
         pair, feats, union_feat = one_pair()
         for which in ("subject", "object"):
             params.zero_grads()
-            code_s, code_o, _ = encode_pair(pair, feats, params, cfg,
-                                            union_feature=union_feat)
-            target = code_s if which == "subject" else code_o
+            target = pair_codes(pair, feats, union_feat, params, cfg)[which]
             loss = ad.matmul(ad.matmul(Tensor(np.ones((1, 1))), target),
                              Tensor(np.ones((cfg.code_width, 1))))
             ad.backward(loss)
@@ -554,8 +556,8 @@ class TestImportanceTrace:
         cfg = tiny_config(14, 10)
         params = fresh_params(cfg, seed=2)
         pair, feats, union_feat = one_pair()
-        trace = importance_trace(pair, [4, 5, 6, END_ID], params, cfg,
-                                 all_region_features=feats, union_feature=union_feat)
+        trace = importance_trace(pair_codes(pair, feats, union_feat, params, cfg),
+                                 [4, 5, 6, END_ID], params, cfg)
         assert trace.shape == (4, 3)
         assert np.all(np.abs(trace.sum(axis=0)) < 1e-9)
 
@@ -565,16 +567,17 @@ class TestImportanceTrace:
         for name in params.names():
             params[name].data[...] = 0.0
         pair, feats, union_feat = one_pair()
-        trace = importance_trace(pair, [4, END_ID], params, cfg,
-                                 all_region_features=feats, union_feature=union_feat)
+        trace = importance_trace(pair_codes(pair, feats, union_feat, params, cfg),
+                                 [4, END_ID], params, cfg)
         assert np.array_equal(trace, np.zeros((2, 3)))
 
     def test_single_stream_rejected(self):
         cfg = tiny_config(14, 10, streams="single", inputs=("union",), mtl=False)
         pair, feats, union_feat = one_pair()
+        params = fresh_params(cfg)
         with pytest.raises(ValueError):
-            importance_trace(pair, [4, END_ID], fresh_params(cfg), cfg,
-                             all_region_features=feats, union_feature=union_feat)
+            importance_trace(pair_codes(pair, feats, union_feat, params, cfg),
+                             [4, END_ID], params, cfg)
 
 
 class TestGradientCheck:

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import fresh_params, tiny_config
 from relcap.data import END_ID, proposals_for_record
+from relcap.errors import InvariantError
 from relcap.model import ModelConfig, PairBatch, encode_pair_batch, caption_losses
 from relcap.pipeline import (ProposalSettings, TrainSettings, build_image_batch,
                              build_proposals, evaluate_model, history_to_csv,
@@ -54,24 +55,13 @@ class TestBatchAssembly:
         params = fresh_params(cfg, seed=3)
         proposals = proposals_for_record(record, provider, seed=0)
         batch = build_image_batch(record, proposals, provider, vocab, cfg)
-        pair_batch = PairBatch(
-            features=batch.features,
-            subject_index=[t.subject_index for t in batch.targets],
-            object_index=[t.object_index for t in batch.targets],
-            union_features=np.vstack([t.union_feature for t in batch.targets]),
-            geos=np.vstack([t.geo.reshape(1, -1) for t in batch.targets]),
-        )
-        codes = encode_pair_batch(pair_batch, params, cfg)
+        codes = encode_pair_batch(PairBatch.from_targets(batch.features, batch.targets),
+                                  params, cfg)
         l_cap, l_pos = caption_losses(codes, [t.token_ids for t in batch.targets],
                                       [t.tags for t in batch.targets], params, cfg)
         single_cap = single_pos = 0.0
         for t in batch.targets:
-            one = PairBatch(
-                features=batch.features, subject_index=[t.subject_index],
-                object_index=[t.object_index],
-                union_features=t.union_feature.reshape(1, -1),
-                geos=t.geo.reshape(1, -1))
-            c = encode_pair_batch(one, params, cfg)
+            c = encode_pair_batch(PairBatch.from_targets(batch.features, [t]), params, cfg)
             lc, lp = caption_losses(c, [t.token_ids], [t.tags], params, cfg)
             single_cap += float(lc.data)
             single_pos += float(lp.data)
@@ -126,6 +116,22 @@ class TestTraining:
                                            TrainSettings(epochs=1, lr=5e-3, seed=2),
                                            params=params, optimizer=optimizer)
         assert optimizer.step_count == step_before + 3
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("name,value,term", [
+        ("head.word.b", np.inf, "l_cap"), ("det.b", np.nan, "l_det")])
+    def test_non_finite_loss_stops_before_on_epoch(self, toy_world_small, name, value,
+                                                   term):
+        records, provider, vocab = toy_world_small
+        cfg = cfg_for(provider, vocab)
+        params = fresh_params(cfg)
+        params[name].data[0] = value
+        epochs_seen = []
+        with pytest.raises(InvariantError,
+                           match=rf"epoch 1, image {records[0].image_id}: non-finite {term}"):
+            train_model(records[:2], provider, vocab, cfg, TrainSettings(epochs=2),
+                        params=params, on_epoch=lambda epoch, *_: epochs_seen.append(epoch))
+        assert epochs_seen == []
 
 
 class TestPrediction:
