@@ -327,18 +327,6 @@ def weighted_cross_entropy(logits: Tensor, targets, weights) -> Tensor:
     return out
 
 
-def cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
-    """Mean negative log-likelihood over unmasked steps.
-
-    ``logits`` is T x V; an all-masked sequence yields 0 with zero gradient.
-    """
-    n = logits.data.shape[0]
-    m = np.ones(n) if mask is None else np.asarray(mask, dtype=np.float64)
-    total = m.sum()
-    weights = m / total if total > 0 else np.zeros(n)
-    return weighted_cross_entropy(logits, targets, weights)
-
-
 def binary_logistic_loss(logits: Tensor, labels, weights) -> Tensor:
     """Weighted sum of stable binary cross-entropy terms on raw scores."""
     y = np.asarray(labels, dtype=np.float64).reshape(-1)
@@ -359,29 +347,20 @@ def binary_logistic_loss(logits: Tensor, labels, weights) -> Tensor:
 def smooth_l1(pred: Tensor, target, weights=None) -> Tensor:
     """Huber-style loss: per-coordinate 0.5 d^2 if |d| < 1 else |d| - 0.5.
 
-    Coordinates are summed within a row; rows are combined with ``weights``
-    (default: plain sum).
+    ``pred`` is N x K; coordinates are summed within a row and rows are
+    combined with ``weights`` (default: plain sum).
     """
     t = np.asarray(target, dtype=np.float64)
-    if t.shape != pred.data.shape:
+    if pred.data.ndim != 2 or t.shape != pred.data.shape:
         raise ValueError(f"smooth_l1: prediction shape {pred.data.shape} vs target shape {t.shape}")
     d = pred.data - t
     small = np.abs(d) < 1.0
-    per = np.where(small, 0.5 * d * d, np.abs(d) - 0.5)
-    if pred.data.ndim == 1:
-        row_sums = per.sum(keepdims=True)
-        w = np.ones(1) if weights is None else np.asarray(weights, dtype=np.float64)
-    else:
-        row_sums = per.sum(axis=1)
-        w = np.ones(row_sums.shape[0]) if weights is None else np.asarray(weights, dtype=np.float64)
+    row_sums = np.where(small, 0.5 * d * d, np.abs(d) - 0.5).sum(axis=1)
+    w = np.ones(row_sums.shape[0]) if weights is None else np.asarray(weights, dtype=np.float64)
     out = Tensor(np.float64(np.dot(w, row_sums)), _parents=(pred,))
 
     def _back(g):
-        local = np.where(small, d, np.sign(d))
-        if pred.data.ndim == 1:
-            _accumulate(pred, float(g) * w[0] * local)
-        else:
-            _accumulate(pred, float(g) * local * w[:, None])
+        _accumulate(pred, float(g) * np.where(small, d, np.sign(d)) * w[:, None])
 
     out._backward = _back
     return out

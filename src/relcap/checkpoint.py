@@ -73,21 +73,30 @@ def load_checkpoint(path: str):
         header = json.loads(blob[12:12 + head_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(
             f"{path}: format version {header.get('format_version')!r}, expected {FORMAT_VERSION}"
         )
+    tensors, meta = header.get("tensors"), header.get("meta")
+    if not isinstance(tensors, list) or not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: header needs a 'tensors' list and a 'meta' object")
     arrays = {}
     offset = 12 + head_len
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
+    for entry in tensors:
+        try:
+            name, shape = entry["name"], tuple(int(d) for d in entry["shape"])
+        except (TypeError, KeyError, ValueError) as exc:
+            raise CheckpointError(f"{path}: bad tensor entry {entry!r}") from exc
+        if any(d < 0 for d in shape):
+            raise CheckpointError(f"{path}: bad tensor entry {entry!r}")
+        nbytes = int(np.prod(shape)) * 8
         if offset + nbytes > len(blob):
-            raise CheckpointError(f"{path}: truncated payload for tensor {entry['name']!r}")
+            raise CheckpointError(f"{path}: truncated payload for tensor {name!r}")
         arr = np.frombuffer(blob[offset:offset + nbytes], dtype="<f8").astype(np.float64)
-        arrays[entry["name"]] = arr.reshape(shape)
+        arrays[name] = arr.reshape(shape)
         offset += nbytes
     if offset != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - offset} trailing bytes after payload")
-    return arrays, header["meta"]
+    return arrays, meta

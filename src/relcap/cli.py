@@ -119,6 +119,13 @@ def _resolve(args, file_config: dict, name: str, default):
     return default
 
 
+def _at_least(value, minimum: int, option: str) -> int:
+    value = int(value)
+    if value < minimum:
+        raise ConfigError(f"--{option} must be at least {minimum}, got {value}")
+    return value
+
+
 def _require_file(path: str, what: str) -> str:
     if not os.path.exists(path):
         raise ConfigError(f"{what} not found: {path}")
@@ -198,7 +205,7 @@ def cmd_train(args) -> int:
     records = load_dataset(_require_file(args.data, "training dataset"))
     provider = _load_provider(args.provider)
     seed = int(_resolve(args, cfg_file, "seed", 0))
-    epochs = int(_resolve(args, cfg_file, "epochs", 100))
+    epochs = _at_least(_resolve(args, cfg_file, "epochs", 100), 1, "epochs")
     settings = TrainSettings(
         epochs=epochs,
         lr=float(_resolve(args, cfg_file, "lr", 1e-3)),
@@ -275,10 +282,10 @@ def _predict_options(args, cfg_file) -> dict:
     pair_cap = _resolve(args, cfg_file, "pair-cap", None)
     min_conf = _resolve(args, cfg_file, "min-confidence", None)
     return {
-        "metric_config": MetricConfig(
-            keep_after_nms=int(_resolve(args, cfg_file, "keep-after-nms", 50))),
+        "metric_config": MetricConfig(keep_after_nms=_at_least(
+            _resolve(args, cfg_file, "keep-after-nms", 50), 0, "keep-after-nms")),
         "nms_iou": float(_resolve(args, cfg_file, "nms-iou", 0.5)),
-        "pair_cap": None if pair_cap is None else int(pair_cap),
+        "pair_cap": None if pair_cap is None else _at_least(pair_cap, 0, "pair-cap"),
         "min_confidence": None if min_conf is None else float(min_conf),
     }
 
@@ -337,12 +344,14 @@ def cmd_retrieve(args) -> int:
         raise ConfigError(f"bad --k list: {exc}") from exc
     protocol = RetrievalProtocol(
         num_images=int(_resolve(args, cfg_file, "images", 100)),
-        num_query_images=int(_resolve(args, cfg_file, "query-images", 5)),
-        captions_per_image=int(_resolve(args, cfg_file, "captions-per-image", 4)),
+        num_query_images=_at_least(_resolve(args, cfg_file, "query-images", 5), 1,
+                                   "query-images"),
+        captions_per_image=_at_least(_resolve(args, cfg_file, "captions-per-image", 4), 1,
+                                     "captions-per-image"),
         ks=ks,
-        rounds=int(_resolve(args, cfg_file, "rounds", 3)),
+        rounds=_at_least(_resolve(args, cfg_file, "rounds", 3), 1, "rounds"),
     )
-    keep = int(_resolve(args, cfg_file, "keep-after-nms", 100))
+    keep = _at_least(_resolve(args, cfg_file, "keep-after-nms", 100), 0, "keep-after-nms")
     nms_iou = float(_resolve(args, cfg_file, "nms-iou", 0.5))
     scorables = []
     gt_captions = {}

@@ -101,6 +101,8 @@ class ModelConfig:
             raise ConfigError("the POS head is a 3-class classifier")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must lie in [0, 1)")
+        if self.max_len < 2:
+            raise ConfigError("max_len must leave room for one word plus the end token")
         if self.vocab_size <= len(("<s>", "</s>", "<unk>", "<pad>")):
             raise ConfigError("vocabulary must contain at least one real word")
         return self

@@ -4,7 +4,7 @@ loop, batched decoding into prediction records, and full evaluation."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -12,8 +12,7 @@ from . import autodiff as ad
 from .data import (ObjectAnnotation, PosTag, RelationalRecord, Vocabulary,
                    encode_caption, proposals_for_record)
 from .errors import ConfigError, DataError, InvariantError
-from .geometry import (Box, combination_layer, geometric_feature, iou,
-                       match_to_gt, nms, union_box)
+from .geometry import Box, combination_layer, iou, match_to_gt, nms, union_box
 from .metrics import (EvalReport, MetricConfig, PredictionRecord, diversity_stats,
                       image_level_recall, mean_meteor, pos_accuracy, relational_map,
                       vrd_recall_at_k)
@@ -78,27 +77,47 @@ def _distinct_union_boxes(record: RelationalRecord):
     return boxes, rels
 
 
-def union_region_proposals(record: RelationalRecord, provider, settings: ProposalSettings):
-    """Proposals over whole relation regions (the direct-union variant).
+def _detected_boxes(record: RelationalRecord, config: ModelConfig):
+    """GT boxes the proposals stand for: the annotated objects, or for
+    direct-union the de-duplicated relation union boxes."""
+    if config.rpn_output == "union":
+        return _distinct_union_boxes(record)[0]
+    return [obj.box for obj in record.objects]
 
-    Reuses the jitter/background machinery with the de-duplicated relation
-    union boxes standing in for the annotated objects.
+
+def _captions_by_gt_pair(record: RelationalRecord, config: ModelConfig):
+    """(subject gt index, object gt index) -> relations captioning that pair.
+
+    Object path: one relation per pair of distinct objects. Direct-union:
+    every relation of a union box sits on the self-pair (g, g), so both
+    directions that share the box are targets of one proposal.
     """
-    boxes, _ = _distinct_union_boxes(record)
-    stand_in = RelationalRecord(
-        image_id=record.image_id, width=record.width, height=record.height,
-        relations=[], objects=[ObjectAnnotation("union", [], b) for b in boxes],
-        scene=record.scene)
-    return proposals_for_record(stand_in, provider, settings.seed,
-                                jitter=settings.jitter,
-                                n_background=settings.n_background)
+    if config.rpn_output == "union":
+        return {(g, g): rels for g, rels in enumerate(_distinct_union_boxes(record)[1])}
+    return {key: [rel] for key, rel in _match_relation_endpoints(record).items()
+            if key[0] != key[1]}
+
+
+def caption_pairs(proposals, config: ModelConfig, pair_cap: int | None = None):
+    """(subject row, object row, union box, geo) per proposal pair to caption.
+
+    The combination layer's ordered pairs, or for direct-union each proposal
+    paired with itself over its own box. Training targets and inference
+    batches both enumerate pairs here.
+    """
+    if config.rpn_output == "union":
+        return [(i, i, p.box, np.zeros(6)) for i, p in enumerate(proposals)]
+    row_of = {p.id: i for i, p in enumerate(proposals)}
+    return [(row_of[p.subject.id], row_of[p.object.id], p.union_box, p.geo)
+            for p in combination_layer(proposals, max_pairs=pair_cap)]
 
 
 def build_proposals(record: RelationalRecord, provider, config: ModelConfig,
                     settings: ProposalSettings):
-    if config.rpn_output == "union":
-        return union_region_proposals(record, provider, settings)
-    return proposals_for_record(record, provider, settings.seed,
+    """Jittered proposals over the detected GT boxes plus background boxes."""
+    stand_in = replace(record, objects=[ObjectAnnotation("gt", [], box)
+                                        for box in _detected_boxes(record, config)])
+    return proposals_for_record(stand_in, provider, settings.seed,
                                 jitter=settings.jitter,
                                 n_background=settings.n_background)
 
@@ -106,47 +125,23 @@ def build_proposals(record: RelationalRecord, provider, config: ModelConfig,
 def build_image_batch(record: RelationalRecord, proposals, provider,
                       vocab: Vocabulary, config: ModelConfig) -> ImageBatch:
     """Assemble proposals, match labels and caption targets for one image."""
-    features = np.vstack([p.feature for p in proposals])
-    if config.rpn_output == "union":
-        gt_boxes, gt_relations = _distinct_union_boxes(record)
-        labels = match_to_gt(proposals, gt_boxes)
-        targets = []
-        for i, label in enumerate(labels):
-            if label.kind != "positive":
-                continue
-            for rel in gt_relations[label.gt_index]:
-                ids, tags = encode_caption(rel.tokens, rel.pos, vocab, config.max_len)
-                targets.append(CaptionTarget(
-                    subject_index=i, object_index=i,
-                    union_feature=proposals[i].feature,
-                    geo=np.zeros(6), token_ids=ids, tags=tags))
-        return ImageBatch(features=features,
-                          prop_boxes=[p.box for p in proposals],
-                          gt_boxes=gt_boxes, labels=labels, targets=targets)
-
-    gt_boxes = [obj.box for obj in record.objects]
+    gt_boxes = _detected_boxes(record, config)
     labels = match_to_gt(proposals, gt_boxes)
-    lookup = _match_relation_endpoints(record)
+    captions = _captions_by_gt_pair(record, config)
     targets = []
-    for i, a in enumerate(proposals):
-        if labels[i].kind != "positive":
+    for i, j, ub, geo in caption_pairs(proposals, config):
+        if labels[i].kind != "positive" or labels[j].kind != "positive":
             continue
-        for j, b in enumerate(proposals):
-            if i == j or labels[j].kind != "positive":
-                continue
-            if labels[i].gt_index == labels[j].gt_index:
-                continue
-            rel = lookup.get((labels[i].gt_index, labels[j].gt_index))
-            if rel is None:
-                continue
+        rels = captions.get((labels[i].gt_index, labels[j].gt_index))
+        if rels is None:
+            continue
+        union_feature = provider.features(record, ub)
+        for rel in rels:
             ids, tags = encode_caption(rel.tokens, rel.pos, vocab, config.max_len)
-            ub = union_box(a.box, b.box)
-            targets.append(CaptionTarget(
-                subject_index=i, object_index=j,
-                union_feature=provider.features(record, ub),
-                geo=geometric_feature(a.box, b.box),
-                token_ids=ids, tags=tags))
-    return ImageBatch(features=features,
+            targets.append(CaptionTarget(subject_index=i, object_index=j,
+                                         union_feature=union_feature, geo=geo,
+                                         token_ids=ids, tags=tags))
+    return ImageBatch(features=np.vstack([p.feature for p in proposals]),
                       prop_boxes=[p.box for p in proposals],
                       gt_boxes=gt_boxes, labels=labels, targets=targets)
 
@@ -214,33 +209,17 @@ def history_to_csv(history) -> str:
 def make_pair_batch(record: RelationalRecord, proposals, provider,
                     config: ModelConfig, pair_cap: int | None = None):
     """PairBatch over kept proposals plus per-pair (subject, object) boxes."""
-    if not proposals:
-        empty = np.zeros((0, config.feature_width))
-        return PairBatch(empty, [], [], empty.copy(), np.zeros((0, 6))), []
-    features = np.vstack([p.feature for p in proposals])
-    row_of = {p.id: i for i, p in enumerate(proposals)}
-    if config.rpn_output == "union":
-        batch = PairBatch(
-            features=features,
-            subject_index=list(range(len(proposals))),
-            object_index=list(range(len(proposals))),
-            union_features=features.copy(),
-            geos=np.zeros((len(proposals), 6)),
-        )
-        boxes = [(p.box, p.box) for p in proposals]
-        return batch, boxes
-    pairs = combination_layer(proposals, max_pairs=pair_cap)
-    if not pairs:
-        return PairBatch(features, [], [], np.zeros((0, features.shape[1])),
-                         np.zeros((0, 6))), []
+    width = config.feature_width
+    pairs = caption_pairs(proposals, config, pair_cap)
     batch = PairBatch(
-        features=features,
-        subject_index=[row_of[p.subject.id] for p in pairs],
-        object_index=[row_of[p.object.id] for p in pairs],
-        union_features=np.vstack([provider.features(record, p.union_box) for p in pairs]),
-        geos=np.vstack([p.geo.reshape(1, -1) for p in pairs]),
+        features=np.vstack([p.feature for p in proposals]) if proposals else np.zeros((0, width)),
+        subject_index=[i for i, _, _, _ in pairs],
+        object_index=[j for _, j, _, _ in pairs],
+        union_features=np.vstack([provider.features(record, ub) for _, _, ub, _ in pairs])
+        if pairs else np.zeros((0, width)),
+        geos=np.vstack([geo.reshape(1, -1) for *_, geo in pairs]) if pairs else np.zeros((0, 6)),
     )
-    return batch, [(p.subject.box, p.object.box) for p in pairs]
+    return batch, [(proposals[i].box, proposals[j].box) for i, j, _, _ in pairs]
 
 
 def kept_pair_batch(record: RelationalRecord, provider, config: ModelConfig,

@@ -2,12 +2,13 @@
 
 import json
 import os
+import struct
 
 import jsonschema
 import pytest
 
 from relcap import schemas
-from relcap.checkpoint import load_checkpoint, save_checkpoint
+from relcap.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from relcap.cli import main, read_predictions, write_predictions
 from relcap.data import save_attributes, ImageAttributes, AttributeRecord
 from relcap.geometry import Box
@@ -260,16 +261,56 @@ class TestExitCodes:
             {**meta, "model_config": {k: v for k, v in meta["model_config"].items()
                                       if k != "hidden"}},
         ]
+        broken_headers = [
+            {"format_version": 1, "meta": {}},
+            {"format_version": 1, "meta": meta, "tensors": [{"name": "embed.table"}]},
+            {"format_version": 1, "meta": meta,
+             "tensors": [{"name": "embed.table", "shape": [-1, 2]}]},
+            {"format_version": 1, "tensors": []},
+            [1, 2],
+        ]
         paths = [fake]
         for i, broken in enumerate(broken_metas):
             paths.append(str(tmp_path / f"meta{i}.rckpt"))
             save_checkpoint(paths[-1], arrays, broken)
+        for i, header in enumerate(broken_headers):
+            paths.append(str(tmp_path / f"header{i}.rckpt"))
+            head = json.dumps(header).encode("utf-8")
+            with open(paths[-1], "wb") as fh:
+                fh.write(MAGIC + struct.pack("<I", len(head)) + head)
         for path in paths:
             assert run(["eval", "--checkpoint", path,
                         "--data", os.path.join(toy_dir, "test.jsonl"),
                         "--provider", os.path.join(toy_dir, "provider.json")]) == 3, path
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command,options", [
+        ("train", ["--epochs", "0"]),
+        ("train", ["--max-len", "1"]),
+        ("eval", ["--keep-after-nms", "-1"]),
+        ("eval", ["--pair-cap", "-1"]),
+        ("retrieve", ["--rounds", "0"]),
+        ("retrieve", ["--query-images", "0"]),
+        ("retrieve", ["--captions-per-image", "0"]),
+    ], ids=["epochs-0", "max-len-1", "keep-after-nms-neg", "pair-cap-neg", "rounds-0",
+            "query-images-0", "captions-per-image-0"])
+    def test_bad_numeric_setting_is_config_error(self, toy_dir, trained_dir, tmp_path,
+                                                 capsys, command, options):
+        inputs = ["--data", os.path.join(toy_dir, "train.jsonl"),
+                  "--provider", os.path.join(toy_dir, "provider.json")]
+        if command == "train":
+            argv = ["train", *inputs, "--out", str(tmp_path / "run"), "--epochs", "1",
+                    "--hidden", "8", "--d-subj-obj", "10", "--d-union", "8",
+                    "--rem-dim", "6"]
+        else:
+            argv = [command, *inputs, "--checkpoint",
+                    os.path.join(trained_dir, "model.rckpt")]
+            if command == "retrieve":
+                argv += ["--out", str(tmp_path / "retrieve.json")]
+        assert run(argv + options) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def _dataset_variant(self, toy_dir, tmp_path, name, edit):
         with open(os.path.join(toy_dir, "test.jsonl")) as fh:

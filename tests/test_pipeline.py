@@ -1,10 +1,13 @@
 """Training/evaluation glue: batch assembly, the epoch loop, prediction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import fresh_params, tiny_config
-from relcap.data import END_ID, proposals_for_record
+from relcap.data import END_ID, ObjectAnnotation, encode_caption, proposals_for_record
+from relcap.geometry import RegionProposal, union_box
 from relcap.errors import InvariantError
 from relcap.model import ModelConfig, PairBatch, encode_pair_batch, caption_losses
 from relcap.pipeline import (ProposalSettings, TrainSettings, build_image_batch,
@@ -14,6 +17,12 @@ from relcap.pipeline import (ProposalSettings, TrainSettings, build_image_batch,
 
 def cfg_for(provider, vocab, **overrides):
     return tiny_config(provider.feature_width, len(vocab), **overrides)
+
+
+def direct_union_config(provider, vocab):
+    return ModelConfig.from_name("direct-union", provider.feature_width, len(vocab),
+                                 d_subj_obj=10, d_union=8, code_width=6, hidden=6,
+                                 dropout=0.0)
 
 
 class TestBatchAssembly:
@@ -70,15 +79,73 @@ class TestBatchAssembly:
 
     def test_direct_union_batch(self, toy_world_small):
         records, provider, vocab = toy_world_small
-        cfg = ModelConfig.from_name("direct-union", provider.feature_width,
-                                    len(vocab), d_subj_obj=10, d_union=8,
-                                    code_width=6, hidden=6, dropout=0.0)
+        cfg = direct_union_config(provider, vocab)
         record = records[0]
         proposals = build_proposals(record, provider, cfg, ProposalSettings())
         batch = build_image_batch(record, proposals, provider, vocab, cfg)
         assert batch.targets, "union-region proposals must yield caption targets"
         for target in batch.targets:
             assert target.subject_index == target.object_index
+
+    def test_direct_union_proposals_cover_distinct_union_boxes(self, toy_world_small):
+        records, provider, vocab = toy_world_small
+        settings = ProposalSettings(seed=4)
+        for record in records[:3]:
+            boxes = []
+            for rel in record.relations:
+                ub = union_box(rel.subject_box, rel.object_box)
+                if ub not in boxes:
+                    boxes.append(ub)
+            stand_in = dataclasses.replace(
+                record, relations=[],
+                objects=[ObjectAnnotation("union", [], b) for b in boxes])
+            want = proposals_for_record(stand_in, provider, settings.seed,
+                                        jitter=settings.jitter,
+                                        n_background=settings.n_background)
+            got = build_proposals(record, provider, direct_union_config(provider, vocab),
+                                  settings)
+            assert [(p.id, p.box, p.confidence) for p in got] == \
+                [(p.id, p.box, p.confidence) for p in want]
+            for a, b in zip(got, want):
+                assert a.feature.tobytes() == b.feature.tobytes()
+
+    def test_direct_union_both_directions_caption_one_proposal(self, toy_world_small):
+        records, provider, vocab = toy_world_small
+        cfg = direct_union_config(provider, vocab)
+        record = records[0]
+        forward = record.relations[0]
+        backward = next(r for r in record.relations
+                        if (r.subject_box, r.object_box) ==
+                        (forward.object_box, forward.subject_box))
+        proposals = build_proposals(record, provider, cfg, ProposalSettings())
+        batch = build_image_batch(record, proposals, provider, vocab, cfg)
+        ub = union_box(forward.subject_box, forward.object_box)
+        rows = [i for i, label in enumerate(batch.labels)
+                if label.kind == "positive" and batch.gt_boxes[label.gt_index] == ub]
+        assert rows
+        for row in rows:
+            captions = [t.token_ids for t in batch.targets if t.subject_index == row]
+            for rel in (forward, backward):
+                ids, _ = encode_caption(rel.tokens, rel.pos, vocab, cfg.max_len)
+                assert ids in captions
+
+    def test_relation_on_one_object_yields_no_target(self, toy_world_small):
+        records, provider, vocab = toy_world_small
+        cfg = cfg_for(provider, vocab)
+        base = records[0]
+        first = base.objects[0].box
+        self_rel = dataclasses.replace(base.relations[0], subject_box=first, object_box=first)
+        record = dataclasses.replace(base, relations=[self_rel] + base.relations)
+        proposals = proposals_for_record(record, provider, seed=0)
+        # a second proposal on the first object, so two distinct rows match it
+        proposals.append(RegionProposal(proposals[0].box, proposals[0].confidence,
+                                        proposals[0].feature, id=len(proposals)))
+        batch = build_image_batch(record, proposals, provider, vocab, cfg)
+        n = len(record.objects)
+        assert len(batch.targets) == n * (n - 1) + 2 * (n - 1)
+        for target in batch.targets:
+            assert (batch.labels[target.subject_index].gt_index
+                    != batch.labels[target.object_index].gt_index)
 
 
 class TestTraining:
@@ -155,9 +222,7 @@ class TestPrediction:
 
     def test_direct_union_predictions_carry_equal_boxes(self, toy_world_small):
         records, provider, vocab = toy_world_small
-        cfg = ModelConfig.from_name("direct-union", provider.feature_width,
-                                    len(vocab), d_subj_obj=10, d_union=8,
-                                    code_width=6, hidden=6, dropout=0.0)
+        cfg = direct_union_config(provider, vocab)
         params = fresh_params(cfg, seed=7)
         preds = predict_image(records[0], params, cfg, vocab, provider,
                               ProposalSettings())
