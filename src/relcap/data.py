@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -92,6 +93,8 @@ class RelationalRecord:
         self.height = float(self.height)
 
     def validate(self):
+        if not all(math.isfinite(v) and v > 0 for v in (self.width, self.height)):
+            raise ValueError(f"image size {self.width}x{self.height} must be finite and positive")
         for rel in self.relations:
             rel.validate()
             for box in (rel.subject_box, rel.object_box):
@@ -407,7 +410,8 @@ class ToyFeatureProvider:
 
     def features(self, record: RelationalRecord, box: Box) -> np.ndarray:
         if record.scene is None:
-            raise ValueError("toy feature provider needs records with scene descriptions")
+            raise DataError(f"image {record.image_id}: the toy feature provider needs "
+                            "a scene description")
         shape_vec = np.zeros(len(self.shapes))
         color_vec = np.zeros(len(self.colors))
         covered = 0.0
@@ -416,8 +420,12 @@ class ToyFeatureProvider:
             if inter <= 0.0:
                 continue
             frac = inter / obj.box.area
-            shape_vec[self.shapes.index(obj.shape)] += frac
-            color_vec[self.colors.index(obj.color)] += frac
+            try:
+                shape_vec[self.shapes.index(obj.shape)] += frac
+                color_vec[self.colors.index(obj.color)] += frac
+            except ValueError:
+                raise DataError(f"image {record.image_id}: scene object {obj.color} {obj.shape} "
+                                "is outside the provider's shapes and colors") from None
             covered += inter
         stats = np.array([
             box.x / record.width,
@@ -434,8 +442,13 @@ class ToyFeatureProvider:
 
     @staticmethod
     def from_json(obj) -> "ToyFeatureProvider":
+        if not isinstance(obj, dict):
+            raise DataError("feature provider spec must be a JSON object")
         if obj.get("type") != ToyFeatureProvider.kind:
             raise DataError(f"unknown feature provider type {obj.get('type')!r}")
+        for key in ("shapes", "colors"):
+            if not isinstance(obj.get(key), list):
+                raise DataError(f"feature provider {key!r} must be a list")
         provider = ToyFeatureProvider(obj["shapes"], obj["colors"])
         if provider.feature_width != obj["feature_width"]:
             raise DataError("feature provider width mismatch")

@@ -191,6 +191,15 @@ def match_to_gt(proposals, gt_boxes):
     return labels
 
 
+def top_pairs(products, max_pairs: int | None = None):
+    """Positions of the ``max_pairs`` largest subject-object confidence
+    products (ties by position), in input order; all of them uncapped."""
+    if max_pairs is None or len(products) <= max_pairs:
+        return list(range(len(products)))
+    scored = sorted(range(len(products)), key=lambda k: (-products[k], k))
+    return sorted(scored[:max_pairs])
+
+
 def combination_layer(proposals, max_pairs: int | None = None):
     """Expand B proposals into all B(B-1) ordered pairs.
 
@@ -203,11 +212,5 @@ def combination_layer(proposals, max_pairs: int | None = None):
     if len(set(ids)) != len(ids):
         raise ValueError("combination_layer: proposal ids must be distinct")
     pairs = [RegionPair(a, b) for i, a in enumerate(props) for j, b in enumerate(props) if i != j]
-    if max_pairs is not None and len(pairs) > max_pairs:
-        scored = sorted(
-            range(len(pairs)),
-            key=lambda k: (-pairs[k].subject.confidence * pairs[k].object.confidence, k),
-        )
-        keep = sorted(scored[:max_pairs])
-        pairs = [pairs[k] for k in keep]
-    return pairs
+    keep = top_pairs([p.subject.confidence * p.object.confidence for p in pairs], max_pairs)
+    return [pairs[k] for k in keep]

@@ -3,7 +3,8 @@
 Covers the caption-similarity score (exact + stem alignment with a
 fragmentation penalty), average precision over a grid of language and
 dual-box localization thresholds, image-level recall, diversity counts,
-phrase/relationship detection recall, and POS tagging accuracy.
+phrase/relationship detection recall, and POS tagging accuracy. The
+caption metrics read one per-image table of pair scores (``score_pairs``).
 """
 
 from __future__ import annotations
@@ -122,75 +123,89 @@ def meteor_lite(candidate, reference) -> float:
     return fmean * (1.0 - penalty)
 
 
-def _group_by_image(items, key=lambda x: x.image_id):
-    groups = {}
-    for item in items:
-        groups.setdefault(key(item), []).append(item)
-    return groups
+@dataclass
+class ImageScores:
+    """Every prediction of one image scored against every GT relation of it.
+
+    The tables are (P, G): rows follow ``pred_index`` (positions in the
+    predictions list, input order), columns the image's GT in input order.
+    """
+
+    image_id: int
+    pred_index: list
+    confidence: np.ndarray     # (P,)
+    meteor: np.ndarray         # caption score
+    iou_subject: np.ndarray
+    iou_object: np.ndarray
+    iou_union: np.ndarray      # prediction union box against GT union box
 
 
-def _ranked(predictions):
-    """Global confidence ranking; ties broken by image id then input order."""
-    return sorted(range(len(predictions)),
-                  key=lambda k: (-predictions[k].confidence, predictions[k].image_id, k))
+def score_pairs(predictions, gts):
+    """Score each (prediction, GT) pair of an image once.
+
+    Images with GT come first, in GT order, then images that have only
+    predictions; every metric below reduces this list.
+    """
+    gt_groups, pred_groups = {}, {}
+    for g in gts:
+        gt_groups.setdefault(g.image_id, []).append(g)
+    for k, p in enumerate(predictions):
+        gt_groups.setdefault(p.image_id, [])
+        pred_groups.setdefault(p.image_id, []).append(k)
+    out = []
+    for image_id, gt_list in gt_groups.items():
+        rows = pred_groups.get(image_id, [])
+        gt_unions = [union_box(g.subject_box, g.object_box) for g in gt_list]
+        tables = np.zeros((4, len(rows), len(gt_list)))
+        for r, k in enumerate(rows):
+            p = predictions[k]
+            p_union = p.union
+            for c, g in enumerate(gt_list):
+                tables[:, r, c] = (meteor_lite(p.tokens, g.tokens),
+                                   iou(p.subject_box, g.subject_box),
+                                   iou(p.object_box, g.object_box),
+                                   iou(p_union, gt_unions[c]))
+        out.append(ImageScores(image_id, rows,
+                               np.array([predictions[k].confidence for k in rows]), *tables))
+    return out
 
 
-def relational_map(predictions, gts, config: MetricConfig | None = None) -> float:
+def relational_map(scores, config: MetricConfig | None = None) -> float:
     """Mean average precision (percent) over the language x localization grid.
 
     A ranked prediction is a true positive at thresholds (mt, it) when some
     still-unmatched ground-truth relation in its image has subject IoU and
     object IoU both >= it and caption score >= mt; each ground truth is
     consumed once, the candidate with the largest min(IoU_s, IoU_o) first.
+    Predictions rank by confidence, ties by image id then input order.
     """
     config = config or MetricConfig()
-    if not gts:
+    n_gt = sum(s.meteor.shape[1] for s in scores)
+    if not n_gt:
         raise ValueError("relational mAP is undefined without ground-truth relations")
-    gt_groups = _group_by_image(gts)
-    n_gt = len(gts)
-
-    order = _ranked(predictions)
-    # cache per-prediction candidate scores against its image's GT
-    cand_scores = []
-    for k in order:
-        pred = predictions[k]
-        rows = []
-        for j, gt in enumerate(gt_groups.get(pred.image_id, [])):
-            iou_s = iou(pred.subject_box, gt.subject_box)
-            iou_o = iou(pred.object_box, gt.object_box)
-            rows.append((j, iou_s, iou_o, meteor_lite(pred.tokens, gt.tokens)))
-        cand_scores.append((pred.image_id, rows))
-
+    ranked = sorted((-s.confidence[r], s.image_id, k, i, r)
+                    for i, s in enumerate(scores) for r, k in enumerate(s.pred_index))
+    quality = [np.minimum(s.iou_subject, s.iou_object) for s in scores]
     aps = []
     for mt in config.meteor_thresholds:
         for it in config.iou_thresholds:
-            matched = {img: [False] * len(g) for img, g in gt_groups.items()}
-            tp_flags = []
-            for image_id, rows in cand_scores:
-                taken = matched.get(image_id)
-                best = None
-                for j, iou_s, iou_o, met in rows:
-                    if taken[j] or iou_s < it or iou_o < it or met < mt:
-                        continue
-                    quality = min(iou_s, iou_o)
-                    if best is None or quality > best[0]:
-                        best = (quality, j)
-                if best is not None:
-                    taken[best[1]] = True
-                    tp_flags.append(1)
-                else:
-                    tp_flags.append(0)
+            passes = [(s.meteor >= mt) & (s.iou_subject >= it) & (s.iou_object >= it)
+                      for s in scores]
+            free = [np.ones(s.meteor.shape[1], dtype=bool) for s in scores]
             ap = 0.0
             tp_cum = 0
-            for rank, flag in enumerate(tp_flags, start=1):
-                if flag:
+            for rank, (*_, i, r) in enumerate(ranked, start=1):
+                hits = passes[i][r] & free[i]
+                if hits.any():
+                    # the best min(IoU_s, IoU_o) among the hits, the first GT on a tie
+                    free[i][np.argmax(np.where(hits, quality[i][r], -1.0))] = False
                     tp_cum += 1
                     ap += (1.0 / n_gt) * (tp_cum / rank)
             aps.append(ap)
     return 100.0 * float(np.mean(aps))
 
 
-def image_level_recall(predictions, gts, meteor_thresholds=None) -> float:
+def image_level_recall(scores, meteor_thresholds=None) -> float:
     """Recall of GT captions by the bag of predicted captions per image.
 
     For each threshold t a GT caption counts as covered when some predicted
@@ -199,31 +214,24 @@ def image_level_recall(predictions, gts, meteor_thresholds=None) -> float:
     """
     thresholds = tuple(MetricConfig().meteor_thresholds if meteor_thresholds is None
                        else meteor_thresholds)
-    gt_groups = _group_by_image(gts)
-    if not gt_groups:
-        raise ValueError("image-level recall needs at least one GT caption per image")
-    pred_groups = _group_by_image(predictions)
     per_image = []
-    for image_id, gt_list in gt_groups.items():
-        preds = pred_groups.get(image_id, [])
-        best = []
-        for gt in gt_list:
-            best.append(max((meteor_lite(p.tokens, gt.tokens) for p in preds), default=-1.0))
-        covered = [np.mean([1.0 if b >= t else 0.0 for b in best]) for t in thresholds]
-        per_image.append(float(np.mean(covered)))
+    for s in scores:
+        if not s.meteor.shape[1]:
+            continue
+        best = s.meteor.max(axis=0, initial=-1.0)      # -1 for a GT no prediction sees
+        per_image.append(float(np.mean([np.mean(best >= t) for t in thresholds])))
+    if not per_image:
+        raise ValueError("image-level recall needs at least one GT caption per image")
     return float(np.mean(per_image))
 
 
-def mean_meteor(predictions, gts) -> float:
-    """Average caption score of predictions against their best-matching GT."""
-    if not predictions:
-        return 0.0
-    gt_groups = _group_by_image(gts)
-    scores = []
-    for pred in predictions:
-        gt_list = gt_groups.get(pred.image_id, [])
-        scores.append(max((meteor_lite(pred.tokens, gt.tokens) for gt in gt_list), default=0.0))
-    return float(np.mean(scores))
+def mean_meteor(scores) -> float:
+    """Average caption score of predictions against their best-matching GT
+    (0 in an image without GT), in prediction input order."""
+    best = np.zeros(sum(len(s.pred_index) for s in scores))
+    for s in scores:
+        best[s.pred_index] = s.meteor.max(axis=1, initial=0.0)
+    return float(np.mean(best)) if len(best) else 0.0
 
 
 def diversity_stats(predictions):
@@ -242,8 +250,7 @@ def diversity_stats(predictions):
     return words_per_img, words_per_box
 
 
-def vrd_recall_at_k(predictions, gts, k: int, mode: str,
-                    config: MetricConfig | None = None) -> float:
+def vrd_recall_at_k(scores, k: int, mode: str, config: MetricConfig | None = None) -> float:
     """Detection-style recall at top-k predictions per image.
 
     ``mode`` "phrase" matches on the IoU of the union boxes; "relationship"
@@ -255,28 +262,17 @@ def vrd_recall_at_k(predictions, gts, k: int, mode: str,
     if mode not in ("phrase", "relationship"):
         raise ValueError(f"unknown mode {mode!r}")
     config = config or MetricConfig()
-    gt_groups = _group_by_image(gts)
-    if not gt_groups:
-        raise ValueError("vrd recall needs ground-truth relations")
-    pred_groups = _group_by_image(predictions)
     recalls = []
-    for image_id, gt_list in gt_groups.items():
-        preds = sorted(pred_groups.get(image_id, []), key=lambda p: -p.confidence)[:k]
-        covered = 0
-        for gt in gt_list:
-            gt_union = union_box(gt.subject_box, gt.object_box)
-            for p in preds:
-                if meteor_lite(p.tokens, gt.tokens) < config.vrd_meteor:
-                    continue
-                if mode == "phrase":
-                    ok = iou(p.union, gt_union) >= config.vrd_iou
-                else:
-                    ok = (iou(p.subject_box, gt.subject_box) >= config.vrd_iou
-                          and iou(p.object_box, gt.object_box) >= config.vrd_iou)
-                if ok:
-                    covered += 1
-                    break
-        recalls.append(covered / len(gt_list))
+    for s in scores:
+        if not s.meteor.shape[1]:
+            continue
+        top = np.argsort(-s.confidence, kind="stable")[:k]
+        located = (s.iou_union[top] if mode == "phrase"     # relationship: both endpoints
+                   else np.minimum(s.iou_subject[top], s.iou_object[top]))
+        hit = (located >= config.vrd_iou) & (s.meteor[top] >= config.vrd_meteor)
+        recalls.append(int(hit.any(axis=0).sum()) / s.meteor.shape[1])
+    if not recalls:
+        raise ValueError("vrd recall needs ground-truth relations")
     return float(np.mean(recalls))
 
 

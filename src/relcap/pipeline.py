@@ -12,10 +12,10 @@ from . import autodiff as ad
 from .data import (ObjectAnnotation, PosTag, RelationalRecord, Vocabulary,
                    encode_caption, proposals_for_record)
 from .errors import ConfigError, DataError, InvariantError
-from .geometry import Box, combination_layer, iou, match_to_gt, nms, union_box
+from .geometry import Box, combination_layer, iou, match_to_gt, nms, top_pairs, union_box
 from .metrics import (EvalReport, MetricConfig, PredictionRecord, diversity_stats,
                       image_level_recall, mean_meteor, pos_accuracy, relational_map,
-                      vrd_recall_at_k)
+                      score_pairs, vrd_recall_at_k)
 from .model import (CaptionTarget, ImageBatch, ModelConfig, ModelParams, PairBatch,
                     _pad_targets, decode_batch, encode_pair_batch, init_params,
                     teacher_forced_unroll, total_loss)
@@ -102,11 +102,12 @@ def caption_pairs(proposals, config: ModelConfig, pair_cap: int | None = None):
     """(subject row, object row, union box, geo) per proposal pair to caption.
 
     The combination layer's ordered pairs, or for direct-union each proposal
-    paired with itself over its own box. Training targets and inference
-    batches both enumerate pairs here.
+    paired with itself over its own box, both capped by ``top_pairs``.
+    Training targets and inference batches both enumerate pairs here.
     """
     if config.rpn_output == "union":
-        return [(i, i, p.box, np.zeros(6)) for i, p in enumerate(proposals)]
+        keep = top_pairs([p.confidence * p.confidence for p in proposals], pair_cap)
+        return [(i, i, proposals[i].box, np.zeros(6)) for i in keep]
     row_of = {p.id: i for i, p in enumerate(proposals)}
     return [(row_of[p.subject.id], row_of[p.object.id], p.union_box, p.geo)
             for p in combination_layer(proposals, max_pairs=pair_cap)]
@@ -308,17 +309,17 @@ def evaluate_model(records, params, config: ModelConfig, vocab: Vocabulary, prov
                                   metric_config=metric_config, nms_iou=nms_iou,
                                   pair_cap=pair_cap, min_confidence=min_confidence)
     words_img, words_box = diversity_stats(predictions)
+    scores = score_pairs(predictions, gts)
     report = EvalReport(
-        map_percent=relational_map(predictions, gts, metric_config),
-        image_level_recall=image_level_recall(predictions, gts,
-                                              metric_config.meteor_thresholds),
-        mean_meteor=mean_meteor(predictions, gts),
+        map_percent=relational_map(scores, metric_config),
+        image_level_recall=image_level_recall(scores, metric_config.meteor_thresholds),
+        mean_meteor=mean_meteor(scores),
         words_per_img=words_img,
         words_per_box=words_box,
-        vrd_phrase_recall={k: vrd_recall_at_k(predictions, gts, k, "phrase", metric_config)
+        vrd_phrase_recall={k: vrd_recall_at_k(scores, k, "phrase", metric_config)
                            for k in vrd_ks},
-        vrd_relationship_recall={k: vrd_recall_at_k(predictions, gts, k, "relationship",
-                                                    metric_config) for k in vrd_ks},
+        vrd_relationship_recall={k: vrd_recall_at_k(scores, k, "relationship", metric_config)
+                                 for k in vrd_ks},
         pos_accuracy=(model_pos_accuracy(records, params, config, vocab, provider, settings)
                       if config.mtl else None),
     )

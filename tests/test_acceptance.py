@@ -20,7 +20,7 @@ from relcap.data import (AttributeRecord, ImageAttributes, PosTag, ToyWorldConfi
                          build_vocab, generate_toy_world, save_attributes,
                          split_records)
 from relcap.geometry import Box, geometric_feature, nms
-from relcap.metrics import MetricConfig, meteor_lite, relational_map
+from relcap.metrics import MetricConfig, meteor_lite, relational_map, score_pairs
 from relcap.model import (CaptionTarget, ImageBatch, ModelConfig, PairBatch,
                           encode_pair_batch, importance_trace, init_params,
                           rem_forward, total_loss)
@@ -165,7 +165,7 @@ class TestCriterion4MetricOracles:
         worst = 0.0
         for _ in range(50):
             preds, gts = random_fixture(rng)
-            got = relational_map(preds, gts, cfg)
+            got = relational_map(score_pairs(preds, gts), cfg)
             want = oracle_relational_map(preds, gts, cfg)
             worst = max(worst, abs(got - want))
         assert worst < 1e-9

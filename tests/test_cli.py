@@ -322,6 +322,43 @@ class TestExitCodes:
             fh.write("".join(json.dumps(obj) + "\n" for obj in objs))
         return path
 
+    def _assert_data_error_on_infer_and_eval(self, trained_dir, tmp_path, capsys, data,
+                                             provider):
+        for command in ("infer", "eval"):
+            assert run([command, "--checkpoint", os.path.join(trained_dir, "model.rckpt"),
+                        "--data", data, "--provider", provider,
+                        "--out", str(tmp_path / f"{command}.out")]) == 3, command
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda spec: [spec],
+        lambda spec: {**spec, "shapes": len(spec["shapes"])},
+        lambda spec: {**spec, "colors": len(spec["colors"])},
+    ], ids=["json-list", "shapes-not-list", "colors-not-list"])
+    def test_malformed_provider_spec_is_data_error(self, toy_dir, trained_dir, tmp_path,
+                                                   capsys, edit):
+        with open(os.path.join(toy_dir, "provider.json")) as fh:
+            spec = json.load(fh)
+        provider = str(tmp_path / "provider.json")
+        with open(provider, "w") as fh:
+            json.dump(edit(spec), fh)
+        self._assert_data_error_on_infer_and_eval(
+            trained_dir, tmp_path, capsys, os.path.join(toy_dir, "test.jsonl"), provider)
+
+    @pytest.mark.parametrize("edit", [
+        lambda obj: obj.update(width=float("nan")),
+        lambda obj: obj.update(width=float("inf")),
+        lambda obj: obj.pop("scene"),
+        lambda obj: [item.update(shape="hexagon") for item in obj["scene"]],
+        lambda obj: [item.update(color="mauve") for item in obj["scene"]],
+    ], ids=["width-nan", "width-inf", "no-scene", "unknown-shape", "unknown-color"])
+    def test_bad_image_fields_are_data_errors(self, toy_dir, trained_dir, tmp_path,
+                                              capsys, edit):
+        bad = self._dataset_variant(toy_dir, tmp_path, "bad_image.jsonl", edit)
+        self._assert_data_error_on_infer_and_eval(
+            trained_dir, tmp_path, capsys, bad, os.path.join(toy_dir, "provider.json"))
+
     def test_relations_without_objects_are_data_errors(self, toy_dir, trained_dir,
                                                       tmp_path, capsys):
         bad = self._dataset_variant(toy_dir, tmp_path, "no_objects.jsonl",

@@ -9,12 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fresh_params, tiny_config
+from relcap import metrics
 from relcap.data import GroundTruthRelation, PosTag
 from relcap.geometry import Box, iou, union_box
 from relcap.metrics import (EmptyCaptionWarning, EvalReport, MetricConfig,
                             PredictionRecord, diversity_stats, image_level_recall,
                             mean_meteor, meteor_lite, pos_accuracy, relational_map,
-                            vrd_recall_at_k)
+                            score_pairs, vrd_recall_at_k)
+from relcap.pipeline import ProposalSettings, evaluate_model
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -134,6 +137,75 @@ def oracle_relational_map(predictions, gts, config):
     return 100.0 * sum(all_aps) / len(all_aps)
 
 
+# The oracles below rescan every prediction and GT list per image and score
+# each pair where it is used. Their averages use np.mean, as the report does,
+# so the results compare exactly.
+
+def _image_order(gts):
+    order = []
+    for g in gts:
+        if g.image_id not in order:
+            order.append(g.image_id)
+    return order
+
+
+def oracle_image_level_recall(predictions, gts, thresholds):
+    per_image = []
+    for image_id in _image_order(gts):
+        mine = [g for g in gts if g.image_id == image_id]
+        theirs = [p for p in predictions if p.image_id == image_id]
+        fractions = []
+        for t in thresholds:
+            hits = [1.0 if any(meteor_lite(p.tokens, g.tokens) >= t for p in theirs) else 0.0
+                    for g in mine]
+            fractions.append(np.mean(hits))
+        per_image.append(np.mean(fractions))
+    return float(np.mean(per_image))
+
+
+def oracle_mean_meteor(predictions, gts):
+    if not predictions:
+        return 0.0
+    scores = []
+    for p in predictions:
+        best = 0.0
+        for g in gts:
+            if g.image_id == p.image_id:
+                best = max(best, meteor_lite(p.tokens, g.tokens))
+        scores.append(best)
+    return float(np.mean(scores))
+
+
+def oracle_vrd_recall(predictions, gts, k, mode, config):
+    recalls = []
+    for image_id in _image_order(gts):
+        mine = [g for g in gts if g.image_id == image_id]
+        remaining = [p for p in predictions if p.image_id == image_id]
+        top = []
+        while remaining and len(top) < k:
+            pick = 0      # most confident left, the earliest on a tie
+            for i, p in enumerate(remaining):
+                if p.confidence > remaining[pick].confidence:
+                    pick = i
+            top.append(remaining.pop(pick))
+        found = 0
+        for g in mine:
+            for p in top:
+                if meteor_lite(p.tokens, g.tokens) < config.vrd_meteor:
+                    continue
+                if mode == "phrase":
+                    ok = iou(union_box(p.subject_box, p.object_box),
+                             union_box(g.subject_box, g.object_box)) >= config.vrd_iou
+                else:
+                    ok = (iou(p.subject_box, g.subject_box) >= config.vrd_iou
+                          and iou(p.object_box, g.object_box) >= config.vrd_iou)
+                if ok:
+                    found += 1
+                    break
+        recalls.append(found / len(mine))
+    return float(np.mean(recalls))
+
+
 def random_fixture(rng):
     words = ["red", "blue", "square", "circle", "cat", "dog", "near", "above", "the"]
 
@@ -173,15 +245,15 @@ class TestRelationalMap:
         gts = [gt(0, Box(5, 5, 4, 4), Box(15, 5, 4, 4), ["the", "cat", "sits"]),
                gt(0, Box(15, 5, 4, 4), Box(5, 5, 4, 4), ["the", "dog", "runs"])]
         preds = [pred(0, g.subject_box, g.object_box, g.tokens, 0.99) for g in gts]
-        assert relational_map(preds, gts) == pytest.approx(100.0, abs=1e-9)
+        assert relational_map(score_pairs(preds, gts)) == pytest.approx(100.0, abs=1e-9)
 
     def test_empty_predictions_score_0(self):
         gts = [gt(0, Box(5, 5, 4, 4), Box(15, 5, 4, 4), ["a", "b"])]
-        assert relational_map([], gts) == 0.0
+        assert relational_map(score_pairs([], gts)) == 0.0
 
     def test_no_gt_is_an_error(self):
         with pytest.raises(ValueError):
-            relational_map([], [])
+            relational_map(score_pairs([], []))
 
     def test_small_fixture_matches_oracle(self):
         g1 = gt(0, Box(5, 5, 4, 4), Box(15, 5, 4, 4), ["the", "cat", "sits"])
@@ -192,7 +264,7 @@ class TestRelationalMap:
             pred(0, Box(40, 40, 4, 4), Box(45, 45, 4, 4), ["the", "cat", "sits"], 0.7),
         ]
         cfg = MetricConfig()
-        assert relational_map(preds, [g1, g2], cfg) == pytest.approx(
+        assert relational_map(score_pairs(preds, [g1, g2]), cfg) == pytest.approx(
             oracle_relational_map(preds, [g1, g2], cfg), abs=1e-9)
 
     def test_50_random_fixtures_match_oracle(self):
@@ -201,7 +273,7 @@ class TestRelationalMap:
         checked = 0
         while checked < 50:
             preds, gts = random_fixture(rng)
-            assert relational_map(preds, gts, cfg) == pytest.approx(
+            assert relational_map(score_pairs(preds, gts), cfg) == pytest.approx(
                 oracle_relational_map(preds, gts, cfg), abs=1e-9)
             checked += 1
 
@@ -210,11 +282,11 @@ class TestRelationalMap:
         preds, gts = random_fixture(rng)
         while not preds:
             preds, gts = random_fixture(rng)
-        base = relational_map(preds, gts)
+        base = relational_map(score_pairs(preds, gts))
         squashed = [PredictionRecord(p.image_id, p.subject_box, p.object_box,
                                      p.tokens, p.pos, [p.confidence ** 3],
                                      p.confidence ** 3) for p in preds]
-        assert relational_map(squashed, gts) == pytest.approx(base, abs=1e-12)
+        assert relational_map(score_pairs(squashed, gts)) == pytest.approx(base, abs=1e-12)
 
     def test_monotone_in_thresholds(self):
         rng = np.random.default_rng(99)
@@ -223,18 +295,19 @@ class TestRelationalMap:
             preds, gts = random_fixture(rng)
         loose = MetricConfig(meteor_thresholds=(0.0,), iou_thresholds=(0.2,))
         tight = MetricConfig(meteor_thresholds=(0.25,), iou_thresholds=(0.6,))
-        assert relational_map(preds, gts, tight) <= relational_map(preds, gts, loose) + 1e-12
+        scores = score_pairs(preds, gts)
+        assert relational_map(scores, tight) <= relational_map(scores, loose) + 1e-12
 
 
 class TestImageLevelRecall:
     def test_perfect_predictions(self):
         gts = [gt(0, Box(5, 5, 4, 4), Box(15, 5, 4, 4), ["the", "cat", "sits"])]
         preds = [pred(0, g.subject_box, g.object_box, g.tokens, 0.9) for g in gts]
-        assert image_level_recall(preds, gts) == 1.0
+        assert image_level_recall(score_pairs(preds, gts)) == 1.0
 
     def test_no_predictions(self):
         gts = [gt(0, Box(5, 5, 4, 4), Box(15, 5, 4, 4), ["a", "b"])]
-        assert image_level_recall([], gts) == 0.0
+        assert image_level_recall(score_pairs([], gts)) == 0.0
 
     def test_threshold_averaging_hand_case(self):
         # two GT captions, one matched perfectly: t=0 covers both (score >= 0),
@@ -242,14 +315,31 @@ class TestImageLevelRecall:
         g1 = gt(0, Box(5, 5, 4, 4), Box(15, 5, 4, 4), ["the", "cat", "sits"])
         g2 = gt(0, Box(15, 5, 4, 4), Box(5, 5, 4, 4), ["zebras", "gallop", "fast"])
         p1 = pred(0, g1.subject_box, g1.object_box, g1.tokens, 0.9)
-        assert image_level_recall([p1], [g1, g2], (0.0, 0.25)) == pytest.approx(0.75)
+        assert image_level_recall(score_pairs([p1], [g1, g2]),
+                                  (0.0, 0.25)) == pytest.approx(0.75)
 
     def test_superset_predictions_give_one_at_every_threshold(self):
         gts = [gt(0, Box(5, 5, 4, 4), Box(15, 5, 4, 4), ["the", "cat", "sits"]),
                gt(1, Box(5, 5, 4, 4), Box(15, 5, 4, 4), ["a", "dog", "naps"])]
         preds = [pred(g.image_id, g.subject_box, g.object_box, g.tokens, 0.9) for g in gts]
         preds.append(pred(0, Box(1, 1, 2, 2), Box(3, 3, 2, 2), ["extra", "words"], 0.5))
-        assert image_level_recall(preds, gts) == 1.0
+        assert image_level_recall(score_pairs(preds, gts)) == 1.0
+
+    def test_50_random_fixtures_match_oracle(self):
+        rng = np.random.default_rng(2025)
+        thresholds = MetricConfig().meteor_thresholds
+        for _ in range(50):
+            preds, gts = random_fixture(rng)
+            assert image_level_recall(score_pairs(preds, gts), thresholds) == (
+                oracle_image_level_recall(preds, gts, thresholds))
+
+
+class TestMeanMeteor:
+    def test_50_random_fixtures_match_oracle(self):
+        rng = np.random.default_rng(2026)
+        for _ in range(50):
+            preds, gts = random_fixture(rng)
+            assert mean_meteor(score_pairs(preds, gts)) == oracle_mean_meteor(preds, gts)
 
 
 class TestDiversity:
@@ -281,13 +371,13 @@ class TestVrdRecall:
     def test_perfect_predictions(self):
         gts = [gt(0, Box(5, 5, 4, 4), Box(15, 5, 4, 4), ["the", "cat", "sits"])]
         preds = [pred(0, g.subject_box, g.object_box, g.tokens, 0.9) for g in gts]
-        assert vrd_recall_at_k(preds, gts, 10, "phrase") == 1.0
-        assert vrd_recall_at_k(preds, gts, 10, "relationship") == 1.0
+        assert vrd_recall_at_k(score_pairs(preds, gts), 10, "phrase") == 1.0
+        assert vrd_recall_at_k(score_pairs(preds, gts), 10, "relationship") == 1.0
 
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError):
-            vrd_recall_at_k([], [gt(0, Box(5, 5, 4, 4), Box(15, 5, 4, 4), ["a", "b"])],
-                            0, "phrase")
+            vrd_recall_at_k(score_pairs([], [gt(0, Box(5, 5, 4, 4), Box(15, 5, 4, 4),
+                                                ["a", "b"])]), 0, "phrase")
 
     def test_union_overlap_without_endpoint_overlap(self):
         # swapped endpoints: identical union box, disjoint endpoint boxes
@@ -296,16 +386,67 @@ class TestVrdRecall:
         p = pred(0, obox, sbox, g.tokens, 0.9)
         assert iou(p.union, union_box(sbox, obox)) == 1.0
         assert iou(p.subject_box, sbox) == 0.0
-        assert vrd_recall_at_k([p], [g], 5, "phrase") == 1.0
-        assert vrd_recall_at_k([p], [g], 5, "relationship") == 0.0
+        assert vrd_recall_at_k(score_pairs([p], [g]), 5, "phrase") == 1.0
+        assert vrd_recall_at_k(score_pairs([p], [g]), 5, "relationship") == 0.0
 
     def test_top_k_budget(self):
         g = gt(0, Box(5, 5, 4, 4), Box(15, 5, 4, 4), ["the", "cat", "sits"])
         decoys = [pred(0, Box(40, 40, 2, 2), Box(44, 44, 2, 2), ["zzz", "yyy"],
                        0.9 - 0.01 * i) for i in range(3)]
         hit = pred(0, g.subject_box, g.object_box, g.tokens, 0.5)
-        assert vrd_recall_at_k(decoys + [hit], [g], 2, "phrase") == 0.0
-        assert vrd_recall_at_k(decoys + [hit], [g], 4, "phrase") == 1.0
+        assert vrd_recall_at_k(score_pairs(decoys + [hit], [g]), 2, "phrase") == 0.0
+        assert vrd_recall_at_k(score_pairs(decoys + [hit], [g]), 4, "phrase") == 1.0
+
+    def test_50_random_fixtures_match_oracle(self):
+        rng = np.random.default_rng(2027)
+        cfg = MetricConfig()
+        for _ in range(50):
+            preds, gts = random_fixture(rng)
+            scores = score_pairs(preds, gts)
+            for mode in ("phrase", "relationship"):
+                for k in (1, 2, 5):
+                    assert vrd_recall_at_k(scores, k, mode, cfg) == oracle_vrd_recall(
+                        preds, gts, k, mode, cfg), (mode, k)
+
+
+class TestScorePairs:
+    def test_tables_and_image_order(self):
+        g0 = gt(1, Box(5, 5, 4, 4), Box(15, 5, 4, 4), ["the", "cat", "sits"])
+        g1 = gt(1, Box(15, 5, 4, 4), Box(25, 5, 4, 4), ["a", "dog", "runs"])
+        g2 = gt(0, Box(5, 5, 4, 4), Box(15, 5, 4, 4), ["a", "dog", "naps"])
+        preds = [pred(2, Box(1, 1, 2, 2), Box(3, 3, 2, 2), ["extra"], 0.5),
+                 pred(1, g1.object_box, g1.subject_box, ["a", "dog"], 0.6),
+                 pred(1, g0.subject_box, g0.object_box, g0.tokens, 0.9)]
+        scores = score_pairs(preds, [g0, g1, g2])
+        assert [s.image_id for s in scores] == [1, 0, 2]
+        assert [s.pred_index for s in scores] == [[1, 2], [], [0]]
+        assert [s.meteor.shape for s in scores] == [(2, 2), (0, 1), (1, 0)]
+        first = scores[0]
+        assert first.confidence.tolist() == [preds[1].confidence, preds[2].confidence]
+        for r, k in enumerate(first.pred_index):
+            for c, g in enumerate([g0, g1]):
+                p = preds[k]
+                assert first.meteor[r, c] == meteor_lite(p.tokens, g.tokens)
+                assert first.iou_subject[r, c] == iou(p.subject_box, g.subject_box)
+                assert first.iou_object[r, c] == iou(p.object_box, g.object_box)
+                assert first.iou_union[r, c] == iou(p.union, union_box(g.subject_box,
+                                                                       g.object_box))
+
+    def test_evaluate_model_scores_each_pair_once(self, toy_world_small, monkeypatch):
+        records, provider, vocab = toy_world_small
+        cfg = tiny_config(provider.feature_width, len(vocab))
+        calls = []
+
+        def counting(candidate, reference):
+            calls.append(1)
+            return meteor_lite(candidate, reference)
+
+        monkeypatch.setattr(metrics, "meteor_lite", counting)
+        _, preds = evaluate_model(records[:3], fresh_params(cfg, seed=7), cfg, vocab,
+                                  provider, ProposalSettings(), vrd_ks=(1, 50))
+        pairs = sum(len(r.relations) * sum(p.image_id == r.image_id for p in preds)
+                    for r in records[:3])
+        assert pairs > 0 and len(calls) == pairs
 
 
 class TestPosAccuracy:
@@ -352,7 +493,7 @@ class TestEvalReport:
     def test_mean_meteor_best_match(self):
         g1 = gt(0, Box(5, 5, 4, 4), Box(15, 5, 4, 4), ["the", "cat", "sits"])
         p = pred(0, g1.subject_box, g1.object_box, ["the", "cat", "sits"], 0.9)
-        assert mean_meteor([p], [g1]) == meteor_lite(p.tokens, g1.tokens)
+        assert mean_meteor(score_pairs([p], [g1])) == meteor_lite(p.tokens, g1.tokens)
 
 
 class TestMetricConfigDefaults:

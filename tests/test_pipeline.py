@@ -212,13 +212,15 @@ class TestPrediction:
             p.validate()
             assert p.image_id == records[0].image_id
 
-    def test_pair_cap_limits_predictions(self, toy_world_small):
+    @pytest.mark.parametrize("make_config", [cfg_for, direct_union_config],
+                             ids=["mttsnet", "direct-union"])
+    def test_pair_cap_limits_predictions(self, toy_world_small, make_config):
         records, provider, vocab = toy_world_small
-        cfg = cfg_for(provider, vocab)
+        cfg = make_config(provider, vocab)
         params = fresh_params(cfg, seed=7)
-        few = predict_image(records[0], params, cfg, vocab, provider,
-                            ProposalSettings(), pair_cap=2)
-        assert len(few) <= 2
+        every, few = (predict_image(records[0], params, cfg, vocab, provider,
+                                    ProposalSettings(), pair_cap=cap) for cap in (None, 2))
+        assert len(every) > 2 and len(few) <= 2
 
     def test_direct_union_predictions_carry_equal_boxes(self, toy_world_small):
         records, provider, vocab = toy_world_small
