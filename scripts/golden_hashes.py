@@ -1,0 +1,102 @@
+"""Run the golden command list and print the sha256 of every output.
+
+Usage: python3 scripts/golden_hashes.py OUTDIR
+
+OUTDIR must be missing or empty. The ``relcap`` commands below run there
+with this checkout's ``src`` on PYTHONPATH and OPENBLAS_NUM_THREADS=1: the
+seed-7 toy dataset, three 3-epoch models (``mttsnet,mtl,rem``,
+``direct-union``, ``direct-union,mtl,rem``) with eval, greedy and stochastic
+infer and retrieve on each, two pair-capped infers and one caption graph.
+Then ``perfbench/run.py`` runs every workload for 2 s on seed 701.
+
+The output is one ``sha256  path`` line per file under OUTDIR and one per
+perfbench output hash (path ``perfbench/<workload>/<name>``), sorted by
+path. Byte-identity of two checkouts is then one ``diff`` of their outputs.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+MODELS = ("mttsnet,mtl,rem", "direct-union", "direct-union,mtl,rem")
+WORKLOADS = ("train", "infer-dense", "eval", "retrieve")
+
+
+def run(argv, cwd, env) -> str:
+    proc = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"{' '.join(argv)} exited {proc.returncode}:\n{proc.stderr}")
+    return proc.stdout
+
+
+def relcap_commands():
+    """Argument lists of the golden ``relcap`` runs, in order."""
+    yield ["gen-toy", "--out", "toy", "--seed", "7"]
+    for model in MODELS:
+        out = model.replace(",", "_")
+        yield ["train", "--data", "toy/train.jsonl", "--provider", "toy/provider.json",
+               "--out", out, "--model", model, "--epochs", "3", "--seed", "1"]
+        inputs = ["--checkpoint", f"{out}/model.rckpt", "--data", "toy/test.jsonl",
+                  "--provider", "toy/provider.json"]
+        yield ["eval", *inputs, "--out", f"eval_{out}.json"]
+        yield ["infer", *inputs, "--out", f"greedy_{out}.jsonl"]
+        yield ["infer", *inputs, "--out", f"stoch_{out}.jsonl", "--mode", "stochastic"]
+        yield ["retrieve", *inputs, "--images", "12", "--out", f"retrieve_{out}.json"]
+    yield ["infer", "--checkpoint", "mttsnet_mtl_rem/model.rckpt", "--data", "toy/test.jsonl",
+           "--provider", "toy/provider.json", "--pair-cap", "5", "--keep-after-nms", "4",
+           "--out", "capped.jsonl"]
+    yield ["infer", "--checkpoint", "direct-union/model.rckpt", "--data", "toy/test.jsonl",
+           "--provider", "toy/provider.json", "--pair-cap", "1", "--out", "capped_du.jsonl"]
+
+
+def file_hashes(outdir: str) -> dict:
+    out = {}
+    for base, _dirs, files in os.walk(outdir):
+        for name in files:
+            path = os.path.join(base, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, outdir)] = hashlib.sha256(fh.read()).hexdigest()
+    return out
+
+
+def perfbench_hashes(env) -> dict:
+    out = {}
+    for workload in WORKLOADS:
+        stdout = run([sys.executable, "perfbench/run.py", "--workload", workload,
+                      "--seed", "701", "--seconds", "2"], ROOT, env)
+        info = next(json.loads(line)["info"] for line in stdout.splitlines()
+                    if line.startswith('{"info"'))
+        for name, digest in info["hashes"].items():
+            out[f"perfbench/{workload}/{name}"] = digest
+    return out
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        sys.exit(__doc__.strip().splitlines()[2])
+    outdir = os.path.abspath(argv[0])
+    os.makedirs(outdir, exist_ok=True)
+    if os.listdir(outdir):
+        sys.exit(f"{outdir} is not empty")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.join(ROOT, "src"))
+    relcap = [sys.executable, "-m", "relcap.cli"]
+    for args in relcap_commands():
+        run(relcap + args, outdir, env)
+    with open(os.path.join(outdir, "greedy_mttsnet_mtl_rem.jsonl")) as fh:
+        first_image = json.loads(fh.readline())["image_id"]
+    run(relcap + ["graph", "--predictions", "greedy_mttsnet_mtl_rem.jsonl",
+                  "--image-id", str(first_image), "--out", "graph"], outdir, env)
+    hashes = file_hashes(outdir) | perfbench_hashes(env)
+    for path in sorted(hashes):
+        print(f"{hashes[path]}  {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

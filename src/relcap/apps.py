@@ -142,9 +142,10 @@ def retrieval_score(query_ids, batch: PairBatch, params: ModelParams,
     n = len(batch)
     if n == 0:
         raise ValueError("retrieval needs at least one candidate pair")
-    codes = encode_pair_batch(batch, params, config)
-    steps = teacher_forced_unroll(codes, np.tile(np.asarray(query, dtype=np.intp), (n, 1)),
-                                  params, config)
+    with ad.no_grad():
+        codes = encode_pair_batch(batch, params, config)
+        steps = teacher_forced_unroll(codes, np.tile(np.asarray(query, dtype=np.intp), (n, 1)),
+                                      params, config)
     log_scores = np.zeros(n)
     probs = np.zeros((n, len(query)))
     for t, ((word_logits, _, _), word) in enumerate(zip(steps, query)):

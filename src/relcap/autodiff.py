@@ -2,11 +2,15 @@
 
 Everything runs on contiguous float64 numpy arrays. A graph is recorded
 while the forward pass executes and is discarded by ``backward``; there is
-no persistent tape. All stochastic operations take an explicit
-``numpy.random.Generator``.
+no persistent tape. Inside ``no_grad`` nothing is recorded: every op
+returns a plain leaf, so inference keeps no graph alive. All stochastic
+operations take an explicit ``numpy.random.Generator``.
 """
 
 from __future__ import annotations
+
+import contextlib
+import threading
 
 import numpy as np
 
@@ -59,6 +63,33 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.data.shape})"
 
 
+class _Recording(threading.local):
+    enabled = True
+
+
+# Per thread, so a decoding thread cannot switch off recording in a
+# training thread.
+_recording = _Recording()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run the enclosed ops without recording a graph (this thread only)."""
+    previous = _recording.enabled
+    _recording.enabled = False
+    try:
+        yield
+    finally:
+        _recording.enabled = previous
+
+
+def _node(data, parents, back) -> Tensor:
+    """An op's result: a graph node while recording, a plain leaf otherwise."""
+    if _recording.enabled:
+        return Tensor(data, parents, back)
+    return Tensor(data)
+
+
 def _accumulate(node: Tensor, grad: np.ndarray) -> None:
     if node.grad is None:
         node.grad = np.array(grad, dtype=np.float64)
@@ -73,6 +104,8 @@ def backward(loss: Tensor) -> None:
     persistent buffers of ``Parameter`` leaves) and then discards the
     recorded graph so nodes cannot be back-propagated twice.
     """
+    if not _recording.enabled:
+        raise RuntimeError("backward called inside no_grad: no graph was recorded")
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
 
@@ -132,94 +165,76 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ValueError(
             f"affine: bias shape {b.data.shape} does not match weight columns {w.data.shape}"
         )
-    out = Tensor(x.data @ w.data + b.data, _parents=(x, w, b))
 
     def _back(g):
         _accumulate(x, g @ w.data.T)
         _accumulate(w, x.data.T @ g)
         _accumulate(b, g.sum(axis=0))
 
-    out._backward = _back
-    return out
+    return _node(x.data @ w.data + b.data, (x, w, b), _back)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[-1] != b.data.shape[0]:
         raise ValueError(f"matmul: inner dims of {a.data.shape} and {b.data.shape} disagree")
-    out = Tensor(a.data @ b.data, _parents=(a, b))
 
     def _back(g):
         _accumulate(a, g @ b.data.T)
         _accumulate(b, a.data.T @ g)
 
-    out._backward = _back
-    return out
+    return _node(a.data @ b.data, (a, b), _back)
 
 
 def transpose(x: Tensor) -> Tensor:
-    out = Tensor(x.data.T, _parents=(x,))
-    out._backward = lambda g: _accumulate(x, g.T)
-    return out
+    return _node(x.data.T, (x,), lambda g: _accumulate(x, g.T))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data + b.data, _parents=(a, b))
-
     def _back(g):
         _accumulate(a, _unbroadcast(g, a.data.shape))
         _accumulate(b, _unbroadcast(g, b.data.shape))
 
-    out._backward = _back
-    return out
+    return _node(a.data + b.data, (a, b), _back)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data * b.data, _parents=(a, b))
-
     def _back(g):
         _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
         _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
-    out._backward = _back
-    return out
+    return _node(a.data * b.data, (a, b), _back)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
     c = float(c)
-    out = Tensor(x.data * c, _parents=(x,))
-    out._backward = lambda g: _accumulate(x, g * c)
-    return out
+    return _node(x.data * c, (x,), lambda g: _accumulate(x, g * c))
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
-    # Branch on sign to avoid overflow in exp.
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
+    # 1 / (1 + e) for v >= 0, else e / (1 + e), with e = exp(-|v|) so exp
+    # cannot overflow; every element takes the same operations.
+    # min(v, -v) is -|v| that keeps a NaN's sign.
+    e = np.negative(v)
+    np.minimum(v, e, out=e)
+    np.exp(e, out=e)
+    out = np.where(v >= 0, 1.0, e)
+    out /= e + 1.0
     return out
 
 
 def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0.0), _parents=(x,))
     # derivative at exactly 0 is defined as 0
-    out._backward = lambda g: _accumulate(x, g * (x.data > 0))
-    return out
+    return _node(np.maximum(x.data, 0.0), (x,), lambda g: _accumulate(x, g * (x.data > 0)))
 
 
 def sigmoid(x: Tensor) -> Tensor:
     y = _sigmoid(x.data)
-    out = Tensor(y, _parents=(x,))
-    out._backward = lambda g: _accumulate(x, g * y * (1.0 - y))
-    return out
+    return _node(y, (x,), lambda g: _accumulate(x, g * y * (1.0 - y)))
 
 
 def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.data)
-    out = Tensor(y, _parents=(x,))
-    out._backward = lambda g: _accumulate(x, g * (1.0 - y * y))
-    return out
+    return _node(y, (x,), lambda g: _accumulate(x, g * (1.0 - y * y)))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -239,39 +254,32 @@ def row_softmax(x: Tensor) -> Tensor:
     if x.data.ndim != 2:
         raise ValueError(f"row_softmax expects a 2-D tensor, got shape {x.data.shape}")
     y = softmax(x.data)
-    out = Tensor(y, _parents=(x,))
 
     def _back(g):
         dot = (g * y).sum(axis=1, keepdims=True)
         _accumulate(x, (g - dot) * y)
 
-    out._backward = _back
-    return out
+    return _node(y, (x,), _back)
 
 
 def concat(tensors, axis: int = 1) -> Tensor:
-    tensors = list(tensors)
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), _parents=tuple(tensors))
-    splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+    tensors = tuple(tensors)
 
     def _back(g):
+        splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
             _accumulate(t, piece)
 
-    out._backward = _back
-    return out
+    return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors, _back)
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    out = Tensor(x.data[:, start:stop].copy(), _parents=(x,))
-
     def _back(g):
         full = np.zeros_like(x.data)
         full[:, start:stop] = g
         _accumulate(x, full)
 
-    out._backward = _back
-    return out
+    return _node(x.data[:, start:stop].copy(), (x,), _back)
 
 
 def gather_rows(x: Tensor, indices) -> Tensor:
@@ -279,15 +287,13 @@ def gather_rows(x: Tensor, indices) -> Tensor:
     idx = np.asarray(indices, dtype=np.intp)
     if idx.size and (idx.min() < 0 or idx.max() >= x.data.shape[0]):
         raise IndexError(f"gather_rows: index out of range for {x.data.shape[0]} rows")
-    out = Tensor(x.data[idx], _parents=(x,))
 
     def _back(g):
         full = np.zeros_like(x.data)
         np.add.at(full, idx, g)
         _accumulate(x, full)
 
-    out._backward = _back
-    return out
+    return _node(x.data[idx], (x,), _back)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
@@ -296,9 +302,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) ->
         return x
     keep = 1.0 - rate
     mask = (rng.random(x.data.shape) < keep) / keep
-    out = Tensor(x.data * mask, _parents=(x,))
-    out._backward = lambda g: _accumulate(x, g * mask)
-    return out
+    return _node(x.data * mask, (x,), lambda g: _accumulate(x, g * mask))
 
 
 def weighted_cross_entropy(logits: Tensor, targets, weights) -> Tensor:
@@ -316,15 +320,13 @@ def weighted_cross_entropy(logits: Tensor, targets, weights) -> Tensor:
         raise IndexError(f"cross_entropy: target index out of range for {v} classes")
     logp = log_softmax(logits.data)
     nll = -logp[np.arange(n), t]
-    out = Tensor(np.float64(np.dot(w, nll)), _parents=(logits,))
 
     def _back(g):
         p = np.exp(logp)
         p[np.arange(n), t] -= 1.0
         _accumulate(logits, (float(g)) * p * w[:, None])
 
-    out._backward = _back
-    return out
+    return _node(np.float64(np.dot(w, nll)), (logits,), _back)
 
 
 def binary_logistic_loss(logits: Tensor, labels, weights) -> Tensor:
@@ -335,13 +337,11 @@ def binary_logistic_loss(logits: Tensor, labels, weights) -> Tensor:
     if y.shape != z.shape or w.shape != z.shape:
         raise ValueError(f"binary_logistic_loss: {z.shape} logits vs {y.shape} labels / {w.shape} weights")
     loss = np.dot(w, np.logaddexp(0.0, z) - y * z)
-    out = Tensor(np.float64(loss), _parents=(logits,))
 
     def _back(g):
         _accumulate(logits, (float(g) * w * (_sigmoid(z) - y)).reshape(logits.data.shape))
 
-    out._backward = _back
-    return out
+    return _node(np.float64(loss), (logits,), _back)
 
 
 def smooth_l1(pred: Tensor, target, weights=None) -> Tensor:
@@ -357,26 +357,22 @@ def smooth_l1(pred: Tensor, target, weights=None) -> Tensor:
     small = np.abs(d) < 1.0
     row_sums = np.where(small, 0.5 * d * d, np.abs(d) - 0.5).sum(axis=1)
     w = np.ones(row_sums.shape[0]) if weights is None else np.asarray(weights, dtype=np.float64)
-    out = Tensor(np.float64(np.dot(w, row_sums)), _parents=(pred,))
 
     def _back(g):
         _accumulate(pred, float(g) * np.where(small, d, np.sign(d)) * w[:, None])
 
-    out._backward = _back
-    return out
+    return _node(np.float64(np.dot(w, row_sums)), (pred,), _back)
 
 
 def add_scalars(terms) -> Tensor:
     """Sum a list of scalar loss nodes."""
-    terms = list(terms)
-    out = Tensor(np.float64(sum(float(t.data) for t in terms)), _parents=tuple(terms))
+    terms = tuple(terms)
 
     def _back(g):
         for t in terms:
             _accumulate(t, np.broadcast_to(g, t.data.shape).copy() if t.data.shape else np.float64(g))
 
-    out._backward = _back
-    return out
+    return _node(np.float64(sum(float(t.data) for t in terms)), terms, _back)
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,11 @@ from .data import (SCHEMA_VERSION, ToyFeatureProvider, ToyWorldConfig, build_voc
                    enrich_attributes, generate_toy_world, load_attributes, load_dataset,
                    load_jsonl, load_pos_lexicon, save_dataset, save_jsonl, split_records)
 from .errors import ConfigError, DataError, InvariantError
-from .geometry import Box
+from .geometry import Box, nms
 from .metrics import MetricConfig, PredictionRecord
 from .model import ModelConfig, load_model, save_model
-from .pipeline import (ProposalSettings, TrainSettings, evaluate_model, history_to_csv,
-                       kept_pair_batch, predict_records, train_model)
+from .pipeline import (ProposalSettings, TrainSettings, build_proposals, evaluate_model,
+                       history_to_csv, make_pair_batch, predict_records, train_model)
 
 
 def _sha256_bytes(payload: bytes) -> str:
@@ -310,7 +310,8 @@ def cmd_infer(args) -> int:
     mode = _resolve(args, cfg_file, "mode", "greedy")
     rng = np.random.default_rng(np.random.SeedSequence([settings.seed, 99])) \
         if mode == "stochastic" else None
-    predictions = predict_records(records, params, config, vocab, provider, settings,
+    proposals = (build_proposals(record, provider, config, settings) for record in records)
+    predictions = predict_records(records, proposals, params, config, vocab, provider,
                                   mode=mode, rng=rng, **_predict_options(args, cfg_file))
     write_predictions(args.out, predictions)
     print(f"wrote {len(predictions)} predictions to {args.out}")
@@ -356,7 +357,8 @@ def cmd_retrieve(args) -> int:
     scorables = []
     gt_captions = {}
     for record in records:
-        batch, boxes = kept_pair_batch(record, provider, config, settings, nms_iou, keep)
+        kept = nms(build_proposals(record, provider, config, settings), nms_iou, keep)
+        batch, boxes = make_pair_batch(record, kept, provider, config)
         if not boxes:
             continue
         scorables.append((record.image_id, batch))

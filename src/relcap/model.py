@@ -598,7 +598,8 @@ def decode_batch(batch: PairBatch, params: ModelParams, config: ModelConfig,
     """Decode every pair in the batch; greedy or stochastic.
 
     Greedy takes the argmax each step (ties resolve to the lowest word id);
-    stochastic samples from the word softmax and requires ``rng``.
+    stochastic samples from the word softmax and requires ``rng``. Runs
+    under ``no_grad``: nothing is differentiated, so no graph is kept.
     """
     if mode not in ("greedy", "stochastic"):
         raise ValueError(f"unknown decode mode {mode!r}")
@@ -606,44 +607,49 @@ def decode_batch(batch: PairBatch, params: ModelParams, config: ModelConfig,
         raise ValueError("stochastic decoding needs an explicit rng")
     limit = config.max_len if max_len is None else max_len
     n = len(batch)
-    codes = encode_pair_batch(batch, params, config)
-    state = init_state(n, config)
-    token_ids = [[] for _ in range(n)]
-    pos_tags = [[] for _ in range(n)]
-    word_probs = [[] for _ in range(n)]
-    done = [False] * n
-    prev = None
-    for _step in range(limit):
-        word_logits, pos_logits, state = decode_step(
-            codes if prev is None else None, prev, state, params, config)
-        probs = ad.softmax(word_logits.data)
-        pos_argmax = pos_logits.data.argmax(axis=1) if pos_logits is not None else None
-        chosen = np.full(n, END_ID, dtype=np.intp)
-        for row in range(n):
-            if done[row]:
-                continue
+    rows = np.arange(n)
+    done = np.zeros(n, dtype=bool)
+    taken = np.zeros(n, dtype=np.intp)           # steps each row decoded
+    picks = np.full((n, limit), END_ID, dtype=np.intp)
+    chosen_probs = np.zeros((n, limit))
+    tags = np.zeros((n, limit), dtype=np.intp)
+    with ad.no_grad():
+        codes = encode_pair_batch(batch, params, config)
+        state = init_state(n, config)
+        prev = None
+        for t in range(limit):
+            word_logits, pos_logits, state = decode_step(
+                codes if prev is None else None, prev, state, params, config)
+            probs = ad.softmax(word_logits.data)
+            active = ~done
             if mode == "greedy":
-                pick = int(probs[row].argmax())
+                step_picks = probs.argmax(axis=1)
             else:
-                pick = int(rng.choice(config.vocab_size, p=probs[row]))
-            chosen[row] = pick
-            word_probs[row].append(float(probs[row][pick]))
-            if pick == END_ID:
-                done[row] = True
-            else:
-                token_ids[row].append(pick)
-                if pos_argmax is not None:
-                    pos_tags[row].append(PosTag(int(pos_argmax[row])))
-        if all(done):
-            break
-        prev = chosen
+                step_picks = np.full(n, END_ID, dtype=np.intp)
+                for row in np.flatnonzero(active):
+                    step_picks[row] = rng.choice(config.vocab_size, p=probs[row])
+            prev = np.where(active, step_picks, END_ID)
+            picks[:, t] = prev
+            chosen_probs[:, t] = probs[rows, prev]
+            if pos_logits is not None:
+                tags[:, t] = pos_logits.data.argmax(axis=1)
+            taken += active
+            done |= prev == END_ID
+            if done.all():
+                break
+    # Each row decoded its first ``taken`` steps; a finished row's last pick
+    # is the end token, which has a probability but is not emitted.
+    tag_of = tuple(PosTag)                      # PosTag(x) for x in 0, 1, 2
     out = []
-    for row in range(n):
+    for finished, k, row_picks, row_probs, row_tags in zip(
+            done.tolist(), taken.tolist(), picks.tolist(), chosen_probs.tolist(), tags.tolist()):
+        emitted = k - 1 if finished else k
+        word_probs = row_probs[:k]
         out.append(CaptionPrediction(
-            token_ids=token_ids[row],
-            pos=pos_tags[row],
-            word_probs=word_probs[row],
-            confidence=float(math.prod(word_probs[row])) if word_probs[row] else 1.0,
+            token_ids=row_picks[:emitted],
+            pos=[tag_of[x] for x in row_tags[:emitted]] if config.mtl else [],
+            word_probs=word_probs,
+            confidence=float(math.prod(word_probs)) if word_probs else 1.0,
         ))
     return out
 
@@ -661,7 +667,8 @@ def importance_trace(codes, gt_token_ids, params: ModelParams,
     targets = list(gt_token_ids)
     if not targets:
         raise ValueError("importance trace needs a non-empty token sequence")
-    steps = teacher_forced_unroll(codes, np.array([targets], dtype=np.intp), params, config)
+    with ad.no_grad():
+        steps = teacher_forced_unroll(codes, np.array([targets], dtype=np.intp), params, config)
     trace = np.array([[float(np.linalg.norm(state[name][0].data)) for name in STREAM_NAMES]
                       for _, _, state in steps])
     return trace - trace.mean(axis=0, keepdims=True)

@@ -223,24 +223,16 @@ def make_pair_batch(record: RelationalRecord, proposals, provider,
     return batch, [(proposals[i].box, proposals[j].box) for i, j, _, _ in pairs]
 
 
-def kept_pair_batch(record: RelationalRecord, provider, config: ModelConfig,
-                    settings: ProposalSettings, nms_iou: float, keep: int,
-                    pair_cap: int | None = None):
-    """Proposals, NMS down to ``keep``, then make_pair_batch over the survivors."""
-    kept = nms(build_proposals(record, provider, config, settings), nms_iou, keep)
-    return make_pair_batch(record, kept, provider, config, pair_cap)
-
-
-def predict_image(record: RelationalRecord, params: ModelParams, config: ModelConfig,
-                  vocab: Vocabulary, provider, settings: ProposalSettings,
-                  metric_config: MetricConfig | None = None,
-                  nms_iou: float = 0.5, pair_cap: int | None = None,
-                  min_confidence: float | None = None,
-                  mode: str = "greedy", rng: np.random.Generator | None = None):
-    """Decode captions for every surviving pair of one image."""
+def predict_proposals(record: RelationalRecord, proposals, params: ModelParams,
+                      config: ModelConfig, vocab: Vocabulary, provider,
+                      metric_config: MetricConfig | None = None,
+                      nms_iou: float = 0.5, pair_cap: int | None = None,
+                      min_confidence: float | None = None,
+                      mode: str = "greedy", rng: np.random.Generator | None = None):
+    """Decode captions for every pair of the ``proposals`` that survive NMS."""
     metric_config = metric_config or MetricConfig()
-    batch, boxes = kept_pair_batch(record, provider, config, settings, nms_iou,
-                                   metric_config.keep_after_nms, pair_cap)
+    kept = nms(proposals, nms_iou, metric_config.keep_after_nms)
+    batch, boxes = make_pair_batch(record, kept, provider, config, pair_cap)
     if not boxes:
         return []
     decoded = decode_batch(batch, params, config, mode=mode, rng=rng)
@@ -261,12 +253,26 @@ def predict_image(record: RelationalRecord, params: ModelParams, config: ModelCo
     return out
 
 
-def predict_records(records, params: ModelParams, config: ModelConfig, vocab: Vocabulary,
-                    provider, settings: ProposalSettings, **predict_options):
-    """predict_image over every record, concatenated in record order."""
-    return [pred for record in records
-            for pred in predict_image(record, params, config, vocab, provider, settings,
-                                      **predict_options)]
+def predict_image(record: RelationalRecord, params: ModelParams, config: ModelConfig,
+                  vocab: Vocabulary, provider, settings: ProposalSettings,
+                  metric_config: MetricConfig | None = None,
+                  nms_iou: float = 0.5, pair_cap: int | None = None,
+                  min_confidence: float | None = None,
+                  mode: str = "greedy", rng: np.random.Generator | None = None):
+    """Decode captions for every surviving pair of one image."""
+    return predict_proposals(record, build_proposals(record, provider, config, settings),
+                             params, config, vocab, provider, metric_config=metric_config,
+                             nms_iou=nms_iou, pair_cap=pair_cap,
+                             min_confidence=min_confidence, mode=mode, rng=rng)
+
+
+def predict_records(records, proposals, params: ModelParams, config: ModelConfig,
+                    vocab: Vocabulary, provider, **predict_options):
+    """predict_proposals over every record and its proposals, concatenated in
+    record order."""
+    return [pred for record, props in zip(records, proposals, strict=True)
+            for pred in predict_proposals(record, props, params, config, vocab, provider,
+                                          **predict_options)]
 
 
 def predicted_pos_tags(batch_targets, codes, params, config):
@@ -278,19 +284,19 @@ def predicted_pos_tags(batch_targets, codes, params, config):
             for i, t in enumerate(batch_targets)]
 
 
-def model_pos_accuracy(records, params, config: ModelConfig, vocab, provider,
-                       settings: ProposalSettings):
-    """Teacher-forced tag accuracy over all GT-matched pairs."""
+def model_pos_accuracy(records, proposals, params, config: ModelConfig, vocab, provider):
+    """Teacher-forced tag accuracy over all GT-matched pairs of each record
+    and its proposals."""
     predicted, reference = [], []
-    for record in records:
-        proposals = build_proposals(record, provider, config, settings)
-        batch = build_image_batch(record, proposals, provider, vocab, config)
-        if not batch.targets:
-            continue
-        codes = encode_pair_batch(PairBatch.from_targets(batch.features, batch.targets),
-                                  params, config)
-        predicted.extend(predicted_pos_tags(batch.targets, codes, params, config))
-        reference.extend([[PosTag(int(x)).name for x in t.tags] for t in batch.targets])
+    with ad.no_grad():
+        for record, props in zip(records, proposals, strict=True):
+            batch = build_image_batch(record, props, provider, vocab, config)
+            if not batch.targets:
+                continue
+            codes = encode_pair_batch(PairBatch.from_targets(batch.features, batch.targets),
+                                      params, config)
+            predicted.extend(predicted_pos_tags(batch.targets, codes, params, config))
+            reference.extend([[PosTag(int(x)).name for x in t.tags] for t in batch.targets])
     if not predicted:
         raise ConfigError("no GT-matched pairs available for POS evaluation")
     return pos_accuracy(predicted, reference)
@@ -305,7 +311,9 @@ def evaluate_model(records, params, config: ModelConfig, vocab: Vocabulary, prov
     gts = [rel for record in records for rel in record.relations]
     if not gts:
         raise DataError("evaluation needs ground-truth relations; the dataset has none")
-    predictions = predict_records(records, params, config, vocab, provider, settings,
+    # One proposal set per record, shared by decoding and POS accuracy.
+    proposals = [build_proposals(record, provider, config, settings) for record in records]
+    predictions = predict_records(records, proposals, params, config, vocab, provider,
                                   metric_config=metric_config, nms_iou=nms_iou,
                                   pair_cap=pair_cap, min_confidence=min_confidence)
     words_img, words_box = diversity_stats(predictions)
@@ -320,7 +328,7 @@ def evaluate_model(records, params, config: ModelConfig, vocab: Vocabulary, prov
                            for k in vrd_ks},
         vrd_relationship_recall={k: vrd_recall_at_k(scores, k, "relationship", metric_config)
                                  for k in vrd_ks},
-        pos_accuracy=(model_pos_accuracy(records, params, config, vocab, provider, settings)
+        pos_accuracy=(model_pos_accuracy(records, proposals, params, config, vocab, provider)
                       if config.mtl else None),
     )
     return report.validate(), predictions

@@ -1,6 +1,8 @@
 """Gradient and optimizer checks for the computation-graph core."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -315,3 +317,127 @@ class TestDeterminism:
             return float(loss.data), w.grad.tobytes()
 
         assert run() == run()
+
+
+class TestNoGrad:
+    def test_ops_return_plain_leaves_with_equal_values(self):
+        rng = np.random.default_rng(4)
+        w = Parameter("w", rng.normal(size=(3, 2)))
+        b = Parameter("b", rng.normal(size=2))
+        x = Tensor(rng.normal(size=(4, 3)))
+        taped = ad.sigmoid(ad.affine(x, w, b))
+        with ad.no_grad():
+            free = ad.sigmoid(ad.affine(x, w, b))
+        assert taped._parents and taped._backward is not None
+        assert free._parents == () and free._backward is None
+        assert np.array_equal(taped.data, free.data)
+
+    def test_flag_restored_after_exception(self):
+        with pytest.raises(KeyError):
+            with ad.no_grad():
+                raise KeyError("inside")
+        w = Parameter("w", np.ones((1, 1)))
+        assert ad.relu(w)._parents == (w,)
+
+    def test_nested_block_restores_outer_state(self):
+        w = Parameter("w", np.ones((1, 1)))
+        with ad.no_grad():
+            with ad.no_grad():
+                pass
+            assert ad.relu(w)._parents == ()
+        assert ad.relu(w)._parents == (w,)
+
+    def test_block_in_one_thread_leaves_another_recording(self):
+        entered, release = threading.Event(), threading.Event()
+
+        def hold_no_grad():
+            with ad.no_grad():
+                entered.set()
+                release.wait(10)
+
+        thread = threading.Thread(target=hold_no_grad)
+        thread.start()
+        try:
+            assert entered.wait(10)
+            w = Parameter("w", np.array([[2.0]]))
+            loss = scalarize(ad.relu(w))
+            assert loss._parents
+            ad.backward(loss)
+            assert w.grad[0, 0] != 0.0
+        finally:
+            release.set()
+            thread.join()
+
+    def test_threads_toggling_concurrently_keep_their_own_flag(self):
+        errors = []
+        w = Parameter("w", np.ones((2, 2)))
+
+        def worker(offset):
+            for i in range(300):
+                if (i + offset) % 2:
+                    with ad.no_grad():
+                        if ad.relu(w)._parents != ():
+                            errors.append("recorded inside no_grad")
+                elif ad.relu(w)._parents != (w,):
+                    errors.append("not recorded outside no_grad")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
+    def test_backward_inside_block_raises(self):
+        w = Parameter("w", np.array([[2.0]]))
+        loss = scalarize(ad.relu(w))
+        with ad.no_grad():
+            with pytest.raises(RuntimeError):
+                ad.backward(loss)
+        ad.backward(loss)
+        assert w.grad[0, 0] != 0.0
+
+
+def masked_sigmoid(v):
+    """The earlier sigmoid: boolean-mask compaction by sign."""
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+    return out
+
+
+class TestSigmoidBitIdentity:
+    SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 36.0, -36.0, 709.0, -709.0,
+               710.0, -710.0, 745.0, -745.0, math.inf, -math.inf, math.nan, -math.nan]
+
+    @staticmethod
+    def inputs():
+        rng = np.random.default_rng(20)
+        yield np.array(TestSigmoidBitIdentity.SPECIAL)
+        for _ in range(20):
+            yield rng.standard_normal(10 ** 5)
+
+    @staticmethod
+    def assert_bit_equal(v):
+        want, got = masked_sigmoid(v), ad._sigmoid(v)
+        assert np.array_equal(want, got, equal_nan=True)
+        assert np.array_equal(np.signbit(want), np.signbit(got))
+
+    def test_contiguous_arrays(self):
+        for v in self.inputs():
+            self.assert_bit_equal(v)
+
+    def test_column_slices_of_a_wider_array(self):
+        for v in self.inputs():
+            wide = np.stack([v[::-1], v, -v], axis=1)
+            for col in range(3):
+                assert not wide[:, col].flags.c_contiguous
+                self.assert_bit_equal(wide[:, col])

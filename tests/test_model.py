@@ -398,6 +398,120 @@ class TestDecode:
         assert len(pred.word_probs) == 2
 
 
+def random_pair_batch(cfg, n_pairs=30, n_regions=8, seed=0):
+    rng = np.random.default_rng(seed)
+    return PairBatch(features=rng.normal(size=(n_regions, cfg.feature_width)),
+                     subject_index=rng.integers(0, n_regions, n_pairs).tolist(),
+                     object_index=rng.integers(0, n_regions, n_pairs).tolist(),
+                     union_features=rng.normal(size=(n_pairs, cfg.feature_width)),
+                     geos=rng.normal(size=(n_pairs, 6)))
+
+
+def reference_decode(batch, params, cfg, mode="greedy", rng=None):
+    """Per-row decode over the taped ``decode_step``, one pick per row and
+    step in row order. Returns (token ids, POS, word probs, confidence) per row."""
+    n = len(batch)
+    codes = encode_pair_batch(batch, params, cfg)
+    state = init_state(n, cfg)
+    token_ids = [[] for _ in range(n)]
+    pos_tags = [[] for _ in range(n)]
+    word_probs = [[] for _ in range(n)]
+    done = [False] * n
+    prev = None
+    for _step in range(cfg.max_len):
+        word_logits, pos_logits, state = decode_step(
+            codes if prev is None else None, prev, state, params, cfg)
+        assert word_logits._parents
+        probs = ad.softmax(word_logits.data)
+        chosen = np.full(n, END_ID, dtype=np.intp)
+        for row in range(n):
+            if done[row]:
+                continue
+            if mode == "greedy":
+                pick = int(probs[row].argmax())
+            else:
+                pick = int(rng.choice(cfg.vocab_size, p=probs[row]))
+            chosen[row] = pick
+            word_probs[row].append(float(probs[row][pick]))
+            if pick == END_ID:
+                done[row] = True
+            else:
+                token_ids[row].append(pick)
+                if pos_logits is not None:
+                    pos_tags[row].append(PosTag(int(pos_logits.data[row].argmax())))
+        if all(done):
+            break
+        prev = chosen
+    return [(token_ids[r], pos_tags[r], word_probs[r],
+             float(math.prod(word_probs[r])) if word_probs[r] else 1.0) for r in range(n)]
+
+
+def as_tuples(preds):
+    return [(p.token_ids, p.pos, p.word_probs, p.confidence) for p in preds]
+
+
+def step0_best_other(batch, params, cfg, special):
+    """Per row, the largest step-0 word logit outside the ``special`` ids."""
+    codes = encode_pair_batch(batch, params, cfg)
+    logits, _, _ = decode_step(codes, None, init_state(len(batch), cfg), params, cfg)
+    return np.delete(logits.data, special, axis=1).max(axis=1)
+
+
+class TestDecodeMatchesReference:
+    """The vectorised, tape-free ``decode_batch`` against the per-row loop."""
+
+    def model(self):
+        cfg = tiny_config(14, 12)
+        params = fresh_params(cfg, seed=8)
+        # A sharper word head and a higher end-token bias end rows at
+        # different steps, some only at max_len.
+        params["head.word.w"].data *= 8.0
+        params["head.word.b"].data[END_ID] += 1.0
+        return params, cfg
+
+    def test_greedy_random_model(self):
+        params, cfg = self.model()
+        batch = random_pair_batch(cfg)
+        got = decode_batch(batch, params, cfg)
+        assert as_tuples(got) == reference_decode(batch, params, cfg)
+        lengths = {len(p.word_probs) for p in got}
+        assert len(lengths) >= 3 and cfg.max_len in lengths
+
+    def test_greedy_row_emitting_end_first(self):
+        params, cfg = self.model()
+        batch = random_pair_batch(cfg)
+        params["head.word.w"].data[:, END_ID] = 0.0
+        best = step0_best_other(batch, params, cfg, [END_ID])
+        first, second = np.argsort(best)[:2]
+        params["head.word.b"].data[END_ID] = (best[first] + best[second]) / 2
+        got = decode_batch(batch, params, cfg)
+        assert as_tuples(got) == reference_decode(batch, params, cfg)
+        assert got[first].token_ids == [] and len(got[first].word_probs) == 1
+
+    def test_greedy_argmax_tie_resolves_to_lowest_id(self):
+        params, cfg = self.model()
+        batch = random_pair_batch(cfg)
+        low, high = 5, 9
+        for word in (low, high):
+            params["head.word.w"].data[:, word] = 0.0
+        best = step0_best_other(batch, params, cfg, [low, high])
+        first, second = np.argsort(best)[:2]
+        params["head.word.b"].data[[low, high]] = (best[first] + best[second]) / 2
+        got = decode_batch(batch, params, cfg)
+        assert as_tuples(got) == reference_decode(batch, params, cfg)
+        assert got[first].token_ids[0] == low
+        assert all(p.token_ids[:1] != [low] for i, p in enumerate(got) if i != first)
+
+    def test_stochastic_consumes_the_rng_stream_alike(self):
+        params, cfg = self.model()
+        batch = random_pair_batch(cfg)
+        rng_got, rng_want = np.random.default_rng(31), np.random.default_rng(31)
+        got = decode_batch(batch, params, cfg, mode="stochastic", rng=rng_got)
+        want = reference_decode(batch, params, cfg, mode="stochastic", rng=rng_want)
+        assert as_tuples(got) == want
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # teacher forcing and the composite loss
 # ---------------------------------------------------------------------------
@@ -429,6 +543,24 @@ class TestTeacherForcing:
             assert np.array_equal(pos.data, want_pos.data)
             for name in state:
                 assert np.array_equal(step_state[name][0].data, state[name][0].data)
+
+    @pytest.mark.parametrize("streams", ["triple", "single"])
+    def test_logits_bitwise_equal_with_tape_on_and_off(self, streams):
+        overrides = {} if streams == "triple" else dict(streams="single", inputs=("union",))
+        cfg = tiny_config(14, 10, **overrides)
+        params = fresh_params(cfg, seed=7)
+        batch = random_pair_batch(cfg, n_pairs=9, seed=3)
+        targets = np.random.default_rng(4).integers(0, cfg.vocab_size, (9, 5))
+        taped = teacher_forced_unroll(encode_pair_batch(batch, params, cfg), targets,
+                                      params, cfg)
+        with ad.no_grad():
+            free = teacher_forced_unroll(encode_pair_batch(batch, params, cfg), targets,
+                                         params, cfg)
+        assert len(taped) == len(free) == 5
+        for (word_a, pos_a, _), (word_b, pos_b, _) in zip(taped, free):
+            assert word_a._parents and not word_b._parents
+            assert np.array_equal(word_a.data, word_b.data)
+            assert np.array_equal(pos_a.data, pos_b.data)
 
     def test_uniform_model_gives_log_vocab(self):
         cfg = tiny_config(14, 20)

@@ -9,6 +9,7 @@ from conftest import fresh_params, tiny_config
 from relcap.data import END_ID, ObjectAnnotation, encode_caption, proposals_for_record
 from relcap.geometry import RegionProposal, union_box
 from relcap.errors import InvariantError
+from relcap import pipeline
 from relcap.model import ModelConfig, PairBatch, encode_pair_batch, caption_losses
 from relcap.pipeline import (ProposalSettings, TrainSettings, build_image_batch,
                              build_proposals, evaluate_model, history_to_csv,
@@ -250,6 +251,21 @@ class TestEvaluation:
         report.validate()
         assert preds
         assert report.pos_accuracy is not None
+
+    def test_proposals_built_once_per_record(self, toy_world_small, monkeypatch):
+        records, provider, vocab = toy_world_small
+        cfg = cfg_for(provider, vocab, mtl=True)
+        calls = []
+
+        def counting(record, *args):
+            calls.append(record.image_id)
+            return build_proposals(record, *args)
+
+        monkeypatch.setattr(pipeline, "build_proposals", counting)
+        report, _ = evaluate_model(records[:3], fresh_params(cfg), cfg, vocab, provider,
+                                   ProposalSettings(), vrd_ks=(50,))
+        assert report.pos_accuracy is not None
+        assert calls == [r.image_id for r in records[:3]]
 
     def test_pos_accuracy_requires_mtl_for_report(self, toy_world_small):
         records, provider, vocab = toy_world_small
