@@ -109,18 +109,28 @@ def _load_config_file(path: str | None) -> dict:
     return obj
 
 
-def _resolve(args, file_config: dict, name: str, default):
-    """Precedence: CLI flag > config file > default."""
+def _resolve(args, file_config: dict, name: str, default, kind=None):
+    """Precedence: CLI flag > config file > default.
+
+    A missing or null config-file value gives the default; any other is
+    converted to ``kind`` (default: the type of ``default``), and one that
+    does not convert is a ConfigError naming the key.
+    """
     value = getattr(args, name.replace("-", "_"), None)
     if value is not None:
         return value
-    if name in file_config:
-        return file_config[name]
-    return default
+    value = file_config.get(name)
+    if value is None:
+        return default
+    kind = kind or type(default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"config key {name!r}: {value!r} is not a valid "
+                          f"{kind.__name__}") from exc
 
 
-def _at_least(value, minimum: int, option: str) -> int:
-    value = int(value)
+def _at_least(value: int, minimum: int, option: str) -> int:
     if value < minimum:
         raise ConfigError(f"--{option} must be at least {minimum}, got {value}")
     return value
@@ -157,14 +167,14 @@ def _check_vocab(vocab, records) -> None:
 
 def cmd_gen_toy(args) -> int:
     cfg_file = _load_config_file(args.config)
-    seed = int(_resolve(args, cfg_file, "seed", 7))
+    seed = _resolve(args, cfg_file, "seed", 7)
     toy = ToyWorldConfig(
-        n_images=int(_resolve(args, cfg_file, "images", 120)),
-        min_objects=int(_resolve(args, cfg_file, "min-objects", 2)),
-        max_objects=int(_resolve(args, cfg_file, "max-objects", 4)),
-        inside_prob=float(_resolve(args, cfg_file, "inside-prob", 0.25)),
-        n_background=int(_resolve(args, cfg_file, "background", 2)),
-        jitter=float(_resolve(args, cfg_file, "jitter", 0.08)),
+        n_images=_resolve(args, cfg_file, "images", 120),
+        min_objects=_resolve(args, cfg_file, "min-objects", 2),
+        max_objects=_resolve(args, cfg_file, "max-objects", 4),
+        inside_prob=_resolve(args, cfg_file, "inside-prob", 0.25),
+        n_background=_resolve(args, cfg_file, "background", 2),
+        jitter=_resolve(args, cfg_file, "jitter", 0.08),
     ).validate()
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
@@ -194,9 +204,9 @@ def cmd_gen_toy(args) -> int:
 
 def _proposal_settings(args, cfg_file) -> ProposalSettings:
     return ProposalSettings(
-        seed=int(_resolve(args, cfg_file, "proposal-seed", 0)),
-        jitter=float(_resolve(args, cfg_file, "jitter", 0.08)),
-        n_background=int(_resolve(args, cfg_file, "background", 2)),
+        seed=_resolve(args, cfg_file, "proposal-seed", 0),
+        jitter=_resolve(args, cfg_file, "jitter", 0.08),
+        n_background=_resolve(args, cfg_file, "background", 2),
     )
 
 
@@ -204,14 +214,14 @@ def cmd_train(args) -> int:
     cfg_file = _load_config_file(args.config)
     records = load_dataset(_require_file(args.data, "training dataset"))
     provider = _load_provider(args.provider)
-    seed = int(_resolve(args, cfg_file, "seed", 0))
+    seed = _resolve(args, cfg_file, "seed", 0)
     epochs = _at_least(_resolve(args, cfg_file, "epochs", 100), 1, "epochs")
     settings = TrainSettings(
         epochs=epochs,
-        lr=float(_resolve(args, cfg_file, "lr", 1e-3)),
-        alpha=float(_resolve(args, cfg_file, "alpha", 0.1)),
-        beta=float(_resolve(args, cfg_file, "beta", 0.1)),
-        gamma=float(_resolve(args, cfg_file, "gamma", 0.1)),
+        lr=_resolve(args, cfg_file, "lr", 1e-3),
+        alpha=_resolve(args, cfg_file, "alpha", 0.1),
+        beta=_resolve(args, cfg_file, "beta", 0.1),
+        gamma=_resolve(args, cfg_file, "gamma", 0.1),
         seed=seed,
         proposals=_proposal_settings(args, cfg_file),
     )
@@ -224,18 +234,18 @@ def cmd_train(args) -> int:
         params, config, vocab, optimizer, _ = load_model(_require_file(args.resume, "checkpoint"))
         _check_vocab(vocab, records)
     else:
-        vocab = build_vocab(records, min_count=int(_resolve(args, cfg_file, "min-count", 1)))
+        vocab = build_vocab(records, min_count=_resolve(args, cfg_file, "min-count", 1))
         config = ModelConfig.from_name(
             _resolve(args, cfg_file, "model", "mttsnet"),
             feature_width=provider.feature_width,
             vocab_size=len(vocab),
-            d_subj_obj=int(_resolve(args, cfg_file, "d-subj-obj", 64)),
-            d_union=int(_resolve(args, cfg_file, "d-union", 32)),
-            code_width=int(_resolve(args, cfg_file, "hidden", 48)),
-            hidden=int(_resolve(args, cfg_file, "hidden", 48)),
-            rem_dim=int(_resolve(args, cfg_file, "rem-dim", 32)),
-            max_len=int(_resolve(args, cfg_file, "max-len", 12)),
-            dropout=float(_resolve(args, cfg_file, "dropout", 0.1)),
+            d_subj_obj=_resolve(args, cfg_file, "d-subj-obj", 64),
+            d_union=_resolve(args, cfg_file, "d-union", 32),
+            code_width=_resolve(args, cfg_file, "hidden", 48),
+            hidden=_resolve(args, cfg_file, "hidden", 48),
+            rem_dim=_resolve(args, cfg_file, "rem-dim", 32),
+            max_len=_resolve(args, cfg_file, "max-len", 12),
+            dropout=_resolve(args, cfg_file, "dropout", 0.1),
         )
 
     config_echo = {"model": config.to_json(), "train": {
@@ -279,14 +289,13 @@ def _eval_like_setup(args, cfg_file):
 
 def _predict_options(args, cfg_file) -> dict:
     """predict_image keyword options shared by eval and infer."""
-    pair_cap = _resolve(args, cfg_file, "pair-cap", None)
-    min_conf = _resolve(args, cfg_file, "min-confidence", None)
+    pair_cap = _resolve(args, cfg_file, "pair-cap", None, int)
     return {
         "metric_config": MetricConfig(keep_after_nms=_at_least(
             _resolve(args, cfg_file, "keep-after-nms", 50), 0, "keep-after-nms")),
-        "nms_iou": float(_resolve(args, cfg_file, "nms-iou", 0.5)),
+        "nms_iou": _resolve(args, cfg_file, "nms-iou", 0.5),
         "pair_cap": None if pair_cap is None else _at_least(pair_cap, 0, "pair-cap"),
-        "min_confidence": None if min_conf is None else float(min_conf),
+        "min_confidence": _resolve(args, cfg_file, "min-confidence", None, float),
     }
 
 
@@ -308,6 +317,8 @@ def cmd_infer(args) -> int:
     cfg_file = _load_config_file(args.config)
     params, config, vocab, records, provider, settings = _eval_like_setup(args, cfg_file)
     mode = _resolve(args, cfg_file, "mode", "greedy")
+    if mode not in ("greedy", "stochastic"):
+        raise ConfigError(f"config key 'mode': expected greedy or stochastic, got {mode!r}")
     rng = np.random.default_rng(np.random.SeedSequence([settings.seed, 99])) \
         if mode == "stochastic" else None
     proposals = (build_proposals(record, provider, config, settings) for record in records)
@@ -340,11 +351,11 @@ def cmd_retrieve(args) -> int:
     cfg_file = _load_config_file(args.config)
     params, config, vocab, records, provider, settings = _eval_like_setup(args, cfg_file)
     try:
-        ks = tuple(int(k) for k in str(_resolve(args, cfg_file, "k", "1,5,10")).split(","))
+        ks = tuple(int(k) for k in _resolve(args, cfg_file, "k", "1,5,10").split(","))
     except ValueError as exc:
         raise ConfigError(f"bad --k list: {exc}") from exc
     protocol = RetrievalProtocol(
-        num_images=int(_resolve(args, cfg_file, "images", 100)),
+        num_images=_resolve(args, cfg_file, "images", 100),
         num_query_images=_at_least(_resolve(args, cfg_file, "query-images", 5), 1,
                                    "query-images"),
         captions_per_image=_at_least(_resolve(args, cfg_file, "captions-per-image", 4), 1,
@@ -353,7 +364,7 @@ def cmd_retrieve(args) -> int:
         rounds=_at_least(_resolve(args, cfg_file, "rounds", 3), 1, "rounds"),
     )
     keep = _at_least(_resolve(args, cfg_file, "keep-after-nms", 100), 0, "keep-after-nms")
-    nms_iou = float(_resolve(args, cfg_file, "nms-iou", 0.5))
+    nms_iou = _resolve(args, cfg_file, "nms-iou", 0.5)
     scorables = []
     gt_captions = {}
     for record in records:
@@ -445,18 +456,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--provider", required=True)
         p.add_argument("--keep-after-nms", type=int, dest="keep_after_nms")
         p.add_argument("--nms-iou", type=float, dest="nms_iou")
-        p.add_argument("--pair-cap", type=int, dest="pair_cap")
-        p.add_argument("--min-confidence", type=float, dest="min_confidence")
         p.add_argument("--proposal-seed", type=int, dest="proposal_seed")
         p.add_argument("--jitter", type=float)
         p.add_argument("--background", type=int)
 
+    def add_predict(p):
+        add_eval_like(p)
+        p.add_argument("--pair-cap", type=int, dest="pair_cap")
+        p.add_argument("--min-confidence", type=float, dest="min_confidence")
+
     p = sub.add_parser("eval", help="relational captioning evaluation report")
-    add_eval_like(p)
+    add_predict(p)
     p.add_argument("--out", help="report JSON path")
 
     p = sub.add_parser("infer", help="decode predictions to JSON lines")
-    add_eval_like(p)
+    add_predict(p)
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=("greedy", "stochastic"))
 

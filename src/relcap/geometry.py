@@ -8,7 +8,7 @@ pure and safe to evaluate in parallel across images.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,22 +69,6 @@ class RegionProposal:
         self.feature = np.asarray(self.feature, dtype=np.float64).reshape(1, -1)
         if not np.all(np.isfinite(self.feature)):
             raise ValueError("proposal feature contains non-finite values")
-
-
-@dataclass
-class RegionPair:
-    """Ordered (subject, object) proposal pair, the unit of relational captioning."""
-
-    subject: RegionProposal
-    object: RegionProposal
-    union_box: Box = field(init=False)
-    geo: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        if self.subject.id == self.object.id:
-            raise ValueError("a region pair needs two distinct proposals")
-        self.union_box = union_box(self.subject.box, self.object.box)
-        self.geo = geometric_feature(self.subject.box, self.object.box)
 
 
 @dataclass(frozen=True)
@@ -201,7 +185,8 @@ def top_pairs(products, max_pairs: int | None = None):
 
 
 def combination_layer(proposals, max_pairs: int | None = None):
-    """Expand B proposals into all B(B-1) ordered pairs.
+    """Expand B proposals into all B(B-1) ordered (subject, object) position
+    pairs ``(i, j)``, i != j.
 
     Output is ordered lexicographically by input position. With
     ``max_pairs`` set, the pairs with the highest subject-object
@@ -211,6 +196,6 @@ def combination_layer(proposals, max_pairs: int | None = None):
     ids = [p.id for p in props]
     if len(set(ids)) != len(ids):
         raise ValueError("combination_layer: proposal ids must be distinct")
-    pairs = [RegionPair(a, b) for i, a in enumerate(props) for j, b in enumerate(props) if i != j]
-    keep = top_pairs([p.subject.confidence * p.object.confidence for p in pairs], max_pairs)
+    pairs = [(i, j) for i in range(len(props)) for j in range(len(props)) if i != j]
+    keep = top_pairs([props[i].confidence * props[j].confidence for i, j in pairs], max_pairs)
     return [pairs[k] for k in keep]

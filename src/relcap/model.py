@@ -19,7 +19,7 @@ from .autodiff import Parameter, Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import END_ID, PAD_ID, PosTag, Vocabulary
 from .errors import CheckpointError, ConfigError
-from .geometry import Box, RegionPair
+from .geometry import Box
 
 STREAM_NAMES = ("subject", "predicate", "object")
 INPUT_KINDS = ("subject", "object", "union", "coord")
@@ -59,10 +59,6 @@ class ModelConfig:
     dropout: float = 0.5
     rpn_output: str = "object"   # "union": proposals are whole relation regions
     name: str = "mttsnet"
-
-    @property
-    def fusion(self) -> str:
-        return "late" if self.streams == "triple" else "early"
 
     @property
     def use_subject(self):
@@ -166,10 +162,6 @@ class ModelParams:
     def all(self):
         return list(self._params.values())
 
-    def zero_grads(self):
-        for p in self._params.values():
-            p.zero_grad()
-
     def arrays(self):
         return {name: p.data for name, p in self._params.items()}
 
@@ -269,7 +261,9 @@ def encode_regions(features: np.ndarray, params: ModelParams, config: ModelConfi
 
 @dataclass
 class PairBatch:
-    """Per-image batch of region pairs ready for encoding/decoding."""
+    """Per-image batch of region pairs ready for encoding/decoding; the one
+    pair representation after the combination layer, in training and
+    inference alike."""
 
     features: np.ndarray            # (B, feature_width) all proposals
     subject_index: list             # per pair, row into features
@@ -279,41 +273,6 @@ class PairBatch:
 
     def __len__(self):
         return len(self.subject_index)
-
-    @staticmethod
-    def from_pair(pair: RegionPair, union_feature,
-                  all_region_features=None) -> "PairBatch":
-        """Batch of one pair.
-
-        ``all_region_features`` maps proposal id -> feature row (default: the
-        two members); the relational embedding runs over all of them jointly
-        before the pair is selected. ``union_feature`` is the provider
-        descriptor of the pair's union box.
-        """
-        if all_region_features is None:
-            all_region_features = {pair.subject.id: pair.subject.feature,
-                                   pair.object.id: pair.object.feature}
-        if pair.subject.id not in all_region_features or pair.object.id not in all_region_features:
-            raise ValueError("pair members must be present in all_region_features")
-        ids = sorted(all_region_features)
-        return PairBatch(
-            features=np.vstack([np.asarray(all_region_features[i]).reshape(1, -1) for i in ids]),
-            subject_index=[ids.index(pair.subject.id)],
-            object_index=[ids.index(pair.object.id)],
-            union_features=np.asarray(union_feature).reshape(1, -1),
-            geos=pair.geo.reshape(1, -1),
-        )
-
-    @staticmethod
-    def from_targets(features: np.ndarray, targets) -> "PairBatch":
-        """Batch of one image's supervisable pairs (``CaptionTarget`` list)."""
-        return PairBatch(
-            features=features,
-            subject_index=[t.subject_index for t in targets],
-            object_index=[t.object_index for t in targets],
-            union_features=np.vstack([t.union_feature.reshape(1, -1) for t in targets]),
-            geos=np.vstack([t.geo.reshape(1, -1) for t in targets]),
-        )
 
 
 def encode_pair_batch(batch: PairBatch, params: ModelParams, config: ModelConfig,
@@ -391,10 +350,7 @@ def decode_step(codes, prev_word_ids, state, params: ModelParams, config: ModelC
     if prev_word_ids is None:
         inputs = _first_inputs(codes, params, config)
     else:
-        prev = np.asarray(prev_word_ids, dtype=np.intp)
-        if prev.size and (prev.min() < 0 or prev.max() >= config.vocab_size):
-            raise IndexError(f"word id out of range for vocabulary of {config.vocab_size}")
-        shared = ad.gather_rows(params["embed.table"], prev)
+        shared = ad.gather_rows(params["embed.table"], prev_word_ids)
         inputs = {name: shared for name in _stream_names(config)}
     new_state = {}
     hiddens = []
@@ -467,26 +423,16 @@ def caption_losses(codes, token_ids, tags, params: ModelParams, config: ModelCon
 
 
 @dataclass
-class CaptionTarget:
-    """One supervisable pair: indices into the proposal set plus its caption."""
-
-    subject_index: int
-    object_index: int
-    union_feature: np.ndarray
-    geo: np.ndarray
-    token_ids: list
-    tags: list
-
-
-@dataclass
 class ImageBatch:
-    """Everything total_loss needs for one image."""
+    """Everything total_loss needs for one image: every proposal, and one
+    pair row with its caption per supervisable (pair, caption)."""
 
-    features: np.ndarray            # (B, feature_width)
+    pairs: PairBatch                # features of all proposals; one row per caption
+    token_ids: list                 # per pair row, caption ids ending with the end token
+    tags: list                      # per pair row, PosTag per token
     prop_boxes: list                # Box per proposal
     gt_boxes: list                  # Box per annotated object
     labels: list                    # MatchLabel per proposal
-    targets: list                   # CaptionTarget per supervisable pair
 
 
 @dataclass
@@ -527,14 +473,11 @@ def total_loss(batch: ImageBatch, params: ModelParams, config: ModelConfig,
     nothing; an image with no positive pairs zeroes the caption, POS and
     box terms and flags the report.
     """
-    x, z = encode_regions(batch.features, params, config, training, rng)
+    x, z = encode_regions(batch.pairs.features, params, config, training, rng)
 
-    if batch.targets:
-        codes = encode_pair_batch(PairBatch.from_targets(batch.features, batch.targets),
-                                  params, config, z=z, training=training, rng=rng)
-        l_cap, l_pos = caption_losses(
-            codes, [t.token_ids for t in batch.targets], [t.tags for t in batch.targets],
-            params, config)
+    if batch.pairs:
+        codes = encode_pair_batch(batch.pairs, params, config, z=z, training=training, rng=rng)
+        l_cap, l_pos = caption_losses(codes, batch.token_ids, batch.tags, params, config)
     else:
         l_cap, l_pos = Tensor(0.0), Tensor(0.0)
 
@@ -566,8 +509,8 @@ def total_loss(batch: ImageBatch, params: ModelParams, config: ModelConfig,
         l_cap=float(l_cap.data), l_pos=float(l_pos.data), l_det=float(l_det.data),
         l_box=float(l_box.data), total=float(total.data),
         alpha=alpha, beta=beta, gamma=gamma,
-        n_caption_pairs=len(batch.targets), n_positive=len(positives),
-        n_labeled=len(labeled), no_positive_pairs=not batch.targets,
+        n_caption_pairs=len(batch.pairs), n_positive=len(positives),
+        n_labeled=len(labeled), no_positive_pairs=not batch.pairs,
     )
     return total, report
 

@@ -12,13 +12,14 @@ from . import autodiff as ad
 from .data import (ObjectAnnotation, PosTag, RelationalRecord, Vocabulary,
                    encode_caption, proposals_for_record)
 from .errors import ConfigError, DataError, InvariantError
-from .geometry import Box, combination_layer, iou, match_to_gt, nms, top_pairs, union_box
+from .geometry import (Box, combination_layer, geometric_feature, iou, match_to_gt, nms,
+                       top_pairs, union_box)
 from .metrics import (EvalReport, MetricConfig, PredictionRecord, diversity_stats,
                       image_level_recall, mean_meteor, pos_accuracy, relational_map,
                       score_pairs, vrd_recall_at_k)
-from .model import (CaptionTarget, ImageBatch, ModelConfig, ModelParams, PairBatch,
-                    _pad_targets, decode_batch, encode_pair_batch, init_params,
-                    teacher_forced_unroll, total_loss)
+from .model import (ImageBatch, ModelConfig, ModelParams, PairBatch, _pad_targets,
+                    decode_batch, encode_pair_batch, init_params, teacher_forced_unroll,
+                    total_loss)
 
 
 @dataclass
@@ -103,14 +104,27 @@ def caption_pairs(proposals, config: ModelConfig, pair_cap: int | None = None):
 
     The combination layer's ordered pairs, or for direct-union each proposal
     paired with itself over its own box, both capped by ``top_pairs``.
-    Training targets and inference batches both enumerate pairs here.
+    Training and inference batches both enumerate pairs here.
     """
     if config.rpn_output == "union":
         keep = top_pairs([p.confidence * p.confidence for p in proposals], pair_cap)
         return [(i, i, proposals[i].box, np.zeros(6)) for i in keep]
-    row_of = {p.id: i for i, p in enumerate(proposals)}
-    return [(row_of[p.subject.id], row_of[p.object.id], p.union_box, p.geo)
-            for p in combination_layer(proposals, max_pairs=pair_cap)]
+    boxes = [p.box for p in proposals]
+    return [(i, j, union_box(boxes[i], boxes[j]), geometric_feature(boxes[i], boxes[j]))
+            for i, j in combination_layer(proposals, max_pairs=pair_cap)]
+
+
+def _pair_batch(proposals, rows, union_features, config: ModelConfig) -> PairBatch:
+    """PairBatch over ``proposals`` with one pair per ``caption_pairs`` row;
+    ``union_features`` holds the provider feature of each row's union box."""
+    width = config.feature_width
+    return PairBatch(
+        features=np.vstack([p.feature for p in proposals]) if proposals else np.zeros((0, width)),
+        subject_index=[i for i, _, _, _ in rows],
+        object_index=[j for _, j, _, _ in rows],
+        union_features=np.vstack(union_features) if rows else np.zeros((0, width)),
+        geos=np.vstack([geo.reshape(1, -1) for *_, geo in rows]) if rows else np.zeros((0, 6)),
+    )
 
 
 def build_proposals(record: RelationalRecord, provider, config: ModelConfig,
@@ -125,12 +139,14 @@ def build_proposals(record: RelationalRecord, provider, config: ModelConfig,
 
 def build_image_batch(record: RelationalRecord, proposals, provider,
                       vocab: Vocabulary, config: ModelConfig) -> ImageBatch:
-    """Assemble proposals, match labels and caption targets for one image."""
+    """Assemble proposals, match labels and one caption pair per GT caption
+    for one image."""
     gt_boxes = _detected_boxes(record, config)
     labels = match_to_gt(proposals, gt_boxes)
     captions = _captions_by_gt_pair(record, config)
-    targets = []
-    for i, j, ub, geo in caption_pairs(proposals, config):
+    rows, union_features, token_ids, tags = [], [], [], []
+    for row in caption_pairs(proposals, config):
+        i, j, ub, _ = row
         if labels[i].kind != "positive" or labels[j].kind != "positive":
             continue
         rels = captions.get((labels[i].gt_index, labels[j].gt_index))
@@ -138,13 +154,15 @@ def build_image_batch(record: RelationalRecord, proposals, provider,
             continue
         union_feature = provider.features(record, ub)
         for rel in rels:
-            ids, tags = encode_caption(rel.tokens, rel.pos, vocab, config.max_len)
-            targets.append(CaptionTarget(subject_index=i, object_index=j,
-                                         union_feature=union_feature, geo=geo,
-                                         token_ids=ids, tags=tags))
-    return ImageBatch(features=np.vstack([p.feature for p in proposals]),
+            ids, pos = encode_caption(rel.tokens, rel.pos, vocab, config.max_len)
+            rows.append(row)
+            union_features.append(union_feature)
+            token_ids.append(ids)
+            tags.append(pos)
+    return ImageBatch(pairs=_pair_batch(proposals, rows, union_features, config),
+                      token_ids=token_ids, tags=tags,
                       prop_boxes=[p.box for p in proposals],
-                      gt_boxes=gt_boxes, labels=labels, targets=targets)
+                      gt_boxes=gt_boxes, labels=labels)
 
 
 def train_model(records, provider, vocab: Vocabulary, config: ModelConfig,
@@ -210,17 +228,10 @@ def history_to_csv(history) -> str:
 def make_pair_batch(record: RelationalRecord, proposals, provider,
                     config: ModelConfig, pair_cap: int | None = None):
     """PairBatch over kept proposals plus per-pair (subject, object) boxes."""
-    width = config.feature_width
-    pairs = caption_pairs(proposals, config, pair_cap)
-    batch = PairBatch(
-        features=np.vstack([p.feature for p in proposals]) if proposals else np.zeros((0, width)),
-        subject_index=[i for i, _, _, _ in pairs],
-        object_index=[j for _, j, _, _ in pairs],
-        union_features=np.vstack([provider.features(record, ub) for _, _, ub, _ in pairs])
-        if pairs else np.zeros((0, width)),
-        geos=np.vstack([geo.reshape(1, -1) for *_, geo in pairs]) if pairs else np.zeros((0, 6)),
-    )
-    return batch, [(proposals[i].box, proposals[j].box) for i, j, _, _ in pairs]
+    rows = caption_pairs(proposals, config, pair_cap)
+    batch = _pair_batch(proposals, rows, [provider.features(record, ub) for _, _, ub, _ in rows],
+                        config)
+    return batch, [(proposals[i].box, proposals[j].box) for i, j, _, _ in rows]
 
 
 def predict_proposals(record: RelationalRecord, proposals, params: ModelParams,
@@ -275,13 +286,13 @@ def predict_records(records, proposals, params: ModelParams, config: ModelConfig
                                           **predict_options)]
 
 
-def predicted_pos_tags(batch_targets, codes, params, config):
-    """Teacher-forced POS argmax per step for each caption target."""
-    padded = _pad_targets([t.token_ids for t in batch_targets], 0)
+def predicted_pos_tags(token_ids, codes, params, config):
+    """Teacher-forced POS argmax per step for each caption's ``token_ids``."""
+    padded = _pad_targets(token_ids, 0)
     steps = teacher_forced_unroll(codes, padded, params, config)
     picks = np.stack([pos.data.argmax(axis=1) for _, pos, _ in steps], axis=1)
-    return [[PosTag(int(x)).name for x in picks[i, :len(t.token_ids)]]
-            for i, t in enumerate(batch_targets)]
+    return [[PosTag(int(x)).name for x in picks[i, :len(ids)]]
+            for i, ids in enumerate(token_ids)]
 
 
 def model_pos_accuracy(records, proposals, params, config: ModelConfig, vocab, provider):
@@ -291,12 +302,11 @@ def model_pos_accuracy(records, proposals, params, config: ModelConfig, vocab, p
     with ad.no_grad():
         for record, props in zip(records, proposals, strict=True):
             batch = build_image_batch(record, props, provider, vocab, config)
-            if not batch.targets:
+            if not batch.pairs:
                 continue
-            codes = encode_pair_batch(PairBatch.from_targets(batch.features, batch.targets),
-                                      params, config)
-            predicted.extend(predicted_pos_tags(batch.targets, codes, params, config))
-            reference.extend([[PosTag(int(x)).name for x in t.tags] for t in batch.targets])
+            codes = encode_pair_batch(batch.pairs, params, config)
+            predicted.extend(predicted_pos_tags(batch.token_ids, codes, params, config))
+            reference.extend([[PosTag(int(x)).name for x in tags] for tags in batch.tags])
     if not predicted:
         raise ConfigError("no GT-matched pairs available for POS evaluation")
     return pos_accuracy(predicted, reference)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from relcap.data import ToyWorldConfig, build_vocab, generate_toy_world
-from relcap.model import ModelConfig, init_params
+from relcap.model import ModelConfig, PairBatch, init_params
 
 
 @pytest.fixture(scope="session")
@@ -25,3 +25,12 @@ def tiny_config(feature_width, vocab_size, **overrides):
 
 def fresh_params(config, seed=0):
     return init_params(config, np.random.default_rng(seed))
+
+
+def pair_rows(pairs, rows):
+    """The ``rows`` of a PairBatch as a PairBatch over the same regions."""
+    return PairBatch(features=pairs.features,
+                     subject_index=[pairs.subject_index[k] for k in rows],
+                     object_index=[pairs.object_index[k] for k in rows],
+                     union_features=pairs.union_features[rows],
+                     geos=pairs.geos[rows])

@@ -21,7 +21,7 @@ from relcap.data import (AttributeRecord, ImageAttributes, PosTag, ToyWorldConfi
                          split_records)
 from relcap.geometry import Box, geometric_feature, nms
 from relcap.metrics import MetricConfig, meteor_lite, relational_map, score_pairs
-from relcap.model import (CaptionTarget, ImageBatch, ModelConfig, PairBatch,
+from relcap.model import (ImageBatch, ModelConfig, PairBatch,
                           encode_pair_batch, importance_trace, init_params,
                           rem_forward, total_loss)
 from relcap.pipeline import (ProposalSettings, TrainSettings, build_image_batch,
@@ -29,6 +29,7 @@ from relcap.pipeline import (ProposalSettings, TrainSettings, build_image_batch,
                              train_model)
 from relcap.apps import retrieval_score
 
+from conftest import pair_rows
 from test_metrics import oracle_relational_map, random_fixture
 
 TOY_DIMS = dict(d_subj_obj=64, d_union=32, code_width=48, hidden=48, rem_dim=32,
@@ -59,19 +60,16 @@ class TestCriterion1Gradients:
         from relcap.geometry import MatchLabel
         labels = [MatchLabel("positive", 0), MatchLabel("positive", 1),
                   MatchLabel("positive", 2), MatchLabel("negative")]
-        targets = [
-            CaptionTarget(0, 1, rng.uniform(-1, 1, (1, 10)),
-                          geometric_feature(props[0], props[1]),
-                          [4, 7, 12, 1], [0, 1, 2, 2]),
-            CaptionTarget(1, 2, rng.uniform(-1, 1, (1, 10)),
-                          geometric_feature(props[1], props[2]),
-                          [5, 9, 1], [0, 1, 2]),
-            CaptionTarget(2, 0, rng.uniform(-1, 1, (1, 10)),
-                          geometric_feature(props[2], props[0]),
-                          [6, 1], [0, 2]),
-        ]
-        batch = ImageBatch(features=rng.uniform(-1, 1, (4, 10)), prop_boxes=props,
-                           gt_boxes=boxes, labels=labels, targets=targets)
+        subjects, objects = [0, 1, 2], [1, 2, 0]
+        union_features = rng.uniform(-1, 1, (3, 10))
+        pairs = PairBatch(features=rng.uniform(-1, 1, (4, 10)), subject_index=subjects,
+                          object_index=objects, union_features=union_features,
+                          geos=np.vstack([geometric_feature(props[i], props[j])
+                                          for i, j in zip(subjects, objects)]))
+        batch = ImageBatch(pairs=pairs,
+                           token_ids=[[4, 7, 12, 1], [5, 9, 1], [6, 1]],
+                           tags=[[0, 1, 2, 2], [0, 1, 2], [0, 2]],
+                           prop_boxes=props, gt_boxes=boxes, labels=labels)
 
         def forward():
             loss, _ = total_loss(batch, params, config)
@@ -229,11 +227,9 @@ class TestCriterion5ToyLearning:
         for record in test:
             proposals = build_proposals(record, provider, config, ProposalSettings())
             batch = build_image_batch(record, proposals, provider, vocab, config)
-            for target in batch.targets:
-                codes = encode_pair_batch(PairBatch.from_targets(batch.features, [target]),
-                                          params, config)
-                yield (importance_trace(codes, target.token_ids, params, config),
-                       target.tags)
+            for k, (token_ids, tags) in enumerate(zip(batch.token_ids, batch.tags)):
+                codes = encode_pair_batch(pair_rows(batch.pairs, [k]), params, config)
+                yield importance_trace(codes, token_ids, params, config), tags
 
     def test_stream_importance_disentangles_roles(self, default_toy_world,
                                                   trained_full_model):

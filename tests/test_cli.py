@@ -285,6 +285,18 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "Traceback" not in err
 
+    def _argv(self, command, toy_dir, trained_dir, tmp_path):
+        """A small run of ``command`` on the toy data (train without --epochs)."""
+        inputs = ["--data", os.path.join(toy_dir, "train.jsonl"),
+                  "--provider", os.path.join(toy_dir, "provider.json")]
+        if command == "train":
+            return ["train", *inputs, "--out", str(tmp_path / "run"), "--hidden", "8",
+                    "--d-subj-obj", "10", "--d-union", "8", "--rem-dim", "6"]
+        argv = [command, *inputs, "--checkpoint", os.path.join(trained_dir, "model.rckpt")]
+        if command != "eval":
+            argv += ["--out", str(tmp_path / f"{command}.out")]
+        return argv
+
     @pytest.mark.parametrize("command,options", [
         ("train", ["--epochs", "0"]),
         ("train", ["--max-len", "1"]),
@@ -297,20 +309,37 @@ class TestExitCodes:
             "query-images-0", "captions-per-image-0"])
     def test_bad_numeric_setting_is_config_error(self, toy_dir, trained_dir, tmp_path,
                                                  capsys, command, options):
-        inputs = ["--data", os.path.join(toy_dir, "train.jsonl"),
-                  "--provider", os.path.join(toy_dir, "provider.json")]
+        argv = self._argv(command, toy_dir, trained_dir, tmp_path)
         if command == "train":
-            argv = ["train", *inputs, "--out", str(tmp_path / "run"), "--epochs", "1",
-                    "--hidden", "8", "--d-subj-obj", "10", "--d-union", "8",
-                    "--rem-dim", "6"]
-        else:
-            argv = [command, *inputs, "--checkpoint",
-                    os.path.join(trained_dir, "model.rckpt")]
-            if command == "retrieve":
-                argv += ["--out", str(tmp_path / "retrieve.json")]
+            argv += ["--epochs", "1"]
         assert run(argv + options) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("train", "epochs", "x"),
+        ("train", "model", 5),
+        ("train", "jitter", [1]),
+        ("eval", "keep-after-nms", "many"),
+        ("infer", "mode", "beam"),
+    ], ids=["epochs-str", "model-int", "jitter-list", "keep-after-nms-str", "mode-beam"])
+    def test_bad_config_file_value_is_config_error(self, toy_dir, trained_dir, tmp_path,
+                                                   capsys, command, key, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        argv = self._argv(command, toy_dir, trained_dir, tmp_path)
+        assert run(argv + ["--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("option", [["--pair-cap", "1"], ["--min-confidence", "0.99"]])
+    def test_retrieve_rejects_prediction_options(self, toy_dir, trained_dir, tmp_path,
+                                                 capsys, option):
+        argv = self._argv("retrieve", toy_dir, trained_dir, tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            run(argv + option)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def _dataset_variant(self, toy_dir, tmp_path, name, edit):
         with open(os.path.join(toy_dir, "test.jsonl")) as fh:

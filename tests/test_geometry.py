@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relcap.geometry import (Box, MatchLabel, RegionPair, RegionProposal,
-                             combination_layer, geometric_feature, iou,
-                             match_to_gt, nms, union_box)
+from conftest import tiny_config
+from relcap.geometry import (Box, MatchLabel, RegionProposal, combination_layer,
+                             geometric_feature, iou, match_to_gt, nms, union_box)
+from relcap.pipeline import caption_pairs
 
 boxes = st.builds(
     Box,
@@ -215,30 +216,26 @@ class TestCombinationLayer:
 
     def test_symmetric_membership_and_order(self):
         pairs = combination_layer(self._props(4))
-        keys = [(p.subject.id, p.object.id) for p in pairs]
-        assert keys == sorted(keys)
-        for i, j in keys:
-            assert (j, i) in keys
+        assert pairs == sorted(pairs)
+        for i, j in pairs:
+            assert i != j
+            assert (j, i) in pairs
 
     def test_pair_fields_populated(self):
-        a, b = self._props(2)
-        pair = combination_layer([a, b])[0]
-        assert pair.union_box == union_box(a.box, b.box)
-        assert np.array_equal(pair.geo, geometric_feature(a.box, b.box))
+        # caption_pairs adds each kept pair's union box and geometry
+        props = self._props(3)
+        rows = caption_pairs(props, tiny_config(1, 5))
+        assert [(i, j) for i, j, _, _ in rows] == combination_layer(props)
+        for i, j, ub, geo in rows:
+            assert ub == union_box(props[i].box, props[j].box)
+            assert np.array_equal(geo, geometric_feature(props[i].box, props[j].box))
 
     def test_cap_keeps_highest_confidence_products(self):
         props = self._props(4)  # confidences 0.30, 0.31, 0.32, 0.33
-        pairs = combination_layer(props, max_pairs=2)
-        keys = {(p.subject.id, p.object.id) for p in pairs}
-        assert keys == {(2, 3), (3, 2)}
+        assert set(combination_layer(props, max_pairs=2)) == {(2, 3), (3, 2)}
 
     def test_duplicate_ids_rejected(self):
         a = proposal(0, 0, 2, 2, 0.5, 7)
         b = proposal(9, 0, 2, 2, 0.5, 7)
         with pytest.raises(ValueError):
             combination_layer([a, b])
-
-    def test_same_id_pair_rejected(self):
-        a = proposal(0, 0, 2, 2, 0.5, 1)
-        with pytest.raises(ValueError):
-            RegionPair(a, a)

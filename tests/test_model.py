@@ -6,23 +6,19 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fresh_params, tiny_config
+from conftest import fresh_params, pair_rows, tiny_config
 from relcap import autodiff as ad
 from relcap.autodiff import Tensor
 from relcap.data import END_ID, PosTag, Vocabulary
 from relcap.errors import ConfigError
-from relcap.geometry import Box, MatchLabel, RegionPair, RegionProposal
-from relcap.model import (MODEL_PRESETS, CaptionTarget, ImageBatch, ModelConfig,
+from relcap.geometry import Box, MatchLabel, geometric_feature
+from relcap.model import (MODEL_PRESETS, ImageBatch, ModelConfig,
                           PairBatch, caption_losses, decode_batch, decode_step,
                           encode_pair_batch, importance_trace, init_params,
                           init_state, load_model, lstm_step, rem_forward,
                           save_model, teacher_forced_unroll, total_loss)
 
 S, P, O = PosTag.SUBJ, PosTag.PRED, PosTag.OBJ
-
-
-def proposal(x, y, feature, pid, conf=0.9):
-    return RegionProposal(Box(x, y, 4, 4), conf, np.asarray(feature, dtype=float), pid)
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +43,6 @@ class TestModelConfig:
         assert cfg.streams == streams
         assert cfg.mtl is mtl
         assert cfg.rem == name.endswith(",rem")
-        assert cfg.fusion == ("late" if streams == "triple" else "early")
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigError):
@@ -145,19 +140,17 @@ class TestRem:
 # encoders
 # ---------------------------------------------------------------------------
 
+def two_region_batch(feat_a, feat_b, union_feat):
+    """PairBatch of the one pair (a, b) of 4x4 boxes at (5, 5) and (15, 5)."""
+    return PairBatch(features=np.vstack([feat_a, feat_b]), subject_index=[0],
+                     object_index=[1], union_features=union_feat,
+                     geos=geometric_feature(Box(5, 5, 4, 4), Box(15, 5, 4, 4)).reshape(1, -1))
+
+
 def one_pair(feature_width=14, seed=0):
+    """two_region_batch over random features."""
     rng = np.random.default_rng(seed)
-    a = proposal(5, 5, rng.normal(size=(1, feature_width)), 0)
-    b = proposal(15, 5, rng.normal(size=(1, feature_width)), 1)
-    pair = RegionPair(a, b)
-    feats = {0: a.feature, 1: b.feature}
-    union_feat = rng.normal(size=(1, feature_width))
-    return pair, feats, union_feat
-
-
-def pair_codes(pair, feats, union_feat, params, cfg):
-    """Region codes of one pair, keyed by input kind."""
-    return encode_pair_batch(PairBatch.from_pair(pair, union_feat, feats), params, cfg)
+    return two_region_batch(*(rng.normal(size=(1, feature_width)) for _ in range(3)))
 
 
 class TestEncodePair:
@@ -168,8 +161,8 @@ class TestEncodePair:
         for prefix in ("enc.subject", "enc.object", "union.code"):
             params[f"{prefix}.w"].data[...] = 0.0
             params[f"{prefix}.b"].data[...] = beta
-        pair, feats, union_feat = one_pair()
-        codes = pair_codes(pair, feats, union_feat, params, cfg)
+        batch = one_pair()
+        codes = encode_pair_batch(batch, params, cfg)
         for code in (codes["subject"], codes["object"], codes["union"]):
             assert np.allclose(code.data, beta, atol=1e-15)
 
@@ -181,10 +174,7 @@ class TestEncodePair:
         params["enc.object.w"].data[...] = params["enc.subject.w"].data
         params["enc.object.b"].data[...] = params["enc.subject.b"].data
         feat = np.random.default_rng(3).normal(size=(1, 14))
-        a = proposal(5, 5, feat, 0)
-        b = proposal(15, 5, feat, 1)
-        pair = RegionPair(a, b)
-        codes = pair_codes(pair, {0: feat, 1: feat}, feat, params, cfg)
+        codes = encode_pair_batch(two_region_batch(feat, feat, feat), params, cfg)
         assert np.array_equal(codes["subject"].data, codes["object"].data)
 
     def test_two_region_hand_evaluation(self):
@@ -196,24 +186,14 @@ class TestEncodePair:
         params["enc.subject.b"].data[...] = [0.5, -0.5]
         feat_a = np.array([[1.0, -2.0]])
         feat_b = np.array([[0.5, 0.25]])
-        a = proposal(5, 5, feat_a, 0)
-        b = proposal(15, 5, feat_b, 1)
-        codes = pair_codes(RegionPair(a, b), {0: feat_a, 1: feat_b}, feat_b, params, cfg)
+        codes = encode_pair_batch(two_region_batch(feat_a, feat_b, feat_b), params, cfg)
         # relu([1, -2]) = [1, 0]; affine: [1*1+0.5, 0*2-0.5]
         assert np.allclose(codes["subject"].data, [[1.5, -0.5]], atol=1e-15)
 
-    def test_missing_member_rejected(self):
-        cfg = tiny_config(14, 20)
-        pair, feats, union_feat = one_pair()
-        del feats[1]
-        with pytest.raises(ValueError, match="pair members must be present"):
-            PairBatch.from_pair(pair, union_feat, feats)
-
     def test_feature_width_mismatch_raises_dimension_error(self):
         cfg = tiny_config(14, 20)
-        pair, feats, _ = one_pair(feature_width=9)
         with pytest.raises(ValueError):
-            pair_codes(pair, feats, np.zeros((1, 9)), fresh_params(cfg), cfg)
+            encode_pair_batch(one_pair(feature_width=9), fresh_params(cfg), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +316,14 @@ class TestDecode:
         expected2[END_ID] = 10.0 * activation
         assert np.allclose(logits2.data[0], expected2, atol=1e-12)
 
+    @pytest.mark.parametrize("bad", [-1, "vocab_size"])
+    def test_out_of_range_previous_word_raises(self, bad):
+        params, cfg = rigged_chain_model([4])
+        state = init_state(2, cfg)
+        bad = cfg.vocab_size if bad == "vocab_size" else bad
+        with pytest.raises(IndexError, match="out of range"):
+            decode_step(None, [4, bad], state, params, cfg)
+
     def test_end_first_gives_empty_caption_with_end_probability(self):
         cfg = tiny_config(14, 8, streams="single", inputs=("union",), mtl=False)
         params = fresh_params(cfg)
@@ -356,11 +344,7 @@ class TestDecode:
         params = fresh_params(cfg)
         params["head.word.w"].data[...] = 0.0
         params["head.word.b"].data[...] = 0.0
-        pair, feats, union_feat = one_pair()
-        batch = PairBatch(features=np.vstack([feats[0], feats[1]]),
-                          subject_index=[0], object_index=[1],
-                          union_features=union_feat, geos=pair.geo.reshape(1, -1))
-        codes = encode_pair_batch(batch, params, cfg)
+        codes = encode_pair_batch(one_pair(), params, cfg)
         logits, _, _ = decode_step(codes, None, init_state(1, cfg), params, cfg)
         probs = np.exp(logits.data) / np.exp(logits.data).sum()
         assert np.allclose(probs, 1.0 / cfg.vocab_size, atol=1e-15)
@@ -368,27 +352,27 @@ class TestDecode:
     def test_stochastic_reproducible_under_seed(self):
         cfg = tiny_config(14, 10)
         params = fresh_params(cfg, seed=4)
-        pair, feats, union_feat = one_pair()
+        batch = one_pair()
         out = []
         for _ in range(2):
             rng = np.random.default_rng(123)
-            pred = decode_batch(PairBatch.from_pair(pair, union_feat, feats), params, cfg,
+            pred = decode_batch(batch, params, cfg,
                                 mode="stochastic", rng=rng)[0]
             out.append((tuple(pred.token_ids), tuple(pred.word_probs)))
         assert out[0] == out[1]
 
     def test_stochastic_requires_rng(self):
         cfg = tiny_config(14, 10)
-        pair, feats, union_feat = one_pair()
+        batch = one_pair()
         with pytest.raises(ValueError):
-            decode_batch(PairBatch.from_pair(pair, union_feat, feats), fresh_params(cfg),
+            decode_batch(batch, fresh_params(cfg),
                          cfg, mode="stochastic")
 
     def test_confidence_is_product_of_word_probs(self):
         cfg = tiny_config(14, 10)
         params = fresh_params(cfg, seed=6)
-        pair, feats, union_feat = one_pair(seed=9)
-        pred = decode_batch(PairBatch.from_pair(pair, union_feat, feats), params, cfg)[0]
+        batch = one_pair(seed=9)
+        pred = decode_batch(batch, params, cfg)[0]
         assert pred.confidence == pytest.approx(math.prod(pred.word_probs), abs=1e-12)
 
     def test_max_len_caps_output(self):
@@ -529,8 +513,8 @@ class TestTeacherForcing:
     def test_unroll_feeds_previous_target_each_step(self):
         cfg = tiny_config(14, 10)
         params = fresh_params(cfg, seed=5)
-        pair, feats, union_feat = one_pair()
-        codes = pair_codes(pair, feats, union_feat, params, cfg)
+        batch = one_pair()
+        codes = encode_pair_batch(batch, params, cfg)
         targets = np.array([[4, 5, END_ID]])
         steps = teacher_forced_unroll(codes, targets, params, cfg)
         assert len(steps) == 3
@@ -567,17 +551,17 @@ class TestTeacherForcing:
         params = fresh_params(cfg)
         for name in ("head.word.w", "head.word.b"):
             params[name].data[...] = 0.0
-        pair, feats, union_feat = one_pair()
-        l_cap, _ = caption_losses(pair_codes(pair, feats, union_feat, params, cfg),
+        batch = one_pair()
+        l_cap, _ = caption_losses(encode_pair_batch(batch, params, cfg),
                                   [[4, 5, END_ID]], [[S, P, O]], params, cfg)
         assert float(l_cap.data) == pytest.approx(math.log(20.0), abs=1e-12)
 
     def test_empty_caption_rejected(self):
         cfg = tiny_config(14, 20)
-        pair, feats, union_feat = one_pair()
+        batch = one_pair()
         params = fresh_params(cfg)
         with pytest.raises(ValueError):
-            caption_losses(pair_codes(pair, feats, union_feat, params, cfg),
+            caption_losses(encode_pair_batch(batch, params, cfg),
                            [[]], [[]], params, cfg)
 
 
@@ -589,14 +573,13 @@ def loss_fixture(rem=False, mtl=True, seed=0, rig_perfect=False):
     prop_boxes = [Box(10, 10, 6, 6), Box(30, 10, 6, 6), Box(60, 60, 6, 6)]
     labels = [MatchLabel("positive", 0), MatchLabel("positive", 1), MatchLabel("negative")]
     features = rng.normal(size=(3, 6))
-    targets = [
-        CaptionTarget(0, 1, rng.normal(size=(1, 6)), rng.normal(size=6),
-                      [4, 6, END_ID], [S, P, O]),
-        CaptionTarget(1, 0, rng.normal(size=(1, 6)), rng.normal(size=6),
-                      [5, END_ID], [S, O]),
-    ]
-    batch = ImageBatch(features=features, prop_boxes=prop_boxes, gt_boxes=gt_boxes,
-                       labels=labels, targets=targets)
+    union_features, geos = zip(*[(rng.normal(size=(1, 6)), rng.normal(size=6))
+                                 for _ in range(2)])
+    pairs = PairBatch(features=features, subject_index=[0, 1], object_index=[1, 0],
+                      union_features=np.vstack(union_features), geos=np.vstack(geos))
+    batch = ImageBatch(pairs=pairs, token_ids=[[4, 6, END_ID], [5, END_ID]],
+                       tags=[[S, P, O], [S, O]], prop_boxes=prop_boxes,
+                       gt_boxes=gt_boxes, labels=labels)
     if rig_perfect:
         params["det.w"].data[...] = 0.0
         params["box.w"].data[...] = 0.0
@@ -635,9 +618,9 @@ class TestTotalLoss:
 
     def test_no_positive_pairs_flagged(self):
         batch, params, cfg = loss_fixture()
-        batch = ImageBatch(features=batch.features, prop_boxes=batch.prop_boxes,
-                           gt_boxes=batch.gt_boxes,
-                           labels=[MatchLabel("negative")] * 3, targets=[])
+        batch = ImageBatch(pairs=pair_rows(batch.pairs, []), token_ids=[], tags=[],
+                           prop_boxes=batch.prop_boxes, gt_boxes=batch.gt_boxes,
+                           labels=[MatchLabel("negative")] * 3)
         total, report = total_loss(batch, params, cfg)
         assert report.no_positive_pairs
         assert report.l_cap == report.l_pos == report.l_box == 0.0
@@ -653,7 +636,8 @@ class TestTotalLoss:
 
     def test_gradients_flow_to_every_group(self):
         batch, params, cfg = loss_fixture(rem=True)
-        params.zero_grads()
+        for p in params.all():
+            p.zero_grad()
         total, _ = total_loss(batch, params, cfg)
         ad.backward(total)
         for name in params.names():
@@ -673,10 +657,11 @@ class TestWeightSharing:
     def test_shared_parameter_receives_gradients_from_both_paths(self):
         cfg = tiny_config(14, 20)
         params = fresh_params(cfg)
-        pair, feats, union_feat = one_pair()
+        batch = one_pair()
         for which in ("subject", "object"):
-            params.zero_grads()
-            target = pair_codes(pair, feats, union_feat, params, cfg)[which]
+            for p in params.all():
+                p.zero_grad()
+            target = encode_pair_batch(batch, params, cfg)[which]
             loss = ad.matmul(ad.matmul(Tensor(np.ones((1, 1))), target),
                              Tensor(np.ones((cfg.code_width, 1))))
             ad.backward(loss)
@@ -687,8 +672,8 @@ class TestImportanceTrace:
     def test_columns_sum_to_zero(self):
         cfg = tiny_config(14, 10)
         params = fresh_params(cfg, seed=2)
-        pair, feats, union_feat = one_pair()
-        trace = importance_trace(pair_codes(pair, feats, union_feat, params, cfg),
+        batch = one_pair()
+        trace = importance_trace(encode_pair_batch(batch, params, cfg),
                                  [4, 5, 6, END_ID], params, cfg)
         assert trace.shape == (4, 3)
         assert np.all(np.abs(trace.sum(axis=0)) < 1e-9)
@@ -698,17 +683,17 @@ class TestImportanceTrace:
         params = fresh_params(cfg)
         for name in params.names():
             params[name].data[...] = 0.0
-        pair, feats, union_feat = one_pair()
-        trace = importance_trace(pair_codes(pair, feats, union_feat, params, cfg),
+        batch = one_pair()
+        trace = importance_trace(encode_pair_batch(batch, params, cfg),
                                  [4, END_ID], params, cfg)
         assert np.array_equal(trace, np.zeros((2, 3)))
 
     def test_single_stream_rejected(self):
         cfg = tiny_config(14, 10, streams="single", inputs=("union",), mtl=False)
-        pair, feats, union_feat = one_pair()
+        batch = one_pair()
         params = fresh_params(cfg)
         with pytest.raises(ValueError):
-            importance_trace(pair_codes(pair, feats, union_feat, params, cfg),
+            importance_trace(encode_pair_batch(batch, params, cfg),
                              [4, END_ID], params, cfg)
 
 

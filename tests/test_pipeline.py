@@ -5,12 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import fresh_params, tiny_config
+from conftest import fresh_params, pair_rows, tiny_config
 from relcap.data import END_ID, ObjectAnnotation, encode_caption, proposals_for_record
 from relcap.geometry import RegionProposal, union_box
 from relcap.errors import InvariantError
 from relcap import pipeline
-from relcap.model import ModelConfig, PairBatch, encode_pair_batch, caption_losses
+from relcap.model import ModelConfig, encode_pair_batch, caption_losses
 from relcap.pipeline import (ProposalSettings, TrainSettings, build_image_batch,
                              build_proposals, evaluate_model, history_to_csv,
                              make_pair_batch, predict_image, train_model)
@@ -35,11 +35,13 @@ class TestBatchAssembly:
         batch = build_image_batch(record, proposals, provider, vocab, cfg)
         # every annotated object pair with a relation appears exactly once
         n_objects = len(record.objects)
-        assert len(batch.targets) == n_objects * (n_objects - 1)
-        for target in batch.targets:
-            assert target.subject_index != target.object_index
-            assert target.token_ids[-1] == END_ID
-            assert len(target.token_ids) == len(target.tags)
+        assert len(batch.pairs) == n_objects * (n_objects - 1)
+        assert len(batch.token_ids) == len(batch.tags) == len(batch.pairs)
+        for i, j, ids, tags in zip(batch.pairs.subject_index, batch.pairs.object_index,
+                                   batch.token_ids, batch.tags):
+            assert i != j
+            assert ids[-1] == END_ID
+            assert len(ids) == len(tags)
 
     def test_target_caption_matches_relation_direction(self, toy_world_small):
         records, provider, vocab = toy_world_small
@@ -47,15 +49,14 @@ class TestBatchAssembly:
         cfg = cfg_for(provider, vocab)
         proposals = proposals_for_record(record, provider, seed=0)
         batch = build_image_batch(record, proposals, provider, vocab, cfg)
-        for target in batch.targets:
-            subj_label = batch.labels[target.subject_index]
+        for i, j, ids in zip(batch.pairs.subject_index, batch.pairs.object_index,
+                             batch.token_ids):
             rel = next(
                 r for r in record.relations
-                if r.subject_box == record.objects[subj_label.gt_index].box
-                and r.object_box == record.objects[
-                    batch.labels[target.object_index].gt_index].box)
+                if r.subject_box == record.objects[batch.labels[i].gt_index].box
+                and r.object_box == record.objects[batch.labels[j].gt_index].box)
             want, _ = rel.tokens, rel.pos
-            got = [vocab.decode_id(i) for i in target.token_ids[:-1]]
+            got = [vocab.decode_id(k) for k in ids[:-1]]
             assert got == want[:len(got)]
 
     def test_batched_loss_equals_sum_of_single_pairs(self, toy_world_small):
@@ -65,14 +66,12 @@ class TestBatchAssembly:
         params = fresh_params(cfg, seed=3)
         proposals = proposals_for_record(record, provider, seed=0)
         batch = build_image_batch(record, proposals, provider, vocab, cfg)
-        codes = encode_pair_batch(PairBatch.from_targets(batch.features, batch.targets),
-                                  params, cfg)
-        l_cap, l_pos = caption_losses(codes, [t.token_ids for t in batch.targets],
-                                      [t.tags for t in batch.targets], params, cfg)
+        codes = encode_pair_batch(batch.pairs, params, cfg)
+        l_cap, l_pos = caption_losses(codes, batch.token_ids, batch.tags, params, cfg)
         single_cap = single_pos = 0.0
-        for t in batch.targets:
-            c = encode_pair_batch(PairBatch.from_targets(batch.features, [t]), params, cfg)
-            lc, lp = caption_losses(c, [t.token_ids], [t.tags], params, cfg)
+        for k, (ids, tags) in enumerate(zip(batch.token_ids, batch.tags)):
+            c = encode_pair_batch(pair_rows(batch.pairs, [k]), params, cfg)
+            lc, lp = caption_losses(c, [ids], [tags], params, cfg)
             single_cap += float(lc.data)
             single_pos += float(lp.data)
         assert float(l_cap.data) == pytest.approx(single_cap, rel=1e-12)
@@ -84,9 +83,8 @@ class TestBatchAssembly:
         record = records[0]
         proposals = build_proposals(record, provider, cfg, ProposalSettings())
         batch = build_image_batch(record, proposals, provider, vocab, cfg)
-        assert batch.targets, "union-region proposals must yield caption targets"
-        for target in batch.targets:
-            assert target.subject_index == target.object_index
+        assert batch.pairs, "union-region proposals must yield caption pairs"
+        assert batch.pairs.subject_index == batch.pairs.object_index
 
     def test_direct_union_proposals_cover_distinct_union_boxes(self, toy_world_small):
         records, provider, vocab = toy_world_small
@@ -125,7 +123,8 @@ class TestBatchAssembly:
                 if label.kind == "positive" and batch.gt_boxes[label.gt_index] == ub]
         assert rows
         for row in rows:
-            captions = [t.token_ids for t in batch.targets if t.subject_index == row]
+            captions = [ids for i, ids in zip(batch.pairs.subject_index, batch.token_ids)
+                        if i == row]
             for rel in (forward, backward):
                 ids, _ = encode_caption(rel.tokens, rel.pos, vocab, cfg.max_len)
                 assert ids in captions
@@ -143,10 +142,46 @@ class TestBatchAssembly:
                                         proposals[0].feature, id=len(proposals)))
         batch = build_image_batch(record, proposals, provider, vocab, cfg)
         n = len(record.objects)
-        assert len(batch.targets) == n * (n - 1) + 2 * (n - 1)
-        for target in batch.targets:
-            assert (batch.labels[target.subject_index].gt_index
-                    != batch.labels[target.object_index].gt_index)
+        assert len(batch.pairs) == n * (n - 1) + 2 * (n - 1)
+        for i, j in zip(batch.pairs.subject_index, batch.pairs.object_index):
+            assert batch.labels[i].gt_index != batch.labels[j].gt_index
+
+    @pytest.mark.parametrize("make_config", [cfg_for, direct_union_config])
+    def test_training_rows_equal_inference_rows(self, toy_world_small, make_config):
+        # a training pair is the inference pair with the same (i, j), bit for bit
+        records, provider, vocab = toy_world_small
+        cfg = make_config(provider, vocab)
+        for record in records[:4]:
+            proposals = build_proposals(record, provider, cfg, ProposalSettings())
+            train = build_image_batch(record, proposals, provider, vocab, cfg).pairs
+            infer, _ = make_pair_batch(record, proposals, provider, cfg)
+            assert train and train.features.tobytes() == infer.features.tobytes()
+            row_of = {ij: k for k, ij in enumerate(zip(infer.subject_index,
+                                                       infer.object_index))}
+            for k, ij in enumerate(zip(train.subject_index, train.object_index)):
+                want = row_of[ij]
+                assert train.union_features[k].tobytes() == \
+                    infer.union_features[want].tobytes()
+                assert train.geos[k].tobytes() == infer.geos[want].tobytes()
+
+    def test_provider_called_once_per_caption_pair(self, toy_world_small, monkeypatch):
+        # direct-union captions both directions of a union box on one pair
+        records, provider, vocab = toy_world_small
+        cfg = direct_union_config(provider, vocab)
+        record = records[0]
+        proposals = build_proposals(record, provider, cfg, ProposalSettings())
+        calls = []
+        features = provider.features
+
+        def counting(rec, box):
+            calls.append(box)
+            return features(rec, box)
+
+        monkeypatch.setattr(provider, "features", counting)
+        batch = build_image_batch(record, proposals, provider, vocab, cfg)
+        pairs = sorted(set(zip(batch.pairs.subject_index, batch.pairs.object_index)))
+        assert len(calls) == len(pairs) < len(batch.pairs)
+        assert calls == [proposals[i].box for i, _ in pairs]
 
 
 class TestTraining:
