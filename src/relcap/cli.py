@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -109,31 +110,76 @@ def _load_config_file(path: str | None) -> dict:
     return obj
 
 
-def _resolve(args, file_config: dict, name: str, default, kind=None):
-    """Precedence: CLI flag > config file > default.
+# name -> (type, default, minimum) of every setting a config-reading command
+# resolves. ``--name`` is the flag and ``name`` the config-file key; a minimum
+# of None means no lower bound. ProposalSettings checks that jitter is in [0, 1).
+_PROPOSAL_SETTINGS = {"proposal-seed": (int, 0, None), "jitter": (float, 0.08, None),
+                      "background": (int, 2, 0)}
+_PREDICT_SETTINGS = {**_PROPOSAL_SETTINGS, "keep-after-nms": (int, 50, 0),
+                     "nms-iou": (float, 0.5, None), "pair-cap": (int, None, 0),
+                     "min-confidence": (float, None, None)}
+SETTINGS = {
+    "gen-toy": {"seed": (int, 7, None), "images": (int, 120, None),
+                "min-objects": (int, 2, None), "max-objects": (int, 4, None),
+                "inside-prob": (float, 0.25, None)},
+    "train": {"seed": (int, 0, None), "model": (str, "mttsnet", None),
+              "epochs": (int, 100, 1), "lr": (float, 1e-3, None),
+              "alpha": (float, 0.1, None), "beta": (float, 0.1, None),
+              "gamma": (float, 0.1, None), "hidden": (int, 48, 1),
+              "d-subj-obj": (int, 64, 1), "d-union": (int, 32, 1), "rem-dim": (int, 32, 1),
+              "max-len": (int, 12, None), "dropout": (float, 0.1, None),
+              "min-count": (int, 1, 1), **_PROPOSAL_SETTINGS},
+    "eval": _PREDICT_SETTINGS,
+    "infer": {**_PREDICT_SETTINGS, "mode": (str, "greedy", None)},
+    "retrieve": {**_PROPOSAL_SETTINGS, "keep-after-nms": (int, 100, 0),
+                 "nms-iou": (float, 0.5, None), "k": (str, "1,5,10", None),
+                 "images": (int, 100, 1), "query-images": (int, 5, 1),
+                 "captions-per-image": (int, 4, 1), "rounds": (int, 3, 1)},
+}
+_SETTING_HELP = {
+    "seed": "master seed",
+    "model": "direct-union|union|union-coord|subj-obj|subj-obj-coord|"
+             "subj-obj-union|tsnet|mttsnet, with optional ,mtl and ,rem",
+    "k": "comma-separated K values, default 1,5,10",
+    "mode": "greedy or stochastic",
+}
+# JSON types a config-file value may have, per setting type (never a boolean).
+_CONFIG_TYPES = {int: (int, float, str), float: (int, float, str), str: (str,)}
 
-    A missing or null config-file value gives the default; any other is
-    converted to ``kind`` (default: the type of ``default``), and one that
-    does not convert is a ConfigError naming the key.
-    """
-    value = getattr(args, name.replace("-", "_"), None)
-    if value is not None:
-        return value
-    value = file_config.get(name)
-    if value is None:
-        return default
-    kind = kind or type(default)
+
+def _from_config(name: str, kind, value):
     try:
+        if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[kind]):
+            raise TypeError
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config key {name!r}: {value!r} is not a valid "
                           f"{kind.__name__}") from exc
 
 
-def _at_least(value: int, minimum: int, option: str) -> int:
-    if value < minimum:
-        raise ConfigError(f"--{option} must be at least {minimum}, got {value}")
-    return value
+def resolve_settings(args) -> None:
+    """Set each of the command's settings in ``args`` by precedence: CLI flag
+    > config file > default.
+
+    A missing or null config-file value gives the default. A float setting
+    must be finite and every setting at least its minimum; a value that breaks
+    either rule is a ConfigError naming the flag or key.
+    """
+    file_config = _load_config_file(args.config)
+    for name, (kind, default, minimum) in SETTINGS[args.command].items():
+        dest = name.replace("-", "_")
+        value, source = getattr(args, dest), f"--{name}"
+        if value is None and file_config.get(name) is not None:
+            value, source = _from_config(name, kind, file_config[name]), f"config key {name!r}"
+        if value is None:
+            value = default
+        elif kind is float and not math.isfinite(value):
+            raise ConfigError(f"{source} must be finite, got {value}")
+        elif minimum is not None and value < minimum:
+            raise ConfigError(f"{source} must be at least {minimum}, got {value}")
+        setattr(args, dest, value)
 
 
 def _require_file(path: str, what: str) -> str:
@@ -166,19 +212,11 @@ def _check_vocab(vocab, records) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_gen_toy(args) -> int:
-    cfg_file = _load_config_file(args.config)
-    seed = _resolve(args, cfg_file, "seed", 7)
-    toy = ToyWorldConfig(
-        n_images=_resolve(args, cfg_file, "images", 120),
-        min_objects=_resolve(args, cfg_file, "min-objects", 2),
-        max_objects=_resolve(args, cfg_file, "max-objects", 4),
-        inside_prob=_resolve(args, cfg_file, "inside-prob", 0.25),
-        n_background=_resolve(args, cfg_file, "background", 2),
-        jitter=_resolve(args, cfg_file, "jitter", 0.08),
-    ).validate()
+    toy = ToyWorldConfig(n_images=args.images, min_objects=args.min_objects,
+                         max_objects=args.max_objects, inside_prob=args.inside_prob).validate()
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
-    records, provider = generate_toy_world(seed, toy)
+    records, provider = generate_toy_world(args.seed, toy)
     train, val, test = split_records(records, toy.splits)
     paths = {}
     for name, subset in (("train", train), ("val", val), ("test", test)):
@@ -188,43 +226,27 @@ def cmd_gen_toy(args) -> int:
                        "sha256": _sha256_file(path)}
     provider_path = os.path.join(out_dir, "provider.json")
     _write_json(provider_path, provider.to_json())
-    config_echo = {"seed": seed, "toy": toy.__dict__ | {"shapes": list(toy.shapes),
-                                                        "colors": list(toy.colors),
-                                                        "splits": list(toy.splits)}}
+    config_echo = {"seed": args.seed, "toy": toy.__dict__ | {"shapes": list(toy.shapes),
+                                                             "colors": list(toy.colors),
+                                                             "splits": list(toy.splits)}}
     _write_json(os.path.join(out_dir, "manifest.json"), {
         "splits": paths,
         "provider": {"path": "provider.json", "sha256": _sha256_file(provider_path)},
         "config": config_echo,
-        "provenance": provenance(config_echo, seed),
+        "provenance": provenance(config_echo, args.seed),
     })
     print(f"wrote {sum(p['images'] for p in paths.values())} images to {out_dir} "
           f"({paths['train']['images']}/{paths['val']['images']}/{paths['test']['images']} split)")
     return 0
 
 
-def _proposal_settings(args, cfg_file) -> ProposalSettings:
-    return ProposalSettings(
-        seed=_resolve(args, cfg_file, "proposal-seed", 0),
-        jitter=_resolve(args, cfg_file, "jitter", 0.08),
-        n_background=_resolve(args, cfg_file, "background", 2),
-    )
-
-
 def cmd_train(args) -> int:
-    cfg_file = _load_config_file(args.config)
     records = load_dataset(_require_file(args.data, "training dataset"))
     provider = _load_provider(args.provider)
-    seed = _resolve(args, cfg_file, "seed", 0)
-    epochs = _at_least(_resolve(args, cfg_file, "epochs", 100), 1, "epochs")
-    settings = TrainSettings(
-        epochs=epochs,
-        lr=_resolve(args, cfg_file, "lr", 1e-3),
-        alpha=_resolve(args, cfg_file, "alpha", 0.1),
-        beta=_resolve(args, cfg_file, "beta", 0.1),
-        gamma=_resolve(args, cfg_file, "gamma", 0.1),
-        seed=seed,
-        proposals=_proposal_settings(args, cfg_file),
-    )
+    settings = TrainSettings(epochs=args.epochs, lr=args.lr, alpha=args.alpha,
+                             beta=args.beta, gamma=args.gamma, seed=args.seed,
+                             proposals=ProposalSettings(args.proposal_seed, args.jitter,
+                                                        args.background))
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     ckpt_path = os.path.join(out_dir, "model.rckpt")
@@ -234,26 +256,19 @@ def cmd_train(args) -> int:
         params, config, vocab, optimizer, _ = load_model(_require_file(args.resume, "checkpoint"))
         _check_vocab(vocab, records)
     else:
-        vocab = build_vocab(records, min_count=_resolve(args, cfg_file, "min-count", 1))
+        vocab = build_vocab(records, min_count=args.min_count)
         config = ModelConfig.from_name(
-            _resolve(args, cfg_file, "model", "mttsnet"),
-            feature_width=provider.feature_width,
-            vocab_size=len(vocab),
-            d_subj_obj=_resolve(args, cfg_file, "d-subj-obj", 64),
-            d_union=_resolve(args, cfg_file, "d-union", 32),
-            code_width=_resolve(args, cfg_file, "hidden", 48),
-            hidden=_resolve(args, cfg_file, "hidden", 48),
-            rem_dim=_resolve(args, cfg_file, "rem-dim", 32),
-            max_len=_resolve(args, cfg_file, "max-len", 12),
-            dropout=_resolve(args, cfg_file, "dropout", 0.1),
-        )
+            args.model, feature_width=provider.feature_width, vocab_size=len(vocab),
+            d_subj_obj=args.d_subj_obj, d_union=args.d_union, code_width=args.hidden,
+            hidden=args.hidden, rem_dim=args.rem_dim, max_len=args.max_len,
+            dropout=args.dropout)
 
     config_echo = {"model": config.to_json(), "train": {
         "epochs": settings.epochs, "lr": settings.lr, "alpha": settings.alpha,
-        "beta": settings.beta, "gamma": settings.gamma, "seed": seed,
+        "beta": settings.beta, "gamma": settings.gamma, "seed": settings.seed,
         "proposal_seed": settings.proposals.seed, "jitter": settings.proposals.jitter,
         "background": settings.proposals.n_background}}
-    prov = provenance(config_echo, seed)
+    prov = provenance(config_echo, settings.seed)
 
     def on_epoch(_epoch, _row, cur_params, cur_opt):
         save_model(ckpt_path, cur_params, config, vocab, optimizer=cur_opt,
@@ -274,7 +289,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _eval_like_setup(args, cfg_file):
+def _eval_like_setup(args):
     params, config, vocab, _, _ = load_model(_require_file(args.checkpoint, "checkpoint"))
     records = load_dataset(_require_file(args.data, "dataset"))
     provider = _load_provider(args.provider)
@@ -283,27 +298,21 @@ def _eval_like_setup(args, cfg_file):
             f"provider feature width {provider.feature_width} does not match "
             f"checkpoint feature width {config.feature_width}")
     _check_vocab(vocab, records)
-    settings = _proposal_settings(args, cfg_file)
+    settings = ProposalSettings(args.proposal_seed, args.jitter, args.background)
     return params, config, vocab, records, provider, settings
 
 
-def _predict_options(args, cfg_file) -> dict:
+def _predict_options(args) -> dict:
     """predict_image keyword options shared by eval and infer."""
-    pair_cap = _resolve(args, cfg_file, "pair-cap", None, int)
-    return {
-        "metric_config": MetricConfig(keep_after_nms=_at_least(
-            _resolve(args, cfg_file, "keep-after-nms", 50), 0, "keep-after-nms")),
-        "nms_iou": _resolve(args, cfg_file, "nms-iou", 0.5),
-        "pair_cap": None if pair_cap is None else _at_least(pair_cap, 0, "pair-cap"),
-        "min_confidence": _resolve(args, cfg_file, "min-confidence", None, float),
-    }
+    return {"metric_config": MetricConfig(keep_after_nms=args.keep_after_nms),
+            "nms_iou": args.nms_iou, "pair_cap": args.pair_cap,
+            "min_confidence": args.min_confidence}
 
 
 def cmd_eval(args) -> int:
-    cfg_file = _load_config_file(args.config)
-    params, config, vocab, records, provider, settings = _eval_like_setup(args, cfg_file)
+    params, config, vocab, records, provider, settings = _eval_like_setup(args)
     report, predictions = evaluate_model(records, params, config, vocab, provider, settings,
-                                         **_predict_options(args, cfg_file))
+                                         **_predict_options(args))
     payload = {"report": report.to_json(),
                "n_predictions": len(predictions),
                "provenance": provenance({"eval": vars(args).get("data")}, settings.seed)}
@@ -314,16 +323,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    cfg_file = _load_config_file(args.config)
-    params, config, vocab, records, provider, settings = _eval_like_setup(args, cfg_file)
-    mode = _resolve(args, cfg_file, "mode", "greedy")
-    if mode not in ("greedy", "stochastic"):
-        raise ConfigError(f"config key 'mode': expected greedy or stochastic, got {mode!r}")
+    if args.mode not in ("greedy", "stochastic"):
+        raise ConfigError(f"mode: expected greedy or stochastic, got {args.mode!r}")
+    params, config, vocab, records, provider, settings = _eval_like_setup(args)
     rng = np.random.default_rng(np.random.SeedSequence([settings.seed, 99])) \
-        if mode == "stochastic" else None
+        if args.mode == "stochastic" else None
     proposals = (build_proposals(record, provider, config, settings) for record in records)
     predictions = predict_records(records, proposals, params, config, vocab, provider,
-                                  mode=mode, rng=rng, **_predict_options(args, cfg_file))
+                                  mode=args.mode, rng=rng, **_predict_options(args))
     write_predictions(args.out, predictions)
     print(f"wrote {len(predictions)} predictions to {args.out}")
     return 0
@@ -348,27 +355,21 @@ def cmd_graph(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
-    cfg_file = _load_config_file(args.config)
-    params, config, vocab, records, provider, settings = _eval_like_setup(args, cfg_file)
     try:
-        ks = tuple(int(k) for k in _resolve(args, cfg_file, "k", "1,5,10").split(","))
+        ks = tuple(int(k) for k in args.k.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad --k list: {exc}") from exc
-    protocol = RetrievalProtocol(
-        num_images=_resolve(args, cfg_file, "images", 100),
-        num_query_images=_at_least(_resolve(args, cfg_file, "query-images", 5), 1,
-                                   "query-images"),
-        captions_per_image=_at_least(_resolve(args, cfg_file, "captions-per-image", 4), 1,
-                                     "captions-per-image"),
-        ks=ks,
-        rounds=_at_least(_resolve(args, cfg_file, "rounds", 3), 1, "rounds"),
-    )
-    keep = _at_least(_resolve(args, cfg_file, "keep-after-nms", 100), 0, "keep-after-nms")
-    nms_iou = _resolve(args, cfg_file, "nms-iou", 0.5)
+    if min(ks) < 1:
+        raise ConfigError(f"--k values must be at least 1, got {args.k}")
+    protocol = RetrievalProtocol(num_images=args.images, num_query_images=args.query_images,
+                                 captions_per_image=args.captions_per_image, ks=ks,
+                                 rounds=args.rounds)
+    params, config, vocab, records, provider, settings = _eval_like_setup(args)
     scorables = []
     gt_captions = {}
     for record in records:
-        kept = nms(build_proposals(record, provider, config, settings), nms_iou, keep)
+        kept = nms(build_proposals(record, provider, config, settings), args.nms_iou,
+                   args.keep_after_nms)
         batch, boxes = make_pair_batch(record, kept, provider, config)
         if not boxes:
             continue
@@ -410,69 +411,35 @@ def build_parser() -> argparse.ArgumentParser:
                     "evaluation, caption graphs, retrieval, enrichment.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", help="JSON config file; CLI flags take precedence")
-        p.add_argument("--seed", type=int, help="master seed")
+    def add_settings(name, **kwargs):
+        p = sub.add_parser(name, **kwargs)
+        p.add_argument("--config",
+                       help="JSON config file keyed by flag names without --; "
+                            "CLI flags take precedence")
+        for key, (kind, _default, _minimum) in SETTINGS[name].items():
+            p.add_argument(f"--{key}", type=kind, help=_SETTING_HELP.get(key))
+        return p
 
-    p = sub.add_parser("gen-toy", help="generate the deterministic toy dataset")
-    add_common(p)
+    p = add_settings("gen-toy", help="generate the deterministic toy dataset")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--images", type=int)
-    p.add_argument("--min-objects", type=int, dest="min_objects")
-    p.add_argument("--max-objects", type=int, dest="max_objects")
-    p.add_argument("--inside-prob", type=float, dest="inside_prob")
-    p.add_argument("--background", type=int)
-    p.add_argument("--jitter", type=float)
 
-    p = sub.add_parser("train", help="train a model variant")
-    add_common(p)
+    p = add_settings("train", help="train a model variant")
     p.add_argument("--data", required=True)
     p.add_argument("--provider", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--model",
-                   help="direct-union|union|union-coord|subj-obj|subj-obj-coord|"
-                        "subj-obj-union|tsnet|mttsnet, with optional ,mtl and ,rem")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--d-subj-obj", type=int, dest="d_subj_obj")
-    p.add_argument("--d-union", type=int, dest="d_union")
-    p.add_argument("--rem-dim", type=int, dest="rem_dim")
-    p.add_argument("--max-len", type=int, dest="max_len")
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--min-count", type=int, dest="min_count")
     p.add_argument("--resume", help="checkpoint to continue from")
-    p.add_argument("--proposal-seed", type=int, dest="proposal_seed")
-    p.add_argument("--jitter", type=float)
-    p.add_argument("--background", type=int)
 
-    def add_eval_like(p):
-        add_common(p)
+    def add_eval_like(name, help_text):
+        p = add_settings(name, help=help_text)
         p.add_argument("--checkpoint", required=True)
         p.add_argument("--data", required=True)
         p.add_argument("--provider", required=True)
-        p.add_argument("--keep-after-nms", type=int, dest="keep_after_nms")
-        p.add_argument("--nms-iou", type=float, dest="nms_iou")
-        p.add_argument("--proposal-seed", type=int, dest="proposal_seed")
-        p.add_argument("--jitter", type=float)
-        p.add_argument("--background", type=int)
+        return p
 
-    def add_predict(p):
-        add_eval_like(p)
-        p.add_argument("--pair-cap", type=int, dest="pair_cap")
-        p.add_argument("--min-confidence", type=float, dest="min_confidence")
-
-    p = sub.add_parser("eval", help="relational captioning evaluation report")
-    add_predict(p)
-    p.add_argument("--out", help="report JSON path")
-
-    p = sub.add_parser("infer", help="decode predictions to JSON lines")
-    add_predict(p)
-    p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=("greedy", "stochastic"))
+    add_eval_like("eval", "relational captioning evaluation report").add_argument(
+        "--out", help="report JSON path")
+    add_eval_like("infer", "decode predictions to JSON lines").add_argument(
+        "--out", required=True)
 
     p = sub.add_parser("graph", help="build a caption graph from predictions")
     p.add_argument("--predictions", required=True)
@@ -480,14 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--node-merge-iou", type=float, default=0.9, dest="node_merge_iou")
     p.add_argument("--out", required=True, help="output path prefix (.dot/.json added)")
 
-    p = sub.add_parser("retrieve", help="sentence-based image retrieval")
-    add_eval_like(p)
-    p.add_argument("--k", help="comma-separated K values, default 1,5,10")
-    p.add_argument("--images", type=int)
-    p.add_argument("--query-images", type=int, dest="query_images")
-    p.add_argument("--captions-per-image", type=int, dest="captions_per_image")
-    p.add_argument("--rounds", type=int)
-    p.add_argument("--out", help="report JSON path")
+    add_eval_like("retrieve", "sentence-based image retrieval").add_argument(
+        "--out", help="report JSON path")
 
     p = sub.add_parser("enrich", help="attribute enrichment for relation captions")
     p.add_argument("--data", required=True)
@@ -513,6 +474,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command in SETTINGS:
+            resolve_settings(args)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

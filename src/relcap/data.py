@@ -356,8 +356,6 @@ class ToyWorldConfig:
     colors: tuple = ("red", "blue", "green", "yellow", "purple")
     margin: float = 4.0          # px slack for the left-of / above predicates
     inside_prob: float = 0.25    # chance a scene nests one object inside another
-    n_background: int = 2        # background proposals per image
-    jitter: float = 0.08         # proposal jitter as a fraction of box size
     splits: tuple = (0.8, 0.1, 0.1)
 
     def validate(self):

@@ -25,8 +25,12 @@ from .model import (ImageBatch, ModelConfig, ModelParams, PairBatch, _pad_target
 @dataclass
 class ProposalSettings:
     seed: int = 0
-    jitter: float = 0.08
+    jitter: float = 0.08  # fraction of box size; 1 or more can give a negative width
     n_background: int = 2
+
+    def __post_init__(self):
+        if not 0.0 <= self.jitter < 1.0:
+            raise ConfigError(f"jitter must lie in [0, 1), got {self.jitter}")
 
 
 @dataclass

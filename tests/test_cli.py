@@ -1,5 +1,6 @@
 """End-to-end command-line checks on tiny configurations."""
 
+import argparse
 import json
 import os
 import struct
@@ -9,7 +10,8 @@ import pytest
 
 from relcap import schemas
 from relcap.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from relcap.cli import main, read_predictions, write_predictions
+from relcap.cli import (SETTINGS, build_parser, main, read_predictions, resolve_settings,
+                        write_predictions)
 from relcap.data import save_attributes, ImageAttributes, AttributeRecord
 from relcap.geometry import Box
 from relcap.metrics import PredictionRecord
@@ -305,8 +307,19 @@ class TestExitCodes:
         ("retrieve", ["--rounds", "0"]),
         ("retrieve", ["--query-images", "0"]),
         ("retrieve", ["--captions-per-image", "0"]),
+        ("train", ["--min-count", "0"]),
+        ("train", ["--hidden", "0"]),
+        ("train", ["--d-subj-obj", "0"]),
+        ("train", ["--d-union", "0"]),
+        ("train", ["--rem-dim", "0"]),
+        ("train", ["--jitter", "1.5"]),
+        ("eval", ["--jitter", "1.5"]),
+        ("train", ["--lr", "nan"]),
+        ("eval", ["--background", "-3"]),
     ], ids=["epochs-0", "max-len-1", "keep-after-nms-neg", "pair-cap-neg", "rounds-0",
-            "query-images-0", "captions-per-image-0"])
+            "query-images-0", "captions-per-image-0", "min-count-0", "hidden-0",
+            "d-subj-obj-0", "d-union-0", "rem-dim-0", "train-jitter-1.5", "eval-jitter-1.5",
+            "lr-nan", "background-neg"])
     def test_bad_numeric_setting_is_config_error(self, toy_dir, trained_dir, tmp_path,
                                                  capsys, command, options):
         argv = self._argv(command, toy_dir, trained_dir, tmp_path)
@@ -322,7 +335,11 @@ class TestExitCodes:
         ("train", "jitter", [1]),
         ("eval", "keep-after-nms", "many"),
         ("infer", "mode", "beam"),
-    ], ids=["epochs-str", "model-int", "jitter-list", "keep-after-nms-str", "mode-beam"])
+        ("train", "epochs", 2.9),
+        ("train", "epochs", True),
+        ("train", "lr", "nan"),
+    ], ids=["epochs-str", "model-int", "jitter-list", "keep-after-nms-str", "mode-beam",
+            "epochs-non-integral", "epochs-bool", "lr-nan-str"])
     def test_bad_config_file_value_is_config_error(self, toy_dir, trained_dir, tmp_path,
                                                    capsys, command, key, value):
         config = tmp_path / "config.json"
@@ -336,6 +353,31 @@ class TestExitCodes:
     def test_retrieve_rejects_prediction_options(self, toy_dir, trained_dir, tmp_path,
                                                  capsys, option):
         argv = self._argv("retrieve", toy_dir, trained_dir, tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            run(argv + option)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_retrieve_rejects_k_below_1(self, toy_dir, trained_dir, tmp_path, capsys):
+        argv = self._argv("retrieve", toy_dir, trained_dir, tmp_path)
+        assert run(argv + ["--k", "0,-2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --k") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command,option", [
+        ("gen-toy", ["--jitter", "0.5"]),
+        ("gen-toy", ["--background", "9"]),
+        ("eval", ["--seed", "5"]),
+        ("infer", ["--seed", "5"]),
+        ("retrieve", ["--seed", "5"]),
+    ], ids=["gen-toy-jitter", "gen-toy-background", "eval-seed", "infer-seed",
+            "retrieve-seed"])
+    def test_removed_flags_are_usage_errors(self, toy_dir, trained_dir, tmp_path, capsys,
+                                            command, option):
+        if command == "gen-toy":
+            argv = ["gen-toy", "--out", str(tmp_path / "toy"), "--images", "4"]
+        else:
+            argv = self._argv(command, toy_dir, trained_dir, tmp_path)
         with pytest.raises(SystemExit) as exit_info:
             run(argv + option)
         assert exit_info.value.code == 2
@@ -412,3 +454,52 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert "evaluation needs ground-truth relations" in err
+
+
+# Arguments every config-reading command requires; only parsed, never opened.
+_REQUIRED = {
+    "gen-toy": ["--out", "o"],
+    "train": ["--data", "d", "--provider", "p", "--out", "o"],
+    "eval": ["--checkpoint", "c", "--data", "d", "--provider", "p"],
+    "infer": ["--checkpoint", "c", "--data", "d", "--provider", "p", "--out", "o"],
+    "retrieve": ["--checkpoint", "c", "--data", "d", "--provider", "p"],
+}
+_NOT_SETTINGS = {"-h", "--help", "--config", "--out", "--data", "--provider",
+                 "--checkpoint", "--resume"}
+
+
+def _resolved(argv):
+    args = build_parser().parse_args(argv)
+    resolve_settings(args)
+    return {k: v for k, v in vars(args).items() if k != "config"}
+
+
+class TestSettingsTable:
+    @pytest.mark.parametrize("command", sorted(SETTINGS))
+    def test_parser_flags_are_the_table(self, command):
+        parser = build_parser()
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        flags = {flag for action in commands[command]._actions
+                 for flag in action.option_strings}
+        assert sorted(flags - _NOT_SETTINGS) == sorted(f"--{name}" for name in SETTINGS[command])
+
+    @pytest.mark.parametrize("command,name", [(command, name) for command in sorted(SETTINGS)
+                                              for name in SETTINGS[command]])
+    def test_flag_and_config_file_resolve_equal(self, tmp_path, command, name):
+        kind, _default, minimum = SETTINGS[command][name]
+        value = {int: (minimum or 0) + 3, float: 0.25, str: "x"}[kind]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({name: value}))
+        argv = [command, *_REQUIRED[command]]
+        by_flag = _resolved(argv + [f"--{name}", str(value)])
+        assert by_flag[name.replace("-", "_")] == value
+        assert _resolved(argv + ["--config", str(config)]) == by_flag
+
+    def test_integral_config_numbers_convert(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"epochs": "2", "hidden": 2.0, "lr": 1, "model": None}))
+        settings = _resolved(["train", *_REQUIRED["train"], "--config", str(config)])
+        assert (settings["epochs"], settings["hidden"], settings["lr"]) == (2, 2, 1.0)
+        assert type(settings["hidden"]) is int and type(settings["lr"]) is float
+        assert settings["model"] == "mttsnet"
