@@ -6,8 +6,9 @@ OUTDIR must be missing or empty. The ``relcap`` commands below run there
 with this checkout's ``src`` on PYTHONPATH and OPENBLAS_NUM_THREADS=1: the
 seed-7 toy dataset, three 3-epoch models (``mttsnet,mtl,rem``,
 ``direct-union``, ``direct-union,mtl,rem``) with eval, greedy and stochastic
-infer and retrieve on each, two pair-capped infers and one caption graph.
-Then ``perfbench/run.py`` runs every workload for 2 s on seed 701.
+infer and retrieve on each, two pair-capped infers, one caption graph, and a
+1-epoch model of every other preset, so each variant's ``model_config`` echo
+is hashed. Then ``perfbench/run.py`` runs every workload for 2 s on seed 701.
 
 The output is one ``sha256  path`` line per file under OUTDIR and one per
 perfbench output hash (path ``perfbench/<workload>/<name>``), sorted by
@@ -24,6 +25,8 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MODELS = ("mttsnet,mtl,rem", "direct-union", "direct-union,mtl,rem")
+VARIANTS = ("union", "union-coord", "subj-obj", "subj-obj-coord,mtl,rem", "subj-obj-union",
+            "uuu", "tsnet", "mttsnet")
 WORKLOADS = ("train", "infer-dense", "eval", "retrieve")
 
 
@@ -52,6 +55,10 @@ def relcap_commands():
            "--out", "capped.jsonl"]
     yield ["infer", "--checkpoint", "direct-union/model.rckpt", "--data", "toy/test.jsonl",
            "--provider", "toy/provider.json", "--pair-cap", "1", "--out", "capped_du.jsonl"]
+    for model in VARIANTS:
+        yield ["train", "--data", "toy/train.jsonl", "--provider", "toy/provider.json",
+               "--out", "variant_" + model.replace(",", "_"), "--model", model,
+               "--epochs", "1", "--seed", "1"]
 
 
 def file_hashes(outdir: str) -> dict:

@@ -379,12 +379,10 @@ def add_scalars(terms) -> Tensor:
 # parameter initialization and Adam
 # ---------------------------------------------------------------------------
 
-def glorot_init(name: str, fan_in: int, fan_out: int, rng: np.random.Generator,
-                shape=None) -> Parameter:
+def glorot_init(name: str, fan_in: int, fan_out: int, rng: np.random.Generator) -> Parameter:
     """Uniform init in +-sqrt(6 / (fan_in + fan_out))."""
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    shape = (fan_in, fan_out) if shape is None else shape
-    return Parameter(name, rng.uniform(-limit, limit, size=shape))
+    return Parameter(name, rng.uniform(-limit, limit, size=(fan_in, fan_out)))
 
 
 class OptimizerState:

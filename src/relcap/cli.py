@@ -27,7 +27,7 @@ from .data import (SCHEMA_VERSION, ToyFeatureProvider, ToyWorldConfig, build_voc
 from .errors import ConfigError, DataError, InvariantError
 from .geometry import Box, nms
 from .metrics import MetricConfig, PredictionRecord
-from .model import ModelConfig, load_model, save_model
+from .model import MODEL_PRESETS, ModelConfig, load_model, save_model
 from .pipeline import (ProposalSettings, TrainSettings, build_proposals, evaluate_model,
                        history_to_csv, make_pair_batch, predict_records, train_model)
 
@@ -110,36 +110,44 @@ def _load_config_file(path: str | None) -> dict:
     return obj
 
 
-# name -> (type, default, minimum) of every setting a config-reading command
-# resolves. ``--name`` is the flag and ``name`` the config-file key; a minimum
-# of None means no lower bound. ProposalSettings checks that jitter is in [0, 1).
-_PROPOSAL_SETTINGS = {"proposal-seed": (int, 0, None), "jitter": (float, 0.08, None),
-                      "background": (int, 2, 0)}
-_PREDICT_SETTINGS = {**_PROPOSAL_SETTINGS, "keep-after-nms": (int, 50, 0),
-                     "nms-iou": (float, 0.5, None), "pair-cap": (int, None, 0),
-                     "min-confidence": (float, None, None)}
+def _at_least(low):
+    return f"at least {low}", lambda value: value >= low
+
+
+# A setting's allowed range: (description, test). None means any value.
+_NON_NEGATIVE, _POSITIVE = _at_least(0), ("above 0", lambda value: value > 0)
+_UNIT = "in [0, 1]", lambda value: 0 <= value <= 1
+
+# name -> (type, default, range) of every setting a config-reading command
+# resolves. ``--name`` is the flag and ``name`` the config-file key.
+# ProposalSettings checks that jitter is in [0, 1).
+_PROPOSAL_SETTINGS = {"proposal-seed": (int, 0, _NON_NEGATIVE),
+                      "jitter": (float, 0.08, None), "background": (int, 2, _NON_NEGATIVE)}
+_PREDICT_SETTINGS = {**_PROPOSAL_SETTINGS, "keep-after-nms": (int, 50, _NON_NEGATIVE),
+                     "nms-iou": (float, 0.5, _UNIT), "pair-cap": (int, None, _NON_NEGATIVE),
+                     "min-confidence": (float, None, _UNIT)}
 SETTINGS = {
-    "gen-toy": {"seed": (int, 7, None), "images": (int, 120, None),
+    "gen-toy": {"seed": (int, 7, _NON_NEGATIVE), "images": (int, 120, None),
                 "min-objects": (int, 2, None), "max-objects": (int, 4, None),
-                "inside-prob": (float, 0.25, None)},
-    "train": {"seed": (int, 0, None), "model": (str, "mttsnet", None),
-              "epochs": (int, 100, 1), "lr": (float, 1e-3, None),
-              "alpha": (float, 0.1, None), "beta": (float, 0.1, None),
-              "gamma": (float, 0.1, None), "hidden": (int, 48, 1),
-              "d-subj-obj": (int, 64, 1), "d-union": (int, 32, 1), "rem-dim": (int, 32, 1),
-              "max-len": (int, 12, None), "dropout": (float, 0.1, None),
-              "min-count": (int, 1, 1), **_PROPOSAL_SETTINGS},
+                "inside-prob": (float, 0.25, _UNIT)},
+    "train": {"seed": (int, 0, _NON_NEGATIVE), "model": (str, "mttsnet", None),
+              "epochs": (int, 100, _at_least(1)), "lr": (float, 1e-3, _POSITIVE),
+              "alpha": (float, 0.1, _NON_NEGATIVE), "beta": (float, 0.1, _NON_NEGATIVE),
+              "gamma": (float, 0.1, _NON_NEGATIVE), "hidden": (int, 48, _at_least(1)),
+              "d-subj-obj": (int, 64, _at_least(1)), "d-union": (int, 32, _at_least(1)),
+              "rem-dim": (int, 32, _at_least(1)), "max-len": (int, 12, None),
+              "dropout": (float, 0.1, None), "min-count": (int, 1, _at_least(1)),
+              **_PROPOSAL_SETTINGS},
     "eval": _PREDICT_SETTINGS,
     "infer": {**_PREDICT_SETTINGS, "mode": (str, "greedy", None)},
-    "retrieve": {**_PROPOSAL_SETTINGS, "keep-after-nms": (int, 100, 0),
-                 "nms-iou": (float, 0.5, None), "k": (str, "1,5,10", None),
-                 "images": (int, 100, 1), "query-images": (int, 5, 1),
-                 "captions-per-image": (int, 4, 1), "rounds": (int, 3, 1)},
+    "retrieve": {**_PROPOSAL_SETTINGS, "keep-after-nms": (int, 100, _NON_NEGATIVE),
+                 "nms-iou": (float, 0.5, _UNIT), "k": (str, "1,5,10", None),
+                 "images": (int, 100, _at_least(1)), "query-images": (int, 5, _at_least(1)),
+                 "captions-per-image": (int, 4, _at_least(1)), "rounds": (int, 3, _at_least(1))},
 }
 _SETTING_HELP = {
     "seed": "master seed",
-    "model": "direct-union|union|union-coord|subj-obj|subj-obj-coord|"
-             "subj-obj-union|tsnet|mttsnet, with optional ,mtl and ,rem",
+    "model": "|".join(MODEL_PRESETS) + ", with optional ,mtl and ,rem",
     "k": "comma-separated K values, default 1,5,10",
     "mode": "greedy or stochastic",
 }
@@ -164,11 +172,11 @@ def resolve_settings(args) -> None:
     > config file > default.
 
     A missing or null config-file value gives the default. A float setting
-    must be finite and every setting at least its minimum; a value that breaks
+    must be finite and every setting within its range; a value that breaks
     either rule is a ConfigError naming the flag or key.
     """
     file_config = _load_config_file(args.config)
-    for name, (kind, default, minimum) in SETTINGS[args.command].items():
+    for name, (kind, default, allowed) in SETTINGS[args.command].items():
         dest = name.replace("-", "_")
         value, source = getattr(args, dest), f"--{name}"
         if value is None and file_config.get(name) is not None:
@@ -177,8 +185,8 @@ def resolve_settings(args) -> None:
             value = default
         elif kind is float and not math.isfinite(value):
             raise ConfigError(f"{source} must be finite, got {value}")
-        elif minimum is not None and value < minimum:
-            raise ConfigError(f"{source} must be at least {minimum}, got {value}")
+        elif allowed is not None and not allowed[1](value):
+            raise ConfigError(f"{source} must be {allowed[0]}, got {value}")
         setattr(args, dest, value)
 
 
@@ -389,6 +397,8 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_enrich(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be at least 0, got {args.seed}")
     records = load_dataset(_require_file(args.data, "relations dataset"))
     attributes = load_attributes(_require_file(args.attributes, "attributes dataset"))
     lexicon = load_pos_lexicon(_require_file(args.lexicon, "POS lexicon"))
@@ -416,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config",
                        help="JSON config file keyed by flag names without --; "
                             "CLI flags take precedence")
-        for key, (kind, _default, _minimum) in SETTINGS[name].items():
+        for key, (kind, _default, _allowed) in SETTINGS[name].items():
             p.add_argument(f"--{key}", type=kind, help=_SETTING_HELP.get(key))
         return p
 

@@ -10,7 +10,7 @@ detection and box-regression terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .errors import CheckpointError, ConfigError
 from .geometry import Box
 
 STREAM_NAMES = ("subject", "predicate", "object")
-INPUT_KINDS = ("subject", "object", "union", "coord")
+GEO_DIM = 64                    # width of the coordinate (geometry) code
 
 # Table of named model variants: (streams, inputs, mtl). The w/MTL and +REM
 # switches are appended to the name with commas, e.g. "union,mtl" or
@@ -38,27 +38,47 @@ MODEL_PRESETS = {
     "tsnet": ("triple", ("subject", "object", "union", "coord"), False),
     "mttsnet": ("triple", ("subject", "object", "union", "coord"), True),
 }
+# to_json keys that echo what the name determines; from_json checks them.
+DERIVED_KEYS = ("streams", "inputs", "mtl", "rem", "rpn_output", "geo_dim", "pos_classes")
 
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """Layer widths plus the variant ``name``: a MODEL_PRESETS key with
+    optional ``,mtl`` and ``,rem`` switches. The name alone sets the streams,
+    inputs, POS head, REM and RPN output."""
+
     feature_width: int
     vocab_size: int
     d_subj_obj: int = 4096       # intermediate width of the shared first FC
     d_union: int = 512           # intermediate width of the union path
     code_width: int = 512        # region-code width; must equal hidden
     hidden: int = 512
-    geo_dim: int = 64
     rem_dim: int = 512
-    pos_classes: int = 3
     max_len: int = 12
-    streams: str = "triple"
-    inputs: tuple = ("subject", "object", "union", "coord")
-    mtl: bool = True
-    rem: bool = False
     dropout: float = 0.5
-    rpn_output: str = "object"   # "union": proposals are whole relation regions
     name: str = "mttsnet"
+    streams: str = field(init=False)
+    inputs: tuple = field(init=False)
+    mtl: bool = field(init=False)
+    rem: bool = field(init=False)
+    rpn_output: str = field(init=False)   # "union": proposals are whole relation regions
+
+    def __post_init__(self):
+        spec = self.name
+        parts = [p.strip() for p in spec.split(",") if p.strip()] if isinstance(spec, str) else []
+        if not parts or parts[0] not in MODEL_PRESETS:
+            raise ConfigError(f"unknown model {spec!r}; expected one of {sorted(MODEL_PRESETS)}")
+        base, flags = parts[0], parts[1:]
+        for flag in flags:
+            if flag not in ("mtl", "rem"):
+                raise ConfigError(f"unknown model flag {flag!r} in {spec!r}")
+        streams, inputs, mtl = MODEL_PRESETS[base]
+        object.__setattr__(self, "streams", streams)
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "mtl", mtl or "mtl" in flags)
+        object.__setattr__(self, "rem", "rem" in flags)
+        object.__setattr__(self, "rpn_output", "union" if base == "direct-union" else "object")
 
     @property
     def use_subject(self):
@@ -76,25 +96,17 @@ class ModelConfig:
     def use_coord(self):
         return "coord" in self.inputs
 
+    @property
+    def fuse(self):
+        """Whether a single stream reads its concatenated codes through the
+        ``fuse`` FC: it does when they include subject or object codes; the
+        union code alone is already hidden-wide."""
+        return self.streams == "single" and (self.use_subject or self.use_object)
+
     def validate(self):
-        if self.streams not in ("single", "triple"):
-            raise ConfigError(f"streams must be single or triple, got {self.streams!r}")
-        bad = [k for k in self.inputs if k not in INPUT_KINDS]
-        if bad:
-            raise ConfigError(f"unknown stream inputs {bad}")
-        if not (self.use_subject or self.use_object or self.use_union):
-            raise ConfigError("at least one region input is required")
-        if self.streams == "triple" and not self.use_union:
-            raise ConfigError("triple-stream configs need the union input")
         if self.code_width != self.hidden:
             raise ConfigError("region-code width must equal the LSTM hidden width "
                               "(codes are the first-step LSTM inputs)")
-        if self.rpn_output not in ("object", "union"):
-            raise ConfigError(f"rpn_output must be object or union, got {self.rpn_output!r}")
-        if self.rpn_output == "union" and (self.streams != "single" or self.inputs != ("union",)):
-            raise ConfigError("direct-union requires a single stream over the union input")
-        if self.pos_classes != 3:
-            raise ConfigError("the POS head is a 3-class classifier")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must lie in [0, 1)")
         if self.max_len < 2:
@@ -105,33 +117,15 @@ class ModelConfig:
 
     @staticmethod
     def from_name(spec: str, feature_width: int, vocab_size: int, **overrides) -> "ModelConfig":
-        parts = [p.strip() for p in spec.split(",") if p.strip()]
-        if not parts or parts[0] not in MODEL_PRESETS:
-            raise ConfigError(f"unknown model {spec!r}; expected one of {sorted(MODEL_PRESETS)}")
-        base = parts[0]
-        streams, inputs, mtl = MODEL_PRESETS[base]
-        rem = False
-        for flag in parts[1:]:
-            if flag == "mtl":
-                mtl = True
-            elif flag == "rem":
-                rem = True
-            else:
-                raise ConfigError(f"unknown model flag {flag!r} in {spec!r}")
-        cfg = ModelConfig(
-            feature_width=feature_width, vocab_size=vocab_size,
-            streams=streams, inputs=inputs, mtl=mtl, rem=rem,
-            rpn_output="union" if base == "direct-union" else "object",
-            name=spec, **overrides)
-        return cfg.validate()
+        return ModelConfig(feature_width, vocab_size, name=spec, **overrides).validate()
 
     def to_json(self) -> dict:
         return {
             "feature_width": self.feature_width, "vocab_size": self.vocab_size,
             "d_subj_obj": self.d_subj_obj, "d_union": self.d_union,
             "code_width": self.code_width, "hidden": self.hidden,
-            "geo_dim": self.geo_dim, "rem_dim": self.rem_dim,
-            "pos_classes": self.pos_classes, "max_len": self.max_len,
+            "geo_dim": GEO_DIM, "rem_dim": self.rem_dim,
+            "pos_classes": len(PosTag), "max_len": self.max_len,
             "streams": self.streams, "inputs": list(self.inputs),
             "mtl": self.mtl, "rem": self.rem, "dropout": self.dropout,
             "rpn_output": self.rpn_output, "name": self.name,
@@ -139,9 +133,16 @@ class ModelConfig:
 
     @staticmethod
     def from_json(obj: dict) -> "ModelConfig":
+        """Rebuild from the name and widths; an echoed derived key that
+        disagrees with the name is a ConfigError."""
         obj = dict(obj)
-        obj["inputs"] = tuple(obj["inputs"])
-        return ModelConfig(**obj).validate()
+        config = ModelConfig(**{k: v for k, v in obj.items() if k not in DERIVED_KEYS})
+        echo = config.to_json()
+        bad = [k for k in DERIVED_KEYS if k in obj and obj[k] != echo[k]]
+        if bad:
+            raise ConfigError(f"model {config.name!r} has {bad[0]} {echo[bad[0]]!r}, "
+                              f"not {obj[bad[0]]!r}")
+        return config.validate()
 
 
 class ModelParams:
@@ -170,19 +171,6 @@ class ModelParams:
         return ModelParams({name: Parameter(name, arr) for name, arr in arrays.items()})
 
 
-def _fused_width(config: ModelConfig) -> int:
-    width = 0
-    if config.use_subject:
-        width += config.code_width
-    if config.use_object:
-        width += config.code_width
-    if config.use_union:
-        width += config.code_width
-    elif config.use_coord:
-        width += config.geo_dim
-    return width
-
-
 def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
     """Glorot-uniform weights, zero biases, LSTM forget-gate bias 1."""
     config.validate()
@@ -199,10 +187,10 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
         fc("enc.object", config.d_subj_obj, config.code_width)
     if config.use_union:
         fc("union.first", config.feature_width, config.d_union)
-        in_width = config.d_union + (config.geo_dim if config.use_coord else 0)
+        in_width = config.d_union + (GEO_DIM if config.use_coord else 0)
         fc("union.code", in_width, config.code_width)
     if config.use_coord:
-        fc("geo", 6, config.geo_dim)
+        fc("geo", 6, GEO_DIM)
     if config.rem:
         for name in ("rem.wa", "rem.wb", "rem.wx", "rem.wz"):
             params[name] = ad.glorot_init(name, config.d_subj_obj, config.rem_dim, rng)
@@ -216,13 +204,15 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
         b[h:2 * h] = 1.0     # forget gate
         params[w.name] = w
         params[f"lstm.{stream}.b"] = Parameter(f"lstm.{stream}.b", b)
-    if config.streams == "single" and _fused_width(config) != h:
-        fc("fuse", _fused_width(config), h)
+    if config.fuse:
+        n_codes = config.use_subject + config.use_object + config.use_union
+        geo_width = GEO_DIM if config.use_coord and not config.use_union else 0
+        fc("fuse", n_codes * config.code_width + geo_width, h)
 
     head_in = 3 * h if config.streams == "triple" else h
     fc("head.word", head_in, config.vocab_size)
     if config.mtl:
-        fc("head.pos", head_in, config.pos_classes)
+        fc("head.pos", head_in, len(PosTag))
     fc("det", config.d_subj_obj, 1)
     fc("box", config.d_subj_obj, 4)
     return ModelParams(params)
@@ -316,10 +306,9 @@ def _first_inputs(codes: dict, params: ModelParams, config: ModelConfig):
             "object": codes.get("object", union),
         }
     parts = [codes[k] for k in ("subject", "object", "union", "geo") if k in codes]
-    if len(parts) == 1 and parts[0].data.shape[1] == config.hidden:
+    if not config.fuse:
         return {"main": parts[0]}
-    fused = ad.concat(parts) if len(parts) > 1 else parts[0]
-    return {"main": ad.affine(fused, params["fuse.w"], params["fuse.b"])}
+    return {"main": ad.affine(ad.concat(parts), params["fuse.w"], params["fuse.b"])}
 
 
 def lstm_step(x: Tensor, h: Tensor, c: Tensor, weights, bias):
@@ -536,8 +525,7 @@ class CaptionPrediction:
 
 
 def decode_batch(batch: PairBatch, params: ModelParams, config: ModelConfig,
-                 mode: str = "greedy", rng: np.random.Generator | None = None,
-                 max_len: int | None = None):
+                 mode: str = "greedy", rng: np.random.Generator | None = None):
     """Decode every pair in the batch; greedy or stochastic.
 
     Greedy takes the argmax each step (ties resolve to the lowest word id);
@@ -548,19 +536,18 @@ def decode_batch(batch: PairBatch, params: ModelParams, config: ModelConfig,
         raise ValueError(f"unknown decode mode {mode!r}")
     if mode == "stochastic" and rng is None:
         raise ValueError("stochastic decoding needs an explicit rng")
-    limit = config.max_len if max_len is None else max_len
     n = len(batch)
     rows = np.arange(n)
     done = np.zeros(n, dtype=bool)
     taken = np.zeros(n, dtype=np.intp)           # steps each row decoded
-    picks = np.full((n, limit), END_ID, dtype=np.intp)
-    chosen_probs = np.zeros((n, limit))
-    tags = np.zeros((n, limit), dtype=np.intp)
+    picks = np.full((n, config.max_len), END_ID, dtype=np.intp)
+    chosen_probs = np.zeros((n, config.max_len))
+    tags = np.zeros((n, config.max_len), dtype=np.intp)
     with ad.no_grad():
         codes = encode_pair_batch(batch, params, config)
         state = init_state(n, config)
         prev = None
-        for t in range(limit):
+        for t in range(config.max_len):
             word_logits, pos_logits, state = decode_step(
                 codes if prev is None else None, prev, state, params, config)
             probs = ad.softmax(word_logits.data)

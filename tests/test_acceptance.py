@@ -50,8 +50,7 @@ class TestCriterion1Gradients:
         config = ModelConfig(
             feature_width=10, vocab_size=20, d_subj_obj=16, d_union=8,
             code_width=8, hidden=8, rem_dim=8, max_len=8,
-            streams="triple", inputs=("subject", "object", "union", "coord"),
-            mtl=True, rem=True, dropout=0.0).validate()
+            dropout=0.0, name="mttsnet,rem").validate()
         params = init_params(config, np.random.default_rng(0))
         rng = np.random.default_rng(1)
         boxes = [Box(10 + 12 * i, 10 + 3 * i, 8, 6 + i) for i in range(4)]
@@ -98,9 +97,7 @@ class TestCriterion2RemProperties:
             b = int(rng.integers(1, 7))
             cfg = ModelConfig(feature_width=6, vocab_size=8, d_subj_obj=d,
                               d_union=4, code_width=4, hidden=4, rem_dim=r,
-                              rem=True, dropout=0.0,
-                              streams="triple",
-                              inputs=("subject", "object", "union", "coord")).validate()
+                              dropout=0.0, name="mttsnet,rem").validate()
             params = init_params(cfg, rng)
             x = rng.uniform(-1, 1, size=(b, d))
 

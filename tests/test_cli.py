@@ -260,6 +260,7 @@ class TestExitCodes:
             {k: v for k, v in meta.items() if k != "vocab"},
             {**meta, "vocab": {**meta["vocab"], "words": meta["vocab"]["words"][1:]}},
             {**meta, "model_config": {**meta["model_config"], "streams": "quad"}},
+            {**meta, "model_config": {**meta["model_config"], "streams": "single"}},
             {**meta, "model_config": {k: v for k, v in meta["model_config"].items()
                                       if k != "hidden"}},
         ]
@@ -289,8 +290,16 @@ class TestExitCodes:
 
     def _argv(self, command, toy_dir, trained_dir, tmp_path):
         """A small run of ``command`` on the toy data (train without --epochs)."""
+        if command == "gen-toy":
+            return ["gen-toy", "--out", str(tmp_path / "toy"), "--images", "4"]
         inputs = ["--data", os.path.join(toy_dir, "train.jsonl"),
                   "--provider", os.path.join(toy_dir, "provider.json")]
+        if command == "enrich":
+            attributes, lexicon = str(tmp_path / "attrs.jsonl"), tmp_path / "lex.tsv"
+            save_attributes(attributes, [])
+            lexicon.write_text("tall\tJJ\n")
+            return ["enrich", *inputs[:2], "--attributes", attributes, "--lexicon",
+                    str(lexicon), "--out", str(tmp_path / "enriched.jsonl")]
         if command == "train":
             return ["train", *inputs, "--out", str(tmp_path / "run"), "--hidden", "8",
                     "--d-subj-obj", "10", "--d-union", "8", "--rem-dim", "6"]
@@ -316,10 +325,30 @@ class TestExitCodes:
         ("eval", ["--jitter", "1.5"]),
         ("train", ["--lr", "nan"]),
         ("eval", ["--background", "-3"]),
+        ("gen-toy", ["--seed", "-1"]),
+        ("train", ["--seed", "-1"]),
+        ("train", ["--proposal-seed", "-1"]),
+        ("eval", ["--proposal-seed", "-1"]),
+        ("infer", ["--proposal-seed", "-1"]),
+        ("retrieve", ["--proposal-seed", "-1"]),
+        ("enrich", ["--seed", "-1"]),
+        ("eval", ["--nms-iou", "-1"]),
+        ("retrieve", ["--nms-iou", "1.5"]),
+        ("eval", ["--min-confidence", "2"]),
+        ("infer", ["--min-confidence", "-0.5"]),
+        ("gen-toy", ["--inside-prob", "7"]),
+        ("train", ["--lr", "0"]),
+        ("train", ["--alpha", "-5"]),
+        ("train", ["--beta", "-1"]),
+        ("train", ["--gamma", "-1"]),
     ], ids=["epochs-0", "max-len-1", "keep-after-nms-neg", "pair-cap-neg", "rounds-0",
             "query-images-0", "captions-per-image-0", "min-count-0", "hidden-0",
             "d-subj-obj-0", "d-union-0", "rem-dim-0", "train-jitter-1.5", "eval-jitter-1.5",
-            "lr-nan", "background-neg"])
+            "lr-nan", "background-neg", "gen-toy-seed-neg", "train-seed-neg",
+            "train-proposal-seed-neg", "eval-proposal-seed-neg", "infer-proposal-seed-neg",
+            "retrieve-proposal-seed-neg", "enrich-seed-neg", "eval-nms-iou-neg",
+            "retrieve-nms-iou-1.5", "eval-min-confidence-2", "infer-min-confidence-neg",
+            "gen-toy-inside-prob-7", "lr-0", "alpha-neg", "beta-neg", "gamma-neg"])
     def test_bad_numeric_setting_is_config_error(self, toy_dir, trained_dir, tmp_path,
                                                  capsys, command, options):
         argv = self._argv(command, toy_dir, trained_dir, tmp_path)
@@ -374,10 +403,7 @@ class TestExitCodes:
             "retrieve-seed"])
     def test_removed_flags_are_usage_errors(self, toy_dir, trained_dir, tmp_path, capsys,
                                             command, option):
-        if command == "gen-toy":
-            argv = ["gen-toy", "--out", str(tmp_path / "toy"), "--images", "4"]
-        else:
-            argv = self._argv(command, toy_dir, trained_dir, tmp_path)
+        argv = self._argv(command, toy_dir, trained_dir, tmp_path)
         with pytest.raises(SystemExit) as exit_info:
             run(argv + option)
         assert exit_info.value.code == 2
@@ -487,8 +513,8 @@ class TestSettingsTable:
     @pytest.mark.parametrize("command,name", [(command, name) for command in sorted(SETTINGS)
                                               for name in SETTINGS[command]])
     def test_flag_and_config_file_resolve_equal(self, tmp_path, command, name):
-        kind, _default, minimum = SETTINGS[command][name]
-        value = {int: (minimum or 0) + 3, float: 0.25, str: "x"}[kind]
+        kind = SETTINGS[command][name][0]
+        value = {int: 4, float: 0.25, str: "x"}[kind]   # inside every setting's range
         config = tmp_path / "config.json"
         config.write_text(json.dumps({name: value}))
         argv = [command, *_REQUIRED[command]]

@@ -1,6 +1,7 @@
 """Network-level checks: the relational embedding, encoders, decoder steps,
 losses, decoding, and hand-rigged exact traces."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,6 +26,49 @@ S, P, O = PosTag.SUBJ, PosTag.PRED, PosTag.OBJ
 # configuration and parameter inventories
 # ---------------------------------------------------------------------------
 
+# (streams, inputs, mtl, rem, rpn_output, has the single-stream fuse layer)
+# of every preset with each switch suffix.
+_SO, _SOUC = ("subject", "object"), ("subject", "object", "union", "coord")
+_VARIANTS = {
+    "direct-union": ("single", ("union",), False, False, "union", False),
+    "direct-union,mtl": ("single", ("union",), True, False, "union", False),
+    "direct-union,rem": ("single", ("union",), False, True, "union", False),
+    "direct-union,mtl,rem": ("single", ("union",), True, True, "union", False),
+    "union": ("single", ("union",), False, False, "object", False),
+    "union,mtl": ("single", ("union",), True, False, "object", False),
+    "union,rem": ("single", ("union",), False, True, "object", False),
+    "union,mtl,rem": ("single", ("union",), True, True, "object", False),
+    "union-coord": ("single", ("union", "coord"), False, False, "object", False),
+    "union-coord,mtl": ("single", ("union", "coord"), True, False, "object", False),
+    "union-coord,rem": ("single", ("union", "coord"), False, True, "object", False),
+    "union-coord,mtl,rem": ("single", ("union", "coord"), True, True, "object", False),
+    "subj-obj": ("single", _SO, False, False, "object", True),
+    "subj-obj,mtl": ("single", _SO, True, False, "object", True),
+    "subj-obj,rem": ("single", _SO, False, True, "object", True),
+    "subj-obj,mtl,rem": ("single", _SO, True, True, "object", True),
+    "subj-obj-coord": ("single", (*_SO, "coord"), False, False, "object", True),
+    "subj-obj-coord,mtl": ("single", (*_SO, "coord"), True, False, "object", True),
+    "subj-obj-coord,rem": ("single", (*_SO, "coord"), False, True, "object", True),
+    "subj-obj-coord,mtl,rem": ("single", (*_SO, "coord"), True, True, "object", True),
+    "subj-obj-union": ("single", (*_SO, "union"), False, False, "object", True),
+    "subj-obj-union,mtl": ("single", (*_SO, "union"), True, False, "object", True),
+    "subj-obj-union,rem": ("single", (*_SO, "union"), False, True, "object", True),
+    "subj-obj-union,mtl,rem": ("single", (*_SO, "union"), True, True, "object", True),
+    "uuu": ("triple", ("union",), False, False, "object", False),
+    "uuu,mtl": ("triple", ("union",), True, False, "object", False),
+    "uuu,rem": ("triple", ("union",), False, True, "object", False),
+    "uuu,mtl,rem": ("triple", ("union",), True, True, "object", False),
+    "tsnet": ("triple", _SOUC, False, False, "object", False),
+    "tsnet,mtl": ("triple", _SOUC, True, False, "object", False),
+    "tsnet,rem": ("triple", _SOUC, False, True, "object", False),
+    "tsnet,mtl,rem": ("triple", _SOUC, True, True, "object", False),
+    "mttsnet": ("triple", _SOUC, True, False, "object", False),
+    "mttsnet,mtl": ("triple", _SOUC, True, False, "object", False),
+    "mttsnet,rem": ("triple", _SOUC, True, True, "object", False),
+    "mttsnet,mtl,rem": ("triple", _SOUC, True, True, "object", False),
+}
+
+
 class TestModelConfig:
     def test_presets_cover_the_variant_table(self):
         assert set(MODEL_PRESETS) == {
@@ -48,6 +92,18 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             ModelConfig.from_name("resnet", 14, 20)
 
+    @pytest.mark.parametrize("name,expected", list(_VARIANTS.items()), ids=list(_VARIANTS))
+    def test_name_derives_the_variant(self, name, expected):
+        cfg = tiny_config(14, 20, name=name)
+        assert (cfg.streams, cfg.inputs, cfg.mtl, cfg.rem, cfg.rpn_output,
+                "fuse.w" in fresh_params(cfg)) == expected
+
+    def test_from_json_rejects_an_echo_that_contradicts_the_name(self):
+        cfg = tiny_config(14, 20)
+        assert cfg.streams == "triple"
+        with pytest.raises(ConfigError, match="streams"):
+            ModelConfig.from_json({**cfg.to_json(), "streams": "single"})
+
     def test_code_width_must_equal_hidden(self):
         with pytest.raises(ConfigError):
             tiny_config(14, 20, code_width=4, hidden=6)
@@ -58,8 +114,7 @@ class TestModelConfig:
         assert ModelConfig.from_json(cfg.to_json()) == cfg
 
     def test_single_vs_triple_parameter_inventory(self):
-        union = fresh_params(tiny_config(14, 20, streams="single", inputs=("union",),
-                                         mtl=False, name="union"))
+        union = fresh_params(tiny_config(14, 20, name="union"))
         mtts = fresh_params(tiny_config(14, 20))
         assert "lstm.main.w" in union and "lstm.subject.w" not in union
         for stream in ("subject", "predicate", "object"):
@@ -70,16 +125,14 @@ class TestModelConfig:
 
     def test_rem_parameters_only_when_enabled(self):
         plain = fresh_params(tiny_config(14, 20))
-        with_rem = fresh_params(tiny_config(14, 20, rem=True))
+        with_rem = fresh_params(tiny_config(14, 20, name="mttsnet,rem"))
         assert "rem.wa" not in plain
         for name in ("rem.wa", "rem.wb", "rem.wx", "rem.wz"):
             assert name in with_rem
 
     def test_fusion_adapter_only_when_widths_differ(self):
-        multi = fresh_params(tiny_config(14, 20, streams="single",
-                                         inputs=("subject", "object"), mtl=False))
-        single = fresh_params(tiny_config(14, 20, streams="single",
-                                          inputs=("union",), mtl=False))
+        multi = fresh_params(tiny_config(14, 20, name="subj-obj"))
+        single = fresh_params(tiny_config(14, 20, name="union"))
         assert "fuse.w" in multi and "fuse.w" not in single
 
     def test_forget_gate_bias_initialized_to_one(self):
@@ -96,7 +149,7 @@ class TestModelConfig:
 
 class TestRem:
     def _params(self, d=4, r=3, seed=0):
-        cfg = tiny_config(14, 20, d_subj_obj=d, rem_dim=r, rem=True)
+        cfg = tiny_config(14, 20, d_subj_obj=d, rem_dim=r, name="mttsnet,rem")
         return fresh_params(cfg, seed), cfg
 
     def test_zero_weights_identity(self):
@@ -262,8 +315,7 @@ def rigged_chain_model(sequence_ids, vocab_size=8, gain=100.0):
     """
     hidden = len(sequence_ids) + 1
     cfg = ModelConfig(feature_width=4, vocab_size=vocab_size, d_subj_obj=4,
-                      d_union=4, code_width=hidden, hidden=hidden, geo_dim=4,
-                      rem_dim=4, streams="single", inputs=("union",), mtl=False,
+                      d_union=4, code_width=hidden, hidden=hidden, rem_dim=4,
                       dropout=0.0, name="union").validate()
     params = init_params(cfg, np.random.default_rng(0))
     for name in params.names():
@@ -325,7 +377,7 @@ class TestDecode:
             decode_step(None, [4, bad], state, params, cfg)
 
     def test_end_first_gives_empty_caption_with_end_probability(self):
-        cfg = tiny_config(14, 8, streams="single", inputs=("union",), mtl=False)
+        cfg = tiny_config(14, 8, name="union")
         params = fresh_params(cfg)
         for name in params.names():
             params[name].data[...] = 0.0
@@ -340,7 +392,7 @@ class TestDecode:
         assert pred.confidence == pred.word_probs[0]
 
     def test_zero_head_weights_give_uniform_distribution(self):
-        cfg = tiny_config(14, 8, mtl=True)
+        cfg = tiny_config(14, 8)
         params = fresh_params(cfg)
         params["head.word.w"].data[...] = 0.0
         params["head.word.b"].data[...] = 0.0
@@ -377,7 +429,8 @@ class TestDecode:
 
     def test_max_len_caps_output(self):
         params, cfg = rigged_chain_model([4, 5, 6])
-        pred = decode_batch(chain_batch(cfg), params, cfg, max_len=2)[0]
+        cfg = dataclasses.replace(cfg, max_len=2)
+        pred = decode_batch(chain_batch(cfg), params, cfg)[0]
         assert pred.token_ids == [4, 5]
         assert len(pred.word_probs) == 2
 
@@ -530,8 +583,7 @@ class TestTeacherForcing:
 
     @pytest.mark.parametrize("streams", ["triple", "single"])
     def test_logits_bitwise_equal_with_tape_on_and_off(self, streams):
-        overrides = {} if streams == "triple" else dict(streams="single", inputs=("union",))
-        cfg = tiny_config(14, 10, **overrides)
+        cfg = tiny_config(14, 10, name="mttsnet" if streams == "triple" else "union,mtl")
         params = fresh_params(cfg, seed=7)
         batch = random_pair_batch(cfg, n_pairs=9, seed=3)
         targets = np.random.default_rng(4).integers(0, cfg.vocab_size, (9, 5))
@@ -565,8 +617,8 @@ class TestTeacherForcing:
                            [[]], [[]], params, cfg)
 
 
-def loss_fixture(rem=False, mtl=True, seed=0, rig_perfect=False):
-    cfg = tiny_config(6, 10, rem=rem, mtl=mtl)
+def loss_fixture(name="mttsnet", seed=0, rig_perfect=False):
+    cfg = tiny_config(6, 10, name=name)
     params = fresh_params(cfg, seed=seed)
     rng = np.random.default_rng(seed + 50)
     gt_boxes = [Box(10, 10, 6, 6), Box(30, 10, 6, 6)]
@@ -612,7 +664,7 @@ class TestTotalLoss:
             0.1 * with_pos.l_pos, rel=1e-12, abs=1e-15)
 
     def test_mtl_off_gives_zero_pos_loss(self):
-        batch, params, cfg = loss_fixture(mtl=False)
+        batch, params, cfg = loss_fixture(name="tsnet")
         _, report = total_loss(batch, params, cfg)
         assert report.l_pos == 0.0
 
@@ -635,7 +687,7 @@ class TestTotalLoss:
         assert report.l_det == pytest.approx(math.log(2.0), abs=1e-12)  # logits 0
 
     def test_gradients_flow_to_every_group(self):
-        batch, params, cfg = loss_fixture(rem=True)
+        batch, params, cfg = loss_fixture(name="mttsnet,rem")
         for p in params.all():
             p.zero_grad()
         total, _ = total_loss(batch, params, cfg)
@@ -689,7 +741,7 @@ class TestImportanceTrace:
         assert np.array_equal(trace, np.zeros((2, 3)))
 
     def test_single_stream_rejected(self):
-        cfg = tiny_config(14, 10, streams="single", inputs=("union",), mtl=False)
+        cfg = tiny_config(14, 10, name="union")
         batch = one_pair()
         params = fresh_params(cfg)
         with pytest.raises(ValueError):
@@ -699,7 +751,7 @@ class TestImportanceTrace:
 
 class TestGradientCheck:
     def test_full_model_small_instance(self):
-        batch, params, cfg = loss_fixture(rem=True)
+        batch, params, cfg = loss_fixture(name="mttsnet,rem")
 
         def forward():
             loss, _ = total_loss(batch, params, cfg)
@@ -713,7 +765,7 @@ class TestGradientCheck:
 
 class TestCheckpoints:
     def test_roundtrip_and_determinism(self, tmp_path):
-        cfg = tiny_config(14, 9, rem=True)
+        cfg = tiny_config(14, 9, name="mttsnet,rem")
         params = fresh_params(cfg, seed=11)
         vocab = Vocabulary(words=["a", "b", "c", "d", "e"])
         opt = ad.OptimizerState(params.all(), lr=0.01)
@@ -733,7 +785,7 @@ class TestCheckpoints:
 class TestFiniteness:
     def test_forward_values_finite_on_finite_inputs(self):
         rng = np.random.default_rng(77)
-        cfg = tiny_config(14, 12, rem=True)
+        cfg = tiny_config(14, 12, name="mttsnet,rem")
         params = fresh_params(cfg, seed=77)
         batch = PairBatch(features=rng.uniform(-5, 5, (5, 14)),
                           subject_index=[0, 3], object_index=[2, 4],

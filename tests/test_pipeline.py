@@ -278,7 +278,7 @@ class TestPrediction:
 class TestEvaluation:
     def test_report_on_briefly_trained_model(self, toy_world_small):
         records, provider, vocab = toy_world_small
-        cfg = cfg_for(provider, vocab, mtl=True)
+        cfg = cfg_for(provider, vocab)
         params, _, _ = train_model(records[:6], provider, vocab, cfg,
                                    TrainSettings(epochs=8, lr=5e-3, seed=3))
         report, preds = evaluate_model(records[6:8], params, cfg, vocab, provider,
@@ -289,7 +289,7 @@ class TestEvaluation:
 
     def test_proposals_built_once_per_record(self, toy_world_small, monkeypatch):
         records, provider, vocab = toy_world_small
-        cfg = cfg_for(provider, vocab, mtl=True)
+        cfg = cfg_for(provider, vocab)
         calls = []
 
         def counting(record, *args):
@@ -304,8 +304,7 @@ class TestEvaluation:
 
     def test_pos_accuracy_requires_mtl_for_report(self, toy_world_small):
         records, provider, vocab = toy_world_small
-        cfg = cfg_for(provider, vocab, mtl=False, streams="triple",
-                      inputs=("subject", "object", "union", "coord"))
+        cfg = cfg_for(provider, vocab, name="tsnet")
         params = fresh_params(cfg)
         report, _ = evaluate_model(records[:2], params, cfg, vocab, provider,
                                    ProposalSettings(), vrd_ks=(50,))
