@@ -173,9 +173,11 @@ def resolve_settings(args) -> None:
 
     A missing or null config-file value gives the default. A float setting
     must be finite and every setting within its range; a value that breaks
-    either rule is a ConfigError naming the flag or key.
+    either rule is a ConfigError naming the flag or key. ``args.explicit``
+    is the set of settings given by flag or config file.
     """
     file_config = _load_config_file(args.config)
+    args.explicit = set()
     for name, (kind, default, allowed) in SETTINGS[args.command].items():
         dest = name.replace("-", "_")
         value, source = getattr(args, dest), f"--{name}"
@@ -187,6 +189,8 @@ def resolve_settings(args) -> None:
             raise ConfigError(f"{source} must be finite, got {value}")
         elif allowed is not None and not allowed[1](value):
             raise ConfigError(f"{source} must be {allowed[0]}, got {value}")
+        else:
+            args.explicit.add(name)
         setattr(args, dest, value)
 
 
@@ -202,6 +206,12 @@ def _load_provider(path: str) -> ToyFeatureProvider:
             return ToyFeatureProvider.from_json(json.load(fh))
     except (json.JSONDecodeError, KeyError) as exc:
         raise DataError(f"bad provider spec {path}: {exc}") from exc
+
+
+# train setting -> the ModelConfig field that a resumed checkpoint fixes
+_RESUME_FIXED = {"model": "name", "hidden": "hidden", "d-subj-obj": "d_subj_obj",
+                 "d-union": "d_union", "rem-dim": "rem_dim", "max-len": "max_len",
+                 "dropout": "dropout"}
 
 
 def _check_vocab(vocab, records) -> None:
@@ -262,6 +272,14 @@ def cmd_train(args) -> int:
     params = optimizer = None
     if args.resume:
         params, config, vocab, optimizer, _ = load_model(_require_file(args.resume, "checkpoint"))
+        if "min-count" in args.explicit:
+            raise ConfigError("--min-count cannot be given with --resume: "
+                              "the checkpoint fixes the vocabulary")
+        for name, field in _RESUME_FIXED.items():
+            value, fixed = getattr(args, name.replace("-", "_")), getattr(config, field)
+            if name in args.explicit and value != fixed:
+                raise ConfigError(f"--{name} {value} disagrees with the resumed "
+                                  f"checkpoint's {field} {fixed}")
         _check_vocab(vocab, records)
     else:
         vocab = build_vocab(records, min_count=args.min_count)
@@ -345,6 +363,8 @@ def cmd_infer(args) -> int:
 
 
 def cmd_graph(args) -> int:
+    if not _UNIT[1](args.node_merge_iou):
+        raise ConfigError(f"--node-merge-iou must be {_UNIT[0]}, got {args.node_merge_iou}")
     predictions = read_predictions(_require_file(args.predictions, "predictions file"))
     image_ids = sorted({p.image_id for p in predictions})
     if args.image_id is not None:

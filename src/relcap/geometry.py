@@ -112,6 +112,18 @@ def iou(a: Box, b: Box) -> float:
     return min(1.0, inter / (_corner_area(a) + _corner_area(b) - inter))
 
 
+def iou_matrix(boxes_a, boxes_b) -> np.ndarray:
+    """(A, B) table whose (i, j) entry is ``iou(boxes_a[i], boxes_b[j])``, bit
+    for bit: the same corner arithmetic, element-wise."""
+    ax0, ay0, ax1, ay1 = np.reshape([b.corners() for b in boxes_a], (-1, 4)).T[:, :, None]
+    bx0, by0, bx1, by1 = np.reshape([b.corners() for b in boxes_b], (-1, 4)).T
+    iw = np.minimum(ax1, bx1) - np.maximum(ax0, bx0)
+    ih = np.minimum(ay1, by1) - np.maximum(ay0, by0)
+    inter = np.where((iw > 0) & (ih > 0), iw * ih, 0.0)
+    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
+    return np.where(inter == 0.0, 0.0, np.minimum(1.0, inter / union))
+
+
 def union_box(a: Box, b: Box) -> Box:
     """Minimal axis-aligned box covering both inputs."""
     ax0, ay0, ax1, ay1 = a.corners()
@@ -147,13 +159,15 @@ def nms(proposals, iou_threshold: float, keep: int):
     if keep < 0:
         raise ValueError("nms: keep must be >= 0")
     order = sorted(proposals, key=lambda p: (-p.confidence, p.id))
+    boxes = [p.box for p in order]
+    apart = iou_matrix(boxes, boxes) <= iou_threshold
     kept = []
-    for cand in order:
+    for c in range(len(order)):
         if len(kept) >= keep:
             break
-        if all(iou(cand.box, k.box) <= iou_threshold for k in kept):
-            kept.append(cand)
-    return kept
+        if apart[c, kept].all():
+            kept.append(c)
+    return [order[c] for c in kept]
 
 
 def match_to_gt(proposals, gt_boxes):
@@ -163,9 +177,8 @@ def match_to_gt(proposals, gt_boxes):
     IoU < 0.3, ignore in between.
     """
     labels = []
-    for prop in proposals:
-        ious = [iou(prop.box, g) for g in gt_boxes]
-        best = max(ious) if ious else 0.0
+    for ious in iou_matrix([p.box for p in proposals], gt_boxes):
+        best = ious.max(initial=0.0)
         if best >= POSITIVE_IOU:
             labels.append(MatchLabel("positive", int(np.argmax(ious))))
         elif best < NEGATIVE_IOU:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Box, iou, union_box
+from .geometry import Box, iou_matrix, union_box
 from .stemming import porter_stem
 
 _STEM_CACHE: dict[str, str] = {}
@@ -141,7 +141,8 @@ class ImageScores:
 
 
 def score_pairs(predictions, gts):
-    """Score each (prediction, GT) pair of an image once.
+    """Score each (prediction, GT) pair of an image once: one caption score per
+    distinct (caption, GT caption) pair, one IoU table per box kind.
 
     Images with GT come first, in GT order, then images that have only
     predictions; every metric below reduces this list.
@@ -155,18 +156,20 @@ def score_pairs(predictions, gts):
     out = []
     for image_id, gt_list in gt_groups.items():
         rows = pred_groups.get(image_id, [])
-        gt_unions = [union_box(g.subject_box, g.object_box) for g in gt_list]
-        tables = np.zeros((4, len(rows), len(gt_list)))
-        for r, k in enumerate(rows):
-            p = predictions[k]
-            p_union = p.union
-            for c, g in enumerate(gt_list):
-                tables[:, r, c] = (meteor_lite(p.tokens, g.tokens),
-                                   iou(p.subject_box, g.subject_box),
-                                   iou(p.object_box, g.object_box),
-                                   iou(p_union, gt_unions[c]))
-        out.append(ImageScores(image_id, rows,
-                               np.array([predictions[k].confidence for k in rows]), *tables))
+        preds = [predictions[k] for k in rows]
+        # each distinct caption -> its row (prediction) or column (GT) of `distinct`
+        cands, refs = {}, {}
+        cand_of = [cands.setdefault(tuple(p.tokens), len(cands)) for p in preds]
+        ref_of = [refs.setdefault(tuple(g.tokens), len(refs)) for g in gt_list]
+        distinct = np.reshape([meteor_lite(c, r) for c in cands for r in refs],
+                              (len(cands), len(refs)))
+        out.append(ImageScores(
+            image_id, rows, np.array([p.confidence for p in preds]),
+            distinct[np.ix_(cand_of, ref_of)],
+            iou_matrix([p.subject_box for p in preds], [g.subject_box for g in gt_list]),
+            iou_matrix([p.object_box for p in preds], [g.object_box for g in gt_list]),
+            iou_matrix([p.union for p in preds],
+                       [union_box(g.subject_box, g.object_box) for g in gt_list])))
     return out
 
 
@@ -177,7 +180,8 @@ def relational_map(scores, config: MetricConfig | None = None) -> float:
     still-unmatched ground-truth relation in its image has subject IoU and
     object IoU both >= it and caption score >= mt; each ground truth is
     consumed once, the candidate with the largest min(IoU_s, IoU_o) first.
-    Predictions rank by confidence, ties by image id then input order.
+    Predictions rank by confidence, ties by image id then input order. One
+    walk down the ranking updates all threshold pairs, (mt, it) row-major.
     """
     config = config or MetricConfig()
     n_gt = sum(s.meteor.shape[1] for s in scores)
@@ -185,24 +189,25 @@ def relational_map(scores, config: MetricConfig | None = None) -> float:
         raise ValueError("relational mAP is undefined without ground-truth relations")
     ranked = sorted((-s.confidence[r], s.image_id, k, i, r)
                     for i, s in enumerate(scores) for r, k in enumerate(s.pred_index))
+    mts = np.repeat(config.meteor_thresholds, len(config.iou_thresholds))[:, None]
+    its = np.tile(config.iou_thresholds, len(config.meteor_thresholds))[:, None]
+    # passes[i][r, t, g]: prediction r of image i meets grid row t against GT g
+    passes = [(s.meteor[:, None] >= mts) & (s.iou_subject[:, None] >= its)
+              & (s.iou_object[:, None] >= its) for s in scores]
     quality = [np.minimum(s.iou_subject, s.iou_object) for s in scores]
-    aps = []
-    for mt in config.meteor_thresholds:
-        for it in config.iou_thresholds:
-            passes = [(s.meteor >= mt) & (s.iou_subject >= it) & (s.iou_object >= it)
-                      for s in scores]
-            free = [np.ones(s.meteor.shape[1], dtype=bool) for s in scores]
-            ap = 0.0
-            tp_cum = 0
-            for rank, (*_, i, r) in enumerate(ranked, start=1):
-                hits = passes[i][r] & free[i]
-                if hits.any():
-                    # the best min(IoU_s, IoU_o) among the hits, the first GT on a tie
-                    free[i][np.argmax(np.where(hits, quality[i][r], -1.0))] = False
-                    tp_cum += 1
-                    ap += (1.0 / n_gt) * (tp_cum / rank)
-            aps.append(ap)
-    return 100.0 * float(np.mean(aps))
+    free = [np.ones((len(mts), s.meteor.shape[1]), dtype=bool) for s in scores]
+    ap = np.zeros(len(mts))
+    tp_cum = np.zeros(len(mts), dtype=np.int64)
+    for rank, (*_, i, r) in enumerate(ranked, start=1):
+        hits = passes[i][r] & free[i]
+        rows = np.flatnonzero(hits.any(axis=1))
+        if rows.size:
+            # the best min(IoU_s, IoU_o) among the hits, the first GT on a tie
+            picks = np.argmax(np.where(hits[rows], quality[i][r], -1.0), axis=1)
+            free[i][rows, picks] = False
+            tp_cum[rows] += 1
+            ap[rows] += (1.0 / n_gt) * (tp_cum[rows] / rank)
+    return 100.0 * float(np.mean(ap))
 
 
 def image_level_recall(scores, meteor_thresholds=None) -> float:

@@ -409,6 +409,54 @@ class TestExitCodes:
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["-5", "1.5", "nan", "inf"])
+    def test_graph_node_merge_iou_outside_unit_interval(self, tmp_path, capsys, value):
+        path = str(tmp_path / "one.jsonl")
+        write_predictions(path, [PredictionRecord(0, Box(5, 5, 4, 4), Box(15, 5, 4, 4),
+                                                  ["a", "b", "c"], ["SUBJ", "PRED", "OBJ"],
+                                                  [0.5, 0.5, 0.5], 0.125)])
+        assert run(["graph", "--predictions", path, "--out", str(tmp_path / "g"),
+                    "--node-merge-iou", value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --node-merge-iou") and "Traceback" not in err
+        assert not os.path.exists(str(tmp_path / "g.dot"))
+
+    @pytest.mark.parametrize("option,name", [
+        (["--hidden", "99"], "hidden"),
+        (["--model", "union"], "model"),
+        (["--dropout", "0.5"], "dropout"),
+        (["--min-count", "1"], "min-count"),
+        ({"d-union": 12}, "d-union"),
+    ], ids=["hidden", "model", "dropout", "min-count", "config-d-union"])
+    def test_resume_rejects_disagreeing_model_settings(self, toy_dir, trained_dir, tmp_path,
+                                                       capsys, option, name):
+        argv = ["train", "--data", os.path.join(toy_dir, "train.jsonl"),
+                "--provider", os.path.join(toy_dir, "provider.json"),
+                "--out", str(tmp_path / "resumed"), "--epochs", "1",
+                "--resume", os.path.join(trained_dir, "model.rckpt")]
+        if isinstance(option, dict):
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(option))
+            option = ["--config", str(config)]
+        assert run(argv + option) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --{name}") and "Traceback" not in err
+        assert not os.path.exists(str(tmp_path / "resumed" / "model.rckpt"))
+
+    @pytest.mark.parametrize("option", [[], ["--hidden", "8", "--model", "mttsnet",
+                                             "--dropout", "0.0"]],
+                             ids=["no-settings", "agreeing-settings"])
+    def test_resume_keeps_checkpoint_widths(self, toy_dir, trained_dir, tmp_path, option):
+        # the checkpoint's widths (hidden 8, d_union 8) differ from the defaults
+        out = str(tmp_path / "resumed")
+        assert run(["train", "--data", os.path.join(toy_dir, "train.jsonl"),
+                    "--provider", os.path.join(toy_dir, "provider.json"), "--out", out,
+                    "--epochs", "1", "--resume", os.path.join(trained_dir, "model.rckpt"),
+                    *option]) == 0
+        _, config, _, _, _ = load_model(os.path.join(out, "model.rckpt"))
+        _, original, _, _, _ = load_model(os.path.join(trained_dir, "model.rckpt"))
+        assert config == original
+
     def _dataset_variant(self, toy_dir, tmp_path, name, edit):
         with open(os.path.join(toy_dir, "test.jsonl")) as fh:
             objs = [json.loads(line) for line in fh]

@@ -7,13 +7,19 @@ from hypothesis import strategies as st
 
 from conftest import tiny_config
 from relcap.geometry import (Box, MatchLabel, RegionProposal, combination_layer,
-                             geometric_feature, iou, match_to_gt, nms, union_box)
+                             geometric_feature, iou, iou_matrix, match_to_gt, nms,
+                             union_box)
 from relcap.pipeline import caption_pairs
 
 boxes = st.builds(
     Box,
     x=st.floats(-50, 50), y=st.floats(-50, 50),
     w=st.floats(0.5, 40), h=st.floats(0.5, 40),
+)
+# Integer-grid boxes: edges touch, boxes nest and repeat exactly.
+grid_boxes = st.builds(
+    Box,
+    x=st.integers(0, 8), y=st.integers(0, 8), w=st.integers(1, 6), h=st.integers(1, 6),
 )
 
 
@@ -62,6 +68,33 @@ class TestIou:
     @settings(max_examples=30, deadline=None)
     def test_matches_rasterization(self, a, b):
         assert iou(a, b) == pytest.approx(raster_iou(a, b), abs=2e-2)
+
+
+class TestIouMatrix:
+    def _assert_equals_scalar(self, a, b):
+        table = iou_matrix(a, b)
+        assert table.shape == (len(a), len(b))
+        assert not np.signbit(table).any()
+        for i, box_a in enumerate(a):
+            for j, box_b in enumerate(b):
+                assert table[i, j] == iou(box_a, box_b), (box_a, box_b)
+
+    @given(st.lists(st.one_of(boxes, grid_boxes), max_size=6),
+           st.lists(st.one_of(boxes, grid_boxes), max_size=6))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_equals_scalar_iou_bit_for_bit(self, a, b):
+        self._assert_equals_scalar(a, b)
+        assert (np.diag(iou_matrix(a, a)) == 1.0).all()
+
+    def test_disjoint_touching_nested_and_equal(self):
+        a = [Box(1, 1, 2, 2), Box(3, 1, 2, 2), Box(2, 2, 4, 4), Box(20, 20, 2, 2)]
+        b = [Box(1, 1, 2, 2), Box(2, 2, 0.5, 0.5), Box(1, 3, 2, 2)]
+        self._assert_equals_scalar(a, b)
+        table = iou_matrix(a, b)
+        assert table[0, 0] == 1.0                 # equal
+        assert table[1, 0] == table[0, 2] == 0.0  # touching at an edge
+        assert table[2, 1] == 0.25 / 16           # nested
+        assert (table[3] == 0.0).all()            # disjoint
 
 
 class TestUnionBox:
@@ -133,6 +166,30 @@ def brute_force_nms(proposals, threshold, keep):
     return [p.id for p in survivors]
 
 
+def scalar_match_to_gt(proposals, gt_boxes):
+    """Per-pair reference: the scalar ``iou`` of each proposal with each GT."""
+    labels = []
+    for prop in proposals:
+        ious = [iou(prop.box, g) for g in gt_boxes]
+        best = max(ious) if ious else 0.0
+        if best >= 0.7:
+            labels.append(MatchLabel("positive", ious.index(best)))
+        elif best < 0.3:
+            labels.append(MatchLabel("negative"))
+        else:
+            labels.append(MatchLabel("ignore"))
+    return labels
+
+
+def tied_proposals(rng, n):
+    """Integer-grid proposals whose confidences take three values, so that
+    ties in confidence and in IoU are common."""
+    return [proposal(int(rng.integers(0, 10)), int(rng.integers(0, 10)),
+                     int(rng.integers(1, 6)), int(rng.integers(1, 6)),
+                     float(rng.choice([0.3, 0.5, 0.7])), int(pid))
+            for pid in rng.permutation(n)]
+
+
 class TestNms:
     def test_disjoint_all_kept(self):
         props = [proposal(i * 10, 0, 2, 2, 0.5 + 0.01 * i, i) for i in range(5)]
@@ -173,6 +230,16 @@ class TestNms:
         assert [p.id for p in again] == [p.id for p in kept]
 
 
+    def test_tied_confidences_match_scalar_reference(self):
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            props = tied_proposals(rng, int(rng.integers(0, 25)))
+            threshold = float(rng.choice([0.0, 0.25, 0.5, 1.0]))
+            keep = int(rng.integers(0, 12))
+            assert ([p.id for p in nms(props, threshold, keep)]
+                    == brute_force_nms(props, threshold, keep))
+
+
 class TestMatchToGt:
     def test_exact_match_positive(self):
         gt = [Box(5, 5, 4, 4)]
@@ -198,6 +265,16 @@ class TestMatchToGt:
         gt = [Box(0, 0, 4, 4), Box(0.2, 0, 4, 4)]
         labels = match_to_gt([proposal(0.2, 0, 4, 4, 0.9, 0)], gt)
         assert labels[0] == MatchLabel("positive", 1)
+
+
+    def test_random_proposals_match_scalar_reference(self):
+        rng = np.random.default_rng(12)
+        for _ in range(60):
+            props = tied_proposals(rng, int(rng.integers(0, 15)))
+            # some GT boxes repeat a proposal box, so positives occur
+            gt_boxes = [p.box for p in props[:int(rng.integers(0, 3))]
+                        + tied_proposals(rng, int(rng.integers(0, 6)))]
+            assert match_to_gt(props, gt_boxes) == scalar_match_to_gt(props, gt_boxes)
 
 
 class TestCombinationLayer:

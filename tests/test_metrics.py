@@ -3,6 +3,7 @@ and diversity examples, and ranking invariances."""
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -240,6 +241,45 @@ def random_fixture(rng):
     return preds, gts
 
 
+def reference_relational_map(scores, config):
+    """One walk down the ranking per threshold pair: the grid-by-grid form
+    the single-walk ``relational_map`` must equal bit for bit."""
+    n_gt = sum(s.meteor.shape[1] for s in scores)
+    ranked = sorted((-s.confidence[r], s.image_id, k, i, r)
+                    for i, s in enumerate(scores) for r, k in enumerate(s.pred_index))
+    quality = [np.minimum(s.iou_subject, s.iou_object) for s in scores]
+    aps = []
+    for mt in config.meteor_thresholds:
+        for it in config.iou_thresholds:
+            passes = [(s.meteor >= mt) & (s.iou_subject >= it) & (s.iou_object >= it)
+                      for s in scores]
+            free = [np.ones(s.meteor.shape[1], dtype=bool) for s in scores]
+            ap = 0.0
+            tp_cum = 0
+            for rank, (*_, i, r) in enumerate(ranked, start=1):
+                hits = passes[i][r] & free[i]
+                if hits.any():
+                    free[i][np.argmax(np.where(hits, quality[i][r], -1.0))] = False
+                    tp_cum += 1
+                    ap += (1.0 / n_gt) * (tp_cum / rank)
+            aps.append(ap)
+    return 100.0 * float(np.mean(aps))
+
+
+def tied_multi_image_fixture(rng):
+    """Three random_fixture draws on distinct image ids, with confidences on a
+    0.1 grid so that ranks tie."""
+    preds, gts = [], []
+    for draw in range(3):
+        p_draw, g_draw = random_fixture(rng)
+        gts += [replace(g, image_id=g.image_id + 2 * draw) for g in g_draw]
+        for p in p_draw:
+            conf = round(p.confidence, 1) or 0.1
+            preds.append(replace(p, image_id=p.image_id + 2 * draw, word_probs=[conf],
+                                 confidence=conf))
+    return preds, gts
+
+
 class TestRelationalMap:
     def test_perfect_predictions_score_100(self):
         gts = [gt(0, Box(5, 5, 4, 4), Box(15, 5, 4, 4), ["the", "cat", "sits"]),
@@ -276,6 +316,21 @@ class TestRelationalMap:
             assert relational_map(score_pairs(preds, gts), cfg) == pytest.approx(
                 oracle_relational_map(preds, gts, cfg), abs=1e-9)
             checked += 1
+
+    def test_single_walk_equals_grid_by_grid_reference(self):
+        rng = np.random.default_rng(2028)
+        for _ in range(40):
+            preds, gts = tied_multi_image_fixture(rng)
+            scores = score_pairs(preds, gts)
+            # thresholds drawn from the tables themselves are hit exactly
+            meteors = np.concatenate([s.meteor.ravel() for s in scores] + [[0.0]])
+            ious = np.concatenate([s.iou_subject.ravel() for s in scores]
+                                  + [s.iou_object.ravel() for s in scores] + [[0.5]])
+            exact = MetricConfig(
+                meteor_thresholds=tuple(np.sort(rng.choice(meteors, 6)).tolist()),
+                iou_thresholds=tuple(np.sort(rng.choice(ious, 5)).tolist()))
+            for cfg in (MetricConfig(), exact):
+                assert relational_map(scores, cfg) == reference_relational_map(scores, cfg)
 
     def test_invariant_under_monotone_confidence_transform(self):
         rng = np.random.default_rng(7)
@@ -444,9 +499,12 @@ class TestScorePairs:
         monkeypatch.setattr(metrics, "meteor_lite", counting)
         _, preds = evaluate_model(records[:3], fresh_params(cfg, seed=7), cfg, vocab,
                                   provider, ProposalSettings(), vrd_ks=(1, 50))
+        distinct = sum(len({(tuple(p.tokens), tuple(rel.tokens)) for rel in r.relations
+                            for p in preds if p.image_id == r.image_id})
+                       for r in records[:3])
         pairs = sum(len(r.relations) * sum(p.image_id == r.image_id for p in preds)
                     for r in records[:3])
-        assert pairs > 0 and len(calls) == pairs
+        assert 0 < distinct < pairs and len(calls) == distinct
 
 
 class TestPosAccuracy:
