@@ -13,6 +13,10 @@ is hashed. Then ``perfbench/run.py`` runs every workload for 2 s on seed 701.
 The output is one ``sha256  path`` line per file under OUTDIR and one per
 perfbench output hash (path ``perfbench/<workload>/<name>``), sorted by
 path. Byte-identity of two checkouts is then one ``diff`` of their outputs.
+Each greedy or capped predictions file also gets a ``<file>:no-probs``
+line: the sha256 of its records without ``word_probs`` and ``confidence``,
+so a change that moves only last bits of probabilities can show with the
+same ``diff`` that tokens, POS and boxes stayed put.
 """
 
 from __future__ import annotations
@@ -71,6 +75,23 @@ def file_hashes(outdir: str) -> dict:
     return out
 
 
+def token_hashes(outdir: str) -> dict:
+    """sha256 of each greedy / capped predictions file without its
+    ``word_probs`` and ``confidence`` fields."""
+    out = {}
+    for name in sorted(os.listdir(outdir)):
+        if name.endswith(".jsonl") and name.startswith(("greedy_", "capped")):
+            digest = hashlib.sha256()
+            with open(os.path.join(outdir, name), encoding="utf-8") as fh:
+                for line in fh:
+                    record = json.loads(line)
+                    record.pop("word_probs")
+                    record.pop("confidence")
+                    digest.update(json.dumps(record, sort_keys=True).encode("utf-8") + b"\n")
+            out[f"{name}:no-probs"] = digest.hexdigest()
+    return out
+
+
 def perfbench_hashes(env) -> dict:
     out = {}
     for workload in WORKLOADS:
@@ -99,7 +120,7 @@ def main(argv) -> int:
         first_image = json.loads(fh.readline())["image_id"]
     run(relcap + ["graph", "--predictions", "greedy_mttsnet_mtl_rem.jsonl",
                   "--image-id", str(first_image), "--out", "graph"], outdir, env)
-    hashes = file_hashes(outdir) | perfbench_hashes(env)
+    hashes = file_hashes(outdir) | token_hashes(outdir) | perfbench_hashes(env)
     for path in sorted(hashes):
         print(f"{hashes[path]}  {path}")
     return 0

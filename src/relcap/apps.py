@@ -13,8 +13,8 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigError
 from .geometry import Box, iou
-from .model import (ModelConfig, ModelParams, PairBatch, encode_pair_batch,
-                    teacher_forced_unroll)
+from .model import (ModelConfig, ModelParams, PairBatch, encode_pair_batch, run_streams,
+                    stream_inputs)
 
 
 @dataclass
@@ -142,16 +142,19 @@ def retrieval_score(query_ids, batch: PairBatch, params: ModelParams,
     n = len(batch)
     if n == 0:
         raise ValueError("retrieval needs at least one candidate pair")
-    with ad.no_grad():
-        codes = encode_pair_batch(batch, params, config)
-        steps = teacher_forced_unroll(codes, np.tile(np.asarray(query, dtype=np.intp), (n, 1)),
-                                      params, config)
     log_scores = np.zeros(n)
     probs = np.zeros((n, len(query)))
-    for t, ((word_logits, _, _), word) in enumerate(zip(steps, query)):
-        logp = ad.log_softmax(word_logits.data)[:, word]
-        probs[:, t] = np.exp(logp)
-        log_scores += logp
+
+    def emit(t, lo, feat):
+        logits = ad.affine(ad.Tensor(feat), params["head.word.w"], params["head.word.b"]).data
+        logp = ad.log_softmax(logits)[:, query[t]]
+        probs[lo:lo + len(feat), t] = np.exp(logp)
+        log_scores[lo:lo + len(feat)] += logp
+        return np.full(len(feat), query[t])
+
+    with ad.no_grad():
+        codes = encode_pair_batch(batch, params, config)
+        run_streams(stream_inputs(codes, params, config), params, config, len(query), emit)
     best = int(np.argmax(log_scores))
     return float(math.exp(log_scores[best])), best, probs[best].tolist()
 

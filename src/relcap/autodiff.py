@@ -5,6 +5,10 @@ while the forward pass executes and is discarded by ``backward``; there is
 no persistent tape. Inside ``no_grad`` nothing is recorded: every op
 returns a plain leaf, so inference keeps no graph alive. All stochastic
 operations take an explicit ``numpy.random.Generator``.
+
+Every row product (``affine``, ``matmul``) runs in fixed tiles of ``TILE``
+rows, the last one zero-padded, so a row's result does not depend on how
+many other rows share its batch.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ import contextlib
 import threading
 
 import numpy as np
+
+TILE = 32       # rows per GEMM tile
 
 
 class Tensor:
@@ -141,6 +147,19 @@ def backward(loss: Tensor) -> None:
         node._backward = None
 
 
+def custom_op(data, parents, backward) -> Tensor:
+    """A graph node computed outside this module; ``backward(g)`` returns
+    one gradient per entry of ``parents`` (a repeated parent accumulates
+    each of its gradients)."""
+    parents = tuple(parents)
+
+    def _back(g):
+        for parent, grad in zip(parents, backward(g), strict=True):
+            _accumulate(parent, grad)
+
+    return _node(data, parents, _back)
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a broadcasted gradient back down to ``shape``."""
     while grad.ndim > len(shape):
@@ -154,6 +173,21 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # primitive operations
 # ---------------------------------------------------------------------------
+
+def _tile_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` as a stack of ``(TILE, K) @ w`` products; rows past the
+    last multiple of TILE are zero-padded and dropped from the result.
+
+    Each row of the result is then bit-equal to that row multiplied alone,
+    whatever the row count (one BLAS GEMM per tile rounds every row alike).
+    """
+    n, k = x.shape
+    pad = -n % TILE
+    if pad:
+        x = np.concatenate([x, np.zeros((pad, k))])
+    out = np.matmul(x.reshape(-1, TILE, k), w).reshape(-1, w.shape[1])
+    return out[:n] if pad else out
+
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Fully-connected layer: ``x @ w + b`` with exact gradients."""
@@ -171,18 +205,18 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         _accumulate(w, x.data.T @ g)
         _accumulate(b, g.sum(axis=0))
 
-    return _node(x.data @ w.data + b.data, (x, w, b), _back)
+    return _node(_tile_matmul(x.data, w.data) + b.data, (x, w, b), _back)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape[-1] != b.data.shape[0]:
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul: inner dims of {a.data.shape} and {b.data.shape} disagree")
 
     def _back(g):
         _accumulate(a, g @ b.data.T)
         _accumulate(b, a.data.T @ g)
 
-    return _node(a.data @ b.data, (a, b), _back)
+    return _node(_tile_matmul(a.data, b.data), (a, b), _back)
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -195,14 +229,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(b, _unbroadcast(g, b.data.shape))
 
     return _node(a.data + b.data, (a, b), _back)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    def _back(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _node(a.data * b.data, (a, b), _back)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -225,16 +251,6 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
 def relu(x: Tensor) -> Tensor:
     # derivative at exactly 0 is defined as 0
     return _node(np.maximum(x.data, 0.0), (x,), lambda g: _accumulate(x, g * (x.data > 0)))
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    y = _sigmoid(x.data)
-    return _node(y, (x,), lambda g: _accumulate(x, g * y * (1.0 - y)))
-
-
-def tanh(x: Tensor) -> Tensor:
-    y = np.tanh(x.data)
-    return _node(y, (x,), lambda g: _accumulate(x, g * (1.0 - y * y)))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -271,15 +287,6 @@ def concat(tensors, axis: int = 1) -> Tensor:
             _accumulate(t, piece)
 
     return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors, _back)
-
-
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    def _back(g):
-        full = np.zeros_like(x.data)
-        full[:, start:stop] = g
-        _accumulate(x, full)
-
-    return _node(x.data[:, start:stop].copy(), (x,), _back)
 
 
 def gather_rows(x: Tensor, indices) -> Tensor:

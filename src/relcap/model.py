@@ -297,63 +297,184 @@ def _stream_names(config: ModelConfig):
     return STREAM_NAMES if config.streams == "triple" else ("main",)
 
 
-def _first_inputs(codes: dict, params: ModelParams, config: ModelConfig):
+def stream_inputs(codes: dict, params: ModelParams, config: ModelConfig):
+    """The step-0 input of each stream, in stream order: the region codes
+    (one per role for triple streams, fused for a single stream)."""
     if config.streams == "triple":
         union = codes["union"]
-        return {
-            "subject": codes.get("subject", union),
-            "predicate": union,
-            "object": codes.get("object", union),
-        }
+        return [codes.get("subject", union), union, codes.get("object", union)]
     parts = [codes[k] for k in ("subject", "object", "union", "geo") if k in codes]
     if not config.fuse:
-        return {"main": parts[0]}
-    return {"main": ad.affine(ad.concat(parts), params["fuse.w"], params["fuse.b"])}
+        return [parts[0]]
+    return [ad.affine(ad.concat(parts), params["fuse.w"], params["fuse.b"])]
 
 
-def lstm_step(x: Tensor, h: Tensor, c: Tensor, weights, bias):
-    """Standard LSTM cell: gates from one affine over [x, h]."""
-    hidden = h.data.shape[1]
-    z = ad.affine(ad.concat([x, h]), weights, bias)
-    i = ad.sigmoid(ad.slice_cols(z, 0, hidden))
-    f = ad.sigmoid(ad.slice_cols(z, hidden, 2 * hidden))
-    g = ad.tanh(ad.slice_cols(z, 2 * hidden, 3 * hidden))
-    o = ad.sigmoid(ad.slice_cols(z, 3 * hidden, 4 * hidden))
-    c_next = ad.add(ad.mul(f, c), ad.mul(i, g))
-    h_next = ad.mul(o, ad.tanh(c_next))
-    return h_next, c_next
+# ---------------------------------------------------------------------------
+# the LSTM streams
+# ---------------------------------------------------------------------------
+
+BLOCK = 8 * ad.TILE     # rows whose gate work runs together within a step
 
 
-def init_state(n: int, config: ModelConfig):
-    zeros = lambda: (Tensor(np.zeros((n, config.hidden))), Tensor(np.zeros((n, config.hidden))))
-    return {name: zeros() for name in _stream_names(config)}
+# Gate blocks of the checkpoint's 4H columns (i, f, g, o) in kernel order
+# i, f, o, g, and the factor each is pre-scaled by: sigmoid(x) is
+# 0.5 tanh(0.5 x) + 0.5, and halving a weight halves its products exactly.
+_GATES = ((0, 0.5), (1, 0.5), (3, 0.5), (2, 1.0))
 
 
-def decode_step(codes, prev_word_ids, state, params: ModelParams, config: ModelConfig):
-    """One decoder step for a batch of pairs.
+def _tiles(x: np.ndarray) -> np.ndarray:
+    """``x`` zero-padded to a multiple of TILE rows, as ``(tiles, TILE, K)``."""
+    pad = np.zeros((-len(x) % ad.TILE, x.shape[1]))
+    return np.concatenate([x, pad]).reshape(-1, ad.TILE, x.shape[1])
 
-    The first step (``prev_word_ids`` None) consumes the region codes, one
-    per stream; later steps feed the shared embedding of the previous word
-    into every stream. Returns (word logits, POS logits or None, state).
-    """
-    if prev_word_ids is None:
-        inputs = _first_inputs(codes, params, config)
-    else:
-        shared = ad.gather_rows(params["embed.table"], prev_word_ids)
-        inputs = {name: shared for name in _stream_names(config)}
-    new_state = {}
-    hiddens = []
+
+def _gate_weights(params: ModelParams, config: ModelConfig):
+    """Per stream (W_x, W_h, b): the checkpoint's [x, h] @ W split in two and
+    stacked gate-major, ``(4, hidden, hidden)`` and ``(4, 1, hidden)``."""
+    h = config.hidden
+    out = []
     for name in _stream_names(config):
-        h, c = state[name]
-        h2, c2 = lstm_step(inputs[name], h, c, params[f"lstm.{name}.w"], params[f"lstm.{name}.b"])
-        new_state[name] = (h2, c2)
-        hiddens.append(h2)
-    feat = ad.concat(hiddens) if len(hiddens) > 1 else hiddens[0]
-    word_logits = ad.affine(feat, params["head.word.w"], params["head.word.b"])
-    pos_logits = None
-    if config.mtl:
-        pos_logits = ad.affine(feat, params["head.pos.w"], params["head.pos.b"])
-    return word_logits, pos_logits, new_state
+        w, b = params[f"lstm.{name}.w"].data, params[f"lstm.{name}.b"].data
+        w = np.stack([w[:, k * h:(k + 1) * h] * scale for k, scale in _GATES])
+        b = np.stack([b[k * h:(k + 1) * h] * scale for k, scale in _GATES])
+        out.append((np.ascontiguousarray(w[:, :h]), np.ascontiguousarray(w[:, h:]),
+                    b[:, None, :]))
+    return out
+
+
+def run_streams(first, params: ModelParams, config: ModelConfig, n_steps: int, emit,
+                tape=None):
+    """Run every LSTM stream over up to ``n_steps`` steps on raw arrays.
+
+    ``first`` holds each stream's step-0 input (a ``(P, hidden)`` Tensor,
+    see ``stream_inputs``). Step t >= 1 feeds every stream the shared
+    embedding of the word chosen for the row at step t - 1; its input term
+    is then a row of the per-stream table ``embed.table @ W_x + b``. Rows
+    are padded to a multiple of TILE and run in blocks of BLOCK rows,
+    step-major: for each step, blocks in ascending order. Gates are kept
+    gate-major, so every element-wise pass is over contiguous memory, and
+    every GEMM is a stack of TILE-row products, so a row's states do not
+    depend on the other rows.
+
+    ``emit(t, lo, hidden)`` receives the hidden states of each block's rows
+    ``lo, lo + 1, ...`` below P after step t, the streams side by side
+    (``(rows, S * hidden)``; it may be a view that the next step
+    overwrites). It returns the word ids fed to those rows at step t + 1,
+    or None to end the run after step t. With a ``tape`` list, all rows run
+    as one block and each step appends (gates, cell states), one
+    ``(4, rows, hidden)`` array of activated i, f, o, g gates and one
+    ``(rows, hidden)`` array per stream, for the backward pass of
+    ``stream_states``.
+    """
+    hid = config.hidden
+    weights = _gate_weights(params, config)
+    embed = params["embed.table"].data
+    n = len(first[0].data)
+    rows = n + (-n % ad.TILE)
+    block = max(rows, 1) if tape is not None else BLOCK
+    h = [np.zeros((rows, hid)) for _ in weights]
+    c = [np.zeros((rows, hid)) for _ in weights]
+    start = [np.matmul(_tiles(x.data), w_x[:, None]).reshape(4, rows, hid) + b
+             for x, (w_x, _, b) in zip(first, weights)]
+    vocab = len(embed)
+    lookup = [(np.matmul(_tiles(embed), w_x[:, None]).reshape(4, -1, hid)[:, :vocab] + b)
+              .reshape(4 * vocab, hid) for w_x, _, b in weights]
+    offsets = (np.arange(4) * vocab)[:, None]
+    ids = None
+    for t in range(n_steps):
+        if tape is not None:
+            c = [cell.copy() for cell in c]
+            tape.append(([], c))
+        next_ids = np.zeros(rows, dtype=np.intp)
+        stop = False
+        for lo in range(0, rows, block):
+            hi = min(lo + block, rows)
+            fed = None if t == 0 else ids[lo:hi] + offsets
+            for s, (_, w_h, _) in enumerate(weights):
+                z = np.matmul(h[s][lo:hi].reshape(-1, ad.TILE, hid), w_h[:, None])
+                z = z.reshape(4, hi - lo, hid)
+                z += start[s][:, lo:hi] if t == 0 else np.take(lookup[s], fed, axis=0)
+                np.tanh(z, out=z)
+                z[:3] *= 0.5                     # i, f, o: 0.5 tanh(0.5 x) + 0.5
+                z[:3] += 0.5
+                cell = c[s][lo:hi]
+                cell *= z[1]
+                cell += z[0] * z[3]
+                np.tanh(cell, out=h[s][lo:hi])
+                h[s][lo:hi] *= z[2]
+                if tape is not None:
+                    tape[-1][0].append(z)
+            top = min(hi, n)
+            got = emit(t, lo, h[0][lo:top] if len(h) == 1
+                       else np.concatenate([x[lo:top] for x in h], axis=1))
+            if got is None:
+                stop = True
+            else:
+                next_ids[lo:lo + len(got)] = got
+        if stop:
+            break
+        if next_ids.size and (next_ids.min() < 0 or next_ids.max() >= vocab):
+            raise IndexError(f"run_streams: word id out of range for {vocab} words")
+        ids = next_ids
+
+
+def stream_states(codes, targets: np.ndarray, params: ModelParams, config: ModelConfig):
+    """Teacher-forced hidden states as one graph node, ``(T * P, S * hidden)``
+    step-major: step t of pair p is row ``t * P + p``.
+
+    Step 0 reads the region codes; step t feeds column t - 1 of the
+    ``(P, T)`` ``targets``. The backward pass is backpropagation through
+    time over the gates ``run_streams`` recorded (the vanilla-LSTM
+    equations of Greff et al., "LSTM: A Search Space Odyssey").
+    """
+    first = stream_inputs(codes, params, config)
+    names = _stream_names(config)
+    n, steps = targets.shape
+    hid = config.hidden
+    width = len(names) * hid
+    hidden = np.empty((steps, n, width))
+    tape = []
+
+    def emit(t, lo, feat):
+        hidden[t] = feat
+        return targets[:, t]
+
+    run_streams(first, params, config, steps, emit, tape=tape)
+    embed = params["embed.table"]
+    fed = targets[:, :-1].T.reshape(-1)          # word ids of steps 1.., step-major
+
+    def backward(g):
+        g = g.reshape(steps, n, width)
+        d_first, d_params = [], []
+        d_embed = np.zeros_like(embed.data)
+        for s, name in enumerate(names):
+            w = params[f"lstm.{name}.w"].data
+            cols = slice(s * hid, (s + 1) * hid)
+            dz = np.empty((steps, n, 4 * hid))          # checkpoint order i, f, g, o
+            dh_next, dc_next = np.zeros((n, hid)), np.zeros((n, hid))
+            for t in reversed(range(steps)):
+                i, f, o, gg = tape[t][0][s][:, :n]
+                tanh_c = np.tanh(tape[t][1][s][:n])
+                c_prev = tape[t - 1][1][s][:n] if t else 0.0
+                dh = g[t][:, cols] + dh_next
+                dc = dh * o * (1.0 - tanh_c * tanh_c) + dc_next
+                dz[t, :, :hid] = dc * gg * i * (1.0 - i)
+                dz[t, :, hid:2 * hid] = dc * c_prev * f * (1.0 - f)
+                dz[t, :, 2 * hid:3 * hid] = dc * i * (1.0 - gg * gg)
+                dz[t, :, 3 * hid:] = dh * tanh_c * o * (1.0 - o)
+                dc_next = dc * f
+                dh_next = dz[t] @ w[hid:].T
+            flat = dz.reshape(-1, 4 * hid)
+            h_prev = np.concatenate([np.zeros((n, hid)), hidden[:-1, :, cols].reshape(-1, hid)])
+            x_in = np.concatenate([first[s].data, embed.data[fed]])
+            d_x = flat @ w[:hid].T
+            np.add.at(d_embed, fed, d_x[n:])
+            d_first.append(d_x[:n])
+            d_params += [np.concatenate([x_in.T @ flat, h_prev.T @ flat]), flat.sum(axis=0)]
+        return [*d_first, *d_params, d_embed]
+
+    lstm = [params[f"lstm.{name}.{kind}"] for name in names for kind in ("w", "b")]
+    return ad.custom_op(hidden.reshape(-1, width), [*first, *lstm, embed], backward)
 
 
 def _pad_targets(sequences, pad_value):
@@ -363,23 +484,6 @@ def _pad_targets(sequences, pad_value):
     for i, seq in enumerate(sequences):
         out[i, :len(seq)] = seq
     return out
-
-
-def teacher_forced_unroll(codes, padded_targets, params: ModelParams, config: ModelConfig):
-    """Run the decoder over (P, T) target ids, feeding ground-truth words.
-
-    Step 0 consumes the region codes; step t feeds column t - 1 of
-    ``padded_targets``. Returns one (word logits, POS logits or None, state)
-    triple per step.
-    """
-    state = init_state(padded_targets.shape[0], config)
-    steps = []
-    for t in range(padded_targets.shape[1]):
-        prev = None if t == 0 else padded_targets[:, t - 1]
-        word_logits, pos_logits, state = decode_step(
-            codes if t == 0 else None, prev, state, params, config)
-        steps.append((word_logits, pos_logits, state))
-    return steps
 
 
 def caption_losses(codes, token_ids, tags, params: ModelParams, config: ModelConfig):
@@ -395,17 +499,17 @@ def caption_losses(codes, token_ids, tags, params: ModelParams, config: ModelCon
     lengths = np.array([len(s) for s in token_ids])
     mask = np.arange(targets.shape[1])[None, :] < lengths[:, None]
     weights = np.where(mask, 1.0 / lengths[:, None], 0.0)
-    steps = teacher_forced_unroll(codes, targets, params, config)
+    hidden = stream_states(codes, targets, params, config)     # step-major (T*P, S*H)
 
-    flat_logits = ad.concat([word for word, _, _ in steps], axis=0)   # step-major (T*P, V)
-    flat_targets = targets.T.reshape(-1)
     flat_weights = weights.T.reshape(-1)
-    l_cap = ad.weighted_cross_entropy(flat_logits, flat_targets, flat_weights)
+    l_cap = ad.weighted_cross_entropy(
+        ad.affine(hidden, params["head.word.w"], params["head.word.b"]),
+        targets.T.reshape(-1), flat_weights)
     if config.mtl:
         tag_targets = _pad_targets([[int(x) for x in seq] for seq in tags], 0)
         l_pos = ad.weighted_cross_entropy(
-            ad.concat([pos for _, pos, _ in steps], axis=0), tag_targets.T.reshape(-1),
-            flat_weights)
+            ad.affine(hidden, params["head.pos.w"], params["head.pos.b"]),
+            tag_targets.T.reshape(-1), flat_weights)
     else:
         l_pos = Tensor(0.0)
     return l_cap, l_pos
@@ -524,49 +628,63 @@ class CaptionPrediction:
     confidence: float
 
 
+def sample_rows(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Per row of ``probs``, the id ``Generator.choice(V, p=row)`` picks when
+    its uniform draw is the row's entry of ``uniforms``: the number of
+    entries of the normalised cumulative sum that are <= the draw."""
+    cdf = np.cumsum(probs, axis=1)
+    cdf /= cdf[:, -1:]
+    return (cdf <= uniforms[:, None]).sum(axis=1)
+
+
 def decode_batch(batch: PairBatch, params: ModelParams, config: ModelConfig,
                  mode: str = "greedy", rng: np.random.Generator | None = None):
     """Decode every pair in the batch; greedy or stochastic.
 
     Greedy takes the argmax each step (ties resolve to the lowest word id);
-    stochastic samples from the word softmax and requires ``rng``. Runs
-    under ``no_grad``: nothing is differentiated, so no graph is kept.
+    stochastic samples from the word softmax and requires ``rng``: each step
+    draws one uniform per unfinished row, in row order, as a per-row
+    ``rng.choice`` would. Runs under ``no_grad``: nothing is differentiated,
+    so no graph is kept. A pair's output does not depend on the other pairs
+    of the batch.
     """
     if mode not in ("greedy", "stochastic"):
         raise ValueError(f"unknown decode mode {mode!r}")
     if mode == "stochastic" and rng is None:
         raise ValueError("stochastic decoding needs an explicit rng")
     n = len(batch)
-    rows = np.arange(n)
     done = np.zeros(n, dtype=bool)
     taken = np.zeros(n, dtype=np.intp)           # steps each row decoded
     picks = np.full((n, config.max_len), END_ID, dtype=np.intp)
     chosen_probs = np.zeros((n, config.max_len))
     tags = np.zeros((n, config.max_len), dtype=np.intp)
+    uniforms = np.zeros(n)
+
+    def emit(t, lo, feat):
+        top = lo + len(feat)
+        word = ad.affine(Tensor(feat), params["head.word.w"], params["head.word.b"])
+        probs = ad.softmax(word.data)
+        if mode == "stochastic" and lo == 0:
+            uniforms[~done] = rng.random(n - int(done.sum()))
+        active = ~done[lo:top]
+        if mode == "greedy":
+            step_picks = probs.argmax(axis=1)
+        else:
+            step_picks = np.full(len(feat), END_ID, dtype=np.intp)
+            step_picks[active] = sample_rows(probs[active], uniforms[lo:top][active])
+        prev = np.where(active, step_picks, END_ID)
+        picks[lo:top, t] = prev
+        chosen_probs[lo:top, t] = probs[np.arange(len(feat)), prev]
+        if config.mtl:
+            pos = ad.affine(Tensor(feat), params["head.pos.w"], params["head.pos.b"])
+            tags[lo:top, t] = pos.data.argmax(axis=1)
+        taken[lo:top] += active
+        done[lo:top] |= prev == END_ID
+        return None if top == n and done.all() else prev
+
     with ad.no_grad():
         codes = encode_pair_batch(batch, params, config)
-        state = init_state(n, config)
-        prev = None
-        for t in range(config.max_len):
-            word_logits, pos_logits, state = decode_step(
-                codes if prev is None else None, prev, state, params, config)
-            probs = ad.softmax(word_logits.data)
-            active = ~done
-            if mode == "greedy":
-                step_picks = probs.argmax(axis=1)
-            else:
-                step_picks = np.full(n, END_ID, dtype=np.intp)
-                for row in np.flatnonzero(active):
-                    step_picks[row] = rng.choice(config.vocab_size, p=probs[row])
-            prev = np.where(active, step_picks, END_ID)
-            picks[:, t] = prev
-            chosen_probs[:, t] = probs[rows, prev]
-            if pos_logits is not None:
-                tags[:, t] = pos_logits.data.argmax(axis=1)
-            taken += active
-            done |= prev == END_ID
-            if done.all():
-                break
+        run_streams(stream_inputs(codes, params, config), params, config, config.max_len, emit)
     # Each row decoded its first ``taken`` steps; a finished row's last pick
     # is the end token, which has a probability but is not emitted.
     tag_of = tuple(PosTag)                      # PosTag(x) for x in 0, 1, 2
@@ -597,10 +715,16 @@ def importance_trace(codes, gt_token_ids, params: ModelParams,
     targets = list(gt_token_ids)
     if not targets:
         raise ValueError("importance trace needs a non-empty token sequence")
+    hid = config.hidden
+    trace = np.zeros((len(targets), len(STREAM_NAMES)))
+
+    def emit(t, lo, feat):
+        trace[t] = [np.linalg.norm(feat[0, s * hid:(s + 1) * hid])
+                    for s in range(len(STREAM_NAMES))]
+        return [targets[t]]
+
     with ad.no_grad():
-        steps = teacher_forced_unroll(codes, np.array([targets], dtype=np.intp), params, config)
-    trace = np.array([[float(np.linalg.norm(state[name][0].data)) for name in STREAM_NAMES]
-                      for _, _, state in steps])
+        run_streams(stream_inputs(codes, params, config), params, config, len(targets), emit)
     return trace - trace.mean(axis=0, keepdims=True)
 
 

@@ -18,7 +18,7 @@ from .metrics import (EvalReport, MetricConfig, PredictionRecord, diversity_stat
                       image_level_recall, mean_meteor, pos_accuracy, relational_map,
                       score_pairs, vrd_recall_at_k)
 from .model import (ImageBatch, ModelConfig, ModelParams, PairBatch, _pad_targets,
-                    decode_batch, encode_pair_batch, init_params, teacher_forced_unroll,
+                    decode_batch, encode_pair_batch, init_params, run_streams, stream_inputs,
                     total_loss)
 
 
@@ -293,8 +293,14 @@ def predict_records(records, proposals, params: ModelParams, config: ModelConfig
 def predicted_pos_tags(token_ids, codes, params, config):
     """Teacher-forced POS argmax per step for each caption's ``token_ids``."""
     padded = _pad_targets(token_ids, 0)
-    steps = teacher_forced_unroll(codes, padded, params, config)
-    picks = np.stack([pos.data.argmax(axis=1) for _, pos, _ in steps], axis=1)
+    picks = np.zeros(padded.shape, dtype=np.intp)
+
+    def emit(t, lo, feat):
+        logits = ad.affine(ad.Tensor(feat), params["head.pos.w"], params["head.pos.b"]).data
+        picks[lo:lo + len(feat), t] = logits.argmax(axis=1)
+        return padded[lo:lo + len(feat), t]
+
+    run_streams(stream_inputs(codes, params, config), params, config, padded.shape[1], emit)
     return [[PosTag(int(x)).name for x in picks[i, :len(ids)]]
             for i, ids in enumerate(token_ids)]
 

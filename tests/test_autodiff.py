@@ -63,10 +63,7 @@ class TestActivations:
         assert np.array_equal(ad.relu(Tensor([[-1.0, 0.0, 2.0]])).data, [[0.0, 0.0, 2.0]])
 
     def test_sigmoid_zero(self):
-        assert ad.sigmoid(Tensor([[0.0]])).data[0, 0] == 0.5
-
-    def test_tanh_zero(self):
-        assert ad.tanh(Tensor([[0.0]])).data[0, 0] == 0.0
+        assert ad._sigmoid(np.array([[0.0]]))[0, 0] == 0.5
 
     def test_relu_derivative_at_zero_is_zero(self):
         p = Parameter("p", np.array([[0.0]]))
@@ -147,7 +144,7 @@ class TestBackward:
         x = rng.uniform(-1, 1, size=(4, 3))
 
         def forward():
-            return scalarize(ad.sigmoid(ad.affine(Tensor(x), w, b)))
+            return scalarize(ad.row_softmax(ad.affine(Tensor(x), w, b)))
 
         ad.backward(forward())
         for p in (w, b):
@@ -160,12 +157,9 @@ class TestPrimitiveGradients:
 
     @pytest.mark.parametrize("name,builder", [
         ("relu", lambda p: ad.relu(p)),
-        ("sigmoid", lambda p: ad.sigmoid(p)),
-        ("tanh", lambda p: ad.tanh(p)),
         ("row_softmax", lambda p: ad.row_softmax(p)),
         ("transpose", lambda p: ad.transpose(p)),
         ("scale", lambda p: ad.scale(p, -1.7)),
-        ("slice_cols", lambda p: ad.slice_cols(p, 1, 3)),
         ("dropout_eval", lambda p: ad.dropout(p, 0.5, None, training=False)),
     ])
     def test_unary(self, name, builder):
@@ -187,8 +181,8 @@ class TestPrimitiveGradients:
         m = Parameter("m", rng.uniform(-1, 1, size=(4, 2)))
 
         def forward():
-            mixed = ad.mul(ad.add(a, b), b)
-            return scalarize(ad.matmul(mixed, m))
+            mixed = ad.add(ad.matmul(ad.add(a, b), m), ad.matmul(b, m))
+            return scalarize(mixed)
 
         ad.backward(forward())
         for p in (a, b, m):
@@ -200,14 +194,14 @@ class TestPrimitiveGradients:
     def test_gather_concat_and_losses(self):
         rng = np.random.default_rng(12)
         table = Parameter("table", rng.uniform(-1, 1, size=(5, 3)))
-        logits = Parameter("logits", rng.uniform(-1, 1, size=(4, 6)))
+        logits = Parameter("logits", rng.uniform(-1, 1, size=(4, 3)))
         det = Parameter("det", rng.uniform(-1, 1, size=(3, 1)))
         boxp = Parameter("boxp", rng.uniform(-1, 1, size=(2, 4)))
         box_target = rng.uniform(-0.5, 0.5, size=(2, 4))
 
         def forward():
             rows = ad.gather_rows(table, [0, 2, 2, 4])
-            both = ad.concat([rows, ad.slice_cols(logits, 0, 3)], axis=1)
+            both = ad.concat([rows, logits], axis=1)
             ce = ad.weighted_cross_entropy(both, [1, 0, 5, 3], [0.3, 0.4, 0.0, 0.3])
             det_loss = ad.binary_logistic_loss(det, [1, 0, 1], [0.5, 0.25, 0.25])
             sl1 = ad.smooth_l1(boxp, box_target, [0.6, 0.4])
@@ -266,7 +260,7 @@ class TestAdam:
         state = ad.OptimizerState([p], lr=0.2)
         losses = []
         for _ in range(3):
-            loss = scalarize(ad.mul(p, p))
+            loss = ad.matmul(p, ad.transpose(p))
             losses.append(loss.data.item())
             ad.backward(loss)
             ad.adam_step([p], state)
@@ -325,9 +319,9 @@ class TestNoGrad:
         w = Parameter("w", rng.normal(size=(3, 2)))
         b = Parameter("b", rng.normal(size=2))
         x = Tensor(rng.normal(size=(4, 3)))
-        taped = ad.sigmoid(ad.affine(x, w, b))
+        taped = ad.row_softmax(ad.affine(x, w, b))
         with ad.no_grad():
-            free = ad.sigmoid(ad.affine(x, w, b))
+            free = ad.row_softmax(ad.affine(x, w, b))
         assert taped._parents and taped._backward is not None
         assert free._parents == () and free._backward is None
         assert np.array_equal(taped.data, free.data)

@@ -126,6 +126,21 @@ class TestEvalAndInfer:
         for line in lines:
             jsonschema.validate(json.loads(line), schemas.PREDICTION_SCHEMA)
 
+    @pytest.mark.parametrize("cap", ["1", "3"])
+    def test_pair_capped_lines_equal_uncapped_lines(self, toy_dir, trained_dir, tmp_path, cap):
+        # Decoding is batch-invariant: a kept pair's line, word_probs and
+        # confidence included, does not depend on how many pairs were decoded.
+        files = {}
+        for name, extra in (("all", []), ("capped", ["--pair-cap", cap])):
+            files[name] = str(tmp_path / f"{name}.jsonl")
+            assert run(["infer", "--checkpoint", os.path.join(trained_dir, "model.rckpt"),
+                        "--data", os.path.join(toy_dir, "train.jsonl"),
+                        "--provider", os.path.join(toy_dir, "provider.json"),
+                        "--out", files[name], *extra]) == 0
+        lines = {name: open(path).read().splitlines() for name, path in files.items()}
+        assert 0 < len(lines["capped"]) < len(lines["all"])
+        assert set(lines["capped"]) <= set(lines["all"])
+
     def test_graph_command_on_prediction_file(self, tmp_path):
         pred = PredictionRecord(
             image_id=0, subject_box=Box(5, 5, 4, 4), object_box=Box(15, 5, 4, 4),

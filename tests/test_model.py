@@ -1,23 +1,27 @@
-"""Network-level checks: the relational embedding, encoders, decoder steps,
-losses, decoding, and hand-rigged exact traces."""
+"""Network-level checks: the relational embedding, encoders, the LSTM stream
+kernel, losses, decoding, and hand-rigged exact traces."""
 
 import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fresh_params, pair_rows, tiny_config
 from relcap import autodiff as ad
+from relcap.apps import retrieval_score
 from relcap.autodiff import Tensor
 from relcap.data import END_ID, PosTag, Vocabulary
 from relcap.errors import ConfigError
 from relcap.geometry import Box, MatchLabel, geometric_feature
-from relcap.model import (MODEL_PRESETS, ImageBatch, ModelConfig,
-                          PairBatch, caption_losses, decode_batch, decode_step,
-                          encode_pair_batch, importance_trace, init_params,
-                          init_state, load_model, lstm_step, rem_forward,
-                          save_model, teacher_forced_unroll, total_loss)
+from relcap.model import (MODEL_PRESETS, ImageBatch, ModelConfig, PairBatch,
+                          caption_losses, decode_batch, encode_pair_batch,
+                          importance_trace, init_params, load_model, rem_forward,
+                          run_streams, sample_rows, save_model, stream_inputs,
+                          stream_states, total_loss)
+from relcap.pipeline import predicted_pos_tags
 
 S, P, O = PosTag.SUBJ, PosTag.PRED, PosTag.OBJ
 
@@ -274,30 +278,97 @@ def naive_lstm(x, h, c, w, b):
     return out_h, out_c
 
 
+def single_stream(w, b, embed):
+    """Parameters of a single-stream model with the given LSTM weights and
+    word embedding (hidden = w.shape[0] // 2)."""
+    hidden = w.shape[0] // 2
+    cfg = tiny_config(14, len(embed), name="union", hidden=hidden, code_width=hidden)
+    params = fresh_params(cfg)
+    params["lstm.main.w"].data[...] = w
+    params["lstm.main.b"].data[...] = b
+    params["embed.table"].data[...] = embed
+    return params, cfg
+
+
+def kernel_states(x0, words, params, cfg):
+    """Hidden and cell states after every step of ``run_streams``, each
+    ``(T, P, width)``: step 0 reads ``x0``, step t feeds ``words[:, t - 1]``."""
+    n = len(x0)
+    hiddens, tape = [], []
+
+    def emit(t, lo, feat):
+        hiddens.append(feat.copy())
+        return words[:, t] if t < words.shape[1] else None
+
+    run_streams([Tensor(x0)] * (3 if cfg.streams == "triple" else 1), params, cfg,
+                words.shape[1] + 1, emit, tape=tape)
+    return np.array(hiddens), np.array([np.concatenate([x[:n] for x in c], axis=1)
+                                        for _, c in tape])
+
+
 class TestLstmStep:
+    """The recurrence of ``run_streams``, one stream, by hand and against
+    the unit-by-unit oracle."""
+
     def test_zero_everything(self):
-        w = Tensor(np.zeros((4, 8)))
-        b = Tensor(np.zeros(8))
-        h, c = lstm_step(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))),
-                         Tensor(np.zeros((1, 2))), w, b)
-        assert np.array_equal(h.data, np.zeros((1, 2)))
-        assert np.array_equal(c.data, np.zeros((1, 2)))
+        params, cfg = single_stream(np.zeros((4, 8)), np.zeros(8), np.zeros((5, 2)))
+        h, c = kernel_states(np.zeros((1, 2)), np.zeros((1, 0), dtype=np.intp), params, cfg)
+        assert np.array_equal(h, np.zeros((1, 1, 2)))
+        assert np.array_equal(c, np.zeros((1, 1, 2)))
 
     def test_zero_weights_halve_cell_state(self):
-        c0 = np.array([[0.8, -0.4]])
-        _, c = lstm_step(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))),
-                         Tensor(c0.copy()), Tensor(np.zeros((4, 8))), Tensor(np.zeros(8)))
-        assert np.allclose(c.data, 0.5 * c0, atol=1e-15)
+        # Step 0 writes c0 = 0.5 tanh(x0) through the g columns; with a zero
+        # embedding every gate of step 1 is sigmoid(0) = 0.5 and g = 0.
+        w = np.zeros((4, 8))
+        w[:2, 4:6] = np.eye(2)
+        params, cfg = single_stream(w, np.zeros(8), np.zeros((5, 2)))
+        _, c = kernel_states(np.array([[0.8, -0.4]]), np.array([[4]]), params, cfg)
+        assert np.array_equal(c[0], 0.5 * np.tanh([[0.8, -0.4]]))
+        assert np.array_equal(c[1], 0.5 * c[0])
 
     def test_random_instance_matches_independent_recurrence(self):
         rng = np.random.default_rng(8)
-        w = rng.normal(size=(4, 8))
-        b = rng.normal(size=8)
-        x, h, c = rng.normal(size=(3, 2)), rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
-        h2, c2 = lstm_step(Tensor(x), Tensor(h), Tensor(c), Tensor(w), Tensor(b))
-        oh, oc = naive_lstm(x, h, c, w, b)
-        assert np.max(np.abs(h2.data - oh)) < 1e-12
-        assert np.max(np.abs(c2.data - oc)) < 1e-12
+        w, b = rng.normal(size=(4, 8)), rng.normal(size=8)
+        embed = rng.normal(size=(5, 2))
+        params, cfg = single_stream(w, b, embed)
+        x0, words = rng.normal(size=(3, 2)), np.array([[4, 2], [0, 4], [1, 1]])
+        h, c = kernel_states(x0, words, params, cfg)
+        want_h, want_c = naive_lstm(x0, np.zeros((3, 2)), np.zeros((3, 2)), w, b)
+        for t in range(3):
+            if t:
+                want_h, want_c = naive_lstm(embed[words[:, t - 1]], want_h, want_c, w, b)
+            assert np.max(np.abs(h[t] - want_h)) < 1e-12
+            assert np.max(np.abs(c[t] - want_c)) < 1e-12
+
+
+class TestStreamGradients:
+    """``stream_states`` alone against central differences: its BPTT
+    backward reaches the step-0 inputs, every stream's weights and the
+    shared embedding."""
+
+    @pytest.mark.parametrize("name,inputs", [
+        ("union", ("union",)), ("mttsnet", ("subject", "object", "union")),
+        ("uuu", ("union",)),
+    ])
+    def test_finite_differences(self, name, inputs):
+        cfg = tiny_config(14, 9, name=name, hidden=3, code_width=3)
+        params = fresh_params(cfg, seed=4)
+        rng = np.random.default_rng(5)
+        codes = {kind: ad.Parameter(kind, rng.normal(size=(4, 3))) for kind in inputs}
+        targets = np.array([[4, 6, 1, 0], [5, 1, 0, 0], [8, 7, 6, 1], [4, 4, 1, 0]])
+        mix = Tensor(rng.normal(size=(3 * len(stream_inputs(codes, params, cfg)), 4)))
+        rows = targets.size
+        picks = rng.integers(0, 4, rows)
+
+        def forward():
+            hidden = stream_states(codes, targets, params, cfg)
+            return ad.weighted_cross_entropy(ad.matmul(hidden, mix), picks,
+                                             np.linspace(0.1, 1.0, rows))
+
+        lstm = [p for p in params.all() if p.name.startswith(("lstm.", "embed."))]
+        err = ad.finite_diff_check(forward, [*codes.values(), *lstm], eps=1e-4,
+                                   max_coords_per_param=12, rng=np.random.default_rng(0))
+        assert err < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +416,22 @@ def chain_batch(cfg):
                      geos=np.zeros((1, 6)))
 
 
+def step_logits(codes, words, params, cfg):
+    """``(T, P, V)`` word logits of ``run_streams`` fed ``words`` (one list
+    per pair, of the ids fed at steps 1..T-1)."""
+    words = np.array(words, dtype=np.intp).reshape(len(words), -1)
+    steps = words.shape[1] + 1
+    logits = []
+
+    def emit(t, lo, feat):
+        logits.append(feat @ params["head.word.w"].data + params["head.word.b"].data)
+        return words[:, t] if t < steps - 1 else None
+
+    with ad.no_grad():
+        run_streams(stream_inputs(codes, params, cfg), params, cfg, steps, emit)
+    return np.array(logits)
+
+
 class TestDecode:
     def test_rigged_three_token_sequence(self):
         params, cfg = rigged_chain_model([4, 5, 6])
@@ -356,25 +443,22 @@ class TestDecode:
     def test_decode_step_logits_match_hand_trace(self):
         params, cfg = rigged_chain_model([4], gain=10.0)
         codes = encode_pair_batch(chain_batch(cfg), params, cfg)
-        state = init_state(1, cfg)
-        logits1, pos1, state = decode_step(codes, None, state, params, cfg)
-        assert pos1 is None
+        logits = step_logits(codes, [[4]], params, cfg)
         activation = math.tanh(math.tanh(3.0))    # open gates, g = tanh(code)
         expected1 = np.zeros(cfg.vocab_size)
         expected1[4] = 10.0 * activation
-        assert np.allclose(logits1.data[0], expected1, atol=1e-12)
-        logits2, _, _ = decode_step(None, [4], state, params, cfg)
+        assert np.allclose(logits[0, 0], expected1, atol=1e-12)
         expected2 = np.zeros(cfg.vocab_size)
         expected2[END_ID] = 10.0 * activation
-        assert np.allclose(logits2.data[0], expected2, atol=1e-12)
+        assert np.allclose(logits[1, 0], expected2, atol=1e-12)
 
     @pytest.mark.parametrize("bad", [-1, "vocab_size"])
     def test_out_of_range_previous_word_raises(self, bad):
         params, cfg = rigged_chain_model([4])
-        state = init_state(2, cfg)
         bad = cfg.vocab_size if bad == "vocab_size" else bad
+        codes = encode_pair_batch(pair_rows(chain_batch(cfg), [0, 0]), params, cfg)
         with pytest.raises(IndexError, match="out of range"):
-            decode_step(None, [4, bad], state, params, cfg)
+            step_logits(codes, [[4], [bad]], params, cfg)
 
     def test_end_first_gives_empty_caption_with_end_probability(self):
         cfg = tiny_config(14, 8, name="union")
@@ -396,10 +480,11 @@ class TestDecode:
         params = fresh_params(cfg)
         params["head.word.w"].data[...] = 0.0
         params["head.word.b"].data[...] = 0.0
-        codes = encode_pair_batch(one_pair(), params, cfg)
-        logits, _, _ = decode_step(codes, None, init_state(1, cfg), params, cfg)
-        probs = np.exp(logits.data) / np.exp(logits.data).sum()
+        logits = step_logits(encode_pair_batch(one_pair(), params, cfg), [[]], params, cfg)
+        probs = np.exp(logits[0]) / np.exp(logits[0]).sum()
         assert np.allclose(probs, 1.0 / cfg.vocab_size, atol=1e-15)
+        pred = decode_batch(one_pair(), params, cfg)[0]
+        assert pred.word_probs == [1.0 / cfg.vocab_size] * len(pred.word_probs)
 
     def test_stochastic_reproducible_under_seed(self):
         cfg = tiny_config(14, 10)
@@ -444,58 +529,92 @@ def random_pair_batch(cfg, n_pairs=30, n_regions=8, seed=0):
                      geos=rng.normal(size=(n_pairs, 6)))
 
 
+def stable_sigmoid(v):
+    return np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))),
+                    np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
+
+
+def reference_states(first, word, state, params, cfg):
+    """One step of every stream for one row, with the unsplit ``[x, h] @ W``
+    of the checkpoint layout (gates i, f, g, o) and the stable sigmoid.
+    ``first`` holds the row's step-0 inputs, used when ``word`` is None.
+    Returns the new ``[(h, c)]`` per stream and their hidden states side by side."""
+    names = ("subject", "predicate", "object") if cfg.streams == "triple" else ("main",)
+    hid = cfg.hidden
+    new_state = []
+    for s, name in enumerate(names):
+        x = first[s] if word is None else params["embed.table"].data[word]
+        h, c = state[s]
+        z = np.concatenate([x, h]) @ params[f"lstm.{name}.w"].data + params[f"lstm.{name}.b"].data
+        i, f = stable_sigmoid(z[:hid]), stable_sigmoid(z[hid:2 * hid])
+        g, o = np.tanh(z[2 * hid:3 * hid]), stable_sigmoid(z[3 * hid:])
+        c = f * c + i * g
+        new_state.append((o * np.tanh(c), c))
+    return new_state, np.concatenate([h for h, _ in new_state])
+
+
 def reference_decode(batch, params, cfg, mode="greedy", rng=None):
-    """Per-row decode over the taped ``decode_step``, one pick per row and
-    step in row order. Returns (token ids, POS, word probs, confidence) per row."""
+    """Decode with an independent numpy LSTM that runs one row at a time,
+    step-major (every unfinished row of a step, in row order, before the
+    next step). Returns (token ids, POS, word probs, confidence) per row."""
     n = len(batch)
-    codes = encode_pair_batch(batch, params, cfg)
-    state = init_state(n, cfg)
+    with ad.no_grad():
+        first = [x.data for x in stream_inputs(encode_pair_batch(batch, params, cfg),
+                                               params, cfg)]
+    zeros = np.zeros(cfg.hidden)
+    states = [[(zeros, zeros)] * len(first) for _ in range(n)]
+    prev = [None] * n
     token_ids = [[] for _ in range(n)]
     pos_tags = [[] for _ in range(n)]
     word_probs = [[] for _ in range(n)]
     done = [False] * n
-    prev = None
     for _step in range(cfg.max_len):
-        word_logits, pos_logits, state = decode_step(
-            codes if prev is None else None, prev, state, params, cfg)
-        assert word_logits._parents
-        probs = ad.softmax(word_logits.data)
-        chosen = np.full(n, END_ID, dtype=np.intp)
         for row in range(n):
             if done[row]:
                 continue
+            states[row], feat = reference_states([x[row] for x in first], prev[row],
+                                                 states[row], params, cfg)
+            logits = feat @ params["head.word.w"].data + params["head.word.b"].data
+            probs = np.exp(logits - logits.max())
+            probs /= probs.sum()
             if mode == "greedy":
-                pick = int(probs[row].argmax())
+                pick = int(probs.argmax())
             else:
-                pick = int(rng.choice(cfg.vocab_size, p=probs[row]))
-            chosen[row] = pick
-            word_probs[row].append(float(probs[row][pick]))
+                pick = int(rng.choice(cfg.vocab_size, p=probs))
+            word_probs[row].append(float(probs[pick]))
+            prev[row] = pick
             if pick == END_ID:
                 done[row] = True
             else:
                 token_ids[row].append(pick)
-                if pos_logits is not None:
-                    pos_tags[row].append(PosTag(int(pos_logits.data[row].argmax())))
+                if cfg.mtl:
+                    pos = feat @ params["head.pos.w"].data + params["head.pos.b"].data
+                    pos_tags[row].append(PosTag(int(pos.argmax())))
         if all(done):
             break
-        prev = chosen
     return [(token_ids[r], pos_tags[r], word_probs[r],
              float(math.prod(word_probs[r])) if word_probs[r] else 1.0) for r in range(n)]
 
 
-def as_tuples(preds):
-    return [(p.token_ids, p.pos, p.word_probs, p.confidence) for p in preds]
+def assert_matches_reference(preds, reference):
+    """Tokens and POS exactly; word probabilities and confidences within
+    1e-12 relative (the split input GEMM rounds differently)."""
+    assert len(preds) == len(reference)
+    for pred, (tokens, pos, probs, confidence) in zip(preds, reference):
+        assert pred.token_ids == tokens
+        assert pred.pos == pos
+        assert pred.word_probs == pytest.approx(probs, rel=1e-12, abs=0)
+        assert pred.confidence == pytest.approx(confidence, rel=1e-12, abs=0)
 
 
 def step0_best_other(batch, params, cfg, special):
     """Per row, the largest step-0 word logit outside the ``special`` ids."""
-    codes = encode_pair_batch(batch, params, cfg)
-    logits, _, _ = decode_step(codes, None, init_state(len(batch), cfg), params, cfg)
-    return np.delete(logits.data, special, axis=1).max(axis=1)
+    logits = step_logits(encode_pair_batch(batch, params, cfg), [[]] * len(batch), params, cfg)
+    return np.delete(logits[0], special, axis=1).max(axis=1)
 
 
 class TestDecodeMatchesReference:
-    """The vectorised, tape-free ``decode_batch`` against the per-row loop."""
+    """``decode_batch`` on the tiled kernel against the per-row reference."""
 
     def model(self):
         cfg = tiny_config(14, 12)
@@ -510,7 +629,7 @@ class TestDecodeMatchesReference:
         params, cfg = self.model()
         batch = random_pair_batch(cfg)
         got = decode_batch(batch, params, cfg)
-        assert as_tuples(got) == reference_decode(batch, params, cfg)
+        assert_matches_reference(got, reference_decode(batch, params, cfg))
         lengths = {len(p.word_probs) for p in got}
         assert len(lengths) >= 3 and cfg.max_len in lengths
 
@@ -522,7 +641,7 @@ class TestDecodeMatchesReference:
         first, second = np.argsort(best)[:2]
         params["head.word.b"].data[END_ID] = (best[first] + best[second]) / 2
         got = decode_batch(batch, params, cfg)
-        assert as_tuples(got) == reference_decode(batch, params, cfg)
+        assert_matches_reference(got, reference_decode(batch, params, cfg))
         assert got[first].token_ids == [] and len(got[first].word_probs) == 1
 
     def test_greedy_argmax_tie_resolves_to_lowest_id(self):
@@ -535,7 +654,7 @@ class TestDecodeMatchesReference:
         first, second = np.argsort(best)[:2]
         params["head.word.b"].data[[low, high]] = (best[first] + best[second]) / 2
         got = decode_batch(batch, params, cfg)
-        assert as_tuples(got) == reference_decode(batch, params, cfg)
+        assert_matches_reference(got, reference_decode(batch, params, cfg))
         assert got[first].token_ids[0] == low
         assert all(p.token_ids[:1] != [low] for i, p in enumerate(got) if i != first)
 
@@ -545,8 +664,71 @@ class TestDecodeMatchesReference:
         rng_got, rng_want = np.random.default_rng(31), np.random.default_rng(31)
         got = decode_batch(batch, params, cfg, mode="stochastic", rng=rng_got)
         want = reference_decode(batch, params, cfg, mode="stochastic", rng=rng_want)
-        assert as_tuples(got) == want
+        assert_matches_reference(got, want)
         assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+
+class TestSampleRows:
+    """The vectorised stochastic pick against ``Generator.choice`` per row."""
+
+    def test_picks_and_generator_state_match_the_choice_loop(self):
+        rng = np.random.default_rng(40)
+        for trial in range(60):
+            vocab = int(rng.integers(2, 40))
+            logits = rng.normal(size=(int(rng.integers(1, 50)), vocab)) * rng.uniform(0.1, 8)
+            logits[rng.random(logits.shape) < 0.3] = -np.inf      # zero-probability entries
+            logits[:, int(rng.integers(vocab))] = 0.0             # at least one live entry
+            probs = ad.softmax(logits)
+            loop, vec = np.random.default_rng(trial), np.random.default_rng(trial)
+            want = [int(loop.choice(vocab, p=row)) for row in probs]
+            got = sample_rows(probs, vec.random(len(probs)))
+            assert got.tolist() == want
+            assert loop.bit_generator.state == vec.bit_generator.state
+            assert np.all(probs[np.arange(len(probs)), got] > 0.0)
+
+    def test_one_hot_rows_pick_their_word(self):
+        probs = np.eye(5)[[3, 0, 4]]
+        assert sample_rows(probs, np.array([0.0, 0.5, 0.999])).tolist() == [3, 0, 4]
+
+
+class TestBatchInvariance:
+    """A pair decoded or scored alone equals the same pair inside any batch,
+    bit for bit: greedy tokens, word_probs, POS, teacher-forced POS and
+    retrieval scores. The batch spans more than one kernel block."""
+
+    @staticmethod
+    def model():
+        cfg = tiny_config(14, 12, name="mttsnet,rem")
+        params = fresh_params(cfg, seed=12)
+        params["head.word.w"].data *= 6.0
+        params["head.word.b"].data[END_ID] += 1.0
+        return params, cfg
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(n_pairs=st.integers(1, 300), seed=st.integers(0, 2**16),
+           picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=6))
+    def test_pair_alone_equals_pair_in_batch(self, n_pairs, seed, picks):
+        params, cfg = self.model()
+        batch = random_pair_batch(cfg, n_pairs=n_pairs, n_regions=9, seed=seed)
+        rows = sorted({p % n_pairs for p in picks})
+        full = decode_batch(batch, params, cfg)
+        query = [4, 7, 5, END_ID]
+        score, best, probs = retrieval_score(query, batch, params, cfg)
+        assert retrieval_score(query, pair_rows(batch, [best]), params, cfg) == (score, 0, probs)
+        with ad.no_grad():
+            full_tags = predicted_pos_tags([query] * n_pairs,
+                                           encode_pair_batch(batch, params, cfg), params, cfg)
+        for subset in ([rows[0]], rows):
+            sub = pair_rows(batch, subset)
+            assert decode_batch(sub, params, cfg) == [full[k] for k in subset]
+            with ad.no_grad():
+                tags = predicted_pos_tags([query] * len(subset),
+                                          encode_pair_batch(sub, params, cfg), params, cfg)
+            assert tags == [full_tags[k] for k in subset]
+            _, _, sub_probs = retrieval_score(query, sub, params, cfg)
+            # The subset's best pair scores exactly as in the full batch.
+            assert any(sub_probs == retrieval_score(query, pair_rows(batch, [k]), params, cfg)[2]
+                       for k in subset)
 
 
 # ---------------------------------------------------------------------------
@@ -566,20 +748,19 @@ class TestTeacherForcing:
     def test_unroll_feeds_previous_target_each_step(self):
         cfg = tiny_config(14, 10)
         params = fresh_params(cfg, seed=5)
-        batch = one_pair()
+        batch = pair_rows(one_pair(), [0, 0])
         codes = encode_pair_batch(batch, params, cfg)
-        targets = np.array([[4, 5, END_ID]])
-        steps = teacher_forced_unroll(codes, targets, params, cfg)
-        assert len(steps) == 3
-        state = init_state(1, cfg)
-        for t, (word, pos, step_state) in enumerate(steps):
-            prev = None if t == 0 else targets[:, t - 1]
-            want_word, want_pos, state = decode_step(codes if t == 0 else None, prev, state,
-                                                     params, cfg)
-            assert np.array_equal(word.data, want_word.data)
-            assert np.array_equal(pos.data, want_pos.data)
-            for name in state:
-                assert np.array_equal(step_state[name][0].data, state[name][0].data)
+        targets = np.array([[4, 5, END_ID], [6, END_ID, 0]])
+        hidden = stream_states(codes, targets, params, cfg).data
+        assert hidden.shape == (3 * 2, 3 * cfg.hidden)
+        first = [x.data for x in stream_inputs(codes, params, cfg)]
+        zeros = np.zeros(cfg.hidden)
+        for row in range(2):
+            state, prev = [(zeros, zeros)] * 3, None
+            for t in range(3):
+                state, want = reference_states([x[row] for x in first], prev, state, params, cfg)
+                assert np.max(np.abs(hidden[t * 2 + row] - want)) < 1e-12
+                prev = targets[row, t]
 
     @pytest.mark.parametrize("streams", ["triple", "single"])
     def test_logits_bitwise_equal_with_tape_on_and_off(self, streams):
@@ -587,16 +768,24 @@ class TestTeacherForcing:
         params = fresh_params(cfg, seed=7)
         batch = random_pair_batch(cfg, n_pairs=9, seed=3)
         targets = np.random.default_rng(4).integers(0, cfg.vocab_size, (9, 5))
-        taped = teacher_forced_unroll(encode_pair_batch(batch, params, cfg), targets,
-                                      params, cfg)
+
+        def head_logits(hidden):
+            return [ad.affine(hidden, params[f"head.{k}.w"], params[f"head.{k}.b"])
+                    for k in ("word", "pos")]
+
+        taped = stream_states(encode_pair_batch(batch, params, cfg), targets, params, cfg)
         with ad.no_grad():
-            free = teacher_forced_unroll(encode_pair_batch(batch, params, cfg), targets,
-                                         params, cfg)
-        assert len(taped) == len(free) == 5
-        for (word_a, pos_a, _), (word_b, pos_b, _) in zip(taped, free):
-            assert word_a._parents and not word_b._parents
-            assert np.array_equal(word_a.data, word_b.data)
-            assert np.array_equal(pos_a.data, pos_b.data)
+            codes = encode_pair_batch(batch, params, cfg)
+            free = stream_states(codes, targets, params, cfg)
+            blocks = []
+            run_streams(stream_inputs(codes, params, cfg), params, cfg, 5,
+                        lambda t, lo, feat: blocks.append(feat.copy()) or targets[:, t])
+        assert taped._parents and not free._parents
+        assert np.array_equal(taped.data, free.data)
+        assert np.array_equal(taped.data, np.concatenate(blocks))
+        for word_pos_a, word_pos_b in zip(head_logits(taped), head_logits(free)):
+            assert word_pos_a._parents
+            assert np.array_equal(word_pos_a.data, word_pos_b.data)
 
     def test_uniform_model_gives_log_vocab(self):
         cfg = tiny_config(14, 20)
@@ -792,9 +981,13 @@ class TestFiniteness:
                           union_features=rng.uniform(-5, 5, (2, 14)),
                           geos=rng.uniform(-3, 3, (2, 6)))
         codes = encode_pair_batch(batch, params, cfg)
-        state = init_state(2, cfg)
-        word_logits, pos_logits, state = decode_step(codes, None, state, params, cfg)
+        tape, hidden = [], []
+        run_streams(stream_inputs(codes, params, cfg), params, cfg, 1,
+                    lambda t, lo, feat: hidden.append(feat.copy()), tape=tape)
+        word_logits, pos_logits = (ad.affine(Tensor(hidden[0]), params[f"head.{k}.w"],
+                                             params[f"head.{k}.b"]) for k in ("word", "pos"))
         for t in (word_logits, pos_logits, *codes.values()):
             assert np.all(np.isfinite(t.data))
-        for h, c in state.values():
-            assert np.all(np.isfinite(h.data)) and np.all(np.isfinite(c.data))
+        gates, cells = tape[0]
+        assert all(np.all(np.isfinite(z)) for z in gates)
+        assert np.all(np.isfinite(hidden[0])) and np.all(np.isfinite(cells))
