@@ -17,6 +17,14 @@ Each greedy or capped predictions file also gets a ``<file>:no-probs``
 line: the sha256 of its records without ``word_probs`` and ``confidence``,
 so a change that moves only last bits of probabilities can show with the
 same ``diff`` that tokens, POS and boxes stayed put.
+
+``relcap retrieve`` writes only R@K and the median rank, so two more lines
+per golden checkpoint pin what those round away, on ``toy/test.jsonl``:
+``scores/<model>/retrieval_score``, the sha256 of the ``float.hex`` of the
+score, the best pair and the per-word probabilities of every GT caption of
+the split against every image (NMS keep 100, as ``relcap retrieve``), and
+for triple-stream models ``scores/<model>/importance_trace``, the sha256 of
+the bytes of the trace of every GT-matched pair.
 """
 
 from __future__ import annotations
@@ -92,6 +100,48 @@ def token_hashes(outdir: str) -> dict:
     return out
 
 
+def score_hashes(outdir: str) -> dict:
+    """sha256 of every retrieval score and importance trace of the golden
+    checkpoints on the test split (see the module docstring)."""
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from relcap.apps import retrieval_score
+    from relcap.autodiff import Tensor
+    from relcap.data import ToyFeatureProvider, load_dataset
+    from relcap.geometry import nms
+    from relcap.model import encode_pair_batch, importance_trace, load_model
+    from relcap.pipeline import (ProposalSettings, build_image_batch, build_proposals,
+                                 make_pair_batch)
+
+    records = load_dataset(os.path.join(outdir, "toy", "test.jsonl"))
+    with open(os.path.join(outdir, "toy", "provider.json"), encoding="utf-8") as fh:
+        provider = ToyFeatureProvider.from_json(json.load(fh))
+    out = {}
+    for model in MODELS:
+        name = model.replace(",", "_")
+        params, config, vocab, _, _ = load_model(os.path.join(outdir, name, "model.rckpt"))
+        queries = [[vocab.encode_token(t) for t in rel.tokens]
+                   for record in records for rel in record.relations]
+        scores, traces = hashlib.sha256(), hashlib.sha256()
+        for record in records:
+            proposals = build_proposals(record, provider, config, ProposalSettings())
+            batch, boxes = make_pair_batch(record, nms(proposals, 0.5, 100), provider, config)
+            if boxes:
+                for query in queries:
+                    score, best, probs = retrieval_score(query, batch, params, config)
+                    line = " ".join([score.hex(), str(best), *(p.hex() for p in probs)])
+                    scores.update(line.encode("ascii") + b"\n")
+            if config.streams == "triple":
+                image = build_image_batch(record, proposals, provider, vocab, config)
+                codes = encode_pair_batch(image.pairs, params, config)
+                for k, token_ids in enumerate(image.token_ids):
+                    pair = {kind: Tensor(code.data[k:k + 1]) for kind, code in codes.items()}
+                    traces.update(importance_trace(pair, token_ids, params, config).tobytes())
+        out[f"scores/{name}/retrieval_score"] = scores.hexdigest()
+        if config.streams == "triple":
+            out[f"scores/{name}/importance_trace"] = traces.hexdigest()
+    return out
+
+
 def perfbench_hashes(env) -> dict:
     out = {}
     for workload in WORKLOADS:
@@ -111,8 +161,8 @@ def main(argv) -> int:
     os.makedirs(outdir, exist_ok=True)
     if os.listdir(outdir):
         sys.exit(f"{outdir} is not empty")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.path.join(ROOT, "src"))
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"        # before score_hashes imports numpy
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     relcap = [sys.executable, "-m", "relcap.cli"]
     for args in relcap_commands():
         run(relcap + args, outdir, env)
@@ -120,7 +170,8 @@ def main(argv) -> int:
         first_image = json.loads(fh.readline())["image_id"]
     run(relcap + ["graph", "--predictions", "greedy_mttsnet_mtl_rem.jsonl",
                   "--image-id", str(first_image), "--out", "graph"], outdir, env)
-    hashes = file_hashes(outdir) | token_hashes(outdir) | perfbench_hashes(env)
+    hashes = (file_hashes(outdir) | token_hashes(outdir) | score_hashes(outdir)
+              | perfbench_hashes(env))
     for path in sorted(hashes):
         print(f"{hashes[path]}  {path}")
     return 0

@@ -13,8 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigError
 from .geometry import Box, iou
-from .model import (ModelConfig, ModelParams, PairBatch, encode_pair_batch, run_streams,
-                    stream_inputs)
+from .model import ModelConfig, ModelParams, PairBatch, encode_pair_batch, stream_states
 
 
 @dataclass
@@ -142,21 +141,17 @@ def retrieval_score(query_ids, batch: PairBatch, params: ModelParams,
     n = len(batch)
     if n == 0:
         raise ValueError("retrieval needs at least one candidate pair")
-    log_scores = np.zeros(n)
-    probs = np.zeros((n, len(query)))
-
-    def emit(t, lo, feat):
-        logits = ad.affine(ad.Tensor(feat), params["head.word.w"], params["head.word.b"]).data
-        logp = ad.log_softmax(logits)[:, query[t]]
-        probs[lo:lo + len(feat), t] = np.exp(logp)
-        log_scores[lo:lo + len(feat)] += logp
-        return np.full(len(feat), query[t])
-
     with ad.no_grad():
         codes = encode_pair_batch(batch, params, config)
-        run_streams(stream_inputs(codes, params, config), params, config, len(query), emit)
+        hidden = stream_states(codes, np.tile(query, (n, 1)), params, config)
+        logits = ad.affine(hidden, params["head.word.w"], params["head.word.b"]).data
+    logp = ad.log_softmax(logits).reshape(len(query), n, -1)
+    log_scores = np.zeros(n)
+    for t, word in enumerate(query):
+        log_scores += logp[t, :, word]
     best = int(np.argmax(log_scores))
-    return float(math.exp(log_scores[best])), best, probs[best].tolist()
+    probs = np.exp(logp[np.arange(len(query)), best, query])
+    return float(math.exp(log_scores[best])), best, probs.tolist()
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,11 @@ def no_grad():
         _recording.enabled = previous
 
 
+def is_recording() -> bool:
+    """Whether ops on this thread record a graph (False inside ``no_grad``)."""
+    return _recording.enabled
+
+
 def _node(data, parents, back) -> Tensor:
     """An op's result: a graph node while recording, a plain leaf otherwise."""
     if _recording.enabled:
@@ -160,16 +165,6 @@ def custom_op(data, parents, backward) -> Tensor:
     return _node(data, parents, _back)
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a broadcasted gradient back down to ``shape``."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, extent in enumerate(shape):
-        if extent == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
 # ---------------------------------------------------------------------------
 # primitive operations
 # ---------------------------------------------------------------------------
@@ -224,9 +219,12 @@ def transpose(x: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    if a.data.shape != b.data.shape:
+        raise ValueError(f"add: shapes {a.data.shape} and {b.data.shape} differ")
+
     def _back(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        _accumulate(a, g)
+        _accumulate(b, g)
 
     return _node(a.data + b.data, (a, b), _back)
 
@@ -377,7 +375,7 @@ def add_scalars(terms) -> Tensor:
 
     def _back(g):
         for t in terms:
-            _accumulate(t, np.broadcast_to(g, t.data.shape).copy() if t.data.shape else np.float64(g))
+            _accumulate(t, np.float64(g))
 
     return _node(np.float64(sum(float(t.data) for t in terms)), terms, _back)
 

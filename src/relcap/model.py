@@ -171,14 +171,15 @@ class ModelParams:
         return ModelParams({name: Parameter(name, arr) for name, arr in arrays.items()})
 
 
-def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
-    """Glorot-uniform weights, zero biases, LSTM forget-gate bias 1."""
+def param_shapes(config: ModelConfig) -> dict:
+    """Name -> shape of every parameter ``config`` has, in creation order:
+    the checkpoint layout. Weights are ``(fan_in, fan_out)``, biases 1-D."""
     config.validate()
-    params = {}
+    shapes = {}
 
     def fc(prefix, fan_in, fan_out):
-        params[f"{prefix}.w"] = ad.glorot_init(f"{prefix}.w", fan_in, fan_out, rng)
-        params[f"{prefix}.b"] = Parameter(f"{prefix}.b", np.zeros(fan_out))
+        shapes[f"{prefix}.w"] = (fan_in, fan_out)
+        shapes[f"{prefix}.b"] = (fan_out,)
 
     fc("enc.first", config.feature_width, config.d_subj_obj)
     if config.use_subject:
@@ -193,17 +194,12 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
         fc("geo", 6, GEO_DIM)
     if config.rem:
         for name in ("rem.wa", "rem.wb", "rem.wx", "rem.wz"):
-            params[name] = ad.glorot_init(name, config.d_subj_obj, config.rem_dim, rng)
-    params["embed.table"] = ad.glorot_init("embed.table", config.vocab_size, config.hidden, rng)
+            shapes[name] = (config.d_subj_obj, config.rem_dim)
+    shapes["embed.table"] = (config.vocab_size, config.hidden)
 
     h = config.hidden
-    streams = STREAM_NAMES if config.streams == "triple" else ("main",)
-    for stream in streams:
-        w = ad.glorot_init(f"lstm.{stream}.w", 2 * h, 4 * h, rng)
-        b = np.zeros(4 * h)
-        b[h:2 * h] = 1.0     # forget gate
-        params[w.name] = w
-        params[f"lstm.{stream}.b"] = Parameter(f"lstm.{stream}.b", b)
+    for stream in _stream_names(config):
+        fc(f"lstm.{stream}", 2 * h, 4 * h)
     if config.fuse:
         n_codes = config.use_subject + config.use_object + config.use_union
         geo_width = GEO_DIM if config.use_coord and not config.use_union else 0
@@ -215,6 +211,16 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
         fc("head.pos", head_in, len(PosTag))
     fc("det", config.d_subj_obj, 1)
     fc("box", config.d_subj_obj, 4)
+    return shapes
+
+
+def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
+    """Glorot-uniform weights, zero biases, LSTM forget-gate bias 1."""
+    params = {name: ad.glorot_init(name, *shape, rng) if len(shape) == 2
+              else Parameter(name, np.zeros(shape))
+              for name, shape in param_shapes(config).items()}
+    for stream in _stream_names(config):
+        params[f"lstm.{stream}.b"].data[config.hidden:2 * config.hidden] = 1.0   # forget gate
     return ModelParams(params)
 
 
@@ -422,10 +428,13 @@ def stream_states(codes, targets: np.ndarray, params: ModelParams, config: Model
     """Teacher-forced hidden states as one graph node, ``(T * P, S * hidden)``
     step-major: step t of pair p is row ``t * P + p``.
 
-    Step 0 reads the region codes; step t feeds column t - 1 of the
-    ``(P, T)`` ``targets``. The backward pass is backpropagation through
-    time over the gates ``run_streams`` recorded (the vanilla-LSTM
-    equations of Greff et al., "LSTM: A Search Space Odyssey").
+    The one teacher-forced unroll: the caption and POS losses, retrieval
+    scores, POS accuracy and importance traces all read it. Step 0 reads
+    the region codes; step t feeds column t - 1 of the ``(P, T)``
+    ``targets``. The backward pass is backpropagation through time over the
+    gates ``run_streams`` recorded (the vanilla-LSTM equations of Greff et
+    al., "LSTM: A Search Space Odyssey"). Inside ``no_grad`` no gates are
+    recorded and the rows run in blocks; the states are bit-equal.
     """
     first = stream_inputs(codes, params, config)
     names = _stream_names(config)
@@ -433,11 +442,11 @@ def stream_states(codes, targets: np.ndarray, params: ModelParams, config: Model
     hid = config.hidden
     width = len(names) * hid
     hidden = np.empty((steps, n, width))
-    tape = []
+    tape = [] if ad.is_recording() else None
 
     def emit(t, lo, feat):
-        hidden[t] = feat
-        return targets[:, t]
+        hidden[t, lo:lo + len(feat)] = feat
+        return targets[lo:lo + len(feat), t]
 
     run_streams(first, params, config, steps, emit, tape=tape)
     embed = params["embed.table"]
@@ -715,16 +724,10 @@ def importance_trace(codes, gt_token_ids, params: ModelParams,
     targets = list(gt_token_ids)
     if not targets:
         raise ValueError("importance trace needs a non-empty token sequence")
-    hid = config.hidden
-    trace = np.zeros((len(targets), len(STREAM_NAMES)))
-
-    def emit(t, lo, feat):
-        trace[t] = [np.linalg.norm(feat[0, s * hid:(s + 1) * hid])
-                    for s in range(len(STREAM_NAMES))]
-        return [targets[t]]
-
     with ad.no_grad():
-        run_streams(stream_inputs(codes, params, config), params, config, len(targets), emit)
+        hidden = stream_states(codes, np.array([targets]), params, config).data
+    trace = np.array([[np.linalg.norm(x) for x in np.split(row, len(STREAM_NAMES))]
+                      for row in hidden])
     return trace - trace.mean(axis=0, keepdims=True)
 
 
@@ -759,6 +762,16 @@ def load_model(path: str):
         if len(vocab) != config.vocab_size:
             raise ValueError(f"{len(vocab)} vocabulary entries for vocab_size "
                              f"{config.vocab_size}")
+        # Exactly the tensors init_params builds for the config, each finite.
+        want = param_shapes(config)
+        if "adam" in meta:
+            want |= {f"adam.{k}.{name}": shape for k in "mv" for name, shape in want.items()}
+        got = {name: arr.shape for name, arr in arrays.items()}
+        if wrong := [name for name in [*want, *got] if want.get(name) != got.get(name)]:
+            raise ValueError(f"tensor {wrong[0]!r}: shape {got.get(wrong[0])} in the file, "
+                             f"{want.get(wrong[0])} for the model")
+        if bad := [name for name, arr in arrays.items() if not np.isfinite(arr).all()]:
+            raise ValueError(f"tensor {bad[0]!r} is not finite")
         params = ModelParams.from_arrays(
             {n: a for n, a in arrays.items() if not n.startswith("adam.")})
         optimizer = None
@@ -767,9 +780,8 @@ def load_model(path: str):
             optimizer = ad.OptimizerState(params.all(), lr=info["lr"], beta1=info["beta1"],
                                           beta2=info["beta2"], epsilon=info["epsilon"])
             optimizer.step_count = int(info["step_count"])
-            for name in params.names():
-                optimizer.m[name] = arrays[f"adam.m.{name}"]
-                optimizer.v[name] = arrays[f"adam.v.{name}"]
+            optimizer.m = {name: arrays[f"adam.m.{name}"] for name in params.names()}
+            optimizer.v = {name: arrays[f"adam.v.{name}"] for name in params.names()}
     except (ConfigError, KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"{path}: bad checkpoint metadata: {exc!r}") from exc
+        raise CheckpointError(f"{path}: bad checkpoint: {exc!r}") from exc
     return params, config, vocab, optimizer, meta

@@ -18,8 +18,7 @@ from .metrics import (EvalReport, MetricConfig, PredictionRecord, diversity_stat
                       image_level_recall, mean_meteor, pos_accuracy, relational_map,
                       score_pairs, vrd_recall_at_k)
 from .model import (ImageBatch, ModelConfig, ModelParams, PairBatch, _pad_targets,
-                    decode_batch, encode_pair_batch, init_params, run_streams, stream_inputs,
-                    total_loss)
+                    decode_batch, encode_pair_batch, init_params, stream_states, total_loss)
 
 
 @dataclass
@@ -291,16 +290,11 @@ def predict_records(records, proposals, params: ModelParams, config: ModelConfig
 
 
 def predicted_pos_tags(token_ids, codes, params, config):
-    """Teacher-forced POS argmax per step for each caption's ``token_ids``."""
+    """Teacher-forced POS argmax per step of each caption; call under ``no_grad``."""
     padded = _pad_targets(token_ids, 0)
-    picks = np.zeros(padded.shape, dtype=np.intp)
-
-    def emit(t, lo, feat):
-        logits = ad.affine(ad.Tensor(feat), params["head.pos.w"], params["head.pos.b"]).data
-        picks[lo:lo + len(feat), t] = logits.argmax(axis=1)
-        return padded[lo:lo + len(feat), t]
-
-    run_streams(stream_inputs(codes, params, config), params, config, padded.shape[1], emit)
+    hidden = stream_states(codes, padded, params, config)
+    logits = ad.affine(hidden, params["head.pos.w"], params["head.pos.b"]).data
+    picks = logits.argmax(axis=1).reshape(padded.shape[::-1]).T
     return [[PosTag(int(x)).name for x in picks[i, :len(ids)]]
             for i, ids in enumerate(token_ids)]
 

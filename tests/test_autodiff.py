@@ -191,6 +191,12 @@ class TestPrimitiveGradients:
             assert rel.max() < 1e-6
             p.zero_grad()
 
+    @pytest.mark.parametrize("op", [ad.add, ad.matmul])
+    def test_binary_ops_reject_unmatched_shapes(self, op):
+        # (1, 3) would broadcast against (2, 3); neither op broadcasts.
+        with pytest.raises(ValueError, match=r"\(2, 3\).*\(1, 3\)"):
+            op(Tensor(np.ones((2, 3))), Tensor(np.ones((1, 3))))
+
     def test_gather_concat_and_losses(self):
         rng = np.random.default_rng(12)
         table = Parameter("table", rng.uniform(-1, 1, size=(5, 3)))

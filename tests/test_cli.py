@@ -6,6 +6,7 @@ import os
 import struct
 
 import jsonschema
+import numpy as np
 import pytest
 
 from relcap import schemas
@@ -287,6 +288,16 @@ class TestExitCodes:
             {"format_version": 1, "tensors": []},
             [1, 2],
         ]
+        nan_weight = arrays["head.word.w"].copy()
+        nan_weight[0, 0] = np.nan
+        broken_arrays = [
+            {k: v for k, v in arrays.items() if k != "head.word.b"},
+            {**arrays, "head.word.b": arrays["head.word.b"][:3]},
+            {**arrays, "head.word.w": nan_weight},
+            {k: v for k, v in arrays.items() if k != "adam.v.embed.table"},
+            {**arrays, "adam.m.box.b": np.zeros(5)},
+            {**arrays, "head.extra.b": np.zeros(3)},
+        ]
         paths = [fake]
         for i, broken in enumerate(broken_metas):
             paths.append(str(tmp_path / f"meta{i}.rckpt"))
@@ -296,12 +307,21 @@ class TestExitCodes:
             head = json.dumps(header).encode("utf-8")
             with open(paths[-1], "wb") as fh:
                 fh.write(MAGIC + struct.pack("<I", len(head)) + head)
+        for i, broken in enumerate(broken_arrays):
+            paths.append(str(tmp_path / f"tensors{i}.rckpt"))
+            save_checkpoint(paths[-1], broken, meta)
         for path in paths:
             assert run(["eval", "--checkpoint", path,
                         "--data", os.path.join(toy_dir, "test.jsonl"),
                         "--provider", os.path.join(toy_dir, "provider.json")]) == 3, path
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "Traceback" not in err
+        assert run(["train", "--data", os.path.join(toy_dir, "train.jsonl"),
+                    "--provider", os.path.join(toy_dir, "provider.json"),
+                    "--out", str(tmp_path / "resumed"), "--epochs", "1",
+                    "--resume", str(tmp_path / "tensors0.rckpt")]) == 3
+        err = capsys.readouterr().err
+        assert "head.word.b" in err and "Traceback" not in err
 
     def _argv(self, command, toy_dir, trained_dir, tmp_path):
         """A small run of ``command`` on the toy data (train without --epochs)."""

@@ -417,19 +417,14 @@ def chain_batch(cfg):
 
 
 def step_logits(codes, words, params, cfg):
-    """``(T, P, V)`` word logits of ``run_streams`` fed ``words`` (one list
+    """``(T, P, V)`` word logits of ``stream_states`` fed ``words`` (one list
     per pair, of the ids fed at steps 1..T-1)."""
     words = np.array(words, dtype=np.intp).reshape(len(words), -1)
-    steps = words.shape[1] + 1
-    logits = []
-
-    def emit(t, lo, feat):
-        logits.append(feat @ params["head.word.w"].data + params["head.word.b"].data)
-        return words[:, t] if t < steps - 1 else None
-
+    targets = np.pad(words, ((0, 0), (0, 1)))         # the last column is fed nowhere
     with ad.no_grad():
-        run_streams(stream_inputs(codes, params, cfg), params, cfg, steps, emit)
-    return np.array(logits)
+        hidden = stream_states(codes, targets, params, cfg)
+        logits = ad.affine(hidden, params["head.word.w"], params["head.word.b"]).data
+    return logits.reshape(targets.shape[1], len(words), -1)
 
 
 class TestDecode:
@@ -762,12 +757,15 @@ class TestTeacherForcing:
                 assert np.max(np.abs(hidden[t * 2 + row] - want)) < 1e-12
                 prev = targets[row, t]
 
-    @pytest.mark.parametrize("streams", ["triple", "single"])
-    def test_logits_bitwise_equal_with_tape_on_and_off(self, streams):
-        cfg = tiny_config(14, 10, name="mttsnet" if streams == "triple" else "union,mtl")
+    @pytest.mark.parametrize("name,n_pairs", [
+        pytest.param("mttsnet", 9, id="triple"), pytest.param("union,mtl", 9, id="single"),
+        pytest.param("mttsnet,mtl", 300, id="blocked")])
+    def test_logits_bitwise_equal_with_tape_on_and_off(self, name, n_pairs):
+        # 300 pairs run untaped in two kernel blocks, taped in one.
+        cfg = tiny_config(14, 10, name=name)
         params = fresh_params(cfg, seed=7)
-        batch = random_pair_batch(cfg, n_pairs=9, seed=3)
-        targets = np.random.default_rng(4).integers(0, cfg.vocab_size, (9, 5))
+        batch = random_pair_batch(cfg, n_pairs=n_pairs, seed=3)
+        targets = np.random.default_rng(4).integers(0, cfg.vocab_size, (n_pairs, 5))
 
         def head_logits(hidden):
             return [ad.affine(hidden, params[f"head.{k}.w"], params[f"head.{k}.b"])
@@ -779,7 +777,8 @@ class TestTeacherForcing:
             free = stream_states(codes, targets, params, cfg)
             blocks = []
             run_streams(stream_inputs(codes, params, cfg), params, cfg, 5,
-                        lambda t, lo, feat: blocks.append(feat.copy()) or targets[:, t])
+                        lambda t, lo, feat: blocks.append(feat.copy())
+                        or targets[lo:lo + len(feat), t])
         assert taped._parents and not free._parents
         assert np.array_equal(taped.data, free.data)
         assert np.array_equal(taped.data, np.concatenate(blocks))
