@@ -22,7 +22,8 @@ same ``diff`` that tokens, POS and boxes stayed put.
 per golden checkpoint pin what those round away, on ``toy/test.jsonl``:
 ``scores/<model>/retrieval_score``, the sha256 of the ``float.hex`` of the
 score, the best pair and the per-word probabilities of every GT caption of
-the split against every image (NMS keep 100, as ``relcap retrieve``), and
+the split against every image (NMS keep 100, as ``relcap retrieve``; each
+caption scores all images in one ``retrieval_scores`` call), and
 for triple-stream models ``scores/<model>/importance_trace``, the sha256 of
 the bytes of the trace of every GT-matched pair.
 """
@@ -104,8 +105,8 @@ def score_hashes(outdir: str) -> dict:
     """sha256 of every retrieval score and importance trace of the golden
     checkpoints on the test split (see the module docstring)."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
-    from relcap.apps import retrieval_score
-    from relcap.autodiff import Tensor
+    from relcap.apps import retrieval_scores, stack_candidates
+    from relcap.autodiff import Tensor, no_grad
     from relcap.data import ToyFeatureProvider, load_dataset
     from relcap.geometry import nms
     from relcap.model import encode_pair_batch, importance_trace, load_model
@@ -121,21 +122,27 @@ def score_hashes(outdir: str) -> dict:
         params, config, vocab, _, _ = load_model(os.path.join(outdir, name, "model.rckpt"))
         queries = [[vocab.encode_token(t) for t in rel.tokens]
                    for record in records for rel in record.relations]
-        scores, traces = hashlib.sha256(), hashlib.sha256()
+        candidates, traces = [], hashlib.sha256()
         for record in records:
             proposals = build_proposals(record, provider, config, ProposalSettings())
             batch, boxes = make_pair_batch(record, nms(proposals, 0.5, 100), provider, config)
             if boxes:
-                for query in queries:
-                    score, best, probs = retrieval_score(query, batch, params, config)
-                    line = " ".join([score.hex(), str(best), *(p.hex() for p in probs)])
-                    scores.update(line.encode("ascii") + b"\n")
+                with no_grad():
+                    candidates.append(encode_pair_batch(batch, params, config))
             if config.streams == "triple":
                 image = build_image_batch(record, proposals, provider, vocab, config)
                 codes = encode_pair_batch(image.pairs, params, config)
                 for k, token_ids in enumerate(image.token_ids):
                     pair = {kind: Tensor(code.data[k:k + 1]) for kind, code in codes.items()}
                     traces.update(importance_trace(pair, token_ids, params, config).tobytes())
+        groups = stack_candidates(candidates)
+        table = [retrieval_scores(query, groups, params, config) for query in queries]
+        scores = hashlib.sha256()
+        for image in range(len(candidates)):
+            for row in table:
+                score, best, probs = row[image]
+                line = " ".join([score.hex(), str(best), *(p.hex() for p in probs)])
+                scores.update(line.encode("ascii") + b"\n")
         out[f"scores/{name}/retrieval_score"] = scores.hexdigest()
         if config.streams == "triple":
             out[f"scores/{name}/importance_trace"] = traces.hexdigest()

@@ -11,9 +11,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .geometry import Box, iou
-from .model import ModelConfig, ModelParams, PairBatch, encode_pair_batch, stream_states
+from .model import (BLOCK, ModelConfig, ModelParams, PairBatch, encode_pair_batch,
+                    stream_states)
 
 
 @dataclass
@@ -126,32 +127,64 @@ def graph_from_json(text: str) -> CaptionGraph:
 # retrieval
 # ---------------------------------------------------------------------------
 
-def retrieval_score(query_ids, batch: PairBatch, params: ModelParams,
-                    config: ModelConfig):
-    """Probability that a query occurs for the best pair of one image.
+def stack_candidates(codes):
+    """Stack consecutive images' region codes (``encode_pair_batch`` dicts)
+    into groups of at most BLOCK pair rows; an image with more pairs forms a
+    group of its own. Returns a list of (stacked codes, row offsets): image
+    k of a group owns rows ``offsets[k]:offsets[k + 1]``."""
+    groups = []
+    for code in codes:
+        rows = len(next(iter(code.values())).data)
+        if rows == 0:
+            raise ValueError("retrieval needs at least one candidate pair")
+        if not groups or groups[-1][1][-1] + rows > BLOCK:
+            groups.append(([], [0]))
+        members, offsets = groups[-1]
+        members.append(code)
+        offsets.append(offsets[-1] + rows)
+    return [({kind: ad.Tensor(np.concatenate([m[kind].data for m in members]))
+              for kind in members[0]}, offsets) for members, offsets in groups]
 
-    The query is teacher-forced through the decoder for every pair and the
+
+def retrieval_scores(query_ids, groups, params: ModelParams, config: ModelConfig):
+    """Probability that a query occurs for the best pair of each image.
+
+    ``groups`` comes from ``stack_candidates``; each group's pairs run
+    through the decoder together, teacher-forced with the query, and the
     per-step probabilities of the query words are multiplied (accumulated
-    as log sums); the image score is the maximum over pairs. Returns
-    (score, best pair index, per-word probabilities of that pair).
+    as log sums). An image's score is the maximum over its own rows. Returns
+    one (score, best pair index within the image, per-word probabilities of
+    that pair) per image, in order. A row's result does not depend on the
+    other rows of its group (the kernel multiplies in fixed tiles).
     """
     query = list(query_ids)
     if not query:
         raise ValueError("retrieval needs a non-empty query")
-    n = len(batch)
-    if n == 0:
-        raise ValueError("retrieval needs at least one candidate pair")
+    steps = np.arange(len(query))
+    out = []
+    for codes, offsets in groups:
+        n = offsets[-1]
+        with ad.no_grad():
+            hidden = stream_states(codes, np.tile(query, (n, 1)), params, config)
+            logits = ad.affine(hidden, params["head.word.w"], params["head.word.b"]).data
+        logp = ad.log_softmax(logits).reshape(len(query), n, -1)
+        log_scores = np.zeros(n)
+        for t, word in enumerate(query):
+            log_scores += logp[t, :, word]
+        for lo, hi in zip(offsets, offsets[1:]):
+            best = lo + int(np.argmax(log_scores[lo:hi]))
+            probs = np.exp(logp[steps, best, query])
+            out.append((float(math.exp(log_scores[best])), best - lo, probs.tolist()))
+    return out
+
+
+def retrieval_score(query_ids, batch: PairBatch, params: ModelParams,
+                    config: ModelConfig):
+    """``retrieval_scores`` of one image: (score, best pair index, per-word
+    probabilities of that pair)."""
     with ad.no_grad():
         codes = encode_pair_batch(batch, params, config)
-        hidden = stream_states(codes, np.tile(query, (n, 1)), params, config)
-        logits = ad.affine(hidden, params["head.word.w"], params["head.word.b"]).data
-    logp = ad.log_softmax(logits).reshape(len(query), n, -1)
-    log_scores = np.zeros(n)
-    for t, word in enumerate(query):
-        log_scores += logp[t, :, word]
-    best = int(np.argmax(log_scores))
-    probs = np.exp(logp[np.arange(len(query)), best, query])
-    return float(math.exp(log_scores[best])), best, probs.tolist()
+    return retrieval_scores(query_ids, stack_candidates([codes]), params, config)[0]
 
 
 @dataclass(frozen=True)
@@ -176,6 +209,9 @@ def retrieval_eval(scorables, gt_captions, vocab, params, config,
 
     ``scorables``: list of (image_id, PairBatch) candidates;
     ``gt_captions``: image_id -> list of token lists to sample queries from.
+    Query images are drawn among the candidates with at least one caption.
+    Each candidate is encoded once per call; every query then scores all
+    candidates in ``stack_candidates`` groups.
     """
     candidates = list(scorables)[:protocol.num_images]
     if len(candidates) < protocol.num_query_images:
@@ -183,16 +219,24 @@ def retrieval_eval(scorables, gt_captions, vocab, params, config,
             f"retrieval needs at least {protocol.num_query_images} images, "
             f"got {len(candidates)}")
     candidate_ids = [img for img, _ in candidates]
+    captioned = [k for k, img in enumerate(candidate_ids) if gt_captions.get(img)]
+    if len(captioned) < protocol.num_query_images:
+        raise DataError(
+            f"retrieval needs {protocol.num_query_images} query images with GT "
+            f"captions, but only {len(captioned)} of {len(candidates)} candidates have any")
+    with ad.no_grad():
+        groups = stack_candidates([encode_pair_batch(batch, params, config)
+                                   for _, batch in candidates])
 
     per_round_recall = {k: [] for k in protocol.ks}
     per_round_median = []
     ranks_all = []
     for round_idx in range(protocol.rounds):
         rng = np.random.default_rng(np.random.SeedSequence([seed, round_idx]))
-        chosen = rng.choice(len(candidates), size=protocol.num_query_images, replace=False)
+        chosen = rng.choice(len(captioned), size=protocol.num_query_images, replace=False)
         queries = []
-        for img_pos in chosen:
-            image_id = candidate_ids[img_pos]
+        for pos in chosen:
+            image_id = candidate_ids[captioned[pos]]
             captions = gt_captions[image_id]
             picks = rng.choice(len(captions),
                                size=min(protocol.captions_per_image, len(captions)),
@@ -202,11 +246,8 @@ def retrieval_eval(scorables, gt_captions, vocab, params, config,
         ranks = []
         for source_id, tokens in queries:
             ids = [vocab.encode_token(t) for t in tokens]
-            scores = []
-            for image_id, batch in candidates:
-                score, _, _ = retrieval_score(ids, batch, params, config)
-                scores.append((image_id, score))
-            order = sorted(scores, key=lambda s: (-s[1], s[0]))
+            scores = [score for score, _, _ in retrieval_scores(ids, groups, params, config)]
+            order = sorted(zip(candidate_ids, scores), key=lambda s: (-s[1], s[0]))
             rank = 1 + next(i for i, (img, _) in enumerate(order) if img == source_id)
             ranks.append(rank)
         ranks_all.extend(ranks)

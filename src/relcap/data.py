@@ -220,8 +220,18 @@ def save_jsonl(path: str, objects) -> None:
 
 
 def load_dataset(path: str):
-    """Read and validate a relational dataset; errors carry line numbers."""
-    return load_jsonl(path, record_from_json, "dataset")
+    """Read and validate a relational dataset; errors carry line numbers.
+    Every record needs its own ``image_id``."""
+    seen = set()
+
+    def parse(obj):
+        record = record_from_json(obj)
+        if record.image_id in seen:
+            raise ValueError(f"image_id {record.image_id} repeats an earlier record")
+        seen.add(record.image_id)
+        return record
+
+    return load_jsonl(path, parse, "dataset")
 
 
 def save_dataset(path: str, records) -> None:

@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 
 from conftest import fresh_params, tiny_config
+from relcap import apps
 from relcap.apps import (RetrievalProtocol, build_caption_graph, export_graph,
-                         graph_from_json, retrieval_eval, retrieval_score)
-from relcap.errors import ConfigError
+                         graph_from_json, retrieval_eval, retrieval_score,
+                         retrieval_scores, stack_candidates)
+from relcap import autodiff as ad
+from relcap.errors import ConfigError, DataError
 from relcap.geometry import Box
 from relcap.metrics import PredictionRecord
-from relcap.model import PairBatch
+from relcap.model import BLOCK, PairBatch, encode_pair_batch
 
 from test_model import chain_batch, rigged_chain_model
 
@@ -179,6 +182,70 @@ class TestRetrievalScore:
         assert best == int(np.argmax(singles))
 
 
+def random_batch(cfg, n_pairs, rng):
+    """``n_pairs`` random (subject, object) pairs over 6 random regions."""
+    return PairBatch(features=rng.normal(size=(6, cfg.feature_width)),
+                     subject_index=list(rng.integers(0, 6, n_pairs)),
+                     object_index=list(rng.integers(0, 6, n_pairs)),
+                     union_features=rng.normal(size=(n_pairs, cfg.feature_width)),
+                     geos=rng.normal(size=(n_pairs, 6)))
+
+
+class TestGroupedRetrieval:
+    # Groups: [1, 17] ends mid-tile, [300] is over BLOCK on its own,
+    # [40, 1, 215] fills BLOCK exactly, [2, 33, 1] is the short last group.
+    SIZES = (1, 17, 300, 40, 1, 215, 2, 33, 1)
+
+    def test_groups_hold_whole_images_up_to_block_rows(self):
+        cfg = tiny_config(14, 10)
+        params = fresh_params(cfg)
+        rng = np.random.default_rng(0)
+        with ad.no_grad():
+            codes = [encode_pair_batch(random_batch(cfg, n, rng), params, cfg)
+                     for n in self.SIZES]
+        groups = stack_candidates(codes)
+        assert BLOCK == 256                  # SIZES are chosen around it
+        assert [offsets for _, offsets in groups] == [
+            [0, 1, 18], [0, 300], [0, 40, 41, 256], [0, 2, 35, 36]]
+        stacked = np.concatenate([c["union"].data for c, _ in groups])
+        assert np.array_equal(stacked, np.concatenate([c["union"].data for c in codes]))
+
+    @pytest.mark.parametrize("name", ["union", "union-coord", "subj-obj", "subj-obj-coord",
+                                      "uuu", "tsnet,rem", "mttsnet,mtl"])
+    def test_grouped_equals_per_image_bit_for_bit(self, name):
+        cfg = tiny_config(14, 10, name=name)
+        params = fresh_params(cfg, seed=3)
+        rng = np.random.default_rng(7)
+        batches = [random_batch(cfg, n, rng) for n in self.SIZES]
+        with ad.no_grad():
+            groups = stack_candidates([encode_pair_batch(b, params, cfg) for b in batches])
+        for length in (1, 4, cfg.max_len):
+            query = list(rng.integers(0, cfg.vocab_size, length))
+            grouped = retrieval_scores(query, groups, params, cfg)
+            singles = [retrieval_score(query, b, params, cfg) for b in batches]
+            assert grouped == singles, (name, length)
+            assert all(0 <= best < n for (_, best, _), n in zip(grouped, self.SIZES))
+
+    def test_eval_encodes_each_candidate_once(self, toy_world_small, monkeypatch):
+        _, provider, vocab = toy_world_small
+        cfg = tiny_config(provider.feature_width, len(vocab))
+        params = fresh_params(cfg, seed=2)
+        scorables, captions = toy_scorables(cfg, params, 5, np.random.default_rng(3))
+        calls = []
+
+        def counting(batch, *args, **kwargs):
+            calls.append(batch)
+            return encode_pair_batch(batch, *args, **kwargs)
+
+        monkeypatch.setattr(apps, "encode_pair_batch", counting)
+        result = retrieval_eval(scorables, captions, vocab, params, cfg,
+                                RetrievalProtocol(num_images=5, num_query_images=2,
+                                                  captions_per_image=2, ks=(1,),
+                                                  rounds=2), seed=0)
+        assert result["num_queries"] == 8
+        assert [id(b) for b in calls] == [id(b) for _, b in scorables]
+
+
 def toy_scorables(cfg, params, n_images, rng):
     scorables, captions = [], {}
     for image_id in range(n_images):
@@ -211,6 +278,21 @@ class TestRetrievalEval:
         with pytest.raises(ConfigError):
             retrieval_eval([], {}, vocab, params, cfg,
                            RetrievalProtocol(num_query_images=2), seed=0)
+
+    def test_queries_come_only_from_captioned_images(self, toy_world_small):
+        _, provider, vocab = toy_world_small
+        cfg = tiny_config(provider.feature_width, len(vocab))
+        params = fresh_params(cfg, seed=2)
+        scorables, captions = toy_scorables(cfg, params, 5, np.random.default_rng(3))
+        captions = {image_id: (c if image_id in (1, 3) else [])
+                    for image_id, c in captions.items()}
+        protocol = RetrievalProtocol(num_images=5, num_query_images=2,
+                                     captions_per_image=1, ks=(5,), rounds=3)
+        result = retrieval_eval(scorables, captions, vocab, params, cfg, protocol, seed=0)
+        assert result["num_queries"] == 6 and result["r_at_k"][5] == 1.0
+        del captions[3]
+        with pytest.raises(DataError, match="only 1 of 5"):
+            retrieval_eval(scorables, captions, vocab, params, cfg, protocol, seed=0)
 
     def test_ranking_invariant_under_log_transform(self, toy_world_small):
         # scores are positive; ranking by score equals ranking by log-score

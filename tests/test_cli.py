@@ -323,6 +323,35 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "head.word.b" in err and "Traceback" not in err
 
+    def test_retrieve_without_gt_captions_is_data_error(self, toy_dir, trained_dir,
+                                                         tmp_path, capsys):
+        records = [json.loads(line) for line in open(os.path.join(toy_dir, "train.jsonl"))]
+        bare = tmp_path / "no_relations.jsonl"
+        bare.write_text("".join(json.dumps({**r, "relations": []}) + "\n" for r in records))
+        out = tmp_path / "retrieve.json"
+        assert run(["retrieve", "--checkpoint", os.path.join(trained_dir, "model.rckpt"),
+                    "--data", str(bare), "--provider", os.path.join(toy_dir, "provider.json"),
+                    "--images", "4", "--query-images", "2", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "GT captions" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "infer", "retrieve", "enrich"])
+    def test_repeated_image_id_is_data_error(self, toy_dir, trained_dir, tmp_path, capsys,
+                                             command):
+        train = os.path.join(toy_dir, "train.jsonl")
+        records = [json.loads(line) for line in open(train)]
+        records[2]["image_id"] = records[0]["image_id"]
+        repeated = str(tmp_path / "repeated.jsonl")
+        with open(repeated, "w") as fh:
+            fh.write("".join(json.dumps(r) + "\n" for r in records))
+        argv = [repeated if a == train else a
+                for a in self._argv(command, toy_dir, trained_dir, tmp_path)]
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert f"{repeated}:3:" in err and f"image_id {records[0]['image_id']} " in err
+        assert "Traceback" not in err
+
     def _argv(self, command, toy_dir, trained_dir, tmp_path):
         """A small run of ``command`` on the toy data (train without --epochs)."""
         if command == "gen-toy":
