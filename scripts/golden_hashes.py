@@ -26,6 +26,13 @@ the split against every image (NMS keep 100, as ``relcap retrieve``; each
 caption scores all images in one ``retrieval_scores`` call), and
 for triple-stream models ``scores/<model>/importance_trace``, the sha256 of
 the bytes of the trace of every GT-matched pair.
+
+Two lines per golden checkpoint pin the pair path at its source, on
+``toy/test.jsonl``: ``pairs/<model>/pair_batch``, the sha256 of
+``make_pair_batch``'s union features, geometry, subject and object indices
+and (subject, object) boxes of every image at NMS keep 50 and keep 100, and
+``pairs/<model>/image_batch``, the same fields of ``build_image_batch`` (the
+boxes read from its proposal boxes) plus its caption token ids and POS tags.
 """
 
 from __future__ import annotations
@@ -149,6 +156,52 @@ def score_hashes(outdir: str) -> dict:
     return out
 
 
+def pair_batch_bytes(pairs, box_pairs) -> bytes:
+    """The arrays of a PairBatch and the float.hex of its box pairs."""
+    import numpy as np
+    boxes = " ".join(v.hex() for s, o in box_pairs for b in (s, o) for v in (b.x, b.y, b.w, b.h))
+    return b"".join([np.ascontiguousarray(pairs.union_features).tobytes(),
+                     np.ascontiguousarray(pairs.geos).tobytes(),
+                     np.asarray(pairs.subject_index, dtype=np.int64).tobytes(),
+                     np.asarray(pairs.object_index, dtype=np.int64).tobytes(),
+                     boxes.encode("ascii"), b"\n"])
+
+
+def pair_hashes(outdir: str) -> dict:
+    """sha256 of the pair and image batches the golden checkpoints build on
+    the test split (see the module docstring)."""
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from relcap.data import ToyFeatureProvider, load_dataset
+    from relcap.geometry import nms
+    from relcap.model import load_model
+    from relcap.pipeline import (ProposalSettings, build_image_batch, build_proposals,
+                                 make_pair_batch)
+
+    records = load_dataset(os.path.join(outdir, "toy", "test.jsonl"))
+    with open(os.path.join(outdir, "toy", "provider.json"), encoding="utf-8") as fh:
+        provider = ToyFeatureProvider.from_json(json.load(fh))
+    out = {}
+    for model in MODELS:
+        name = model.replace(",", "_")
+        _, config, vocab, _, _ = load_model(os.path.join(outdir, name, "model.rckpt"))
+        pair, image = hashlib.sha256(), hashlib.sha256()
+        for record in records:
+            proposals = build_proposals(record, provider, config, ProposalSettings())
+            for keep in (50, 100):
+                batch, boxes = make_pair_batch(record, nms(proposals, 0.5, keep), provider,
+                                               config)
+                pair.update(pair_batch_bytes(batch, boxes))
+            built = build_image_batch(record, proposals, provider, vocab, config)
+            pairs = built.pairs
+            boxes = [(built.prop_boxes[i], built.prop_boxes[j])
+                     for i, j in zip(pairs.subject_index, pairs.object_index)]
+            image.update(pair_batch_bytes(pairs, boxes))
+            image.update(repr((built.token_ids, built.tags)).encode("ascii") + b"\n")
+        out[f"pairs/{name}/pair_batch"] = pair.hexdigest()
+        out[f"pairs/{name}/image_batch"] = image.hexdigest()
+    return out
+
+
 def perfbench_hashes(env) -> dict:
     out = {}
     for workload in WORKLOADS:
@@ -178,7 +231,7 @@ def main(argv) -> int:
     run(relcap + ["graph", "--predictions", "greedy_mttsnet_mtl_rem.jsonl",
                   "--image-id", str(first_image), "--out", "graph"], outdir, env)
     hashes = (file_hashes(outdir) | token_hashes(outdir) | score_hashes(outdir)
-              | perfbench_hashes(env))
+              | pair_hashes(outdir) | perfbench_hashes(env))
     for path in sorted(hashes):
         print(f"{hashes[path]}  {path}")
     return 0

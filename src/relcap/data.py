@@ -444,6 +444,51 @@ class ToyFeatureProvider:
         ])
         return np.concatenate([shape_vec, color_vec, stats]).reshape(1, -1)
 
+    def features_many(self, record: RelationalRecord, boxes) -> np.ndarray:
+        """``features`` of each row of the (N, 4) centre-form ``boxes``
+        (x, y, w, h), stacked: row n equals ``features(record, Box(*boxes[n]))``
+        bit for bit, and the call raises what those N calls would raise first."""
+        x, y, w, h = np.reshape(boxes, (-1, 4)).T
+        n_shapes, n_colors = len(self.shapes), len(self.colors)
+        out = np.zeros((len(x), self.feature_width))
+        if not len(x):
+            return out
+        if record.scene is None:
+            raise DataError(f"image {record.image_id}: the toy feature provider needs "
+                            "a scene description")
+        x0, y0, x1, y1 = x - w / 2, y - h / 2, x + w / 2, y + h / 2
+        covered = np.zeros(len(x))
+        # Unknown objects that overlap a box, as (first such box, scene
+        # position, object); per-box calls would raise for the least.
+        unknown = []
+        for k, obj in enumerate(record.scene):
+            ox0, oy0, ox1, oy1 = obj.box.corners()
+            iw = np.minimum(ox1, x1) - np.maximum(ox0, x0)
+            ih = np.minimum(oy1, y1) - np.maximum(oy0, y0)
+            inter = np.where((iw > 0) & (ih > 0), iw * ih, 0.0)
+            hit = inter > 0.0
+            if not hit.any():
+                continue
+            if obj.shape not in self.shapes or obj.color not in self.colors:
+                unknown.append((int(hit.argmax()), k, obj))
+                continue
+            # A row that misses the object adds 0.0 to a non-negative sum: no change.
+            frac = inter / obj.box.area
+            out[:, self.shapes.index(obj.shape)] += frac
+            out[:, n_shapes + self.colors.index(obj.color)] += frac
+            covered += inter
+        if unknown:
+            obj = min(unknown)[2]
+            raise DataError(f"image {record.image_id}: scene object {obj.color} {obj.shape} "
+                            "is outside the provider's shapes and colors")
+        stats = out[:, n_shapes + n_colors:]
+        stats[:, 0] = x / record.width
+        stats[:, 1] = y / record.height
+        stats[:, 2] = w / record.width
+        stats[:, 3] = h / record.height
+        stats[:, 4] = np.minimum(covered / (w * h), 1.0)
+        return out
+
     def to_json(self) -> dict:
         return {"type": self.kind, "shapes": list(self.shapes),
                 "colors": list(self.colors), "feature_width": self.feature_width}

@@ -150,6 +150,36 @@ def geometric_feature(subject: Box, obj: Box) -> np.ndarray:
     ])
 
 
+def box_rows(boxes) -> np.ndarray:
+    """(N, 4) centre-form rows (x, y, w, h) of ``boxes``."""
+    return np.reshape([(b.x, b.y, b.w, b.h) for b in boxes], (-1, 4))
+
+
+def pair_geometry(boxes, subject, obj):
+    """Union boxes, as (P, 4) centre-form rows, and (P, 6) geometry of the
+    ordered pairs ``(boxes[subject[k]], boxes[obj[k]])``.
+
+    Row k equals ``union_box`` and ``geometric_feature`` of pair k bit for
+    bit: the same scalar arithmetic element-wise, the union making the same
+    corners -> ``Box.from_corners`` round trip, the IoU from ``iou_matrix``.
+    """
+    x, y, w, h = box_rows(boxes).T
+    x0, y0, x1, y1 = x - w / 2, y - h / 2, x + w / 2, y + h / 2
+    s = np.asarray(subject, dtype=np.intp)
+    o = np.asarray(obj, dtype=np.intp)
+    ux0, uy0 = np.minimum(x0[s], x0[o]), np.minimum(y0[s], y0[o])
+    ux1, uy1 = np.maximum(x1[s], x1[o]), np.maximum(y1[s], y1[o])
+    union = np.column_stack([(ux0 + ux1) / 2, (uy0 + uy1) / 2, ux1 - ux0, uy1 - uy0])
+    valid = (union[:, 2] > 0) & (union[:, 3] > 0) & np.isfinite(union).all(axis=1)
+    if not valid.all():
+        Box(*union[np.argmin(valid)])          # raises what union_box raises
+    scale = np.sqrt(w[s] * h[s])
+    geos = np.column_stack([(x[o] - x[s]) / scale, (y[o] - y[s]) / scale,
+                            np.sqrt((w[o] * h[o]) / (w[s] * h[s])), w[s] / h[s], w[o] / h[o],
+                            iou_matrix(boxes, boxes)[s, o]])
+    return union, geos
+
+
 def nms(proposals, iou_threshold: float, keep: int):
     """Greedy suppression in descending confidence, ties by ascending id.
 

@@ -9,6 +9,7 @@ caption metrics read one per-image table of pair scores (``score_pairs``).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -62,7 +63,7 @@ class PredictionRecord:
             raise ValueError(
                 f"{len(self.word_probs)} word probabilities for {len(self.tokens)} tokens"
             )
-        prod = float(np.prod(self.word_probs)) if self.word_probs else 1.0
+        prod = math.prod(self.word_probs)
         if abs(prod - self.confidence) > 1e-9:
             raise ValueError("confidence does not equal the product of word probabilities")
         return self

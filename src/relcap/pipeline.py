@@ -12,8 +12,8 @@ from . import autodiff as ad
 from .data import (ObjectAnnotation, PosTag, RelationalRecord, Vocabulary,
                    encode_caption, proposals_for_record)
 from .errors import ConfigError, DataError, InvariantError
-from .geometry import (Box, combination_layer, geometric_feature, iou, match_to_gt, nms,
-                       top_pairs, union_box)
+from .geometry import (Box, box_rows, combination_layer, iou, match_to_gt, nms,
+                       pair_geometry, top_pairs, union_box)
 from .metrics import (EvalReport, MetricConfig, PredictionRecord, diversity_stats,
                       image_level_recall, mean_meteor, pos_accuracy, relational_map,
                       score_pairs, vrd_recall_at_k)
@@ -89,44 +89,49 @@ def _detected_boxes(record: RelationalRecord, config: ModelConfig):
     return [obj.box for obj in record.objects]
 
 
-def _captions_by_gt_pair(record: RelationalRecord, config: ModelConfig):
-    """(subject gt index, object gt index) -> relations captioning that pair.
+def _gt_captions(record: RelationalRecord, config: ModelConfig):
+    """``_detected_boxes`` and (subject gt index, object gt index) ->
+    relations captioning that pair.
 
     Object path: one relation per pair of distinct objects. Direct-union:
     every relation of a union box sits on the self-pair (g, g), so both
     directions that share the box are targets of one proposal.
     """
     if config.rpn_output == "union":
-        return {(g, g): rels for g, rels in enumerate(_distinct_union_boxes(record)[1])}
-    return {key: [rel] for key, rel in _match_relation_endpoints(record).items()
-            if key[0] != key[1]}
+        boxes, rels = _distinct_union_boxes(record)
+        return boxes, {(g, g): group for g, group in enumerate(rels)}
+    return _detected_boxes(record, config), {
+        key: [rel] for key, rel in _match_relation_endpoints(record).items() if key[0] != key[1]}
 
 
 def caption_pairs(proposals, config: ModelConfig, pair_cap: int | None = None):
-    """(subject row, object row, union box, geo) per proposal pair to caption.
+    """(subject rows, object rows, union boxes, geometry) of the proposal
+    pairs to caption: two index arrays, (P, 4) centre-form union boxes and
+    (P, 6) ``geometric_feature`` rows.
 
     The combination layer's ordered pairs, or for direct-union each proposal
-    paired with itself over its own box, both capped by ``top_pairs``.
-    Training and inference batches both enumerate pairs here.
+    paired with itself over its own box (geometry zero), both capped by
+    ``top_pairs``. Training and inference batches both enumerate pairs here.
     """
     if config.rpn_output == "union":
-        keep = top_pairs([p.confidence * p.confidence for p in proposals], pair_cap)
-        return [(i, i, proposals[i].box, np.zeros(6)) for i in keep]
-    boxes = [p.box for p in proposals]
-    return [(i, j, union_box(boxes[i], boxes[j]), geometric_feature(boxes[i], boxes[j]))
-            for i, j in combination_layer(proposals, max_pairs=pair_cap)]
+        keep = np.array(top_pairs([p.confidence * p.confidence for p in proposals], pair_cap),
+                        dtype=np.intp)
+        return keep, keep, box_rows([p.box for p in proposals])[keep], np.zeros((len(keep), 6))
+    subject, obj = np.array(combination_layer(proposals, max_pairs=pair_cap),
+                            dtype=np.intp).reshape(-1, 2).T
+    return (subject, obj, *pair_geometry([p.box for p in proposals], subject, obj))
 
 
-def _pair_batch(proposals, rows, union_features, config: ModelConfig) -> PairBatch:
-    """PairBatch over ``proposals`` with one pair per ``caption_pairs`` row;
-    ``union_features`` holds the provider feature of each row's union box."""
+def _pair_batch(proposals, subject, obj, union_features, geos,
+                config: ModelConfig) -> PairBatch:
+    """PairBatch over ``proposals`` with pairs ``(subject[k], obj[k])``."""
     width = config.feature_width
     return PairBatch(
         features=np.vstack([p.feature for p in proposals]) if proposals else np.zeros((0, width)),
-        subject_index=[i for i, _, _, _ in rows],
-        object_index=[j for _, j, _, _ in rows],
-        union_features=np.vstack(union_features) if rows else np.zeros((0, width)),
-        geos=np.vstack([geo.reshape(1, -1) for *_, geo in rows]) if rows else np.zeros((0, 6)),
+        subject_index=subject.tolist(),
+        object_index=obj.tolist(),
+        union_features=union_features if len(subject) else np.zeros((0, width)),
+        geos=geos,
     )
 
 
@@ -143,26 +148,24 @@ def build_proposals(record: RelationalRecord, provider, config: ModelConfig,
 def build_image_batch(record: RelationalRecord, proposals, provider,
                       vocab: Vocabulary, config: ModelConfig) -> ImageBatch:
     """Assemble proposals, match labels and one caption pair per GT caption
-    for one image."""
-    gt_boxes = _detected_boxes(record, config)
+    for one image; each distinct captioned pair's union box is featurised
+    once."""
+    gt_boxes, captions = _gt_captions(record, config)
     labels = match_to_gt(proposals, gt_boxes)
-    captions = _captions_by_gt_pair(record, config)
-    rows, union_features, token_ids, tags = [], [], [], []
-    for row in caption_pairs(proposals, config):
-        i, j, ub, _ = row
+    subject, obj, unions, geos = caption_pairs(proposals, config)
+    rows, token_ids, tags = [], [], []
+    for k, (i, j) in enumerate(zip(subject.tolist(), obj.tolist())):
         if labels[i].kind != "positive" or labels[j].kind != "positive":
             continue
-        rels = captions.get((labels[i].gt_index, labels[j].gt_index))
-        if rels is None:
-            continue
-        union_feature = provider.features(record, ub)
-        for rel in rels:
+        for rel in captions.get((labels[i].gt_index, labels[j].gt_index), ()):
             ids, pos = encode_caption(rel.tokens, rel.pos, vocab, config.max_len)
-            rows.append(row)
-            union_features.append(union_feature)
+            rows.append(k)
             token_ids.append(ids)
             tags.append(pos)
-    return ImageBatch(pairs=_pair_batch(proposals, rows, union_features, config),
+    distinct, row_of = np.unique(np.array(rows, dtype=np.intp), return_inverse=True)
+    union_features = provider.features_many(record, unions[distinct])[row_of]
+    return ImageBatch(pairs=_pair_batch(proposals, subject[rows], obj[rows], union_features,
+                                        geos[rows], config),
                       token_ids=token_ids, tags=tags,
                       prop_boxes=[p.box for p in proposals],
                       gt_boxes=gt_boxes, labels=labels)
@@ -231,10 +234,11 @@ def history_to_csv(history) -> str:
 def make_pair_batch(record: RelationalRecord, proposals, provider,
                     config: ModelConfig, pair_cap: int | None = None):
     """PairBatch over kept proposals plus per-pair (subject, object) boxes."""
-    rows = caption_pairs(proposals, config, pair_cap)
-    batch = _pair_batch(proposals, rows, [provider.features(record, ub) for _, _, ub, _ in rows],
+    subject, obj, unions, geos = caption_pairs(proposals, config, pair_cap)
+    batch = _pair_batch(proposals, subject, obj, provider.features_many(record, unions), geos,
                         config)
-    return batch, [(proposals[i].box, proposals[j].box) for i, j, _, _ in rows]
+    return batch, [(proposals[i].box, proposals[j].box)
+                   for i, j in zip(batch.subject_index, batch.object_index)]
 
 
 def predict_proposals(record: RelationalRecord, proposals, params: ModelParams,
@@ -250,6 +254,8 @@ def predict_proposals(record: RelationalRecord, proposals, params: ModelParams,
     if not boxes:
         return []
     decoded = decode_batch(batch, params, config, mode=mode, rng=rng)
+    words = tuple(map(vocab.decode_id, range(len(vocab))))
+    tag_names = tuple(tag.name for tag in PosTag)    # indexed by the tag's value
     out = []
     for pred, (sbox, obox) in zip(decoded, boxes):
         if not pred.token_ids:
@@ -259,8 +265,8 @@ def predict_proposals(record: RelationalRecord, proposals, params: ModelParams,
         out.append(PredictionRecord(
             image_id=record.image_id,
             subject_box=sbox, object_box=obox,
-            tokens=[vocab.decode_id(i) for i in pred.token_ids],
-            pos=[tag.name for tag in pred.pos],
+            tokens=[words[i] for i in pred.token_ids],
+            pos=[tag_names[tag] for tag in pred.pos],
             word_probs=list(pred.word_probs),
             confidence=pred.confidence,
         ).validate())

@@ -301,10 +301,10 @@ class TestCombinationLayer:
     def test_pair_fields_populated(self):
         # caption_pairs adds each kept pair's union box and geometry
         props = self._props(3)
-        rows = caption_pairs(props, tiny_config(1, 5))
-        assert [(i, j) for i, j, _, _ in rows] == combination_layer(props)
-        for i, j, ub, geo in rows:
-            assert ub == union_box(props[i].box, props[j].box)
+        subject, obj, unions, geos = caption_pairs(props, tiny_config(1, 5))
+        assert list(zip(subject.tolist(), obj.tolist())) == combination_layer(props)
+        for i, j, ub, geo in zip(subject, obj, unions, geos):
+            assert Box(*ub) == union_box(props[i].box, props[j].box)
             assert np.array_equal(geo, geometric_feature(props[i].box, props[j].box))
 
     def test_cap_keeps_highest_confidence_products(self):

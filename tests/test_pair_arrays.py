@@ -1,0 +1,209 @@
+"""The array pair path against its scalar oracles: many-box provider features
+against ``features``, ``caption_pairs`` against ``union_box`` and
+``geometric_feature``, bit for bit."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import tiny_config
+from relcap.data import RelationalRecord, SceneObject, ToyFeatureProvider
+from relcap.errors import DataError
+from relcap.geometry import (Box, RegionProposal, box_rows, combination_layer,
+                             geometric_feature, intersection_area, nms, top_pairs, union_box)
+from relcap.model import ModelConfig
+from relcap.pipeline import (ProposalSettings, build_image_batch, build_proposals,
+                             caption_pairs, make_pair_batch)
+
+PROVIDER = ToyFeatureProvider(["circle", "square"], ["red", "blue", "green"])
+
+# Integer-grid boxes touch edge-on (iw == 0) and nest exactly; float boxes
+# give general overlaps.
+grid_boxes = st.builds(Box, x=st.integers(0, 12), y=st.integers(0, 12),
+                       w=st.integers(1, 8), h=st.integers(1, 8))
+float_boxes = st.builds(Box, x=st.floats(-5, 30), y=st.floats(-5, 30),
+                        w=st.floats(0.25, 20), h=st.floats(0.25, 20))
+any_boxes = st.one_of(grid_boxes, float_boxes)
+
+
+def scene_objects(shapes=PROVIDER.shapes, colors=PROVIDER.colors):
+    return st.builds(SceneObject, shape=st.sampled_from(shapes),
+                     color=st.sampled_from(colors), box=any_boxes)
+
+
+def image(scene):
+    return RelationalRecord(image_id=3, width=32, height=24, relations=[], scene=scene)
+
+
+def scalar_rows(record, boxes):
+    """Each box's scalar ``features`` row, or the DataError message it raises."""
+    out = []
+    for box in boxes:
+        try:
+            out.append(PROVIDER.features(record, box)[0].tobytes())
+        except DataError as exc:
+            out.append(str(exc))
+    return out
+
+
+class TestFeaturesMany:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.lists(scene_objects(), max_size=5), st.lists(any_boxes, min_size=1, max_size=8))
+    def test_rows_equal_scalar_features(self, scene, boxes):
+        record = image(scene)
+        many = PROVIDER.features_many(record, box_rows(boxes))
+        assert many.shape == (len(boxes), PROVIDER.feature_width)
+        assert [row.tobytes() for row in many] == scalar_rows(record, boxes)
+
+    def test_touching_and_empty_boxes(self):
+        obj = SceneObject("square", "blue", Box(5, 5, 2, 2))       # x from 4 to 6
+        touching = Box(7, 5, 2, 2)                                  # x from 6 to 8
+        nothing = Box(20, 20, 3, 3)
+        inside = Box(5, 5, 1, 1)
+        record = image([obj])
+        assert intersection_area(obj.box, touching) == 0.0
+        boxes = [touching, nothing, inside]
+        many = PROVIDER.features_many(record, box_rows(boxes))
+        assert [row.tobytes() for row in many] == scalar_rows(record, boxes)
+        assert not many[:2, :5].any() and not many[:2, -1].any()
+        assert many[2, -1] == 1.0
+
+    def test_no_scene_is_data_error(self):
+        record = image(None)
+        with pytest.raises(DataError) as scalar:
+            PROVIDER.features(record, Box(1, 1, 1, 1))
+        with pytest.raises(DataError) as many:
+            PROVIDER.features_many(record, box_rows([Box(1, 1, 1, 1)]))
+        assert str(many.value) == str(scalar.value)
+
+    def test_no_boxes_keep_their_width(self):
+        for scene in (None, []):
+            out = PROVIDER.features_many(image(scene), box_rows([]))
+            assert out.shape == (0, PROVIDER.feature_width)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.lists(scene_objects(), max_size=3),
+           st.lists(scene_objects(("circle", "hexagon"), ("red", "mauve")), min_size=1,
+                    max_size=3),
+           st.lists(any_boxes, min_size=1, max_size=6), st.randoms(use_true_random=False))
+    def test_unknown_object_errors_only_when_it_overlaps(self, known, odd, boxes, rnd):
+        scene = known + odd
+        rnd.shuffle(scene)
+        record = image(scene)
+        expected = scalar_rows(record, boxes)
+        errors = [row for row in expected if isinstance(row, str)]
+        if errors:
+            with pytest.raises(DataError) as many:
+                PROVIDER.features_many(record, box_rows(boxes))
+            assert str(many.value) == errors[0]
+        else:
+            many = PROVIDER.features_many(record, box_rows(boxes))
+            assert [row.tobytes() for row in many] == expected
+
+    def test_unknown_shape_beside_the_boxes_is_ignored(self):
+        odd = SceneObject("hexagon", "red", Box(20, 20, 2, 2))
+        record = image([SceneObject("circle", "red", Box(5, 5, 4, 4)), odd])
+        boxes = [Box(5, 5, 2, 2), Box(19, 5, 2, 2)]
+        many = PROVIDER.features_many(record, box_rows(boxes))
+        assert [row.tobytes() for row in many] == scalar_rows(record, boxes)
+        with pytest.raises(DataError, match="hexagon"):
+            PROVIDER.features_many(record, box_rows(boxes + [Box(21, 21, 2, 2)]))
+
+    def test_error_names_the_object_the_first_box_meets(self):
+        # the per-box calls raise at box 0, which meets only the later object
+        record = image([SceneObject("hexagon", "red", Box(5, 5, 2, 2)),
+                        SceneObject("circle", "mauve", Box(20, 20, 2, 2))])
+        boxes = [Box(20, 20, 1, 1), Box(5, 5, 1, 1)]
+        with pytest.raises(DataError, match="mauve circle"):
+            PROVIDER.features_many(record, box_rows(boxes))
+        assert "mauve circle" in scalar_rows(record, boxes)[0]
+
+
+def proposals_from(boxes):
+    return [RegionProposal(box, 0.2 + 0.7 * ((k * 37) % 101) / 101,
+                           np.zeros((1, PROVIDER.feature_width)), k)
+            for k, box in enumerate(boxes)]
+
+
+def object_config():
+    return tiny_config(PROVIDER.feature_width, 10)
+
+
+def union_config():
+    return ModelConfig.from_name("direct-union", PROVIDER.feature_width, 10, d_subj_obj=10,
+                                 d_union=8, code_width=6, hidden=6, dropout=0.0)
+
+
+class TestCaptionPairs:
+    @pytest.mark.parametrize("pair_cap", [None, 1, 7, 5000])
+    @pytest.mark.parametrize("n", [0, 1, 2, 50])
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_object_pairs_equal_scalar_oracles(self, n, pair_cap, data):
+        props = proposals_from(data.draw(st.lists(any_boxes, min_size=n, max_size=n)))
+        subject, obj, unions, geos = caption_pairs(props, object_config(), pair_cap)
+        pairs = combination_layer(props, max_pairs=pair_cap)
+        assert list(zip(subject.tolist(), obj.tolist())) == pairs
+        assert unions.shape == (len(pairs), 4) and geos.shape == (len(pairs), 6)
+        want_unions = [union_box(props[i].box, props[j].box) for i, j in pairs]
+        assert unions.tobytes() == box_rows(want_unions).tobytes()
+        want_geos = [geometric_feature(props[i].box, props[j].box) for i, j in pairs]
+        assert geos.tobytes() == np.reshape(want_geos, (-1, 6)).tobytes()
+
+    @pytest.mark.parametrize("pair_cap", [None, 1, 7])
+    @pytest.mark.parametrize("n", [0, 1, 2, 50])
+    def test_direct_union_self_pairs(self, n, pair_cap):
+        props = proposals_from([Box(k, 2 * k, 1 + k % 3, 2 + k % 5) for k in range(n)])
+        subject, obj, unions, geos = caption_pairs(props, union_config(), pair_cap)
+        keep = top_pairs([p.confidence * p.confidence for p in props], pair_cap)
+        assert subject.tolist() == obj.tolist() == keep
+        assert unions.tobytes() == box_rows([props[i].box for i in keep]).tobytes()
+        assert geos.shape == (len(keep), 6) and not geos.any()
+
+    def test_degenerate_union_raises_as_scalar(self):
+        # at x = 1e20 a 1-pixel width vanishes from the corners
+        props = proposals_from([Box(1e20, 0, 1, 1), Box(1e20, 5, 1, 1)])
+        with pytest.raises(ValueError) as scalar:
+            union_box(props[0].box, props[1].box)
+        with pytest.raises(ValueError) as many:
+            caption_pairs(props, object_config())
+        assert str(many.value) == str(scalar.value)
+
+    def test_dense_pair_batch_equals_scalar_path(self, toy_world_small):
+        records, provider, vocab = toy_world_small
+        cfg = tiny_config(provider.feature_width, len(vocab))
+        record = records[0]
+        kept = nms(build_proposals(record, provider, cfg,
+                                   ProposalSettings(n_background=80)), 0.5, 50)
+        assert len(kept) == 50
+        batch, boxes = make_pair_batch(record, kept, provider, cfg)
+        pairs = combination_layer(kept)
+        unions = [union_box(kept[i].box, kept[j].box) for i, j in pairs]
+        want = np.vstack([provider.features(record, ub) for ub in unions])
+        assert batch.union_features.tobytes() == want.tobytes()
+        assert boxes == [(kept[i].box, kept[j].box) for i, j in pairs]
+
+
+class TestEmptyBatches:
+    @pytest.mark.parametrize("config", [object_config, union_config])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_pair_batch_shapes(self, config, n):
+        cfg = config()
+        record = image([])
+        props = proposals_from([Box(3, 3, 2, 2)] * n)
+        batch, boxes = make_pair_batch(record, props, PROVIDER, cfg)
+        want = n if cfg.rpn_output == "union" else 0
+        assert len(batch) == len(boxes) == want
+        assert batch.union_features.shape == (want, cfg.feature_width)
+        assert batch.geos.shape == (want, 6)
+
+    def test_image_batch_without_captioned_pairs(self, toy_world_small):
+        records, provider, vocab = toy_world_small
+        cfg = tiny_config(provider.feature_width, len(vocab))
+        far = [RegionProposal(Box(1 + 2 * k, 1, 1, 1), 0.5, np.zeros((1, provider.feature_width)),
+                              k) for k in range(2)]
+        batch = build_image_batch(records[0], far, provider, vocab, cfg)
+        assert len(batch.pairs) == 0 and batch.token_ids == []
+        assert batch.pairs.union_features.shape == (0, provider.feature_width)
+        assert batch.pairs.geos.shape == (0, 6)

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import fresh_params, pair_rows, tiny_config
 from relcap.data import END_ID, ObjectAnnotation, encode_caption, proposals_for_record
-from relcap.geometry import RegionProposal, union_box
+from relcap.geometry import Box, RegionProposal, union_box
 from relcap.errors import InvariantError
 from relcap import pipeline
 from relcap.model import ModelConfig, encode_pair_batch, caption_losses
@@ -171,17 +171,18 @@ class TestBatchAssembly:
         record = records[0]
         proposals = build_proposals(record, provider, cfg, ProposalSettings())
         calls = []
-        features = provider.features
+        features_many = provider.features_many
 
-        def counting(rec, box):
-            calls.append(box)
-            return features(rec, box)
+        def counting(rec, boxes):
+            calls.append([Box(*row) for row in boxes])
+            return features_many(rec, boxes)
 
-        monkeypatch.setattr(provider, "features", counting)
+        monkeypatch.setattr(provider, "features_many", counting)
         batch = build_image_batch(record, proposals, provider, vocab, cfg)
         pairs = sorted(set(zip(batch.pairs.subject_index, batch.pairs.object_index)))
-        assert len(calls) == len(pairs) < len(batch.pairs)
-        assert calls == [proposals[i].box for i, _ in pairs]
+        assert len(calls) == 1
+        assert len(calls[0]) == len(pairs) < len(batch.pairs)
+        assert calls[0] == [proposals[i].box for i, _ in pairs]
 
 
 class TestTraining:
