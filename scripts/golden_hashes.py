@@ -6,9 +6,10 @@ OUTDIR must be missing or empty. The ``relcap`` commands below run there
 with this checkout's ``src`` on PYTHONPATH and OPENBLAS_NUM_THREADS=1: the
 seed-7 toy dataset, three 3-epoch models (``mttsnet,mtl,rem``,
 ``direct-union``, ``direct-union,mtl,rem``) with eval, greedy and stochastic
-infer and retrieve on each, two pair-capped infers, one caption graph, and a
-1-epoch model of every other preset, so each variant's ``model_config`` echo
-is hashed. Then ``perfbench/run.py`` runs every workload for 2 s on seed 701.
+infer and retrieve on each, two pair-capped infers, one caption graph, one
+1-epoch ``train --resume`` of the ``mttsnet,mtl,rem`` checkpoint (which
+reads and writes its Adam moments), and a 1-epoch model of every other
+preset, so each variant's ``model_config`` echo is hashed. Then ``perfbench/run.py`` runs every workload for 2 s on seed 701.
 
 The output is one ``sha256  path`` line per file under OUTDIR and one per
 perfbench output hash (path ``perfbench/<workload>/<name>``), sorted by
@@ -75,6 +76,9 @@ def relcap_commands():
            "--out", "capped.jsonl"]
     yield ["infer", "--checkpoint", "direct-union/model.rckpt", "--data", "toy/test.jsonl",
            "--provider", "toy/provider.json", "--pair-cap", "1", "--out", "capped_du.jsonl"]
+    yield ["train", "--data", "toy/train.jsonl", "--provider", "toy/provider.json",
+           "--out", "resumed", "--resume", "mttsnet_mtl_rem/model.rckpt", "--epochs", "1",
+           "--seed", "1"]
     for model in VARIANTS:
         yield ["train", "--data", "toy/train.jsonl", "--provider", "toy/provider.json",
                "--out", "variant_" + model.replace(",", "_"), "--model", model,
