@@ -9,7 +9,8 @@ seed-7 toy dataset, three 3-epoch models (``mttsnet,mtl,rem``,
 infer and retrieve on each, two pair-capped infers, one caption graph, one
 1-epoch ``train --resume`` of the ``mttsnet,mtl,rem`` checkpoint (which
 reads and writes its Adam moments), and a 1-epoch model of every other
-preset, so each variant's ``model_config`` echo is hashed. Then ``perfbench/run.py`` runs every workload for 2 s on seed 701.
+preset, so each variant's ``model_config`` echo is hashed. Then
+``perfbench/run.py`` runs every workload for 2 s on seed 701.
 
 The output is one ``sha256  path`` line per file under OUTDIR and one per
 perfbench output hash (path ``perfbench/<workload>/<name>``), sorted by

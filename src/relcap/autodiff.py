@@ -14,6 +14,7 @@ many other rows share its batch.
 from __future__ import annotations
 
 import contextlib
+import math
 import threading
 
 import numpy as np
@@ -57,10 +58,10 @@ class Parameter(Tensor):
 
     __slots__ = ("name",)
 
-    def __init__(self, name: str, data):
+    def __init__(self, name: str, data, grad=None):
         super().__init__(data)
         self.name = name
-        self.grad = np.zeros_like(self.data)
+        self.grad = np.zeros_like(self.data) if grad is None else grad
 
     def zero_grad(self):
         self.grad[...] = 0.0
@@ -169,19 +170,23 @@ def custom_op(data, parents, backward) -> Tensor:
 # primitive operations
 # ---------------------------------------------------------------------------
 
+def tile_rows(x: np.ndarray) -> np.ndarray:
+    """``x`` as ``(tiles, TILE, K)``, zero-padded to a multiple of TILE
+    rows; no copy when the row count already is one."""
+    pad = -len(x) % TILE
+    if pad:
+        x = np.concatenate([x, np.zeros((pad, x.shape[1]))])
+    return x.reshape(-1, TILE, x.shape[1])
+
+
 def _tile_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``x @ w`` as a stack of ``(TILE, K) @ w`` products; rows past the
-    last multiple of TILE are zero-padded and dropped from the result.
+    """``x @ w`` as a stack of ``(TILE, K) @ w`` products; the padding rows
+    of ``tile_rows`` are dropped from the result.
 
     Each row of the result is then bit-equal to that row multiplied alone,
     whatever the row count (one BLAS GEMM per tile rounds every row alike).
     """
-    n, k = x.shape
-    pad = -n % TILE
-    if pad:
-        x = np.concatenate([x, np.zeros((pad, k))])
-    out = np.matmul(x.reshape(-1, TILE, k), w).reshape(-1, w.shape[1])
-    return out[:n] if pad else out
+    return np.matmul(tile_rows(x), w).reshape(-1, w.shape[1])[:len(x)]
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -301,9 +306,9 @@ def gather_rows(x: Tensor, indices) -> Tensor:
     return _node(x.data[idx], (x,), _back)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Inverted dropout; identity outside training mode."""
-    if not training or rate <= 0.0:
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout drawing its mask from ``rng``; identity without one."""
+    if rng is None or rate <= 0.0:
         return x
     keep = 1.0 - rate
     mask = (rng.random(x.data.shape) < keep) / keep
@@ -381,44 +386,62 @@ def add_scalars(terms) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# parameter initialization and Adam
+# the parameter store and Adam
 # ---------------------------------------------------------------------------
 
-def glorot_init(name: str, fan_in: int, fan_out: int, rng: np.random.Generator) -> Parameter:
+def glorot_init(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform init in +-sqrt(6 / (fan_in + fan_out))."""
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return Parameter(name, rng.uniform(-limit, limit, size=(fan_in, fan_out)))
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+
+
+class ModelParams(dict):
+    """Name -> Parameter in layout order, zero-initialized; shared weights
+    appear once. Every ``.data`` / ``.grad`` is a view of the flat float64
+    buffer ``data`` / ``grad``."""
+
+    def __init__(self, shapes: dict):
+        self.shapes = dict(shapes)
+        size = sum(math.prod(shape) for shape in self.shapes.values())
+        self.data, self.grad = np.zeros(size), np.zeros(size)
+        data, grad = self.views(self.data), self.views(self.grad)
+        super().__init__((name, Parameter(name, data[name], grad[name])) for name in data)
+
+    def views(self, flat: np.ndarray) -> dict:
+        """Name -> that parameter's slot of ``flat``, a buffer laid out
+        like ``data`` (the gradient and Adam moments are)."""
+        ends = np.cumsum([math.prod(shape) for shape in self.shapes.values()])
+        return {name: part.reshape(shape) for (name, shape), part
+                in zip(self.shapes.items(), np.split(flat, ends[:-1]))}
 
 
 class OptimizerState:
-    """Adam accumulators, keyed by parameter name."""
+    """Adam settings, step count and moments (flat, laid out like ``data``)."""
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8):
+    def __init__(self, params: ModelParams, lr=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8):
         self.lr = float(lr)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.epsilon = float(epsilon)
         self.step_count = 0
-        self.m = {p.name: np.zeros_like(p.data) for p in params}
-        self.v = {p.name: np.zeros_like(p.data) for p in params}
+        self.m = np.zeros(len(params.data))     # not zeros_like: pages untouched until written
+        self.v = np.zeros(len(params.data))
 
 
-def adam_step(params, state: OptimizerState) -> None:
-    """One bias-corrected Adam update; zeroes gradients afterwards."""
+def adam_step(params: ModelParams, state: OptimizerState) -> None:
+    """One bias-corrected Adam update of the whole store; zeroes its
+    gradient afterwards."""
     state.step_count += 1
     t = state.step_count
     c1 = 1.0 - state.beta1 ** t
     c2 = 1.0 - state.beta2 ** t
-    for p in params:
-        g = p.grad
-        m = state.m[p.name]
-        v = state.v[p.name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p.data -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
-        p.zero_grad()
+    g, m, v = params.grad, state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    v += (1.0 - state.beta2) * g * g
+    params.data -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
+    g.fill(0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,8 @@ def save_checkpoint(path: str, arrays: dict, meta: dict) -> None:
 
 
 def load_checkpoint(path: str):
-    """Read a checkpoint; returns (arrays: dict[str, ndarray], meta: dict)."""
+    """Read a checkpoint; returns (arrays: dict[str, ndarray], meta: dict).
+    The arrays are read-only float64 views of the file's bytes, not copies."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -94,8 +95,7 @@ def load_checkpoint(path: str):
         nbytes = int(np.prod(shape)) * 8
         if offset + nbytes > len(blob):
             raise CheckpointError(f"{path}: truncated payload for tensor {name!r}")
-        arr = np.frombuffer(blob[offset:offset + nbytes], dtype="<f8").astype(np.float64)
-        arrays[name] = arr.reshape(shape)
+        arrays[name] = np.frombuffer(blob, "<f8", nbytes // 8, offset).reshape(shape)
         offset += nbytes
     if offset != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - offset} trailing bytes after payload")

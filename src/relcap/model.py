@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter, Tensor
+from .autodiff import ModelParams, Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import END_ID, PAD_ID, PosTag, Vocabulary
 from .errors import CheckpointError, ConfigError
@@ -40,6 +40,8 @@ MODEL_PRESETS = {
 }
 # to_json keys that echo what the name determines; from_json checks them.
 DERIVED_KEYS = ("streams", "inputs", "mtl", "rem", "rpn_output", "geo_dim", "pos_classes")
+# The optimizer fields a checkpoint's "adam" meta holds.
+ADAM_KEYS = ("lr", "beta1", "beta2", "epsilon", "step_count")
 
 
 @dataclass(frozen=True)
@@ -145,32 +147,6 @@ class ModelConfig:
         return config.validate()
 
 
-class ModelParams:
-    """Ordered store of named parameters; shared weights appear once."""
-
-    def __init__(self, params):
-        self._params = dict(params)
-
-    def __getitem__(self, name: str) -> Parameter:
-        return self._params[name]
-
-    def __contains__(self, name):
-        return name in self._params
-
-    def names(self):
-        return list(self._params)
-
-    def all(self):
-        return list(self._params.values())
-
-    def arrays(self):
-        return {name: p.data for name, p in self._params.items()}
-
-    @staticmethod
-    def from_arrays(arrays) -> "ModelParams":
-        return ModelParams({name: Parameter(name, arr) for name, arr in arrays.items()})
-
-
 def param_shapes(config: ModelConfig) -> dict:
     """Name -> shape of every parameter ``config`` has, in creation order:
     the checkpoint layout. Weights are ``(fan_in, fan_out)``, biases 1-D."""
@@ -216,12 +192,13 @@ def param_shapes(config: ModelConfig) -> dict:
 
 def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
     """Glorot-uniform weights, zero biases, LSTM forget-gate bias 1."""
-    params = {name: ad.glorot_init(name, *shape, rng) if len(shape) == 2
-              else Parameter(name, np.zeros(shape))
-              for name, shape in param_shapes(config).items()}
+    params = ModelParams(param_shapes(config))
+    for p in params.values():
+        if p.data.ndim == 2:
+            p.data[...] = ad.glorot_init(*p.shape, rng)
     for stream in _stream_names(config):
         params[f"lstm.{stream}.b"].data[config.hidden:2 * config.hidden] = 1.0   # forget gate
-    return ModelParams(params)
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +220,15 @@ def rem_forward(x: Tensor, params: ModelParams) -> Tensor:
 
 
 def encode_regions(features: np.ndarray, params: ModelParams, config: ModelConfig,
-                   training: bool = False, rng: np.random.Generator | None = None):
+                   rng: np.random.Generator | None = None):
     """Shared first FC over all B regions; returns (x, z) at width d_subj_obj.
 
     ``x`` feeds the detection and box heads; ``z`` (REM-refined when
-    enabled) feeds the subject/object code FCs.
+    enabled) feeds the subject/object code FCs. Dropout runs when an
+    ``rng`` is given.
     """
     x = ad.relu(ad.affine(Tensor(features), params["enc.first.w"], params["enc.first.b"]))
-    x = ad.dropout(x, config.dropout, rng, training)
+    x = ad.dropout(x, config.dropout, rng)
     z = rem_forward(x, params) if config.rem else x
     return x, z
 
@@ -272,11 +250,11 @@ class PairBatch:
 
 
 def encode_pair_batch(batch: PairBatch, params: ModelParams, config: ModelConfig,
-                      z: Tensor | None = None, training: bool = False,
-                      rng: np.random.Generator | None = None):
-    """Region codes for every pair in the batch, keyed by input kind."""
+                      z: Tensor | None = None, rng: np.random.Generator | None = None):
+    """Region codes for every pair in the batch, keyed by input kind; with
+    an ``rng``, dropout runs as in training."""
     if z is None:
-        _, z = encode_regions(batch.features, params, config, training, rng)
+        _, z = encode_regions(batch.features, params, config, rng)
     codes = {}
     if config.use_subject:
         rows = ad.gather_rows(z, batch.subject_index)
@@ -290,7 +268,7 @@ def encode_pair_batch(batch: PairBatch, params: ModelParams, config: ModelConfig
     if config.use_union:
         u = ad.relu(ad.affine(Tensor(batch.union_features),
                               params["union.first.w"], params["union.first.b"]))
-        u = ad.dropout(u, config.dropout, rng, training)
+        u = ad.dropout(u, config.dropout, rng)
         if config.use_coord:
             u = ad.concat([u, geo64])
         codes["union"] = ad.affine(u, params["union.code.w"], params["union.code.b"])
@@ -326,12 +304,6 @@ BLOCK = 8 * ad.TILE     # rows whose gate work runs together within a step
 # i, f, o, g, and the factor each is pre-scaled by: sigmoid(x) is
 # 0.5 tanh(0.5 x) + 0.5, and halving a weight halves its products exactly.
 _GATES = ((0, 0.5), (1, 0.5), (3, 0.5), (2, 1.0))
-
-
-def _tiles(x: np.ndarray) -> np.ndarray:
-    """``x`` zero-padded to a multiple of TILE rows, as ``(tiles, TILE, K)``."""
-    pad = np.zeros((-len(x) % ad.TILE, x.shape[1]))
-    return np.concatenate([x, pad]).reshape(-1, ad.TILE, x.shape[1])
 
 
 def _gate_weights(params: ModelParams, config: ModelConfig):
@@ -380,10 +352,10 @@ def run_streams(first, params: ModelParams, config: ModelConfig, n_steps: int, e
     block = max(rows, 1) if tape is not None else BLOCK
     h = [np.zeros((rows, hid)) for _ in weights]
     c = [np.zeros((rows, hid)) for _ in weights]
-    start = [np.matmul(_tiles(x.data), w_x[:, None]).reshape(4, rows, hid) + b
+    start = [np.matmul(ad.tile_rows(x.data), w_x[:, None]).reshape(4, rows, hid) + b
              for x, (w_x, _, b) in zip(first, weights)]
     vocab = len(embed)
-    lookup = [(np.matmul(_tiles(embed), w_x[:, None]).reshape(4, -1, hid)[:, :vocab] + b)
+    lookup = [(np.matmul(ad.tile_rows(embed), w_x[:, None]).reshape(4, -1, hid)[:, :vocab] + b)
               .reshape(4 * vocab, hid) for w_x, _, b in weights]
     offsets = (np.arange(4) * vocab)[:, None]
     ids = None
@@ -544,16 +516,7 @@ class LossReport:
     l_det: float
     l_box: float
     total: float
-    alpha: float
-    beta: float
-    gamma: float
-    n_caption_pairs: int
-    n_positive: int
-    n_labeled: int
     no_positive_pairs: bool
-
-    def to_json(self):
-        return dict(self.__dict__)
 
 
 def box_offset_targets(prop: Box, gt: Box) -> np.ndarray:
@@ -568,17 +531,17 @@ def box_offset_targets(prop: Box, gt: Box) -> np.ndarray:
 
 def total_loss(batch: ImageBatch, params: ModelParams, config: ModelConfig,
                alpha: float = 0.1, beta: float = 0.1, gamma: float = 0.1,
-               training: bool = False, rng: np.random.Generator | None = None):
+               rng: np.random.Generator | None = None):
     """Composite loss L_cap + alpha L_POS + beta L_det + gamma L_box.
 
     Returns (loss node, report). Pairs without ground truth contribute
     nothing; an image with no positive pairs zeroes the caption, POS and
-    box terms and flags the report.
+    box terms and flags the report. Dropout runs when an ``rng`` is given.
     """
-    x, z = encode_regions(batch.pairs.features, params, config, training, rng)
+    x, z = encode_regions(batch.pairs.features, params, config, rng)
 
     if batch.pairs:
-        codes = encode_pair_batch(batch.pairs, params, config, z=z, training=training, rng=rng)
+        codes = encode_pair_batch(batch.pairs, params, config, z=z, rng=rng)
         l_cap, l_pos = caption_losses(codes, batch.token_ids, batch.tags, params, config)
     else:
         l_cap, l_pos = Tensor(0.0), Tensor(0.0)
@@ -609,10 +572,7 @@ def total_loss(batch: ImageBatch, params: ModelParams, config: ModelConfig,
                             ad.scale(l_box, gamma)])
     report = LossReport(
         l_cap=float(l_cap.data), l_pos=float(l_pos.data), l_det=float(l_det.data),
-        l_box=float(l_box.data), total=float(total.data),
-        alpha=alpha, beta=beta, gamma=gamma,
-        n_caption_pairs=len(batch.pairs), n_positive=len(positives),
-        n_labeled=len(labeled), no_positive_pairs=not batch.pairs,
+        l_box=float(l_box.data), total=float(total.data), no_positive_pairs=not batch.pairs,
     )
     return total, report
 
@@ -738,16 +698,12 @@ def importance_trace(codes, gt_token_ids, params: ModelParams,
 def save_model(path: str, params: ModelParams, config: ModelConfig,
                vocab: Vocabulary, optimizer: "ad.OptimizerState | None" = None,
                extra_meta: dict | None = None) -> None:
-    arrays = dict(params.arrays())
+    arrays = params.views(params.data)
     meta = {"model_config": config.to_json(), "vocab": vocab.to_json()}
     if optimizer is not None:
-        meta["adam"] = {"lr": optimizer.lr, "beta1": optimizer.beta1,
-                        "beta2": optimizer.beta2, "epsilon": optimizer.epsilon,
-                        "step_count": optimizer.step_count}
-        for name, arr in optimizer.m.items():
-            arrays[f"adam.m.{name}"] = arr
-        for name, arr in optimizer.v.items():
-            arrays[f"adam.v.{name}"] = arr
+        meta["adam"] = {key: getattr(optimizer, key) for key in ADAM_KEYS}
+        for k, flat in (("m", optimizer.m), ("v", optimizer.v)):
+            arrays |= {f"adam.{k}.{name}": view for name, view in params.views(flat).items()}
     if extra_meta:
         meta.update(extra_meta)
     save_checkpoint(path, arrays, meta)
@@ -763,7 +719,8 @@ def load_model(path: str):
             raise ValueError(f"{len(vocab)} vocabulary entries for vocab_size "
                              f"{config.vocab_size}")
         # Exactly the tensors init_params builds for the config, each finite.
-        want = param_shapes(config)
+        params = ModelParams(param_shapes(config))
+        want = dict(params.shapes)
         if "adam" in meta:
             want |= {f"adam.{k}.{name}": shape for k in "mv" for name, shape in want.items()}
         got = {name: arr.shape for name, arr in arrays.items()}
@@ -772,16 +729,23 @@ def load_model(path: str):
                              f"{want.get(wrong[0])} for the model")
         if bad := [name for name, arr in arrays.items() if not np.isfinite(arr).all()]:
             raise ValueError(f"tensor {bad[0]!r} is not finite")
-        params = ModelParams.from_arrays(
-            {n: a for n, a in arrays.items() if not n.startswith("adam.")})
+        buffers = {"": params.data}
         optimizer = None
         if "adam" in meta:
-            info = meta["adam"]
-            optimizer = ad.OptimizerState(params.all(), lr=info["lr"], beta1=info["beta1"],
-                                          beta2=info["beta2"], epsilon=info["epsilon"])
-            optimizer.step_count = int(info["step_count"])
-            optimizer.m = {name: arrays[f"adam.m.{name}"] for name in params.names()}
-            optimizer.v = {name: arrays[f"adam.v.{name}"] for name in params.names()}
+            lr, beta1, beta2, epsilon, steps = (meta["adam"][key] for key in ADAM_KEYS)
+            if any(isinstance(x, bool) for x in (lr, beta1, beta2, epsilon)) or not (
+                    0 < lr < math.inf and 0 < epsilon < math.inf
+                    and 0 <= beta1 < 1 and 0 <= beta2 < 1):
+                raise ValueError(f"adam {meta['adam']}: lr and epsilon must be finite and "
+                                 f"> 0, beta1 and beta2 in [0, 1)")
+            if type(steps) is not int or steps < 0:
+                raise ValueError(f"adam step_count {steps!r} is not a non-negative integer")
+            optimizer = ad.OptimizerState(params, lr, beta1, beta2, epsilon)
+            optimizer.step_count = steps
+            buffers |= {"adam.m.": optimizer.m, "adam.v.": optimizer.v}
+        for prefix, flat in buffers.items():
+            for name, view in params.views(flat).items():
+                view[...] = arrays[prefix + name]
     except (ConfigError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad checkpoint: {exc!r}") from exc
     return params, config, vocab, optimizer, meta

@@ -185,7 +185,7 @@ def train_model(records, provider, vocab: Vocabulary, config: ModelConfig,
         params = init_params(config, np.random.default_rng(
             np.random.SeedSequence([settings.seed, 0])))
     if optimizer is None:
-        optimizer = ad.OptimizerState(params.all(), lr=settings.lr)
+        optimizer = ad.OptimizerState(params, lr=settings.lr)
     dropout_rng = np.random.default_rng(np.random.SeedSequence([settings.seed, 1]))
 
     batches = [
@@ -201,14 +201,13 @@ def train_model(records, provider, vocab: Vocabulary, config: ModelConfig,
         for image_id, batch in batches:
             loss, report = total_loss(batch, params, config,
                                       alpha=settings.alpha, beta=settings.beta,
-                                      gamma=settings.gamma, training=True,
-                                      rng=dropout_rng)
+                                      gamma=settings.gamma, rng=dropout_rng)
             bad = [key for key in keys if not math.isfinite(getattr(report, key))]
             if bad:
                 raise InvariantError(f"epoch {epoch + 1}, image {image_id}: non-finite "
                                      f"{bad[0]} = {getattr(report, bad[0])!r}")
             ad.backward(loss)
-            ad.adam_step(params.all(), optimizer)
+            ad.adam_step(params, optimizer)
             for key in keys:
                 sums[key] += getattr(report, key)
         row = {"epoch": epoch + 1}

@@ -74,7 +74,7 @@ class TestCriterion1Gradients:
             loss, _ = total_loss(batch, params, config)
             return loss
 
-        max_err = ad.finite_diff_check(forward, params.all(), eps=1e-5,
+        max_err = ad.finite_diff_check(forward, params.values(), eps=1e-5,
                                        max_coords_per_param=6,
                                        rng=np.random.default_rng(2))
         elapsed = time.time() - started

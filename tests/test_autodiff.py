@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 
+from conftest import fresh_params, tiny_config
 from relcap import autodiff as ad
 from relcap.autodiff import Parameter, Tensor
 
@@ -160,7 +161,7 @@ class TestPrimitiveGradients:
         ("row_softmax", lambda p: ad.row_softmax(p)),
         ("transpose", lambda p: ad.transpose(p)),
         ("scale", lambda p: ad.scale(p, -1.7)),
-        ("dropout_eval", lambda p: ad.dropout(p, 0.5, None, training=False)),
+        ("dropout_eval", lambda p: ad.dropout(p, 0.5, None)),
     ])
     def test_unary(self, name, builder):
         rng = np.random.default_rng(hash(name) % 2**32)
@@ -223,7 +224,7 @@ class TestPrimitiveGradients:
     def test_dropout_training_mask_gradient(self):
         p = Parameter("p", np.ones((4, 4)))
         rng = np.random.default_rng(5)
-        out = ad.dropout(p, 0.5, rng, training=True)
+        out = ad.dropout(p, 0.5, rng)
         mask = out.data.copy()  # input is all-ones, so the output is the mask
         ad.backward(scalarize(out))
         assert np.allclose(np.sign(np.abs(p.grad)), np.sign(mask))
@@ -243,34 +244,111 @@ class TestSmoothL1:
                                   np.zeros((1, 4))).data) == pytest.approx(1.5, abs=1e-15)
 
 
+def one_param_store(value):
+    """A store holding one parameter ``p`` set to ``value``."""
+    value = np.asarray(value, dtype=np.float64)
+    params = ad.ModelParams({"p": value.shape})
+    params["p"].data[...] = value
+    return params, params["p"]
+
+
+def reference_adam_step(params, state):
+    """Adam as it ran one parameter at a time, with a moment array per name."""
+    state.step_count += 1
+    t = state.step_count
+    c1 = 1.0 - state.beta1 ** t
+    c2 = 1.0 - state.beta2 ** t
+    for p in params.values():
+        g = p.grad
+        m = state.m[p.name]
+        v = state.v[p.name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        p.data -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
+        p.zero_grad()
+
+
 class TestAdam:
     def test_zero_gradient_is_identity(self):
-        p = Parameter("p", np.array([[1.0, -2.0]]))
-        state = ad.OptimizerState([p], lr=0.5)
+        params, p = one_param_store([[1.0, -2.0]])
+        state = ad.OptimizerState(params, lr=0.5)
         before = p.data.copy()
-        ad.adam_step([p], state)
+        ad.adam_step(params, state)
         assert np.array_equal(p.data, before)
         assert state.step_count == 1
 
     def test_first_step_magnitude(self):
-        p = Parameter("p", np.array([[1.0]]))
+        params, p = one_param_store([[1.0]])
         p.grad[...] = 1.0
-        state = ad.OptimizerState([p], lr=0.1)
-        ad.adam_step([p], state)
+        state = ad.OptimizerState(params, lr=0.1)
+        ad.adam_step(params, state)
         # bias-corrected first step is lr / (1 + eps)
         assert 1.0 - p.data.item() == pytest.approx(0.1, abs=1e-7)
         assert np.array_equal(p.grad, np.zeros((1, 1)))
 
     def test_descends_convex_quadratic(self):
-        p = Parameter("p", np.array([[3.0]]))
-        state = ad.OptimizerState([p], lr=0.2)
+        params, p = one_param_store([[3.0]])
+        state = ad.OptimizerState(params, lr=0.2)
         losses = []
         for _ in range(3):
             loss = ad.matmul(p, ad.transpose(p))
             losses.append(loss.data.item())
             ad.backward(loss)
-            ad.adam_step([p], state)
+            ad.adam_step(params, state)
         assert losses[0] > losses[1] > losses[2]
+
+    def test_flat_step_matches_per_parameter_reference(self):
+        cfg = tiny_config(14, 20, name="mttsnet,mtl,rem")
+        flat, ref = fresh_params(cfg, seed=3), fresh_params(cfg, seed=3)
+        state = ad.OptimizerState(flat, lr=0.01)
+        ref_state = ad.OptimizerState(ref, lr=0.01)
+        ref_state.m = {name: np.zeros(p.shape) for name, p in ref.items()}
+        ref_state.v = {name: np.zeros(p.shape) for name, p in ref.items()}
+        rng = np.random.default_rng(4)
+        for _ in range(4):
+            grads = {name: rng.normal(size=p.shape) for name, p in flat.items()}
+            for store in (flat, ref):
+                for name, p in store.items():
+                    p.grad[...] = grads[name]
+            ad.adam_step(flat, state)
+            reference_adam_step(ref, ref_state)
+            for name in flat:
+                assert flat[name].data.tobytes() == ref[name].data.tobytes(), name
+                assert flat.views(state.m)[name].tobytes() == ref_state.m[name].tobytes()
+                assert flat.views(state.v)[name].tobytes() == ref_state.v[name].tobytes()
+            assert not flat.grad.any() and state.step_count == ref_state.step_count
+
+
+class TestModelParams:
+    def test_parameters_are_views_of_the_flat_buffers(self):
+        params = fresh_params(tiny_config(14, 20, name="mttsnet,mtl,rem"))
+        assert params.data.size == sum(p.size for p in params.values())
+        for name, p in params.items():
+            assert p.name == name
+            assert np.shares_memory(p.data, params.data), name
+            assert np.shares_memory(p.grad, params.grad), name
+        params.grad[...] = 1.0
+        assert all(p.grad.all() for p in params.values())
+
+    def test_views_follow_the_layout(self):
+        params = ad.ModelParams({"w": (2, 3), "b": (3,)})
+        assert list(params) == ["w", "b"]
+        views = params.views(np.arange(9.0))
+        assert views["w"].tolist() == [[0, 1, 2], [3, 4, 5]]
+        assert views["b"].tolist() == [6, 7, 8]
+
+
+class TestTileRows:
+    def test_pads_to_whole_tiles_and_copies_only_when_needed(self):
+        x = np.arange(3 * ad.TILE * 2, dtype=np.float64).reshape(-1, 2)
+        whole = ad.tile_rows(x)
+        assert whole.shape == (3, ad.TILE, 2) and np.shares_memory(whole, x)
+        part = ad.tile_rows(x[:ad.TILE + 1])
+        assert part.shape == (2, ad.TILE, 2) and not np.shares_memory(part, x)
+        assert np.array_equal(part.reshape(-1, 2)[:ad.TILE + 1], x[:ad.TILE + 1])
+        assert not part.reshape(-1, 2)[ad.TILE + 1:].any()
 
 
 class TestFiniteDiffCheck:
@@ -302,9 +380,9 @@ class TestFiniteDiffCheck:
 
 class TestDeterminism:
     def test_same_seed_bitwise_identical(self):
-        a = ad.glorot_init("p", 7, 5, np.random.default_rng(42))
-        b = ad.glorot_init("p", 7, 5, np.random.default_rng(42))
-        assert a.data.tobytes() == b.data.tobytes()
+        a = ad.glorot_init(7, 5, np.random.default_rng(42))
+        b = ad.glorot_init(7, 5, np.random.default_rng(42))
+        assert a.tobytes() == b.tobytes()
 
     def test_forward_and_gradients_repeatable(self):
         def run():

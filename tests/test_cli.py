@@ -91,7 +91,7 @@ class TestTrain:
                         "--hidden", "8", "--d-subj-obj", "10", "--d-union", "8",
                         "--seed", "0"]) == 0
             params, config, _, _, _ = load_model(os.path.join(out, "model.rckpt"))
-            inventories[model] = set(params.names())
+            inventories[model] = set(params)
             assert config.name == model
         assert "lstm.main.w" in inventories["union"]
         assert "lstm.subject.w" in inventories["mttsnet"]
@@ -279,6 +279,16 @@ class TestExitCodes:
             {**meta, "model_config": {**meta["model_config"], "streams": "single"}},
             {**meta, "model_config": {k: v for k, v in meta["model_config"].items()
                                       if k != "hidden"}},
+            {**meta, "adam": {**meta["adam"], "beta1": 1.0}},
+            {**meta, "adam": {**meta["adam"], "beta2": -0.5}},
+            {**meta, "adam": {**meta["adam"], "lr": float("nan")}},
+            {**meta, "adam": {**meta["adam"], "lr": 0.0}},
+            {**meta, "adam": {**meta["adam"], "lr": True}},
+            {**meta, "adam": {**meta["adam"], "epsilon": float("inf")}},
+            {**meta, "adam": {**meta["adam"], "step_count": -1}},
+            {**meta, "adam": {**meta["adam"], "step_count": 2.7}},
+            {**meta, "adam": {**meta["adam"], "step_count": True}},
+            {**meta, "adam": {k: v for k, v in meta["adam"].items() if k != "lr"}},
         ]
         broken_headers = [
             {"format_version": 1, "meta": {}},
@@ -322,6 +332,14 @@ class TestExitCodes:
                     "--resume", str(tmp_path / "tensors0.rckpt")]) == 3
         err = capsys.readouterr().err
         assert "head.word.b" in err and "Traceback" not in err
+        bad_adam = str(tmp_path / "bad_adam.rckpt")
+        save_checkpoint(bad_adam, arrays, {**meta, "adam": {**meta["adam"], "step_count": 2.7}})
+        assert run(["train", "--data", os.path.join(toy_dir, "train.jsonl"),
+                    "--provider", os.path.join(toy_dir, "provider.json"),
+                    "--out", str(tmp_path / "resumed"), "--epochs", "1",
+                    "--resume", bad_adam]) == 3
+        err = capsys.readouterr().err
+        assert "step_count 2.7" in err and "Traceback" not in err
 
     def test_retrieve_without_gt_captions_is_data_error(self, toy_dir, trained_dir,
                                                          tmp_path, capsys):

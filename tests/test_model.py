@@ -365,7 +365,7 @@ class TestStreamGradients:
             return ad.weighted_cross_entropy(ad.matmul(hidden, mix), picks,
                                              np.linspace(0.1, 1.0, rows))
 
-        lstm = [p for p in params.all() if p.name.startswith(("lstm.", "embed."))]
+        lstm = [p for p in params.values() if p.name.startswith(("lstm.", "embed."))]
         err = ad.finite_diff_check(forward, [*codes.values(), *lstm], eps=1e-4,
                                    max_coords_per_param=12, rng=np.random.default_rng(0))
         assert err < 1e-6
@@ -389,7 +389,7 @@ def rigged_chain_model(sequence_ids, vocab_size=8, gain=100.0):
                       d_union=4, code_width=hidden, hidden=hidden, rem_dim=4,
                       dropout=0.0, name="union").validate()
     params = init_params(cfg, np.random.default_rng(0))
-    for name in params.names():
+    for name in params:
         params[name].data[...] = 0.0
     # union path: relu(0 + 0) = 0, then bias activates channel 0
     params["union.code.b"].data[0] = 3.0
@@ -458,7 +458,7 @@ class TestDecode:
     def test_end_first_gives_empty_caption_with_end_probability(self):
         cfg = tiny_config(14, 8, name="union")
         params = fresh_params(cfg)
-        for name in params.names():
+        for name in params:
             params[name].data[...] = 0.0
         params["head.word.b"].data[END_ID] = 5.0
         batch = PairBatch(features=np.zeros((2, 14)), subject_index=[0],
@@ -876,11 +876,11 @@ class TestTotalLoss:
 
     def test_gradients_flow_to_every_group(self):
         batch, params, cfg = loss_fixture(name="mttsnet,rem")
-        for p in params.all():
+        for p in params.values():
             p.zero_grad()
         total, _ = total_loss(batch, params, cfg)
         ad.backward(total)
-        for name in params.names():
+        for name in params:
             assert np.any(params[name].grad != 0.0), f"no gradient reached {name}"
 
 
@@ -891,7 +891,7 @@ class TestTotalLoss:
 class TestWeightSharing:
     def test_store_contains_single_first_fc(self):
         params = fresh_params(tiny_config(14, 20))
-        shared = [n for n in params.names() if n.startswith("enc.first")]
+        shared = [n for n in params if n.startswith("enc.first")]
         assert shared == ["enc.first.w", "enc.first.b"]
 
     def test_shared_parameter_receives_gradients_from_both_paths(self):
@@ -899,7 +899,7 @@ class TestWeightSharing:
         params = fresh_params(cfg)
         batch = one_pair()
         for which in ("subject", "object"):
-            for p in params.all():
+            for p in params.values():
                 p.zero_grad()
             target = encode_pair_batch(batch, params, cfg)[which]
             loss = ad.matmul(ad.matmul(Tensor(np.ones((1, 1))), target),
@@ -921,7 +921,7 @@ class TestImportanceTrace:
     def test_zero_weight_model_traces_zero(self):
         cfg = tiny_config(14, 10)
         params = fresh_params(cfg)
-        for name in params.names():
+        for name in params:
             params[name].data[...] = 0.0
         batch = one_pair()
         trace = importance_trace(encode_pair_batch(batch, params, cfg),
@@ -945,7 +945,7 @@ class TestGradientCheck:
             loss, _ = total_loss(batch, params, cfg)
             return loss
 
-        err = ad.finite_diff_check(forward, params.all(), eps=1e-5,
+        err = ad.finite_diff_check(forward, params.values(), eps=1e-5,
                                    max_coords_per_param=3,
                                    rng=np.random.default_rng(0))
         assert err < 1e-6
@@ -956,8 +956,11 @@ class TestCheckpoints:
         cfg = tiny_config(14, 9, name="mttsnet,rem")
         params = fresh_params(cfg, seed=11)
         vocab = Vocabulary(words=["a", "b", "c", "d", "e"])
-        opt = ad.OptimizerState(params.all(), lr=0.01)
-        opt.step_count = 5
+        opt = ad.OptimizerState(params, lr=0.01)
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            params.grad[...] = rng.normal(size=params.grad.shape)
+            ad.adam_step(params, opt)
         p1, p2 = tmp_path / "a.rckpt", tmp_path / "b.rckpt"
         save_model(str(p1), params, cfg, vocab, optimizer=opt)
         save_model(str(p2), params, cfg, vocab, optimizer=opt)
@@ -966,8 +969,16 @@ class TestCheckpoints:
         assert cfg2 == cfg
         assert vocab2.words == vocab.words
         assert opt2.step_count == 5
-        for name in params.names():
+        for name in params:
             assert np.array_equal(params2[name].data, params[name].data)
+        assert np.array_equal(opt2.m, opt.m) and np.array_equal(opt2.v, opt.v)
+        # One more step from the reloaded state equals the in-memory step.
+        grad = rng.normal(size=params.grad.shape)
+        for store, state in ((params, opt), (params2, opt2)):
+            store.grad[...] = grad
+            ad.adam_step(store, state)
+        assert params2.data.tobytes() == params.data.tobytes()
+        assert opt2.m.tobytes() == opt.m.tobytes() and opt2.v.tobytes() == opt.v.tobytes()
 
 
 class TestFiniteness:

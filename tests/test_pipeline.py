@@ -197,7 +197,7 @@ class TestTraining:
         (pa, ha), (pb, hb) = runs
         assert ha[-1]["total"] < ha[0]["total"]
         assert ha == hb
-        for name in pa.names():
+        for name in pa:
             assert pa[name].data.tobytes() == pb[name].data.tobytes()
 
     def test_history_csv_shape(self, toy_world_small):
