@@ -110,19 +110,6 @@ def export_graph(graph: CaptionGraph, fmt: str) -> str:
     raise ValueError(f"unknown graph format {fmt!r}")
 
 
-def graph_from_json(text: str) -> CaptionGraph:
-    obj = json.loads(text)
-    nodes = [GraphNode(n["id"], n["phrase"], Box.from_json(n["box"]), n["confidence"])
-             for n in obj["nodes"]]
-    edges = [GraphEdge(e["source"], e["target"], e["phrase"], e["confidence"])
-             for e in obj["edges"]]
-    node_ids = {n.id for n in nodes}
-    for edge in edges:
-        if edge.source not in node_ids or edge.target not in node_ids:
-            raise ValueError(f"edge {edge.source}->{edge.target} references a missing node")
-    return CaptionGraph(nodes=nodes, edges=edges)
-
-
 # ---------------------------------------------------------------------------
 # retrieval
 # ---------------------------------------------------------------------------

@@ -42,13 +42,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
-    def item(self) -> float:
-        return self.data.item()
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
 
@@ -62,9 +55,6 @@ class Parameter(Tensor):
         super().__init__(data)
         self.name = name
         self.grad = np.zeros_like(self.data) if grad is None else grad
-
-    def zero_grad(self):
-        self.grad[...] = 0.0
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.data.shape})"
@@ -442,55 +432,3 @@ def adam_step(params: ModelParams, state: OptimizerState) -> None:
     v += (1.0 - state.beta2) * g * g
     params.data -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
     g.fill(0.0)
-
-
-# ---------------------------------------------------------------------------
-# gradient verification
-# ---------------------------------------------------------------------------
-
-def finite_diff_check(forward, params, eps: float = 1e-5,
-                      max_coords_per_param: int = 8,
-                      rng: np.random.Generator | None = None) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    ``forward`` must be a deterministic closure returning a scalar Tensor;
-    determinism is verified by evaluating the baseline twice. Up to
-    ``max_coords_per_param`` coordinates are probed per parameter.
-    """
-    if eps <= 0:
-        raise ValueError("finite_diff_check: eps must be positive")
-    params = list(params)
-    base_a = forward().data.item()
-    base_b = forward().data.item()
-    if base_a != base_b:
-        raise ValueError("finite_diff_check: forward closure is not deterministic")
-
-    for p in params:
-        p.zero_grad()
-    backward(forward())
-    analytic = {p.name: p.grad.copy() for p in params}
-    for p in params:
-        p.zero_grad()
-
-    rng = np.random.default_rng(0) if rng is None else rng
-    worst = 0.0
-    for p in params:
-        flat = p.data.reshape(-1)
-        n = flat.size
-        if n <= max_coords_per_param:
-            coords = np.arange(n)
-        else:
-            coords = rng.choice(n, size=max_coords_per_param, replace=False)
-        for c in coords:
-            orig = flat[c]
-            flat[c] = orig + eps
-            f_plus = forward().data.item()
-            flat[c] = orig - eps
-            f_minus = forward().data.item()
-            flat[c] = orig
-            numeric = (f_plus - f_minus) / (2.0 * eps)
-            a = analytic[p.name].reshape(-1)[c]
-            rel = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
-            if rel > worst:
-                worst = rel
-    return worst

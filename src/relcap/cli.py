@@ -21,9 +21,10 @@ import numpy as np
 from . import __version__
 from .apps import RetrievalProtocol, build_caption_graph, export_graph, retrieval_eval
 from .checkpoint import write_atomic
-from .data import (SCHEMA_VERSION, ToyFeatureProvider, ToyWorldConfig, build_vocab,
-                   enrich_attributes, generate_toy_world, load_attributes, load_dataset,
-                   load_jsonl, load_pos_lexicon, save_dataset, save_jsonl, split_records)
+from .data import (SCHEMA_VERSION, PosTag, ToyFeatureProvider, ToyWorldConfig, build_vocab,
+                   enrich_attributes, generate_toy_world, image_id_from_json, load_attributes,
+                   load_dataset, load_jsonl, load_pos_lexicon, read_text, save_dataset,
+                   save_jsonl, split_records)
 from .errors import ConfigError, DataError, InvariantError
 from .geometry import Box, nms
 from .metrics import MetricConfig, PredictionRecord
@@ -72,12 +73,16 @@ def prediction_to_json(pred: PredictionRecord) -> dict:
 
 
 def prediction_from_json(obj: dict) -> PredictionRecord:
+    """A prediction line as a record: ``image_id`` must be an integer,
+    ``caption`` a string and every ``pos`` entry a ``PosTag`` name."""
+    if not isinstance(obj["caption"], str):
+        raise TypeError(f"caption must be a string, got {obj['caption']!r}")
     return PredictionRecord(
-        image_id=int(obj["image_id"]),
+        image_id=image_id_from_json(obj),
         subject_box=Box.from_json(obj["subject_box"]),
         object_box=Box.from_json(obj["object_box"]),
         tokens=obj["caption"].split(),
-        pos=[str(p) for p in obj["pos"]],
+        pos=[PosTag.parse(p).name for p in obj["pos"]],
         word_probs=[float(p) for p in obj["word_probs"]],
         confidence=float(obj["confidence"]),
     ).validate()
@@ -99,10 +104,7 @@ def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        obj = json.loads(read_text(path, "config", ConfigError))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
@@ -139,7 +141,9 @@ SETTINGS = {
               "dropout": (float, 0.1, None), "min-count": (int, 1, _at_least(1)),
               **_PROPOSAL_SETTINGS},
     "eval": _PREDICT_SETTINGS,
-    "infer": {**_PREDICT_SETTINGS, "mode": (str, "greedy", None)},
+    "infer": {**_PREDICT_SETTINGS,
+              "mode": (str, "greedy", ("greedy or stochastic",
+                                       lambda value: value in ("greedy", "stochastic")))},
     "retrieve": {**_PROPOSAL_SETTINGS, "keep-after-nms": (int, 100, _NON_NEGATIVE),
                  "nms-iou": (float, 0.5, _UNIT), "k": (str, "1,5,10", None),
                  "images": (int, 100, _at_least(1)), "query-images": (int, 5, _at_least(1)),
@@ -202,8 +206,8 @@ def _require_file(path: str, what: str) -> str:
 
 def _load_provider(path: str) -> ToyFeatureProvider:
     try:
-        with open(_require_file(path, "provider spec"), "r", encoding="utf-8") as fh:
-            return ToyFeatureProvider.from_json(json.load(fh))
+        return ToyFeatureProvider.from_json(
+            json.loads(read_text(_require_file(path, "provider spec"), "provider spec")))
     except (json.JSONDecodeError, KeyError) as exc:
         raise DataError(f"bad provider spec {path}: {exc}") from exc
 
@@ -349,8 +353,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    if args.mode not in ("greedy", "stochastic"):
-        raise ConfigError(f"mode: expected greedy or stochastic, got {args.mode!r}")
     params, config, vocab, records, provider, settings = _eval_like_setup(args)
     rng = np.random.default_rng(np.random.SeedSequence([settings.seed, 99])) \
         if args.mode == "stochastic" else None

@@ -18,7 +18,7 @@ import numpy as np
 
 from .checkpoint import write_atomic
 from .errors import ConfigError, DataError
-from .geometry import Box, RegionProposal, intersection_area, iou
+from .geometry import Box, RegionProposal, box_rows, intersection_area, iou
 
 log = logging.getLogger(__name__)
 
@@ -159,10 +159,18 @@ def record_to_json(record: RelationalRecord) -> dict:
     return out
 
 
+def image_id_from_json(obj: dict) -> int:
+    """A record's ``image_id``, which must be a JSON integer (not a bool)."""
+    value = obj["image_id"]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"image_id must be an integer, got {value!r}")
+    return value
+
+
 def record_from_json(obj: dict) -> RelationalRecord:
     if obj.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"schema_version {obj.get('schema_version')!r}, expected {SCHEMA_VERSION}")
-    image_id = int(obj["image_id"])
+    image_id = image_id_from_json(obj)
     relations = []
     for rel in obj["relations"]:
         relations.append(GroundTruthRelation(
@@ -191,25 +199,32 @@ def record_from_json(obj: dict) -> RelationalRecord:
     ).validate()
 
 
+def read_text(path: str, what: str, error=DataError) -> str:
+    """The UTF-8 text of ``path``, newlines translated to "\\n"; a file that
+    cannot be opened or decoded raises ``error`` naming ``what``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise error(f"cannot open {what} file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} file {path} is not UTF-8 text: {exc}") from exc
+
+
 def load_jsonl(path: str, parse, what: str):
     """Parse every non-blank line of a JSON-lines file with ``parse``.
 
     Unreadable files and bad lines raise DataError naming the file (and line).
     """
     items = []
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot open {what} file {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                items.append(parse(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: bad {what} record: {exc}") from exc
+    for lineno, line in enumerate(read_text(path, what).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            items.append(parse(json.loads(line)))
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}:{lineno}: bad {what} record: {exc}") from exc
     return items
 
 
@@ -246,7 +261,7 @@ def attributes_from_json(obj: dict) -> ImageAttributes:
                         Box.from_json(e["box"])).validate()
         for e in obj["objects"]
     ]
-    return ImageAttributes(int(obj["image_id"]), entries)
+    return ImageAttributes(image_id_from_json(obj), entries)
 
 
 def attributes_to_json(rec: ImageAttributes) -> dict:
@@ -577,32 +592,31 @@ def split_records(records, splits=(0.8, 0.1, 0.1)):
     return records[:n_train], records[n_train:n_train + n_val], records[n_train + n_val:]
 
 
-def proposals_for_record(record: RelationalRecord, provider, seed: int,
-                         jitter: float = 0.08, n_background: int = 2):
+def proposals_for_record(record: RelationalRecord, boxes, provider, seed: int,
+                         jitter: float, n_background: int):
     """Deterministic region proposals for one image.
 
-    One jittered proposal per annotated object (IoU with the source box is
-    kept at or above 0.75 by rejection) plus low-confidence background
-    boxes that overlap no object above 0.25 IoU.
+    One jittered proposal per box of ``boxes`` (IoU with the box is kept at
+    or above 0.75 by rejection) plus low-confidence background boxes that
+    overlap none of ``boxes`` above 0.25 IoU. Every kept box is featurised
+    in one ``features_many`` call.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, record.image_id]))
-    proposals = []
-    for obj in record.objects:
-        box = obj.box
+    kept, confidences = [], []
+    for source in boxes:
+        box = source
         for _attempt in range(30):
             cand = Box(
-                obj.box.x + rng.uniform(-jitter, jitter) * obj.box.w,
-                obj.box.y + rng.uniform(-jitter, jitter) * obj.box.h,
-                obj.box.w * rng.uniform(1.0 - jitter, 1.0 + jitter),
-                obj.box.h * rng.uniform(1.0 - jitter, 1.0 + jitter),
+                source.x + rng.uniform(-jitter, jitter) * source.w,
+                source.y + rng.uniform(-jitter, jitter) * source.h,
+                source.w * rng.uniform(1.0 - jitter, 1.0 + jitter),
+                source.h * rng.uniform(1.0 - jitter, 1.0 + jitter),
             )
-            if iou(cand, obj.box) >= 0.75:
+            if iou(cand, source) >= 0.75:
                 box = cand
                 break
-        confidence = rng.uniform(0.80, 0.98)
-        proposals.append(RegionProposal(box, confidence, provider.features(record, box),
-                                        id=len(proposals)))
-    gt_boxes = [obj.box for obj in record.objects]
+        kept.append(box)
+        confidences.append(rng.uniform(0.80, 0.98))
     placed = 0
     for _attempt in range(60 * max(n_background, 1)):
         if placed >= n_background:
@@ -612,13 +626,13 @@ def proposals_for_record(record: RelationalRecord, provider, seed: int,
         x = rng.uniform(w / 2, record.width - w / 2)
         y = rng.uniform(h / 2, record.height - h / 2)
         cand = Box(x, y, w, h)
-        if all(iou(cand, g) < 0.25 for g in gt_boxes):
-            confidence = rng.uniform(0.05, 0.35)
-            proposals.append(RegionProposal(cand, confidence,
-                                            provider.features(record, cand),
-                                            id=len(proposals)))
+        if all(iou(cand, g) < 0.25 for g in boxes):
+            kept.append(cand)
+            confidences.append(rng.uniform(0.05, 0.35))
             placed += 1
-    return proposals
+    features = provider.features_many(record, box_rows(kept))
+    return [RegionProposal(box, confidence, features[k], id=k)
+            for k, (box, confidence) in enumerate(zip(kept, confidences))]
 
 
 # ---------------------------------------------------------------------------
@@ -631,19 +645,13 @@ ATTRIBUTE_TAGS = frozenset({"NN", "VBN", "VBG", "VBD", "JJ"})
 def load_pos_lexicon(path: str) -> dict:
     """Read a "word<TAB>tag" lexicon; '#' lines are comments."""
     lexicon = {}
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot open lexicon {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise DataError(f"{path}:{lineno}: expected 'word<TAB>tag'")
-            lexicon[parts[0].lower()] = parts[1].upper()
+    for lineno, line in enumerate(read_text(path, "lexicon").split("\n"), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise DataError(f"{path}:{lineno}: expected 'word<TAB>tag'")
+        lexicon[parts[0].lower()] = parts[1].upper()
     return lexicon
 
 

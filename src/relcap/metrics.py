@@ -344,19 +344,6 @@ class EvalReport:
             "pos_accuracy": self.pos_accuracy,
         }
 
-    @staticmethod
-    def from_json(obj) -> "EvalReport":
-        return EvalReport(
-            map_percent=obj["map_percent"],
-            image_level_recall=obj["image_level_recall"],
-            mean_meteor=obj["mean_meteor"],
-            words_per_img=obj["words_per_img"],
-            words_per_box=obj["words_per_box"],
-            vrd_phrase_recall={int(k): v for k, v in obj["vrd_phrase_recall"].items()},
-            vrd_relationship_recall={int(k): v for k, v in obj["vrd_relationship_recall"].items()},
-            pos_accuracy=obj.get("pos_accuracy"),
-        )
-
     def render_table(self) -> str:
         rows = [
             ("relational mAP (%)", f"{self.map_percent:.3f}"),

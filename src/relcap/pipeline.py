@@ -4,13 +4,12 @@ loop, batched decoding into prediction records, and full evaluation."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import (ObjectAnnotation, PosTag, RelationalRecord, Vocabulary,
-                   encode_caption, proposals_for_record)
+from .data import PosTag, RelationalRecord, Vocabulary, encode_caption, proposals_for_record
 from .errors import ConfigError, DataError, InvariantError
 from .geometry import (Box, box_rows, combination_layer, iou, match_to_gt, nms,
                        pair_geometry, top_pairs, union_box)
@@ -138,11 +137,8 @@ def _pair_batch(proposals, subject, obj, union_features, geos,
 def build_proposals(record: RelationalRecord, provider, config: ModelConfig,
                     settings: ProposalSettings):
     """Jittered proposals over the detected GT boxes plus background boxes."""
-    stand_in = replace(record, objects=[ObjectAnnotation("gt", [], box)
-                                        for box in _detected_boxes(record, config)])
-    return proposals_for_record(stand_in, provider, settings.seed,
-                                jitter=settings.jitter,
-                                n_background=settings.n_background)
+    return proposals_for_record(record, _detected_boxes(record, config), provider,
+                                settings.seed, settings.jitter, settings.n_background)
 
 
 def build_image_batch(record: RelationalRecord, proposals, provider,

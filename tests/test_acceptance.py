@@ -13,7 +13,6 @@ import time
 import numpy as np
 import pytest
 
-from relcap import autodiff as ad
 from relcap.autodiff import Tensor
 from relcap.cli import main as cli_main
 from relcap.data import (AttributeRecord, ImageAttributes, PosTag, ToyWorldConfig,
@@ -29,7 +28,7 @@ from relcap.pipeline import (ProposalSettings, TrainSettings, build_image_batch,
                              train_model)
 from relcap.apps import retrieval_score
 
-from conftest import pair_rows
+from conftest import finite_diff_check, pair_rows
 from test_metrics import oracle_relational_map, random_fixture
 
 TOY_DIMS = dict(d_subj_obj=64, d_union=32, code_width=48, hidden=48, rem_dim=32,
@@ -74,9 +73,9 @@ class TestCriterion1Gradients:
             loss, _ = total_loss(batch, params, config)
             return loss
 
-        max_err = ad.finite_diff_check(forward, params.values(), eps=1e-5,
-                                       max_coords_per_param=6,
-                                       rng=np.random.default_rng(2))
+        max_err = finite_diff_check(forward, params.values(), eps=1e-5,
+                                    max_coords_per_param=6,
+                                    rng=np.random.default_rng(2))
         elapsed = time.time() - started
         assert max_err < 1e-4, f"max relative error {max_err}"
         assert elapsed < 60.0, f"took {elapsed:.1f}s"

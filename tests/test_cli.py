@@ -8,12 +8,15 @@ import struct
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relcap import schemas
 from relcap.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from relcap.cli import (SETTINGS, build_parser, main, read_predictions, resolve_settings,
-                        write_predictions)
+from relcap.cli import (SETTINGS, build_parser, main, prediction_to_json, read_predictions,
+                        resolve_settings, write_predictions)
 from relcap.data import save_attributes, ImageAttributes, AttributeRecord
+from relcap.errors import DataError
 from relcap.geometry import Box
 from relcap.metrics import PredictionRecord
 from relcap.model import load_model
@@ -240,7 +243,6 @@ class TestPredictionWireFormat:
                   "confidence": 0.9}
         with open(path, "w") as fh:
             fh.write(json.dumps(record) + "\n")
-        from relcap.errors import DataError
         with pytest.raises(DataError, match="bad.jsonl:1"):
             read_predictions(path)
 
@@ -423,6 +425,7 @@ class TestExitCodes:
         ("train", ["--alpha", "-5"]),
         ("train", ["--beta", "-1"]),
         ("train", ["--gamma", "-1"]),
+        ("infer", ["--mode", "beam"]),
     ], ids=["epochs-0", "max-len-1", "keep-after-nms-neg", "pair-cap-neg", "rounds-0",
             "query-images-0", "captions-per-image-0", "min-count-0", "hidden-0",
             "d-subj-obj-0", "d-union-0", "rem-dim-0", "train-jitter-1.5", "eval-jitter-1.5",
@@ -430,7 +433,8 @@ class TestExitCodes:
             "train-proposal-seed-neg", "eval-proposal-seed-neg", "infer-proposal-seed-neg",
             "retrieve-proposal-seed-neg", "enrich-seed-neg", "eval-nms-iou-neg",
             "retrieve-nms-iou-1.5", "eval-min-confidence-2", "infer-min-confidence-neg",
-            "gen-toy-inside-prob-7", "lr-0", "alpha-neg", "beta-neg", "gamma-neg"])
+            "gen-toy-inside-prob-7", "lr-0", "alpha-neg", "beta-neg", "gamma-neg",
+            "infer-mode-beam"])
     def test_bad_numeric_setting_is_config_error(self, toy_dir, trained_dir, tmp_path,
                                                  capsys, command, options):
         argv = self._argv(command, toy_dir, trained_dir, tmp_path)
@@ -644,7 +648,7 @@ class TestSettingsTable:
                                               for name in SETTINGS[command]])
     def test_flag_and_config_file_resolve_equal(self, tmp_path, command, name):
         kind = SETTINGS[command][name][0]
-        value = {int: 4, float: 0.25, str: "x"}[kind]   # inside every setting's range
+        value = {int: 4, float: 0.25, str: "stochastic"}[kind]   # inside every setting's range
         config = tmp_path / "config.json"
         config.write_text(json.dumps({name: value}))
         argv = [command, *_REQUIRED[command]]
@@ -659,3 +663,175 @@ class TestSettingsTable:
         assert (settings["epochs"], settings["hidden"], settings["lr"]) == (2, 2, 1.0)
         assert type(settings["hidden"]) is int and type(settings["lr"]) is float
         assert settings["model"] == "mttsnet"
+
+
+def _lines(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read().splitlines()
+
+
+def _prediction_line():
+    pred = PredictionRecord(
+        image_id=9, subject_box=Box(5, 5, 4, 4), object_box=Box(15, 5, 4, 4),
+        tokens=["a", "cat", "near", "a", "dog"], pos=["SUBJ", "SUBJ", "PRED", "OBJ", "OBJ"],
+        word_probs=[0.5] * 5, confidence=0.5 ** 5)
+    return json.dumps(prediction_to_json(pred), sort_keys=True)
+
+
+class TestUndecodableText:
+    """A text input that does not decode as UTF-8 is a data error, or a
+    config error for ``--config``; never an internal error."""
+
+    @pytest.mark.parametrize("what,code", [("dataset", 3), ("provider", 3),
+                                           ("config", 2), ("attributes", 3),
+                                           ("lexicon", 3), ("predictions", 3)])
+    def test_leading_ff_byte(self, toy_dir, trained_dir, tmp_path, capsys, what, code):
+        dataset, provider = os.path.join(toy_dir, "test.jsonl"), \
+            os.path.join(toy_dir, "provider.json")
+        attributes, lexicon = str(tmp_path / "attrs.jsonl"), str(tmp_path / "lex.tsv")
+        predictions, config = str(tmp_path / "preds.jsonl"), str(tmp_path / "config.json")
+        save_attributes(attributes, [ImageAttributes(0, [])])
+        with open(lexicon, "w", encoding="utf-8") as fh:
+            fh.write("tall\tJJ\n")
+        with open(predictions, "w", encoding="utf-8") as fh:
+            fh.write(_prediction_line() + "\n")
+        with open(config, "w", encoding="utf-8") as fh:
+            fh.write('{"keep-after-nms": 8}\n')
+        paths = {"dataset": dataset, "provider": provider, "config": config,
+                 "attributes": attributes, "lexicon": lexicon, "predictions": predictions}
+        with open(paths[what], "rb") as fh:
+            payload = fh.read()
+        paths[what] = str(tmp_path / ("bad_" + os.path.basename(paths[what])))
+        with open(paths[what], "wb") as fh:
+            fh.write(b"\xff" + payload)
+        if what in ("attributes", "lexicon"):
+            argv = ["enrich", "--data", paths["dataset"], "--attributes", paths["attributes"],
+                    "--lexicon", paths["lexicon"], "--out", str(tmp_path / "out.jsonl")]
+        elif what == "predictions":
+            argv = ["graph", "--predictions", paths["predictions"],
+                    "--out", str(tmp_path / "graph")]
+        else:
+            argv = ["eval", "--checkpoint", os.path.join(trained_dir, "model.rckpt"),
+                    "--data", paths["dataset"], "--provider", paths["provider"],
+                    "--config", paths["config"]]
+        assert run(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not UTF-8" in err and paths[what] in err
+        assert "Traceback" not in err
+
+
+class TestStrictRecordReaders:
+    @pytest.mark.parametrize("key,value", [("caption", 5), ("image_id", 9.5),
+                                           ("image_id", True), ("image_id", "9"),
+                                           ("pos", ["X", "SUBJ", "PRED", "OBJ", "OBJ"]),
+                                           ("pos", [0, 0, 1, 2, 2])],
+                             ids=["caption-int", "image-id-float", "image-id-bool",
+                                  "image-id-str", "pos-unknown-name", "pos-ints"])
+    def test_bad_prediction_field_is_data_error(self, tmp_path, capsys, key, value):
+        obj = json.loads(_prediction_line())
+        obj[key] = value
+        path = str(tmp_path / "preds.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(obj) + "\n")
+        assert run(["graph", "--predictions", path, "--out", str(tmp_path / "g")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:1: bad prediction record") and key in err.lower()
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [1.5, 1.0, True, "1"])
+    def test_non_integer_dataset_image_id_is_data_error(self, toy_dir, trained_dir,
+                                                        tmp_path, capsys, value):
+        lines = _lines(os.path.join(toy_dir, "test.jsonl"))
+        obj = json.loads(lines[0])
+        obj["image_id"] = value
+        path = str(tmp_path / "data.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join([json.dumps(obj)] + lines[1:]) + "\n")
+        assert run(["eval", "--checkpoint", os.path.join(trained_dir, "model.rckpt"),
+                    "--data", path, "--provider", os.path.join(toy_dir, "provider.json")]) == 3
+        err = capsys.readouterr().err
+        assert f"{path}:1:" in err and "image_id must be an integer" in err
+
+    def test_non_integer_attributes_image_id_is_data_error(self, toy_dir, tmp_path, capsys):
+        attributes, lexicon = str(tmp_path / "attrs.jsonl"), tmp_path / "lex.tsv"
+        save_attributes(attributes, [ImageAttributes(0, [])])
+        obj = json.loads(_lines(attributes)[0])
+        obj["image_id"] = 0.5
+        with open(attributes, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(obj) + "\n")
+        lexicon.write_text("tall\tJJ\n")
+        assert run(["enrich", "--data", os.path.join(toy_dir, "test.jsonl"),
+                    "--attributes", attributes, "--lexicon", str(lexicon),
+                    "--out", str(tmp_path / "out.jsonl")]) == 3
+        assert "image_id must be an integer" in capsys.readouterr().err
+
+    def test_lines_end_at_universal_newlines_only(self, tmp_path):
+        # \r\n ends a line; a raw U+2028 inside a JSON string does not
+        good = json.loads(_prediction_line())
+        good["caption"] = "a cat\u2028near a dog"
+        path = tmp_path / "preds.jsonl"
+        path.write_bytes((json.dumps(good, ensure_ascii=False) + "\r\n\r\n{").encode("utf-8"))
+        with pytest.raises(DataError, match=r"preds\.jsonl:3:"):
+            read_predictions(str(path))
+        path.write_bytes((json.dumps(good, ensure_ascii=False) + "\r\n").encode("utf-8"))
+        assert read_predictions(str(path))[0].tokens == ["a", "cat", "near", "a", "dog"]
+
+
+def _key_paths(obj, prefix=()):
+    """(path to a dict key) for every key of every dict nested in ``obj``."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield prefix + (key,)
+            yield from _key_paths(value, prefix + (key,))
+    elif isinstance(obj, list):
+        for k, value in enumerate(obj):
+            yield from _key_paths(value, prefix + (k,))
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(toy_dir, trained_dir, tmp_path_factory):
+    """kind -> (argv, the file the argv reads, that file's one good line)."""
+    out = tmp_path_factory.mktemp("fuzz")
+    dataset, predictions = str(out / "data.jsonl"), str(out / "preds.jsonl")
+    return {
+        "dataset": (["eval", "--checkpoint", os.path.join(trained_dir, "model.rckpt"),
+                     "--data", dataset, "--provider", os.path.join(toy_dir, "provider.json"),
+                     "--keep-after-nms", "8"],
+                    dataset, _lines(os.path.join(toy_dir, "test.jsonl"))[0]),
+        "predictions": (["graph", "--predictions", predictions, "--out", str(out / "graph")],
+                        predictions, _prediction_line()),
+    }
+
+
+class TestMutationFuzz:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_mutated_line_exits_0_2_or_3(self, fuzz_inputs, data):
+        kind = data.draw(st.sampled_from(sorted(fuzz_inputs)), label="kind")
+        argv, path, line = fuzz_inputs[kind]
+        raw = line.encode("utf-8")
+        op = data.draw(st.sampled_from(["truncate", "flip", "insert-ff", "drop", "retype"]),
+                       label="op")
+        if op in ("drop", "retype"):
+            obj = json.loads(line)
+            *parents, key = data.draw(st.sampled_from(list(_key_paths(obj))), label="key")
+            owner = obj
+            for step in parents:
+                owner = owner[step]
+            if op == "drop":
+                del owner[key]
+            else:
+                owner[key] = data.draw(st.sampled_from(
+                    [None, True, -1, 2.5, 1e308, "x", [], {}]), label="value")
+            raw = json.dumps(obj).encode("utf-8")
+        else:
+            at = data.draw(st.integers(0, len(raw) - 1), label="at")
+            if op == "truncate":
+                raw = raw[:at]
+            elif op == "flip":
+                raw = raw[:at] + bytes([raw[at] ^ data.draw(st.integers(1, 255))]) + raw[at + 1:]
+            else:
+                raw = raw[:at] + b"\xff" + raw[at:]
+        with open(path, "wb") as fh:
+            fh.write(raw + b"\n")
+        assert run(argv) in (0, 2, 3)

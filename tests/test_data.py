@@ -5,12 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from conftest import object_proposals
 from relcap.data import (END_ID, UNK_ID, GroundTruthRelation, PosTag,
                          RelationalRecord, ToyFeatureProvider, ToyWorldConfig,
                          Vocabulary, box_inside, build_vocab, encode_caption,
                          generate_toy_world, load_dataset, load_pos_lexicon,
-                         proposals_for_record, save_dataset, spatial_predicate,
-                         split_records, tag_segments)
+                         save_dataset, spatial_predicate, split_records, tag_segments)
 from relcap.errors import ConfigError, DataError
 from relcap.geometry import Box, iou
 
@@ -255,24 +255,24 @@ class TestProposals:
     def test_jittered_boxes_stay_positive_matches(self):
         records, provider = generate_toy_world(13, ToyWorldConfig(n_images=8))
         for record in records:
-            props = proposals_for_record(record, provider, seed=0)
+            props = object_proposals(record, provider, 0)
             for obj, prop in zip(record.objects, props):
                 assert iou(prop.box, obj.box) >= 0.7
 
     def test_background_boxes_are_negatives(self):
         records, provider = generate_toy_world(13, ToyWorldConfig(n_images=8))
         for record in records:
-            props = proposals_for_record(record, provider, seed=0, n_background=2)
+            props = object_proposals(record, provider, 0)
             for prop in props[len(record.objects):]:
                 assert all(iou(prop.box, o.box) < 0.3 for o in record.objects)
                 assert prop.confidence < 0.5
 
     def test_deterministic_per_seed(self):
         records, provider = generate_toy_world(13, ToyWorldConfig(n_images=2))
-        a = proposals_for_record(records[0], provider, seed=5)
-        b = proposals_for_record(records[0], provider, seed=5)
+        a = object_proposals(records[0], provider, 5)
+        b = object_proposals(records[0], provider, 5)
         assert [(p.box, p.confidence) for p in a] == [(p.box, p.confidence) for p in b]
-        c = proposals_for_record(records[0], provider, seed=6)
+        c = object_proposals(records[0], provider, 6)
         assert [(p.box) for p in a] != [(p.box) for p in c]
 
 

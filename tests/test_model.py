@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fresh_params, pair_rows, tiny_config
+from conftest import finite_diff_check, fresh_params, pair_rows, tiny_config, zero_grad
 from relcap import autodiff as ad
 from relcap.apps import retrieval_score
 from relcap.autodiff import Tensor
@@ -366,8 +366,8 @@ class TestStreamGradients:
                                              np.linspace(0.1, 1.0, rows))
 
         lstm = [p for p in params.values() if p.name.startswith(("lstm.", "embed."))]
-        err = ad.finite_diff_check(forward, [*codes.values(), *lstm], eps=1e-4,
-                                   max_coords_per_param=12, rng=np.random.default_rng(0))
+        err = finite_diff_check(forward, [*codes.values(), *lstm], eps=1e-4,
+                                max_coords_per_param=12, rng=np.random.default_rng(0))
         assert err < 1e-6
 
 
@@ -877,7 +877,7 @@ class TestTotalLoss:
     def test_gradients_flow_to_every_group(self):
         batch, params, cfg = loss_fixture(name="mttsnet,rem")
         for p in params.values():
-            p.zero_grad()
+            zero_grad(p)
         total, _ = total_loss(batch, params, cfg)
         ad.backward(total)
         for name in params:
@@ -900,7 +900,7 @@ class TestWeightSharing:
         batch = one_pair()
         for which in ("subject", "object"):
             for p in params.values():
-                p.zero_grad()
+                zero_grad(p)
             target = encode_pair_batch(batch, params, cfg)[which]
             loss = ad.matmul(ad.matmul(Tensor(np.ones((1, 1))), target),
                              Tensor(np.ones((cfg.code_width, 1))))
@@ -945,9 +945,9 @@ class TestGradientCheck:
             loss, _ = total_loss(batch, params, cfg)
             return loss
 
-        err = ad.finite_diff_check(forward, params.values(), eps=1e-5,
-                                   max_coords_per_param=3,
-                                   rng=np.random.default_rng(0))
+        err = finite_diff_check(forward, params.values(), eps=1e-5,
+                                max_coords_per_param=3,
+                                rng=np.random.default_rng(0))
         assert err < 1e-6
 
 

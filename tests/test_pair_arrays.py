@@ -1,6 +1,6 @@
 """The array pair path against its scalar oracles: many-box provider features
-against ``features``, ``caption_pairs`` against ``union_box`` and
-``geometric_feature``, bit for bit."""
+and region proposals against ``features``, ``caption_pairs`` against
+``union_box`` and ``geometric_feature``, bit for bit."""
 
 import numpy as np
 import pytest
@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tiny_config
-from relcap.data import RelationalRecord, SceneObject, ToyFeatureProvider
+from relcap.data import RelationalRecord, SceneObject, ToyFeatureProvider, proposals_for_record
 from relcap.errors import DataError
 from relcap.geometry import (Box, RegionProposal, box_rows, combination_layer,
-                             geometric_feature, intersection_area, nms, top_pairs, union_box)
+                             geometric_feature, intersection_area, iou, nms, top_pairs,
+                             union_box)
 from relcap.model import ModelConfig
 from relcap.pipeline import (ProposalSettings, build_image_batch, build_proposals,
                              caption_pairs, make_pair_batch)
@@ -118,6 +119,64 @@ class TestFeaturesMany:
         with pytest.raises(DataError, match="mauve circle"):
             PROVIDER.features_many(record, box_rows(boxes))
         assert "mauve circle" in scalar_rows(record, boxes)[0]
+
+
+def scalar_proposals(record, boxes, provider, seed, jitter, n_background):
+    """Per-box reference of ``proposals_for_record``: the same draws, each
+    kept box featurised by the scalar ``features`` as soon as it is drawn."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, record.image_id]))
+    out = []
+    for source in boxes:
+        box = source
+        for _attempt in range(30):
+            cand = Box(source.x + rng.uniform(-jitter, jitter) * source.w,
+                       source.y + rng.uniform(-jitter, jitter) * source.h,
+                       source.w * rng.uniform(1.0 - jitter, 1.0 + jitter),
+                       source.h * rng.uniform(1.0 - jitter, 1.0 + jitter))
+            if iou(cand, source) >= 0.75:
+                box = cand
+                break
+        out.append((box, rng.uniform(0.80, 0.98), provider.features(record, box)))
+    placed = 0
+    for _attempt in range(60 * max(n_background, 1)):
+        if placed >= n_background:
+            break
+        w, h = rng.uniform(16.0, 40.0), rng.uniform(16.0, 40.0)
+        cand = Box(rng.uniform(w / 2, record.width - w / 2),
+                   rng.uniform(h / 2, record.height - h / 2), w, h)
+        if all(iou(cand, g) < 0.25 for g in boxes):
+            out.append((cand, rng.uniform(0.05, 0.35), provider.features(record, cand)))
+            placed += 1
+    return [(k, box, confidence, feature.tobytes())
+            for k, (box, confidence, feature) in enumerate(out)]
+
+
+class TestProposals:
+    @pytest.mark.parametrize("seed,jitter,n_background", [(0, 0.08, 2), (3, 0.3, 0), (5, 0.0, 80)])
+    @pytest.mark.parametrize("kind", ["objects", "unions"])
+    def test_equal_to_per_box_reference(self, toy_world_small, kind, seed, jitter,
+                                        n_background):
+        records, provider, _ = toy_world_small
+        for record in records:
+            boxes = ([obj.box for obj in record.objects] if kind == "objects" else
+                     [union_box(rel.subject_box, rel.object_box) for rel in record.relations])
+            got = proposals_for_record(record, boxes, provider, seed, jitter, n_background)
+            assert [(p.id, p.box, p.confidence, p.feature.tobytes()) for p in got] == \
+                scalar_proposals(record, boxes, provider, seed, jitter, n_background)
+
+    @pytest.mark.parametrize("scene", [None, [SceneObject("hexagon", "red", Box(16, 12, 30, 20))]],
+                             ids=["no-scene", "unknown-shape"])
+    def test_errors_equal_the_per_box_reference(self, scene):
+        record = image(scene)
+        boxes = [Box(16, 12, 8, 8)]
+        with pytest.raises(DataError) as scalar:
+            scalar_proposals(record, boxes, PROVIDER, 0, 0.08, 0)
+        with pytest.raises(DataError) as many:
+            proposals_for_record(record, boxes, PROVIDER, 0, 0.08, 0)
+        assert str(many.value) == str(scalar.value)
+
+    def test_no_boxes_and_no_background_is_empty(self):
+        assert proposals_for_record(image(None), [], PROVIDER, 0, 0.08, 0) == []
 
 
 def proposals_from(boxes):

@@ -5,8 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import fresh_params, pair_rows, tiny_config
-from relcap.data import END_ID, ObjectAnnotation, encode_caption, proposals_for_record
+from conftest import fresh_params, object_proposals, pair_rows, tiny_config
+from relcap.data import END_ID, encode_caption, proposals_for_record
 from relcap.geometry import Box, RegionProposal, union_box
 from relcap.errors import InvariantError
 from relcap import pipeline
@@ -31,7 +31,7 @@ class TestBatchAssembly:
         records, provider, vocab = toy_world_small
         record = records[0]
         cfg = cfg_for(provider, vocab)
-        proposals = proposals_for_record(record, provider, seed=0)
+        proposals = object_proposals(record, provider, 0)
         batch = build_image_batch(record, proposals, provider, vocab, cfg)
         # every annotated object pair with a relation appears exactly once
         n_objects = len(record.objects)
@@ -47,7 +47,7 @@ class TestBatchAssembly:
         records, provider, vocab = toy_world_small
         record = records[0]
         cfg = cfg_for(provider, vocab)
-        proposals = proposals_for_record(record, provider, seed=0)
+        proposals = object_proposals(record, provider, 0)
         batch = build_image_batch(record, proposals, provider, vocab, cfg)
         for i, j, ids in zip(batch.pairs.subject_index, batch.pairs.object_index,
                              batch.token_ids):
@@ -64,7 +64,7 @@ class TestBatchAssembly:
         record = records[0]
         cfg = cfg_for(provider, vocab)
         params = fresh_params(cfg, seed=3)
-        proposals = proposals_for_record(record, provider, seed=0)
+        proposals = object_proposals(record, provider, 0)
         batch = build_image_batch(record, proposals, provider, vocab, cfg)
         codes = encode_pair_batch(batch.pairs, params, cfg)
         l_cap, l_pos = caption_losses(codes, batch.token_ids, batch.tags, params, cfg)
@@ -95,12 +95,8 @@ class TestBatchAssembly:
                 ub = union_box(rel.subject_box, rel.object_box)
                 if ub not in boxes:
                     boxes.append(ub)
-            stand_in = dataclasses.replace(
-                record, relations=[],
-                objects=[ObjectAnnotation("union", [], b) for b in boxes])
-            want = proposals_for_record(stand_in, provider, settings.seed,
-                                        jitter=settings.jitter,
-                                        n_background=settings.n_background)
+            want = proposals_for_record(record, boxes, provider, settings.seed,
+                                        settings.jitter, settings.n_background)
             got = build_proposals(record, provider, direct_union_config(provider, vocab),
                                   settings)
             assert [(p.id, p.box, p.confidence) for p in got] == \
@@ -136,7 +132,7 @@ class TestBatchAssembly:
         first = base.objects[0].box
         self_rel = dataclasses.replace(base.relations[0], subject_box=first, object_box=first)
         record = dataclasses.replace(base, relations=[self_rel] + base.relations)
-        proposals = proposals_for_record(record, provider, seed=0)
+        proposals = object_proposals(record, provider, 0)
         # a second proposal on the first object, so two distinct rows match it
         proposals.append(RegionProposal(proposals[0].box, proposals[0].confidence,
                                         proposals[0].feature, id=len(proposals)))
@@ -271,7 +267,7 @@ class TestPrediction:
     def test_make_pair_batch_boxes_align(self, toy_world_small):
         records, provider, vocab = toy_world_small
         cfg = cfg_for(provider, vocab)
-        proposals = proposals_for_record(records[0], provider, seed=0)
+        proposals = object_proposals(records[0], provider, 0)
         batch, boxes = make_pair_batch(records[0], proposals, provider, cfg)
         assert len(batch) == len(boxes) == len(proposals) * (len(proposals) - 1)
 
