@@ -20,6 +20,14 @@ line: the sha256 of its records without ``word_probs`` and ``confidence``,
 so a change that moves only last bits of probabilities can show with the
 same ``diff`` that tokens, POS and boxes stayed put.
 
+Each ``*/model.rckpt``, ``eval_*.json`` and ``retrieve_*.json`` also gets
+a ``<file>:payload`` line: the sha256 of what the file holds besides its
+provenance block. For a checkpoint that is every tensor's name, shape and
+bytes plus its ``meta`` without ``provenance``; for a report, the JSON
+payload without ``provenance``. A change that moves only provenance then
+shows with the same ``diff`` that the model and the reported numbers
+stayed put.
+
 ``relcap retrieve`` writes only R@K and the median rank, so two more lines
 per golden checkpoint pin what those round away, on ``toy/test.jsonl``:
 ``scores/<model>/retrieval_score``, the sha256 of the ``float.hex`` of the
@@ -110,6 +118,33 @@ def token_hashes(outdir: str) -> dict:
                     record.pop("confidence")
                     digest.update(json.dumps(record, sort_keys=True).encode("utf-8") + b"\n")
             out[f"{name}:no-probs"] = digest.hexdigest()
+    return out
+
+
+def payload_hashes(outdir: str, paths) -> dict:
+    """sha256 of each checkpoint and eval / retrieve report among ``paths``
+    (relative to ``outdir``) without its provenance block."""
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from relcap.checkpoint import load_checkpoint
+
+    out = {}
+    for path in paths:
+        name = os.path.basename(path)
+        if name == "model.rckpt":
+            arrays, meta = load_checkpoint(os.path.join(outdir, path))
+            meta.pop("provenance", None)
+            digest = hashlib.sha256(json.dumps(meta, sort_keys=True).encode("utf-8") + b"\n")
+            for key, array in arrays.items():
+                digest.update(f"{key} {list(array.shape)}\n".encode("utf-8"))
+                digest.update(array.tobytes())
+        elif name.startswith(("eval_", "retrieve_")) and name.endswith(".json"):
+            with open(os.path.join(outdir, path), encoding="utf-8") as fh:
+                report = json.load(fh)
+            report.pop("provenance", None)
+            digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode("utf-8"))
+        else:
+            continue
+        out[f"{path}:payload"] = digest.hexdigest()
     return out
 
 
@@ -235,8 +270,9 @@ def main(argv) -> int:
         first_image = json.loads(fh.readline())["image_id"]
     run(relcap + ["graph", "--predictions", "greedy_mttsnet_mtl_rem.jsonl",
                   "--image-id", str(first_image), "--out", "graph"], outdir, env)
-    hashes = (file_hashes(outdir) | token_hashes(outdir) | score_hashes(outdir)
-              | pair_hashes(outdir) | perfbench_hashes(env))
+    files = file_hashes(outdir)
+    hashes = (files | token_hashes(outdir) | payload_hashes(outdir, files)
+              | score_hashes(outdir) | pair_hashes(outdir) | perfbench_hashes(env))
     for path in sorted(hashes):
         print(f"{hashes[path]}  {path}")
     return 0
