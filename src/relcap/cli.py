@@ -1,8 +1,8 @@
 """Command-line entry points.
 
 Subcommands: gen-toy, train, eval, infer, graph, retrieve, enrich. Every
-command is deterministic given its configuration and inputs; outputs carry
-a provenance block (config hash, seed, format versions). Exit codes:
+command is deterministic given its configuration and inputs; see
+``run_provenance`` for the provenance block some outputs carry. Exit codes:
 0 success, 2 config/usage error, 3 data error, 4 internal invariant
 violation.
 """
@@ -30,26 +30,33 @@ from .geometry import Box, nms
 from .metrics import MetricConfig, PredictionRecord
 from .model import MODEL_PRESETS, ModelConfig, load_model, save_model
 from .pipeline import (ProposalSettings, TrainSettings, build_proposals, evaluate_model,
-                       history_to_csv, make_pair_batch, predict_records, train_model)
-
-
-def _sha256_bytes(payload: bytes) -> str:
-    return hashlib.sha256(payload).hexdigest()
+                       history_to_csv, make_pair_batch, predict_image, train_model)
 
 
 def _sha256_file(path: str) -> str:
     with open(path, "rb") as fh:
-        return _sha256_bytes(fh.read())
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def provenance(config: dict, seed) -> dict:
     canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return {
-        "config_sha256": _sha256_bytes(canon.encode("utf-8")),
+        "config_sha256": hashlib.sha256(canon.encode("utf-8")).hexdigest(),
         "seed": seed,
         "dataset_schema_version": SCHEMA_VERSION,
         "package_version": __version__,
     }
+
+
+def run_provenance(args, **inputs) -> dict:
+    """The provenance of a run of gen-toy, train, eval or retrieve: the command,
+    its resolved ``SETTINGS``, the sha256 of each input file (name -> path,
+    None left out) and a ``config_sha256`` over those three."""
+    settings = {name: getattr(args, name.replace("-", "_")) for name in SETTINGS[args.command]}
+    echo = {"command": args.command, "settings": settings,
+            "inputs": {name: _sha256_file(path) for name, path in inputs.items()
+                       if path is not None}}
+    return echo | provenance(echo, settings.get("seed", settings.get("proposal-seed")))
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -212,10 +219,10 @@ def _load_provider(path: str) -> ToyFeatureProvider:
         raise DataError(f"bad provider spec {path}: {exc}") from exc
 
 
-# train setting -> the ModelConfig field that a resumed checkpoint fixes
-_RESUME_FIXED = {"model": "name", "hidden": "hidden", "d-subj-obj": "d_subj_obj",
-                 "d-union": "d_union", "rem-dim": "rem_dim", "max-len": "max_len",
-                 "dropout": "dropout"}
+# train setting -> the ModelConfig field it sets, and that a resumed checkpoint fixes
+_MODEL_SETTINGS = {"model": "name", "hidden": "hidden", "d-subj-obj": "d_subj_obj",
+                   "d-union": "d_union", "rem-dim": "rem_dim", "max-len": "max_len",
+                   "dropout": "dropout"}
 
 
 def _check_vocab(vocab, records) -> None:
@@ -248,14 +255,10 @@ def cmd_gen_toy(args) -> int:
                        "sha256": _sha256_file(path)}
     provider_path = os.path.join(out_dir, "provider.json")
     _write_json(provider_path, provider.to_json())
-    config_echo = {"seed": args.seed, "toy": toy.__dict__ | {"shapes": list(toy.shapes),
-                                                             "colors": list(toy.colors),
-                                                             "splits": list(toy.splits)}}
     _write_json(os.path.join(out_dir, "manifest.json"), {
         "splits": paths,
         "provider": {"path": "provider.json", "sha256": _sha256_file(provider_path)},
-        "config": config_echo,
-        "provenance": provenance(config_echo, args.seed),
+        "provenance": run_provenance(args),
     })
     print(f"wrote {sum(p['images'] for p in paths.values())} images to {out_dir} "
           f"({paths['train']['images']}/{paths['val']['images']}/{paths['test']['images']} split)")
@@ -275,30 +278,31 @@ def cmd_train(args) -> int:
 
     params = optimizer = None
     if args.resume:
-        params, config, vocab, optimizer, _ = load_model(_require_file(args.resume, "checkpoint"))
+        params, config, vocab, optimizer, meta = load_model(
+            _require_file(args.resume, "checkpoint"))
         if "min-count" in args.explicit:
             raise ConfigError("--min-count cannot be given with --resume: "
                               "the checkpoint fixes the vocabulary")
-        for name, field in _RESUME_FIXED.items():
-            value, fixed = getattr(args, name.replace("-", "_")), getattr(config, field)
-            if name in args.explicit and value != fixed:
-                raise ConfigError(f"--{name} {value} disagrees with the resumed "
+        # The model settings and min-count take the checkpoint's values, so
+        # that the provenance echoes what runs.
+        for name, field in _MODEL_SETTINGS.items():
+            dest, fixed = name.replace("-", "_"), getattr(config, field)
+            if name in args.explicit and getattr(args, dest) != fixed:
+                raise ConfigError(f"--{name} {getattr(args, dest)} disagrees with the resumed "
                                   f"checkpoint's {field} {fixed}")
+            setattr(args, dest, fixed)
+        try:    # as the checkpoint's own provenance records it, if it does
+            args.min_count = meta["provenance"]["settings"]["min-count"]
+        except (KeyError, TypeError):
+            args.min_count = None
         _check_vocab(vocab, records)
     else:
         vocab = build_vocab(records, min_count=args.min_count)
-        config = ModelConfig.from_name(
-            args.model, feature_width=provider.feature_width, vocab_size=len(vocab),
-            d_subj_obj=args.d_subj_obj, d_union=args.d_union, code_width=args.hidden,
-            hidden=args.hidden, rem_dim=args.rem_dim, max_len=args.max_len,
-            dropout=args.dropout)
-
-    config_echo = {"model": config.to_json(), "train": {
-        "epochs": settings.epochs, "lr": settings.lr, "alpha": settings.alpha,
-        "beta": settings.beta, "gamma": settings.gamma, "seed": settings.seed,
-        "proposal_seed": settings.proposals.seed, "jitter": settings.proposals.jitter,
-        "background": settings.proposals.n_background}}
-    prov = provenance(config_echo, settings.seed)
+        config = ModelConfig(provider.feature_width, len(vocab), code_width=args.hidden,
+                             **{field: getattr(args, name.replace("-", "_"))
+                                for name, field in _MODEL_SETTINGS.items()}).validate()
+    prov = run_provenance(args, dataset=args.data, provider=args.provider,
+                          checkpoint=args.resume)
 
     def on_epoch(_epoch, _row, cur_params, cur_opt):
         save_model(ckpt_path, cur_params, config, vocab, optimizer=cur_opt,
@@ -310,7 +314,7 @@ def cmd_train(args) -> int:
     write_atomic(os.path.join(out_dir, "train_log.csv"),
                  history_to_csv(history).encode("utf-8"))
     _write_json(os.path.join(out_dir, "train_manifest.json"),
-                {"config": config_echo, "provenance": prov,
+                {"provenance": prov,
                  "checkpoint": {"path": "model.rckpt", "sha256": _sha256_file(ckpt_path)},
                  "final_loss": history[-1] if history else None})
     if history:
@@ -345,7 +349,8 @@ def cmd_eval(args) -> int:
                                          **_predict_options(args))
     payload = {"report": report.to_json(),
                "n_predictions": len(predictions),
-               "provenance": provenance({"eval": vars(args).get("data")}, settings.seed)}
+               "provenance": run_provenance(args, checkpoint=args.checkpoint, dataset=args.data,
+                                            provider=args.provider)}
     if args.out:
         _write_json(args.out, payload)
     print(report.render_table())
@@ -356,9 +361,9 @@ def cmd_infer(args) -> int:
     params, config, vocab, records, provider, settings = _eval_like_setup(args)
     rng = np.random.default_rng(np.random.SeedSequence([settings.seed, 99])) \
         if args.mode == "stochastic" else None
-    proposals = (build_proposals(record, provider, config, settings) for record in records)
-    predictions = predict_records(records, proposals, params, config, vocab, provider,
-                                  mode=args.mode, rng=rng, **_predict_options(args))
+    predictions = [pred for record in records
+                   for pred in predict_image(record, params, config, vocab, provider, settings,
+                                             mode=args.mode, rng=rng, **_predict_options(args))]
     write_predictions(args.out, predictions)
     print(f"wrote {len(predictions)} predictions to {args.out}")
     return 0
@@ -408,8 +413,8 @@ def cmd_retrieve(args) -> int:
     result = retrieval_eval(scorables, gt_captions, vocab, params, config, protocol,
                             seed=settings.seed)
     payload = {"retrieval": result,
-               "provenance": provenance({"protocol": protocol.__dict__ |
-                                         {"ks": list(protocol.ks)}}, settings.seed)}
+               "provenance": run_provenance(args, checkpoint=args.checkpoint, dataset=args.data,
+                                            provider=args.provider)}
     if args.out:
         _write_json(args.out, payload)
     for k in protocol.ks:

@@ -621,8 +621,9 @@ def proposals_for_record(record: RelationalRecord, boxes, provider, seed: int,
     for _attempt in range(60 * max(n_background, 1)):
         if placed >= n_background:
             break
-        w = rng.uniform(16.0, 40.0)
-        h = rng.uniform(16.0, 40.0)
+        # Clamped to the image, so a small image still gives a valid range below.
+        w = min(rng.uniform(16.0, 40.0), record.width)
+        h = min(rng.uniform(16.0, 40.0), record.height)
         x = rng.uniform(w / 2, record.width - w / 2)
         y = rng.uniform(h / 2, record.height - h / 2)
         cand = Box(x, y, w, h)

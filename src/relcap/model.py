@@ -509,6 +509,9 @@ class ImageBatch:
     labels: list                    # MatchLabel per proposal
 
 
+LOSS_COMPONENTS = ("l_cap", "l_pos", "l_det", "l_box", "total")
+
+
 @dataclass
 class LossReport:
     l_cap: float

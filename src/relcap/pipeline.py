@@ -16,8 +16,9 @@ from .geometry import (Box, box_rows, combination_layer, iou, match_to_gt, nms,
 from .metrics import (EvalReport, MetricConfig, PredictionRecord, diversity_stats,
                       image_level_recall, mean_meteor, pos_accuracy, relational_map,
                       score_pairs, vrd_recall_at_k)
-from .model import (ImageBatch, ModelConfig, ModelParams, PairBatch, _pad_targets,
-                    decode_batch, encode_pair_batch, init_params, stream_states, total_loss)
+from .model import (LOSS_COMPONENTS, ImageBatch, ModelConfig, ModelParams, PairBatch,
+                    _pad_targets, decode_batch, encode_pair_batch, init_params, stream_states,
+                    total_loss)
 
 
 @dataclass
@@ -191,23 +192,22 @@ def train_model(records, provider, vocab: Vocabulary, config: ModelConfig,
         for rec in records
     ]
     history = []
-    keys = ("l_cap", "l_pos", "l_det", "l_box", "total")
     for epoch in range(settings.epochs):
-        sums = dict.fromkeys(keys, 0.0)
+        sums = dict.fromkeys(LOSS_COMPONENTS, 0.0)
         for image_id, batch in batches:
             loss, report = total_loss(batch, params, config,
                                       alpha=settings.alpha, beta=settings.beta,
                                       gamma=settings.gamma, rng=dropout_rng)
-            bad = [key for key in keys if not math.isfinite(getattr(report, key))]
+            bad = [key for key in LOSS_COMPONENTS if not math.isfinite(getattr(report, key))]
             if bad:
                 raise InvariantError(f"epoch {epoch + 1}, image {image_id}: non-finite "
                                      f"{bad[0]} = {getattr(report, bad[0])!r}")
             ad.backward(loss)
             ad.adam_step(params, optimizer)
-            for key in keys:
+            for key in LOSS_COMPONENTS:
                 sums[key] += getattr(report, key)
         row = {"epoch": epoch + 1}
-        row.update({key: sums[key] / max(len(batches), 1) for key in keys})
+        row.update({key: sums[key] / max(len(batches), 1) for key in LOSS_COMPONENTS})
         history.append(row)
         if on_epoch is not None:
             on_epoch(epoch, row, params, optimizer)
@@ -215,10 +215,9 @@ def train_model(records, provider, vocab: Vocabulary, config: ModelConfig,
 
 
 def history_to_csv(history) -> str:
-    lines = ["epoch,l_cap,l_pos,l_det,l_box,total"]
-    for row in history:
-        lines.append(f"{row['epoch']},{row['l_cap']!r},{row['l_pos']!r},"
-                     f"{row['l_det']!r},{row['l_box']!r},{row['total']!r}")
+    lines = [",".join(("epoch", *LOSS_COMPONENTS))]
+    lines += [",".join((str(row["epoch"]), *(repr(row[key]) for key in LOSS_COMPONENTS)))
+              for row in history]
     return "\n".join(lines) + "\n"
 
 
@@ -269,25 +268,11 @@ def predict_proposals(record: RelationalRecord, proposals, params: ModelParams,
 
 
 def predict_image(record: RelationalRecord, params: ModelParams, config: ModelConfig,
-                  vocab: Vocabulary, provider, settings: ProposalSettings,
-                  metric_config: MetricConfig | None = None,
-                  nms_iou: float = 0.5, pair_cap: int | None = None,
-                  min_confidence: float | None = None,
-                  mode: str = "greedy", rng: np.random.Generator | None = None):
-    """Decode captions for every surviving pair of one image."""
+                  vocab: Vocabulary, provider, settings: ProposalSettings, **options):
+    """``predict_proposals`` (with its keyword ``options``) over the image's
+    own ``build_proposals``."""
     return predict_proposals(record, build_proposals(record, provider, config, settings),
-                             params, config, vocab, provider, metric_config=metric_config,
-                             nms_iou=nms_iou, pair_cap=pair_cap,
-                             min_confidence=min_confidence, mode=mode, rng=rng)
-
-
-def predict_records(records, proposals, params: ModelParams, config: ModelConfig,
-                    vocab: Vocabulary, provider, **predict_options):
-    """predict_proposals over every record and its proposals, concatenated in
-    record order."""
-    return [pred for record, props in zip(records, proposals, strict=True)
-            for pred in predict_proposals(record, props, params, config, vocab, provider,
-                                          **predict_options)]
+                             params, config, vocab, provider, **options)
 
 
 def predicted_pos_tags(token_ids, codes, params, config):
@@ -328,9 +313,11 @@ def evaluate_model(records, params, config: ModelConfig, vocab: Vocabulary, prov
         raise DataError("evaluation needs ground-truth relations; the dataset has none")
     # One proposal set per record, shared by decoding and POS accuracy.
     proposals = [build_proposals(record, provider, config, settings) for record in records]
-    predictions = predict_records(records, proposals, params, config, vocab, provider,
-                                  metric_config=metric_config, nms_iou=nms_iou,
-                                  pair_cap=pair_cap, min_confidence=min_confidence)
+    predictions = [pred for record, props in zip(records, proposals)
+                   for pred in predict_proposals(record, props, params, config, vocab, provider,
+                                                 metric_config=metric_config, nms_iou=nms_iou,
+                                                 pair_cap=pair_cap,
+                                                 min_confidence=min_confidence)]
     words_img, words_box = diversity_stats(predictions)
     scores = score_pairs(predictions, gts)
     report = EvalReport(

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from relcap import schemas
 from relcap.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from relcap.cli import (SETTINGS, build_parser, main, prediction_to_json, read_predictions,
-                        resolve_settings, write_predictions)
+                        resolve_settings, run_provenance, write_predictions)
 from relcap.data import save_attributes, ImageAttributes, AttributeRecord
 from relcap.errors import DataError
 from relcap.geometry import Box
@@ -542,6 +542,25 @@ class TestExitCodes:
         _, config, _, _, _ = load_model(os.path.join(out, "model.rckpt"))
         _, original, _, _, _ = load_model(os.path.join(trained_dir, "model.rckpt"))
         assert config == original
+        # the provenance echoes what ran: the checkpoint's settings, not the defaults
+        with open(os.path.join(out, "train_manifest.json"), encoding="utf-8") as fh:
+            settings = json.load(fh)["provenance"]["settings"]
+        assert (settings["hidden"], settings["d-union"], settings["dropout"],
+                settings["min-count"]) == (8, 8, 0.0, 1)
+
+    def test_resume_from_checkpoint_that_records_no_min_count(self, toy_dir, trained_dir,
+                                                              tmp_path):
+        arrays, meta = load_checkpoint(os.path.join(trained_dir, "model.rckpt"))
+        del meta["provenance"]
+        bare = str(tmp_path / "bare.rckpt")
+        save_checkpoint(bare, arrays, meta)
+        out = str(tmp_path / "resumed")
+        assert run(["train", "--data", os.path.join(toy_dir, "train.jsonl"),
+                    "--provider", os.path.join(toy_dir, "provider.json"), "--out", out,
+                    "--epochs", "1", "--resume", bare]) == 0
+        with open(os.path.join(out, "train_manifest.json"), encoding="utf-8") as fh:
+            settings = json.load(fh)["provenance"]["settings"]
+        assert settings["min-count"] is None and settings["hidden"] == 8
 
     def _dataset_variant(self, toy_dir, tmp_path, name, edit):
         with open(os.path.join(toy_dir, "test.jsonl")) as fh:
@@ -663,6 +682,151 @@ class TestSettingsTable:
         assert (settings["epochs"], settings["hidden"], settings["lr"]) == (2, 2, 1.0)
         assert type(settings["hidden"]) is int and type(settings["lr"]) is float
         assert settings["model"] == "mttsnet"
+
+
+# Commands that write a provenance block -> the input files they hash.
+_PROVENANCE_INPUTS = {"gen-toy": (), "train": ("dataset", "provider", "checkpoint"),
+                      "eval": ("checkpoint", "dataset", "provider"),
+                      "retrieve": ("checkpoint", "dataset", "provider")}
+
+
+def _input_files(tmp_path, command):
+    """name -> path of a small file for each input ``command`` hashes."""
+    paths = {name: str(tmp_path / name) for name in _PROVENANCE_INPUTS[command]}
+    for name, path in paths.items():
+        with open(path, "wb") as fh:
+            fh.write(f"{name} bytes\n".encode("ascii"))
+    return paths
+
+
+def _provenance(argv, inputs) -> bytes:
+    """The provenance block of the parsed and resolved ``argv`` as canonical JSON."""
+    args = build_parser().parse_args(argv)
+    resolve_settings(args)
+    return json.dumps(run_provenance(args, **inputs), sort_keys=True).encode("utf-8")
+
+
+def _other_value(kind, default):
+    """An accepted value of a setting that differs from its default."""
+    if kind is str:
+        return {"mttsnet": "tsnet", "1,5,10": "1,2"}[default]
+    if default is None:
+        return {int: 4, float: 0.25}[kind]
+    return default + 1 if kind is int else default / 2
+
+
+class TestProvenance:
+    @pytest.mark.parametrize("command,name", [(command, name)
+                                              for command in sorted(_PROVENANCE_INPUTS)
+                                              for name in SETTINGS[command]])
+    def test_each_setting_moves_the_hash_by_flag_or_config_file(self, tmp_path, command,
+                                                                 name):
+        value = _other_value(*SETTINGS[command][name][:2])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({name: value}))
+        inputs = _input_files(tmp_path, command)
+        argv = [command, *_REQUIRED[command]]
+        by_flag = _provenance(argv + [f"--{name}", str(value)], inputs)
+        by_config = _provenance(argv + ["--config", str(config),
+                                        "--out", str(tmp_path / "elsewhere")], inputs)
+        assert by_flag == by_config
+        default = json.loads(_provenance(argv, inputs))
+        assert json.loads(by_flag)["config_sha256"] != default["config_sha256"]
+        assert json.loads(by_flag)["settings"][name] == value
+
+    @pytest.mark.parametrize("command,name", [(command, name)
+                                              for command in sorted(_PROVENANCE_INPUTS)
+                                              for name in _PROVENANCE_INPUTS[command]])
+    def test_every_flipped_input_byte_moves_the_hash(self, tmp_path, command, name):
+        inputs = _input_files(tmp_path, command)
+        argv = [command, *_REQUIRED[command]]
+        before = json.loads(_provenance(argv, inputs))["config_sha256"]
+        with open(inputs[name], "rb") as fh:
+            raw = fh.read()
+        for at in range(len(raw)):
+            with open(inputs[name], "wb") as fh:
+                fh.write(raw[:at] + bytes([raw[at] ^ 0x01]) + raw[at + 1:])
+            assert json.loads(_provenance(argv, inputs))["config_sha256"] != before
+
+
+@pytest.fixture(scope="module")
+def seed3_toy_dir(tmp_path_factory):
+    """A world whose train split keeps every word at ``--min-count`` 2, so
+    min-count 1 and 2 give vocabularies of one size."""
+    out = str(tmp_path_factory.mktemp("toy_seed3"))
+    assert run(["gen-toy", "--out", out, "--seed", "3", "--images", "10"]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def min_count_runs(seed3_toy_dir, tmp_path_factory):
+    """Two 1-epoch checkpoints that differ only in ``--min-count`` (1, 2)."""
+    outs = []
+    for min_count in (1, 2):
+        out = str(tmp_path_factory.mktemp(f"min_count_{min_count}"))
+        assert run(["train", "--data", os.path.join(seed3_toy_dir, "train.jsonl"),
+                    "--provider", os.path.join(seed3_toy_dir, "provider.json"), "--out", out,
+                    "--epochs", "1", "--hidden", "8", "--d-subj-obj", "10", "--d-union", "8",
+                    "--rem-dim", "6", "--seed", "1", "--min-count", str(min_count)]) == 0
+        outs.append(out)
+    return outs
+
+
+def _config_sha256(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)["provenance"]["config_sha256"]
+
+
+class TestProvenanceProbes:
+    def test_min_count_moves_the_train_hash(self, min_count_runs):
+        sizes = {load_model(os.path.join(out, "model.rckpt"))[1].vocab_size
+                 for out in min_count_runs}
+        hashes = {_config_sha256(os.path.join(out, "train_manifest.json"))
+                  for out in min_count_runs}
+        assert len(sizes) == 1 and len(hashes) == 2
+
+    def test_checkpoint_and_keep_after_nms_move_the_eval_hash(self, seed3_toy_dir,
+                                                              min_count_runs, tmp_path):
+        hashes = set()
+        for k, out in enumerate(min_count_runs):
+            for keep in ("50", "3"):
+                report = str(tmp_path / f"eval_{k}_{keep}.json")
+                assert run(["eval", "--checkpoint", os.path.join(out, "model.rckpt"),
+                            "--data", os.path.join(seed3_toy_dir, "test.jsonl"),
+                            "--provider", os.path.join(seed3_toy_dir, "provider.json"),
+                            "--keep-after-nms", keep, "--out", report]) == 0
+                hashes.add(_config_sha256(report))
+        assert len(hashes) == 4
+
+
+class TestSmallImage:
+    def test_image_smaller_than_a_background_box(self, toy_dir, tmp_path):
+        # Background boxes are drawn 16 to 40 px wide and high: wider and
+        # higher than this 30x14 image.
+        def box(x):
+            return {"x": x, "y": 7.0, "w": 8.0, "h": 8.0}
+
+        objects = [("circle", "red", box(8.0)), ("square", "blue", box(22.0))]
+        record = {
+            "schema_version": 1, "image_id": 0, "width": 30.0, "height": 14.0,
+            "objects": [{"category": shape, "attributes": [color], "box": b}
+                        for shape, color, b in objects],
+            "scene": [{"shape": shape, "color": color, "box": b} for shape, color, b in objects],
+            "relations": [{"subject_box": box(8.0), "object_box": box(22.0),
+                           "tokens": ["the", "circle", "is", "left", "of", "the", "square"],
+                           "pos": ["SUBJ", "SUBJ", "PRED", "PRED", "PRED", "OBJ", "OBJ"]}],
+        }
+        data = str(tmp_path / "small.jsonl")
+        with open(data, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(record) + "\n")
+        provider = os.path.join(toy_dir, "provider.json")
+        checkpoint = str(tmp_path / "run" / "model.rckpt")
+        assert run(["train", "--data", data, "--provider", provider,
+                    "--out", str(tmp_path / "run"), "--epochs", "1"]) == 0
+        inputs = ["--checkpoint", checkpoint, "--data", data, "--provider", provider]
+        assert run(["eval", *inputs]) == 0
+        assert run(["infer", *inputs, "--out", str(tmp_path / "preds.jsonl")]) == 0
+        assert run(["retrieve", *inputs, "--images", "1", "--query-images", "1"]) == 0
 
 
 def _lines(path):
