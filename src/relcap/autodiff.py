@@ -161,11 +161,11 @@ def custom_op(data, parents, backward) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def tile_rows(x: np.ndarray) -> np.ndarray:
-    """``x`` as ``(tiles, TILE, K)``, zero-padded to a multiple of TILE
-    rows; no copy when the row count already is one."""
+    """``x`` as ``(tiles, TILE, K)``, zero-padded in its own dtype to a
+    multiple of TILE rows; no copy when the row count already is one."""
     pad = -len(x) % TILE
     if pad:
-        x = np.concatenate([x, np.zeros((pad, x.shape[1]))])
+        x = np.concatenate([x, np.zeros((pad, x.shape[1]), x.dtype)])
     return x.reshape(-1, TILE, x.shape[1])
 
 

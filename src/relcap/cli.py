@@ -4,7 +4,8 @@ Subcommands: gen-toy, train, eval, infer, graph, retrieve, enrich. Every
 command is deterministic given its configuration and inputs; see
 ``run_provenance`` for the provenance block some outputs carry. Exit codes:
 0 success, 2 config/usage error, 3 data error, 4 internal invariant
-violation.
+violation, 141 stdout closed before the command's output was written (the
+code of a process killed by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -507,13 +508,24 @@ _COMMANDS = {
 }
 
 
+EXIT_STDOUT_CLOSED = 141
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.command in SETTINGS:
             resolve_settings(args)
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        if sys.stdout is not None:      # None when started with fd 1 closed
+            sys.stdout.flush()          # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader went away (``relcap eval ... | head -2``). Point stdout at
+        # devnull so the interpreter's own flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_STDOUT_CLOSED
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

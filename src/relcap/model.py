@@ -306,15 +306,17 @@ BLOCK = 8 * ad.TILE     # rows whose gate work runs together within a step
 _GATES = ((0, 0.5), (1, 0.5), (3, 0.5), (2, 1.0))
 
 
-def _gate_weights(params: ModelParams, config: ModelConfig):
+def _gate_weights(params: ModelParams, config: ModelConfig, dtype):
     """Per stream (W_x, W_h, b): the checkpoint's [x, h] @ W split in two and
-    stacked gate-major, ``(4, hidden, hidden)`` and ``(4, 1, hidden)``."""
+    stacked gate-major, ``(4, hidden, hidden)`` and ``(4, 1, hidden)``, in
+    ``dtype``."""
     h = config.hidden
     out = []
     for name in _stream_names(config):
         w, b = params[f"lstm.{name}.w"].data, params[f"lstm.{name}.b"].data
         w = np.stack([w[:, k * h:(k + 1) * h] * scale for k, scale in _GATES])
         b = np.stack([b[k * h:(k + 1) * h] * scale for k, scale in _GATES])
+        w, b = w.astype(dtype, copy=False), b.astype(dtype, copy=False)
         out.append((np.ascontiguousarray(w[:, :h]), np.ascontiguousarray(w[:, h:]),
                     b[:, None, :]))
     return out
@@ -343,17 +345,23 @@ def run_streams(first, params: ModelParams, config: ModelConfig, n_steps: int, e
     ``(4, rows, hidden)`` array of activated i, f, o, g gates and one
     ``(rows, hidden)`` array per stream, for the backward pass of
     ``stream_states``.
+
+    The run is float64 exactly when it keeps a tape. Without one (decoding
+    and every other forward-only pass) the gate weights, step-0 inputs, word
+    tables and states are cast to float32, and ``emit`` receives float32
+    states; the parameters themselves stay float64.
     """
     hid = config.hidden
-    weights = _gate_weights(params, config)
-    embed = params["embed.table"].data
+    dtype = np.float64 if tape is not None else np.float32
+    weights = _gate_weights(params, config, dtype)
+    embed = params["embed.table"].data.astype(dtype, copy=False)
     n = len(first[0].data)
     rows = n + (-n % ad.TILE)
     block = max(rows, 1) if tape is not None else BLOCK
-    h = [np.zeros((rows, hid)) for _ in weights]
-    c = [np.zeros((rows, hid)) for _ in weights]
-    start = [np.matmul(ad.tile_rows(x.data), w_x[:, None]).reshape(4, rows, hid) + b
-             for x, (w_x, _, b) in zip(first, weights)]
+    h = [np.zeros((rows, hid), dtype) for _ in weights]
+    c = [np.zeros((rows, hid), dtype) for _ in weights]
+    start = [np.matmul(ad.tile_rows(x.data.astype(dtype, copy=False)), w_x[:, None])
+             .reshape(4, rows, hid) + b for x, (w_x, _, b) in zip(first, weights)]
     vocab = len(embed)
     lookup = [(np.matmul(ad.tile_rows(embed), w_x[:, None]).reshape(4, -1, hid)[:, :vocab] + b)
               .reshape(4 * vocab, hid) for w_x, _, b in weights]
@@ -406,7 +414,9 @@ def stream_states(codes, targets: np.ndarray, params: ModelParams, config: Model
     ``targets``. The backward pass is backpropagation through time over the
     gates ``run_streams`` recorded (the vanilla-LSTM equations of Greff et
     al., "LSTM: A Search Space Odyssey"). Inside ``no_grad`` no gates are
-    recorded and the rows run in blocks; the states are bit-equal.
+    recorded, the rows run in blocks and the kernel runs in float32 (see
+    ``run_streams``), so the states agree with the taped float64 ones only
+    to float32 rounding; the result is a float64 array either way.
     """
     first = stream_inputs(codes, params, config)
     names = _stream_names(config)
@@ -617,8 +627,9 @@ def decode_batch(batch: PairBatch, params: ModelParams, config: ModelConfig,
     stochastic samples from the word softmax and requires ``rng``: each step
     draws one uniform per unfinished row, in row order, as a per-row
     ``rng.choice`` would. Runs under ``no_grad``: nothing is differentiated,
-    so no graph is kept. A pair's output does not depend on the other pairs
-    of the batch.
+    so no graph is kept and the LSTM runs in float32; the heads and softmax
+    stay float64. A pair's output does not depend on the other pairs of the
+    batch.
     """
     if mode not in ("greedy", "stochastic"):
         raise ValueError(f"unknown decode mode {mode!r}")

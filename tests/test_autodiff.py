@@ -350,6 +350,15 @@ class TestTileRows:
         assert np.array_equal(part.reshape(-1, 2)[:ad.TILE + 1], x[:ad.TILE + 1])
         assert not part.reshape(-1, 2)[ad.TILE + 1:].any()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pads_in_the_input_dtype(self, dtype):
+        x = np.random.default_rng(1).normal(size=(ad.TILE + 3, 5)).astype(dtype)
+        tiled = ad.tile_rows(x)
+        assert tiled.dtype == dtype
+        rows = tiled.reshape(-1, 5)
+        assert rows[:len(x)].tobytes() == x.tobytes()
+        assert rows[len(x):].tobytes() == bytes(rows[len(x):].nbytes)
+
 
 class TestFiniteDiffCheck:
     def test_small_network(self):

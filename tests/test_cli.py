@@ -4,6 +4,8 @@ import argparse
 import json
 import os
 import struct
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import relcap
 from relcap import schemas
 from relcap.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from relcap.cli import (SETTINGS, build_parser, main, prediction_to_json, read_predictions,
@@ -46,6 +49,29 @@ def trained_dir(tmp_path_factory, toy_dir):
                 "--dropout", "0.0"])
     assert code == 0
     return out
+
+
+def run_gen_toy(out, **popen_args):
+    """``relcap gen-toy`` in a child process, stderr captured."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(relcap.__file__)))
+    return subprocess.run([sys.executable, "-m", "relcap.cli", "gen-toy", "--out", str(out),
+                           "--seed", "7", "--images", "4"], stderr=subprocess.PIPE, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120, **popen_args)
+
+
+def test_closed_stdout_exits_without_traceback(tmp_path):
+    # A pipe whose reader is gone (``relcap ... | head``): exit 141.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_gen_toy(tmp_path / "piped", stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
+    assert os.path.exists(tmp_path / "piped" / "manifest.json")
+    # No stdout at all (``relcap ... >&-``): nothing to write, exit 0.
+    proc = run_gen_toy(tmp_path / "closed", preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 class TestGenToy:
