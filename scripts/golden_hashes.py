@@ -6,16 +6,20 @@ OUTDIR must be missing or empty. The ``relcap`` commands below run there
 with this checkout's ``src`` on PYTHONPATH and OPENBLAS_NUM_THREADS=1: the
 seed-7 toy dataset, three 3-epoch models (``mttsnet,mtl,rem``,
 ``direct-union``, ``direct-union,mtl,rem``) with eval, greedy and stochastic
-infer and retrieve on each, two pair-capped infers, one caption graph, one
-1-epoch ``train --resume`` of the ``mttsnet,mtl,rem`` checkpoint (which
-reads and writes its Adam moments), and a 1-epoch model of every other
-preset, so each variant's ``model_config`` echo is hashed. Then
-``perfbench/run.py`` runs every workload for 2 s on seed 701.
+infer and retrieve on each, two pair-capped infers, a greedy and a
+stochastic dense infer of ``mttsnet,mtl,rem`` at 80 background proposals
+(up to 50 kept after NMS, so up to 2,450 pairs per image: the decoder runs
+more than one row block and shares subject and object states across
+pairs), one caption graph, one 1-epoch ``train --resume`` of the
+``mttsnet,mtl,rem`` checkpoint (which reads and writes its Adam moments),
+and a 1-epoch model of every other preset, so each variant's
+``model_config`` echo is hashed. Then ``perfbench/run.py`` runs every
+workload for 2 s on seed 701.
 
 The output is one ``sha256  path`` line per file under OUTDIR and one per
 perfbench output hash (path ``perfbench/<workload>/<name>``), sorted by
 path. Byte-identity of two checkouts is then one ``diff`` of their outputs.
-Each greedy or capped predictions file also gets a ``<file>:no-probs``
+Each greedy, dense or capped predictions file also gets a ``<file>:no-probs``
 line: the sha256 of its records without ``word_probs`` and ``confidence``,
 so a change that moves only last bits of probabilities can show with the
 same ``diff`` that tokens, POS and boxes stayed put.
@@ -85,6 +89,10 @@ def relcap_commands():
            "--out", "capped.jsonl"]
     yield ["infer", "--checkpoint", "direct-union/model.rckpt", "--data", "toy/test.jsonl",
            "--provider", "toy/provider.json", "--pair-cap", "1", "--out", "capped_du.jsonl"]
+    for mode in ("greedy", "stochastic"):
+        yield ["infer", "--checkpoint", "mttsnet_mtl_rem/model.rckpt", "--data",
+               "toy/test.jsonl", "--provider", "toy/provider.json", "--background", "80",
+               "--mode", mode, "--out", f"dense_{mode}.jsonl"]
     yield ["train", "--data", "toy/train.jsonl", "--provider", "toy/provider.json",
            "--out", "resumed", "--resume", "mttsnet_mtl_rem/model.rckpt", "--epochs", "1",
            "--seed", "1"]
@@ -105,11 +113,11 @@ def file_hashes(outdir: str) -> dict:
 
 
 def token_hashes(outdir: str) -> dict:
-    """sha256 of each greedy / capped predictions file without its
+    """sha256 of each greedy, dense or capped predictions file without its
     ``word_probs`` and ``confidence`` fields."""
     out = {}
     for name in sorted(os.listdir(outdir)):
-        if name.endswith(".jsonl") and name.startswith(("greedy_", "capped")):
+        if name.endswith(".jsonl") and name.startswith(("greedy_", "dense_", "capped")):
             digest = hashlib.sha256()
             with open(os.path.join(outdir, name), encoding="utf-8") as fh:
                 for line in fh:
