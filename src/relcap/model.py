@@ -322,6 +322,16 @@ def _gate_weights(params: ModelParams, config: ModelConfig, dtype):
     return out
 
 
+def regroup(states: np.ndarray, words: np.ndarray, vocab: int):
+    """The distinct (state, word) pairs of rows in ``states`` fed ``words``:
+    returns (row -> new state, each new state's parent state, its word).
+    Two rows share a new state exactly when they share both; new states are
+    numbered in ascending ``state * vocab + word`` order."""
+    keys, row_map = np.unique(states * vocab + words, return_inverse=True)
+    parent, word = np.divmod(keys, vocab)
+    return row_map, parent, word
+
+
 def run_streams(first, params: ModelParams, config: ModelConfig, n_steps: int, emit,
                 tape=None):
     """Run every LSTM stream over up to ``n_steps`` steps on raw arrays.
@@ -329,16 +339,28 @@ def run_streams(first, params: ModelParams, config: ModelConfig, n_steps: int, e
     ``first`` holds each stream's step-0 input (a ``(P, hidden)`` Tensor,
     see ``stream_inputs``). Step t >= 1 feeds every stream the shared
     embedding of the word chosen for the row at step t - 1; its input term
-    is then a row of the per-stream table ``embed.table @ W_x + b``. Rows
-    are padded to a multiple of TILE and run in blocks of BLOCK rows,
-    step-major: for each step, blocks in ascending order. Gates are kept
-    gate-major, so every element-wise pass is over contiguous memory, and
-    every GEMM is a stack of TILE-row products, so a row's states do not
-    depend on the other rows.
+    is then a row of the per-stream table ``embed.table @ W_x + b``.
 
-    ``emit(t, lo, hidden)`` receives the hidden states of each block's rows
-    ``lo, lo + 1, ...`` below P after step t, the streams side by side
-    (``(rows, S * hidden)``; it may be a view that the next step
+    A stream keeps one state per distinct (step-0 input row, fed-word
+    prefix), not one per row. Step-0 rows with byte-equal inputs share a
+    state, and a state fed one word at step t becomes one new state
+    (``regroup``), so the subject and object streams of a dense batch,
+    whose rows repeat each region's code, step far fewer states than rows.
+    A stream keeps the identity map instead, one state per row updated in
+    place, when the run keeps a tape, when it has at most BLOCK rows, or
+    when its step-0 rows are all distinct (the union-fed predicate stream,
+    a fused single stream).
+
+    States are padded to a multiple of TILE and each step runs them in
+    blocks of BLOCK, stream by stream. Gates are kept gate-major, so every
+    element-wise pass is over contiguous memory, and every GEMM is a stack
+    of TILE-row products, so a state's values do not depend on the other
+    states: a row's outputs are the same bits whichever rows share its
+    states.
+
+    ``emit(t, lo, hidden)`` then receives the hidden states of each block of
+    BLOCK rows ``lo, lo + 1, ...`` below P after step t, the streams side
+    by side (``(rows, S * hidden)``; it may be a view that the next step
     overwrites). It returns the word ids fed to those rows at step t + 1,
     or None to end the run after step t. With a ``tape`` list, all rows run
     as one block and each step appends (gates, cell states), one
@@ -358,10 +380,21 @@ def run_streams(first, params: ModelParams, config: ModelConfig, n_steps: int, e
     n = len(first[0].data)
     rows = n + (-n % ad.TILE)
     block = max(rows, 1) if tape is not None else BLOCK
-    h = [np.zeros((rows, hid), dtype) for _ in weights]
-    c = [np.zeros((rows, hid), dtype) for _ in weights]
-    start = [np.matmul(ad.tile_rows(x.data.astype(dtype, copy=False)), w_x[:, None])
-             .reshape(4, rows, hid) + b for x, (w_x, _, b) in zip(first, weights)]
+    inputs, maps = [], []           # per stream: step-0 input per state; row -> state or None
+    for x in first:
+        x = np.ascontiguousarray(x.data, dtype)
+        row_map = None
+        if tape is None and n > BLOCK:
+            _, keep, inverse = np.unique(x.view(np.dtype((np.void, x.strides[0]))).ravel(),
+                                         return_index=True, return_inverse=True)
+            if len(keep) < n:
+                x, row_map = x[keep], inverse
+        inputs.append(x)
+        maps.append(row_map)
+    start = [np.matmul(ad.tile_rows(x), w_x[:, None]).reshape(4, -1, hid) + b
+             for x, (w_x, _, b) in zip(inputs, weights)]
+    h = [np.zeros((x.shape[1], hid), dtype) for x in start]
+    c = [np.zeros_like(x) for x in h]
     vocab = len(embed)
     lookup = [(np.matmul(ad.tile_rows(embed), w_x[:, None]).reshape(4, -1, hid)[:, :vocab] + b)
               .reshape(4 * vocab, hid) for w_x, _, b in weights]
@@ -371,15 +404,19 @@ def run_streams(first, params: ModelParams, config: ModelConfig, n_steps: int, e
         if tape is not None:
             c = [cell.copy() for cell in c]
             tape.append(([], c))
-        next_ids = np.zeros(rows, dtype=np.intp)
-        stop = False
-        for lo in range(0, rows, block):
-            hi = min(lo + block, rows)
-            fed = None if t == 0 else ids[lo:hi] + offsets
-            for s, (_, w_h, _) in enumerate(weights):
+        for s, (_, w_h, _) in enumerate(weights):
+            words = ids
+            if t and maps[s] is not None:
+                maps[s], parent, words = regroup(maps[s], ids[:n], vocab)
+                pad = (0, -len(parent) % ad.TILE)           # pad states: state 0, word 0
+                parent, words = np.pad(parent, pad), np.pad(words, pad)
+                h[s], c[s] = h[s][parent], c[s][parent]
+            for lo in range(0, len(h[s]), block):
+                hi = min(lo + block, len(h[s]))
                 z = np.matmul(h[s][lo:hi].reshape(-1, ad.TILE, hid), w_h[:, None])
                 z = z.reshape(4, hi - lo, hid)
-                z += start[s][:, lo:hi] if t == 0 else np.take(lookup[s], fed, axis=0)
+                z += start[s][:, lo:hi] if t == 0 else np.take(lookup[s], words[lo:hi] + offsets,
+                                                               axis=0)
                 np.tanh(z, out=z)
                 z[:3] *= 0.5                     # i, f, o: 0.5 tanh(0.5 x) + 0.5
                 z[:3] += 0.5
@@ -390,9 +427,12 @@ def run_streams(first, params: ModelParams, config: ModelConfig, n_steps: int, e
                 h[s][lo:hi] *= z[2]
                 if tape is not None:
                     tape[-1][0].append(z)
-            top = min(hi, n)
-            got = emit(t, lo, h[0][lo:top] if len(h) == 1
-                       else np.concatenate([x[lo:top] for x in h], axis=1))
+        next_ids = np.zeros(rows, dtype=np.intp)
+        stop = False
+        for lo in range(0, rows, block):
+            top = min(lo + block, n)
+            feats = [x[lo:top] if m is None else x[m[lo:top]] for x, m in zip(h, maps)]
+            got = emit(t, lo, feats[0] if len(feats) == 1 else np.concatenate(feats, axis=1))
             if got is None:
                 stop = True
             else:
@@ -631,6 +671,30 @@ def decode_batch(batch: PairBatch, params: ModelParams, config: ModelConfig,
     stay float64. A pair's output does not depend on the other pairs of the
     batch.
     """
+    picks, chosen_probs, tags, emitted, taken = _decode_arrays(batch, params, config, mode, rng)
+    tag_of = tuple(PosTag)                      # PosTag(x) for x in 0, 1, 2
+    out = []
+    for e, k, row_picks, row_probs, row_tags in zip(
+            emitted.tolist(), taken.tolist(), picks.tolist(), chosen_probs.tolist(),
+            tags.tolist()):
+        word_probs = row_probs[:k]
+        out.append(CaptionPrediction(
+            token_ids=row_picks[:e],
+            pos=[tag_of[x] for x in row_tags[:e]] if config.mtl else [],
+            word_probs=word_probs,
+            confidence=float(math.prod(word_probs)) if word_probs else 1.0,
+        ))
+    return out
+
+
+def _decode_arrays(batch: PairBatch, params: ModelParams, config: ModelConfig,
+                   mode: str = "greedy", rng: np.random.Generator | None = None):
+    """``decode_batch`` as arrays: (picks, chosen probabilities, POS tag
+    values, emitted, taken). Row p decoded ``taken[p]`` steps, whose word
+    ids and probabilities are the first ``taken[p]`` entries of its
+    ``(P, max_len)`` rows; the first ``emitted[p]`` words (and tags, with
+    mtl) are its caption, one fewer than ``taken[p]`` when the last pick
+    was the end token."""
     if mode not in ("greedy", "stochastic"):
         raise ValueError(f"unknown decode mode {mode!r}")
     if mode == "stochastic" and rng is None:
@@ -668,21 +732,9 @@ def decode_batch(batch: PairBatch, params: ModelParams, config: ModelConfig,
     with ad.no_grad():
         codes = encode_pair_batch(batch, params, config)
         run_streams(stream_inputs(codes, params, config), params, config, config.max_len, emit)
-    # Each row decoded its first ``taken`` steps; a finished row's last pick
-    # is the end token, which has a probability but is not emitted.
-    tag_of = tuple(PosTag)                      # PosTag(x) for x in 0, 1, 2
-    out = []
-    for finished, k, row_picks, row_probs, row_tags in zip(
-            done.tolist(), taken.tolist(), picks.tolist(), chosen_probs.tolist(), tags.tolist()):
-        emitted = k - 1 if finished else k
-        word_probs = row_probs[:k]
-        out.append(CaptionPrediction(
-            token_ids=row_picks[:emitted],
-            pos=[tag_of[x] for x in row_tags[:emitted]] if config.mtl else [],
-            word_probs=word_probs,
-            confidence=float(math.prod(word_probs)) if word_probs else 1.0,
-        ))
-    return out
+    # A finished row's last pick is the end token, which has a probability
+    # but is not emitted.
+    return picks, chosen_probs, tags, taken - done, taken
 
 
 def importance_trace(codes, gt_token_ids, params: ModelParams,

@@ -17,7 +17,7 @@ from .metrics import (EvalReport, MetricConfig, PredictionRecord, diversity_stat
                       image_level_recall, mean_meteor, pos_accuracy, relational_map,
                       score_pairs, vrd_recall_at_k)
 from .model import (LOSS_COMPONENTS, ImageBatch, ModelConfig, ModelParams, PairBatch,
-                    _pad_targets, decode_batch, encode_pair_batch, init_params, stream_states,
+                    _decode_arrays, _pad_targets, encode_pair_batch, init_params, stream_states,
                     total_loss)
 
 
@@ -247,22 +247,26 @@ def predict_proposals(record: RelationalRecord, proposals, params: ModelParams,
     batch, boxes = make_pair_batch(record, kept, provider, config, pair_cap)
     if not boxes:
         return []
-    decoded = decode_batch(batch, params, config, mode=mode, rng=rng)
-    words = tuple(map(vocab.decode_id, range(len(vocab))))
-    tag_names = tuple(tag.name for tag in PosTag)    # indexed by the tag's value
+    picks, chosen_probs, tags, emitted, taken = _decode_arrays(batch, params, config, mode, rng)
+    words = np.array(list(map(vocab.decode_id, range(len(vocab)))), dtype=object)
+    tag_names = np.array([tag.name for tag in PosTag], dtype=object)   # by the tag's value
+    tag_rows = tag_names[tags].tolist() if config.mtl else [[]] * len(boxes)
     out = []
-    for pred, (sbox, obox) in zip(decoded, boxes):
-        if not pred.token_ids:
+    for e, k, tokens, pos, word_probs, (sbox, obox) in zip(
+            emitted.tolist(), taken.tolist(), words[picks].tolist(), tag_rows,
+            chosen_probs.tolist(), boxes):
+        if not e:
             continue
-        if min_confidence is not None and pred.confidence < min_confidence:
+        word_probs = word_probs[:k]
+        confidence = math.prod(word_probs)
+        if min_confidence is not None and confidence < min_confidence:
             continue
         out.append(PredictionRecord(
             image_id=record.image_id,
             subject_box=sbox, object_box=obox,
-            tokens=[words[i] for i in pred.token_ids],
-            pos=[tag_names[tag] for tag in pred.pos],
-            word_probs=list(pred.word_probs),
-            confidence=pred.confidence,
+            tokens=tokens[:e], pos=pos[:e],
+            word_probs=word_probs,
+            confidence=confidence,
         ).validate())
     return out
 

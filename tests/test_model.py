@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import finite_diff_check, fresh_params, pair_rows, tiny_config, zero_grad
@@ -19,8 +19,8 @@ from relcap.errors import ConfigError
 from relcap.geometry import Box, MatchLabel, geometric_feature
 from relcap.model import (MODEL_PRESETS, ImageBatch, ModelConfig, PairBatch,
                           caption_losses, decode_batch, encode_pair_batch,
-                          importance_trace, init_params, load_model, rem_forward,
-                          run_streams, sample_rows, save_model, stream_inputs,
+                          importance_trace, init_params, load_model, regroup,
+                          rem_forward, run_streams, sample_rows, save_model, stream_inputs,
                           stream_states, total_loss)
 from relcap.pipeline import predicted_pos_tags
 
@@ -340,6 +340,28 @@ class TestLstmStep:
                 want_h, want_c = naive_lstm(embed[words[:, t - 1]], want_h, want_c, w, b)
             assert np.max(np.abs(h[t] - want_h)) < 1e-12
             assert np.max(np.abs(c[t] - want_c)) < 1e-12
+
+
+class TestRegroup:
+    """The step of ``run_streams`` that maps (state, fed word) to a state."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), n_states=st.integers(1, 40), vocab=st.integers(1, 12))
+    def test_equal_pairs_share_a_state_and_remember_it(self, data, n_states, vocab):
+        n = data.draw(st.integers(0, 200))
+        states = np.array(data.draw(st.lists(st.integers(0, n_states - 1), min_size=n,
+                                             max_size=n)), dtype=np.intp)
+        words = np.array(data.draw(st.lists(st.integers(0, vocab - 1), min_size=n,
+                                            max_size=n)), dtype=np.intp)
+        row_map, parent, word = regroup(states, words, vocab)
+        pairs = list(zip(states.tolist(), words.tolist()))
+        # One new state per distinct pair, every one of them used.
+        assert len(parent) == len(word) == len(set(pairs))
+        assert sorted(set(row_map.tolist())) == list(range(len(parent)))
+        for i, j in ((i, j) for i in range(min(n, 30)) for j in range(min(n, 30))):
+            assert (row_map[i] == row_map[j]) == (pairs[i] == pairs[j])
+        assert np.array_equal(parent[row_map], states)
+        assert np.array_equal(word[row_map], words)
 
 
 class TestStreamGradients:
@@ -821,6 +843,8 @@ class TestBatchInvariance:
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(n_pairs=st.integers(1, 300), seed=st.integers(0, 2**16),
            picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=6))
+    # Above BLOCK rows, so the subject and object streams share states.
+    @example(n_pairs=300, seed=1601, picks=[0, 17, 256, 299])
     def test_pair_alone_equals_pair_in_batch(self, n_pairs, seed, picks):
         params, cfg = self.model()
         batch = random_pair_batch(cfg, n_pairs=n_pairs, n_regions=9, seed=seed)
@@ -843,6 +867,53 @@ class TestBatchInvariance:
             # The subset's best pair scores exactly as in the full batch.
             assert any(sub_probs == retrieval_score(query, pair_rows(batch, [k]), params, cfg)[2]
                        for k in subset)
+
+
+    def test_stochastic_dense_batch_equals_pairs_decoded_alone(self, monkeypatch):
+        """A batch of more than BLOCK pairs, whose subject and object streams
+        share states, samples each pair as that pair decoded alone does when
+        it is given the same uniform draws."""
+        params, cfg = self.model()
+        batch = random_pair_batch(cfg, n_pairs=300, n_regions=9, seed=5)
+        groups = []
+        real_regroup = relcap.model.regroup
+
+        def counting(states, words, vocab):
+            out = real_regroup(states, words, vocab)
+            groups.append(len(out[1]))
+            return out
+
+        monkeypatch.setattr(relcap.model, "regroup", counting)
+        draws = []
+        rng = np.random.default_rng(61)
+
+        class Recording:
+            def random(self, size):
+                draws.append(rng.random(size))
+                return draws[-1]
+
+        full = decode_batch(batch, params, cfg, mode="stochastic", rng=Recording())
+        assert len(full) > relcap.model.BLOCK
+        assert groups and max(groups) < len(full)      # states were shared
+        steps = np.array([len(p.word_probs) for p in full])
+        assert len({p.confidence for p in full}) > 100 and len(set(steps.tolist())) >= 3
+
+        class Scripted:
+            def __init__(self, values):
+                self.values = list(values)
+
+            def random(self, size):
+                assert size == 1
+                return np.array([self.values.pop(0)])
+
+        for p in range(0, len(full), 7):
+            # Row p draws at every step it decodes, in row order among the
+            # rows still decoding at that step.
+            mine = [draws[t][np.count_nonzero(steps[:p] > t)] for t in range(steps[p])]
+            scripted = Scripted(mine)
+            alone = decode_batch(pair_rows(batch, [p]), params, cfg, mode="stochastic",
+                                 rng=scripted)
+            assert alone == [full[p]] and not scripted.values
 
 
 # ---------------------------------------------------------------------------
