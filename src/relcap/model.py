@@ -404,27 +404,27 @@ def run_streams(first, params: ModelParams, config: ModelConfig, n_steps: int, e
         if tape is not None:
             c = [cell.copy() for cell in c]
             tape.append(([], c))
+        fed = ids + offsets if t else None       # rows of the stacked word tables
         for s, (_, w_h, _) in enumerate(weights):
-            words = ids
+            fed_s = fed
             if t and maps[s] is not None:
                 maps[s], parent, words = regroup(maps[s], ids[:n], vocab)
                 pad = (0, -len(parent) % ad.TILE)           # pad states: state 0, word 0
-                parent, words = np.pad(parent, pad), np.pad(words, pad)
+                parent, fed_s = np.pad(parent, pad), np.pad(words, pad) + offsets
                 h[s], c[s] = h[s][parent], c[s][parent]
             for lo in range(0, len(h[s]), block):
-                hi = min(lo + block, len(h[s]))
-                z = np.matmul(h[s][lo:hi].reshape(-1, ad.TILE, hid), w_h[:, None])
-                z = z.reshape(4, hi - lo, hid)
-                z += start[s][:, lo:hi] if t == 0 else np.take(lookup[s], words[lo:hi] + offsets,
-                                                               axis=0)
+                hidden, cell = h[s][lo:lo + block], c[s][lo:lo + block]
+                z = np.matmul(hidden.reshape(-1, ad.TILE, hid), w_h[:, None])
+                z = z.reshape(4, len(hidden), hid)
+                z += (start[s][:, lo:lo + block] if t == 0
+                      else np.take(lookup[s], fed_s[:, lo:lo + block], axis=0))
                 np.tanh(z, out=z)
                 z[:3] *= 0.5                     # i, f, o: 0.5 tanh(0.5 x) + 0.5
                 z[:3] += 0.5
-                cell = c[s][lo:hi]
                 cell *= z[1]
                 cell += z[0] * z[3]
-                np.tanh(cell, out=h[s][lo:hi])
-                h[s][lo:hi] *= z[2]
+                np.tanh(cell, out=hidden)
+                hidden *= z[2]
                 if tape is not None:
                     tape[-1][0].append(z)
         next_ids = np.zeros(rows, dtype=np.intp)
