@@ -868,7 +868,6 @@ class TestBatchInvariance:
             assert any(sub_probs == retrieval_score(query, pair_rows(batch, [k]), params, cfg)[2]
                        for k in subset)
 
-
     def test_stochastic_dense_batch_equals_pairs_decoded_alone(self, monkeypatch):
         """A batch of more than BLOCK pairs, whose subject and object streams
         share states, samples each pair as that pair decoded alone does when
