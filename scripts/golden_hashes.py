@@ -156,11 +156,30 @@ def payload_hashes(outdir: str, paths) -> dict:
     return out
 
 
+def retrieval_table_hash(queries, candidates, params, config) -> str:
+    """sha256 of the ``float.hex`` of the score, the best pair and the
+    per-word probabilities of every query against every candidate (a list of
+    ``encode_pair_batch`` dicts), each query scoring all candidates in one
+    ``retrieval_scores`` call."""
+    from relcap import apps
+
+    scored = candidates
+    if hasattr(apps, "stack_candidates"):   # a tree that scores in BLOCK-row groups
+        scored = apps.stack_candidates(candidates)
+    table = [apps.retrieval_scores(query, scored, params, config) for query in queries]
+    digest = hashlib.sha256()
+    for image in range(len(candidates)):
+        for row in table:
+            score, best, probs = row[image]
+            line = " ".join([score.hex(), str(best), *(p.hex() for p in probs)])
+            digest.update(line.encode("ascii") + b"\n")
+    return digest.hexdigest()
+
+
 def score_hashes(outdir: str) -> dict:
     """sha256 of every retrieval score and importance trace of the golden
     checkpoints on the test split (see the module docstring)."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
-    from relcap.apps import retrieval_scores, stack_candidates
     from relcap.autodiff import Tensor, no_grad
     from relcap.data import ToyFeatureProvider, load_dataset
     from relcap.geometry import nms
@@ -190,15 +209,8 @@ def score_hashes(outdir: str) -> dict:
                 for k, token_ids in enumerate(image.token_ids):
                     pair = {kind: Tensor(code.data[k:k + 1]) for kind, code in codes.items()}
                     traces.update(importance_trace(pair, token_ids, params, config).tobytes())
-        groups = stack_candidates(candidates)
-        table = [retrieval_scores(query, groups, params, config) for query in queries]
-        scores = hashlib.sha256()
-        for image in range(len(candidates)):
-            for row in table:
-                score, best, probs = row[image]
-                line = " ".join([score.hex(), str(best), *(p.hex() for p in probs)])
-                scores.update(line.encode("ascii") + b"\n")
-        out[f"scores/{name}/retrieval_score"] = scores.hexdigest()
+        out[f"scores/{name}/retrieval_score"] = retrieval_table_hash(queries, candidates,
+                                                                     params, config)
         if config.streams == "triple":
             out[f"scores/{name}/importance_trace"] = traces.hexdigest()
     return out
