@@ -39,7 +39,11 @@ score, the best pair and the per-word probabilities of every GT caption of
 the split against every image (NMS keep 100, as ``relcap retrieve``; each
 caption scores all images in one ``retrieval_scores`` call), and
 for triple-stream models ``scores/<model>/importance_trace``, the sha256 of
-the bytes of the trace of every GT-matched pair.
+the bytes of the trace of every GT-matched pair. For ``mttsnet,mtl,rem``,
+``scores/<model>/retrieval_score_dense`` hashes the same table over the
+candidates of the dense infers (80 background proposals, NMS keep 50: 2,450
+pairs per image), so the scores of passes far above BLOCK rows, whose
+subject and object streams share states across pairs, are pinned too.
 
 Two lines per golden checkpoint pin the pair path at its source, on
 ``toy/test.jsonl``: ``pairs/<model>/pair_batch``, the sha256 of
@@ -213,6 +217,16 @@ def score_hashes(outdir: str) -> dict:
                                                                      params, config)
         if config.streams == "triple":
             out[f"scores/{name}/importance_trace"] = traces.hexdigest()
+        if model == MODELS[0]:
+            dense = []
+            for record in records:
+                proposals = build_proposals(record, provider, config,
+                                            ProposalSettings(n_background=80))
+                batch, _ = make_pair_batch(record, nms(proposals, 0.5, 50), provider, config)
+                with no_grad():
+                    dense.append(encode_pair_batch(batch, params, config))
+            out[f"scores/{name}/retrieval_score_dense"] = retrieval_table_hash(
+                queries, dense, params, config)
     return out
 
 
