@@ -13,8 +13,8 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigError, DataError
 from .geometry import Box, iou
-from .model import (BLOCK, ModelConfig, ModelParams, PairBatch, encode_pair_batch,
-                    stream_states)
+from .model import (ModelConfig, ModelParams, PairBatch, encode_pair_batch, run_streams,
+                    stream_inputs)
 
 
 @dataclass
@@ -114,54 +114,47 @@ def export_graph(graph: CaptionGraph, fmt: str) -> str:
 # retrieval
 # ---------------------------------------------------------------------------
 
-def stack_candidates(codes):
-    """Stack consecutive images' region codes (``encode_pair_batch`` dicts)
-    into groups of at most BLOCK pair rows; an image with more pairs forms a
-    group of its own. Returns a list of (stacked codes, row offsets): image
-    k of a group owns rows ``offsets[k]:offsets[k + 1]``."""
-    groups = []
-    for code in codes:
-        rows = len(next(iter(code.values())).data)
-        if rows == 0:
-            raise ValueError("retrieval needs at least one candidate pair")
-        if not groups or groups[-1][1][-1] + rows > BLOCK:
-            groups.append(([], [0]))
-        members, offsets = groups[-1]
-        members.append(code)
-        offsets.append(offsets[-1] + rows)
-    return [({kind: ad.Tensor(np.concatenate([m[kind].data for m in members]))
-              for kind in members[0]}, offsets) for members, offsets in groups]
-
-
-def retrieval_scores(query_ids, groups, params: ModelParams, config: ModelConfig):
+def retrieval_scores(query_ids, codes, params: ModelParams, config: ModelConfig):
     """Probability that a query occurs for the best pair of each image.
 
-    ``groups`` comes from ``stack_candidates``; each group's pairs run
-    through the decoder together, teacher-forced with the query, and the
-    per-step probabilities of the query words are multiplied (accumulated
-    as log sums). An image's score is the maximum over its own rows. Returns
-    one (score, best pair index within the image, per-word probabilities of
-    that pair) per image, in order. A row's result does not depend on the
-    other rows of its group (the kernel multiplies in fixed tiles).
+    ``codes`` holds each image's region codes (``encode_pair_batch`` dicts).
+    All their rows run through one untaped ``run_streams`` pass, teacher-forced
+    with the query; ``emit`` applies the word head per block and keeps only the
+    query words' log-probabilities, ``(T, P)``, never the hidden states. As
+    every row is fed the same words, a pass of more than BLOCK rows steps one
+    subject or object state per distinct region code. A row's log sum (in step
+    order) does not depend on the other rows (every product runs in fixed
+    tiles); an image's score is the first maximum over its rows. Returns one
+    (score, best pair index within the image, per-word probabilities of that
+    pair) per image. A score that is not finite is a ``DataError``.
     """
     query = list(query_ids)
     if not query:
         raise ValueError("retrieval needs a non-empty query")
-    steps = np.arange(len(query))
+    sizes = [len(next(iter(code.values())).data) for code in codes]
+    if not sizes or min(sizes) == 0:
+        raise ValueError("retrieval needs at least one candidate pair per image")
+    stacked = {kind: ad.Tensor(np.concatenate([code[kind].data for code in codes]))
+               for kind in codes[0]}
+    logp = np.empty((len(query), sum(sizes)))
+
+    def emit(t, lo, feat):
+        logits = ad.affine(ad.Tensor(feat), params["head.word.w"], params["head.word.b"]).data
+        logp[t, lo:lo + len(feat)] = ad.log_softmax(logits)[:, query[t]]
+        return np.full(len(feat), query[t])
+
+    with ad.no_grad():
+        run_streams(stream_inputs(stacked, params, config), params, config, len(query), emit)
+    log_scores = np.zeros(logp.shape[1])
+    for row in logp:
+        log_scores += row
+    if not np.isfinite(log_scores).all():
+        raise DataError("retrieval scores are not finite (diverged parameters?)")
     out = []
-    for codes, offsets in groups:
-        n = offsets[-1]
-        with ad.no_grad():
-            hidden = stream_states(codes, np.tile(query, (n, 1)), params, config)
-            logits = ad.affine(hidden, params["head.word.w"], params["head.word.b"]).data
-        logp = ad.log_softmax(logits).reshape(len(query), n, -1)
-        log_scores = np.zeros(n)
-        for t, word in enumerate(query):
-            log_scores += logp[t, :, word]
-        for lo, hi in zip(offsets, offsets[1:]):
-            best = lo + int(np.argmax(log_scores[lo:hi]))
-            probs = np.exp(logp[steps, best, query])
-            out.append((float(math.exp(log_scores[best])), best - lo, probs.tolist()))
+    for lo, hi in zip(np.cumsum([0, *sizes[:-1]]).tolist(), np.cumsum(sizes).tolist()):
+        best = lo + int(np.argmax(log_scores[lo:hi]))
+        probs = np.exp(logp[:, best])
+        out.append((float(math.exp(log_scores[best])), best - lo, probs.tolist()))
     return out
 
 
@@ -171,7 +164,7 @@ def retrieval_score(query_ids, batch: PairBatch, params: ModelParams,
     probabilities of that pair)."""
     with ad.no_grad():
         codes = encode_pair_batch(batch, params, config)
-    return retrieval_scores(query_ids, stack_candidates([codes]), params, config)[0]
+    return retrieval_scores(query_ids, [codes], params, config)[0]
 
 
 @dataclass(frozen=True)
@@ -198,7 +191,9 @@ def retrieval_eval(scorables, gt_captions, vocab, params, config,
     ``gt_captions``: image_id -> list of token lists to sample queries from.
     Query images are drawn among the candidates with at least one caption.
     Each candidate is encoded once per call; every query then scores all
-    candidates in ``stack_candidates`` groups.
+    candidates in one ``retrieval_scores`` pass, which holds the query
+    words' log-probabilities of every candidate row, not their hidden
+    states.
     """
     candidates = list(scorables)[:protocol.num_images]
     if len(candidates) < protocol.num_query_images:
@@ -212,8 +207,7 @@ def retrieval_eval(scorables, gt_captions, vocab, params, config,
             f"retrieval needs {protocol.num_query_images} query images with GT "
             f"captions, but only {len(captioned)} of {len(candidates)} candidates have any")
     with ad.no_grad():
-        groups = stack_candidates([encode_pair_batch(batch, params, config)
-                                   for _, batch in candidates])
+        codes = [encode_pair_batch(batch, params, config) for _, batch in candidates]
 
     per_round_recall = {k: [] for k in protocol.ks}
     per_round_median = []
@@ -233,7 +227,7 @@ def retrieval_eval(scorables, gt_captions, vocab, params, config,
         ranks = []
         for source_id, tokens in queries:
             ids = [vocab.encode_token(t) for t in tokens]
-            scores = [score for score, _, _ in retrieval_scores(ids, groups, params, config)]
+            scores = [score for score, _, _ in retrieval_scores(ids, codes, params, config)]
             order = sorted(zip(candidate_ids, scores), key=lambda s: (-s[1], s[0]))
             rank = 1 + next(i for i, (img, _) in enumerate(order) if img == source_id)
             ranks.append(rank)

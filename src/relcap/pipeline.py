@@ -241,13 +241,17 @@ def predict_proposals(record: RelationalRecord, proposals, params: ModelParams,
                       nms_iou: float = 0.5, pair_cap: int | None = None,
                       min_confidence: float | None = None,
                       mode: str = "greedy", rng: np.random.Generator | None = None):
-    """Decode captions for every pair of the ``proposals`` that survive NMS."""
+    """Decode captions for every pair of the ``proposals`` that survive NMS.
+    Word probabilities that are not finite are a ``DataError``."""
     metric_config = metric_config or MetricConfig()
     kept = nms(proposals, nms_iou, metric_config.keep_after_nms)
     batch, boxes = make_pair_batch(record, kept, provider, config, pair_cap)
     if not boxes:
         return []
     picks, chosen_probs, tags, emitted, taken = _decode_arrays(batch, params, config, mode, rng)
+    if not np.isfinite(chosen_probs).all():
+        raise DataError(f"image {record.image_id}: caption confidences are not finite "
+                        "(diverged parameters?)")
     words = np.array(list(map(vocab.decode_id, range(len(vocab)))), dtype=object)
     tag_names = np.array([tag.name for tag in PosTag], dtype=object)   # by the tag's value
     tag_rows = tag_names[tags].tolist() if config.mtl else [[]] * len(boxes)

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from relcap.autodiff import backward
+from relcap.autodiff import Tensor, affine, backward, log_softmax, no_grad
 from relcap.data import ToyWorldConfig, build_vocab, generate_toy_world, proposals_for_record
-from relcap.model import ModelConfig, PairBatch, init_params
+from relcap.model import BLOCK, ModelConfig, PairBatch, init_params, stream_states
 from relcap.pipeline import ProposalSettings
 
 
@@ -44,6 +46,38 @@ def pair_rows(pairs, rows):
                      object_index=[pairs.object_index[k] for k in rows],
                      union_features=pairs.union_features[rows],
                      geos=pairs.geos[rows])
+
+
+def block_retrieval_scores(query, codes, params, config):
+    """Reference of ``apps.retrieval_scores`` that never shares a state:
+    ``stream_states`` over consecutive chunks of at most BLOCK of the
+    concatenated candidate rows (so every row keeps its own state), one
+    word head and log-softmax over every row's states at once, log sums in
+    step order, then each image's first maximum."""
+    rows = {kind: np.concatenate([code[kind].data for code in codes]) for kind in codes[0]}
+    n = sum(len(next(iter(code.values())).data) for code in codes)
+    steps = len(query)
+    chunks = []
+    with no_grad():
+        for lo in range(0, n, BLOCK):
+            chunk = {kind: Tensor(x[lo:lo + BLOCK]) for kind, x in rows.items()}
+            targets = np.tile(query, (min(BLOCK, n - lo), 1))
+            hidden = stream_states(chunk, targets, params, config).data
+            chunks.append(hidden.reshape(steps, len(targets), -1))
+        hidden = np.concatenate(chunks, axis=1).reshape(steps * n, -1)
+        logits = affine(Tensor(hidden), params["head.word.w"], params["head.word.b"]).data
+    logp = log_softmax(logits).reshape(steps, n, -1)
+    log_scores = np.zeros(n)
+    for t, word in enumerate(query):
+        log_scores += logp[t, :, word]
+    out, lo = [], 0
+    for code in codes:
+        hi = lo + len(next(iter(code.values())).data)
+        best = lo + int(np.argmax(log_scores[lo:hi]))
+        probs = np.exp(logp[np.arange(steps), best, query])
+        out.append((float(math.exp(log_scores[best])), best - lo, probs.tolist()))
+        lo = hi
+    return out
 
 
 def zero_grad(p):

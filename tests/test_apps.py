@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fresh_params, tiny_config
-from relcap import apps
+from conftest import block_retrieval_scores, fresh_params, tiny_config
+from relcap import apps, model
 from relcap.apps import (RetrievalProtocol, build_caption_graph, export_graph, retrieval_eval,
-                         retrieval_score, retrieval_scores, stack_candidates)
+                         retrieval_score, retrieval_scores)
 from relcap import autodiff as ad
 from relcap.errors import ConfigError, DataError
 from relcap.geometry import Box
@@ -191,23 +191,35 @@ def random_batch(cfg, n_pairs, rng):
 
 
 class TestGroupedRetrieval:
-    # Groups: [1, 17] ends mid-tile, [300] is over BLOCK on its own,
-    # [40, 1, 215] fills BLOCK exactly, [2, 33, 1] is the short last group.
+    # One pass of 610 rows: [300] crosses row 256, [215] crosses row 512,
+    # [1, 17] ends mid-tile and [33, 1] ends the last, short block.
     SIZES = (1, 17, 300, 40, 1, 215, 2, 33, 1)
 
-    def test_groups_hold_whole_images_up_to_block_rows(self):
-        cfg = tiny_config(14, 10)
-        params = fresh_params(cfg)
-        rng = np.random.default_rng(0)
+    def test_segments_across_block_edges_score_as_the_block_reference(self, monkeypatch):
+        cfg = tiny_config(14, 10, name="mttsnet,mtl,rem")
+        params = fresh_params(cfg, seed=4)
+        rng = np.random.default_rng(11)
         with ad.no_grad():
             codes = [encode_pair_batch(random_batch(cfg, n, rng), params, cfg)
                      for n in self.SIZES]
-        groups = stack_candidates(codes)
+        ends = np.cumsum(self.SIZES)
         assert BLOCK == 256                  # SIZES are chosen around it
-        assert [offsets for _, offsets in groups] == [
-            [0, 1, 18], [0, 300], [0, 40, 41, 256], [0, 2, 35, 36]]
-        stacked = np.concatenate([c["union"].data for c, _ in groups])
-        assert np.array_equal(stacked, np.concatenate([c["union"].data for c in codes]))
+        assert any(lo < 256 < hi for lo, hi in zip(ends - self.SIZES, ends))
+        assert any(lo < 512 < hi for lo, hi in zip(ends - self.SIZES, ends))
+        shared = []                          # states per regroup: the pass shares them
+
+        def counting(states, words, vocab):
+            got = regroup(states, words, vocab)
+            shared.append(len(got[1]) < len(states))
+            return got
+
+        regroup = model.regroup
+        monkeypatch.setattr(model, "regroup", counting)
+        query = list(rng.integers(0, cfg.vocab_size, cfg.max_len))
+        scores = retrieval_scores(query, codes, params, cfg)
+        assert scores == block_retrieval_scores(query, codes, params, cfg)
+        assert shared and all(shared)
+        assert [len(probs) for _, _, probs in scores] == [cfg.max_len] * len(self.SIZES)
 
     @pytest.mark.parametrize("name", ["union", "union-coord", "subj-obj", "subj-obj-coord",
                                       "uuu", "tsnet,rem", "mttsnet,mtl"])
@@ -217,13 +229,13 @@ class TestGroupedRetrieval:
         rng = np.random.default_rng(7)
         batches = [random_batch(cfg, n, rng) for n in self.SIZES]
         with ad.no_grad():
-            groups = stack_candidates([encode_pair_batch(b, params, cfg) for b in batches])
+            codes = [encode_pair_batch(b, params, cfg) for b in batches]
         for length in (1, 4, cfg.max_len):
             query = list(rng.integers(0, cfg.vocab_size, length))
-            grouped = retrieval_scores(query, groups, params, cfg)
-            singles = [retrieval_score(query, b, params, cfg) for b in batches]
-            assert grouped == singles, (name, length)
-            assert all(0 <= best < n for (_, best, _), n in zip(grouped, self.SIZES))
+            scores = retrieval_scores(query, codes, params, cfg)
+            assert scores == block_retrieval_scores(query, codes, params, cfg), (name, length)
+            assert scores == [retrieval_score(query, b, params, cfg) for b in batches]
+            assert all(0 <= best < n for (_, best, _), n in zip(scores, self.SIZES))
 
     def test_eval_encodes_each_candidate_once(self, toy_world_small, monkeypatch):
         _, provider, vocab = toy_world_small

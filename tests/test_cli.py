@@ -825,6 +825,36 @@ class TestProvenanceProbes:
         assert len(hashes) == 4
 
 
+@pytest.fixture(scope="module")
+def diverged_checkpoint(seed3_toy_dir, tmp_path_factory):
+    """A checkpoint trained at ``--lr 1e30``, whose parameters overflow the
+    float32 LSTM kernel."""
+    out = str(tmp_path_factory.mktemp("diverged"))
+    assert run(["train", "--data", os.path.join(seed3_toy_dir, "train.jsonl"),
+                "--provider", os.path.join(seed3_toy_dir, "provider.json"), "--out", out,
+                "--lr", "1e30", "--epochs", "1"]) == 0
+    return os.path.join(out, "model.rckpt")
+
+
+class TestNonFiniteOutputs:
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("command, extra, message", [
+        ("retrieve", ["--images", "2", "--query-images", "1"], "retrieval scores are not finite"),
+        ("eval", [], "caption confidences are not finite"),
+        ("infer", [], "caption confidences are not finite")], ids=("retrieve", "eval", "infer"))
+    def test_diverged_checkpoint_is_data_error(self, seed3_toy_dir, diverged_checkpoint,
+                                               tmp_path, capsys, command, extra, message):
+        out = tmp_path / "out"
+        assert run([command, "--checkpoint", diverged_checkpoint,
+                    "--data", os.path.join(seed3_toy_dir, "test.jsonl"),
+                    "--provider", os.path.join(seed3_toy_dir, "provider.json"),
+                    *extra, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert not out.exists()
+
+
 class TestSmallImage:
     def test_image_smaller_than_a_background_box(self, toy_dir, tmp_path):
         # Background boxes are drawn 16 to 40 px wide and high: wider and

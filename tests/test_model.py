@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import finite_diff_check, fresh_params, pair_rows, tiny_config, zero_grad
 import relcap.model
 from relcap import autodiff as ad
-from relcap.apps import retrieval_score, retrieval_scores, stack_candidates
+from relcap.apps import retrieval_score, retrieval_scores
 from relcap.autodiff import Tensor
 from relcap.data import END_ID, PosTag, Vocabulary
 from relcap.errors import ConfigError
@@ -763,7 +763,7 @@ class TestFloat32Accuracy:
             codes = [encode_pair_batch(random_pair_batch(cfg, n_pairs=n, n_regions=6, seed=n),
                                        params, cfg) for n in range(1, 41)]
         got = np.log([score for score, _, _ in
-                      retrieval_scores(query, stack_candidates(codes), params, cfg)])
+                      retrieval_scores(query, codes, params, cfg)])
         want = []
         for code in codes:
             n = len(code["union"].data)
