@@ -150,11 +150,12 @@ def retrieval_scores(query_ids, codes, params: ModelParams, config: ModelConfig)
         log_scores += row
     if not np.isfinite(log_scores).all():
         raise DataError("retrieval scores are not finite (diverged parameters?)")
-    out = []
-    for lo, hi in zip(np.cumsum([0, *sizes[:-1]]).tolist(), np.cumsum(sizes).tolist()):
-        best = lo + int(np.argmax(log_scores[lo:hi]))
+    out, lo = [], 0
+    for size in sizes:
+        best = lo + int(np.argmax(log_scores[lo:lo + size]))
         probs = np.exp(logp[:, best])
         out.append((float(math.exp(log_scores[best])), best - lo, probs.tolist()))
+        lo += size
     return out
 
 

@@ -448,9 +448,8 @@ def stream_states(codes, targets: np.ndarray, params: ModelParams, config: Model
     """Teacher-forced hidden states as one graph node, ``(T * P, S * hidden)``
     step-major: step t of pair p is row ``t * P + p``.
 
-    The teacher-forced unroll that keeps every step's states: the caption
-    and POS losses, POS accuracy and importance traces read it (retrieval
-    scores keep only log-probabilities, from their own ``emit``). Step 0 reads
+    The teacher-forced unroll that keeps every step's states, for the
+    caption and POS losses, POS accuracy and importance traces. Step 0 reads
     the region codes; step t feeds column t - 1 of the ``(P, T)``
     ``targets``. The backward pass is backpropagation through time over the
     gates ``run_streams`` recorded (the vanilla-LSTM equations of Greff et

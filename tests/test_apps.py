@@ -206,14 +206,13 @@ class TestGroupedRetrieval:
         assert BLOCK == 256                  # SIZES are chosen around it
         assert any(lo < 256 < hi for lo, hi in zip(ends - self.SIZES, ends))
         assert any(lo < 512 < hi for lo, hi in zip(ends - self.SIZES, ends))
-        shared = []                          # states per regroup: the pass shares them
+        regroup, shared = model.regroup, []
 
         def counting(states, words, vocab):
             got = regroup(states, words, vocab)
-            shared.append(len(got[1]) < len(states))
+            shared.append(len(got[1]) < len(states))        # fewer states than rows
             return got
 
-        regroup = model.regroup
         monkeypatch.setattr(model, "regroup", counting)
         query = list(rng.integers(0, cfg.vocab_size, cfg.max_len))
         scores = retrieval_scores(query, codes, params, cfg)
