@@ -167,10 +167,7 @@ def retrieval_table_hash(queries, candidates, params, config) -> str:
     ``retrieval_scores`` call."""
     from relcap import apps
 
-    scored = candidates
-    if hasattr(apps, "stack_candidates"):   # a tree that scores in BLOCK-row groups
-        scored = apps.stack_candidates(candidates)
-    table = [apps.retrieval_scores(query, scored, params, config) for query in queries]
+    table = [apps.retrieval_scores(query, candidates, params, config) for query in queries]
     digest = hashlib.sha256()
     for image in range(len(candidates)):
         for row in table:
