@@ -170,13 +170,22 @@ def tile_rows(x: np.ndarray) -> np.ndarray:
 
 
 def _tile_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``x @ w`` as a stack of ``(TILE, K) @ w`` products; the padding rows
-    of ``tile_rows`` are dropped from the result.
+    """``x @ w`` as a stack of ``(TILE, K) @ w`` products.
 
     Each row of the result is then bit-equal to that row multiplied alone,
     whatever the row count (one BLAS GEMM per tile rounds every row alike).
+    Whole tiles are multiplied as a view of ``x``; only a last partial tile
+    is zero-padded (``tile_rows``), and its padding rows are dropped. An
+    input of less than one tile, or of whole tiles only, is one product.
     """
-    return np.matmul(tile_rows(x), w).reshape(-1, w.shape[1])[:len(x)]
+    n, full = len(x), len(x) - len(x) % TILE
+    if full in (0, n):
+        return np.matmul(tile_rows(x), w).reshape(-1, w.shape[1])[:n]
+    out = np.empty((n, w.shape[1]), np.result_type(x, w))
+    np.matmul(x[:full].reshape(-1, TILE, x.shape[1]), w,
+              out=out[:full].reshape(-1, TILE, w.shape[1]))
+    out[full:] = np.matmul(tile_rows(x[full:]), w)[0, :n - full]
+    return out
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

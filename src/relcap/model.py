@@ -326,12 +326,50 @@ def regroup(states: np.ndarray, words: np.ndarray, vocab: int):
     """The distinct (state, word) pairs of rows in ``states`` fed ``words``:
     returns (row -> new state, each new state's parent state, its word).
     Two rows share a new state exactly when they share both; new states are
-    numbered in ascending ``state * vocab + word`` order."""
-    keys, row_map = np.unique(states * vocab + words, return_inverse=True)
-    parent, word = np.divmod(keys, vocab)
+    numbered in ascending ``state * vocab + word`` order.
+
+    The keys ``state * vocab + word`` are counted in a mask over their
+    range; a range of more than 32 keys per row (a large vocabulary) sorts
+    them instead, as counting would then cost more than sorting. Both give
+    the same numbering."""
+    keys = states * vocab + words
+    size = int(keys.max()) + 1 if len(keys) else 0
+    if size > 32 * len(keys):
+        present, row_map = np.unique(keys, return_inverse=True)
+    else:
+        seen = np.zeros(size, dtype=bool)
+        seen[keys] = True
+        present = np.flatnonzero(seen)
+        rank = np.empty(size, dtype=np.intp)
+        rank[present] = np.arange(len(present))
+        row_map = rank[keys]
+    parent, word = np.divmod(present, vocab)
     return row_map, parent, word
 
 
+def distinct_rows(x: np.ndarray):
+    """The byte-distinct rows of the C-contiguous 2-D ``x``: (index of one
+    row per group, row -> group), as ``np.unique(..., return_index=True,
+    return_inverse=True)`` over the rows' bytes gives them, in some group
+    order. Rows are grouped by a 64-bit key over their 32-bit words; a
+    byte comparison confirms every group, and a key shared by unequal rows
+    falls back to sorting the rows' bytes."""
+    words = x.view(np.uint32)
+    _, keep, inverse = np.unique(_row_keys(words), return_index=True, return_inverse=True)
+    if not np.array_equal(words[keep][inverse], words):
+        _, keep, inverse = np.unique(x.view(np.dtype((np.void, x.strides[0]))).ravel(),
+                                     return_index=True, return_inverse=True)
+    return keep, inverse
+
+
+def _row_keys(words: np.ndarray) -> np.ndarray:
+    """A 64-bit key per row of the ``(rows, k)`` uint32 ``words``: their
+    sum weighted by odd multiples of the 64-bit golden ratio, modulo 2**64."""
+    weights = np.arange(1, words.shape[1] + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    return words.astype(np.uint64) @ (weights | np.uint64(1))
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def run_streams(first, params: ModelParams, config: ModelConfig, n_steps: int, emit,
                 tape=None):
     """Run every LSTM stream over up to ``n_steps`` steps on raw arrays.
@@ -343,9 +381,11 @@ def run_streams(first, params: ModelParams, config: ModelConfig, n_steps: int, e
 
     A stream keeps one state per distinct (step-0 input row, fed-word
     prefix), not one per row. Step-0 rows with byte-equal inputs share a
-    state, and a state fed one word at step t becomes one new state
-    (``regroup``), so the subject and object streams of a dense batch,
-    whose rows repeat each region's code, step far fewer states than rows.
+    state (``distinct_rows`` groups them by a 64-bit key and confirms each
+    group byte for byte), and a state fed one word at step t becomes one
+    new state (``regroup``), so the subject and object streams of a dense
+    batch, whose rows repeat each region's code, step far fewer states than
+    rows.
     A stream keeps the identity map instead, one state per row updated in
     place, when the run keeps a tape, when it has at most BLOCK rows, or
     when its step-0 rows are all distinct (the union-fed predicate stream,
@@ -360,18 +400,23 @@ def run_streams(first, params: ModelParams, config: ModelConfig, n_steps: int, e
 
     ``emit(t, lo, hidden)`` then receives the hidden states of each block of
     BLOCK rows ``lo, lo + 1, ...`` below P after step t, the streams side
-    by side (``(rows, S * hidden)``; it may be a view that the next step
-    overwrites). It returns the word ids fed to those rows at step t + 1,
-    or None to end the run after step t. With a ``tape`` list, all rows run
-    as one block and each step appends (gates, cell states), one
-    ``(4, rows, hidden)`` array of activated i, f, o, g gates and one
-    ``(rows, hidden)`` array per stream, for the backward pass of
-    ``stream_states``.
+    by side, as float64 rows ``(rows, S * hidden)`` of one buffer that the
+    run reuses: they are valid until the next ``emit`` call. It returns the
+    word ids fed to those rows at step t + 1, or None to end the run after
+    step t. With a ``tape`` list, all rows run as one block and each step
+    appends (gates, cell states), one ``(4, rows, hidden)`` array of
+    activated i, f, o, g gates and one ``(rows, hidden)`` array per stream,
+    for the backward pass of ``stream_states``.
 
     The run is float64 exactly when it keeps a tape. Without one (decoding
     and every other forward-only pass) the gate weights, step-0 inputs, word
-    tables and states are cast to float32, and ``emit`` receives float32
-    states; the parameters themselves stay float64.
+    tables and states are cast to float32, and ``emit`` receives the float32
+    states cast exactly to float64, so float64 heads read them without a
+    cast of their own; the parameters themselves stay float64.
+
+    Overflow and invalid-value warnings are off inside the run: a diverged
+    checkpoint's states are not finite, and the callers' finite checks
+    report it.
     """
     hid = config.hidden
     dtype = np.float64 if tape is not None else np.float32
@@ -385,8 +430,7 @@ def run_streams(first, params: ModelParams, config: ModelConfig, n_steps: int, e
         x = np.ascontiguousarray(x.data, dtype)
         row_map = None
         if tape is None and n > BLOCK:
-            _, keep, inverse = np.unique(x.view(np.dtype((np.void, x.strides[0]))).ravel(),
-                                         return_index=True, return_inverse=True)
+            keep, inverse = distinct_rows(x)
             if len(keep) < n:
                 x, row_map = x[keep], inverse
         inputs.append(x)
@@ -396,6 +440,7 @@ def run_streams(first, params: ModelParams, config: ModelConfig, n_steps: int, e
     h = [np.zeros((x.shape[1], hid), dtype) for x in start]
     c = [np.zeros_like(x) for x in h]
     vocab = len(embed)
+    out = np.empty((min(block, n), len(weights) * hid))     # emit's rows, reused
     lookup = [(np.matmul(ad.tile_rows(embed), w_x[:, None]).reshape(4, -1, hid)[:, :vocab] + b)
               .reshape(4 * vocab, hid) for w_x, _, b in weights]
     offsets = (np.arange(4) * vocab)[:, None]
@@ -432,7 +477,7 @@ def run_streams(first, params: ModelParams, config: ModelConfig, n_steps: int, e
         for lo in range(0, rows, block):
             top = min(lo + block, n)
             feats = [x[lo:top] if m is None else x[m[lo:top]] for x, m in zip(h, maps)]
-            got = emit(t, lo, feats[0] if len(feats) == 1 else np.concatenate(feats, axis=1))
+            got = emit(t, lo, np.concatenate(feats, axis=1, out=out[:top - lo]))
             if got is None:
                 stop = True
             else:

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import PosTag, RelationalRecord, Vocabulary, encode_caption, proposals_for_record
-from .errors import ConfigError, DataError, InvariantError
+from .errors import ConfigError, DataError
 from .geometry import (Box, box_rows, combination_layer, iou, match_to_gt, nms,
                        pair_geometry, top_pairs, union_box)
 from .metrics import (EvalReport, MetricConfig, PredictionRecord, diversity_stats,
@@ -176,7 +176,9 @@ def train_model(records, provider, vocab: Vocabulary, config: ModelConfig,
 
     Batches (proposals and caption targets) are fixed per image, so they
     are assembled once up front. Returns (params, optimizer, history) where
-    history holds per-epoch mean loss components.
+    history holds per-epoch mean loss components. A loss component that is
+    not finite (a diverged run) is a ``DataError`` naming the epoch, the
+    image and the learning rate; ``on_epoch`` is not called for its epoch.
     """
     if params is None:
         params = init_params(config, np.random.default_rng(
@@ -192,25 +194,30 @@ def train_model(records, provider, vocab: Vocabulary, config: ModelConfig,
         for rec in records
     ]
     history = []
-    for epoch in range(settings.epochs):
-        sums = dict.fromkeys(LOSS_COMPONENTS, 0.0)
-        for image_id, batch in batches:
-            loss, report = total_loss(batch, params, config,
-                                      alpha=settings.alpha, beta=settings.beta,
-                                      gamma=settings.gamma, rng=dropout_rng)
-            bad = [key for key in LOSS_COMPONENTS if not math.isfinite(getattr(report, key))]
-            if bad:
-                raise InvariantError(f"epoch {epoch + 1}, image {image_id}: non-finite "
-                                     f"{bad[0]} = {getattr(report, bad[0])!r}")
-            ad.backward(loss)
-            ad.adam_step(params, optimizer)
-            for key in LOSS_COMPONENTS:
-                sums[key] += getattr(report, key)
-        row = {"epoch": epoch + 1}
-        row.update({key: sums[key] / max(len(batches), 1) for key in LOSS_COMPONENTS})
-        history.append(row)
-        if on_epoch is not None:
-            on_epoch(epoch, row, params, optimizer)
+    # A diverging run overflows on its way to a non-finite loss; the loss
+    # check below reports it, without numpy's warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(settings.epochs):
+            sums = dict.fromkeys(LOSS_COMPONENTS, 0.0)
+            for image_id, batch in batches:
+                loss, report = total_loss(batch, params, config,
+                                          alpha=settings.alpha, beta=settings.beta,
+                                          gamma=settings.gamma, rng=dropout_rng)
+                bad = [key for key in LOSS_COMPONENTS
+                       if not math.isfinite(getattr(report, key))]
+                if bad:
+                    raise DataError(f"epoch {epoch + 1}, image {image_id}: non-finite "
+                                    f"{bad[0]} = {getattr(report, bad[0])!r} at lr "
+                                    f"{optimizer.lr!r} (diverged?)")
+                ad.backward(loss)
+                ad.adam_step(params, optimizer)
+                for key in LOSS_COMPONENTS:
+                    sums[key] += getattr(report, key)
+            row = {"epoch": epoch + 1}
+            row.update({key: sums[key] / max(len(batches), 1) for key in LOSS_COMPONENTS})
+            history.append(row)
+            if on_epoch is not None:
+                on_epoch(epoch, row, params, optimizer)
     return params, optimizer, history
 
 

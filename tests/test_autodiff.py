@@ -360,6 +360,34 @@ class TestTileRows:
         assert rows[len(x):].tobytes() == bytes(rows[len(x):].nbytes)
 
 
+class TestTileMatmul:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_row_count_equals_rows_multiplied_alone(self, dtype):
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(3 * ad.TILE + 1, 7)).astype(dtype)
+        w = rng.normal(size=(7, 5)).astype(dtype)
+        alone = np.concatenate([ad._tile_matmul(x[i:i + 1], w) for i in range(len(x))])
+        assert alone.dtype == dtype
+        for n in range(len(x) + 1):
+            got = ad._tile_matmul(x[:n], w)
+            assert got.shape == (n, 5) and got.dtype == dtype
+            assert got.tobytes() == alone[:n].tobytes(), n
+
+    def test_whole_tiles_are_not_copied(self, monkeypatch):
+        x = np.random.default_rng(3).normal(size=(2 * ad.TILE + 3, 4))
+        w = np.ones((4, 2))
+        padded = []
+        real = ad.tile_rows
+
+        def spy(rows):
+            padded.append(len(rows))
+            return real(rows)
+
+        monkeypatch.setattr(ad, "tile_rows", spy)
+        ad._tile_matmul(x, w)
+        assert padded == [3]
+
+
 class TestFiniteDiffCheck:
     def test_small_network(self):
         rng = np.random.default_rng(21)

@@ -837,22 +837,33 @@ def diverged_checkpoint(seed3_toy_dir, tmp_path_factory):
 
 
 class TestNonFiniteOutputs:
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("command, extra, message", [
         ("retrieve", ["--images", "2", "--query-images", "1"], "retrieval scores are not finite"),
         ("eval", [], "caption confidences are not finite"),
         ("infer", [], "caption confidences are not finite")], ids=("retrieve", "eval", "infer"))
     def test_diverged_checkpoint_is_data_error(self, seed3_toy_dir, diverged_checkpoint,
-                                               tmp_path, capsys, command, extra, message):
+                                               tmp_path, capsys, recwarn, command, extra,
+                                               message):
         out = tmp_path / "out"
         assert run([command, "--checkpoint", diverged_checkpoint,
                     "--data", os.path.join(seed3_toy_dir, "test.jsonl"),
                     "--provider", os.path.join(seed3_toy_dir, "provider.json"),
                     *extra, "--out", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err and "Traceback" not in err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
+
+    def test_diverging_training_is_data_error(self, seed3_toy_dir, tmp_path, capsys, recwarn):
+        out = tmp_path / "run"
+        assert run(["train", "--data", os.path.join(seed3_toy_dir, "train.jsonl"),
+                    "--provider", os.path.join(seed3_toy_dir, "provider.json"),
+                    "--out", str(out), "--lr", "1e300", "--epochs", "2"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: epoch 1, image ")
+        assert "non-finite" in err[0] and "lr 1e+300" in err[0]
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not (out / "model.rckpt").exists()
 
 
 class TestSmallImage:

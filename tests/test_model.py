@@ -18,7 +18,7 @@ from relcap.data import END_ID, PosTag, Vocabulary
 from relcap.errors import ConfigError
 from relcap.geometry import Box, MatchLabel, geometric_feature
 from relcap.model import (MODEL_PRESETS, ImageBatch, ModelConfig, PairBatch,
-                          caption_losses, decode_batch, encode_pair_batch,
+                          caption_losses, decode_batch, distinct_rows, encode_pair_batch,
                           importance_trace, init_params, load_model, regroup,
                           rem_forward, run_streams, sample_rows, save_model, stream_inputs,
                           stream_states, total_loss)
@@ -362,6 +362,101 @@ class TestRegroup:
             assert (row_map[i] == row_map[j]) == (pairs[i] == pairs[j])
         assert np.array_equal(parent[row_map], states)
         assert np.array_equal(word[row_map], words)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), n_states=st.integers(1, 40), vocab=st.sampled_from([1, 3, 12, 2000]))
+    def test_numbering_equals_sorted_unique_keys(self, data, n_states, vocab):
+        # A vocabulary of 2,000 words puts the keys of a small batch past 32
+        # per row, where regroup sorts instead of counting.
+        n = data.draw(st.integers(1, 200))
+        states = np.array(data.draw(st.lists(st.integers(0, n_states - 1), min_size=n,
+                                             max_size=n)), dtype=np.intp)
+        words = np.array(data.draw(st.lists(st.integers(0, vocab - 1), min_size=n,
+                                            max_size=n)), dtype=np.intp)
+        keys, inverse = np.unique(states * vocab + words, return_inverse=True)
+        row_map, parent, word = regroup(states, words, vocab)
+        assert row_map.dtype == np.intp
+        assert np.array_equal(row_map, inverse)
+        assert np.array_equal(parent * vocab + word, keys)
+
+
+def byte_groups(x):
+    """Row -> group of the byte-distinct rows of ``x``, groups numbered in
+    order of first appearance."""
+    first = {}
+    return [first.setdefault(row.tobytes(), len(first)) for row in x]
+
+
+class TestDistinctRows:
+    """Step-0 grouping: rows share a state exactly when their bytes are
+    equal."""
+
+    @staticmethod
+    def rows():
+        rng = np.random.default_rng(3)
+        base = rng.normal(size=(6, 5)).astype(np.float32)
+        base[1, 2] = -0.0                        # equal to 0.0, other bytes
+        base[2] = base[1]
+        base[2, 2] = 0.0
+        nan = np.array([0x7FC00000, 0x7FC00001], dtype=np.uint32).view(np.float32)
+        base[3, 0], base[4] = nan[0], base[3]
+        base[4, 0] = nan[1]                      # another NaN payload
+        return base[rng.integers(0, len(base), 300)]
+
+    def check(self, x):
+        keep, inverse = distinct_rows(x)
+        assert np.array_equal(x[keep][inverse].view(np.uint32), x.view(np.uint32))
+        want = byte_groups(x)
+        assert len(keep) == max(want) + 1
+        # The same partition of the rows as their bytes give, in some order.
+        assert len(set(zip(inverse.tolist(), want))) == len(keep)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_share_a_group_exactly_when_their_bytes_are_equal(self, dtype):
+        x = self.rows().astype(dtype)
+        self.check(x)
+        assert len(distinct_rows(x)[0]) == 6
+
+    def test_key_clash_falls_back_to_the_bytes(self, monkeypatch):
+        # Every row gets one key: the byte check sees the clash.
+        monkeypatch.setattr(relcap.model, "_row_keys",
+                            lambda words: np.zeros(len(words), dtype=np.uint64))
+        self.check(self.rows())
+        x = np.random.default_rng(4).normal(size=(40, 3)).astype(np.float32)
+        self.check(x[np.arange(80) % 40])
+
+
+class TestEmitRows:
+    def test_dense_pass_emits_float64_rows_of_the_float32_states(self):
+        """A pass of more than BLOCK rows, whose subject and object streams
+        share states, hands ``emit`` float64 rows that hold exactly the
+        float32 states the same rows get in passes of at most BLOCK rows
+        (one state per row)."""
+        cfg = tiny_config(14, 12, name="mttsnet,rem")
+        params = fresh_params(cfg, seed=12)
+        n, steps = 300, 4
+        batch = random_pair_batch(cfg, n_pairs=n, n_regions=9, seed=5)
+        targets = np.random.default_rng(6).integers(0, cfg.vocab_size, (n, steps))
+
+        def states(rows):
+            out = np.zeros((steps, len(rows), 3 * cfg.hidden))
+            sub = pair_rows(batch, rows)
+
+            def emit(t, lo, feat):
+                assert feat.dtype == np.float64
+                out[t, lo:lo + len(feat)] = feat
+                return targets[rows[lo:lo + len(feat)], t]
+
+            with ad.no_grad():
+                codes = encode_pair_batch(sub, params, cfg)
+                run_streams(stream_inputs(codes, params, cfg), params, cfg, steps, emit)
+            return out
+
+        dense = states(list(range(n)))
+        assert np.array_equal(dense.astype(np.float32), dense)
+        alone = np.concatenate([states(list(range(lo, min(lo + 100, n))))
+                                for lo in range(0, n, 100)], axis=1)
+        assert dense.tobytes() == alone.tobytes()
 
 
 class TestStreamGradients:
@@ -970,7 +1065,9 @@ class TestTeacherForcing:
                         or targets[lo:lo + len(feat), t])
             free_logits = head_logits(free)
         assert taped._parents and not free._parents
-        assert all(block.dtype == np.float32 for block in blocks)
+        # emit gets float64 rows holding the float32 states exactly.
+        assert all(block.dtype == np.float64 for block in blocks)
+        assert all(np.array_equal(block.astype(np.float32), block) for block in blocks)
         assert np.array_equal(free.data, np.concatenate(blocks))
         # The taped run is float64, the untaped one float32.
         assert np.max(np.abs(taped.data - free.data)) <= state_error_budget(cfg, 5)

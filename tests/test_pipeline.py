@@ -8,7 +8,7 @@ import pytest
 from conftest import fresh_params, object_proposals, pair_rows, tiny_config
 from relcap.data import END_ID, encode_caption, proposals_for_record
 from relcap.geometry import Box, RegionProposal, union_box
-from relcap.errors import InvariantError
+from relcap.errors import DataError
 from relcap import pipeline
 from relcap.model import ModelConfig, encode_pair_batch, caption_losses
 from relcap.pipeline import (ProposalSettings, TrainSettings, build_image_batch,
@@ -227,7 +227,7 @@ class TestTraining:
         params = fresh_params(cfg)
         params[name].data[0] = value
         epochs_seen = []
-        with pytest.raises(InvariantError,
+        with pytest.raises(DataError,
                            match=rf"epoch 1, image {records[0].image_id}: non-finite {term}"):
             train_model(records[:2], provider, vocab, cfg, TrainSettings(epochs=2),
                         params=params, on_epoch=lambda epoch, *_: epochs_seen.append(epoch))
