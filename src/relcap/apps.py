@@ -13,8 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigError, DataError
 from .geometry import Box, iou
-from .model import (ModelConfig, ModelParams, PairBatch, encode_pair_batch, run_streams,
-                    stream_inputs)
+from .model import ModelConfig, ModelParams, encode_pair_batch, run_streams, stream_inputs
 
 
 @dataclass
@@ -157,15 +156,6 @@ def retrieval_scores(query_ids, codes, params: ModelParams, config: ModelConfig)
         out.append((float(math.exp(log_scores[best])), best - lo, probs.tolist()))
         lo += size
     return out
-
-
-def retrieval_score(query_ids, batch: PairBatch, params: ModelParams,
-                    config: ModelConfig):
-    """``retrieval_scores`` of one image: (score, best pair index, per-word
-    probabilities of that pair)."""
-    with ad.no_grad():
-        codes = encode_pair_batch(batch, params, config)
-    return retrieval_scores(query_ids, [codes], params, config)[0]
 
 
 @dataclass(frozen=True)

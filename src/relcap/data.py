@@ -264,23 +264,8 @@ def attributes_from_json(obj: dict) -> ImageAttributes:
     return ImageAttributes(image_id_from_json(obj), entries)
 
 
-def attributes_to_json(rec: ImageAttributes) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "image_id": rec.image_id,
-        "objects": [
-            {"name": e.name, "attributes": list(e.attributes), "box": e.box.to_json()}
-            for e in rec.entries
-        ],
-    }
-
-
 def load_attributes(path: str):
     return load_jsonl(path, attributes_from_json, "attributes")
-
-
-def save_attributes(path: str, records) -> None:
-    save_jsonl(path, (attributes_to_json(r) for r in records))
 
 
 # ---------------------------------------------------------------------------

@@ -131,37 +131,21 @@ def union_box(a: Box, b: Box) -> Box:
     return Box.from_corners(min(ax0, bx0), min(ay0, by0), max(ax1, bx1), max(ay1, by1))
 
 
-def geometric_feature(subject: Box, obj: Box) -> np.ndarray:
-    """Six-component relative geometry of an ordered box pair.
-
-    Components, in order: x-offset and y-offset normalized by the subject
-    scale sqrt(w_s * h_s), square root of the area ratio, the two aspect
-    ratios w_s/h_s and w_o/h_o, and the IoU of the boxes. Invariant under
-    joint translation and joint uniform scaling.
-    """
-    scale = math.sqrt(subject.w * subject.h)
-    return np.array([
-        (obj.x - subject.x) / scale,
-        (obj.y - subject.y) / scale,
-        math.sqrt((obj.w * obj.h) / (subject.w * subject.h)),
-        subject.w / subject.h,
-        obj.w / obj.h,
-        iou(subject, obj),
-    ])
-
-
 def box_rows(boxes) -> np.ndarray:
     """(N, 4) centre-form rows (x, y, w, h) of ``boxes``."""
     return np.reshape([(b.x, b.y, b.w, b.h) for b in boxes], (-1, 4))
 
 
 def pair_geometry(boxes, subject, obj):
-    """Union boxes, as (P, 4) centre-form rows, and (P, 6) geometry of the
-    ordered pairs ``(boxes[subject[k]], boxes[obj[k]])``.
+    """Union boxes, as (P, 4) centre-form rows, and (P, 6) relative geometry
+    of the ordered pairs ``(boxes[subject[k]], boxes[obj[k]])``.
 
-    Row k equals ``union_box`` and ``geometric_feature`` of pair k bit for
-    bit: the same scalar arithmetic element-wise, the union making the same
-    corners -> ``Box.from_corners`` round trip, the IoU from ``iou_matrix``.
+    Geometry components, in order: x-offset and y-offset normalized by the
+    subject scale sqrt(w_s * h_s), square root of the area ratio, the two
+    aspect ratios w_s/h_s and w_o/h_o, and the IoU of the boxes. Invariant
+    under joint translation and joint uniform scaling. Union row k equals
+    ``union_box`` of pair k bit for bit (the same corners ->
+    ``Box.from_corners`` round trip); the IoU comes from ``iou_matrix``.
     """
     x, y, w, h = box_rows(boxes).T
     x0, y0, x1, y1 = x - w / 2, y - h / 2, x + w / 2, y + h / 2

@@ -679,22 +679,6 @@ def total_loss(batch: ImageBatch, params: ModelParams, config: ModelConfig,
 # decoding
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CaptionPrediction:
-    """Decoded caption for one pair.
-
-    ``word_probs`` records the chosen probability of every decode step;
-    when the sequence terminated at the end token that final probability is
-    included, so the confidence is always the exact product of
-    ``word_probs``.
-    """
-
-    token_ids: list
-    pos: list                    # PosTag per emitted token; empty without mtl
-    word_probs: list
-    confidence: float
-
-
 def sample_rows(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Per row of ``probs``, the id ``Generator.choice(V, p=row)`` picks when
     its uniform draw is the row's entry of ``uniforms``: the number of
@@ -704,9 +688,17 @@ def sample_rows(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return (cdf <= uniforms[:, None]).sum(axis=1)
 
 
-def decode_batch(batch: PairBatch, params: ModelParams, config: ModelConfig,
-                 mode: str = "greedy", rng: np.random.Generator | None = None):
-    """Decode every pair in the batch; greedy or stochastic.
+def decode_arrays(batch: PairBatch, params: ModelParams, config: ModelConfig,
+                  mode: str = "greedy", rng: np.random.Generator | None = None):
+    """Decode every pair in the batch, greedy or stochastic, as arrays:
+    (picks, chosen probabilities, POS tag values, emitted, taken).
+
+    Row p decoded ``taken[p]`` steps, whose word ids and probabilities are
+    the first ``taken[p]`` entries of its ``(P, max_len)`` rows; the first
+    ``emitted[p]`` words (and tags, with mtl) are its caption, one fewer
+    than ``taken[p]`` when the last pick was the end token. That end token's
+    probability is kept, so a caption's confidence is the exact product of
+    its ``taken[p]`` probabilities.
 
     Greedy takes the argmax each step (ties resolve to the lowest word id);
     stochastic samples from the word softmax and requires ``rng``: each step
@@ -716,30 +708,6 @@ def decode_batch(batch: PairBatch, params: ModelParams, config: ModelConfig,
     stay float64. A pair's output does not depend on the other pairs of the
     batch.
     """
-    picks, chosen_probs, tags, emitted, taken = _decode_arrays(batch, params, config, mode, rng)
-    tag_of = tuple(PosTag)                      # PosTag(x) for x in 0, 1, 2
-    out = []
-    for e, k, row_picks, row_probs, row_tags in zip(
-            emitted.tolist(), taken.tolist(), picks.tolist(), chosen_probs.tolist(),
-            tags.tolist()):
-        word_probs = row_probs[:k]
-        out.append(CaptionPrediction(
-            token_ids=row_picks[:e],
-            pos=[tag_of[x] for x in row_tags[:e]] if config.mtl else [],
-            word_probs=word_probs,
-            confidence=float(math.prod(word_probs)) if word_probs else 1.0,
-        ))
-    return out
-
-
-def _decode_arrays(batch: PairBatch, params: ModelParams, config: ModelConfig,
-                   mode: str = "greedy", rng: np.random.Generator | None = None):
-    """``decode_batch`` as arrays: (picks, chosen probabilities, POS tag
-    values, emitted, taken). Row p decoded ``taken[p]`` steps, whose word
-    ids and probabilities are the first ``taken[p]`` entries of its
-    ``(P, max_len)`` rows; the first ``emitted[p]`` words (and tags, with
-    mtl) are its caption, one fewer than ``taken[p]`` when the last pick
-    was the end token."""
     if mode not in ("greedy", "stochastic"):
         raise ValueError(f"unknown decode mode {mode!r}")
     if mode == "stochastic" and rng is None:

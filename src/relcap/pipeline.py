@@ -17,7 +17,7 @@ from .metrics import (EvalReport, MetricConfig, PredictionRecord, diversity_stat
                       image_level_recall, mean_meteor, pos_accuracy, relational_map,
                       score_pairs, vrd_recall_at_k)
 from .model import (LOSS_COMPONENTS, ImageBatch, ModelConfig, ModelParams, PairBatch,
-                    _decode_arrays, _pad_targets, encode_pair_batch, init_params, stream_states,
+                    _pad_targets, decode_arrays, encode_pair_batch, init_params, stream_states,
                     total_loss)
 
 
@@ -107,7 +107,7 @@ def _gt_captions(record: RelationalRecord, config: ModelConfig):
 def caption_pairs(proposals, config: ModelConfig, pair_cap: int | None = None):
     """(subject rows, object rows, union boxes, geometry) of the proposal
     pairs to caption: two index arrays, (P, 4) centre-form union boxes and
-    (P, 6) ``geometric_feature`` rows.
+    (P, 6) relative geometry rows (``pair_geometry``).
 
     The combination layer's ordered pairs, or for direct-union each proposal
     paired with itself over its own box (geometry zero), both capped by
@@ -248,14 +248,16 @@ def predict_proposals(record: RelationalRecord, proposals, params: ModelParams,
                       nms_iou: float = 0.5, pair_cap: int | None = None,
                       min_confidence: float | None = None,
                       mode: str = "greedy", rng: np.random.Generator | None = None):
-    """Decode captions for every pair of the ``proposals`` that survive NMS.
-    Word probabilities that are not finite are a ``DataError``."""
+    """Decode captions for every pair of the ``proposals`` that survive NMS
+    (``decode_arrays``) and turn them into prediction records. A pair whose
+    caption is empty, or whose confidence is below ``min_confidence``, gets
+    no record. Word probabilities that are not finite are a ``DataError``."""
     metric_config = metric_config or MetricConfig()
     kept = nms(proposals, nms_iou, metric_config.keep_after_nms)
     batch, boxes = make_pair_batch(record, kept, provider, config, pair_cap)
     if not boxes:
         return []
-    picks, chosen_probs, tags, emitted, taken = _decode_arrays(batch, params, config, mode, rng)
+    picks, chosen_probs, tags, emitted, taken = decode_arrays(batch, params, config, mode, rng)
     if not np.isfinite(chosen_probs).all():
         raise DataError(f"image {record.image_id}: caption confidences are not finite "
                         "(diverged parameters?)")

@@ -1,11 +1,16 @@
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
+from relcap.apps import retrieval_scores
 from relcap.autodiff import Tensor, affine, backward, log_softmax, no_grad
-from relcap.data import ToyWorldConfig, build_vocab, generate_toy_world, proposals_for_record
-from relcap.model import BLOCK, ModelConfig, PairBatch, init_params, stream_states
+from relcap.data import (SCHEMA_VERSION, PosTag, ToyWorldConfig, build_vocab,
+                         generate_toy_world, proposals_for_record, save_jsonl)
+from relcap.geometry import iou
+from relcap.model import (BLOCK, ModelConfig, PairBatch, decode_arrays, encode_pair_batch,
+                          init_params, stream_states)
 from relcap.pipeline import ProposalSettings
 
 
@@ -78,6 +83,50 @@ def block_retrieval_scores(query, codes, params, config):
         out.append((float(math.exp(log_scores[best])), best - lo, probs.tolist()))
         lo = hi
     return out
+
+
+# One pair's decoded caption: token ids, PosTag per token (empty without
+# mtl), the chosen probability of every step taken (the end token's too)
+# and their product.
+CaptionPrediction = namedtuple("CaptionPrediction", "token_ids pos word_probs confidence")
+
+
+def decode_batch(batch, params, config, mode="greedy", rng=None):
+    """``decode_arrays`` as one ``CaptionPrediction`` per pair, in row order."""
+    picks, chosen_probs, tags, emitted, taken = decode_arrays(batch, params, config, mode, rng)
+    return [CaptionPrediction(ids[:e], [PosTag(x) for x in pos[:e]] if config.mtl else [],
+                              probs[:k], float(math.prod(probs[:k])))
+            for e, k, ids, probs, pos in zip(emitted.tolist(), taken.tolist(), picks.tolist(),
+                                             chosen_probs.tolist(), tags.tolist())]
+
+
+def geometric_feature(subject, obj):
+    """Scalar reference of one ``geometry.pair_geometry`` geometry row."""
+    scale = math.sqrt(subject.w * subject.h)
+    return np.array([
+        (obj.x - subject.x) / scale,
+        (obj.y - subject.y) / scale,
+        math.sqrt((obj.w * obj.h) / (subject.w * subject.h)),
+        subject.w / subject.h,
+        obj.w / obj.h,
+        iou(subject, obj),
+    ])
+
+
+def retrieval_score(query_ids, batch, params, config):
+    """``apps.retrieval_scores`` of one image: (score, best pair index,
+    per-word probabilities of that pair)."""
+    with no_grad():
+        codes = encode_pair_batch(batch, params, config)
+    return retrieval_scores(query_ids, [codes], params, config)[0]
+
+
+def save_attributes(path, records):
+    """Write ``ImageAttributes`` as the attributes file ``relcap enrich`` reads."""
+    save_jsonl(path, ({"schema_version": SCHEMA_VERSION, "image_id": rec.image_id,
+                       "objects": [{"name": e.name, "attributes": list(e.attributes),
+                                    "box": e.box.to_json()} for e in rec.entries]}
+                      for rec in records))
 
 
 def zero_grad(p):

@@ -16,9 +16,8 @@ import pytest
 from relcap.autodiff import Tensor
 from relcap.cli import main as cli_main
 from relcap.data import (AttributeRecord, ImageAttributes, PosTag, ToyWorldConfig,
-                         build_vocab, generate_toy_world, save_attributes,
-                         split_records)
-from relcap.geometry import Box, geometric_feature, nms
+                         build_vocab, generate_toy_world, split_records)
+from relcap.geometry import Box, nms
 from relcap.metrics import MetricConfig, meteor_lite, relational_map, score_pairs
 from relcap.model import (ImageBatch, ModelConfig, PairBatch,
                           encode_pair_batch, importance_trace, init_params,
@@ -26,9 +25,9 @@ from relcap.model import (ImageBatch, ModelConfig, PairBatch,
 from relcap.pipeline import (ProposalSettings, TrainSettings, build_image_batch,
                              build_proposals, evaluate_model, make_pair_batch,
                              train_model)
-from relcap.apps import retrieval_score
 
-from conftest import finite_diff_check, pair_rows
+from conftest import (finite_diff_check, geometric_feature, pair_rows, retrieval_score,
+                      save_attributes)
 from test_metrics import oracle_relational_map, random_fixture
 
 TOY_DIMS = dict(d_subj_obj=64, d_union=32, code_width=48, hidden=48, rem_dim=32,

@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import block_retrieval_scores, fresh_params, tiny_config
+from conftest import block_retrieval_scores, fresh_params, retrieval_score, tiny_config
 from relcap import apps, model
 from relcap.apps import (RetrievalProtocol, build_caption_graph, export_graph, retrieval_eval,
-                         retrieval_score, retrieval_scores)
+                         retrieval_scores)
 from relcap import autodiff as ad
 from relcap.errors import ConfigError, DataError
 from relcap.geometry import Box

@@ -13,12 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import save_attributes
 import relcap
 from relcap import schemas
 from relcap.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from relcap.cli import (SETTINGS, build_parser, main, prediction_to_json, read_predictions,
                         resolve_settings, run_provenance, write_predictions)
-from relcap.data import save_attributes, ImageAttributes, AttributeRecord
+from relcap.data import ImageAttributes, AttributeRecord
 from relcap.errors import DataError
 from relcap.geometry import Box
 from relcap.metrics import PredictionRecord
@@ -840,7 +841,9 @@ class TestNonFiniteOutputs:
     @pytest.mark.parametrize("command, extra, message", [
         ("retrieve", ["--images", "2", "--query-images", "1"], "retrieval scores are not finite"),
         ("eval", [], "caption confidences are not finite"),
-        ("infer", [], "caption confidences are not finite")], ids=("retrieve", "eval", "infer"))
+        ("infer", [], "caption confidences are not finite"),
+        ("infer", ["--mode", "stochastic"], "caption confidences are not finite")],
+        ids=("retrieve", "eval", "infer", "infer-stochastic"))
     def test_diverged_checkpoint_is_data_error(self, seed3_toy_dir, diverged_checkpoint,
                                                tmp_path, capsys, recwarn, command, extra,
                                                message):

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import tiny_config
-from relcap.geometry import (Box, MatchLabel, RegionProposal, combination_layer,
-                             geometric_feature, iou, iou_matrix, match_to_gt, nms,
-                             union_box)
+from conftest import geometric_feature, tiny_config
+from relcap.geometry import (Box, MatchLabel, RegionProposal, combination_layer, iou,
+                             iou_matrix, match_to_gt, nms, union_box)
 from relcap.pipeline import caption_pairs
 
 boxes = st.builds(

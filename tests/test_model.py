@@ -9,16 +9,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import finite_diff_check, fresh_params, pair_rows, tiny_config, zero_grad
+from conftest import (decode_batch, finite_diff_check, fresh_params, geometric_feature,
+                      pair_rows, retrieval_score, tiny_config, zero_grad)
 import relcap.model
 from relcap import autodiff as ad
-from relcap.apps import retrieval_score, retrieval_scores
+from relcap.apps import retrieval_scores
 from relcap.autodiff import Tensor
 from relcap.data import END_ID, PosTag, Vocabulary
 from relcap.errors import ConfigError
-from relcap.geometry import Box, MatchLabel, geometric_feature
+from relcap.geometry import Box, MatchLabel
 from relcap.model import (MODEL_PRESETS, ImageBatch, ModelConfig, PairBatch,
-                          caption_losses, decode_batch, distinct_rows, encode_pair_batch,
+                          caption_losses, distinct_rows, encode_pair_batch,
                           importance_trace, init_params, load_model, regroup,
                           rem_forward, run_streams, sample_rows, save_model, stream_inputs,
                           stream_states, total_loss)

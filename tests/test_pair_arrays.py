@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import tiny_config
+from conftest import geometric_feature, tiny_config
 from relcap.data import RelationalRecord, SceneObject, ToyFeatureProvider, proposals_for_record
 from relcap.errors import DataError
 from relcap.geometry import (Box, RegionProposal, box_rows, combination_layer,
-                             geometric_feature, intersection_area, iou, nms, top_pairs,
-                             union_box)
+                             intersection_area, iou, nms, top_pairs, union_box)
 from relcap.model import ModelConfig
 from relcap.pipeline import (ProposalSettings, build_image_batch, build_proposals,
                              caption_pairs, make_pair_batch)

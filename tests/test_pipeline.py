@@ -5,15 +5,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import fresh_params, object_proposals, pair_rows, tiny_config
+from conftest import decode_batch, fresh_params, object_proposals, pair_rows, tiny_config
 from relcap.data import END_ID, encode_caption, proposals_for_record
-from relcap.geometry import Box, RegionProposal, union_box
+from relcap.geometry import Box, RegionProposal, nms, union_box
 from relcap.errors import DataError
 from relcap import pipeline
+from relcap.metrics import MetricConfig
 from relcap.model import ModelConfig, encode_pair_batch, caption_losses
 from relcap.pipeline import (ProposalSettings, TrainSettings, build_image_batch,
                              build_proposals, evaluate_model, history_to_csv,
-                             make_pair_batch, predict_image, train_model)
+                             make_pair_batch, predict_image, predict_proposals, train_model)
+
+from test_model import step_logits
 
 
 def cfg_for(provider, vocab, **overrides):
@@ -263,6 +266,38 @@ class TestPrediction:
                               ProposalSettings())
         for p in preds:
             assert p.subject_box == p.object_box
+
+    @pytest.mark.parametrize("mode", ["greedy", "stochastic"])
+    def test_records_equal_decode_rows(self, toy_world_small, mode):
+        # predict_proposals and the tests' decode_batch translate the same
+        # decode arrays. The end-token bias is rigged so that greedy stops
+        # half the pairs at step 0: exactly the empty captions get no record.
+        records, provider, vocab = toy_world_small
+        cfg = cfg_for(provider, vocab)
+        params = fresh_params(cfg, seed=7)
+        proposals = build_proposals(records[0], provider, cfg, ProposalSettings())
+        survivors = nms(proposals, 0.5, MetricConfig().keep_after_nms)
+        batch, boxes = make_pair_batch(records[0], survivors, provider, cfg)
+        logits = step_logits(encode_pair_batch(batch, params, cfg), [[]] * len(batch), params,
+                             cfg)[0]
+        margin = np.delete(logits, END_ID, axis=1).max(axis=1) - logits[:, END_ID]
+        params["head.word.b"].data[END_ID] += np.median(margin)
+
+        def rng():
+            return np.random.default_rng(3) if mode == "stochastic" else None
+
+        want = [(*pair, [vocab.decode_id(i) for i in row.token_ids],
+                 [tag.name for tag in row.pos], row.word_probs, row.confidence)
+                for row, pair in zip(decode_batch(batch, params, cfg, mode, rng()), boxes)
+                if row.token_ids]
+        floor = sorted(w[-1] for w in want)[len(want) // 2]     # a record sits on the floor
+        for min_confidence, kept in ((None, want), (floor, [w for w in want if w[-1] >= floor])):
+            got = predict_proposals(records[0], proposals, params, cfg, vocab, provider,
+                                    min_confidence=min_confidence, mode=mode, rng=rng())
+            assert [(p.subject_box, p.object_box, p.tokens, p.pos, p.word_probs, p.confidence)
+                    for p in got] == kept
+            assert all(p.image_id == records[0].image_id for p in got)
+        assert 0 < len(kept) < len(want) < len(batch)
 
     def test_make_pair_batch_boxes_align(self, toy_world_small):
         records, provider, vocab = toy_world_small
