@@ -23,7 +23,7 @@ from relcap.data import ImageAttributes, AttributeRecord
 from relcap.errors import DataError
 from relcap.geometry import Box
 from relcap.metrics import PredictionRecord
-from relcap.model import load_model
+from relcap.model import ModelConfig, load_model
 
 
 def run(argv):
@@ -127,6 +127,14 @@ class TestTrain:
         assert "lstm.subject.w" in inventories["mttsnet"]
         assert "head.pos.w" in inventories["mttsnet"]
         assert "head.pos.w" not in inventories["union"]
+
+    def test_library_model_config_is_the_default_run(self, toy_dir, tmp_path):
+        # No model flag: train builds ModelConfig's own defaults.
+        assert run(["train", "--data", os.path.join(toy_dir, "train.jsonl"),
+                    "--provider", os.path.join(toy_dir, "provider.json"),
+                    "--out", str(tmp_path), "--epochs", "1"]) == 0
+        _, config, _, _, _ = load_model(os.path.join(tmp_path, "model.rckpt"))
+        assert ModelConfig(config.feature_width, config.vocab_size) == config
 
     def test_missing_dataset_is_config_error(self, toy_dir, tmp_path):
         assert run(["train", "--data", "/nonexistent.jsonl",
@@ -701,6 +709,29 @@ class TestSettingsTable:
         by_flag = _resolved(argv + [f"--{name}", str(value)])
         assert by_flag[name.replace("-", "_")] == value
         assert _resolved(argv + ["--config", str(config)]) == by_flag
+
+    def test_defaults_are_pinned(self):
+        proposals = {"proposal-seed": 0, "jitter": 0.08, "background": 2}
+        predict = {**proposals, "keep-after-nms": 50, "nms-iou": 0.5, "pair-cap": None,
+                   "min-confidence": None}
+        want = {
+            "gen-toy": {"seed": 7, "images": 120, "min-objects": 2, "max-objects": 4,
+                        "inside-prob": 0.25},
+            "train": {"seed": 0, "model": "mttsnet", "epochs": 100, "lr": 1e-3, "alpha": 0.1,
+                      "beta": 0.1, "gamma": 0.1, "hidden": 48, "d-subj-obj": 64,
+                      "d-union": 32, "rem-dim": 32, "max-len": 12, "dropout": 0.1,
+                      "min-count": 1, **proposals},
+            "eval": predict,
+            "infer": {**predict, "mode": "greedy"},
+            "retrieve": {**proposals, "keep-after-nms": 100, "nms-iou": 0.5, "k": "1,5,10",
+                         "images": 100, "query-images": 5, "captions-per-image": 4,
+                         "rounds": 3},
+        }
+        assert sorted(want) == sorted(SETTINGS)
+        for command, defaults in want.items():
+            resolved = _resolved([command, *_REQUIRED[command]])
+            assert {name: resolved[name.replace("-", "_")]
+                    for name in SETTINGS[command]} == defaults, command
 
     def test_integral_config_numbers_convert(self, tmp_path):
         config = tmp_path / "config.json"
