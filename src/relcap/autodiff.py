@@ -280,15 +280,15 @@ def row_softmax(x: Tensor) -> Tensor:
     return _node(y, (x,), _back)
 
 
-def concat(tensors, axis: int = 1) -> Tensor:
+def concat(tensors) -> Tensor:
     tensors = tuple(tensors)
 
     def _back(g):
-        splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
+        splits = np.cumsum([t.data.shape[1] for t in tensors])[:-1]
+        for t, piece in zip(tensors, np.split(g, splits, axis=1)):
             _accumulate(t, piece)
 
-    return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors, _back)
+    return _node(np.concatenate([t.data for t in tensors], axis=1), tensors, _back)
 
 
 def gather_rows(x: Tensor, indices) -> Tensor:
@@ -417,7 +417,7 @@ class ModelParams(dict):
 class OptimizerState:
     """Adam settings, step count and moments (flat, laid out like ``data``)."""
 
-    def __init__(self, params: ModelParams, lr=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8):
+    def __init__(self, params: ModelParams, lr, beta1=0.9, beta2=0.999, epsilon=1e-8):
         self.lr = float(lr)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)

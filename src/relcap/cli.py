@@ -22,14 +22,14 @@ import numpy as np
 from . import __version__
 from .apps import RetrievalProtocol, build_caption_graph, export_graph, retrieval_eval
 from .checkpoint import write_atomic
-from .data import (SCHEMA_VERSION, PosTag, ToyFeatureProvider, ToyWorldConfig, build_vocab,
-                   enrich_attributes, generate_toy_world, image_id_from_json, load_attributes,
-                   load_dataset, load_jsonl, load_pos_lexicon, read_text, save_dataset,
-                   save_jsonl, split_records)
-from .errors import ConfigError, DataError, InvariantError
-from .geometry import Box, nms
+from .data import (SCHEMA_VERSION, PosTag, ToyFeatureProvider, ToyWorldConfig, Vocabulary,
+                   build_vocab, enrich_attributes, generate_toy_world, image_id_from_json,
+                   load_attributes, load_dataset, load_jsonl, load_pos_lexicon, read_text,
+                   save_dataset, save_jsonl, split_records)
+from .errors import ConfigError, DataError
+from .geometry import NMS_IOU, Box, nms
 from .metrics import MetricConfig, PredictionRecord
-from .model import MODEL_PRESETS, ModelConfig, load_model, save_model
+from .model import DECODE_MODES, MODEL_PRESETS, ModelConfig, load_model, save_model
 from .pipeline import (ProposalSettings, TrainSettings, build_proposals, evaluate_model,
                        history_to_csv, make_pair_batch, predict_image, train_model)
 
@@ -120,48 +120,55 @@ def _load_config_file(path: str | None) -> dict:
     return obj
 
 
-def _at_least(low):
-    return f"at least {low}", lambda value: value >= low
-
-
 # A setting's allowed range: (description, test). None means any value.
-_NON_NEGATIVE, _POSITIVE = _at_least(0), ("above 0", lambda value: value > 0)
+_NON_NEGATIVE = "at least 0", lambda value: value >= 0
+_AT_LEAST_1 = "at least 1", lambda value: value >= 1
+_POSITIVE = "above 0", lambda value: value > 0
 _UNIT = "in [0, 1]", lambda value: 0 <= value <= 1
+_MODES = " or ".join(DECODE_MODES), lambda value: value in DECODE_MODES
 
 # name -> (type, default, range) of every setting a config-reading command
-# resolves. ``--name`` is the flag and ``name`` the config-file key.
-# ProposalSettings checks that jitter is in [0, 1).
-_PROPOSAL_SETTINGS = {"proposal-seed": (int, 0, _NON_NEGATIVE),
-                      "jitter": (float, 0.08, None), "background": (int, 2, _NON_NEGATIVE)}
-_PREDICT_SETTINGS = {**_PROPOSAL_SETTINGS, "keep-after-nms": (int, 50, _NON_NEGATIVE),
-                     "nms-iou": (float, 0.5, _UNIT), "pair-cap": (int, None, _NON_NEGATIVE),
+# resolves; ``--name`` is the flag and ``name`` the config-file key. A default is
+# the library's own, but for gen-toy's seed and retrieve's keep-after-nms.
+_PROPOSAL_SETTINGS = {"proposal-seed": (int, ProposalSettings.seed, _NON_NEGATIVE),
+                      "jitter": (float, ProposalSettings.jitter, None),  # range: ProposalSettings
+                      "background": (int, ProposalSettings.n_background, _NON_NEGATIVE)}
+_PREDICT_SETTINGS = {**_PROPOSAL_SETTINGS,
+                     "keep-after-nms": (int, MetricConfig.keep_after_nms, _NON_NEGATIVE),
+                     "nms-iou": (float, NMS_IOU, _UNIT), "pair-cap": (int, None, _NON_NEGATIVE),
                      "min-confidence": (float, None, _UNIT)}
 SETTINGS = {
-    "gen-toy": {"seed": (int, 7, _NON_NEGATIVE), "images": (int, 120, None),
-                "min-objects": (int, 2, None), "max-objects": (int, 4, None),
-                "inside-prob": (float, 0.25, _UNIT)},
-    "train": {"seed": (int, 0, _NON_NEGATIVE), "model": (str, "mttsnet", None),
-              "epochs": (int, 100, _at_least(1)), "lr": (float, 1e-3, _POSITIVE),
-              "alpha": (float, 0.1, _NON_NEGATIVE), "beta": (float, 0.1, _NON_NEGATIVE),
-              "gamma": (float, 0.1, _NON_NEGATIVE), "hidden": (int, 48, _at_least(1)),
-              "d-subj-obj": (int, 64, _at_least(1)), "d-union": (int, 32, _at_least(1)),
-              "rem-dim": (int, 32, _at_least(1)), "max-len": (int, 12, None),
-              "dropout": (float, 0.1, None), "min-count": (int, 1, _at_least(1)),
-              **_PROPOSAL_SETTINGS},
+    "gen-toy": {"seed": (int, 7, _NON_NEGATIVE), "images": (int, ToyWorldConfig.n_images, None),
+                "min-objects": (int, ToyWorldConfig.min_objects, None),
+                "max-objects": (int, ToyWorldConfig.max_objects, None),
+                "inside-prob": (float, ToyWorldConfig.inside_prob, _UNIT)},
+    "train": {"seed": (int, TrainSettings.seed, _NON_NEGATIVE),
+              "model": (str, ModelConfig.name, None), "max-len": (int, ModelConfig.max_len, None),
+              "epochs": (int, TrainSettings.epochs, _AT_LEAST_1),
+              "lr": (float, TrainSettings.lr, _POSITIVE),
+              **{name: (float, getattr(TrainSettings, name), _NON_NEGATIVE)
+                 for name in ("alpha", "beta", "gamma")},
+              "hidden": (int, ModelConfig.hidden, _AT_LEAST_1),
+              "d-subj-obj": (int, ModelConfig.d_subj_obj, _AT_LEAST_1),
+              "d-union": (int, ModelConfig.d_union, _AT_LEAST_1),
+              "rem-dim": (int, ModelConfig.rem_dim, _AT_LEAST_1),
+              "dropout": (float, ModelConfig.dropout, None),
+              "min-count": (int, Vocabulary.min_count, _AT_LEAST_1), **_PROPOSAL_SETTINGS},
     "eval": _PREDICT_SETTINGS,
-    "infer": {**_PREDICT_SETTINGS,
-              "mode": (str, "greedy", ("greedy or stochastic",
-                                       lambda value: value in ("greedy", "stochastic")))},
+    "infer": {**_PREDICT_SETTINGS, "mode": (str, DECODE_MODES[0], _MODES)},
     "retrieve": {**_PROPOSAL_SETTINGS, "keep-after-nms": (int, 100, _NON_NEGATIVE),
-                 "nms-iou": (float, 0.5, _UNIT), "k": (str, "1,5,10", None),
-                 "images": (int, 100, _at_least(1)), "query-images": (int, 5, _at_least(1)),
-                 "captions-per-image": (int, 4, _at_least(1)), "rounds": (int, 3, _at_least(1))},
+                 "nms-iou": (float, NMS_IOU, _UNIT),
+                 "k": (str, ",".join(map(str, RetrievalProtocol.ks)), None),
+                 "images": (int, RetrievalProtocol.num_images, _AT_LEAST_1),
+                 "query-images": (int, RetrievalProtocol.num_query_images, _AT_LEAST_1),
+                 "captions-per-image": (int, RetrievalProtocol.captions_per_image, _AT_LEAST_1),
+                 "rounds": (int, RetrievalProtocol.rounds, _AT_LEAST_1)},
 }
 _SETTING_HELP = {
     "seed": "master seed",
     "model": "|".join(MODEL_PRESETS) + ", with optional ,mtl and ,rem",
-    "k": "comma-separated K values, default 1,5,10",
-    "mode": "greedy or stochastic",
+    "k": "comma-separated K values, default " + SETTINGS["retrieve"]["k"][1],
+    "mode": _MODES[0],
 }
 # JSON types a config-file value may have, per setting type (never a boolean).
 _CONFIG_TYPES = {int: (int, float, str), float: (int, float, str), str: (str,)}
@@ -299,7 +306,7 @@ def cmd_train(args) -> int:
         _check_vocab(vocab, records)
     else:
         vocab = build_vocab(records, min_count=args.min_count)
-        config = ModelConfig(provider.feature_width, len(vocab), code_width=args.hidden,
+        config = ModelConfig(provider.feature_width, len(vocab),
                              **{field: getattr(args, name.replace("-", "_"))
                                 for name, field in _MODEL_SETTINGS.items()}).validate()
     prov = run_provenance(args, dataset=args.data, provider=args.provider,
@@ -532,7 +539,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InvariantError, ValueError, IndexError) as exc:
+    except (ValueError, IndexError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
 

@@ -304,10 +304,10 @@ class Vocabulary:
 
     @staticmethod
     def from_json(obj) -> "Vocabulary":
-        return Vocabulary(words=list(obj["words"]), min_count=int(obj.get("min_count", 1)))
+        return Vocabulary(list(obj["words"]), int(obj.get("min_count", Vocabulary.min_count)))
 
 
-def build_vocab(records, min_count: int = 1) -> Vocabulary:
+def build_vocab(records, min_count: int = Vocabulary.min_count) -> Vocabulary:
     """Frequency-then-lexicographic vocabulary over all relation captions."""
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
@@ -355,28 +355,26 @@ def encode_caption(tokens, tags, vocab: Vocabulary, max_len: int):
 # toy world
 # ---------------------------------------------------------------------------
 
+TOY_SIZE = 128.0             # toy image width and height, px
+TOY_SHAPES = ("square", "circle", "triangle", "star")
+TOY_COLORS = ("red", "blue", "green", "yellow", "purple")
+TOY_MARGIN = 4.0             # px slack for the left-of / above predicates
+SPLITS = (0.8, 0.1, 0.1)     # train / val / test fractions
+
+
 @dataclass(frozen=True)
 class ToyWorldConfig:
     n_images: int = 120
     min_objects: int = 2
     max_objects: int = 4
-    image_width: float = 128.0
-    image_height: float = 128.0
-    shapes: tuple = ("square", "circle", "triangle", "star")
-    colors: tuple = ("red", "blue", "green", "yellow", "purple")
-    margin: float = 4.0          # px slack for the left-of / above predicates
     inside_prob: float = 0.25    # chance a scene nests one object inside another
-    splits: tuple = (0.8, 0.1, 0.1)
+    splits = SPLITS              # not a field: every toy world splits alike
 
     def validate(self):
         if self.n_images <= 0:
             raise ConfigError("toy world needs at least one image")
         if not (2 <= self.min_objects <= self.max_objects <= 6):
             raise ConfigError("objects per image must lie in 2..6")
-        if not self.shapes or not self.colors:
-            raise ConfigError("shape and color inventories must be non-empty")
-        if abs(sum(self.splits) - 1.0) > 1e-9 or len(self.splits) != 3:
-            raise ConfigError("splits must be three fractions summing to 1")
         return self
 
 
@@ -508,14 +506,14 @@ class ToyFeatureProvider:
         return provider
 
 
-def _place_objects(rng: np.random.Generator, config: ToyWorldConfig, count: int):
+def _place_objects(rng: np.random.Generator, count: int):
     boxes = []
     for _ in range(count):
         for _attempt in range(200):
             w = rng.uniform(18.0, 42.0)
             h = rng.uniform(18.0, 42.0)
-            x = rng.uniform(w / 2 + 1, config.image_width - w / 2 - 1)
-            y = rng.uniform(h / 2 + 1, config.image_height - h / 2 - 1)
+            x = rng.uniform(w / 2 + 1, TOY_SIZE - w / 2 - 1)
+            y = rng.uniform(h / 2 + 1, TOY_SIZE - h / 2 - 1)
             box = Box(x, y, w, h)
             if all(iou(box, other) < 0.2 for other in boxes):
                 boxes.append(box)
@@ -528,7 +526,7 @@ def _place_objects(rng: np.random.Generator, config: ToyWorldConfig, count: int)
 def generate_toy_world(seed: int, config: ToyWorldConfig | None = None):
     """Build the deterministic toy dataset and its feature provider."""
     config = (config or ToyWorldConfig()).validate()
-    combos = [(s, c) for s in config.shapes for c in config.colors]
+    combos = [(s, c) for s in TOY_SHAPES for c in TOY_COLORS]
     records = []
     children = np.random.SeedSequence(seed).spawn(config.n_images)
     for image_id in range(config.n_images):
@@ -536,7 +534,7 @@ def generate_toy_world(seed: int, config: ToyWorldConfig | None = None):
         count = int(rng.integers(config.min_objects, config.max_objects + 1))
         count = min(count, len(combos))
         picks = rng.permutation(len(combos))[:count]
-        boxes = _place_objects(rng, config, count)
+        boxes = _place_objects(rng, count)
         if count >= 2 and rng.random() < config.inside_prob:
             # nest the last object inside the first; the small area ratio
             # keeps their IoU below the placement threshold
@@ -552,7 +550,7 @@ def generate_toy_world(seed: int, config: ToyWorldConfig | None = None):
             for j, obj in enumerate(scene):
                 if i == j:
                     continue
-                pred = spatial_predicate(subj.box, obj.box, config.margin)
+                pred = spatial_predicate(subj.box, obj.box, TOY_MARGIN)
                 tokens, tags = tag_segments(
                     ("the", subj.color, subj.shape), pred, ("the", obj.color, obj.shape))
                 relations.append(GroundTruthRelation(
@@ -560,16 +558,16 @@ def generate_toy_world(seed: int, config: ToyWorldConfig | None = None):
                     tokens=tokens, pos=tags, image_id=image_id))
         records.append(RelationalRecord(
             image_id=image_id,
-            width=config.image_width,
-            height=config.image_height,
+            width=TOY_SIZE,
+            height=TOY_SIZE,
             relations=relations,
             objects=[ObjectAnnotation(s.shape, [s.color], s.box) for s in scene],
             scene=scene,
         ).validate())
-    return records, ToyFeatureProvider(config.shapes, config.colors)
+    return records, ToyFeatureProvider(TOY_SHAPES, TOY_COLORS)
 
 
-def split_records(records, splits=(0.8, 0.1, 0.1)):
+def split_records(records, splits=SPLITS):
     """Deterministic train/val/test split by record order."""
     n = len(records)
     n_train = int(round(splits[0] * n))

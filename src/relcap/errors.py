@@ -20,7 +20,3 @@ class DataError(RelcapError):
 
 class CheckpointError(DataError):
     """Unreadable or version-mismatched checkpoint container."""
-
-
-class InvariantError(RelcapError):
-    """An internal invariant was violated (exit code 4)."""

@@ -14,6 +14,7 @@ import numpy as np
 
 POSITIVE_IOU = 0.7   # proposal is positive at or above this IoU with a GT box
 NEGATIVE_IOU = 0.3   # proposal is negative only if below this IoU with every GT box
+NMS_IOU = 0.5        # default IoU above which NMS suppresses the less confident box
 
 
 @dataclass(frozen=True)

@@ -174,7 +174,7 @@ def score_pairs(predictions, gts):
     return out
 
 
-def relational_map(scores, config: MetricConfig | None = None) -> float:
+def relational_map(scores, config: MetricConfig = MetricConfig()) -> float:
     """Mean average precision (percent) over the language x localization grid.
 
     A ranked prediction is a true positive at thresholds (mt, it) when some
@@ -184,7 +184,6 @@ def relational_map(scores, config: MetricConfig | None = None) -> float:
     Predictions rank by confidence, ties by image id then input order. One
     walk down the ranking updates all threshold pairs, (mt, it) row-major.
     """
-    config = config or MetricConfig()
     n_gt = sum(s.meteor.shape[1] for s in scores)
     if not n_gt:
         raise ValueError("relational mAP is undefined without ground-truth relations")
@@ -256,7 +255,7 @@ def diversity_stats(predictions):
     return words_per_img, words_per_box
 
 
-def vrd_recall_at_k(scores, k: int, mode: str, config: MetricConfig | None = None) -> float:
+def vrd_recall_at_k(scores, k: int, mode: str, config: MetricConfig = MetricConfig()) -> float:
     """Detection-style recall at top-k predictions per image.
 
     ``mode`` "phrase" matches on the IoU of the union boxes; "relationship"
@@ -267,7 +266,6 @@ def vrd_recall_at_k(scores, k: int, mode: str, config: MetricConfig | None = Non
         raise ValueError("vrd_recall_at_k: k must be positive")
     if mode not in ("phrase", "relationship"):
         raise ValueError(f"unknown mode {mode!r}")
-    config = config or MetricConfig()
     recalls = []
     for s in scores:
         if not s.meteor.shape[1]:

@@ -17,12 +17,14 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ModelParams, Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import END_ID, PAD_ID, PosTag, Vocabulary
+from .data import END_ID, PAD_ID, RESERVED_TOKENS, PosTag, Vocabulary
 from .errors import CheckpointError, ConfigError
 from .geometry import Box
 
 STREAM_NAMES = ("subject", "predicate", "object")
 GEO_DIM = 64                    # width of the coordinate (geometry) code
+LOSS_WEIGHT = 0.1               # default alpha, beta and gamma of total_loss
+DECODE_MODES = ("greedy", "stochastic")     # the first is the default
 
 # Table of named model variants: (streams, inputs, mtl). The w/MTL and +REM
 # switches are appended to the name with commas, e.g. "union,mtl" or
@@ -48,17 +50,17 @@ ADAM_KEYS = ("lr", "beta1", "beta2", "epsilon", "step_count")
 class ModelConfig:
     """Layer widths plus the variant ``name``: a MODEL_PRESETS key with
     optional ``,mtl`` and ``,rem`` switches. The name alone sets the streams,
-    inputs, POS head, REM and RPN output."""
+    inputs, POS head, REM and RPN output. The defaults are desk scale."""
 
     feature_width: int
     vocab_size: int
-    d_subj_obj: int = 4096       # intermediate width of the shared first FC
-    d_union: int = 512           # intermediate width of the union path
-    code_width: int = 512        # region-code width; must equal hidden
-    hidden: int = 512
-    rem_dim: int = 512
+    d_subj_obj: int = 64         # intermediate width of the shared first FC
+    d_union: int = 32            # intermediate width of the union path
+    code_width: int | None = None  # region-code width; must equal hidden (None: hidden)
+    hidden: int = 48
+    rem_dim: int = 32
     max_len: int = 12
-    dropout: float = 0.5
+    dropout: float = 0.1
     name: str = "mttsnet"
     streams: str = field(init=False)
     inputs: tuple = field(init=False)
@@ -81,6 +83,8 @@ class ModelConfig:
         object.__setattr__(self, "mtl", mtl or "mtl" in flags)
         object.__setattr__(self, "rem", "rem" in flags)
         object.__setattr__(self, "rpn_output", "union" if base == "direct-union" else "object")
+        if self.code_width is None:
+            object.__setattr__(self, "code_width", self.hidden)
 
     @property
     def use_subject(self):
@@ -113,7 +117,7 @@ class ModelConfig:
             raise ConfigError("dropout must lie in [0, 1)")
         if self.max_len < 2:
             raise ConfigError("max_len must leave room for one word plus the end token")
-        if self.vocab_size <= len(("<s>", "</s>", "<unk>", "<pad>")):
+        if self.vocab_size <= len(RESERVED_TOKENS):
             raise ConfigError("vocabulary must contain at least one real word")
         return self
 
@@ -628,7 +632,7 @@ def box_offset_targets(prop: Box, gt: Box) -> np.ndarray:
 
 
 def total_loss(batch: ImageBatch, params: ModelParams, config: ModelConfig,
-               alpha: float = 0.1, beta: float = 0.1, gamma: float = 0.1,
+               alpha: float = LOSS_WEIGHT, beta: float = LOSS_WEIGHT, gamma: float = LOSS_WEIGHT,
                rng: np.random.Generator | None = None):
     """Composite loss L_cap + alpha L_POS + beta L_det + gamma L_box.
 
@@ -689,7 +693,7 @@ def sample_rows(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
 
 
 def decode_arrays(batch: PairBatch, params: ModelParams, config: ModelConfig,
-                  mode: str = "greedy", rng: np.random.Generator | None = None):
+                  mode: str = DECODE_MODES[0], rng: np.random.Generator | None = None):
     """Decode every pair in the batch, greedy or stochastic, as arrays:
     (picks, chosen probabilities, POS tag values, emitted, taken).
 
@@ -708,7 +712,7 @@ def decode_arrays(batch: PairBatch, params: ModelParams, config: ModelConfig,
     stay float64. A pair's output does not depend on the other pairs of the
     batch.
     """
-    if mode not in ("greedy", "stochastic"):
+    if mode not in DECODE_MODES:
         raise ValueError(f"unknown decode mode {mode!r}")
     if mode == "stochastic" and rng is None:
         raise ValueError("stochastic decoding needs an explicit rng")

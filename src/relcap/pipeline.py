@@ -11,14 +11,14 @@ import numpy as np
 from . import autodiff as ad
 from .data import PosTag, RelationalRecord, Vocabulary, encode_caption, proposals_for_record
 from .errors import ConfigError, DataError
-from .geometry import (Box, box_rows, combination_layer, iou, match_to_gt, nms,
+from .geometry import (NMS_IOU, Box, box_rows, combination_layer, iou, match_to_gt, nms,
                        pair_geometry, top_pairs, union_box)
 from .metrics import (EvalReport, MetricConfig, PredictionRecord, diversity_stats,
                       image_level_recall, mean_meteor, pos_accuracy, relational_map,
                       score_pairs, vrd_recall_at_k)
-from .model import (LOSS_COMPONENTS, ImageBatch, ModelConfig, ModelParams, PairBatch,
-                    _pad_targets, decode_arrays, encode_pair_batch, init_params, stream_states,
-                    total_loss)
+from .model import (DECODE_MODES, LOSS_COMPONENTS, LOSS_WEIGHT, ImageBatch, ModelConfig,
+                    ModelParams, PairBatch, _pad_targets, decode_arrays, encode_pair_batch,
+                    init_params, stream_states, total_loss)
 
 
 @dataclass
@@ -36,9 +36,9 @@ class ProposalSettings:
 class TrainSettings:
     epochs: int = 100
     lr: float = 1e-3
-    alpha: float = 0.1
-    beta: float = 0.1
-    gamma: float = 0.1
+    alpha: float = LOSS_WEIGHT
+    beta: float = LOSS_WEIGHT
+    gamma: float = LOSS_WEIGHT
     seed: int = 0
     proposals: ProposalSettings = field(default_factory=ProposalSettings)
 
@@ -244,15 +244,13 @@ def make_pair_batch(record: RelationalRecord, proposals, provider,
 
 def predict_proposals(record: RelationalRecord, proposals, params: ModelParams,
                       config: ModelConfig, vocab: Vocabulary, provider,
-                      metric_config: MetricConfig | None = None,
-                      nms_iou: float = 0.5, pair_cap: int | None = None,
-                      min_confidence: float | None = None,
-                      mode: str = "greedy", rng: np.random.Generator | None = None):
+                      metric_config: MetricConfig = MetricConfig(), nms_iou: float = NMS_IOU,
+                      pair_cap: int | None = None, min_confidence: float | None = None,
+                      mode: str = DECODE_MODES[0], rng: np.random.Generator | None = None):
     """Decode captions for every pair of the ``proposals`` that survive NMS
     (``decode_arrays``) and turn them into prediction records. A pair whose
     caption is empty, or whose confidence is below ``min_confidence``, gets
     no record. Word probabilities that are not finite are a ``DataError``."""
-    metric_config = metric_config or MetricConfig()
     kept = nms(proposals, nms_iou, metric_config.keep_after_nms)
     batch, boxes = make_pair_batch(record, kept, provider, config, pair_cap)
     if not boxes:
@@ -320,11 +318,10 @@ def model_pos_accuracy(records, proposals, params, config: ModelConfig, vocab, p
 
 
 def evaluate_model(records, params, config: ModelConfig, vocab: Vocabulary, provider,
-                   settings: ProposalSettings, metric_config: MetricConfig | None = None,
-                   nms_iou: float = 0.5, pair_cap: int | None = None,
+                   settings: ProposalSettings, metric_config: MetricConfig = MetricConfig(),
+                   nms_iou: float = NMS_IOU, pair_cap: int | None = None,
                    min_confidence: float | None = None, vrd_ks=(50, 100)):
     """Full evaluation report plus the prediction records it was computed from."""
-    metric_config = metric_config or MetricConfig()
     gts = [rel for record in records for rel in record.relations]
     if not gts:
         raise DataError("evaluation needs ground-truth relations; the dataset has none")
@@ -333,8 +330,7 @@ def evaluate_model(records, params, config: ModelConfig, vocab: Vocabulary, prov
     predictions = [pred for record, props in zip(records, proposals)
                    for pred in predict_proposals(record, props, params, config, vocab, provider,
                                                  metric_config=metric_config, nms_iou=nms_iou,
-                                                 pair_cap=pair_cap,
-                                                 min_confidence=min_confidence)]
+                                                 pair_cap=pair_cap, min_confidence=min_confidence)]
     words_img, words_box = diversity_stats(predictions)
     scores = score_pairs(predictions, gts)
     report = EvalReport(

@@ -208,7 +208,7 @@ class TestPrimitiveGradients:
 
         def forward():
             rows = ad.gather_rows(table, [0, 2, 2, 4])
-            both = ad.concat([rows, logits], axis=1)
+            both = ad.concat([rows, logits])
             ce = ad.weighted_cross_entropy(both, [1, 0, 5, 3], [0.3, 0.4, 0.0, 0.3])
             det_loss = ad.binary_logistic_loss(det, [1, 0, 1], [0.5, 0.25, 0.25])
             sl1 = ad.smooth_l1(boxp, box_target, [0.6, 0.4])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import object_proposals
-from relcap.data import (END_ID, UNK_ID, GroundTruthRelation, PosTag,
+from relcap.data import (END_ID, TOY_MARGIN, UNK_ID, GroundTruthRelation, PosTag,
                          RelationalRecord, ToyFeatureProvider, ToyWorldConfig,
                          Vocabulary, box_inside, build_vocab, encode_caption,
                          generate_toy_world, load_dataset, load_pos_lexicon,
@@ -170,9 +170,9 @@ class TestToyWorld:
                 # independent recomputation from raw geometry
                 if box_inside(sb, ob):
                     want = ("is", "inside")
-                elif sb.x < ob.x - cfg.margin:
+                elif sb.x < ob.x - TOY_MARGIN:
                     want = ("is", "left", "of")
-                elif sb.y < ob.y - cfg.margin:
+                elif sb.y < ob.y - TOY_MARGIN:
                     want = ("is", "above")
                 else:
                     want = ("is", "near")
@@ -208,8 +208,6 @@ class TestToyWorld:
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):
             ToyWorldConfig(n_images=0).validate()
-        with pytest.raises(ConfigError):
-            ToyWorldConfig(shapes=()).validate()
 
     def test_split_sizes(self):
         records, _ = generate_toy_world(7, ToyWorldConfig(n_images=120))
