@@ -183,7 +183,7 @@ def score_hashes(outdir: str) -> dict:
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from relcap.autodiff import Tensor, no_grad
     from relcap.data import ToyFeatureProvider, load_dataset
-    from relcap.geometry import nms
+    from relcap.geometry import NMS_IOU, nms
     from relcap.model import encode_pair_batch, importance_trace, load_model
     from relcap.pipeline import (ProposalSettings, build_image_batch, build_proposals,
                                  make_pair_batch)
@@ -200,7 +200,8 @@ def score_hashes(outdir: str) -> dict:
         candidates, traces = [], hashlib.sha256()
         for record in records:
             proposals = build_proposals(record, provider, config, ProposalSettings())
-            batch, boxes = make_pair_batch(record, nms(proposals, 0.5, 100), provider, config)
+            batch, boxes = make_pair_batch(record, nms(proposals, NMS_IOU, 100), provider,
+                                           config)
             if boxes:
                 with no_grad():
                     candidates.append(encode_pair_batch(batch, params, config))
@@ -219,7 +220,8 @@ def score_hashes(outdir: str) -> dict:
             for record in records:
                 proposals = build_proposals(record, provider, config,
                                             ProposalSettings(n_background=80))
-                batch, _ = make_pair_batch(record, nms(proposals, 0.5, 50), provider, config)
+                batch, _ = make_pair_batch(record, nms(proposals, NMS_IOU, 50), provider,
+                                           config)
                 with no_grad():
                     dense.append(encode_pair_batch(batch, params, config))
             out[f"scores/{name}/retrieval_score_dense"] = retrieval_table_hash(
@@ -243,7 +245,7 @@ def pair_hashes(outdir: str) -> dict:
     the test split (see the module docstring)."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from relcap.data import ToyFeatureProvider, load_dataset
-    from relcap.geometry import nms
+    from relcap.geometry import NMS_IOU, Box, nms
     from relcap.model import load_model
     from relcap.pipeline import (ProposalSettings, build_image_batch, build_proposals,
                                  make_pair_batch)
@@ -259,12 +261,14 @@ def pair_hashes(outdir: str) -> dict:
         for record in records:
             proposals = build_proposals(record, provider, config, ProposalSettings())
             for keep in (50, 100):
-                batch, boxes = make_pair_batch(record, nms(proposals, 0.5, keep), provider,
+                batch, boxes = make_pair_batch(record, nms(proposals, NMS_IOU, keep), provider,
                                                config)
                 pair.update(pair_batch_bytes(batch, boxes))
             built = build_image_batch(record, proposals, provider, vocab, config)
             pairs = built.pairs
-            boxes = [(built.prop_boxes[i], built.prop_boxes[j])
+            # a proposal box is a ``Box`` or a centre-form (x, y, w, h) row
+            prop_boxes = [b if hasattr(b, "x") else Box(*b) for b in built.prop_boxes]
+            boxes = [(prop_boxes[i], prop_boxes[j])
                      for i, j in zip(pairs.subject_index, pairs.object_index)]
             image.update(pair_batch_bytes(pairs, boxes))
             image.update(repr((built.token_ids, built.tags)).encode("ascii") + b"\n")
