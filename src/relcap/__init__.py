@@ -8,5 +8,5 @@ retrieval, and a deterministic toy world to train on.
 
 __version__ = "0.1.0"
 
-from .geometry import Box, MatchLabel, RegionProposal  # noqa: F401
+from .geometry import Box, Proposals  # noqa: F401
 from .model import ModelConfig  # noqa: F401

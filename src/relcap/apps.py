@@ -15,6 +15,8 @@ from .errors import ConfigError, DataError
 from .geometry import Box, iou
 from .model import ModelConfig, ModelParams, encode_pair_batch, run_streams, stream_inputs
 
+NODE_MERGE_IOU = 0.9     # default IoU at or above which caption-graph nodes merge
+
 
 @dataclass
 class GraphNode:
@@ -42,7 +44,7 @@ def _span(prediction, tag: str):
     return [t for t, p in zip(prediction.tokens, prediction.pos) if p == tag]
 
 
-def build_caption_graph(predictions, node_merge_iou: float = 0.9) -> CaptionGraph:
+def build_caption_graph(predictions, node_merge_iou: float = NODE_MERGE_IOU) -> CaptionGraph:
     """Graph over one image's predictions: subject/object phrases become
     nodes, predicate phrases become directed edges.
 

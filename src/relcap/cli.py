@@ -20,7 +20,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .apps import RetrievalProtocol, build_caption_graph, export_graph, retrieval_eval
+from .apps import (NODE_MERGE_IOU, RetrievalProtocol, build_caption_graph, export_graph,
+                   retrieval_eval)
 from .checkpoint import write_atomic
 from .data import (SCHEMA_VERSION, PosTag, ToyFeatureProvider, ToyWorldConfig, Vocabulary,
                    build_vocab, enrich_attributes, generate_toy_world, image_id_from_json,
@@ -489,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graph", help="build a caption graph from predictions")
     p.add_argument("--predictions", required=True)
     p.add_argument("--image-id", type=int, dest="image_id")
-    p.add_argument("--node-merge-iou", type=float, default=0.9, dest="node_merge_iou")
+    p.add_argument("--node-merge-iou", type=float, default=NODE_MERGE_IOU, dest="node_merge_iou")
     p.add_argument("--out", required=True, help="output path prefix (.dot/.json added)")
 
     add_eval_like("retrieve", "sentence-based image retrieval").add_argument(

@@ -18,7 +18,7 @@ import numpy as np
 
 from .checkpoint import write_atomic
 from .errors import ConfigError, DataError
-from .geometry import Box, RegionProposal, box_rows, intersection_area, iou
+from .geometry import Box, Proposals, box_rows, iou
 
 log = logging.getLogger(__name__)
 
@@ -415,37 +415,14 @@ class ToyFeatureProvider:
         self.feature_width = len(self.shapes) + len(self.colors) + 5
 
     def features(self, record: RelationalRecord, box: Box) -> np.ndarray:
-        if record.scene is None:
-            raise DataError(f"image {record.image_id}: the toy feature provider needs "
-                            "a scene description")
-        shape_vec = np.zeros(len(self.shapes))
-        color_vec = np.zeros(len(self.colors))
-        covered = 0.0
-        for obj in record.scene:
-            inter = intersection_area(obj.box, box)
-            if inter <= 0.0:
-                continue
-            frac = inter / obj.box.area
-            try:
-                shape_vec[self.shapes.index(obj.shape)] += frac
-                color_vec[self.colors.index(obj.color)] += frac
-            except ValueError:
-                raise DataError(f"image {record.image_id}: scene object {obj.color} {obj.shape} "
-                                "is outside the provider's shapes and colors") from None
-            covered += inter
-        stats = np.array([
-            box.x / record.width,
-            box.y / record.height,
-            box.w / record.width,
-            box.h / record.height,
-            min(covered / box.area, 1.0),
-        ])
-        return np.concatenate([shape_vec, color_vec, stats]).reshape(1, -1)
+        """(1, feature_width) descriptor of one ``box``."""
+        return self.features_many(record, box_rows([box]))
 
     def features_many(self, record: RelationalRecord, boxes) -> np.ndarray:
-        """``features`` of each row of the (N, 4) centre-form ``boxes``
-        (x, y, w, h), stacked: row n equals ``features(record, Box(*boxes[n]))``
-        bit for bit, and the call raises what those N calls would raise first."""
+        """Descriptors of each row of the (N, 4) centre-form ``boxes``
+        (x, y, w, h), stacked: row n equals the per-box computation on
+        ``Box(*boxes[n])`` bit for bit, and the call raises what those N
+        computations would raise first."""
         x, y, w, h = np.reshape(boxes, (-1, 4)).T
         n_shapes, n_colors = len(self.shapes), len(self.colors)
         out = np.zeros((len(x), self.feature_width))
@@ -577,7 +554,7 @@ def split_records(records, splits=SPLITS):
 
 def proposals_for_record(record: RelationalRecord, boxes, provider, seed: int,
                          jitter: float, n_background: int):
-    """Deterministic region proposals for one image.
+    """Deterministic region proposals for one image, as ``Proposals``.
 
     One jittered proposal per box of ``boxes`` (IoU with the box is kept at
     or above 0.75 by rejection) plus low-confidence background boxes that
@@ -614,9 +591,8 @@ def proposals_for_record(record: RelationalRecord, boxes, provider, seed: int,
             kept.append(cand)
             confidences.append(rng.uniform(0.05, 0.35))
             placed += 1
-    features = provider.features_many(record, box_rows(kept))
-    return [RegionProposal(box, confidence, features[k], id=k)
-            for k, (box, confidence) in enumerate(zip(kept, confidences))]
+    rows = box_rows(kept)
+    return Proposals(rows, confidences, provider.features_many(record, rows))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Box geometry, pairwise geometric features, NMS and proposal matching.
 
 Boxes are stored in center format (x, y, w, h), matching the JSON wire
-format ``{"x":..., "y":..., "w":..., "h":...}``. All functions here are
-pure and safe to evaluate in parallel across images.
+format ``{"x":..., "y":..., "w":..., "h":...}``; functions over many boxes
+take (N, 4) rows in that order. All functions here are pure and safe to
+evaluate in parallel across images.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import numpy as np
 POSITIVE_IOU = 0.7   # proposal is positive at or above this IoU with a GT box
 NEGATIVE_IOU = 0.3   # proposal is negative only if below this IoU with every GT box
 NMS_IOU = 0.5        # default IoU above which NMS suppresses the less confident box
+NEGATIVE = -1        # match_to_gt label of a proposal below NEGATIVE_IOU with every GT box
+IGNORE = -2          # match_to_gt label of a proposal neither positive nor negative
 
 
 @dataclass(frozen=True)
@@ -56,34 +59,32 @@ class Box:
 
 
 @dataclass
-class RegionProposal:
-    """A detected region: box, detector confidence, appearance feature."""
+class Proposals:
+    """Detected regions as row-aligned arrays: (N, 4) centre-form boxes
+    (x, y, w, h), (N,) detector confidences in [0, 1] and (N, F) appearance
+    features. ``proposals[rows]`` selects rows by an index array or slice."""
 
-    box: Box
-    confidence: float
-    feature: np.ndarray
-    id: int
+    boxes: np.ndarray
+    confidence: np.ndarray
+    features: np.ndarray
 
     def __post_init__(self):
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"proposal confidence {self.confidence} outside [0, 1]")
-        self.feature = np.asarray(self.feature, dtype=np.float64).reshape(1, -1)
-        if not np.all(np.isfinite(self.feature)):
+        self.boxes = np.reshape(np.asarray(self.boxes, dtype=np.float64), (-1, 4))
+        self.confidence = np.asarray(self.confidence, dtype=np.float64).reshape(-1)
+        self.features = np.asarray(self.features, dtype=np.float64)
+        if not len(self.boxes) == len(self.confidence) == len(self.features):
+            raise ValueError("proposal boxes, confidences and features must align by row")
+        outside = self.confidence[~((self.confidence >= 0.0) & (self.confidence <= 1.0))]
+        if len(outside):
+            raise ValueError(f"proposal confidence {outside[0]} outside [0, 1]")
+        if not np.all(np.isfinite(self.features)):
             raise ValueError("proposal feature contains non-finite values")
 
+    def __len__(self):
+        return len(self.confidence)
 
-@dataclass(frozen=True)
-class MatchLabel:
-    """Proposal-to-ground-truth assignment: positive / negative / ignore."""
-
-    kind: str                 # "positive" | "negative" | "ignore"
-    gt_index: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("positive", "negative", "ignore"):
-            raise ValueError(f"bad match kind {self.kind!r}")
-        if (self.kind == "positive") != (self.gt_index is not None):
-            raise ValueError("gt_index must be set exactly for positive matches")
+    def __getitem__(self, rows) -> "Proposals":
+        return Proposals(self.boxes[rows], self.confidence[rows], self.features[rows])
 
 
 def intersection_area(a: Box, b: Box) -> float:
@@ -113,11 +114,18 @@ def iou(a: Box, b: Box) -> float:
     return min(1.0, inter / (_corner_area(a) + _corner_area(b) - inter))
 
 
+def _corners(boxes):
+    """(x0, y0, x1, y1) columns of (N, 4) centre-form rows, as ``Box.corners``."""
+    x, y, w, h = np.reshape(boxes, (-1, 4)).T
+    return x - w / 2, y - h / 2, x + w / 2, y + h / 2
+
+
 def iou_matrix(boxes_a, boxes_b) -> np.ndarray:
-    """(A, B) table whose (i, j) entry is ``iou(boxes_a[i], boxes_b[j])``, bit
-    for bit: the same corner arithmetic, element-wise."""
-    ax0, ay0, ax1, ay1 = np.reshape([b.corners() for b in boxes_a], (-1, 4)).T[:, :, None]
-    bx0, by0, bx1, by1 = np.reshape([b.corners() for b in boxes_b], (-1, 4)).T
+    """(A, B) table over two sets of (N, 4) centre-form rows whose (i, j)
+    entry is ``iou(Box(*boxes_a[i]), Box(*boxes_b[j]))``, bit for bit: the
+    same corner arithmetic, element-wise."""
+    ax0, ay0, ax1, ay1 = (c[:, None] for c in _corners(boxes_a))
+    bx0, by0, bx1, by1 = _corners(boxes_b)
     iw = np.minimum(ax1, bx1) - np.maximum(ax0, bx0)
     ih = np.minimum(ay1, by1) - np.maximum(ay0, by0)
     inter = np.where((iw > 0) & (ih > 0), iw * ih, 0.0)
@@ -139,7 +147,8 @@ def box_rows(boxes) -> np.ndarray:
 
 def pair_geometry(boxes, subject, obj):
     """Union boxes, as (P, 4) centre-form rows, and (P, 6) relative geometry
-    of the ordered pairs ``(boxes[subject[k]], boxes[obj[k]])``.
+    of the ordered pairs ``(boxes[subject[k]], boxes[obj[k]])`` of the
+    (N, 4) centre-form rows ``boxes``.
 
     Geometry components, in order: x-offset and y-offset normalized by the
     subject scale sqrt(w_s * h_s), square root of the area ratio, the two
@@ -148,8 +157,8 @@ def pair_geometry(boxes, subject, obj):
     ``union_box`` of pair k bit for bit (the same corners ->
     ``Box.from_corners`` round trip); the IoU comes from ``iou_matrix``.
     """
-    x, y, w, h = box_rows(boxes).T
-    x0, y0, x1, y1 = x - w / 2, y - h / 2, x + w / 2, y + h / 2
+    x, y, w, h = np.reshape(boxes, (-1, 4)).T
+    x0, y0, x1, y1 = _corners(boxes)
     s = np.asarray(subject, dtype=np.intp)
     o = np.asarray(obj, dtype=np.intp)
     ux0, uy0 = np.minimum(x0[s], x0[o]), np.minimum(y0[s], y0[o])
@@ -165,16 +174,16 @@ def pair_geometry(boxes, subject, obj):
     return union, geos
 
 
-def nms(proposals, iou_threshold: float, keep: int):
-    """Greedy suppression in descending confidence, ties by ascending id.
+def nms(proposals: Proposals, iou_threshold: float, keep: int) -> Proposals:
+    """Greedy suppression in descending confidence, ties by ascending row.
 
     No two survivors overlap above ``iou_threshold``; at most ``keep``
     survivors are returned, in descending-confidence order.
     """
     if keep < 0:
         raise ValueError("nms: keep must be >= 0")
-    order = sorted(proposals, key=lambda p: (-p.confidence, p.id))
-    boxes = [p.box for p in order]
+    order = np.argsort(-proposals.confidence, kind="stable")
+    boxes = proposals.boxes[order]
     apart = iou_matrix(boxes, boxes) <= iou_threshold
     kept = []
     for c in range(len(order)):
@@ -182,48 +191,40 @@ def nms(proposals, iou_threshold: float, keep: int):
             break
         if apart[c, kept].all():
             kept.append(c)
-    return [order[c] for c in kept]
+    return proposals[order[kept]]
 
 
-def match_to_gt(proposals, gt_boxes):
-    """Label proposals against ground-truth boxes.
-
-    Positive at max IoU >= 0.7 (argmax GT recorded), negative when every
-    IoU < 0.3, ignore in between.
-    """
-    labels = []
-    for ious in iou_matrix([p.box for p in proposals], gt_boxes):
-        best = ious.max(initial=0.0)
-        if best >= POSITIVE_IOU:
-            labels.append(MatchLabel("positive", int(np.argmax(ious))))
-        elif best < NEGATIVE_IOU:
-            labels.append(MatchLabel("negative"))
-        else:
-            labels.append(MatchLabel("ignore"))
+def match_to_gt(boxes, gt_boxes) -> np.ndarray:
+    """Label (N, 4) centre-form proposal rows against ground-truth rows: the
+    argmax GT index at max IoU >= 0.7, ``NEGATIVE`` when every IoU < 0.3,
+    ``IGNORE`` in between."""
+    ious = iou_matrix(boxes, gt_boxes)
+    best = ious.max(axis=1, initial=0.0)
+    labels = np.where(best < NEGATIVE_IOU, NEGATIVE, IGNORE)
+    positive = best >= POSITIVE_IOU
+    if positive.any():
+        labels[positive] = ious[positive].argmax(axis=1)
     return labels
 
 
-def top_pairs(products, max_pairs: int | None = None):
+def top_pairs(products, max_pairs: int | None = None) -> np.ndarray:
     """Positions of the ``max_pairs`` largest subject-object confidence
     products (ties by position), in input order; all of them uncapped."""
+    products = np.asarray(products, dtype=np.float64)
     if max_pairs is None or len(products) <= max_pairs:
-        return list(range(len(products)))
-    scored = sorted(range(len(products)), key=lambda k: (-products[k], k))
-    return sorted(scored[:max_pairs])
+        return np.arange(len(products))
+    return np.sort(np.argsort(-products, kind="stable")[:max_pairs])
 
 
-def combination_layer(proposals, max_pairs: int | None = None):
-    """Expand B proposals into all B(B-1) ordered (subject, object) position
-    pairs ``(i, j)``, i != j.
+def combination_layer(confidence, max_pairs: int | None = None) -> np.ndarray:
+    """Expand B proposals, given by their (B,) confidences, into all B(B-1)
+    ordered (subject, object) position pairs ``(i, j)``, i != j, as a
+    (P, 2) array.
 
-    Output is ordered lexicographically by input position. With
+    Rows are ordered lexicographically by input position. With
     ``max_pairs`` set, the pairs with the highest subject-object
     confidence products are kept (original ordering preserved).
     """
-    props = list(proposals)
-    ids = [p.id for p in props]
-    if len(set(ids)) != len(ids):
-        raise ValueError("combination_layer: proposal ids must be distinct")
-    pairs = [(i, j) for i in range(len(props)) for j in range(len(props)) if i != j]
-    keep = top_pairs([props[i].confidence * props[j].confidence for i, j in pairs], max_pairs)
-    return [pairs[k] for k in keep]
+    confidence = np.asarray(confidence, dtype=np.float64)
+    pairs = np.argwhere(~np.eye(len(confidence), dtype=bool))
+    return pairs[top_pairs(confidence[pairs[:, 0]] * confidence[pairs[:, 1]], max_pairs)]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Box, iou_matrix, union_box
+from .geometry import Box, box_rows, iou_matrix, union_box
 from .stemming import porter_stem
 
 _STEM_CACHE: dict[str, str] = {}
@@ -167,10 +167,12 @@ def score_pairs(predictions, gts):
         out.append(ImageScores(
             image_id, rows, np.array([p.confidence for p in preds]),
             distinct[np.ix_(cand_of, ref_of)],
-            iou_matrix([p.subject_box for p in preds], [g.subject_box for g in gt_list]),
-            iou_matrix([p.object_box for p in preds], [g.object_box for g in gt_list]),
-            iou_matrix([p.union for p in preds],
-                       [union_box(g.subject_box, g.object_box) for g in gt_list])))
+            iou_matrix(box_rows([p.subject_box for p in preds]),
+                       box_rows([g.subject_box for g in gt_list])),
+            iou_matrix(box_rows([p.object_box for p in preds]),
+                       box_rows([g.object_box for g in gt_list])),
+            iou_matrix(box_rows([p.union for p in preds]),
+                       box_rows([union_box(g.subject_box, g.object_box) for g in gt_list]))))
     return out
 
 

@@ -19,7 +19,7 @@ from .autodiff import ModelParams, Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import END_ID, PAD_ID, RESERVED_TOKENS, PosTag, Vocabulary
 from .errors import CheckpointError, ConfigError
-from .geometry import Box
+from .geometry import IGNORE
 
 STREAM_NAMES = ("subject", "predicate", "object")
 GEO_DIM = 64                    # width of the coordinate (geometry) code
@@ -603,9 +603,9 @@ class ImageBatch:
     pairs: PairBatch                # features of all proposals; one row per caption
     token_ids: list                 # per pair row, caption ids ending with the end token
     tags: list                      # per pair row, PosTag per token
-    prop_boxes: list                # Box per proposal
-    gt_boxes: list                  # Box per annotated object
-    labels: list                    # MatchLabel per proposal
+    prop_boxes: np.ndarray          # (N, 4) centre-form row per proposal
+    gt_boxes: np.ndarray            # (G, 4) centre-form row per GT box
+    labels: np.ndarray              # (N,) match_to_gt label per proposal
 
 
 LOSS_COMPONENTS = ("l_cap", "l_pos", "l_det", "l_box", "total")
@@ -621,14 +621,12 @@ class LossReport:
     no_positive_pairs: bool
 
 
-def box_offset_targets(prop: Box, gt: Box) -> np.ndarray:
-    """Regression target: offsets normalized by the GT size, log size ratios."""
-    return np.array([
-        (prop.x - gt.x) / gt.w,
-        (prop.y - gt.y) / gt.h,
-        math.log(prop.w / gt.w),
-        math.log(prop.h / gt.h),
-    ])
+def box_offset_targets(prop, gt) -> tuple:
+    """Regression target of a centre-form (x, y, w, h) proposal against its
+    GT box: offsets normalized by the GT size, log size ratios."""
+    px, py, pw, ph = prop
+    gx, gy, gw, gh = gt
+    return ((px - gx) / gw, (py - gy) / gh, math.log(pw / gw), math.log(ph / gh))
 
 
 def total_loss(batch: ImageBatch, params: ModelParams, config: ModelConfig,
@@ -648,24 +646,20 @@ def total_loss(batch: ImageBatch, params: ModelParams, config: ModelConfig,
     else:
         l_cap, l_pos = Tensor(0.0), Tensor(0.0)
 
-    n = len(batch.labels)
+    labels = batch.labels
     det_logits = ad.affine(x, params["det.w"], params["det.b"])
-    y = np.zeros(n)
-    w = np.zeros(n)
-    labeled = [i for i, lab in enumerate(batch.labels) if lab.kind != "ignore"]
-    for i in labeled:
-        y[i] = 1.0 if batch.labels[i].kind == "positive" else 0.0
-        w[i] = 1.0 / len(labeled)
-    l_det = ad.binary_logistic_loss(det_logits, y, w) if labeled else Tensor(0.0)
+    labeled = labels != IGNORE
+    n_labeled = int(np.count_nonzero(labeled))
+    l_det = (ad.binary_logistic_loss(det_logits, labels >= 0,
+                                     np.where(labeled, 1.0 / n_labeled, 0.0))
+             if n_labeled else Tensor(0.0))
 
-    positives = [i for i, lab in enumerate(batch.labels) if lab.kind == "positive"]
-    if positives:
+    positives = np.flatnonzero(labels >= 0)
+    if len(positives):
         rows = ad.gather_rows(x, positives)
         pred = ad.affine(rows, params["box.w"], params["box.b"])
-        offsets = np.vstack([
-            box_offset_targets(batch.prop_boxes[i], batch.gt_boxes[batch.labels[i].gt_index])
-            for i in positives
-        ])
+        offsets = np.array([box_offset_targets(prop, gt) for prop, gt in zip(
+            batch.prop_boxes[positives].tolist(), batch.gt_boxes[labels[positives]].tolist())])
         l_box = ad.smooth_l1(pred, offsets, np.full(len(positives), 1.0 / len(positives)))
     else:
         l_box = Tensor(0.0)

@@ -114,25 +114,16 @@ def caption_pairs(proposals, config: ModelConfig, pair_cap: int | None = None):
     ``top_pairs``. Training and inference batches both enumerate pairs here.
     """
     if config.rpn_output == "union":
-        keep = np.array(top_pairs([p.confidence * p.confidence for p in proposals], pair_cap),
-                        dtype=np.intp)
-        return keep, keep, box_rows([p.box for p in proposals])[keep], np.zeros((len(keep), 6))
-    subject, obj = np.array(combination_layer(proposals, max_pairs=pair_cap),
-                            dtype=np.intp).reshape(-1, 2).T
-    return (subject, obj, *pair_geometry([p.box for p in proposals], subject, obj))
+        keep = top_pairs(proposals.confidence * proposals.confidence, pair_cap)
+        return keep, keep, proposals.boxes[keep], np.zeros((len(keep), 6))
+    subject, obj = combination_layer(proposals.confidence, pair_cap).T
+    return (subject, obj, *pair_geometry(proposals.boxes, subject, obj))
 
 
-def _pair_batch(proposals, subject, obj, union_features, geos,
-                config: ModelConfig) -> PairBatch:
+def _pair_batch(proposals, subject, obj, union_features, geos) -> PairBatch:
     """PairBatch over ``proposals`` with pairs ``(subject[k], obj[k])``."""
-    width = config.feature_width
-    return PairBatch(
-        features=np.vstack([p.feature for p in proposals]) if proposals else np.zeros((0, width)),
-        subject_index=subject.tolist(),
-        object_index=obj.tolist(),
-        union_features=union_features if len(subject) else np.zeros((0, width)),
-        geos=geos,
-    )
+    return PairBatch(features=proposals.features, subject_index=subject.tolist(),
+                     object_index=obj.tolist(), union_features=union_features, geos=geos)
 
 
 def build_proposals(record: RelationalRecord, provider, config: ModelConfig,
@@ -148,13 +139,13 @@ def build_image_batch(record: RelationalRecord, proposals, provider,
     for one image; each distinct captioned pair's union box is featurised
     once."""
     gt_boxes, captions = _gt_captions(record, config)
-    labels = match_to_gt(proposals, gt_boxes)
+    gt_boxes = box_rows(gt_boxes)
+    labels = match_to_gt(proposals.boxes, gt_boxes)
     subject, obj, unions, geos = caption_pairs(proposals, config)
     rows, token_ids, tags = [], [], []
-    for k, (i, j) in enumerate(zip(subject.tolist(), obj.tolist())):
-        if labels[i].kind != "positive" or labels[j].kind != "positive":
-            continue
-        for rel in captions.get((labels[i].gt_index, labels[j].gt_index), ()):
+    # captions are keyed by GT indices, which no NEGATIVE or IGNORE label equals
+    for k, key in enumerate(zip(labels[subject].tolist(), labels[obj].tolist())):
+        for rel in captions.get(key, ()):
             ids, pos = encode_caption(rel.tokens, rel.pos, vocab, config.max_len)
             rows.append(k)
             token_ids.append(ids)
@@ -162,9 +153,8 @@ def build_image_batch(record: RelationalRecord, proposals, provider,
     distinct, row_of = np.unique(np.array(rows, dtype=np.intp), return_inverse=True)
     union_features = provider.features_many(record, unions[distinct])[row_of]
     return ImageBatch(pairs=_pair_batch(proposals, subject[rows], obj[rows], union_features,
-                                        geos[rows], config),
-                      token_ids=token_ids, tags=tags,
-                      prop_boxes=[p.box for p in proposals],
+                                        geos[rows]),
+                      token_ids=token_ids, tags=tags, prop_boxes=proposals.boxes,
                       gt_boxes=gt_boxes, labels=labels)
 
 
@@ -236,10 +226,9 @@ def make_pair_batch(record: RelationalRecord, proposals, provider,
                     config: ModelConfig, pair_cap: int | None = None):
     """PairBatch over kept proposals plus per-pair (subject, object) boxes."""
     subject, obj, unions, geos = caption_pairs(proposals, config, pair_cap)
-    batch = _pair_batch(proposals, subject, obj, provider.features_many(record, unions), geos,
-                        config)
-    return batch, [(proposals[i].box, proposals[j].box)
-                   for i, j in zip(batch.subject_index, batch.object_index)]
+    batch = _pair_batch(proposals, subject, obj, provider.features_many(record, unions), geos)
+    boxes = [Box(*row) for row in proposals.boxes.tolist()]
+    return batch, [(boxes[i], boxes[j]) for i, j in zip(batch.subject_index, batch.object_index)]
 
 
 def predict_proposals(record: RelationalRecord, proposals, params: ModelParams,

@@ -8,7 +8,8 @@ from relcap.apps import retrieval_scores
 from relcap.autodiff import Tensor, affine, backward, log_softmax, no_grad
 from relcap.data import (SCHEMA_VERSION, PosTag, ToyWorldConfig, build_vocab,
                          generate_toy_world, proposals_for_record, save_jsonl)
-from relcap.geometry import iou
+from relcap.errors import DataError
+from relcap.geometry import intersection_area, iou
 from relcap.model import (BLOCK, ModelConfig, PairBatch, decode_arrays, encode_pair_batch,
                           init_params, stream_states)
 from relcap.pipeline import ProposalSettings
@@ -111,6 +112,56 @@ def geometric_feature(subject, obj):
         obj.w / obj.h,
         iou(subject, obj),
     ])
+
+
+def scalar_features(provider, record, box):
+    """Per-box reference of ``ToyFeatureProvider.features_many``: the
+    (1, feature_width) descriptor of one ``Box``, object by object."""
+    if record.scene is None:
+        raise DataError(f"image {record.image_id}: the toy feature provider needs "
+                        "a scene description")
+    shape_vec = np.zeros(len(provider.shapes))
+    color_vec = np.zeros(len(provider.colors))
+    covered = 0.0
+    for obj in record.scene:
+        inter = intersection_area(obj.box, box)
+        if inter <= 0.0:
+            continue
+        frac = inter / obj.box.area
+        try:
+            shape_vec[provider.shapes.index(obj.shape)] += frac
+            color_vec[provider.colors.index(obj.color)] += frac
+        except ValueError:
+            raise DataError(f"image {record.image_id}: scene object {obj.color} {obj.shape} "
+                            "is outside the provider's shapes and colors") from None
+        covered += inter
+    stats = np.array([
+        box.x / record.width,
+        box.y / record.height,
+        box.w / record.width,
+        box.h / record.height,
+        min(covered / box.area, 1.0),
+    ])
+    return np.concatenate([shape_vec, color_vec, stats]).reshape(1, -1)
+
+
+def reference_top_pairs(products, max_pairs=None):
+    """List reference of ``geometry.top_pairs``: positions of the
+    ``max_pairs`` largest products (ties by position), in input order."""
+    if max_pairs is None or len(products) <= max_pairs:
+        return list(range(len(products)))
+    scored = sorted(range(len(products)), key=lambda k: (-products[k], k))
+    return sorted(scored[:max_pairs])
+
+
+def reference_combination_layer(confidence, max_pairs=None):
+    """List-of-tuples reference of ``geometry.combination_layer``: every
+    ordered pair (i, j), i != j, lexicographic, capped by
+    ``reference_top_pairs`` of the confidence products."""
+    n = len(confidence)
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    keep = reference_top_pairs([confidence[i] * confidence[j] for i, j in pairs], max_pairs)
+    return [pairs[k] for k in keep]
 
 
 def retrieval_score(query_ids, batch, params, config):

@@ -54,9 +54,8 @@ class TestCriterion1Gradients:
         boxes = [Box(10 + 12 * i, 10 + 3 * i, 8, 6 + i) for i in range(4)]
         props = [Box(b.x + 0.5, b.y - 0.4, b.w * 1.05, b.h) for b in boxes[:3]]
         props.append(Box(60, 60, 8, 8))  # background proposal
-        from relcap.geometry import MatchLabel
-        labels = [MatchLabel("positive", 0), MatchLabel("positive", 1),
-                  MatchLabel("positive", 2), MatchLabel("negative")]
+        from relcap.geometry import NEGATIVE, box_rows
+        labels = np.array([0, 1, 2, NEGATIVE])
         subjects, objects = [0, 1, 2], [1, 2, 0]
         union_features = rng.uniform(-1, 1, (3, 10))
         pairs = PairBatch(features=rng.uniform(-1, 1, (4, 10)), subject_index=subjects,
@@ -66,7 +65,8 @@ class TestCriterion1Gradients:
         batch = ImageBatch(pairs=pairs,
                            token_ids=[[4, 7, 12, 1], [5, 9, 1], [6, 1]],
                            tags=[[0, 1, 2, 2], [0, 1, 2], [0, 2]],
-                           prop_boxes=props, gt_boxes=boxes, labels=labels)
+                           prop_boxes=box_rows(props), gt_boxes=box_rows(boxes),
+                           labels=labels)
 
         def forward():
             loss, _ = total_loss(batch, params, config)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import object_proposals
+from conftest import object_proposals, scalar_features
 from relcap.data import (END_ID, TOY_MARGIN, UNK_ID, GroundTruthRelation, PosTag,
                          RelationalRecord, ToyFeatureProvider, ToyWorldConfig,
                          Vocabulary, box_inside, build_vocab, encode_caption,
@@ -222,6 +222,7 @@ class TestFeatureProvider:
         a = provider.features(records[0], box)
         b = provider.features(records[0], box)
         assert np.array_equal(a, b)
+        assert a.tobytes() == scalar_features(provider, records[0], box).tobytes()
 
     def test_object_box_activates_its_shape_and_color(self):
         records, provider = generate_toy_world(9, ToyWorldConfig(n_images=3))
@@ -254,24 +255,26 @@ class TestProposals:
         records, provider = generate_toy_world(13, ToyWorldConfig(n_images=8))
         for record in records:
             props = object_proposals(record, provider, 0)
-            for obj, prop in zip(record.objects, props):
-                assert iou(prop.box, obj.box) >= 0.7
+            for obj, row in zip(record.objects, props.boxes.tolist()):
+                assert iou(Box(*row), obj.box) >= 0.7
 
     def test_background_boxes_are_negatives(self):
         records, provider = generate_toy_world(13, ToyWorldConfig(n_images=8))
         for record in records:
             props = object_proposals(record, provider, 0)
-            for prop in props[len(record.objects):]:
-                assert all(iou(prop.box, o.box) < 0.3 for o in record.objects)
-                assert prop.confidence < 0.5
+            n = len(record.objects)
+            for row, confidence in zip(props.boxes[n:].tolist(), props.confidence[n:]):
+                assert all(iou(Box(*row), o.box) < 0.3 for o in record.objects)
+                assert confidence < 0.5
 
     def test_deterministic_per_seed(self):
         records, provider = generate_toy_world(13, ToyWorldConfig(n_images=2))
         a = object_proposals(records[0], provider, 5)
         b = object_proposals(records[0], provider, 5)
-        assert [(p.box, p.confidence) for p in a] == [(p.box, p.confidence) for p in b]
+        assert (a.boxes.tolist(), a.confidence.tolist()) == (b.boxes.tolist(),
+                                                             b.confidence.tolist())
         c = object_proposals(records[0], provider, 6)
-        assert [(p.box) for p in a] != [(p.box) for p in c]
+        assert a.boxes.tolist() != c.boxes.tolist()
 
 
 class TestPosLexicon:

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import geometric_feature, tiny_config
-from relcap.geometry import (Box, MatchLabel, RegionProposal, combination_layer, iou,
-                             iou_matrix, match_to_gt, nms, union_box)
+from conftest import (geometric_feature, reference_combination_layer, reference_top_pairs,
+                      tiny_config)
+from relcap.geometry import (IGNORE, NEGATIVE, Box, Proposals, box_rows, combination_layer,
+                             iou, iou_matrix, match_to_gt, nms, top_pairs, union_box)
 from relcap.pipeline import caption_pairs
 
 boxes = st.builds(
@@ -38,8 +39,21 @@ def raster_iou(a: Box, b: Box, cells=400):
     return inter / union if union else 0.0
 
 
-def proposal(x, y, w, h, conf, pid, dim=3):
-    return RegionProposal(Box(x, y, w, h), conf, np.zeros((1, dim)), pid)
+def proposals(rows, ids=None):
+    """Proposals over (x, y, w, h, confidence) tuples. Feature column 0
+    holds each row's id (its position unless ``ids`` is given), so that
+    ``ids_of`` names the rows NMS keeps."""
+    rows = np.reshape(rows, (-1, 5))
+    ids = np.arange(len(rows)) if ids is None else ids
+    return Proposals(rows[:, :4], rows[:, 4], np.reshape(ids, (-1, 1)))
+
+
+def ids_of(props):
+    return props.features[:, 0].astype(int).tolist()
+
+
+def boxes_of(props):
+    return [Box(*row) for row in props.boxes.tolist()]
 
 
 class TestIou:
@@ -71,7 +85,7 @@ class TestIou:
 
 class TestIouMatrix:
     def _assert_equals_scalar(self, a, b):
-        table = iou_matrix(a, b)
+        table = iou_matrix(box_rows(a), box_rows(b))
         assert table.shape == (len(a), len(b))
         assert not np.signbit(table).any()
         for i, box_a in enumerate(a):
@@ -83,13 +97,13 @@ class TestIouMatrix:
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_equals_scalar_iou_bit_for_bit(self, a, b):
         self._assert_equals_scalar(a, b)
-        assert (np.diag(iou_matrix(a, a)) == 1.0).all()
+        assert (np.diag(iou_matrix(box_rows(a), box_rows(a))) == 1.0).all()
 
     def test_disjoint_touching_nested_and_equal(self):
         a = [Box(1, 1, 2, 2), Box(3, 1, 2, 2), Box(2, 2, 4, 4), Box(20, 20, 2, 2)]
         b = [Box(1, 1, 2, 2), Box(2, 2, 0.5, 0.5), Box(1, 3, 2, 2)]
         self._assert_equals_scalar(a, b)
-        table = iou_matrix(a, b)
+        table = iou_matrix(box_rows(a), box_rows(b))
         assert table[0, 0] == 1.0                 # equal
         assert table[1, 0] == table[0, 2] == 0.0  # touching at an edge
         assert table[2, 1] == 0.25 / 16           # nested
@@ -149,84 +163,89 @@ class TestGeometricFeature:
             Box(0, 0, 0.0, 2)
 
 
-def brute_force_nms(proposals, threshold, keep):
-    """Exhaustive-suppression oracle: re-derives survivors from the rule."""
-    order = sorted(proposals, key=lambda p: (-p.confidence, p.id))
+def brute_force_nms(props, threshold, keep):
+    """Exhaustive-suppression oracle: re-derives survivors from the rule,
+    confidence ties by row, and returns their ids."""
+    boxes = boxes_of(props)
+    order = sorted(range(len(props)), key=lambda k: (-props.confidence[k], k))
     survivors = []
     for cand in order:
         if len(survivors) == keep:
             break
         suppressed = False
         for kept in survivors:
-            if iou(cand.box, kept.box) > threshold:
+            if iou(boxes[cand], boxes[kept]) > threshold:
                 suppressed = True
         if not suppressed:
             survivors.append(cand)
-    return [p.id for p in survivors]
+    return [ids_of(props)[k] for k in survivors]
 
 
-def scalar_match_to_gt(proposals, gt_boxes):
-    """Per-pair reference: the scalar ``iou`` of each proposal with each GT."""
+def scalar_match_to_gt(boxes, gt_boxes):
+    """Per-pair reference: the scalar ``iou`` of each proposal row with each
+    GT row."""
     labels = []
-    for prop in proposals:
-        ious = [iou(prop.box, g) for g in gt_boxes]
+    for row in boxes.tolist():
+        ious = [iou(Box(*row), Box(*g)) for g in gt_boxes.tolist()]
         best = max(ious) if ious else 0.0
         if best >= 0.7:
-            labels.append(MatchLabel("positive", ious.index(best)))
+            labels.append(ious.index(best))
         elif best < 0.3:
-            labels.append(MatchLabel("negative"))
+            labels.append(NEGATIVE)
         else:
-            labels.append(MatchLabel("ignore"))
+            labels.append(IGNORE)
     return labels
 
 
 def tied_proposals(rng, n):
     """Integer-grid proposals whose confidences take three values, so that
-    ties in confidence and in IoU are common."""
-    return [proposal(int(rng.integers(0, 10)), int(rng.integers(0, 10)),
-                     int(rng.integers(1, 6)), int(rng.integers(1, 6)),
-                     float(rng.choice([0.3, 0.5, 0.7])), int(pid))
-            for pid in rng.permutation(n)]
+    ties in confidence and in IoU are common. They are drawn under shuffled
+    ids and then reordered so that row k holds id k."""
+    drawn = [(int(rng.integers(0, 10)), int(rng.integers(0, 10)),
+              int(rng.integers(1, 6)), int(rng.integers(1, 6)),
+              float(rng.choice([0.3, 0.5, 0.7])), int(pid))
+             for pid in rng.permutation(n)]
+    drawn.sort(key=lambda d: d[-1])
+    return proposals([d[:5] for d in drawn])
 
 
 class TestNms:
     def test_disjoint_all_kept(self):
-        props = [proposal(i * 10, 0, 2, 2, 0.5 + 0.01 * i, i) for i in range(5)]
+        props = proposals([(i * 10, 0, 2, 2, 0.5 + 0.01 * i) for i in range(5)])
         kept = nms(props, 0.5, keep=10)
-        assert sorted(p.id for p in kept) == [0, 1, 2, 3, 4]
+        assert sorted(ids_of(kept)) == [0, 1, 2, 3, 4]
 
     def test_duplicate_suppressed(self):
-        props = [proposal(0, 0, 2, 2, 0.9, 0), proposal(0, 0, 2, 2, 0.8, 1)]
+        props = proposals([(0, 0, 2, 2, 0.9), (0, 0, 2, 2, 0.8)])
         kept = nms(props, 0.5, keep=10)
-        assert [p.id for p in kept] == [0]
+        assert ids_of(kept) == [0]
 
     def test_overlap_chain_matches_oracle(self):
         # a suppresses b; c overlaps b but not a, so c survives
-        props = [proposal(0, 0, 4, 4, 0.9, 0), proposal(1.1, 0, 4, 4, 0.8, 1),
-                 proposal(2.6, 0, 4, 4, 0.7, 2)]
-        kept = [p.id for p in nms(props, 0.4, keep=10)]
+        props = proposals([(0, 0, 4, 4, 0.9), (1.1, 0, 4, 4, 0.8), (2.6, 0, 4, 4, 0.7)])
+        kept = ids_of(nms(props, 0.4, keep=10))
         assert kept == brute_force_nms(props, 0.4, 10)
         assert kept == [0, 2]
 
     def test_keep_budget(self):
-        props = [proposal(i * 10, 0, 2, 2, 0.9 - 0.1 * i, i) for i in range(5)]
-        assert [p.id for p in nms(props, 0.5, keep=2)] == [0, 1]
+        props = proposals([(i * 10, 0, 2, 2, 0.9 - 0.1 * i) for i in range(5)])
+        assert ids_of(nms(props, 0.5, keep=2)) == [0, 1]
 
     def test_tie_broken_by_id(self):
-        props = [proposal(0, 0, 2, 2, 0.7, 5), proposal(0, 0, 2, 2, 0.7, 2)]
-        assert [p.id for p in nms(props, 0.5, keep=10)] == [2]
+        # ids 5 and 2 with rows ordered by id: a tie goes to the first row
+        props = proposals([(0, 0, 2, 2, 0.7), (0, 0, 2, 2, 0.7)], ids=[2, 5])
+        assert ids_of(nms(props, 0.5, keep=10)) == [2]
 
     @given(st.lists(st.tuples(st.floats(0, 30), st.floats(0, 30),
                               st.floats(1, 8), st.floats(1, 8),
                               st.floats(0.01, 0.99)), min_size=0, max_size=8))
     @settings(max_examples=50, deadline=None)
     def test_random_fixtures_match_oracle_and_idempotent(self, raw):
-        props = [proposal(x, y, w, h, round(c, 3), i)
-                 for i, (x, y, w, h, c) in enumerate(raw)]
+        props = proposals([(x, y, w, h, round(c, 3)) for x, y, w, h, c in raw])
         kept = nms(props, 0.4, keep=6)
-        assert [p.id for p in kept] == brute_force_nms(props, 0.4, 6)
+        assert ids_of(kept) == brute_force_nms(props, 0.4, 6)
         again = nms(kept, 0.4, keep=6)
-        assert [p.id for p in again] == [p.id for p in kept]
+        assert ids_of(again) == ids_of(kept)
 
 
     def test_tied_confidences_match_scalar_reference(self):
@@ -235,35 +254,34 @@ class TestNms:
             props = tied_proposals(rng, int(rng.integers(0, 25)))
             threshold = float(rng.choice([0.0, 0.25, 0.5, 1.0]))
             keep = int(rng.integers(0, 12))
-            assert ([p.id for p in nms(props, threshold, keep)]
-                    == brute_force_nms(props, threshold, keep))
+            assert ids_of(nms(props, threshold, keep)) == brute_force_nms(props, threshold, keep)
 
 
 class TestMatchToGt:
     def test_exact_match_positive(self):
-        gt = [Box(5, 5, 4, 4)]
-        labels = match_to_gt([proposal(5, 5, 4, 4, 0.9, 0)], gt)
-        assert labels[0] == MatchLabel("positive", 0)
+        gt = box_rows([Box(5, 5, 4, 4)])
+        labels = match_to_gt(box_rows([Box(5, 5, 4, 4)]), gt)
+        assert labels[0] == 0
 
     def test_disjoint_negative(self):
-        labels = match_to_gt([proposal(50, 50, 2, 2, 0.9, 0)], [Box(5, 5, 4, 4)])
-        assert labels[0].kind == "negative"
+        labels = match_to_gt(box_rows([Box(50, 50, 2, 2)]), box_rows([Box(5, 5, 4, 4)]))
+        assert labels[0] == NEGATIVE
 
     def test_intermediate_iou_ignored(self):
         # identical height, half-width offset: IoU = 1/3 (rasterization-checked)
-        prop = proposal(2, 1, 2, 2, 0.9, 0)
+        prop = Box(2, 1, 2, 2)
         gt = Box(1, 1, 2, 2)
-        assert 0.3 <= iou(prop.box, gt) < 0.7
-        assert iou(prop.box, gt) == pytest.approx(raster_iou(prop.box, gt), abs=5e-3)
-        assert match_to_gt([prop], [gt])[0].kind == "ignore"
+        assert 0.3 <= iou(prop, gt) < 0.7
+        assert iou(prop, gt) == pytest.approx(raster_iou(prop, gt), abs=5e-3)
+        assert match_to_gt(box_rows([prop]), box_rows([gt]))[0] == IGNORE
 
     def test_no_gt_all_negative(self):
-        assert match_to_gt([proposal(0, 0, 2, 2, 0.5, 0)], [])[0].kind == "negative"
+        assert match_to_gt(box_rows([Box(0, 0, 2, 2)]), box_rows([]))[0] == NEGATIVE
 
     def test_positive_takes_argmax_gt(self):
-        gt = [Box(0, 0, 4, 4), Box(0.2, 0, 4, 4)]
-        labels = match_to_gt([proposal(0.2, 0, 4, 4, 0.9, 0)], gt)
-        assert labels[0] == MatchLabel("positive", 1)
+        gt = box_rows([Box(0, 0, 4, 4), Box(0.2, 0, 4, 4)])
+        labels = match_to_gt(box_rows([Box(0.2, 0, 4, 4)]), gt)
+        assert labels[0] == 1
 
 
     def test_random_proposals_match_scalar_reference(self):
@@ -271,27 +289,33 @@ class TestMatchToGt:
         for _ in range(60):
             props = tied_proposals(rng, int(rng.integers(0, 15)))
             # some GT boxes repeat a proposal box, so positives occur
-            gt_boxes = [p.box for p in props[:int(rng.integers(0, 3))]
-                        + tied_proposals(rng, int(rng.integers(0, 6)))]
-            assert match_to_gt(props, gt_boxes) == scalar_match_to_gt(props, gt_boxes)
+            repeated = props.boxes[:int(rng.integers(0, 3))]
+            gt_boxes = np.vstack([repeated, tied_proposals(rng, int(rng.integers(0, 6))).boxes])
+            assert (match_to_gt(props.boxes, gt_boxes).tolist()
+                    == scalar_match_to_gt(props.boxes, gt_boxes))
+
+
+def pair_list(pairs):
+    """A (P, 2) pair array as a list of (subject, object) tuples."""
+    return [tuple(p) for p in pairs.tolist()]
 
 
 class TestCombinationLayer:
     def _props(self, n):
-        return [proposal(i * 10, 0, 2, 2, 0.3 + 0.01 * i, i) for i in range(n)]
+        return proposals([(i * 10, 0, 2, 2, 0.3 + 0.01 * i) for i in range(n)])
 
     def test_three_proposals_six_pairs(self):
-        pairs = combination_layer(self._props(3))
+        pairs = combination_layer(self._props(3).confidence)
         assert len(pairs) == 6
 
     def test_single_proposal_no_pairs(self):
-        assert combination_layer(self._props(1)) == []
+        assert combination_layer(self._props(1).confidence).tolist() == []
 
     def test_fifty_proposals(self):
-        assert len(combination_layer(self._props(50))) == 50 * 49
+        assert len(combination_layer(self._props(50).confidence)) == 50 * 49
 
     def test_symmetric_membership_and_order(self):
-        pairs = combination_layer(self._props(4))
+        pairs = pair_list(combination_layer(self._props(4).confidence))
         assert pairs == sorted(pairs)
         for i, j in pairs:
             assert i != j
@@ -300,18 +324,30 @@ class TestCombinationLayer:
     def test_pair_fields_populated(self):
         # caption_pairs adds each kept pair's union box and geometry
         props = self._props(3)
+        boxes = boxes_of(props)
         subject, obj, unions, geos = caption_pairs(props, tiny_config(1, 5))
-        assert list(zip(subject.tolist(), obj.tolist())) == combination_layer(props)
+        assert list(zip(subject.tolist(), obj.tolist())) == pair_list(
+            combination_layer(props.confidence))
         for i, j, ub, geo in zip(subject, obj, unions, geos):
-            assert Box(*ub) == union_box(props[i].box, props[j].box)
-            assert np.array_equal(geo, geometric_feature(props[i].box, props[j].box))
+            assert Box(*ub) == union_box(boxes[i], boxes[j])
+            assert np.array_equal(geo, geometric_feature(boxes[i], boxes[j]))
 
     def test_cap_keeps_highest_confidence_products(self):
         props = self._props(4)  # confidences 0.30, 0.31, 0.32, 0.33
-        assert set(combination_layer(props, max_pairs=2)) == {(2, 3), (3, 2)}
+        assert set(pair_list(combination_layer(props.confidence, max_pairs=2))) == {
+            (2, 3), (3, 2)}
 
-    def test_duplicate_ids_rejected(self):
-        a = proposal(0, 0, 2, 2, 0.5, 7)
-        b = proposal(9, 0, 2, 2, 0.5, 7)
-        with pytest.raises(ValueError):
-            combination_layer([a, b])
+    @given(st.lists(st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0, 1)),
+                    max_size=7))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_equals_list_reference_at_every_cap(self, confidence):
+        # repeated values tie both confidences and products
+        n_pairs = len(confidence) * (len(confidence) - 1)
+        products = [confidence[i] * confidence[j]
+                    for i, j in reference_combination_layer(confidence)]
+        for cap in (None, *range(n_pairs + 1)):
+            pairs = combination_layer(np.array(confidence), cap)
+            want = reference_combination_layer(confidence, cap)
+            assert pairs.shape == (len(want), 2)
+            assert pair_list(pairs) == want
+            assert top_pairs(products, cap).tolist() == reference_top_pairs(products, cap)

@@ -17,7 +17,7 @@ from relcap.apps import retrieval_scores
 from relcap.autodiff import Tensor
 from relcap.data import END_ID, PosTag, Vocabulary
 from relcap.errors import ConfigError
-from relcap.geometry import Box, MatchLabel
+from relcap.geometry import NEGATIVE, Box, box_rows
 from relcap.model import (MODEL_PRESETS, ImageBatch, ModelConfig, PairBatch,
                           caption_losses, distinct_rows, encode_pair_batch,
                           importance_trace, init_params, load_model, regroup,
@@ -1092,9 +1092,9 @@ def loss_fixture(name="mttsnet", seed=0, rig_perfect=False):
     cfg = tiny_config(6, 10, name=name)
     params = fresh_params(cfg, seed=seed)
     rng = np.random.default_rng(seed + 50)
-    gt_boxes = [Box(10, 10, 6, 6), Box(30, 10, 6, 6)]
-    prop_boxes = [Box(10, 10, 6, 6), Box(30, 10, 6, 6), Box(60, 60, 6, 6)]
-    labels = [MatchLabel("positive", 0), MatchLabel("positive", 1), MatchLabel("negative")]
+    gt_boxes = box_rows([Box(10, 10, 6, 6), Box(30, 10, 6, 6)])
+    prop_boxes = box_rows([Box(10, 10, 6, 6), Box(30, 10, 6, 6), Box(60, 60, 6, 6)])
+    labels = np.array([0, 1, NEGATIVE])
     features = rng.normal(size=(3, 6))
     union_features, geos = zip(*[(rng.normal(size=(1, 6)), rng.normal(size=6))
                                  for _ in range(2)])
@@ -1143,7 +1143,7 @@ class TestTotalLoss:
         batch, params, cfg = loss_fixture()
         batch = ImageBatch(pairs=pair_rows(batch.pairs, []), token_ids=[], tags=[],
                            prop_boxes=batch.prop_boxes, gt_boxes=batch.gt_boxes,
-                           labels=[MatchLabel("negative")] * 3)
+                           labels=np.full(3, NEGATIVE))
         total, report = total_loss(batch, params, cfg)
         assert report.no_positive_pairs
         assert report.l_cap == report.l_pos == report.l_box == 0.0

@@ -1,17 +1,18 @@
 """The array pair path against its scalar oracles: many-box provider features
-and region proposals against ``features``, ``caption_pairs`` against
-``union_box`` and ``geometric_feature``, bit for bit."""
+and region proposals against ``scalar_features``, ``caption_pairs`` against
+``union_box``, ``geometric_feature`` and the list references of the
+combination layer, bit for bit."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import geometric_feature, tiny_config
+from conftest import (geometric_feature, reference_combination_layer, reference_top_pairs,
+                      scalar_features, tiny_config)
 from relcap.data import RelationalRecord, SceneObject, ToyFeatureProvider, proposals_for_record
 from relcap.errors import DataError
-from relcap.geometry import (Box, RegionProposal, box_rows, combination_layer,
-                             intersection_area, iou, nms, top_pairs, union_box)
+from relcap.geometry import Box, Proposals, box_rows, intersection_area, iou, nms, union_box
 from relcap.model import ModelConfig
 from relcap.pipeline import (ProposalSettings, build_image_batch, build_proposals,
                              caption_pairs, make_pair_batch)
@@ -37,11 +38,11 @@ def image(scene):
 
 
 def scalar_rows(record, boxes):
-    """Each box's scalar ``features`` row, or the DataError message it raises."""
+    """Each box's ``scalar_features`` row, or the DataError message it raises."""
     out = []
     for box in boxes:
         try:
-            out.append(PROVIDER.features(record, box)[0].tobytes())
+            out.append(scalar_features(PROVIDER, record, box)[0].tobytes())
         except DataError as exc:
             out.append(str(exc))
     return out
@@ -55,6 +56,8 @@ class TestFeaturesMany:
         many = PROVIDER.features_many(record, box_rows(boxes))
         assert many.shape == (len(boxes), PROVIDER.feature_width)
         assert [row.tobytes() for row in many] == scalar_rows(record, boxes)
+        assert [PROVIDER.features(record, box).tobytes() for box in boxes] == \
+            [row.tobytes() for row in many]
 
     def test_touching_and_empty_boxes(self):
         obj = SceneObject("square", "blue", Box(5, 5, 2, 2))       # x from 4 to 6
@@ -72,7 +75,7 @@ class TestFeaturesMany:
     def test_no_scene_is_data_error(self):
         record = image(None)
         with pytest.raises(DataError) as scalar:
-            PROVIDER.features(record, Box(1, 1, 1, 1))
+            scalar_features(PROVIDER, record, Box(1, 1, 1, 1))
         with pytest.raises(DataError) as many:
             PROVIDER.features_many(record, box_rows([Box(1, 1, 1, 1)]))
         assert str(many.value) == str(scalar.value)
@@ -122,7 +125,7 @@ class TestFeaturesMany:
 
 def scalar_proposals(record, boxes, provider, seed, jitter, n_background):
     """Per-box reference of ``proposals_for_record``: the same draws, each
-    kept box featurised by the scalar ``features`` as soon as it is drawn."""
+    kept box featurised by ``scalar_features`` as soon as it is drawn."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, record.image_id]))
     out = []
     for source in boxes:
@@ -135,7 +138,7 @@ def scalar_proposals(record, boxes, provider, seed, jitter, n_background):
             if iou(cand, source) >= 0.75:
                 box = cand
                 break
-        out.append((box, rng.uniform(0.80, 0.98), provider.features(record, box)))
+        out.append((box, rng.uniform(0.80, 0.98), scalar_features(provider, record, box)))
     placed = 0
     for _attempt in range(60 * max(n_background, 1)):
         if placed >= n_background:
@@ -144,7 +147,7 @@ def scalar_proposals(record, boxes, provider, seed, jitter, n_background):
         cand = Box(rng.uniform(w / 2, record.width - w / 2),
                    rng.uniform(h / 2, record.height - h / 2), w, h)
         if all(iou(cand, g) < 0.25 for g in boxes):
-            out.append((cand, rng.uniform(0.05, 0.35), provider.features(record, cand)))
+            out.append((cand, rng.uniform(0.05, 0.35), scalar_features(provider, record, cand)))
             placed += 1
     return [(k, box, confidence, feature.tobytes())
             for k, (box, confidence, feature) in enumerate(out)]
@@ -160,7 +163,9 @@ class TestProposals:
             boxes = ([obj.box for obj in record.objects] if kind == "objects" else
                      [union_box(rel.subject_box, rel.object_box) for rel in record.relations])
             got = proposals_for_record(record, boxes, provider, seed, jitter, n_background)
-            assert [(p.id, p.box, p.confidence, p.feature.tobytes()) for p in got] == \
+            assert [(k, Box(*row), confidence, feature.tobytes())
+                    for k, (row, confidence, feature) in enumerate(
+                        zip(got.boxes.tolist(), got.confidence.tolist(), got.features))] == \
                 scalar_proposals(record, boxes, provider, seed, jitter, n_background)
 
     @pytest.mark.parametrize("scene", [None, [SceneObject("hexagon", "red", Box(16, 12, 30, 20))]],
@@ -175,13 +180,13 @@ class TestProposals:
         assert str(many.value) == str(scalar.value)
 
     def test_no_boxes_and_no_background_is_empty(self):
-        assert proposals_for_record(image(None), [], PROVIDER, 0, 0.08, 0) == []
+        assert len(proposals_for_record(image(None), [], PROVIDER, 0, 0.08, 0)) == 0
 
 
 def proposals_from(boxes):
-    return [RegionProposal(box, 0.2 + 0.7 * ((k * 37) % 101) / 101,
-                           np.zeros((1, PROVIDER.feature_width)), k)
-            for k, box in enumerate(boxes)]
+    return Proposals(box_rows(boxes), [0.2 + 0.7 * ((k * 37) % 101) / 101
+                                       for k in range(len(boxes))],
+                     np.zeros((len(boxes), PROVIDER.feature_width)))
 
 
 def object_config():
@@ -199,31 +204,34 @@ class TestCaptionPairs:
     @settings(max_examples=5, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_object_pairs_equal_scalar_oracles(self, n, pair_cap, data):
-        props = proposals_from(data.draw(st.lists(any_boxes, min_size=n, max_size=n)))
+        boxes = data.draw(st.lists(any_boxes, min_size=n, max_size=n))
+        props = proposals_from(boxes)
         subject, obj, unions, geos = caption_pairs(props, object_config(), pair_cap)
-        pairs = combination_layer(props, max_pairs=pair_cap)
+        pairs = reference_combination_layer(props.confidence.tolist(), pair_cap)
         assert list(zip(subject.tolist(), obj.tolist())) == pairs
         assert unions.shape == (len(pairs), 4) and geos.shape == (len(pairs), 6)
-        want_unions = [union_box(props[i].box, props[j].box) for i, j in pairs]
+        want_unions = [union_box(boxes[i], boxes[j]) for i, j in pairs]
         assert unions.tobytes() == box_rows(want_unions).tobytes()
-        want_geos = [geometric_feature(props[i].box, props[j].box) for i, j in pairs]
+        want_geos = [geometric_feature(boxes[i], boxes[j]) for i, j in pairs]
         assert geos.tobytes() == np.reshape(want_geos, (-1, 6)).tobytes()
 
     @pytest.mark.parametrize("pair_cap", [None, 1, 7])
     @pytest.mark.parametrize("n", [0, 1, 2, 50])
     def test_direct_union_self_pairs(self, n, pair_cap):
-        props = proposals_from([Box(k, 2 * k, 1 + k % 3, 2 + k % 5) for k in range(n)])
+        boxes = [Box(k, 2 * k, 1 + k % 3, 2 + k % 5) for k in range(n)]
+        props = proposals_from(boxes)
         subject, obj, unions, geos = caption_pairs(props, union_config(), pair_cap)
-        keep = top_pairs([p.confidence * p.confidence for p in props], pair_cap)
+        keep = reference_top_pairs([c * c for c in props.confidence.tolist()], pair_cap)
         assert subject.tolist() == obj.tolist() == keep
-        assert unions.tobytes() == box_rows([props[i].box for i in keep]).tobytes()
+        assert unions.tobytes() == box_rows([boxes[i] for i in keep]).tobytes()
         assert geos.shape == (len(keep), 6) and not geos.any()
 
     def test_degenerate_union_raises_as_scalar(self):
         # at x = 1e20 a 1-pixel width vanishes from the corners
-        props = proposals_from([Box(1e20, 0, 1, 1), Box(1e20, 5, 1, 1)])
+        boxes = [Box(1e20, 0, 1, 1), Box(1e20, 5, 1, 1)]
+        props = proposals_from(boxes)
         with pytest.raises(ValueError) as scalar:
-            union_box(props[0].box, props[1].box)
+            union_box(boxes[0], boxes[1])
         with pytest.raises(ValueError) as many:
             caption_pairs(props, object_config())
         assert str(many.value) == str(scalar.value)
@@ -236,11 +244,12 @@ class TestCaptionPairs:
                                    ProposalSettings(n_background=80)), 0.5, 50)
         assert len(kept) == 50
         batch, boxes = make_pair_batch(record, kept, provider, cfg)
-        pairs = combination_layer(kept)
-        unions = [union_box(kept[i].box, kept[j].box) for i, j in pairs]
-        want = np.vstack([provider.features(record, ub) for ub in unions])
+        pairs = reference_combination_layer(kept.confidence.tolist())
+        kept_boxes = [Box(*row) for row in kept.boxes.tolist()]
+        unions = [union_box(kept_boxes[i], kept_boxes[j]) for i, j in pairs]
+        want = np.vstack([scalar_features(provider, record, ub) for ub in unions])
         assert batch.union_features.tobytes() == want.tobytes()
-        assert boxes == [(kept[i].box, kept[j].box) for i, j in pairs]
+        assert boxes == [(kept_boxes[i], kept_boxes[j]) for i, j in pairs]
 
 
 class TestEmptyBatches:
@@ -259,8 +268,8 @@ class TestEmptyBatches:
     def test_image_batch_without_captioned_pairs(self, toy_world_small):
         records, provider, vocab = toy_world_small
         cfg = tiny_config(provider.feature_width, len(vocab))
-        far = [RegionProposal(Box(1 + 2 * k, 1, 1, 1), 0.5, np.zeros((1, provider.feature_width)),
-                              k) for k in range(2)]
+        far = Proposals(box_rows([Box(1 + 2 * k, 1, 1, 1) for k in range(2)]), [0.5, 0.5],
+                        np.zeros((2, provider.feature_width)))
         batch = build_image_batch(records[0], far, provider, vocab, cfg)
         assert len(batch.pairs) == 0 and batch.token_ids == []
         assert batch.pairs.union_features.shape == (0, provider.feature_width)

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import decode_batch, fresh_params, object_proposals, pair_rows, tiny_config
 from relcap.data import END_ID, encode_caption, proposals_for_record
-from relcap.geometry import Box, RegionProposal, nms, union_box
+from relcap.geometry import Box, nms, union_box
 from relcap.errors import DataError
 from relcap import pipeline
 from relcap.metrics import MetricConfig
@@ -56,8 +56,8 @@ class TestBatchAssembly:
                              batch.token_ids):
             rel = next(
                 r for r in record.relations
-                if r.subject_box == record.objects[batch.labels[i].gt_index].box
-                and r.object_box == record.objects[batch.labels[j].gt_index].box)
+                if r.subject_box == record.objects[batch.labels[i]].box
+                and r.object_box == record.objects[batch.labels[j]].box)
             want, _ = rel.tokens, rel.pos
             got = [vocab.decode_id(k) for k in ids[:-1]]
             assert got == want[:len(got)]
@@ -102,10 +102,10 @@ class TestBatchAssembly:
                                         settings.jitter, settings.n_background)
             got = build_proposals(record, provider, direct_union_config(provider, vocab),
                                   settings)
-            assert [(p.id, p.box, p.confidence) for p in got] == \
-                [(p.id, p.box, p.confidence) for p in want]
-            for a, b in zip(got, want):
-                assert a.feature.tobytes() == b.feature.tobytes()
+            assert got.boxes.tolist() == want.boxes.tolist()
+            assert got.confidence.tolist() == want.confidence.tolist()
+            for a, b in zip(got.features, want.features):
+                assert a.tobytes() == b.tobytes()
 
     def test_direct_union_both_directions_caption_one_proposal(self, toy_world_small):
         records, provider, vocab = toy_world_small
@@ -118,8 +118,8 @@ class TestBatchAssembly:
         proposals = build_proposals(record, provider, cfg, ProposalSettings())
         batch = build_image_batch(record, proposals, provider, vocab, cfg)
         ub = union_box(forward.subject_box, forward.object_box)
-        rows = [i for i, label in enumerate(batch.labels)
-                if label.kind == "positive" and batch.gt_boxes[label.gt_index] == ub]
+        rows = [i for i, label in enumerate(batch.labels.tolist())
+                if label >= 0 and Box(*batch.gt_boxes[label]) == ub]
         assert rows
         for row in rows:
             captions = [ids for i, ids in zip(batch.pairs.subject_index, batch.token_ids)
@@ -137,13 +137,12 @@ class TestBatchAssembly:
         record = dataclasses.replace(base, relations=[self_rel] + base.relations)
         proposals = object_proposals(record, provider, 0)
         # a second proposal on the first object, so two distinct rows match it
-        proposals.append(RegionProposal(proposals[0].box, proposals[0].confidence,
-                                        proposals[0].feature, id=len(proposals)))
+        proposals = proposals[np.r_[np.arange(len(proposals)), 0]]
         batch = build_image_batch(record, proposals, provider, vocab, cfg)
         n = len(record.objects)
         assert len(batch.pairs) == n * (n - 1) + 2 * (n - 1)
         for i, j in zip(batch.pairs.subject_index, batch.pairs.object_index):
-            assert batch.labels[i].gt_index != batch.labels[j].gt_index
+            assert batch.labels[i] != batch.labels[j]
 
     @pytest.mark.parametrize("make_config", [cfg_for, direct_union_config])
     def test_training_rows_equal_inference_rows(self, toy_world_small, make_config):
@@ -181,7 +180,7 @@ class TestBatchAssembly:
         pairs = sorted(set(zip(batch.pairs.subject_index, batch.pairs.object_index)))
         assert len(calls) == 1
         assert len(calls[0]) == len(pairs) < len(batch.pairs)
-        assert calls[0] == [proposals[i].box for i, _ in pairs]
+        assert calls[0] == [Box(*proposals.boxes[i]) for i, _ in pairs]
 
 
 class TestTraining:
