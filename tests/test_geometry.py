@@ -282,6 +282,8 @@ class TestMatchToGt:
         gt = box_rows([Box(0, 0, 4, 4), Box(0.2, 0, 4, 4)])
         labels = match_to_gt(box_rows([Box(0.2, 0, 4, 4)]), gt)
         assert labels[0] == 1
+        # a repeated best GT box: the first one
+        assert match_to_gt(box_rows([Box(0.2, 0, 4, 4)]), gt[[0, 1, 1]])[0] == 1
 
 
     def test_random_proposals_match_scalar_reference(self):

@@ -17,9 +17,9 @@ from relcap.apps import retrieval_scores
 from relcap.autodiff import Tensor
 from relcap.data import END_ID, PosTag, Vocabulary
 from relcap.errors import ConfigError
-from relcap.geometry import NEGATIVE, Box, box_rows
+from relcap.geometry import IGNORE, NEGATIVE, Box, box_rows
 from relcap.model import (MODEL_PRESETS, ImageBatch, ModelConfig, PairBatch,
-                          caption_losses, distinct_rows, encode_pair_batch,
+                          caption_losses, distinct_rows, encode_pair_batch, encode_regions,
                           importance_trace, init_params, load_model, regroup,
                           rem_forward, run_streams, sample_rows, save_model, stream_inputs,
                           stream_states, total_loss)
@@ -1148,6 +1148,30 @@ class TestTotalLoss:
         assert report.no_positive_pairs
         assert report.l_cap == report.l_pos == report.l_box == 0.0
         ad.backward(total)  # must be a valid (constant) graph
+
+    def test_detection_and_box_terms_equal_scalar_reference(self):
+        # an ignored proposal, and positives matched out of GT order
+        batch, params, cfg = loss_fixture()
+        props = [Box(29, 11, 6, 7), Box(60, 60, 6, 6), Box(11, 9, 5, 9)]
+        gts = [Box(10, 10, 6, 8), Box(30, 10, 5, 6)]
+        labels = [1, IGNORE, 0]
+        batch = dataclasses.replace(batch, prop_boxes=box_rows(props), gt_boxes=box_rows(gts),
+                                    labels=np.array(labels))
+        _, report = total_loss(batch, params, cfg)
+        x, _ = encode_regions(batch.pairs.features, params, cfg)
+        z = ad.affine(x, params["det.w"], params["det.b"]).data.reshape(-1)
+        labeled = [i for i, g in enumerate(labels) if g != IGNORE]
+        want_det = sum(np.logaddexp(0.0, z[i]) - (labels[i] >= 0) * z[i] for i in labeled)
+        assert report.l_det == pytest.approx(want_det / len(labeled), rel=1e-12)
+        pred = ad.affine(x, params["box.w"], params["box.b"]).data
+        positives = [i for i, g in enumerate(labels) if g >= 0]
+        want_box = 0.0
+        for i in positives:
+            p, g = props[i], gts[labels[i]]
+            d = pred[i] - [(p.x - g.x) / g.w, (p.y - g.y) / g.h,
+                           math.log(p.w / g.w), math.log(p.h / g.h)]
+            want_box += np.where(np.abs(d) < 1.0, 0.5 * d * d, np.abs(d) - 0.5).sum()
+        assert report.l_box == pytest.approx(want_box / len(positives), rel=1e-12)
 
     def test_nearly_perfect_model_is_nearly_zero(self):
         batch, params, cfg = loss_fixture(rig_perfect=True)
