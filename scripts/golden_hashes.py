@@ -45,6 +45,13 @@ candidates of the dense infers (80 background proposals, NMS keep 50: 2,450
 pairs per image), so the scores of passes far above BLOCK rows, whose
 subject and object streams share states across pairs, are pinned too.
 
+The eval reports round the caption scores away as well, so one more line per
+golden checkpoint pins them: ``scores/<model>/pair_scores``, the sha256 of
+every ``score_pairs`` table (image id, prediction rows, and the bytes of the
+confidences, METEOR and subject, object and union IoU tables) of
+``evaluate_model``'s predictions on ``toy/test.jsonl`` at the ``relcap eval``
+defaults. A last-bit move in scoring then shows in the same ``diff``.
+
 Two lines per golden checkpoint pin the pair path at its source, on
 ``toy/test.jsonl``: ``pairs/<model>/pair_batch``, the sha256 of
 ``make_pair_batch``'s union features, geometry, subject and object indices
@@ -177,6 +184,21 @@ def retrieval_table_hash(queries, candidates, params, config) -> str:
     return digest.hexdigest()
 
 
+def pair_scores_hash(predictions, gts) -> str:
+    """sha256 of every ``score_pairs`` table of ``predictions`` against ``gts``."""
+    import numpy as np
+    from relcap.metrics import score_pairs
+
+    digest = hashlib.sha256()
+    for scores in score_pairs(predictions, gts):
+        digest.update(repr((scores.image_id, scores.pred_index)).encode("ascii") + b"\n")
+        for table in (scores.confidence, scores.meteor, scores.iou_subject, scores.iou_object,
+                      scores.iou_union):
+            digest.update(repr(table.shape).encode("ascii"))
+            digest.update(np.ascontiguousarray(table, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
 def score_hashes(outdir: str) -> dict:
     """sha256 of every retrieval score and importance trace of the golden
     checkpoints on the test split (see the module docstring)."""
@@ -186,7 +208,7 @@ def score_hashes(outdir: str) -> dict:
     from relcap.geometry import NMS_IOU, nms
     from relcap.model import encode_pair_batch, importance_trace, load_model
     from relcap.pipeline import (ProposalSettings, build_image_batch, build_proposals,
-                                 make_pair_batch)
+                                 evaluate_model, make_pair_batch)
 
     records = load_dataset(os.path.join(outdir, "toy", "test.jsonl"))
     with open(os.path.join(outdir, "toy", "provider.json"), encoding="utf-8") as fh:
@@ -215,6 +237,9 @@ def score_hashes(outdir: str) -> dict:
                                                                      params, config)
         if config.streams == "triple":
             out[f"scores/{name}/importance_trace"] = traces.hexdigest()
+        out[f"scores/{name}/pair_scores"] = pair_scores_hash(
+            evaluate_model(records, params, config, vocab, provider, ProposalSettings())[1],
+            [rel for record in records for rel in record.relations])
         if model == MODELS[0]:
             dense = []
             for record in records:
