@@ -28,13 +28,14 @@ MAGIC = b"RELCAP01"
 FORMAT_VERSION = 1
 
 
-def write_atomic(path: str, payload: bytes) -> None:
-    """Write via a temp file in the same directory, then rename."""
+def write_atomic(path: str, payload) -> None:
+    """Write ``payload``, bytes or an iterable of byte chunks written as they
+    come, via a temp file in the same directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            fh.writelines([payload] if isinstance(payload, bytes) else payload)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -29,7 +29,7 @@ from .data import (SCHEMA_VERSION, PosTag, ToyFeatureProvider, ToyWorldConfig, V
                    save_dataset, save_jsonl, split_records)
 from .errors import ConfigError, DataError
 from .geometry import NMS_IOU, Box, nms
-from .metrics import MetricConfig, PredictionRecord
+from .metrics import MetricConfig, PredictionRecord, Predictions
 from .model import DECODE_MODES, MODEL_PRESETS, ModelConfig, load_model, save_model
 from .pipeline import (ProposalSettings, TrainSettings, build_proposals, evaluate_model,
                        history_to_csv, make_pair_batch, predict_image, train_model)
@@ -97,8 +97,20 @@ def prediction_from_json(obj: dict) -> PredictionRecord:
     ).validate()
 
 
-def write_predictions(path: str, predictions) -> None:
-    save_jsonl(path, (prediction_to_json(p.validate()) for p in predictions))
+def predictions_to_json(table: Predictions):
+    """``prediction_to_json`` of each row of a table, read from its columns."""
+    boxes = [dict(zip("xywh", row)) for row in table.boxes.tolist()]
+    return ({"image_id": i, "subject_box": boxes[s], "object_box": boxes[o],
+             "caption": " ".join(tokens), "pos": pos, "word_probs": probs, "confidence": c}
+            for i, s, o, tokens, pos, probs, c in table.validate().columns())
+
+
+def write_predictions(path: str, predictions) -> int:
+    """Write ``PredictionRecord``s, or the rows of each ``Predictions`` table as
+    the table comes (``relcap infer`` passes one per image), one JSON line
+    each; returns the number of lines."""
+    return save_jsonl(path, (obj for item in predictions
+                             for obj in predictions_to_json(Predictions.of([item]))))
 
 
 def read_predictions(path: str):
@@ -370,11 +382,10 @@ def cmd_infer(args) -> int:
     params, config, vocab, records, provider, settings = _eval_like_setup(args)
     rng = np.random.default_rng(np.random.SeedSequence([settings.seed, 99])) \
         if args.mode == "stochastic" else None
-    predictions = [pred for record in records
-                   for pred in predict_image(record, params, config, vocab, provider, settings,
-                                             mode=args.mode, rng=rng, **_predict_options(args))]
-    write_predictions(args.out, predictions)
-    print(f"wrote {len(predictions)} predictions to {args.out}")
+    count = write_predictions(args.out, (
+        predict_image(record, params, config, vocab, provider, settings, mode=args.mode, rng=rng,
+                      **_predict_options(args)) for record in records))
+    print(f"wrote {count} predictions to {args.out}")
     return 0
 
 

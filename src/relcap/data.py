@@ -8,6 +8,7 @@ subject / predicate / object segment labels of a relational caption.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
@@ -18,7 +19,7 @@ import numpy as np
 
 from .checkpoint import write_atomic
 from .errors import ConfigError, DataError
-from .geometry import Box, Proposals, box_rows, iou
+from .geometry import Box, Proposals, box_rows, iou, iou_matrix
 
 log = logging.getLogger(__name__)
 
@@ -228,10 +229,13 @@ def load_jsonl(path: str, parse, what: str):
     return items
 
 
-def save_jsonl(path: str, objects) -> None:
-    """Atomically write one compact, key-sorted JSON object per line."""
-    lines = [json.dumps(obj, sort_keys=True, separators=(",", ":")) for obj in objects]
-    write_atomic(path, ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8"))
+def save_jsonl(path: str, objects) -> int:
+    """Atomically write one compact, key-sorted JSON object per line, each as
+    ``objects`` yields it; returns the number of lines."""
+    count = itertools.count()       # zip draws from it once per object, after the object
+    write_atomic(path, ((json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+                        .encode("utf-8") for obj, _ in zip(objects, count)))
+    return next(count)
 
 
 def load_dataset(path: str):
@@ -577,20 +581,28 @@ def proposals_for_record(record: RelationalRecord, boxes, provider, seed: int,
                 break
         kept.append(box)
         confidences.append(rng.uniform(0.80, 0.98))
-    placed = 0
+    # rng.uniform(a, b) is a + (b - a) * rng.random(): each background attempt
+    # takes w, h, x and y, then a confidence if the box clears every GT box,
+    # from rng.random draws made in blocks. Every block position starts a
+    # candidate, all tested by one iou_matrix call, and the loop walks them.
+    gt_rows, placed, block, at = box_rows(boxes), 0, np.zeros(0), 0
     for _attempt in range(60 * max(n_background, 1)):
         if placed >= n_background:
             break
-        # Clamped to the image, so a small image still gives a valid range below.
-        w = min(rng.uniform(16.0, 40.0), record.width)
-        h = min(rng.uniform(16.0, 40.0), record.height)
-        x = rng.uniform(w / 2, record.width - w / 2)
-        y = rng.uniform(h / 2, record.height - h / 2)
-        cand = Box(x, y, w, h)
-        if all(iou(cand, g) < 0.25 for g in boxes):
+        if at + 5 > len(block):
+            block, at = np.concatenate([block[at:], rng.random(5 * (n_background - placed))]), 0
+            # Clamped to the image, so a small image still gives a valid range below.
+            w = np.minimum(16.0 + (40.0 - 16.0) * block[:-3], record.width)
+            h = np.minimum(16.0 + (40.0 - 16.0) * block[1:-2], record.height)
+            cands = np.column_stack([w / 2 + ((record.width - w / 2) - w / 2) * block[2:-1],
+                                     h / 2 + ((record.height - h / 2) - h / 2) * block[3:], w, h])
+            clear = (iou_matrix(cands, gt_rows) < 0.25).all(axis=1)
+        cand = Box(*cands[at])
+        at += 4
+        if clear[at - 4]:
             kept.append(cand)
-            confidences.append(rng.uniform(0.05, 0.35))
-            placed += 1
+            confidences.append(0.05 + (0.35 - 0.05) * block[at])
+            placed, at = placed + 1, at + 1
     rows = box_rows(kept)
     return Proposals(rows, confidences, provider.features_many(record, rows))
 

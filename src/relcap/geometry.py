@@ -145,28 +145,36 @@ def box_rows(boxes) -> np.ndarray:
     return np.reshape([(b.x, b.y, b.w, b.h) for b in boxes], (-1, 4))
 
 
-def pair_geometry(boxes, subject, obj):
-    """Union boxes, as (P, 4) centre-form rows, and (P, 6) relative geometry
-    of the ordered pairs ``(boxes[subject[k]], boxes[obj[k]])`` of the
-    (N, 4) centre-form rows ``boxes``.
-
-    Geometry components, in order: x-offset and y-offset normalized by the
-    subject scale sqrt(w_s * h_s), square root of the area ratio, the two
-    aspect ratios w_s/h_s and w_o/h_o, and the IoU of the boxes. Invariant
-    under joint translation and joint uniform scaling. Union row k equals
-    ``union_box`` of pair k bit for bit (the same corners ->
-    ``Box.from_corners`` round trip); the IoU comes from ``iou_matrix``.
-    """
-    x, y, w, h = np.reshape(boxes, (-1, 4)).T
+def union_rows(boxes, subject, obj) -> np.ndarray:
+    """(P, 4) centre-form union boxes of the ordered pairs
+    ``(boxes[subject[k]], boxes[obj[k]])`` of the (N, 4) centre-form rows
+    ``boxes``. Row k equals ``union_box`` of pair k bit for bit (the same
+    corners -> ``Box.from_corners`` round trip), a self-pair's too."""
     x0, y0, x1, y1 = _corners(boxes)
-    s = np.asarray(subject, dtype=np.intp)
-    o = np.asarray(obj, dtype=np.intp)
+    s, o = np.asarray(subject, dtype=np.intp), np.asarray(obj, dtype=np.intp)
     ux0, uy0 = np.minimum(x0[s], x0[o]), np.minimum(y0[s], y0[o])
     ux1, uy1 = np.maximum(x1[s], x1[o]), np.maximum(y1[s], y1[o])
     union = np.column_stack([(ux0 + ux1) / 2, (uy0 + uy1) / 2, ux1 - ux0, uy1 - uy0])
     valid = (union[:, 2] > 0) & (union[:, 3] > 0) & np.isfinite(union).all(axis=1)
     if not valid.all():
         Box(*union[np.argmin(valid)])          # raises what union_box raises
+    return union
+
+
+def pair_geometry(boxes, subject, obj):
+    """Union boxes (``union_rows``) and (P, 6) relative geometry of the
+    ordered pairs ``(boxes[subject[k]], boxes[obj[k]])`` of the (N, 4)
+    centre-form rows ``boxes``.
+
+    Geometry components, in order: x-offset and y-offset normalized by the
+    subject scale sqrt(w_s * h_s), square root of the area ratio, the two
+    aspect ratios w_s/h_s and w_o/h_o, and the IoU of the boxes (from
+    ``iou_matrix``). Invariant under joint translation and joint uniform
+    scaling.
+    """
+    x, y, w, h = np.reshape(boxes, (-1, 4)).T
+    s, o = np.asarray(subject, dtype=np.intp), np.asarray(obj, dtype=np.intp)
+    union = union_rows(boxes, s, o)
     scale = np.sqrt(w[s] * h[s])
     geos = np.column_stack([(x[o] - x[s]) / scale, (y[o] - y[s]) / scale,
                             np.sqrt((w[o] * h[o]) / (w[s] * h[s])), w[s] / h[s], w[o] / h[o],

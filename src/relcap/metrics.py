@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
-from .geometry import Box, box_rows, iou_matrix, union_box
+from .geometry import Box, box_rows, iou_matrix, union_box, union_rows
 from .stemming import porter_stem
 
 _STEM_CACHE: dict[str, str] = {}
@@ -68,9 +69,104 @@ class PredictionRecord:
             raise ValueError("confidence does not equal the product of word probabilities")
         return self
 
-    @property
-    def union(self) -> Box:
-        return union_box(self.subject_box, self.object_box)
+
+def row_products(probs, counts) -> np.ndarray:
+    """Product of the first ``counts[k]`` entries of each row k of the (P, S)
+    ``probs``, one column at a time from the left: ``math.prod`` bit for bit."""
+    out = np.ones(len(probs))
+    for t, column in enumerate(np.transpose(probs)):
+        out = np.where(t < counts, out * column, out)
+    return out
+
+
+def _split(values: list, lengths) -> list:
+    """``values`` cut into consecutive runs of ``lengths``."""
+    ends = np.cumsum(lengths, dtype=np.intp).tolist()
+    return [values[a:b] for a, b in zip([0, *ends], ends)]
+
+
+@dataclass(eq=False)
+class Predictions:
+    """Decoded relational captions as row-aligned arrays; row k is one
+    ``PredictionRecord``, and iterating a table yields them.
+
+    ``subject_rows`` and ``object_rows`` index ``boxes``, (B, 4) centre-form
+    rows (one per kept proposal). Row k's caption is its ``lengths[k]``
+    entries of the flat ``tokens`` and of ``pos`` (empty without a POS head),
+    its word probabilities its ``counts[k]`` entries of ``word_probs``.
+    """
+
+    image_id: np.ndarray
+    boxes: np.ndarray
+    subject_rows: np.ndarray
+    object_rows: np.ndarray
+    tokens: np.ndarray
+    lengths: np.ndarray
+    pos: np.ndarray
+    word_probs: np.ndarray
+    counts: np.ndarray
+    confidence: np.ndarray
+
+    def __post_init__(self):
+        for f, dtype in zip(fields(self), (object, np.float64, np.intp, np.intp, object, np.intp,
+                                           object, np.float64, np.intp, np.float64)):
+            setattr(self, f.name, np.asarray(getattr(self, f.name), dtype=dtype))
+        self.boxes = self.boxes.reshape(-1, 4)
+
+    @staticmethod
+    def of(predictions) -> "Predictions":
+        """A table as it is, else the rows of the tables and ``PredictionRecord``s
+        that ``predictions`` yields, in order, as one table."""
+        if isinstance(predictions, Predictions):
+            return predictions
+        tables = [Predictions(*[[]] * 10)] + [p if isinstance(p, Predictions) else Predictions(
+            [p.image_id], box_rows([p.subject_box, p.object_box]), [0], [1], p.tokens,
+            [len(p.tokens)], p.pos, p.word_probs, [len(p.word_probs)], [p.confidence])
+            for p in predictions]
+        starts = np.cumsum([0, *(len(t.boxes) for t in tables)])
+        table = Predictions(*(np.concatenate([getattr(t, f.name) for t in tables])
+                              for f in fields(Predictions)))
+        for name in ("subject_rows", "object_rows"):
+            setattr(table, name, np.concatenate([getattr(t, name) + s
+                                                 for t, s in zip(tables, starts)]))
+        return table
+
+    def validate(self):
+        """``PredictionRecord.validate`` of every row at once."""
+        outside = self.confidence[~((self.confidence > 0.0) & (self.confidence <= 1.0))]
+        if len(outside):
+            raise ValueError(f"confidence {outside[0]} outside (0, 1]")
+        if len(self.pos) not in (0, len(self.tokens)):
+            raise ValueError(f"{len(self.pos)} POS tags for {len(self.tokens)} tokens")
+        bad = ~np.isin(self.counts - self.lengths, (0, 1))
+        if bad.any():
+            raise ValueError(f"{self.counts[bad][0]} word probabilities for "
+                             f"{self.lengths[bad][0]} tokens")
+        probs = np.ones((len(self), self.counts.max(initial=0)))
+        probs[np.arange(probs.shape[1]) < self.counts[:, None]] = self.word_probs
+        if (abs(row_products(probs, self.counts) - self.confidence) > 1e-9).any():
+            raise ValueError("confidence does not equal the product of word probabilities")
+        return self
+
+    def __len__(self):
+        return len(self.confidence)
+
+    def __iter__(self):
+        return iter(self.records)
+
+    @cached_property
+    def records(self) -> list:
+        """The rows as ``PredictionRecord``s, built once, one ``Box`` per box row."""
+        boxes = [Box(*row) for row in self.boxes.tolist()]
+        return [PredictionRecord(i, boxes[s], boxes[o], tokens, pos, probs, c)
+                for i, s, o, tokens, pos, probs, c in self.columns()]
+
+    def columns(self):
+        """Per row: image id, box rows, tokens, POS tags, word probabilities, confidence."""
+        return zip(self.image_id.tolist(), self.subject_rows.tolist(),
+                   self.object_rows.tolist(), _split(self.tokens.tolist(), self.lengths),
+                   _split(self.pos.tolist(), self.lengths),    # all [] without POS tags
+                   _split(self.word_probs.tolist(), self.counts), self.confidence.tolist())
 
 
 def meteor_lite(candidate, reference) -> float:
@@ -145,33 +241,34 @@ def score_pairs(predictions, gts):
     """Score each (prediction, GT) pair of an image once: one caption score per
     distinct (caption, GT caption) pair, one IoU table per box kind.
 
+    ``predictions`` is a ``Predictions`` table or ``PredictionRecord``s.
     Images with GT come first, in GT order, then images that have only
     predictions; every metric below reduces this list.
     """
+    table = Predictions.of(predictions)
     gt_groups, pred_groups = {}, {}
     for g in gts:
         gt_groups.setdefault(g.image_id, []).append(g)
-    for k, p in enumerate(predictions):
-        gt_groups.setdefault(p.image_id, [])
-        pred_groups.setdefault(p.image_id, []).append(k)
+    for k, image_id in enumerate(table.image_id.tolist()):
+        gt_groups.setdefault(image_id, [])
+        pred_groups.setdefault(image_id, []).append(k)
+    captions = list(map(tuple, _split(table.tokens.tolist(), table.lengths)))
+    subjects, objects = table.boxes[table.subject_rows], table.boxes[table.object_rows]
+    unions = union_rows(table.boxes, table.subject_rows, table.object_rows)
     out = []
     for image_id, gt_list in gt_groups.items():
         rows = pred_groups.get(image_id, [])
-        preds = [predictions[k] for k in rows]
         # each distinct caption -> its row (prediction) or column (GT) of `distinct`
         cands, refs = {}, {}
-        cand_of = [cands.setdefault(tuple(p.tokens), len(cands)) for p in preds]
+        cand_of = [cands.setdefault(captions[k], len(cands)) for k in rows]
         ref_of = [refs.setdefault(tuple(g.tokens), len(refs)) for g in gt_list]
         distinct = np.reshape([meteor_lite(c, r) for c in cands for r in refs],
                               (len(cands), len(refs)))
         out.append(ImageScores(
-            image_id, rows, np.array([p.confidence for p in preds]),
-            distinct[np.ix_(cand_of, ref_of)],
-            iou_matrix(box_rows([p.subject_box for p in preds]),
-                       box_rows([g.subject_box for g in gt_list])),
-            iou_matrix(box_rows([p.object_box for p in preds]),
-                       box_rows([g.object_box for g in gt_list])),
-            iou_matrix(box_rows([p.union for p in preds]),
+            image_id, rows, table.confidence[rows], distinct[np.ix_(cand_of, ref_of)],
+            iou_matrix(subjects[rows], box_rows([g.subject_box for g in gt_list])),
+            iou_matrix(objects[rows], box_rows([g.object_box for g in gt_list])),
+            iou_matrix(unions[rows],
                        box_rows([union_box(g.subject_box, g.object_box) for g in gt_list]))))
     return out
 
@@ -242,16 +339,20 @@ def mean_meteor(scores) -> float:
 
 
 def diversity_stats(predictions):
-    """(words/img, words/box): mean unique word types per image and per box."""
-    if not predictions:
+    """(words/img, words/box): mean unique word types per image and per box
+    of a ``Predictions`` table or of ``PredictionRecord``s."""
+    table = Predictions.of(predictions)
+    if not len(table):
         return 0.0, 0.0
     per_image = {}
     per_box = {}
-    for pred in predictions:
-        per_image.setdefault(pred.image_id, set()).update(pred.tokens)
-        for box in (pred.subject_box, pred.object_box):
-            key = (pred.image_id, box.x, box.y, box.w, box.h)
-            per_box.setdefault(key, set()).update(pred.tokens)
+    boxes = list(map(tuple, table.boxes.tolist()))
+    for image_id, s, o, tokens in zip(table.image_id.tolist(), table.subject_rows.tolist(),
+                                      table.object_rows.tolist(),
+                                      _split(table.tokens.tolist(), table.lengths)):
+        per_image.setdefault(image_id, set()).update(tokens)
+        for box in (s, o):
+            per_box.setdefault((image_id, *boxes[box]), set()).update(tokens)
     words_per_img = float(np.mean([len(s) for s in per_image.values()]))
     words_per_box = float(np.mean([len(s) for s in per_box.values()]))
     return words_per_img, words_per_box

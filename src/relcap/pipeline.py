@@ -13,8 +13,8 @@ from .data import PosTag, RelationalRecord, Vocabulary, encode_caption, proposal
 from .errors import ConfigError, DataError
 from .geometry import (NMS_IOU, Box, box_rows, combination_layer, iou, match_to_gt, nms,
                        pair_geometry, top_pairs, union_box)
-from .metrics import (EvalReport, MetricConfig, PredictionRecord, diversity_stats,
-                      image_level_recall, mean_meteor, pos_accuracy, relational_map,
+from .metrics import (EvalReport, MetricConfig, Predictions, diversity_stats,
+                      image_level_recall, mean_meteor, pos_accuracy, relational_map, row_products,
                       score_pairs, vrd_recall_at_k)
 from .model import (DECODE_MODES, LOSS_COMPONENTS, LOSS_WEIGHT, ImageBatch, ModelConfig,
                     ModelParams, PairBatch, _pad_targets, decode_arrays, encode_pair_batch,
@@ -237,38 +237,29 @@ def predict_proposals(record: RelationalRecord, proposals, params: ModelParams,
                       pair_cap: int | None = None, min_confidence: float | None = None,
                       mode: str = DECODE_MODES[0], rng: np.random.Generator | None = None):
     """Decode captions for every pair of the ``proposals`` that survive NMS
-    (``decode_arrays``) and turn them into prediction records. A pair whose
-    caption is empty, or whose confidence is below ``min_confidence``, gets
-    no record. Word probabilities that are not finite are a ``DataError``."""
+    (``decode_arrays``) into a ``Predictions`` table. A pair whose caption is
+    empty, or whose confidence is below ``min_confidence``, gets no row. Word
+    probabilities that are not finite are a ``DataError``."""
     kept = nms(proposals, nms_iou, metric_config.keep_after_nms)
-    batch, boxes = make_pair_batch(record, kept, provider, config, pair_cap)
-    if not boxes:
-        return []
+    batch, _ = make_pair_batch(record, kept, provider, config, pair_cap)
+    if not len(batch):
+        return Predictions.of(())
     picks, chosen_probs, tags, emitted, taken = decode_arrays(batch, params, config, mode, rng)
     if not np.isfinite(chosen_probs).all():
         raise DataError(f"image {record.image_id}: caption confidences are not finite "
                         "(diverged parameters?)")
+    confidence = row_products(chosen_probs, taken)
+    keep = (emitted > 0) & (min_confidence is None or confidence >= min_confidence)
+    steps = np.arange(config.max_len)
+    caption = steps < emitted[keep, None]
     words = np.array(list(map(vocab.decode_id, range(len(vocab)))), dtype=object)
     tag_names = np.array([tag.name for tag in PosTag], dtype=object)   # by the tag's value
-    tag_rows = tag_names[tags].tolist() if config.mtl else [[]] * len(boxes)
-    out = []
-    for e, k, tokens, pos, word_probs, (sbox, obox) in zip(
-            emitted.tolist(), taken.tolist(), words[picks].tolist(), tag_rows,
-            chosen_probs.tolist(), boxes):
-        if not e:
-            continue
-        word_probs = word_probs[:k]
-        confidence = math.prod(word_probs)
-        if min_confidence is not None and confidence < min_confidence:
-            continue
-        out.append(PredictionRecord(
-            image_id=record.image_id,
-            subject_box=sbox, object_box=obox,
-            tokens=tokens[:e], pos=pos[:e],
-            word_probs=word_probs,
-            confidence=confidence,
-        ).validate())
-    return out
+    return Predictions(
+        np.full(int(keep.sum()), record.image_id, dtype=object), kept.boxes,
+        np.asarray(batch.subject_index)[keep], np.asarray(batch.object_index)[keep],
+        words[picks[keep][caption]], emitted[keep],
+        tag_names[tags[keep][caption]] if config.mtl else tag_names[:0],
+        chosen_probs[keep][steps < taken[keep, None]], taken[keep], confidence[keep]).validate()
 
 
 def predict_image(record: RelationalRecord, params: ModelParams, config: ModelConfig,
@@ -310,16 +301,17 @@ def evaluate_model(records, params, config: ModelConfig, vocab: Vocabulary, prov
                    settings: ProposalSettings, metric_config: MetricConfig = MetricConfig(),
                    nms_iou: float = NMS_IOU, pair_cap: int | None = None,
                    min_confidence: float | None = None, vrd_ks=(50, 100)):
-    """Full evaluation report plus the prediction records it was computed from."""
+    """Full evaluation report plus the ``Predictions`` it was computed from."""
     gts = [rel for record in records for rel in record.relations]
     if not gts:
         raise DataError("evaluation needs ground-truth relations; the dataset has none")
     # One proposal set per record, shared by decoding and POS accuracy.
     proposals = [build_proposals(record, provider, config, settings) for record in records]
-    predictions = [pred for record, props in zip(records, proposals)
-                   for pred in predict_proposals(record, props, params, config, vocab, provider,
-                                                 metric_config=metric_config, nms_iou=nms_iou,
-                                                 pair_cap=pair_cap, min_confidence=min_confidence)]
+    predictions = Predictions.of(
+        predict_proposals(record, props, params, config, vocab, provider,
+                          metric_config=metric_config, nms_iou=nms_iou, pair_cap=pair_cap,
+                          min_confidence=min_confidence)
+        for record, props in zip(records, proposals))
     words_img, words_box = diversity_stats(predictions)
     scores = score_pairs(predictions, gts)
     report = EvalReport(

@@ -9,10 +9,11 @@ from relcap.autodiff import Tensor, affine, backward, log_softmax, no_grad
 from relcap.data import (SCHEMA_VERSION, PosTag, ToyWorldConfig, build_vocab,
                          generate_toy_world, proposals_for_record, save_jsonl)
 from relcap.errors import DataError
-from relcap.geometry import intersection_area, iou
+from relcap.geometry import Box, intersection_area, iou, nms
+from relcap.metrics import MetricConfig, PredictionRecord
 from relcap.model import (BLOCK, ModelConfig, PairBatch, decode_arrays, encode_pair_batch,
                           init_params, stream_states)
-from relcap.pipeline import ProposalSettings
+from relcap.pipeline import ProposalSettings, make_pair_batch
 
 
 @pytest.fixture(scope="session")
@@ -99,6 +100,58 @@ def decode_batch(batch, params, config, mode="greedy", rng=None):
                               probs[:k], float(math.prod(probs[:k])))
             for e, k, ids, probs, pos in zip(emitted.tolist(), taken.tolist(), picks.tolist(),
                                              chosen_probs.tolist(), tags.tolist())]
+
+
+def reference_background(record, boxes, seed, jitter, n_background):
+    """Attempt-at-a-time reference of the background boxes and confidences
+    ``proposals_for_record`` appends after its jittered boxes: scalar
+    ``rng.uniform`` draws and a scalar ``iou`` against each box of ``boxes``."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, record.image_id]))
+    for source in boxes:                  # the jittered boxes' draws come first
+        for _attempt in range(30):
+            cand = Box(source.x + rng.uniform(-jitter, jitter) * source.w,
+                       source.y + rng.uniform(-jitter, jitter) * source.h,
+                       source.w * rng.uniform(1.0 - jitter, 1.0 + jitter),
+                       source.h * rng.uniform(1.0 - jitter, 1.0 + jitter))
+            if iou(cand, source) >= 0.75:
+                break
+        rng.uniform(0.80, 0.98)
+    kept, confidences = [], []
+    for _attempt in range(60 * max(n_background, 1)):
+        if len(kept) >= n_background:
+            break
+        w = min(rng.uniform(16.0, 40.0), record.width)
+        h = min(rng.uniform(16.0, 40.0), record.height)
+        cand = Box(rng.uniform(w / 2, record.width - w / 2),
+                   rng.uniform(h / 2, record.height - h / 2), w, h)
+        if all(iou(cand, g) < 0.25 for g in boxes):
+            kept.append(cand)
+            confidences.append(rng.uniform(0.05, 0.35))
+    return kept, confidences
+
+
+def reference_predictions(record, proposals, params, config, vocab, provider,
+                          pair_cap=None, min_confidence=None, mode="greedy", rng=None):
+    """Record-loop reference of ``pipeline.predict_proposals`` at the default
+    NMS: one validated ``PredictionRecord`` per decoded pair with a caption at
+    or above ``min_confidence``, its confidence ``math.prod`` of its word
+    probabilities, its boxes ``make_pair_batch``'s (subject, object) pair."""
+    kept = nms(proposals, 0.5, MetricConfig().keep_after_nms)
+    batch, boxes = make_pair_batch(record, kept, provider, config, pair_cap)
+    if not boxes:
+        return []
+    picks, chosen_probs, tags, emitted, taken = decode_arrays(batch, params, config, mode, rng)
+    out = []
+    for e, k, ids, pos, word_probs, (sbox, obox) in zip(
+            emitted.tolist(), taken.tolist(), picks.tolist(), tags.tolist(),
+            chosen_probs.tolist(), boxes):
+        confidence = math.prod(word_probs[:k])
+        if e and (min_confidence is None or confidence >= min_confidence):
+            out.append(PredictionRecord(
+                record.image_id, sbox, obox, [vocab.decode_id(i) for i in ids[:e]],
+                [PosTag(x).name for x in pos[:e]] if config.mtl else [], word_probs[:k],
+                confidence).validate())
+    return out
 
 
 def geometric_feature(subject, obj):

@@ -1,11 +1,13 @@
 """End-to-end command-line checks on tiny configurations."""
 
 import argparse
+import gc
 import json
 import os
 import struct
 import subprocess
 import sys
+import weakref
 
 import jsonschema
 import numpy as np
@@ -22,7 +24,7 @@ from relcap.cli import (SETTINGS, build_parser, main, prediction_to_json, read_p
 from relcap.data import ImageAttributes, AttributeRecord
 from relcap.errors import DataError
 from relcap.geometry import Box
-from relcap.metrics import PredictionRecord
+from relcap.metrics import PredictionRecord, Predictions
 from relcap.model import ModelConfig, load_model
 
 
@@ -268,6 +270,34 @@ class TestPredictionWireFormat:
         assert again == [pred]
         jsonschema.validate(json.loads(open(path).read().strip()),
                             schemas.PREDICTION_SCHEMA)
+
+    def test_tables_are_written_as_they_come(self, tmp_path):
+        # ``relcap infer`` passes one table per image; each is encoded and
+        # released before the next is made, so memory does not grow with images
+        written = []
+
+        def tables():
+            for k in range(4):
+                gc.collect()
+                assert all(ref() is None for ref in written[:-1])
+                table = Predictions.of([PredictionRecord(k, Box(5, 5, 4, 4), Box(15, 5, 4, 4),
+                                                         ["a", "b"], [], [0.5, 0.5], 0.25)])
+                written.append(weakref.ref(table))
+                yield table
+
+        path = str(tmp_path / "p.jsonl")
+        assert write_predictions(path, tables()) == 4
+        assert [p.image_id for p in read_predictions(path)] == [0, 1, 2, 3]
+
+    def test_a_table_that_fails_midway_leaves_no_file(self, tmp_path):
+        def tables():
+            yield Predictions.of([PredictionRecord(0, Box(5, 5, 4, 4), Box(15, 5, 4, 4),
+                                                   ["a"], [], [0.5], 0.5)])
+            raise DataError("image 1: caption confidences are not finite")
+
+        with pytest.raises(DataError):
+            write_predictions(str(tmp_path / "p.jsonl"), tables())
+        assert os.listdir(tmp_path) == []
 
     def test_bad_confidence_rejected_on_read(self, tmp_path):
         path = str(tmp_path / "bad.jsonl")

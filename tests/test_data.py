@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from conftest import object_proposals, scalar_features
+from conftest import object_proposals, reference_background, scalar_features
 from relcap.data import (END_ID, TOY_MARGIN, UNK_ID, GroundTruthRelation, PosTag,
+                         proposals_for_record,
                          RelationalRecord, ToyFeatureProvider, ToyWorldConfig,
                          Vocabulary, box_inside, build_vocab, encode_caption,
                          generate_toy_world, load_dataset, load_pos_lexicon,
@@ -275,6 +276,20 @@ class TestProposals:
                                                              b.confidence.tolist())
         c = object_proposals(records[0], provider, 6)
         assert a.boxes.tolist() != c.boxes.tolist()
+
+
+    @pytest.mark.parametrize("n_background", [0, 1, 2, 80, 400])
+    def test_background_draws_equal_attempt_at_a_time_reference(self, n_background):
+        # 400 boxes do not fit beside the objects: the attempt limit ends the loop
+        records, provider = generate_toy_world(13, ToyWorldConfig(n_images=6))
+        small = RelationalRecord(image_id=9, width=12, height=30, relations=[], scene=[])
+        cases = [(r, [o.box for o in r.objects]) for r in records]
+        cases += [(small, []), (small, [Box(6, 15, 6, 8)])]
+        for record, boxes in cases:
+            props = proposals_for_record(record, boxes, provider, 3, 0.08, n_background)
+            kept, confidences = reference_background(record, boxes, 3, 0.08, n_background)
+            assert props.boxes[len(boxes):].tolist() == [[b.x, b.y, b.w, b.h] for b in kept]
+            assert props.confidence[len(boxes):].tolist() == confidences
 
 
 class TestPosLexicon:

@@ -2,6 +2,7 @@
 and diversity examples, and ranking invariances."""
 
 import json
+import math
 import os
 from dataclasses import replace
 
@@ -14,7 +15,7 @@ from conftest import fresh_params, tiny_config
 from relcap import metrics
 from relcap.data import GroundTruthRelation, PosTag
 from relcap.geometry import Box, iou, union_box
-from relcap.metrics import (EmptyCaptionWarning, EvalReport, MetricConfig,
+from relcap.metrics import (EmptyCaptionWarning, EvalReport, MetricConfig, Predictions, row_products,
                             PredictionRecord, diversity_stats, image_level_recall,
                             mean_meteor, meteor_lite, pos_accuracy, relational_map,
                             score_pairs, vrd_recall_at_k)
@@ -439,7 +440,7 @@ class TestVrdRecall:
         sbox, obox = Box(2, 2, 2, 2), Box(20, 2, 2, 2)
         g = gt(0, sbox, obox, ["the", "cat", "sits"])
         p = pred(0, obox, sbox, g.tokens, 0.9)
-        assert iou(p.union, union_box(sbox, obox)) == 1.0
+        assert iou(union_box(p.subject_box, p.object_box), union_box(sbox, obox)) == 1.0
         assert iou(p.subject_box, sbox) == 0.0
         assert vrd_recall_at_k(score_pairs([p], [g]), 5, "phrase") == 1.0
         assert vrd_recall_at_k(score_pairs([p], [g]), 5, "relationship") == 0.0
@@ -484,8 +485,8 @@ class TestScorePairs:
                 assert first.meteor[r, c] == meteor_lite(p.tokens, g.tokens)
                 assert first.iou_subject[r, c] == iou(p.subject_box, g.subject_box)
                 assert first.iou_object[r, c] == iou(p.object_box, g.object_box)
-                assert first.iou_union[r, c] == iou(p.union, union_box(g.subject_box,
-                                                                       g.object_box))
+                assert first.iou_union[r, c] == iou(union_box(p.subject_box, p.object_box),
+                                                    union_box(g.subject_box, g.object_box))
 
     def test_evaluate_model_scores_each_pair_once(self, toy_world_small, monkeypatch):
         records, provider, vocab = toy_world_small
@@ -505,6 +506,57 @@ class TestScorePairs:
         pairs = sum(len(r.relations) * sum(p.image_id == r.image_id for p in preds)
                     for r in records[:3])
         assert 0 < distinct < pairs and len(calls) == distinct
+
+
+# Word probabilities at the edges of float64: exact 1.0, values just below
+# it, 1e-300 (products underflow within a few factors) and subnormals.
+EDGE_PROBS = st.one_of(
+    st.sampled_from([1.0, math.nextafter(1.0, 0.0), 1.0 - 2.0 ** -40, 1e-300, 5e-324,
+                     2.2250738585072014e-308 / 3, 0.5]),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=1e-290))
+
+
+class TestRowProducts:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.lists(EDGE_PROBS, max_size=12), st.integers(0, 12)),
+                    min_size=1, max_size=8))
+    def test_equals_math_prod_bit_for_bit(self, rows):
+        # each row holds its own probabilities past its count, which must not count
+        probs = np.full((len(rows), 12), 0.75)
+        counts = [min(k, len(row)) for row, k in rows]
+        for r, (row, _k) in enumerate(rows):
+            probs[r, :len(row)] = row
+        got = row_products(probs, np.array(counts))
+        for r, ((row, _k), k) in enumerate(zip(rows, counts)):
+            assert got[r].hex() == float(math.prod(row[:k])).hex(), (row, k)
+
+
+class TestPredictionsTable:
+    def test_records_round_trip_through_a_table(self):
+        preds = [pred(2, Box(1, 1, 2, 2), Box(3, 3, 2, 2), ["a", "b"], 0.5, ["SUBJ", "OBJ"]),
+                 pred(0, Box(3, 3, 2, 2), Box(3, 3, 2, 2), ["c"], 0.25, ["PRED"])]
+        table = Predictions.of(preds)
+        assert "records" not in vars(table)          # rows are built on first use only
+        assert list(table) == preds and len(table) == 2
+        assert list(table)[0] is list(table)[0]      # and once
+        assert table.boxes.shape == (4, 4) and table.validate() is table
+        both = Predictions.of([table, Predictions.of(()), Predictions.of(preds[::-1])])
+        assert list(both) == preds + preds[::-1]
+
+    @pytest.mark.parametrize("change,message", [
+        (dict(confidence=0.0), "outside"),
+        (dict(word_probs=[0.5]), "1 word probabilities for 2 tokens"),
+        (dict(word_probs=[0.5, 0.5, 1.0, 1.0]), "4 word probabilities for 2 tokens"),
+        (dict(pos=["SUBJ"]), r"\d POS tags for \d tokens"),
+        (dict(confidence=0.3), "product")])
+    def test_validate_rejects_what_record_validate_rejects(self, change, message):
+        good = pred(0, Box(1, 1, 2, 2), Box(3, 3, 2, 2), ["a", "b"], 0.25, ["SUBJ", "OBJ"])
+        bad = replace(good, **change)
+        with pytest.raises(ValueError, match=message):
+            bad.validate()
+        with pytest.raises(ValueError, match=message):
+            Predictions.of([good, bad]).validate()
 
 
 class TestPosAccuracy:

@@ -5,12 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import decode_batch, fresh_params, object_proposals, pair_rows, tiny_config
-from relcap.data import END_ID, encode_caption, proposals_for_record
-from relcap.geometry import Box, nms, union_box
+from conftest import (decode_batch, fresh_params, object_proposals, pair_rows,
+                      reference_predictions, tiny_config)
+from relcap.cli import prediction_to_json, write_predictions
+from relcap.data import END_ID, encode_caption, proposals_for_record, save_jsonl
+from relcap.geometry import Box, box_rows, iou_matrix, nms, union_box
 from relcap.errors import DataError
 from relcap import pipeline
-from relcap.metrics import MetricConfig
+from relcap.metrics import MetricConfig, Predictions, score_pairs
 from relcap.model import ModelConfig, encode_pair_batch, caption_losses
 from relcap.pipeline import (ProposalSettings, TrainSettings, build_image_batch,
                              build_proposals, evaluate_model, history_to_csv,
@@ -304,6 +306,86 @@ class TestPrediction:
         proposals = object_proposals(records[0], provider, 0)
         batch, boxes = make_pair_batch(records[0], proposals, provider, cfg)
         assert len(batch) == len(boxes) == len(proposals) * (len(proposals) - 1)
+
+
+def rigged_params(record, provider, vocab, cfg):
+    """Fresh parameters whose end-token bias stops greedy decoding at step 0
+    for about half of the image's pairs, so some captions are empty."""
+    params = fresh_params(cfg, seed=7)
+    batch, _ = make_pair_batch(record, nms(build_proposals(record, provider, cfg,
+                                                           ProposalSettings()), 0.5, 50),
+                               provider, cfg)
+    logits = step_logits(encode_pair_batch(batch, params, cfg), [[]] * len(batch), params,
+                         cfg)[0]
+    margin = np.delete(logits, END_ID, axis=1).max(axis=1) - logits[:, END_ID]
+    params["head.word.b"].data[END_ID] += np.median(margin)
+    return params
+
+
+class TestPredictionsTable:
+    """``predict_proposals``' table against the record loop it replaced
+    (``reference_predictions``): the same rows, the same file bytes."""
+
+    @pytest.mark.parametrize("name", ["mttsnet,mtl,rem", "direct-union"])
+    @pytest.mark.parametrize("mode", ["greedy", "stochastic"])
+    @pytest.mark.parametrize("pair_cap", [None, 9])
+    def test_rows_and_bytes_equal_record_loop(self, toy_world_small, tmp_path, name, mode,
+                                              pair_cap):
+        records, provider, vocab = toy_world_small
+        cfg = (cfg_for(provider, vocab, name=name) if name != "direct-union"
+               else direct_union_config(provider, vocab))
+        params = rigged_params(records[0], provider, vocab, cfg)
+        settings = ProposalSettings(n_background=5)
+        proposals = [build_proposals(r, provider, cfg, settings) for r in records[:4]]
+        confidences = [p.confidence for p in reference_predictions(
+            records[0], proposals[0], params, cfg, vocab, provider, mode=mode,
+            rng=np.random.default_rng(3))]
+        floor = sorted(confidences)[len(confidences) // 2]   # a row sits on the floor
+        sizes = []
+        for min_confidence in (None, floor):
+            def run(predict):
+                rng = np.random.default_rng(3) if mode == "stochastic" else None
+                return [predict(record, props, params, cfg, vocab, provider, pair_cap=pair_cap,
+                                min_confidence=min_confidence, mode=mode, rng=rng)
+                        for record, props in zip(records[:4], proposals)]
+
+            tables, want = run(predict_proposals), run(reference_predictions)
+            assert [list(t) for t in tables] == want
+            assert all("records" in vars(t) for t in tables)
+            flat = [p for rows in want for p in rows]
+            assert list(Predictions.of(tables)) == flat
+            paths = [str(tmp_path / f"{k}.jsonl") for k in range(3)]
+            assert write_predictions(paths[0], tables) == len(flat)
+            write_predictions(paths[1], flat)
+            save_jsonl(paths[2], map(prediction_to_json, flat))
+            assert len({open(p, "rb").read() for p in paths}) == 1
+            sizes.append((len(want[0]), len(flat)))
+        # some pairs have empty captions, and the floor drops some rows
+        batch, _ = make_pair_batch(records[0], nms(proposals[0], 0.5, 50), provider, cfg,
+                                   pair_cap)
+        assert 0 < sizes[1][1] < sizes[0][1] and sizes[0][0] < len(batch)
+
+    def test_direct_union_iou_union_equals_union_box_path(self, toy_world_small):
+        # A self-pair's union row is union_box(b, b), whose corner round trip
+        # moves some boxes off b; score_pairs must score the moved box.
+        records, provider, vocab = toy_world_small
+        cfg = direct_union_config(provider, vocab)
+        params = fresh_params(cfg, seed=7)
+        table = Predictions.of(predict_image(r, params, cfg, vocab, provider,
+                                             ProposalSettings(n_background=8))
+                               for r in records[:5])
+        gts = [rel for r in records[:5] for rel in r.relations]
+        rows = list(table)
+        moved = 0
+        for scores in score_pairs(table, gts):
+            preds = [rows[k] for k in scores.pred_index]
+            unions = [union_box(p.subject_box, p.object_box) for p in preds]
+            gt_unions = [union_box(g.subject_box, g.object_box) for g in gts
+                         if g.image_id == scores.image_id]
+            want = iou_matrix(box_rows(unions), box_rows(gt_unions))
+            assert scores.iou_union.tobytes() == want.tobytes()
+            moved += sum(u != p.subject_box for u, p in zip(unions, preds))
+        assert moved
 
 
 class TestEvaluation:
