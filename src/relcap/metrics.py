@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -344,15 +345,18 @@ def diversity_stats(predictions):
     table = Predictions.of(predictions)
     if not len(table):
         return 0.0, 0.0
-    per_image = {}
-    per_box = {}
-    boxes = list(map(tuple, table.boxes.tolist()))
+    per_image, per_row, per_box, image_of = (defaultdict(set), defaultdict(set),
+                                             defaultdict(set), {})
     for image_id, s, o, tokens in zip(table.image_id.tolist(), table.subject_rows.tolist(),
                                       table.object_rows.tolist(),
                                       _split(table.tokens.tolist(), table.lengths)):
-        per_image.setdefault(image_id, set()).update(tokens)
-        for box in (s, o):
-            per_box.setdefault((image_id, *boxes[box]), set()).update(tokens)
+        per_image[image_id].update(tokens)
+        per_row[s].update(tokens)
+        per_row[o].update(tokens)
+        image_of[s] = image_of[o] = image_id
+    boxes = table.boxes.tolist()
+    for row, words in per_row.items():      # equal boxes of one image share their words
+        per_box[(image_of[row], *boxes[row])].update(words)
     words_per_img = float(np.mean([len(s) for s in per_image.values()]))
     words_per_box = float(np.mean([len(s) for s in per_box.values()]))
     return words_per_img, words_per_box
