@@ -15,10 +15,10 @@ from conftest import fresh_params, tiny_config
 from relcap import metrics
 from relcap.data import GroundTruthRelation, PosTag
 from relcap.geometry import Box, iou, union_box
-from relcap.metrics import (EmptyCaptionWarning, EvalReport, MetricConfig, Predictions, row_products,
-                            PredictionRecord, diversity_stats, image_level_recall,
+from relcap.metrics import (EmptyCaptionWarning, EvalReport, MetricConfig,
+                            PredictionRecord, Predictions, diversity_stats, image_level_recall,
                             mean_meteor, meteor_lite, pos_accuracy, relational_map,
-                            score_pairs, vrd_recall_at_k)
+                            row_products, score_pairs, vrd_recall_at_k)
 from relcap.pipeline import ProposalSettings, evaluate_model
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
