@@ -12,7 +12,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, DataError
-from .geometry import Box, iou
+from .geometry import Box, box_rows, iou_matrix
 from .model import ModelConfig, ModelParams, encode_pair_batch, run_streams, stream_inputs
 
 NODE_MERGE_IOU = 0.9     # default IoU at or above which caption-graph nodes merge
@@ -56,13 +56,11 @@ def build_caption_graph(predictions, node_merge_iou: float = NODE_MERGE_IOU) -> 
     graph = CaptionGraph()
 
     def node_for(phrase, box, confidence):
-        best = None
-        for node in graph.nodes:
-            overlap = iou(node.box, box)
-            if overlap >= node_merge_iou and (best is None or overlap > best[0]):
-                best = (overlap, node)
-        if best is not None:
-            return best[1].id
+        if graph.nodes:
+            overlaps = iou_matrix(box_rows([node.box for node in graph.nodes]), box_rows([box]))
+            best = int(np.argmax(overlaps))
+            if overlaps[best, 0] >= node_merge_iou:
+                return graph.nodes[best].id
         node = GraphNode(id=len(graph.nodes), phrase=phrase, box=box, confidence=confidence)
         graph.nodes.append(node)
         return node.id

@@ -19,7 +19,7 @@ import numpy as np
 
 from .checkpoint import write_atomic
 from .errors import ConfigError, DataError
-from .geometry import Box, Proposals, box_rows, iou, iou_matrix
+from .geometry import Box, Proposals, box_rows, iou_matrix
 
 log = logging.getLogger(__name__)
 
@@ -488,20 +488,19 @@ class ToyFeatureProvider:
 
 
 def _place_objects(rng: np.random.Generator, count: int):
-    boxes = []
+    rows = []
     for _ in range(count):
         for _attempt in range(200):
             w = rng.uniform(18.0, 42.0)
             h = rng.uniform(18.0, 42.0)
             x = rng.uniform(w / 2 + 1, TOY_SIZE - w / 2 - 1)
             y = rng.uniform(h / 2 + 1, TOY_SIZE - h / 2 - 1)
-            box = Box(x, y, w, h)
-            if all(iou(box, other) < 0.2 for other in boxes):
-                boxes.append(box)
+            if (iou_matrix((x, y, w, h), rows) < 0.2).all():
+                rows.append((x, y, w, h))
                 break
         else:
             raise ConfigError("could not place non-overlapping toy objects")
-    return boxes
+    return [Box(*row) for row in rows]
 
 
 def generate_toy_world(seed: int, config: ToyWorldConfig | None = None):
@@ -566,17 +565,14 @@ def proposals_for_record(record: RelationalRecord, boxes, provider, seed: int,
     in one ``features_many`` call.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, record.image_id]))
-    kept, confidences = [], []
-    for source in boxes:
-        box = source
+    gt_rows, kept, confidences = box_rows(boxes), [], []
+    for source in gt_rows.tolist():
+        x, y, w, h = box = source
         for _attempt in range(30):
-            cand = Box(
-                source.x + rng.uniform(-jitter, jitter) * source.w,
-                source.y + rng.uniform(-jitter, jitter) * source.h,
-                source.w * rng.uniform(1.0 - jitter, 1.0 + jitter),
-                source.h * rng.uniform(1.0 - jitter, 1.0 + jitter),
-            )
-            if iou(cand, source) >= 0.75:
+            cand = (x + rng.uniform(-jitter, jitter) * w, y + rng.uniform(-jitter, jitter) * h,
+                    w * rng.uniform(1.0 - jitter, 1.0 + jitter),
+                    h * rng.uniform(1.0 - jitter, 1.0 + jitter))
+            if iou_matrix(cand, source)[0, 0] >= 0.75:
                 box = cand
                 break
         kept.append(box)
@@ -585,7 +581,7 @@ def proposals_for_record(record: RelationalRecord, boxes, provider, seed: int,
     # takes w, h, x and y, then a confidence if the box clears every GT box,
     # from rng.random draws made in blocks. Every block position starts a
     # candidate, all tested by one iou_matrix call, and the loop walks them.
-    gt_rows, placed, block, at = box_rows(boxes), 0, np.zeros(0), 0
+    placed, block, at = 0, np.zeros(0), 0
     for _attempt in range(60 * max(n_background, 1)):
         if placed >= n_background:
             break
@@ -597,13 +593,12 @@ def proposals_for_record(record: RelationalRecord, boxes, provider, seed: int,
             cands = np.column_stack([w / 2 + ((record.width - w / 2) - w / 2) * block[2:-1],
                                      h / 2 + ((record.height - h / 2) - h / 2) * block[3:], w, h])
             clear = (iou_matrix(cands, gt_rows) < 0.25).all(axis=1)
-        cand = Box(*cands[at])
         at += 4
         if clear[at - 4]:
-            kept.append(cand)
+            kept.append(cands[at - 4])
             confidences.append(0.05 + (0.35 - 0.05) * block[at])
             placed, at = placed + 1, at + 1
-    rows = box_rows(kept)
+    rows = np.reshape(kept, (-1, 4))
     return Proposals(rows, confidences, provider.features_many(record, rows))
 
 
@@ -632,16 +627,11 @@ def _enrich_endpoint(relation, tag, entries, original_tokens, lexicon, rng):
     category = span[-1].lower()
     box = relation.subject_box if tag == PosTag.SUBJ else relation.object_box
 
-    candidates = []
-    for idx, entry in enumerate(entries):
-        if entry.name.lower() != category:
-            continue
-        overlap = iou(entry.box, box)
-        if overlap > 0.7:
-            candidates.append((overlap, -idx, entry))
+    same = [entry for entry in entries if entry.name.lower() == category]
+    overlaps = iou_matrix(box_rows([entry.box for entry in same]), box_rows([box]))[:, 0]
     chosen = None
-    if candidates:
-        best = max(candidates)[2]
+    if same and overlaps.max() > 0.7:
+        best = same[int(np.argmax(overlaps))]
         survivors = []
         for word in best.attributes:
             w = word.lower()

@@ -2,8 +2,10 @@
 
 Boxes are stored in center format (x, y, w, h), matching the JSON wire
 format ``{"x":..., "y":..., "w":..., "h":...}``; functions over many boxes
-take (N, 4) rows in that order. All functions here are pure and safe to
-evaluate in parallel across images.
+take (N, 4) rows in that order. ``iou_matrix`` is the one IoU and
+``union_rows`` the one union box: every box comparison runs on rows.
+``Box`` is the validated type that JSON input and output read and write.
+All functions here are pure and safe to evaluate in parallel across images.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ IGNORE = -2          # match_to_gt label of a proposal neither positive nor nega
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned box with center (x, y) and extents (w, h) in pixels."""
+    """Axis-aligned box with center (x, y) and extents (w, h) in pixels: one
+    validated box of the JSON input and output. Geometry runs on rows."""
 
     x: float
     y: float
@@ -45,10 +48,6 @@ class Box:
         """(x0, y0, x1, y1) corner form."""
         return (self.x - self.w / 2, self.y - self.h / 2,
                 self.x + self.w / 2, self.y + self.h / 2)
-
-    @staticmethod
-    def from_corners(x0, y0, x1, y1) -> "Box":
-        return Box((x0 + x1) / 2, (y0 + y1) / 2, x1 - x0, y1 - y0)
 
     def to_json(self) -> dict:
         return {"x": self.x, "y": self.y, "w": self.w, "h": self.h}
@@ -87,43 +86,18 @@ class Proposals:
         return Proposals(self.boxes[rows], self.confidence[rows], self.features[rows])
 
 
-def intersection_area(a: Box, b: Box) -> float:
-    ax0, ay0, ax1, ay1 = a.corners()
-    bx0, by0, bx1, by1 = b.corners()
-    iw = min(ax1, bx1) - max(ax0, bx0)
-    ih = min(ay1, by1) - max(ay0, by0)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    return iw * ih
-
-
-def _corner_area(box: Box) -> float:
-    x0, y0, x1, y1 = box.corners()
-    return (x1 - x0) * (y1 - y0)
-
-
-def iou(a: Box, b: Box) -> float:
-    """Intersection over union; 0 for disjoint boxes, exactly 1 for a == b.
-
-    Areas are computed from corner coordinates so that they cancel exactly
-    against the intersection; the final clamp guards the one-ulp cases.
-    """
-    inter = intersection_area(a, b)
-    if inter == 0.0:
-        return 0.0
-    return min(1.0, inter / (_corner_area(a) + _corner_area(b) - inter))
-
-
 def _corners(boxes):
-    """(x0, y0, x1, y1) columns of (N, 4) centre-form rows, as ``Box.corners``."""
+    """(x0, y0, x1, y1) columns of (N, 4) centre-form rows."""
     x, y, w, h = np.reshape(boxes, (-1, 4)).T
     return x - w / 2, y - h / 2, x + w / 2, y + h / 2
 
 
 def iou_matrix(boxes_a, boxes_b) -> np.ndarray:
-    """(A, B) table over two sets of (N, 4) centre-form rows whose (i, j)
-    entry is ``iou(Box(*boxes_a[i]), Box(*boxes_b[j]))``, bit for bit: the
-    same corner arithmetic, element-wise."""
+    """(A, B) table of intersection over union of two sets of (N, 4)
+    centre-form rows: 0 for disjoint boxes, exactly 1 for equal ones.
+
+    Areas come from the corners, so that they cancel exactly against the
+    intersection; the final clamp guards the one-ulp cases."""
     ax0, ay0, ax1, ay1 = (c[:, None] for c in _corners(boxes_a))
     bx0, by0, bx1, by1 = _corners(boxes_b)
     iw = np.minimum(ax1, bx1) - np.maximum(ax0, bx0)
@@ -131,13 +105,6 @@ def iou_matrix(boxes_a, boxes_b) -> np.ndarray:
     inter = np.where((iw > 0) & (ih > 0), iw * ih, 0.0)
     union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
     return np.where(inter == 0.0, 0.0, np.minimum(1.0, inter / union))
-
-
-def union_box(a: Box, b: Box) -> Box:
-    """Minimal axis-aligned box covering both inputs."""
-    ax0, ay0, ax1, ay1 = a.corners()
-    bx0, by0, bx1, by1 = b.corners()
-    return Box.from_corners(min(ax0, bx0), min(ay0, by0), max(ax1, bx1), max(ay1, by1))
 
 
 def box_rows(boxes) -> np.ndarray:
@@ -148,8 +115,8 @@ def box_rows(boxes) -> np.ndarray:
 def union_rows(boxes, subject, obj) -> np.ndarray:
     """(P, 4) centre-form union boxes of the ordered pairs
     ``(boxes[subject[k]], boxes[obj[k]])`` of the (N, 4) centre-form rows
-    ``boxes``. Row k equals ``union_box`` of pair k bit for bit (the same
-    corners -> ``Box.from_corners`` round trip), a self-pair's too."""
+    ``boxes``: the corners' extremes, back in centre form. That round trip
+    can move a self-pair's union off its box by an ulp."""
     x0, y0, x1, y1 = _corners(boxes)
     s, o = np.asarray(subject, dtype=np.intp), np.asarray(obj, dtype=np.intp)
     ux0, uy0 = np.minimum(x0[s], x0[o]), np.minimum(y0[s], y0[o])
@@ -157,7 +124,7 @@ def union_rows(boxes, subject, obj) -> np.ndarray:
     union = np.column_stack([(ux0 + ux1) / 2, (uy0 + uy1) / 2, ux1 - ux0, uy1 - uy0])
     valid = (union[:, 2] > 0) & (union[:, 3] > 0) & np.isfinite(union).all(axis=1)
     if not valid.all():
-        Box(*union[np.argmin(valid)])          # raises what union_box raises
+        Box(*union[np.argmin(valid)])          # raises Box's error for the first
     return union
 
 

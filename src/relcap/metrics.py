@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import Box, box_rows, iou_matrix, union_box, union_rows
+from .geometry import Box, box_rows, iou_matrix, union_rows
 from .stemming import porter_stem
 
 _STEM_CACHE: dict[str, str] = {}
@@ -120,6 +120,17 @@ class Predictions:
         that ``predictions`` yields, in order, as one table."""
         if isinstance(predictions, Predictions):
             return predictions
+        predictions = list(predictions)
+        if not any(isinstance(p, Predictions) for p in predictions):    # records only
+            n = len(predictions)
+            return Predictions(
+                [p.image_id for p in predictions],
+                box_rows([b for p in predictions for b in (p.subject_box, p.object_box)]),
+                range(0, 2 * n, 2), range(1, 2 * n, 2),
+                [t for p in predictions for t in p.tokens], [len(p.tokens) for p in predictions],
+                [t for p in predictions for t in p.pos],
+                [q for p in predictions for q in p.word_probs],
+                [len(p.word_probs) for p in predictions], [p.confidence for p in predictions])
         tables = [Predictions(*[[]] * 10)] + [p if isinstance(p, Predictions) else Predictions(
             [p.image_id], box_rows([p.subject_box, p.object_box]), [0], [1], p.tokens,
             [len(p.tokens)], p.pos, p.word_probs, [len(p.word_probs)], [p.confidence])
@@ -265,12 +276,13 @@ def score_pairs(predictions, gts):
         ref_of = [refs.setdefault(tuple(g.tokens), len(refs)) for g in gt_list]
         distinct = np.reshape([meteor_lite(c, r) for c in cands for r in refs],
                               (len(cands), len(refs)))
+        # the GT subject rows, then their object rows
+        ends = box_rows([g.subject_box for g in gt_list] + [g.object_box for g in gt_list])
+        n = len(gt_list)
         out.append(ImageScores(
             image_id, rows, table.confidence[rows], distinct[np.ix_(cand_of, ref_of)],
-            iou_matrix(subjects[rows], box_rows([g.subject_box for g in gt_list])),
-            iou_matrix(objects[rows], box_rows([g.object_box for g in gt_list])),
-            iou_matrix(unions[rows],
-                       box_rows([union_box(g.subject_box, g.object_box) for g in gt_list]))))
+            iou_matrix(subjects[rows], ends[:n]), iou_matrix(objects[rows], ends[n:]),
+            iou_matrix(unions[rows], union_rows(ends, range(n), range(n, 2 * n)))))
     return out
 
 

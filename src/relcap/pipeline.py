@@ -11,8 +11,8 @@ import numpy as np
 from . import autodiff as ad
 from .data import PosTag, RelationalRecord, Vocabulary, encode_caption, proposals_for_record
 from .errors import ConfigError, DataError
-from .geometry import (NMS_IOU, Box, box_rows, combination_layer, iou, match_to_gt, nms,
-                       pair_geometry, top_pairs, union_box)
+from .geometry import (NMS_IOU, Box, box_rows, combination_layer, iou_matrix, match_to_gt, nms,
+                       pair_geometry, top_pairs, union_rows)
 from .metrics import (EvalReport, MetricConfig, Predictions, diversity_stats,
                       image_level_recall, mean_meteor, pos_accuracy, relational_map, row_products,
                       score_pairs, vrd_recall_at_k)
@@ -56,7 +56,8 @@ def _match_relation_endpoints(record: RelationalRecord):
         if not record.objects:
             raise DataError(f"image {record.image_id}: relations need annotated objects "
                             "to match their boxes, but the image has none")
-        return int(np.argmax([iou(box, obj.box) for obj in record.objects]))
+        return int(np.argmax(iou_matrix(box_rows([box]),
+                                        box_rows([obj.box for obj in record.objects]))))
 
     lookup = {}
     for rel in record.relations:
@@ -67,17 +68,17 @@ def _match_relation_endpoints(record: RelationalRecord):
 
 def _distinct_union_boxes(record: RelationalRecord):
     """De-duplicated relation union boxes with the relations they cover."""
-    boxes = []
-    rels = []
-    seen = {}
-    for rel in record.relations:
-        ub = union_box(rel.subject_box, rel.object_box)
-        key = (ub.x, ub.y, ub.w, ub.h)
-        if key not in seen:
-            seen[key] = len(boxes)
-            boxes.append(ub)
+    n = len(record.relations)
+    ends = box_rows([rel.subject_box for rel in record.relations]
+                    + [rel.object_box for rel in record.relations])
+    unions = union_rows(ends, range(n), range(n, 2 * n)).tolist()
+    boxes, rels, seen = [], [], {}
+    for row, rel in zip(map(tuple, unions), record.relations):
+        if row not in seen:
+            seen[row] = len(boxes)
+            boxes.append(Box(*row))
             rels.append([])
-        rels[seen[key]].append(rel)
+        rels[seen[row]].append(rel)
     return boxes, rels
 
 

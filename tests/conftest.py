@@ -6,14 +6,55 @@ import pytest
 
 from relcap.apps import retrieval_scores
 from relcap.autodiff import Tensor, affine, backward, log_softmax, no_grad
-from relcap.data import (SCHEMA_VERSION, PosTag, ToyWorldConfig, build_vocab,
+from relcap.data import (SCHEMA_VERSION, TOY_SIZE, PosTag, ToyWorldConfig, build_vocab,
                          generate_toy_world, proposals_for_record, save_jsonl)
-from relcap.errors import DataError
-from relcap.geometry import Box, intersection_area, iou, nms
+from relcap.errors import ConfigError, DataError
+from relcap.geometry import Box, nms
 from relcap.metrics import MetricConfig, PredictionRecord
 from relcap.model import (BLOCK, ModelConfig, PairBatch, decode_arrays, encode_pair_batch,
                           init_params, stream_states)
 from relcap.pipeline import ProposalSettings, make_pair_batch
+
+
+# Scalar box geometry: the oracles of ``geometry.iou_matrix`` and
+# ``geometry.union_rows``, one ``Box`` at a time.
+
+def intersection_area(a: Box, b: Box) -> float:
+    ax0, ay0, ax1, ay1 = a.corners()
+    bx0, by0, bx1, by1 = b.corners()
+    iw = min(ax1, bx1) - max(ax0, bx0)
+    ih = min(ay1, by1) - max(ay0, by0)
+    if iw <= 0 or ih <= 0:
+        return 0.0
+    return iw * ih
+
+
+def _corner_area(box: Box) -> float:
+    x0, y0, x1, y1 = box.corners()
+    return (x1 - x0) * (y1 - y0)
+
+
+def iou(a: Box, b: Box) -> float:
+    """Intersection over union; 0 for disjoint boxes, exactly 1 for a == b.
+
+    Areas are computed from corner coordinates so that they cancel exactly
+    against the intersection; the final clamp guards the one-ulp cases.
+    """
+    inter = intersection_area(a, b)
+    if inter == 0.0:
+        return 0.0
+    return min(1.0, inter / (_corner_area(a) + _corner_area(b) - inter))
+
+
+def from_corners(x0, y0, x1, y1) -> Box:
+    return Box((x0 + x1) / 2, (y0 + y1) / 2, x1 - x0, y1 - y0)
+
+
+def union_box(a: Box, b: Box) -> Box:
+    """Minimal axis-aligned box covering both inputs."""
+    ax0, ay0, ax1, ay1 = a.corners()
+    bx0, by0, bx1, by1 = b.corners()
+    return from_corners(min(ax0, bx0), min(ay0, by0), max(ax1, bx1), max(ay1, by1))
 
 
 @pytest.fixture(scope="session")
@@ -100,6 +141,25 @@ def decode_batch(batch, params, config, mode="greedy", rng=None):
                               probs[:k], float(math.prod(probs[:k])))
             for e, k, ids, probs, pos in zip(emitted.tolist(), taken.tolist(), picks.tolist(),
                                              chosen_probs.tolist(), tags.tolist())]
+
+
+def reference_placement(rng, count):
+    """Attempt-at-a-time reference of ``data._place_objects``: one ``Box`` per
+    attempt, kept when its scalar ``iou`` with every kept box is below 0.2."""
+    boxes = []
+    for _ in range(count):
+        for _attempt in range(200):
+            w = rng.uniform(18.0, 42.0)
+            h = rng.uniform(18.0, 42.0)
+            x = rng.uniform(w / 2 + 1, TOY_SIZE - w / 2 - 1)
+            y = rng.uniform(h / 2 + 1, TOY_SIZE - h / 2 - 1)
+            box = Box(x, y, w, h)
+            if all(iou(box, other) < 0.2 for other in boxes):
+                boxes.append(box)
+                break
+        else:
+            raise ConfigError("could not place non-overlapping toy objects")
+    return boxes
 
 
 def reference_background(record, boxes, seed, jitter, n_background):

@@ -67,6 +67,19 @@ class TestCaptionGraph:
         }
         assert len(graph.nodes) == 3
 
+    def test_equal_overlap_merges_into_the_earlier_node(self):
+        # Box(10.5, ...) overlaps both subject nodes at IoU 95/105, bit for bit;
+        # they overlap each other at 90/110, below the 0.9 merge threshold.
+        preds = [prediction(Box(10, 10, 10, 10), Box(60, 10, 6, 6), ["cat", "near", "dog"],
+                            ["SUBJ", "PRED", "OBJ"], 0.9),
+                 prediction(Box(11, 10, 10, 10), Box(60, 40, 6, 6), ["cat", "near", "bird"],
+                            ["SUBJ", "PRED", "OBJ"], 0.8),
+                 prediction(Box(10.5, 10, 10, 10), Box(60, 70, 6, 6), ["cat", "near", "fish"],
+                            ["SUBJ", "PRED", "OBJ"], 0.7)]
+        graph = build_caption_graph(preds)
+        assert [n.phrase for n in graph.nodes] == ["cat", "dog", "cat", "bird", "fish"]
+        assert [(e.source, e.target) for e in graph.edges] == [(0, 1), (2, 3), (0, 4)]
+
     def test_node_phrase_from_highest_confidence(self):
         preds = [simple_pred(10, 30, "kitten", "near", "dog", 0.95),
                  simple_pred(10, 50, "cat", "above", "bird", 0.5)]

@@ -887,6 +887,65 @@ class TestProvenanceProbes:
         assert len(hashes) == 4
 
 
+def _payloads(out):
+    """Relative path -> bytes of every file under ``out``: JSON reports and
+    checkpoints without their provenance block, other files as they are."""
+    payloads = {}
+    for base, _dirs, names in os.walk(out):
+        for name in names:
+            path = os.path.join(base, name)
+            if name.endswith(".rckpt"):
+                arrays, meta = load_checkpoint(path)
+                meta.pop("provenance")
+                data = json.dumps(meta, sort_keys=True).encode("utf-8") + b"".join(
+                    key.encode("utf-8") + array.tobytes() for key, array in arrays.items())
+            elif name.endswith(".json"):
+                with open(path, encoding="utf-8") as fh:
+                    report = json.load(fh)
+                report.pop("provenance", None)
+                data = json.dumps(report, sort_keys=True).encode("utf-8")
+            else:
+                with open(path, "rb") as fh:
+                    data = fh.read()
+            payloads[os.path.relpath(path, out)] = data
+    return payloads
+
+
+class TestDeterminism:
+    def test_thread_count_and_hash_seed_leave_the_outputs_alone(self, tmp_path):
+        # gen-toy, train, greedy and stochastic dense infer, eval and retrieve
+        # in child processes, once per (OpenBLAS threads, PYTHONHASHSEED).
+        src = os.path.dirname(os.path.dirname(os.path.abspath(relcap.__file__)))
+        runs = []
+        for threads, hash_seed in ((1, 0), (min(2, os.cpu_count() or 1), 1)):
+            out = tmp_path / f"threads{threads}_hash{hash_seed}"
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=str(threads),
+                       PYTHONHASHSEED=str(hash_seed))
+            inputs = ["--checkpoint", str(out / "run" / "model.rckpt"),
+                      "--data", str(out / "toy" / "test.jsonl"),
+                      "--provider", str(out / "toy" / "provider.json")]
+            for argv in (["gen-toy", "--out", str(out / "toy"), "--images", "20"],
+                         ["train", "--data", str(out / "toy" / "train.jsonl"),
+                          "--provider", str(out / "toy" / "provider.json"),
+                          "--out", str(out / "run"), "--epochs", "1"],
+                         ["infer", *inputs, "--background", "80",
+                          "--out", str(out / "greedy.jsonl")],
+                         ["infer", *inputs, "--background", "80", "--mode", "stochastic",
+                          "--out", str(out / "stochastic.jsonl")],
+                         ["eval", *inputs, "--out", str(out / "eval.json")],
+                         # the test split's 2 images are fewer than retrieval needs
+                         ["retrieve", *inputs[:3], str(out / "toy" / "train.jsonl"),
+                          *inputs[4:], "--images", "8", "--out", str(out / "retrieve.json")]):
+                proc = subprocess.run([sys.executable, "-m", "relcap.cli", *argv], env=env,
+                                      capture_output=True, text=True, timeout=120)
+                assert proc.returncode == 0, (argv, proc.stderr)
+            runs.append(_payloads(out))
+        assert {"run/model.rckpt", "greedy.jsonl", "stochastic.jsonl", "eval.json",
+                "retrieve.json"} <= set(runs[0])
+        assert all(len(data) for data in runs[0].values())
+        assert runs[0] == runs[1]
+
+
 @pytest.fixture(scope="module")
 def diverged_checkpoint(seed3_toy_dir, tmp_path_factory):
     """A checkpoint trained at ``--lr 1e30``, whose parameters overflow the

@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from conftest import object_proposals, reference_background, scalar_features
+from conftest import (iou, object_proposals, reference_background, reference_placement,
+                      scalar_features, union_box)
+from relcap import data
 from relcap.data import (END_ID, TOY_MARGIN, UNK_ID, GroundTruthRelation, PosTag,
                          proposals_for_record,
                          RelationalRecord, ToyFeatureProvider, ToyWorldConfig,
@@ -13,7 +15,7 @@ from relcap.data import (END_ID, TOY_MARGIN, UNK_ID, GroundTruthRelation, PosTag
                          generate_toy_world, load_dataset, load_pos_lexicon,
                          save_dataset, spatial_predicate, split_records, tag_segments)
 from relcap.errors import ConfigError, DataError
-from relcap.geometry import Box, iou
+from relcap.geometry import Box
 
 S, P, O = PosTag.SUBJ, PosTag.PRED, PosTag.OBJ
 
@@ -154,6 +156,20 @@ class TestToyWorld:
             save_dataset(str(tmp_path / f"{run}.jsonl"), records)
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
+    @pytest.mark.parametrize("count", [2, 6, 12, 40])
+    def test_placement_equals_attempt_at_a_time_reference(self, count):
+        # 12 boxes need rejected attempts; 40 cannot all be placed.
+        for seed in range(8):
+            rngs = [np.random.default_rng(seed) for _ in range(2)]
+            try:
+                want = reference_placement(rngs[0], count)
+            except ConfigError:
+                with pytest.raises(ConfigError):
+                    data._place_objects(rngs[1], count)
+            else:
+                assert data._place_objects(rngs[1], count) == want
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
     def test_relation_count_is_pairwise(self):
         cfg = ToyWorldConfig(n_images=10, min_objects=3, max_objects=3)
         records, _ = generate_toy_world(11, cfg)
@@ -239,7 +255,6 @@ class TestFeatureProvider:
         records, provider = generate_toy_world(9, ToyWorldConfig(n_images=5))
         record = records[0]
         a, b = record.scene[0], record.scene[1]
-        from relcap.geometry import union_box
         feats = provider.features(record, union_box(a.box, b.box))[0]
         for obj in (a, b):
             assert feats[provider.shapes.index(obj.shape)] >= 0.99

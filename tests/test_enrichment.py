@@ -9,9 +9,10 @@ the "the" fallback.
 import numpy as np
 import pytest
 
+from conftest import iou
 from relcap.data import (AttributeRecord, GroundTruthRelation, ImageAttributes,
                          PosTag, RelationalRecord, enrich_attributes, tag_segments)
-from relcap.geometry import Box, iou
+from relcap.geometry import Box
 
 LEXICON = {
     "tall": "JJ", "brown": "JJ", "young": "JJ", "old": "JJ", "white": "JJ",
@@ -59,20 +60,23 @@ def build_fixture():
         (0, 3, "SUBJ"): "the man",
     })
 
-    # image 1: among gated candidates the highest-IoU box wins, and tag
-    # filtering applies only to the winner's attributes
-    add_image(1, [rel(1, 20), rel(1, 50), rel(1, 80)], [
+    # image 1: among gated candidates the highest-IoU box wins, the first of
+    # equal ones, and tag filtering applies only to the winner's attributes
+    add_image(1, [rel(1, 20), rel(1, 50), rel(1, 80), rel(1, 110)], [
         entry("man", 21.5, 20, ["old"]),       # IoU ~0.739
         entry("man", 21, 20, ["young"]),       # IoU ~0.818: wins
         entry("man", 20, 50, ["fast"]),        # IoU 1.0 wins, but RB is filtered
         entry("man", 21, 50, ["tall"]),        # loses despite a usable attribute
         entry("horse", 61.5, 80, ["white"]),
         entry("horse", 60, 80, ["sleeping"]),  # IoU 1.0 wins
+        entry("man", 21, 110, ["tall"]),       # IoU 9/11: the lower index wins
+        entry("man", 19, 110, ["old"]),        # IoU 9/11, bit for bit
     ])
     expected.update({
         (1, 0, "SUBJ"): "young man",
         (1, 1, "SUBJ"): "the man",
         (1, 2, "OBJ"): "sleeping horse",
+        (1, 3, "SUBJ"): "tall man",
     })
 
     # image 2: the NN/VBN/VBG/VBD/JJ tag filter, incl. a word missing from
@@ -145,6 +149,8 @@ class TestEnrichmentFixture:
         assert iou(Box(21, 20, 10, 10), Box(20, 20, 10, 10)) == pytest.approx(9 / 11)
         assert iou(Box(22, 50, 10, 10), Box(20, 50, 10, 10)) == pytest.approx(2 / 3)
         assert iou(Box(20, 80, 10, 7), Box(20, 80, 10, 10)) == 0.7
+        assert iou(Box(21, 110, 10, 10), Box(20, 110, 10, 10)) == \
+            iou(Box(19, 110, 10, 10), Box(20, 110, 10, 10))
 
     def test_twenty_case_fixture(self):
         out, expected = run_fixture()

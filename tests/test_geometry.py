@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (geometric_feature, reference_combination_layer, reference_top_pairs,
-                      tiny_config)
+from conftest import (geometric_feature, iou, reference_combination_layer, reference_top_pairs,
+                      tiny_config, union_box)
 from relcap.geometry import (IGNORE, NEGATIVE, Box, Proposals, box_rows, combination_layer,
-                             iou, iou_matrix, match_to_gt, nms, top_pairs, union_box)
+                             iou_matrix, match_to_gt, nms, top_pairs)
 from relcap.pipeline import caption_pairs
 
 boxes = st.builds(

@@ -4,17 +4,17 @@ and diversity examples, and ranking invariances."""
 import json
 import math
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fresh_params, tiny_config
+from conftest import fresh_params, iou, tiny_config, union_box
 from relcap import metrics
 from relcap.data import GroundTruthRelation, PosTag
-from relcap.geometry import Box, iou, union_box
+from relcap.geometry import Box
 from relcap.metrics import (EmptyCaptionWarning, EvalReport, MetricConfig,
                             PredictionRecord, Predictions, diversity_stats, image_level_recall,
                             mean_meteor, meteor_lite, pos_accuracy, relational_map,
@@ -543,6 +543,21 @@ class TestPredictionsTable:
         assert table.boxes.shape == (4, 4) and table.validate() is table
         both = Predictions.of([table, Predictions.of(()), Predictions.of(preds[::-1])])
         assert list(both) == preds + preds[::-1]
+
+    @pytest.mark.parametrize("pos", [["SUBJ", "OBJ"], None], ids=["pos", "no-pos"])
+    def test_records_fill_the_columns_a_table_per_record_would(self, pos):
+        preds = [pred(2, Box(1, 1, 2, 2), Box(3, 3, 2, 2), ["a", "b"], 0.5, pos),
+                 pred(0, Box(3, 3, 2, 2), Box(3, 3, 2, 2), [], 0.25),
+                 replace(pred(2, Box(1.5, 1, 2, 2), Box(3, 1, 2, 2), ["c", "d"], 0.3, pos),
+                         word_probs=[0.5, 0.6, 1.0])]
+        # a table first keeps the path that concatenates one table per record
+        tables = Predictions.of(preds), Predictions.of([Predictions.of(()), *preds])
+        for f in fields(Predictions):
+            got, want = (getattr(t, f.name) for t in tables)
+            assert got.dtype == want.dtype and got.shape == want.shape, f.name
+            assert got.tolist() == want.tolist(), f.name
+            if got.dtype != object:
+                assert got.tobytes() == want.tobytes(), f.name
 
     @pytest.mark.parametrize("change,message", [
         (dict(confidence=0.0), "outside"),

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (geometric_feature, reference_combination_layer, reference_top_pairs,
-                      scalar_features, tiny_config)
+from conftest import (geometric_feature, intersection_area, iou, reference_combination_layer,
+                      reference_top_pairs, scalar_features, tiny_config, union_box)
 from relcap.data import RelationalRecord, SceneObject, ToyFeatureProvider, proposals_for_record
 from relcap.errors import DataError
-from relcap.geometry import Box, Proposals, box_rows, intersection_area, iou, nms, union_box
+from relcap.geometry import Box, Proposals, box_rows, nms
 from relcap.model import ModelConfig
 from relcap.pipeline import (ProposalSettings, build_image_batch, build_proposals,
                              caption_pairs, make_pair_batch)

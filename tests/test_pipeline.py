@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import (decode_batch, fresh_params, object_proposals, pair_rows,
-                      reference_predictions, tiny_config)
+                      reference_predictions, tiny_config, union_box)
 from relcap.cli import prediction_to_json, write_predictions
-from relcap.data import END_ID, encode_caption, proposals_for_record, save_jsonl
-from relcap.geometry import Box, box_rows, iou_matrix, nms, union_box
+from relcap.data import (END_ID, GroundTruthRelation, ObjectAnnotation, RelationalRecord,
+                         encode_caption, proposals_for_record, save_jsonl, tag_segments)
+from relcap.geometry import Box, box_rows, iou_matrix, nms
 from relcap.errors import DataError
 from relcap import pipeline
 from relcap.metrics import MetricConfig, Predictions, score_pairs
@@ -129,6 +130,16 @@ class TestBatchAssembly:
             for rel in (forward, backward):
                 ids, _ = encode_caption(rel.tokens, rel.pos, vocab, cfg.max_len)
                 assert ids in captions
+
+    def test_inexact_endpoint_maps_to_the_first_object_at_equal_iou(self):
+        # Box(20.5, ...) is no object's box and overlaps the first two at
+        # IoU 95/105 each, bit for bit.
+        objects = [ObjectAnnotation(name, [], box) for name, box in (
+            ("a", Box(20, 20, 10, 10)), ("b", Box(21, 20, 10, 10)), ("c", Box(60, 60, 10, 10)))]
+        tokens, tags = tag_segments(("the", "a"), ("near",), ("the", "c"))
+        rel = GroundTruthRelation(Box(20.5, 20, 10, 10), objects[2].box, tokens, tags, 0)
+        record = RelationalRecord(0, 100, 100, [rel], objects).validate()
+        assert pipeline._match_relation_endpoints(record) == {(0, 2): rel}
 
     def test_relation_on_one_object_yields_no_target(self, toy_world_small):
         records, provider, vocab = toy_world_small
