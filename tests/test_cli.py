@@ -921,21 +921,19 @@ class TestDeterminism:
             out = tmp_path / f"threads{threads}_hash{hash_seed}"
             env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=str(threads),
                        PYTHONHASHSEED=str(hash_seed))
-            inputs = ["--checkpoint", str(out / "run" / "model.rckpt"),
-                      "--data", str(out / "toy" / "test.jsonl"),
-                      "--provider", str(out / "toy" / "provider.json")]
+            checkpoint = ["--checkpoint", str(out / "run" / "model.rckpt")]
+            provider = ["--provider", str(out / "toy" / "provider.json")]
+            test = [*checkpoint, "--data", str(out / "toy" / "test.jsonl"), *provider]
             for argv in (["gen-toy", "--out", str(out / "toy"), "--images", "20"],
-                         ["train", "--data", str(out / "toy" / "train.jsonl"),
-                          "--provider", str(out / "toy" / "provider.json"),
+                         ["train", "--data", str(out / "toy" / "train.jsonl"), *provider,
                           "--out", str(out / "run"), "--epochs", "1"],
-                         ["infer", *inputs, "--background", "80",
-                          "--out", str(out / "greedy.jsonl")],
-                         ["infer", *inputs, "--background", "80", "--mode", "stochastic",
+                         ["infer", *test, "--background", "80", "--out", str(out / "greedy.jsonl")],
+                         ["infer", *test, "--background", "80", "--mode", "stochastic",
                           "--out", str(out / "stochastic.jsonl")],
-                         ["eval", *inputs, "--out", str(out / "eval.json")],
+                         ["eval", *test, "--out", str(out / "eval.json")],
                          # the test split's 2 images are fewer than retrieval needs
-                         ["retrieve", *inputs[:3], str(out / "toy" / "train.jsonl"),
-                          *inputs[4:], "--images", "8", "--out", str(out / "retrieve.json")]):
+                         ["retrieve", *checkpoint, "--data", str(out / "toy" / "train.jsonl"),
+                          *provider, "--images", "8", "--out", str(out / "retrieve.json")]):
                 proc = subprocess.run([sys.executable, "-m", "relcap.cli", *argv], env=env,
                                       capture_output=True, text=True, timeout=120)
                 assert proc.returncode == 0, (argv, proc.stderr)
