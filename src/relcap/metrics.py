@@ -14,6 +14,7 @@ import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
@@ -117,24 +118,23 @@ class Predictions:
     @staticmethod
     def of(predictions) -> "Predictions":
         """A table as it is, else the rows of the tables and ``PredictionRecord``s
-        that ``predictions`` yields, in order, as one table."""
+        that ``predictions`` yields, in order, as one table; each run of
+        consecutive records fills one table's columns in one pass."""
         if isinstance(predictions, Predictions):
             return predictions
-        predictions = list(predictions)
-        if not any(isinstance(p, Predictions) for p in predictions):    # records only
-            n = len(predictions)
-            return Predictions(
-                [p.image_id for p in predictions],
-                box_rows([b for p in predictions for b in (p.subject_box, p.object_box)]),
-                range(0, 2 * n, 2), range(1, 2 * n, 2),
-                [t for p in predictions for t in p.tokens], [len(p.tokens) for p in predictions],
-                [t for p in predictions for t in p.pos],
-                [q for p in predictions for q in p.word_probs],
-                [len(p.word_probs) for p in predictions], [p.confidence for p in predictions])
-        tables = [Predictions(*[[]] * 10)] + [p if isinstance(p, Predictions) else Predictions(
-            [p.image_id], box_rows([p.subject_box, p.object_box]), [0], [1], p.tokens,
-            [len(p.tokens)], p.pos, p.word_probs, [len(p.word_probs)], [p.confidence])
-            for p in predictions]
+        tables = [Predictions(*[[]] * 10)]
+        for is_table, run in groupby(predictions, key=lambda p: isinstance(p, Predictions)):
+            if is_table:
+                tables.extend(run)
+                continue
+            run = list(run)
+            tables.append(Predictions(
+                [p.image_id for p in run],
+                box_rows([b for p in run for b in (p.subject_box, p.object_box)]),
+                range(0, 2 * len(run), 2), range(1, 2 * len(run), 2),
+                [t for p in run for t in p.tokens], [len(p.tokens) for p in run],
+                [t for p in run for t in p.pos], [q for p in run for q in p.word_probs],
+                [len(p.word_probs) for p in run], [p.confidence for p in run]))
         starts = np.cumsum([0, *(len(t.boxes) for t in tables)])
         table = Predictions(*(np.concatenate([getattr(t, f.name) for t in tables])
                               for f in fields(Predictions)))

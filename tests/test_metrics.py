@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import fresh_params, iou, tiny_config, union_box
 from relcap import metrics
 from relcap.data import GroundTruthRelation, PosTag
-from relcap.geometry import Box
+from relcap.geometry import Box, box_rows
 from relcap.metrics import (EmptyCaptionWarning, EvalReport, MetricConfig,
                             PredictionRecord, Predictions, diversity_stats, image_level_recall,
                             mean_meteor, meteor_lite, pos_accuracy, relational_map,
@@ -550,14 +550,20 @@ class TestPredictionsTable:
                  pred(0, Box(3, 3, 2, 2), Box(3, 3, 2, 2), [], 0.25),
                  replace(pred(2, Box(1.5, 1, 2, 2), Box(3, 1, 2, 2), ["c", "d"], 0.3, pos),
                          word_probs=[0.5, 0.6, 1.0])]
-        # a table first keeps the path that concatenates one table per record
-        tables = Predictions.of(preds), Predictions.of([Predictions.of(()), *preds])
-        for f in fields(Predictions):
-            got, want = (getattr(t, f.name) for t in tables)
-            assert got.dtype == want.dtype and got.shape == want.shape, f.name
-            assert got.tolist() == want.tolist(), f.name
-            if got.dtype != object:
-                assert got.tobytes() == want.tobytes(), f.name
+        # the reference: one single-row table per record, concatenated as tables
+        one_row = [Predictions([p.image_id], box_rows([p.subject_box, p.object_box]), [0], [1],
+                               p.tokens, [len(p.tokens)], p.pos, p.word_probs,
+                               [len(p.word_probs)], [p.confidence]) for p in preds]
+        want = Predictions.of(one_row)
+        for mixed in (preds, [preds[0], one_row[1], preds[2]], [one_row[0], *preds[1:]],
+                      [*preds[:2], Predictions.of(()), one_row[2]]):
+            got = Predictions.of(mixed)
+            for f in fields(Predictions):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                assert a.dtype == b.dtype and a.shape == b.shape, f.name
+                assert a.tolist() == b.tolist(), f.name
+                if a.dtype != object:
+                    assert a.tobytes() == b.tobytes(), f.name
 
     @pytest.mark.parametrize("change,message", [
         (dict(confidence=0.0), "outside"),
