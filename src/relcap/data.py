@@ -495,7 +495,7 @@ def _place_objects(rng: np.random.Generator, count: int):
             h = rng.uniform(18.0, 42.0)
             x = rng.uniform(w / 2 + 1, TOY_SIZE - w / 2 - 1)
             y = rng.uniform(h / 2 + 1, TOY_SIZE - h / 2 - 1)
-            if (iou_matrix((x, y, w, h), rows) < 0.2).all():
+            if not rows or (iou_matrix((x, y, w, h), rows) < 0.2).all():
                 rows.append((x, y, w, h))
                 break
         else:

@@ -89,7 +89,8 @@ class Proposals:
 def _corners(boxes):
     """(x0, y0, x1, y1) columns of (N, 4) centre-form rows."""
     x, y, w, h = np.reshape(boxes, (-1, 4)).T
-    return x - w / 2, y - h / 2, x + w / 2, y + h / 2
+    half_w, half_h = w / 2, h / 2
+    return x - half_w, y - half_h, x + half_w, y + half_h
 
 
 def iou_matrix(boxes_a, boxes_b) -> np.ndarray:
