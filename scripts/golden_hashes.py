@@ -291,8 +291,7 @@ def pair_hashes(outdir: str) -> dict:
                 pair.update(pair_batch_bytes(batch, boxes))
             built = build_image_batch(record, proposals, provider, vocab, config)
             pairs = built.pairs
-            # a proposal box is a ``Box`` or a centre-form (x, y, w, h) row
-            prop_boxes = [b if hasattr(b, "x") else Box(*b) for b in built.prop_boxes]
+            prop_boxes = [Box(*b) for b in built.prop_boxes]
             boxes = [(prop_boxes[i], prop_boxes[j])
                      for i, j in zip(pairs.subject_index, pairs.object_index)]
             image.update(pair_batch_bytes(pairs, boxes))
