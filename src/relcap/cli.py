@@ -105,12 +105,11 @@ def predictions_to_json(table: Predictions):
             for i, s, o, tokens, pos, probs, c in table.validate().columns())
 
 
-def write_predictions(path: str, predictions) -> int:
-    """Write ``PredictionRecord``s, or the rows of each ``Predictions`` table as
-    the table comes (``relcap infer`` passes one per image), one JSON line
-    each; returns the number of lines."""
-    return save_jsonl(path, (obj for item in predictions
-                             for obj in predictions_to_json(Predictions.of([item]))))
+def write_predictions(path: str, tables) -> int:
+    """Write the rows of each ``Predictions`` table as the table comes
+    (``relcap infer`` passes one per image), one JSON line each; returns the
+    number of lines."""
+    return save_jsonl(path, (obj for table in tables for obj in predictions_to_json(table)))
 
 
 def read_predictions(path: str):

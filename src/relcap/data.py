@@ -555,17 +555,17 @@ def split_records(records, splits=SPLITS):
     return records[:n_train], records[n_train:n_train + n_val], records[n_train + n_val:]
 
 
-def proposals_for_record(record: RelationalRecord, boxes, provider, seed: int,
+def proposals_for_record(record: RelationalRecord, gt_rows, provider, seed: int,
                          jitter: float, n_background: int):
     """Deterministic region proposals for one image, as ``Proposals``.
 
-    One jittered proposal per box of ``boxes`` (IoU with the box is kept at
-    or above 0.75 by rejection) plus low-confidence background boxes that
-    overlap none of ``boxes`` above 0.25 IoU. Every kept box is featurised
-    in one ``features_many`` call.
+    One jittered proposal per row of the (G, 4) centre-form ``gt_rows`` (IoU
+    with the row is kept at or above 0.75 by rejection) plus low-confidence
+    background boxes that overlap no row above 0.25 IoU. Every kept box is
+    featurised in one ``features_many`` call.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, record.image_id]))
-    gt_rows, kept, confidences = box_rows(boxes), [], []
+    gt_rows, kept, confidences = np.reshape(gt_rows, (-1, 4)), [], []
     for source in gt_rows.tolist():
         x, y, w, h = box = source
         for _attempt in range(30):

@@ -14,7 +14,6 @@ import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from itertools import groupby
 
 import numpy as np
 
@@ -116,25 +115,9 @@ class Predictions:
         self.boxes = self.boxes.reshape(-1, 4)
 
     @staticmethod
-    def of(predictions) -> "Predictions":
-        """A table as it is, else the rows of the tables and ``PredictionRecord``s
-        that ``predictions`` yields, in order, as one table; each run of
-        consecutive records fills one table's columns in one pass."""
-        if isinstance(predictions, Predictions):
-            return predictions
-        tables = [Predictions(*[[]] * 10)]
-        for is_table, run in groupby(predictions, key=lambda p: isinstance(p, Predictions)):
-            if is_table:
-                tables.extend(run)
-                continue
-            run = list(run)
-            tables.append(Predictions(
-                [p.image_id for p in run],
-                box_rows([b for p in run for b in (p.subject_box, p.object_box)]),
-                range(0, 2 * len(run), 2), range(1, 2 * len(run), 2),
-                [t for p in run for t in p.tokens], [len(p.tokens) for p in run],
-                [t for p in run for t in p.pos], [q for p in run for q in p.word_probs],
-                [len(p.word_probs) for p in run], [p.confidence for p in run]))
+    def of(tables) -> "Predictions":
+        """The rows of ``tables``, in order, as one table."""
+        tables = [Predictions(*[[]] * 10), *tables]
         starts = np.cumsum([0, *(len(t.boxes) for t in tables)])
         table = Predictions(*(np.concatenate([getattr(t, f.name) for t in tables])
                               for f in fields(Predictions)))
@@ -249,15 +232,13 @@ class ImageScores:
     iou_union: np.ndarray      # prediction union box against GT union box
 
 
-def score_pairs(predictions, gts):
+def score_pairs(table: Predictions, gts):
     """Score each (prediction, GT) pair of an image once: one caption score per
     distinct (caption, GT caption) pair, one IoU table per box kind.
 
-    ``predictions`` is a ``Predictions`` table or ``PredictionRecord``s.
     Images with GT come first, in GT order, then images that have only
     predictions; every metric below reduces this list.
     """
-    table = Predictions.of(predictions)
     gt_groups, pred_groups = {}, {}
     for g in gts:
         gt_groups.setdefault(g.image_id, []).append(g)
@@ -351,10 +332,9 @@ def mean_meteor(scores) -> float:
     return float(np.mean(best)) if len(best) else 0.0
 
 
-def diversity_stats(predictions):
+def diversity_stats(table: Predictions):
     """(words/img, words/box): mean unique word types per image and per box
-    of a ``Predictions`` table or of ``PredictionRecord``s."""
-    table = Predictions.of(predictions)
+    of a ``Predictions`` table."""
     if not len(table):
         return 0.0, 0.0
     per_image, per_row, per_box, image_of = (defaultdict(set), defaultdict(set),

@@ -43,66 +43,50 @@ class TrainSettings:
     proposals: ProposalSettings = field(default_factory=ProposalSettings)
 
 
-def _match_relation_endpoints(record: RelationalRecord):
-    """Map (subject object-index, object object-index) -> relation.
-
-    Relation endpoint boxes are associated with annotated objects by exact
-    coordinates, falling back to the highest-IoU object.
-    """
-    def object_index(box: Box) -> int:
-        for i, obj in enumerate(record.objects):
-            if obj.box == box:
-                return i
-        if not record.objects:
-            raise DataError(f"image {record.image_id}: relations need annotated objects "
-                            "to match their boxes, but the image has none")
-        return int(np.argmax(iou_matrix(box_rows([box]),
-                                        box_rows([obj.box for obj in record.objects]))))
-
-    lookup = {}
-    for rel in record.relations:
-        key = (object_index(rel.subject_box), object_index(rel.object_box))
-        lookup.setdefault(key, rel)
-    return lookup
-
-
-def _distinct_union_boxes(record: RelationalRecord):
-    """De-duplicated relation union boxes with the relations they cover."""
-    n = len(record.relations)
-    ends = box_rows([rel.subject_box for rel in record.relations]
-                    + [rel.object_box for rel in record.relations])
-    unions = union_rows(ends, range(n), range(n, 2 * n)).tolist()
-    boxes, rels, seen = [], [], {}
-    for row, rel in zip(map(tuple, unions), record.relations):
-        if row not in seen:
-            seen[row] = len(boxes)
-            boxes.append(Box(*row))
-            rels.append([])
-        rels[seen[row]].append(rel)
-    return boxes, rels
-
-
-def _detected_boxes(record: RelationalRecord, config: ModelConfig):
-    """GT boxes the proposals stand for: the annotated objects, or for
-    direct-union the de-duplicated relation union boxes."""
-    if config.rpn_output == "union":
-        return _distinct_union_boxes(record)[0]
-    return [obj.box for obj in record.objects]
+def _gt_rows(record: RelationalRecord, config: ModelConfig):
+    """(G, 4) rows of the GT boxes the proposals stand for, and the row of
+    each relation's union box: the annotated objects' rows (and None), or for
+    direct-union the distinct relation union boxes in order of first
+    appearance."""
+    if config.rpn_output != "union":
+        return box_rows([obj.box for obj in record.objects]), None
+    ends = box_rows([b for rel in record.relations for b in (rel.subject_box, rel.object_box)])
+    unions = union_rows(ends, range(0, len(ends), 2), range(1, len(ends), 2))
+    first = {}
+    union_of = [first.setdefault(row, len(first)) for row in map(tuple, unions.tolist())]
+    return np.reshape(list(first), (-1, 4)), union_of
 
 
 def _gt_captions(record: RelationalRecord, config: ModelConfig):
-    """``_detected_boxes`` and (subject gt index, object gt index) ->
-    relations captioning that pair.
+    """``_gt_rows`` and (subject GT row, object GT row) -> relations
+    captioning that pair.
 
-    Object path: one relation per pair of distinct objects. Direct-union:
-    every relation of a union box sits on the self-pair (g, g), so both
-    directions that share the box are targets of one proposal.
+    Direct-union: every relation of a union row g sits on the self-pair
+    (g, g), so both directions that share the box are targets of one
+    proposal. Object path: a relation endpoint matches the first object whose
+    row equals its box, else the first object of highest IoU, and each
+    ordered pair of distinct objects keeps its first relation.
     """
-    if config.rpn_output == "union":
-        boxes, rels = _distinct_union_boxes(record)
-        return boxes, {(g, g): group for g, group in enumerate(rels)}
-    return _detected_boxes(record, config), {
-        key: [rel] for key, rel in _match_relation_endpoints(record).items() if key[0] != key[1]}
+    rows, union_of = _gt_rows(record, config)
+    captions = {}
+    if union_of is not None:
+        for g, rel in zip(union_of, record.relations):
+            captions.setdefault((g, g), []).append(rel)
+        return rows, captions
+    if not record.relations:
+        return rows, captions
+    if not len(rows):
+        raise DataError(f"image {record.image_id}: relations need annotated objects "
+                        "to match their boxes, but the image has none")
+    ends = box_rows([b for rel in record.relations for b in (rel.subject_box, rel.object_box)])
+    exact = (ends[:, None] == rows).all(axis=2)
+    index, inexact = exact.argmax(axis=1), ~exact.any(axis=1)
+    if inexact.any():
+        index[inexact] = iou_matrix(ends[inexact], rows).argmax(axis=1)
+    for rel, (s, o) in zip(record.relations, index.reshape(-1, 2).tolist()):
+        if s != o:
+            captions.setdefault((s, o), [rel])
+    return rows, captions
 
 
 def caption_pairs(proposals, config: ModelConfig, pair_cap: int | None = None):
@@ -130,7 +114,7 @@ def _pair_batch(proposals, subject, obj, union_features, geos) -> PairBatch:
 def build_proposals(record: RelationalRecord, provider, config: ModelConfig,
                     settings: ProposalSettings):
     """Jittered proposals over the detected GT boxes plus background boxes."""
-    return proposals_for_record(record, _detected_boxes(record, config), provider,
+    return proposals_for_record(record, _gt_rows(record, config)[0], provider,
                                 settings.seed, settings.jitter, settings.n_background)
 
 
@@ -140,7 +124,6 @@ def build_image_batch(record: RelationalRecord, proposals, provider,
     for one image; each distinct captioned pair's union box is featurised
     once."""
     gt_boxes, captions = _gt_captions(record, config)
-    gt_boxes = box_rows(gt_boxes)
     labels = match_to_gt(proposals.boxes, gt_boxes)
     subject, obj, unions, geos = caption_pairs(proposals, config)
     rows, token_ids, tags = [], [], []

@@ -9,8 +9,8 @@ from relcap.autodiff import Tensor, affine, backward, log_softmax, no_grad
 from relcap.data import (SCHEMA_VERSION, TOY_SIZE, PosTag, ToyWorldConfig, build_vocab,
                          generate_toy_world, proposals_for_record, save_jsonl)
 from relcap.errors import ConfigError, DataError
-from relcap.geometry import Box, nms
-from relcap.metrics import MetricConfig, PredictionRecord
+from relcap.geometry import Box, box_rows, iou_matrix, nms, union_rows
+from relcap.metrics import MetricConfig, PredictionRecord, Predictions
 from relcap.model import (BLOCK, ModelConfig, PairBatch, decode_arrays, encode_pair_batch,
                           init_params, stream_states)
 from relcap.pipeline import ProposalSettings, make_pair_batch
@@ -57,6 +57,84 @@ def union_box(a: Box, b: Box) -> Box:
     return from_corners(min(ax0, bx0), min(ay0, by0), max(ax1, bx1), max(ay1, by1))
 
 
+# Box-based reference of pipeline's GT step (``_gt_rows`` and ``_gt_captions``):
+# endpoints match objects by ``Box`` equality, and one ``Box`` per distinct
+# union box.
+
+def match_relation_endpoints(record):
+    """Map (subject object-index, object object-index) -> relation.
+
+    Relation endpoint boxes are associated with annotated objects by exact
+    coordinates, falling back to the highest-IoU object.
+    """
+    def object_index(box: Box) -> int:
+        for i, obj in enumerate(record.objects):
+            if obj.box == box:
+                return i
+        if not record.objects:
+            raise DataError(f"image {record.image_id}: relations need annotated objects "
+                            "to match their boxes, but the image has none")
+        return int(np.argmax(iou_matrix(box_rows([box]),
+                                        box_rows([obj.box for obj in record.objects]))))
+
+    lookup = {}
+    for rel in record.relations:
+        key = (object_index(rel.subject_box), object_index(rel.object_box))
+        lookup.setdefault(key, rel)
+    return lookup
+
+
+def distinct_union_boxes(record):
+    """De-duplicated relation union boxes with the relations they cover."""
+    n = len(record.relations)
+    ends = box_rows([rel.subject_box for rel in record.relations]
+                    + [rel.object_box for rel in record.relations])
+    unions = union_rows(ends, range(n), range(n, 2 * n)).tolist()
+    boxes, rels, seen = [], [], {}
+    for row, rel in zip(map(tuple, unions), record.relations):
+        if row not in seen:
+            seen[row] = len(boxes)
+            boxes.append(Box(*row))
+            rels.append([])
+        rels[seen[row]].append(rel)
+    return boxes, rels
+
+
+def detected_boxes(record, config):
+    """GT boxes the proposals stand for: the annotated objects, or for
+    direct-union the de-duplicated relation union boxes."""
+    if config.rpn_output == "union":
+        return distinct_union_boxes(record)[0]
+    return [obj.box for obj in record.objects]
+
+
+def gt_captions(record, config):
+    """``detected_boxes`` and (subject gt index, object gt index) ->
+    relations captioning that pair.
+
+    Object path: one relation per pair of distinct objects. Direct-union:
+    every relation of a union box sits on the self-pair (g, g), so both
+    directions that share the box are targets of one proposal.
+    """
+    if config.rpn_output == "union":
+        boxes, rels = distinct_union_boxes(record)
+        return boxes, {(g, g): group for g, group in enumerate(rels)}
+    return detected_boxes(record, config), {
+        key: [rel] for key, rel in match_relation_endpoints(record).items() if key[0] != key[1]}
+
+
+def table_of(records):
+    """The ``PredictionRecord``s as one ``Predictions`` table, row k record k,
+    each record's boxes two rows of its own."""
+    return Predictions(
+        [p.image_id for p in records],
+        box_rows([b for p in records for b in (p.subject_box, p.object_box)]),
+        range(0, 2 * len(records), 2), range(1, 2 * len(records), 2),
+        [t for p in records for t in p.tokens], [len(p.tokens) for p in records],
+        [t for p in records for t in p.pos], [q for p in records for q in p.word_probs],
+        [len(p.word_probs) for p in records], [p.confidence for p in records])
+
+
 @pytest.fixture(scope="session")
 def toy_world_small():
     """A small deterministic toy world shared across test modules."""
@@ -83,7 +161,7 @@ def object_proposals(record, provider, seed):
     """``proposals_for_record`` over the record's annotated objects, with the
     default ``ProposalSettings`` jitter and background count."""
     settings = ProposalSettings(seed)
-    return proposals_for_record(record, [obj.box for obj in record.objects], provider,
+    return proposals_for_record(record, box_rows([obj.box for obj in record.objects]), provider,
                                 settings.seed, settings.jitter, settings.n_background)
 
 

@@ -27,7 +27,7 @@ from relcap.pipeline import (ProposalSettings, TrainSettings, build_image_batch,
                              train_model)
 
 from conftest import (finite_diff_check, geometric_feature, pair_rows, retrieval_score,
-                      save_attributes)
+                      save_attributes, table_of)
 from test_metrics import oracle_relational_map, random_fixture
 
 TOY_DIMS = dict(d_subj_obj=64, d_union=32, code_width=48, hidden=48, rem_dim=32,
@@ -158,7 +158,7 @@ class TestCriterion4MetricOracles:
         worst = 0.0
         for _ in range(50):
             preds, gts = random_fixture(rng)
-            got = relational_map(score_pairs(preds, gts), cfg)
+            got = relational_map(score_pairs(table_of(preds), gts), cfg)
             want = oracle_relational_map(preds, gts, cfg)
             worst = max(worst, abs(got - want))
         assert worst < 1e-9

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import save_attributes
+from conftest import save_attributes, table_of
 import relcap
 from relcap import schemas
 from relcap.checkpoint import MAGIC, load_checkpoint, save_checkpoint
@@ -24,7 +24,7 @@ from relcap.cli import (SETTINGS, build_parser, main, prediction_to_json, read_p
 from relcap.data import ImageAttributes, AttributeRecord
 from relcap.errors import DataError
 from relcap.geometry import Box
-from relcap.metrics import PredictionRecord, Predictions
+from relcap.metrics import PredictionRecord
 from relcap.model import ModelConfig, load_model
 
 
@@ -189,7 +189,7 @@ class TestEvalAndInfer:
             pos=["SUBJ", "SUBJ", "PRED", "OBJ", "OBJ"],
             word_probs=[0.9] * 5, confidence=float(0.9 ** 5))
         preds_path = str(tmp_path / "one.jsonl")
-        write_predictions(preds_path, [pred])
+        write_predictions(preds_path, [table_of([pred])])
         out_prefix = str(tmp_path / "graph")
         assert run(["graph", "--predictions", preds_path, "--out", out_prefix]) == 0
         dot = open(out_prefix + ".dot").read()
@@ -265,7 +265,7 @@ class TestPredictionWireFormat:
             tokens=["the", "red", "square"], pos=["SUBJ", "SUBJ", "SUBJ"],
             word_probs=[0.5, 0.5, 0.5, 0.9], confidence=0.5 * 0.5 * 0.5 * 0.9)
         path = str(tmp_path / "p.jsonl")
-        write_predictions(path, [pred])
+        write_predictions(path, [table_of([pred])])
         again = read_predictions(path)
         assert again == [pred]
         jsonschema.validate(json.loads(open(path).read().strip()),
@@ -280,8 +280,8 @@ class TestPredictionWireFormat:
             for k in range(4):
                 gc.collect()
                 assert all(ref() is None for ref in written[:-1])
-                table = Predictions.of([PredictionRecord(k, Box(5, 5, 4, 4), Box(15, 5, 4, 4),
-                                                         ["a", "b"], [], [0.5, 0.5], 0.25)])
+                table = table_of([PredictionRecord(k, Box(5, 5, 4, 4), Box(15, 5, 4, 4),
+                                                   ["a", "b"], [], [0.5, 0.5], 0.25)])
                 written.append(weakref.ref(table))
                 yield table
 
@@ -291,8 +291,8 @@ class TestPredictionWireFormat:
 
     def test_a_table_that_fails_midway_leaves_no_file(self, tmp_path):
         def tables():
-            yield Predictions.of([PredictionRecord(0, Box(5, 5, 4, 4), Box(15, 5, 4, 4),
-                                                   ["a"], [], [0.5], 0.5)])
+            yield table_of([PredictionRecord(0, Box(5, 5, 4, 4), Box(15, 5, 4, 4),
+                                             ["a"], [], [0.5], 0.5)])
             raise DataError("image 1: caption confidences are not finite")
 
         with pytest.raises(DataError):
@@ -319,7 +319,7 @@ class TestPredictionWireFormat:
             for i in (0, 1)
         ]
         path = str(tmp_path / "multi.jsonl")
-        write_predictions(path, preds)
+        write_predictions(path, [table_of(preds)])
         assert run(["graph", "--predictions", path,
                     "--out", str(tmp_path / "g")]) == 2
 
@@ -563,9 +563,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("value", ["-5", "1.5", "nan", "inf"])
     def test_graph_node_merge_iou_outside_unit_interval(self, tmp_path, capsys, value):
         path = str(tmp_path / "one.jsonl")
-        write_predictions(path, [PredictionRecord(0, Box(5, 5, 4, 4), Box(15, 5, 4, 4),
-                                                  ["a", "b", "c"], ["SUBJ", "PRED", "OBJ"],
-                                                  [0.5, 0.5, 0.5], 0.125)])
+        write_predictions(path, [table_of([PredictionRecord(
+            0, Box(5, 5, 4, 4), Box(15, 5, 4, 4), ["a", "b", "c"], ["SUBJ", "PRED", "OBJ"],
+            [0.5, 0.5, 0.5], 0.125)])])
         assert run(["graph", "--predictions", path, "--out", str(tmp_path / "g"),
                     "--node-merge-iou", value]) == 2
         err = capsys.readouterr().err

@@ -15,7 +15,7 @@ from relcap.data import (END_ID, TOY_MARGIN, UNK_ID, GroundTruthRelation, PosTag
                          generate_toy_world, load_dataset, load_pos_lexicon,
                          save_dataset, spatial_predicate, split_records, tag_segments)
 from relcap.errors import ConfigError, DataError
-from relcap.geometry import Box
+from relcap.geometry import Box, box_rows
 
 S, P, O = PosTag.SUBJ, PosTag.PRED, PosTag.OBJ
 
@@ -301,7 +301,8 @@ class TestProposals:
         cases = [(r, [o.box for o in r.objects]) for r in records]
         cases += [(small, []), (small, [Box(6, 15, 6, 8)])]
         for record, boxes in cases:
-            props = proposals_for_record(record, boxes, provider, 3, 0.08, n_background)
+            props = proposals_for_record(record, box_rows(boxes), provider, 3, 0.08,
+                                         n_background)
             kept, confidences = reference_background(record, boxes, 3, 0.08, n_background)
             assert props.boxes[len(boxes):].tolist() == [[b.x, b.y, b.w, b.h] for b in kept]
             assert props.confidence[len(boxes):].tolist() == confidences

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fresh_params, iou, tiny_config, union_box
+from conftest import fresh_params, iou, table_of, tiny_config, union_box
 from relcap import metrics
 from relcap.data import GroundTruthRelation, PosTag
 from relcap.geometry import Box, box_rows
@@ -286,15 +286,15 @@ class TestRelationalMap:
         gts = [gt(0, Box(5, 5, 4, 4), Box(15, 5, 4, 4), ["the", "cat", "sits"]),
                gt(0, Box(15, 5, 4, 4), Box(5, 5, 4, 4), ["the", "dog", "runs"])]
         preds = [pred(0, g.subject_box, g.object_box, g.tokens, 0.99) for g in gts]
-        assert relational_map(score_pairs(preds, gts)) == pytest.approx(100.0, abs=1e-9)
+        assert relational_map(score_pairs(table_of(preds), gts)) == pytest.approx(100.0, abs=1e-9)
 
     def test_empty_predictions_score_0(self):
         gts = [gt(0, Box(5, 5, 4, 4), Box(15, 5, 4, 4), ["a", "b"])]
-        assert relational_map(score_pairs([], gts)) == 0.0
+        assert relational_map(score_pairs(table_of([]), gts)) == 0.0
 
     def test_no_gt_is_an_error(self):
         with pytest.raises(ValueError):
-            relational_map(score_pairs([], []))
+            relational_map(score_pairs(table_of([]), []))
 
     def test_small_fixture_matches_oracle(self):
         g1 = gt(0, Box(5, 5, 4, 4), Box(15, 5, 4, 4), ["the", "cat", "sits"])
@@ -305,7 +305,7 @@ class TestRelationalMap:
             pred(0, Box(40, 40, 4, 4), Box(45, 45, 4, 4), ["the", "cat", "sits"], 0.7),
         ]
         cfg = MetricConfig()
-        assert relational_map(score_pairs(preds, [g1, g2]), cfg) == pytest.approx(
+        assert relational_map(score_pairs(table_of(preds), [g1, g2]), cfg) == pytest.approx(
             oracle_relational_map(preds, [g1, g2], cfg), abs=1e-9)
 
     def test_50_random_fixtures_match_oracle(self):
@@ -314,7 +314,7 @@ class TestRelationalMap:
         checked = 0
         while checked < 50:
             preds, gts = random_fixture(rng)
-            assert relational_map(score_pairs(preds, gts), cfg) == pytest.approx(
+            assert relational_map(score_pairs(table_of(preds), gts), cfg) == pytest.approx(
                 oracle_relational_map(preds, gts, cfg), abs=1e-9)
             checked += 1
 
@@ -322,7 +322,7 @@ class TestRelationalMap:
         rng = np.random.default_rng(2028)
         for _ in range(40):
             preds, gts = tied_multi_image_fixture(rng)
-            scores = score_pairs(preds, gts)
+            scores = score_pairs(table_of(preds), gts)
             # thresholds drawn from the tables themselves are hit exactly
             meteors = np.concatenate([s.meteor.ravel() for s in scores] + [[0.0]])
             ious = np.concatenate([s.iou_subject.ravel() for s in scores]
@@ -338,11 +338,11 @@ class TestRelationalMap:
         preds, gts = random_fixture(rng)
         while not preds:
             preds, gts = random_fixture(rng)
-        base = relational_map(score_pairs(preds, gts))
+        base = relational_map(score_pairs(table_of(preds), gts))
         squashed = [PredictionRecord(p.image_id, p.subject_box, p.object_box,
                                      p.tokens, p.pos, [p.confidence ** 3],
                                      p.confidence ** 3) for p in preds]
-        assert relational_map(score_pairs(squashed, gts)) == pytest.approx(base, abs=1e-12)
+        assert relational_map(score_pairs(table_of(squashed), gts)) == pytest.approx(base, abs=1e-12)
 
     def test_monotone_in_thresholds(self):
         rng = np.random.default_rng(99)
@@ -351,7 +351,7 @@ class TestRelationalMap:
             preds, gts = random_fixture(rng)
         loose = MetricConfig(meteor_thresholds=(0.0,), iou_thresholds=(0.2,))
         tight = MetricConfig(meteor_thresholds=(0.25,), iou_thresholds=(0.6,))
-        scores = score_pairs(preds, gts)
+        scores = score_pairs(table_of(preds), gts)
         assert relational_map(scores, tight) <= relational_map(scores, loose) + 1e-12
 
 
@@ -359,11 +359,11 @@ class TestImageLevelRecall:
     def test_perfect_predictions(self):
         gts = [gt(0, Box(5, 5, 4, 4), Box(15, 5, 4, 4), ["the", "cat", "sits"])]
         preds = [pred(0, g.subject_box, g.object_box, g.tokens, 0.9) for g in gts]
-        assert image_level_recall(score_pairs(preds, gts)) == 1.0
+        assert image_level_recall(score_pairs(table_of(preds), gts)) == 1.0
 
     def test_no_predictions(self):
         gts = [gt(0, Box(5, 5, 4, 4), Box(15, 5, 4, 4), ["a", "b"])]
-        assert image_level_recall(score_pairs([], gts)) == 0.0
+        assert image_level_recall(score_pairs(table_of([]), gts)) == 0.0
 
     def test_threshold_averaging_hand_case(self):
         # two GT captions, one matched perfectly: t=0 covers both (score >= 0),
@@ -371,7 +371,7 @@ class TestImageLevelRecall:
         g1 = gt(0, Box(5, 5, 4, 4), Box(15, 5, 4, 4), ["the", "cat", "sits"])
         g2 = gt(0, Box(15, 5, 4, 4), Box(5, 5, 4, 4), ["zebras", "gallop", "fast"])
         p1 = pred(0, g1.subject_box, g1.object_box, g1.tokens, 0.9)
-        assert image_level_recall(score_pairs([p1], [g1, g2]),
+        assert image_level_recall(score_pairs(table_of([p1]), [g1, g2]),
                                   (0.0, 0.25)) == pytest.approx(0.75)
 
     def test_superset_predictions_give_one_at_every_threshold(self):
@@ -379,14 +379,14 @@ class TestImageLevelRecall:
                gt(1, Box(5, 5, 4, 4), Box(15, 5, 4, 4), ["a", "dog", "naps"])]
         preds = [pred(g.image_id, g.subject_box, g.object_box, g.tokens, 0.9) for g in gts]
         preds.append(pred(0, Box(1, 1, 2, 2), Box(3, 3, 2, 2), ["extra", "words"], 0.5))
-        assert image_level_recall(score_pairs(preds, gts)) == 1.0
+        assert image_level_recall(score_pairs(table_of(preds), gts)) == 1.0
 
     def test_50_random_fixtures_match_oracle(self):
         rng = np.random.default_rng(2025)
         thresholds = MetricConfig().meteor_thresholds
         for _ in range(50):
             preds, gts = random_fixture(rng)
-            assert image_level_recall(score_pairs(preds, gts), thresholds) == (
+            assert image_level_recall(score_pairs(table_of(preds), gts), thresholds) == (
                 oracle_image_level_recall(preds, gts, thresholds))
 
 
@@ -395,19 +395,19 @@ class TestMeanMeteor:
         rng = np.random.default_rng(2026)
         for _ in range(50):
             preds, gts = random_fixture(rng)
-            assert mean_meteor(score_pairs(preds, gts)) == oracle_mean_meteor(preds, gts)
+            assert mean_meteor(score_pairs(table_of(preds), gts)) == oracle_mean_meteor(preds, gts)
 
 
 class TestDiversity:
     def test_repeated_word_counts_once(self):
         p = pred(0, Box(1, 1, 2, 2), Box(3, 3, 2, 2), ["a", "b", "a"], 0.9)
-        words_img, _ = diversity_stats([p])
+        words_img, _ = diversity_stats(table_of([p]))
         assert words_img == 2.0
 
     def test_mean_across_images(self):
         p1 = pred(0, Box(1, 1, 2, 2), Box(3, 3, 2, 2), ["a", "b"], 0.9)
         p2 = pred(1, Box(1, 1, 2, 2), Box(3, 3, 2, 2), ["c", "d", "e", "f"], 0.9)
-        words_img, _ = diversity_stats([p1, p2])
+        words_img, _ = diversity_stats(table_of([p1, p2]))
         assert words_img == 3.0
 
     def test_words_per_box_recount(self):
@@ -416,23 +416,23 @@ class TestDiversity:
         preds = [pred(0, a, b, ["red", "cat"], 0.9),
                  pred(0, a, c, ["red", "dog", "runs"], 0.8)]
         # oracle recount: A={red,cat,dog,runs}=4, B={red,cat}=2, C={red,dog,runs}=3
-        _, words_box = diversity_stats(preds)
+        _, words_box = diversity_stats(table_of(preds))
         assert words_box == pytest.approx((4 + 2 + 3) / 3)
 
     def test_empty(self):
-        assert diversity_stats([]) == (0.0, 0.0)
+        assert diversity_stats(table_of([])) == (0.0, 0.0)
 
 
 class TestVrdRecall:
     def test_perfect_predictions(self):
         gts = [gt(0, Box(5, 5, 4, 4), Box(15, 5, 4, 4), ["the", "cat", "sits"])]
         preds = [pred(0, g.subject_box, g.object_box, g.tokens, 0.9) for g in gts]
-        assert vrd_recall_at_k(score_pairs(preds, gts), 10, "phrase") == 1.0
-        assert vrd_recall_at_k(score_pairs(preds, gts), 10, "relationship") == 1.0
+        assert vrd_recall_at_k(score_pairs(table_of(preds), gts), 10, "phrase") == 1.0
+        assert vrd_recall_at_k(score_pairs(table_of(preds), gts), 10, "relationship") == 1.0
 
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError):
-            vrd_recall_at_k(score_pairs([], [gt(0, Box(5, 5, 4, 4), Box(15, 5, 4, 4),
+            vrd_recall_at_k(score_pairs(table_of([]), [gt(0, Box(5, 5, 4, 4), Box(15, 5, 4, 4),
                                                 ["a", "b"])]), 0, "phrase")
 
     def test_union_overlap_without_endpoint_overlap(self):
@@ -442,23 +442,23 @@ class TestVrdRecall:
         p = pred(0, obox, sbox, g.tokens, 0.9)
         assert iou(union_box(p.subject_box, p.object_box), union_box(sbox, obox)) == 1.0
         assert iou(p.subject_box, sbox) == 0.0
-        assert vrd_recall_at_k(score_pairs([p], [g]), 5, "phrase") == 1.0
-        assert vrd_recall_at_k(score_pairs([p], [g]), 5, "relationship") == 0.0
+        assert vrd_recall_at_k(score_pairs(table_of([p]), [g]), 5, "phrase") == 1.0
+        assert vrd_recall_at_k(score_pairs(table_of([p]), [g]), 5, "relationship") == 0.0
 
     def test_top_k_budget(self):
         g = gt(0, Box(5, 5, 4, 4), Box(15, 5, 4, 4), ["the", "cat", "sits"])
         decoys = [pred(0, Box(40, 40, 2, 2), Box(44, 44, 2, 2), ["zzz", "yyy"],
                        0.9 - 0.01 * i) for i in range(3)]
         hit = pred(0, g.subject_box, g.object_box, g.tokens, 0.5)
-        assert vrd_recall_at_k(score_pairs(decoys + [hit], [g]), 2, "phrase") == 0.0
-        assert vrd_recall_at_k(score_pairs(decoys + [hit], [g]), 4, "phrase") == 1.0
+        assert vrd_recall_at_k(score_pairs(table_of(decoys + [hit]), [g]), 2, "phrase") == 0.0
+        assert vrd_recall_at_k(score_pairs(table_of(decoys + [hit]), [g]), 4, "phrase") == 1.0
 
     def test_50_random_fixtures_match_oracle(self):
         rng = np.random.default_rng(2027)
         cfg = MetricConfig()
         for _ in range(50):
             preds, gts = random_fixture(rng)
-            scores = score_pairs(preds, gts)
+            scores = score_pairs(table_of(preds), gts)
             for mode in ("phrase", "relationship"):
                 for k in (1, 2, 5):
                     assert vrd_recall_at_k(scores, k, mode, cfg) == oracle_vrd_recall(
@@ -473,7 +473,7 @@ class TestScorePairs:
         preds = [pred(2, Box(1, 1, 2, 2), Box(3, 3, 2, 2), ["extra"], 0.5),
                  pred(1, g1.object_box, g1.subject_box, ["a", "dog"], 0.6),
                  pred(1, g0.subject_box, g0.object_box, g0.tokens, 0.9)]
-        scores = score_pairs(preds, [g0, g1, g2])
+        scores = score_pairs(table_of(preds), [g0, g1, g2])
         assert [s.image_id for s in scores] == [1, 0, 2]
         assert [s.pred_index for s in scores] == [[1, 2], [], [0]]
         assert [s.meteor.shape for s in scores] == [(2, 2), (0, 1), (1, 0)]
@@ -536,34 +536,14 @@ class TestPredictionsTable:
     def test_records_round_trip_through_a_table(self):
         preds = [pred(2, Box(1, 1, 2, 2), Box(3, 3, 2, 2), ["a", "b"], 0.5, ["SUBJ", "OBJ"]),
                  pred(0, Box(3, 3, 2, 2), Box(3, 3, 2, 2), ["c"], 0.25, ["PRED"])]
-        table = Predictions.of(preds)
+        table = table_of(preds)
         assert "records" not in vars(table)          # rows are built on first use only
         assert list(table) == preds and len(table) == 2
         assert list(table)[0] is list(table)[0]      # and once
         assert table.boxes.shape == (4, 4) and table.validate() is table
-        both = Predictions.of([table, Predictions.of(()), Predictions.of(preds[::-1])])
+        both = Predictions.of([table, Predictions.of(()), table_of(preds[::-1])])
         assert list(both) == preds + preds[::-1]
-
-    @pytest.mark.parametrize("pos", [["SUBJ", "OBJ"], None], ids=["pos", "no-pos"])
-    def test_records_fill_the_columns_a_table_per_record_would(self, pos):
-        preds = [pred(2, Box(1, 1, 2, 2), Box(3, 3, 2, 2), ["a", "b"], 0.5, pos),
-                 pred(0, Box(3, 3, 2, 2), Box(3, 3, 2, 2), [], 0.25),
-                 replace(pred(2, Box(1.5, 1, 2, 2), Box(3, 1, 2, 2), ["c", "d"], 0.3, pos),
-                         word_probs=[0.5, 0.6, 1.0])]
-        # the reference: one single-row table per record, concatenated as tables
-        one_row = [Predictions([p.image_id], box_rows([p.subject_box, p.object_box]), [0], [1],
-                               p.tokens, [len(p.tokens)], p.pos, p.word_probs,
-                               [len(p.word_probs)], [p.confidence]) for p in preds]
-        want = Predictions.of(one_row)
-        for mixed in (preds, [preds[0], one_row[1], preds[2]], [one_row[0], *preds[1:]],
-                      [*preds[:2], Predictions.of(()), one_row[2]]):
-            got = Predictions.of(mixed)
-            for f in fields(Predictions):
-                a, b = getattr(got, f.name), getattr(want, f.name)
-                assert a.dtype == b.dtype and a.shape == b.shape, f.name
-                assert a.tolist() == b.tolist(), f.name
-                if a.dtype != object:
-                    assert a.tobytes() == b.tobytes(), f.name
+        assert both.subject_rows.tolist() == [0, 2, 4, 6] and both.boxes.shape == (8, 4)
 
     @pytest.mark.parametrize("change,message", [
         (dict(confidence=0.0), "outside"),
@@ -577,7 +557,7 @@ class TestPredictionsTable:
         with pytest.raises(ValueError, match=message):
             bad.validate()
         with pytest.raises(ValueError, match=message):
-            Predictions.of([good, bad]).validate()
+            table_of([good, bad]).validate()
 
 
 class TestPosAccuracy:
@@ -627,7 +607,7 @@ class TestEvalReport:
     def test_mean_meteor_best_match(self):
         g1 = gt(0, Box(5, 5, 4, 4), Box(15, 5, 4, 4), ["the", "cat", "sits"])
         p = pred(0, g1.subject_box, g1.object_box, ["the", "cat", "sits"], 0.9)
-        assert mean_meteor(score_pairs([p], [g1])) == meteor_lite(p.tokens, g1.tokens)
+        assert mean_meteor(score_pairs(table_of([p]), [g1])) == meteor_lite(p.tokens, g1.tokens)
 
 
 class TestMetricConfigDefaults:

@@ -162,7 +162,8 @@ class TestProposals:
         for record in records:
             boxes = ([obj.box for obj in record.objects] if kind == "objects" else
                      [union_box(rel.subject_box, rel.object_box) for rel in record.relations])
-            got = proposals_for_record(record, boxes, provider, seed, jitter, n_background)
+            got = proposals_for_record(record, box_rows(boxes), provider, seed, jitter,
+                                       n_background)
             assert [(k, Box(*row), confidence, feature.tobytes())
                     for k, (row, confidence, feature) in enumerate(
                         zip(got.boxes.tolist(), got.confidence.tolist(), got.features))] == \
@@ -176,7 +177,7 @@ class TestProposals:
         with pytest.raises(DataError) as scalar:
             scalar_proposals(record, boxes, PROVIDER, 0, 0.08, 0)
         with pytest.raises(DataError) as many:
-            proposals_for_record(record, boxes, PROVIDER, 0, 0.08, 0)
+            proposals_for_record(record, box_rows(boxes), PROVIDER, 0, 0.08, 0)
         assert str(many.value) == str(scalar.value)
 
     def test_no_boxes_and_no_background_is_empty(self):

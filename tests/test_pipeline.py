@@ -5,11 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import (decode_batch, fresh_params, object_proposals, pair_rows,
-                      reference_predictions, tiny_config, union_box)
+from conftest import (decode_batch, fresh_params, gt_captions, object_proposals, pair_rows,
+                      reference_predictions, table_of, tiny_config, union_box)
 from relcap.cli import prediction_to_json, write_predictions
 from relcap.data import (END_ID, GroundTruthRelation, ObjectAnnotation, RelationalRecord,
-                         encode_caption, proposals_for_record, save_jsonl, tag_segments)
+                         ToyWorldConfig, encode_caption, generate_toy_world,
+                         proposals_for_record, save_jsonl, tag_segments)
 from relcap.geometry import Box, box_rows, iou_matrix, nms
 from relcap.errors import DataError
 from relcap import pipeline
@@ -101,7 +102,7 @@ class TestBatchAssembly:
                 ub = union_box(rel.subject_box, rel.object_box)
                 if ub not in boxes:
                     boxes.append(ub)
-            want = proposals_for_record(record, boxes, provider, settings.seed,
+            want = proposals_for_record(record, box_rows(boxes), provider, settings.seed,
                                         settings.jitter, settings.n_background)
             got = build_proposals(record, provider, direct_union_config(provider, vocab),
                                   settings)
@@ -139,7 +140,9 @@ class TestBatchAssembly:
         tokens, tags = tag_segments(("the", "a"), ("near",), ("the", "c"))
         rel = GroundTruthRelation(Box(20.5, 20, 10, 10), objects[2].box, tokens, tags, 0)
         record = RelationalRecord(0, 100, 100, [rel], objects).validate()
-        assert pipeline._match_relation_endpoints(record) == {(0, 2): rel}
+        rows, captions = pipeline._gt_captions(record, ModelConfig(1, 1))
+        assert rows.tolist() == box_rows([obj.box for obj in objects]).tolist()
+        assert captions == {(0, 2): [rel]} and captions[0, 2][0] is rel
 
     def test_relation_on_one_object_yields_no_target(self, toy_world_small):
         records, provider, vocab = toy_world_small
@@ -194,6 +197,89 @@ class TestBatchAssembly:
         assert len(calls) == 1
         assert len(calls[0]) == len(pairs) < len(batch.pairs)
         assert calls[0] == [Box(*proposals.boxes[i]) for i, _ in pairs]
+
+
+
+def nudged(box, dx):
+    return Box(box.x + dx, box.y, box.w, box.h)
+
+
+class TestGtStep:
+    """``_gt_rows`` and ``_gt_captions`` against the ``Box``-based reference in
+    ``conftest``: the same GT rows, bit for bit, and the same relations on the
+    same pairs, in the same order."""
+
+    @staticmethod
+    def assert_equal_to_reference(record, config):
+        want_boxes, want = gt_captions(record, config)
+        rows, got = pipeline._gt_captions(record, config)
+        assert rows.dtype == np.float64 and rows.shape == (len(want_boxes), 4)
+        assert rows.tobytes() == box_rows(want_boxes).tobytes()
+        assert pipeline._gt_rows(record, config)[0].tobytes() == rows.tobytes()
+        assert list(got) == list(want)
+        for key, rels in want.items():
+            assert len(got[key]) == len(rels)
+            assert all(a is b for a, b in zip(got[key], rels))
+        return got
+
+    @staticmethod
+    def worlds():
+        """Records of 2 to 6 objects each, their relations as generated, with
+        every third endpoint nudged off its object, with one relation repeated
+        (a duplicate union box), with none, and with one object's box also
+        that of an object after it."""
+        for objects in range(2, 7):
+            records, _ = generate_toy_world(objects, ToyWorldConfig(
+                n_images=4, min_objects=objects, max_objects=objects))
+            for record in records:
+                rels = record.relations
+                moved = [dataclasses.replace(rel, subject_box=nudged(rel.subject_box, 0.5))
+                         if k % 3 == 0 else rel for k, rel in enumerate(rels)]
+                yield record
+                yield dataclasses.replace(record, relations=moved)
+                yield dataclasses.replace(record, relations=[*rels, rels[0]])
+                yield dataclasses.replace(record, relations=[])
+                yield dataclasses.replace(record, objects=[*record.objects, record.objects[0]])
+
+    @pytest.mark.parametrize("name", ["mttsnet,mtl,rem", "direct-union"])
+    def test_equal_to_box_reference_on_toy_worlds(self, name):
+        config = ModelConfig(1, 1, name=name)
+        sizes = [len(self.assert_equal_to_reference(record, config))
+                 for record in self.worlds()]
+        assert 0 in sizes and max(sizes) >= 20
+
+    @pytest.mark.parametrize("name", ["mttsnet,mtl,rem", "direct-union"])
+    def test_endpoint_at_equal_iou_and_a_shared_union(self, name):
+        # nudged(a, 0.5) is no object's box and overlaps a and b at IoU 95/105
+        # each; the third relation repeats the first one's union box.
+        a, b, c = Box(20, 20, 10, 10), Box(21, 20, 10, 10), Box(60, 60, 10, 10)
+        objects = [ObjectAnnotation(n, [], box) for n, box in zip("abc", (a, b, c))]
+        tokens, tags = tag_segments(("the", "a"), ("near",), ("the", "c"))
+        rels = [GroundTruthRelation(s, o, tokens, tags, 0)
+                for s, o in ((nudged(a, 0.5), c), (b, c), (c, nudged(a, 0.5)), (nudged(a, 0.5), c))]
+        record = RelationalRecord(0, 100, 100, rels, objects).validate()
+        got = self.assert_equal_to_reference(record, ModelConfig(1, 1, name=name))
+        if name == "direct-union":
+            assert [len(group) for group in got.values()] == [3, 1]
+        else:
+            assert list(got) == [(0, 2), (1, 2), (2, 0)] and got[0, 2] == [rels[0]]
+
+    @pytest.mark.parametrize("name", ["mttsnet,mtl,rem", "direct-union"])
+    def test_relations_without_objects(self, name):
+        config = ModelConfig(1, 1, name=name)
+        tokens, tags = tag_segments(("the", "a"), ("near",), ("the", "c"))
+        rel = GroundTruthRelation(Box(20, 20, 10, 10), Box(60, 60, 10, 10), tokens, tags, 4)
+        record = RelationalRecord(4, 100, 100, [rel], []).validate()
+        if name == "direct-union":        # union boxes need no objects
+            self.assert_equal_to_reference(record, config)
+            return
+        with pytest.raises(DataError) as want:
+            gt_captions(record, config)
+        with pytest.raises(DataError) as got:
+            pipeline._gt_captions(record, config)
+        assert str(got.value) == str(want.value)
+        assert pipeline._gt_rows(record, config)[0].shape == (0, 4)   # proposals need no match
+        self.assert_equal_to_reference(dataclasses.replace(record, relations=[]), config)
 
 
 class TestTraining:
@@ -367,7 +453,7 @@ class TestPredictionsTable:
             assert list(Predictions.of(tables)) == flat
             paths = [str(tmp_path / f"{k}.jsonl") for k in range(3)]
             assert write_predictions(paths[0], tables) == len(flat)
-            write_predictions(paths[1], flat)
+            write_predictions(paths[1], [table_of(flat)])
             save_jsonl(paths[2], map(prediction_to_json, flat))
             assert len({open(p, "rb").read() for p in paths}) == 1
             sizes.append((len(want[0]), len(flat)))
