@@ -22,7 +22,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
 
 MAGIC = b"RELCAP01"
 FORMAT_VERSION = 1
@@ -30,9 +30,15 @@ FORMAT_VERSION = 1
 
 def write_atomic(path: str, payload) -> None:
     """Write ``payload``, bytes or an iterable of byte chunks written as they
-    come, via a temp file in the same directory, then rename."""
+    come, via a temp file in the same directory, then rename. A directory
+    that cannot take the file (missing, say) is a ``ConfigError`` naming
+    ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-",
+                                   suffix=os.path.basename(path))
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.writelines([payload] if isinstance(payload, bytes) else payload)

@@ -83,9 +83,12 @@ def prediction_to_json(pred: PredictionRecord) -> dict:
 
 def prediction_from_json(obj: dict) -> PredictionRecord:
     """A prediction line as a record: ``image_id`` must be an integer,
-    ``caption`` a string and every ``pos`` entry a ``PosTag`` name."""
+    ``caption`` a string, every ``pos`` entry a ``PosTag`` name and
+    ``confidence`` and each ``word_probs`` entry a number, not a boolean."""
     if not isinstance(obj["caption"], str):
         raise TypeError(f"caption must be a string, got {obj['caption']!r}")
+    if any(isinstance(v, bool) for v in (obj["confidence"], *obj["word_probs"])):
+        raise TypeError("confidence and word_probs must be numbers, not booleans")
     return PredictionRecord(
         image_id=image_id_from_json(obj),
         subject_box=Box.from_json(obj["subject_box"]),

@@ -65,7 +65,13 @@ class PredictionRecord:
             raise ValueError(
                 f"{len(self.word_probs)} word probabilities for {len(self.tokens)} tokens"
             )
-        prod = math.prod(self.word_probs)
+        probs = self.word_probs
+        prod = math.prod(probs)
+        # a NaN after the first entry passes min and max, but not the product
+        if not (0.0 < min(probs, default=1.0) and max(probs, default=1.0) <= 1.0
+                and not math.isnan(prod)):
+            bad = next(p for p in probs if not 0.0 < p <= 1.0)
+            raise ValueError(f"word probability {bad} outside (0, 1]")
         if abs(prod - self.confidence) > 1e-9:
             raise ValueError("confidence does not equal the product of word probabilities")
         return self
@@ -137,6 +143,9 @@ class Predictions:
         if bad.any():
             raise ValueError(f"{self.counts[bad][0]} word probabilities for "
                              f"{self.lengths[bad][0]} tokens")
+        outside = self.word_probs[~((self.word_probs > 0.0) & (self.word_probs <= 1.0))]
+        if len(outside):
+            raise ValueError(f"word probability {outside[0]} outside (0, 1]")
         probs = np.ones((len(self), self.counts.max(initial=0)))
         probs[np.arange(probs.shape[1]) < self.counts[:, None]] = self.word_probs
         if (abs(row_products(probs, self.counts) - self.confidence) > 1e-9).any():

@@ -437,6 +437,27 @@ class TestExitCodes:
         assert f"{repeated}:3:" in err and f"image_id {records[0]['image_id']} " in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["eval", "infer", "graph", "retrieve", "enrich"])
+    def test_out_in_a_missing_directory_is_usage_error(self, toy_dir, trained_dir, tmp_path,
+                                                       capsys, command):
+        inputs = ["--checkpoint", os.path.join(trained_dir, "model.rckpt"),
+                  "--data", os.path.join(toy_dir, "train.jsonl"),
+                  "--provider", os.path.join(toy_dir, "provider.json")]
+        predictions = tmp_path / "preds.jsonl"
+        predictions.write_text(_prediction_line() + "\n")
+        argv = {"eval": ["eval", *inputs], "infer": ["infer", *inputs],
+                "graph": ["graph", "--predictions", str(predictions)],
+                "retrieve": ["retrieve", *inputs, "--images", "8", "--query-images", "2",
+                             "--captions-per-image", "1", "--rounds", "1"],
+                "enrich": self._argv("enrich", toy_dir, trained_dir, tmp_path)[:-2]}[command]
+        before = sorted(os.listdir(tmp_path))
+        out = str(tmp_path / "missing" / "out")
+        assert run([*argv, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert sorted(os.listdir(tmp_path)) == before
+
     def _argv(self, command, toy_dir, trained_dir, tmp_path):
         """A small run of ``command`` on the toy data (train without --epochs)."""
         if command == "gen-toy":
@@ -1089,6 +1110,27 @@ class TestStrictRecordReaders:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}:1: bad prediction record") and key in err.lower()
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("confidence,word_probs,message", [
+        (0.5, [2.0, 0.25, 1.0], "word probability 2.0 outside"),
+        (0.5, [float("nan"), 0.5, 1.0], "word probability nan outside"),
+        (0.5, [0.5, float("nan"), 1.0], "word probability nan outside"),
+        (0.5, [-1.0, -0.5, 1.0], "word probability -1.0 outside"),
+        (True, [1.0, 1.0, 1.0], "not booleans"),
+        (0.5, [True, 0.5, 1.0], "not booleans")],
+        ids=["above-1", "nan-first", "nan-second", "negative", "bool-confidence", "bool-prob"])
+    def test_bad_word_probabilities_are_data_error(self, tmp_path, capsys, confidence,
+                                                   word_probs, message):
+        # each list's product equals the confidence, so only the range check fails it
+        obj = json.loads(_prediction_line())
+        obj.update(caption="a cat near", pos=[], word_probs=word_probs, confidence=confidence)
+        path = str(tmp_path / "preds.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(obj) + "\n")
+        assert run(["graph", "--predictions", path, "--out", str(tmp_path / "g")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:1: bad prediction record") and message in err
+        assert not os.path.exists(str(tmp_path / "g.dot"))
 
     @pytest.mark.parametrize("value", [1.5, 1.0, True, "1"])
     def test_non_integer_dataset_image_id_is_data_error(self, toy_dir, trained_dir,

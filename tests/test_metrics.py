@@ -550,7 +550,11 @@ class TestPredictionsTable:
         (dict(word_probs=[0.5]), "1 word probabilities for 2 tokens"),
         (dict(word_probs=[0.5, 0.5, 1.0, 1.0]), "4 word probabilities for 2 tokens"),
         (dict(pos=["SUBJ"]), r"\d POS tags for \d tokens"),
-        (dict(confidence=0.3), "product")])
+        (dict(confidence=0.3), "product"),
+        (dict(word_probs=[2.0, 0.25, 1.0], confidence=0.5), "word probability 2.0 outside"),
+        (dict(word_probs=[math.nan, 0.5, 1.0], confidence=0.5), "word probability nan outside"),
+        (dict(word_probs=[0.5, math.nan, 1.0], confidence=0.5), "word probability nan outside"),
+        (dict(word_probs=[-1.0, -0.5, 1.0], confidence=0.5), "word probability -1.0 outside")])
     def test_validate_rejects_what_record_validate_rejects(self, change, message):
         good = pred(0, Box(1, 1, 2, 2), Box(3, 3, 2, 2), ["a", "b"], 0.25, ["SUBJ", "OBJ"])
         bad = replace(good, **change)
