@@ -68,8 +68,7 @@ class PredictionRecord:
         probs = self.word_probs
         prod = math.prod(probs)
         # a NaN after the first entry passes min and max, but not the product
-        if not (0.0 < min(probs, default=1.0) and max(probs, default=1.0) <= 1.0
-                and not math.isnan(prod)):
+        if math.isnan(prod) or probs and not (0.0 < min(probs) and max(probs) <= 1.0):
             bad = next(p for p in probs if not 0.0 < p <= 1.0)
             raise ValueError(f"word probability {bad} outside (0, 1]")
         if abs(prod - self.confidence) > 1e-9:

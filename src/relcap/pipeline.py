@@ -1,5 +1,5 @@
 """Glue between datasets and the network: training batches, the epoch
-loop, batched decoding into prediction records, and full evaluation."""
+loop, batched decoding into ``Predictions`` tables, and full evaluation."""
 
 from __future__ import annotations
 
