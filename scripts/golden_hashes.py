@@ -170,11 +170,12 @@ def payload_hashes(outdir: str, paths) -> dict:
 def retrieval_table_hash(queries, candidates, params, config) -> str:
     """sha256 of the ``float.hex`` of the score, the best pair and the
     per-word probabilities of every query against every candidate (a list of
-    ``encode_pair_batch`` dicts), each query scoring all candidates in one
-    ``retrieval_scores`` call."""
+    ``(PairBatch, encode_pair_batch dict)`` pairs), each query scoring all
+    candidates in one ``retrieval_scores`` call."""
     from relcap import apps
 
-    table = [apps.retrieval_scores(query, candidates, params, config) for query in queries]
+    codes = [code for _, code in candidates]
+    table = [apps.retrieval_scores(query, codes, params, config) for query in queries]
     digest = hashlib.sha256()
     for image in range(len(candidates)):
         for row in table:
@@ -226,7 +227,7 @@ def score_hashes(outdir: str) -> dict:
                                            config)
             if boxes:
                 with no_grad():
-                    candidates.append(encode_pair_batch(batch, params, config))
+                    candidates.append((batch, encode_pair_batch(batch, params, config)))
             if config.streams == "triple":
                 image = build_image_batch(record, proposals, provider, vocab, config)
                 codes = encode_pair_batch(image.pairs, params, config)
@@ -248,7 +249,7 @@ def score_hashes(outdir: str) -> dict:
                 batch, _ = make_pair_batch(record, nms(proposals, NMS_IOU, 50), provider,
                                            config)
                 with no_grad():
-                    dense.append(encode_pair_batch(batch, params, config))
+                    dense.append((batch, encode_pair_batch(batch, params, config)))
             out[f"scores/{name}/retrieval_score_dense"] = retrieval_table_hash(
                 queries, dense, params, config)
     return out
