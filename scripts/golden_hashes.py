@@ -174,8 +174,7 @@ def retrieval_table_hash(queries, candidates, params, config) -> str:
     candidates in one ``retrieval_scores`` call."""
     from relcap import apps
 
-    codes = [code for _, code in candidates]
-    table = [apps.retrieval_scores(query, codes, params, config) for query in queries]
+    table = [apps.retrieval_scores(query, candidates, params, config) for query in queries]
     digest = hashlib.sha256()
     for image in range(len(candidates)):
         for row in table:

@@ -13,7 +13,8 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigError, DataError
 from .geometry import Box, box_rows, iou_matrix
-from .model import ModelConfig, ModelParams, encode_pair_batch, run_streams, stream_inputs
+from .model import (ModelConfig, ModelParams, encode_pair_batch, run_streams, stream_inputs,
+                    stream_regions)
 
 NODE_MERGE_IOU = 0.9     # default IoU at or above which caption-graph nodes merge
 
@@ -113,28 +114,31 @@ def export_graph(graph: CaptionGraph, fmt: str) -> str:
 # retrieval
 # ---------------------------------------------------------------------------
 
-def retrieval_scores(query_ids, codes, params: ModelParams, config: ModelConfig):
+def retrieval_scores(query_ids, candidates, params: ModelParams, config: ModelConfig):
     """Probability that a query occurs for the best pair of each image.
 
-    ``codes`` holds each image's region codes (``encode_pair_batch`` dicts).
+    ``candidates`` holds each image's ``(PairBatch, encode_pair_batch codes)``.
     All their rows run through one untaped ``run_streams`` pass, teacher-forced
     with the query; ``emit`` applies the word head per block and keeps only the
-    query words' log-probabilities, ``(T, P)``, never the hidden states. As
-    every row is fed the same words, a pass of more than BLOCK rows steps one
-    subject or object state per distinct region code. A row's log sum (in step
-    order) does not depend on the other rows (every product runs in fixed
-    tiles); an image's score is the first maximum over its rows. Returns one
-    (score, best pair index within the image, per-word probabilities of that
-    pair) per image. A score that is not finite is a ``DataError``.
+    query words' log-probabilities, ``(T, P)``, never the hidden states. With
+    each image's region indices offset by the region counts before it, a pass
+    of more than BLOCK rows steps one subject or object state per region. A
+    row's log sum (in step order) does not depend on the other rows (every
+    product runs in fixed tiles); an image's score is the first maximum over
+    its rows. Returns one (score, best pair index within the image, per-word
+    probabilities of that pair) per image. A non-finite score is a ``DataError``.
     """
     query = list(query_ids)
     if not query:
         raise ValueError("retrieval needs a non-empty query")
-    sizes = [len(next(iter(code.values())).data) for code in codes]
+    sizes = [len(batch) for batch, _ in candidates]
     if not sizes or min(sizes) == 0:
         raise ValueError("retrieval needs at least one candidate pair per image")
-    stacked = {kind: ad.Tensor(np.concatenate([code[kind].data for code in codes]))
-               for kind in codes[0]}
+    stacked = {kind: ad.Tensor(np.concatenate([code[kind].data for _, code in candidates]))
+               for kind in candidates[0][1]}
+    starts = np.cumsum([0] + [len(batch.features) for batch, _ in candidates])
+    regions = [None if parts[0] is None else np.concatenate([r + s for r, s in zip(parts, starts)])
+               for parts in zip(*(stream_regions(batch, config) for batch, _ in candidates))]
     logp = np.empty((len(query), sum(sizes)))
 
     def emit(t, lo, feat):
@@ -143,7 +147,8 @@ def retrieval_scores(query_ids, codes, params: ModelParams, config: ModelConfig)
         return np.full(len(feat), query[t])
 
     with ad.no_grad():
-        run_streams(stream_inputs(stacked, params, config), params, config, len(query), emit)
+        run_streams(stream_inputs(stacked, params, config), params, config, len(query), emit,
+                    regions=regions)
     log_scores = np.zeros(logp.shape[1])
     for row in logp:
         log_scores += row
@@ -198,7 +203,7 @@ def retrieval_eval(scorables, gt_captions, vocab, params, config,
             f"retrieval needs {protocol.num_query_images} query images with GT "
             f"captions, but only {len(captioned)} of {len(candidates)} candidates have any")
     with ad.no_grad():
-        codes = [encode_pair_batch(batch, params, config) for _, batch in candidates]
+        scored = [(batch, encode_pair_batch(batch, params, config)) for _, batch in candidates]
 
     per_round_recall = {k: [] for k in protocol.ks}
     per_round_median = []
@@ -218,7 +223,7 @@ def retrieval_eval(scorables, gt_captions, vocab, params, config,
         ranks = []
         for source_id, tokens in queries:
             ids = [vocab.encode_token(t) for t in tokens]
-            scores = [score for score, _, _ in retrieval_scores(ids, codes, params, config)]
+            scores = [score for score, _, _ in retrieval_scores(ids, scored, params, config)]
             order = sorted(zip(candidate_ids, scores), key=lambda s: (-s[1], s[0]))
             rank = 1 + next(i for i, (img, _) in enumerate(order) if img == source_id)
             ranks.append(rank)

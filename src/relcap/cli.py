@@ -234,6 +234,14 @@ def _require_file(path: str, what: str) -> str:
     return path
 
 
+def _make_dir(path: str) -> str:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make directory {path}: {exc.strerror}") from exc
+    return path
+
+
 def _load_provider(path: str) -> ToyFeatureProvider:
     try:
         return ToyFeatureProvider.from_json(
@@ -266,8 +274,7 @@ def _check_vocab(vocab, records) -> None:
 def cmd_gen_toy(args) -> int:
     toy = ToyWorldConfig(n_images=args.images, min_objects=args.min_objects,
                          max_objects=args.max_objects, inside_prob=args.inside_prob).validate()
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _make_dir(args.out)
     records, provider = generate_toy_world(args.seed, toy)
     train, val, test = split_records(records, toy.splits)
     paths = {}
@@ -295,8 +302,7 @@ def cmd_train(args) -> int:
                              beta=args.beta, gamma=args.gamma, seed=args.seed,
                              proposals=ProposalSettings(args.proposal_seed, args.jitter,
                                                         args.background))
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _make_dir(args.out)
     ckpt_path = os.path.join(out_dir, "model.rckpt")
 
     params = optimizer = None
@@ -347,6 +353,9 @@ def cmd_train(args) -> int:
 
 
 def _eval_like_setup(args):
+    # An --out that cannot be written fails before anything is loaded or computed.
+    if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+        raise ConfigError(f"cannot write {args.out}: no such directory")
     params, config, vocab, _, _ = load_model(_require_file(args.checkpoint, "checkpoint"))
     records = load_dataset(_require_file(args.data, "dataset"))
     provider = _load_provider(args.provider)

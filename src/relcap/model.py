@@ -244,10 +244,14 @@ class PairBatch:
     inference alike."""
 
     features: np.ndarray            # (B, feature_width) all proposals
-    subject_index: list             # per pair, row into features
-    object_index: list
+    subject_index: np.ndarray       # (P,) intp: per pair, row into features
+    object_index: np.ndarray        # (P,) intp
     union_features: np.ndarray      # (P, feature_width)
     geos: np.ndarray                # (P, 6)
+
+    def __post_init__(self):
+        self.subject_index = np.asarray(self.subject_index, dtype=np.intp).reshape(-1)
+        self.object_index = np.asarray(self.object_index, dtype=np.intp).reshape(-1)
 
     def __len__(self):
         return len(self.subject_index)
@@ -295,6 +299,16 @@ def stream_inputs(codes: dict, params: ModelParams, config: ModelConfig):
     if not config.fuse:
         return [parts[0]]
     return [ad.affine(ad.concat(parts), params["fuse.w"], params["fuse.b"])]
+
+
+def stream_regions(batch: PairBatch, config: ModelConfig):
+    """Per ``stream_inputs`` entry, the region each row starts from: the
+    batch's subject or object indices for a stream fed subject or object
+    codes, None for one fed per-pair (union or fused) codes."""
+    if config.streams != "triple":
+        return [None]
+    return [batch.subject_index if config.use_subject else None, None,
+            batch.object_index if config.use_object else None]
 
 
 # ---------------------------------------------------------------------------
@@ -351,49 +365,27 @@ def regroup(states: np.ndarray, words: np.ndarray, vocab: int):
     return row_map, parent, word
 
 
-def distinct_rows(x: np.ndarray):
-    """The byte-distinct rows of the C-contiguous 2-D ``x``: (index of one
-    row per group, row -> group), as ``np.unique(..., return_index=True,
-    return_inverse=True)`` over the rows' bytes gives them, in some group
-    order. Rows are grouped by a 64-bit key over their 32-bit words; a
-    byte comparison confirms every group, and a key shared by unequal rows
-    falls back to sorting the rows' bytes."""
-    words = x.view(np.uint32)
-    _, keep, inverse = np.unique(_row_keys(words), return_index=True, return_inverse=True)
-    if not np.array_equal(words[keep][inverse], words):
-        _, keep, inverse = np.unique(x.view(np.dtype((np.void, x.strides[0]))).ravel(),
-                                     return_index=True, return_inverse=True)
-    return keep, inverse
-
-
-def _row_keys(words: np.ndarray) -> np.ndarray:
-    """A 64-bit key per row of the ``(rows, k)`` uint32 ``words``: their
-    sum weighted by odd multiples of the 64-bit golden ratio, modulo 2**64."""
-    weights = np.arange(1, words.shape[1] + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    return words.astype(np.uint64) @ (weights | np.uint64(1))
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def run_streams(first, params: ModelParams, config: ModelConfig, n_steps: int, emit,
-                tape=None):
+                tape=None, regions=None):
     """Run every LSTM stream over up to ``n_steps`` steps on raw arrays.
 
     ``first`` holds each stream's step-0 input (a ``(P, hidden)`` Tensor,
-    see ``stream_inputs``). Step t >= 1 feeds every stream the shared
-    embedding of the word chosen for the row at step t - 1; its input term
-    is then a row of the per-stream table ``embed.table @ W_x + b``.
+    see ``stream_inputs``), ``regions`` the region each of its rows starts
+    from, ``(P,)`` indices or None per stream (``stream_regions``; all None
+    if not given). Step t >= 1 feeds every stream the shared embedding of
+    the word chosen for the row at step t - 1; its input term is then a row
+    of the per-stream table ``embed.table @ W_x + b``.
 
-    A stream keeps one state per distinct (step-0 input row, fed-word
-    prefix), not one per row. Step-0 rows with byte-equal inputs share a
-    state (``distinct_rows`` groups them by a 64-bit key and confirms each
-    group byte for byte), and a state fed one word at step t becomes one
-    new state (``regroup``), so the subject and object streams of a dense
-    batch, whose rows repeat each region's code, step far fewer states than
-    rows.
-    A stream keeps the identity map instead, one state per row updated in
-    place, when the run keeps a tape, when it has at most BLOCK rows, or
-    when its step-0 rows are all distinct (the union-fed predicate stream,
-    a fused single stream).
+    A stream with regions keeps one state per distinct (region, fed-word
+    prefix), not one per row. Rows of one region start from one state
+    (their codes are byte-equal: every product runs in fixed tiles), and a
+    state fed one word at step t becomes one new state (``regroup``), so
+    the subject and object streams of a dense batch step far fewer states
+    than rows. A stream keeps the identity map instead, one state per row
+    updated in place, when the run keeps a tape, when it has at most BLOCK
+    rows, or when it has no regions (the union-fed predicate stream, a
+    fused single stream).
 
     States are padded to a multiple of TILE and each step runs them in
     blocks of BLOCK, stream by stream. Gates are kept gate-major, so every
@@ -429,16 +421,12 @@ def run_streams(first, params: ModelParams, config: ModelConfig, n_steps: int, e
     n = len(first[0].data)
     rows = n + (-n % ad.TILE)
     block = max(rows, 1) if tape is not None else BLOCK
-    inputs, maps = [], []           # per stream: step-0 input per state; row -> state or None
-    for x in first:
-        x = np.ascontiguousarray(x.data, dtype)
-        row_map = None
-        if tape is None and n > BLOCK:
-            keep, inverse = distinct_rows(x)
-            if len(keep) < n:
-                x, row_map = x[keep], inverse
-        inputs.append(x)
-        maps.append(row_map)
+    # per stream: the step-0 input of each state; row -> state, or None for one per row
+    inputs, maps = [x.data.astype(dtype, copy=False) for x in first], [None] * len(first)
+    for s, region in enumerate(regions or ()):
+        if region is not None and tape is None and n > BLOCK:
+            _, keep, maps[s] = np.unique(region, return_index=True, return_inverse=True)
+            inputs[s] = inputs[s][keep]
     start = [np.matmul(ad.tile_rows(x), w_x[:, None]).reshape(4, -1, hid) + b
              for x, (w_x, _, b) in zip(inputs, weights)]
     h = [np.zeros((x.shape[1], hid), dtype) for x in start]
@@ -742,7 +730,8 @@ def decode_arrays(batch: PairBatch, params: ModelParams, config: ModelConfig,
 
     with ad.no_grad():
         codes = encode_pair_batch(batch, params, config)
-        run_streams(stream_inputs(codes, params, config), params, config, config.max_len, emit)
+        run_streams(stream_inputs(codes, params, config), params, config, config.max_len, emit,
+                    regions=stream_regions(batch, config))
     # A finished row's last pick is the end token, which has a probability
     # but is not emitted.
     return picks, chosen_probs, tags, taken - done, taken

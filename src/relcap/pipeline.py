@@ -105,12 +105,6 @@ def caption_pairs(proposals, config: ModelConfig, pair_cap: int | None = None):
     return (subject, obj, *pair_geometry(proposals.boxes, subject, obj))
 
 
-def _pair_batch(proposals, subject, obj, union_features, geos) -> PairBatch:
-    """PairBatch over ``proposals`` with pairs ``(subject[k], obj[k])``."""
-    return PairBatch(features=proposals.features, subject_index=subject.tolist(),
-                     object_index=obj.tolist(), union_features=union_features, geos=geos)
-
-
 def build_proposals(record: RelationalRecord, provider, config: ModelConfig,
                     settings: ProposalSettings):
     """Jittered proposals over the detected GT boxes plus background boxes."""
@@ -136,8 +130,8 @@ def build_image_batch(record: RelationalRecord, proposals, provider,
             tags.append(pos)
     distinct, row_of = np.unique(np.array(rows, dtype=np.intp), return_inverse=True)
     union_features = provider.features_many(record, unions[distinct])[row_of]
-    return ImageBatch(pairs=_pair_batch(proposals, subject[rows], obj[rows], union_features,
-                                        geos[rows]),
+    return ImageBatch(pairs=PairBatch(proposals.features, subject[rows], obj[rows],
+                                      union_features, geos[rows]),
                       token_ids=token_ids, tags=tags, prop_boxes=proposals.boxes,
                       gt_boxes=gt_boxes, labels=labels)
 
@@ -210,9 +204,10 @@ def make_pair_batch(record: RelationalRecord, proposals, provider,
                     config: ModelConfig, pair_cap: int | None = None):
     """PairBatch over kept proposals plus per-pair (subject, object) boxes."""
     subject, obj, unions, geos = caption_pairs(proposals, config, pair_cap)
-    batch = _pair_batch(proposals, subject, obj, provider.features_many(record, unions), geos)
+    batch = PairBatch(proposals.features, subject, obj, provider.features_many(record, unions),
+                      geos)
     boxes = [Box(*row) for row in proposals.boxes.tolist()]
-    return batch, [(boxes[i], boxes[j]) for i, j in zip(batch.subject_index, batch.object_index)]
+    return batch, [(boxes[i], boxes[j]) for i, j in zip(subject.tolist(), obj.tolist())]
 
 
 def predict_proposals(record: RelationalRecord, proposals, params: ModelParams,
@@ -240,7 +235,7 @@ def predict_proposals(record: RelationalRecord, proposals, params: ModelParams,
     tag_names = np.array([tag.name for tag in PosTag], dtype=object)   # by the tag's value
     return Predictions(
         np.full(int(keep.sum()), record.image_id, dtype=object), kept.boxes,
-        np.asarray(batch.subject_index)[keep], np.asarray(batch.object_index)[keep],
+        batch.subject_index[keep], batch.object_index[keep],
         words[picks[keep][caption]], emitted[keep],
         tag_names[tags[keep][caption]] if config.mtl else tag_names[:0],
         chosen_probs[keep][steps < taken[keep, None]], taken[keep], confidence[keep]).validate()

@@ -4,6 +4,7 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
+import relcap.model
 from relcap.apps import retrieval_scores
 from relcap.autodiff import Tensor, affine, backward, log_softmax, no_grad
 from relcap.data import (SCHEMA_VERSION, TOY_SIZE, PosTag, ToyWorldConfig, build_vocab,
@@ -174,14 +175,37 @@ def pair_rows(pairs, rows):
                      geos=pairs.geos[rows])
 
 
-def block_retrieval_scores(query, codes, params, config):
+def regroup_inputs(monkeypatch, run):
+    """``run()``'s result and the ``states`` of each ``regroup`` call it
+    made, in call order. In a ``run_streams`` pass of two steps or more,
+    the first calls are step 1's, one per stream that shares states, in
+    stream order: each holds that stream's row -> step-0 state map."""
+    regroup, seen = relcap.model.regroup, []
+
+    def spy(states, words, vocab):
+        seen.append(states.copy())
+        return regroup(states, words, vocab)
+
+    monkeypatch.setattr(relcap.model, "regroup", spy)
+    return run(), seen
+
+
+def same_groups(a, b) -> bool:
+    """Whether the labels ``a`` and ``b`` group rows alike: ``a[i] == a[j]``
+    exactly when ``b[i] == b[j]``."""
+    a, b = np.asarray(a).tolist(), np.asarray(b).tolist()
+    return len(set(zip(a, b))) == len(set(a)) == len(set(b))
+
+
+def block_retrieval_scores(query, candidates, params, config):
     """Reference of ``apps.retrieval_scores`` that never shares a state:
     ``stream_states`` over consecutive chunks of at most BLOCK of the
     concatenated candidate rows (so every row keeps its own state), one
     word head and log-softmax over every row's states at once, log sums in
     step order, then each image's first maximum."""
-    rows = {kind: np.concatenate([code[kind].data for code in codes]) for kind in codes[0]}
-    n = sum(len(next(iter(code.values())).data) for code in codes)
+    rows = {kind: np.concatenate([code[kind].data for _, code in candidates])
+            for kind in candidates[0][1]}
+    n = sum(len(batch) for batch, _ in candidates)
     steps = len(query)
     chunks = []
     with no_grad():
@@ -197,8 +221,8 @@ def block_retrieval_scores(query, codes, params, config):
     for t, word in enumerate(query):
         log_scores += logp[t, :, word]
     out, lo = [], 0
-    for code in codes:
-        hi = lo + len(next(iter(code.values())).data)
+    for batch, _ in candidates:
+        hi = lo + len(batch)
         best = lo + int(np.argmax(log_scores[lo:hi]))
         probs = np.exp(logp[np.arange(steps), best, query])
         out.append((float(math.exp(log_scores[best])), best - lo, probs.tolist()))
@@ -360,7 +384,7 @@ def retrieval_score(query_ids, batch, params, config):
     per-word probabilities of that pair)."""
     with no_grad():
         codes = encode_pair_batch(batch, params, config)
-    return retrieval_scores(query_ids, [codes], params, config)[0]
+    return retrieval_scores(query_ids, [(batch, codes)], params, config)[0]
 
 
 def save_attributes(path, records):

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import block_retrieval_scores, fresh_params, retrieval_score, tiny_config
+from conftest import (block_retrieval_scores, fresh_params, regroup_inputs, retrieval_score,
+                      same_groups, tiny_config)
 from relcap import apps, model
 from relcap.apps import (RetrievalProtocol, build_caption_graph, export_graph, retrieval_eval,
                          retrieval_scores)
@@ -213,8 +214,8 @@ class TestGroupedRetrieval:
         params = fresh_params(cfg, seed=4)
         rng = np.random.default_rng(11)
         with ad.no_grad():
-            codes = [encode_pair_batch(random_batch(cfg, n, rng), params, cfg)
-                     for n in self.SIZES]
+            candidates = [(batch, encode_pair_batch(batch, params, cfg))
+                          for batch in (random_batch(cfg, n, rng) for n in self.SIZES)]
         ends = np.cumsum(self.SIZES)
         assert BLOCK == 256                  # SIZES are chosen around it
         assert any(lo < 256 < hi for lo, hi in zip(ends - self.SIZES, ends))
@@ -228,8 +229,8 @@ class TestGroupedRetrieval:
 
         monkeypatch.setattr(model, "regroup", counting)
         query = list(rng.integers(0, cfg.vocab_size, cfg.max_len))
-        scores = retrieval_scores(query, codes, params, cfg)
-        assert scores == block_retrieval_scores(query, codes, params, cfg)
+        scores = retrieval_scores(query, candidates, params, cfg)
+        assert scores == block_retrieval_scores(query, candidates, params, cfg)
         assert shared and all(shared)
         assert [len(probs) for _, _, probs in scores] == [cfg.max_len] * len(self.SIZES)
 
@@ -241,13 +242,27 @@ class TestGroupedRetrieval:
         rng = np.random.default_rng(7)
         batches = [random_batch(cfg, n, rng) for n in self.SIZES]
         with ad.no_grad():
-            codes = [encode_pair_batch(b, params, cfg) for b in batches]
+            candidates = [(b, encode_pair_batch(b, params, cfg)) for b in batches]
         for length in (1, 4, cfg.max_len):
             query = list(rng.integers(0, cfg.vocab_size, length))
-            scores = retrieval_scores(query, codes, params, cfg)
-            assert scores == block_retrieval_scores(query, codes, params, cfg), (name, length)
+            scores = retrieval_scores(query, candidates, params, cfg)
+            assert scores == block_retrieval_scores(query, candidates, params, cfg), (name, length)
             assert scores == [retrieval_score(query, b, params, cfg) for b in batches]
             assert all(0 <= best < n for (_, best, _), n in zip(scores, self.SIZES))
+
+    def test_images_keep_their_own_regions(self, monkeypatch):
+        # Two candidates with one batch: byte-equal codes, but each image's
+        # regions start from their own states.
+        cfg = tiny_config(14, 10, name="mttsnet,mtl")
+        params = fresh_params(cfg, seed=4)
+        batch = random_batch(cfg, 200, np.random.default_rng(5))
+        with ad.no_grad():
+            candidates = [(batch, encode_pair_batch(batch, params, cfg))] * 2
+        scores, maps = regroup_inputs(
+            monkeypatch, lambda: retrieval_scores([4, 7], candidates, params, cfg))
+        assert scores[0] == scores[1] and len(maps) == 2
+        for states, region in zip(maps, (batch.subject_index, batch.object_index)):
+            assert same_groups(states, np.concatenate([region, region + len(batch.features)]))
 
     def test_eval_encodes_each_candidate_once(self, toy_world_small, monkeypatch):
         _, provider, vocab = toy_world_small

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import save_attributes, table_of
 import relcap
-from relcap import schemas
+from relcap import cli, schemas
 from relcap.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from relcap.cli import (SETTINGS, build_parser, main, prediction_to_json, read_predictions,
                         resolve_settings, run_provenance, write_predictions)
@@ -457,6 +457,36 @@ class TestExitCodes:
         assert err.startswith(f"error: cannot write {out}") and err.count("\n") == 1
         assert "Traceback" not in err
         assert sorted(os.listdir(tmp_path)) == before
+
+    @pytest.mark.parametrize("command", ["eval", "infer", "retrieve"])
+    @pytest.mark.parametrize("shape", ["missing/out", "afile/out"])
+    def test_unwritable_out_fails_before_the_checkpoint_loads(self, toy_dir, trained_dir,
+                                                               tmp_path, capsys, monkeypatch,
+                                                               command, shape):
+        def never(*args, **kwargs):
+            raise AssertionError("the command started its work")
+
+        for name in ("load_model", "evaluate_model", "predict_image", "retrieval_eval"):
+            monkeypatch.setattr(cli, name, never)
+        (tmp_path / "afile").write_text("")
+        argv = self._argv(command, toy_dir, trained_dir, tmp_path)
+        out = str(tmp_path / shape)
+        assert run([*(argv if command == "eval" else argv[:-2]), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out}: no such directory\n"
+
+    @pytest.mark.parametrize("command", ["gen-toy", "train"])
+    @pytest.mark.parametrize("shape", ["afile", "afile/sub"])
+    def test_out_directory_that_cannot_be_made_is_usage_error(self, toy_dir, tmp_path, capsys,
+                                                               command, shape):
+        (tmp_path / "afile").write_text("")
+        argv = self._argv(command, toy_dir, None, tmp_path)
+        out = str(tmp_path / shape)
+        assert run([*argv[:argv.index("--out")], *argv[argv.index("--out") + 2:],
+                    "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot make directory {out}: ") and err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == ["afile"]
 
     def _argv(self, command, toy_dir, trained_dir, tmp_path):
         """A small run of ``command`` on the toy data (train without --epochs)."""

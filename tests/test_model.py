@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (decode_batch, finite_diff_check, fresh_params, geometric_feature,
-                      pair_rows, retrieval_score, tiny_config, zero_grad)
+                      pair_rows, regroup_inputs, retrieval_score, same_groups, tiny_config,
+                      zero_grad)
 import relcap.model
 from relcap import autodiff as ad
 from relcap.apps import retrieval_scores
@@ -19,10 +20,10 @@ from relcap.data import END_ID, PosTag, Vocabulary
 from relcap.errors import ConfigError
 from relcap.geometry import IGNORE, NEGATIVE, Box, box_rows
 from relcap.model import (MODEL_PRESETS, ImageBatch, ModelConfig, PairBatch,
-                          caption_losses, distinct_rows, encode_pair_batch, encode_regions,
+                          caption_losses, decode_arrays, encode_pair_batch, encode_regions,
                           importance_trace, init_params, load_model, regroup,
                           rem_forward, run_streams, sample_rows, save_model, stream_inputs,
-                          stream_states, total_loss)
+                          stream_regions, stream_states, total_loss)
 from relcap.pipeline import predicted_pos_tags
 
 S, P, O = PosTag.SUBJ, PosTag.PRED, PosTag.OBJ
@@ -372,54 +373,54 @@ class TestRegroup:
         assert np.array_equal(parent * vocab + word, keys)
 
 
-def byte_groups(x):
-    """Row -> group of the byte-distinct rows of ``x``, groups numbered in
-    order of first appearance."""
-    first = {}
-    return [first.setdefault(row.tobytes(), len(first)) for row in x]
-
-
-class TestDistinctRows:
-    """Step-0 grouping: rows share a state exactly when their bytes are
-    equal."""
+class TestStepZeroSharing:
+    """Step-0 grouping by region: in an untaped pass of more than BLOCK
+    rows, the rows of a stream fed subject (object) codes share a step-0
+    state exactly when they share a subject (object) region; the predicate
+    stream and a single stream keep one state per row."""
 
     @staticmethod
-    def rows():
-        rng = np.random.default_rng(3)
-        base = rng.normal(size=(6, 5)).astype(np.float32)
-        base[1, 2] = -0.0                        # equal to 0.0, other bytes
-        base[2] = base[1]
-        base[2, 2] = 0.0
-        nan = np.array([0x7FC00000, 0x7FC00001], dtype=np.uint32).view(np.float32)
-        base[3, 0], base[4] = nan[0], base[3]
-        base[4, 0] = nan[1]                      # another NaN payload
-        return base[rng.integers(0, len(base), 300)]
+    def step_zero(monkeypatch, batch, params, cfg):
+        """The step-0 maps of a two-step greedy decode of ``batch``."""
+        cfg = dataclasses.replace(cfg, max_len=2)
+        return regroup_inputs(monkeypatch, lambda: decode_arrays(batch, params, cfg))[1]
 
-    def check(self, x):
-        keep, inverse = distinct_rows(x)
-        assert np.array_equal(x[keep][inverse].view(np.uint32), x.view(np.uint32))
-        want = byte_groups(x)
-        assert len(keep) == max(want) + 1
-        # The same partition of the rows as their bytes give, in some order.
-        assert len(set(zip(inverse.tolist(), want))) == len(keep)
+    @pytest.mark.parametrize("name,roles", [
+        ("mttsnet", ("subject", "object")), ("tsnet,rem", ("subject", "object")),
+        ("uuu", ()), ("subj-obj", ()), ("subj-obj-union,mtl", ()), ("union", ()),
+    ])
+    def test_rows_of_one_region_share_one_state(self, monkeypatch, name, roles):
+        cfg = tiny_config(14, 12, name=name)
+        params = fresh_params(cfg, seed=12)
+        batch = random_pair_batch(cfg, n_pairs=300, n_regions=9, seed=5)
+        with ad.no_grad():
+            codes = encode_pair_batch(batch, params, cfg)
+        maps = self.step_zero(monkeypatch, batch, params, cfg)
+        assert len(maps) == len(roles)
+        for role, states in zip(roles, maps):
+            region = getattr(batch, f"{role}_index")
+            assert same_groups(states, region)
+            # The row independence that makes the grouping exact: the rows
+            # of one region have byte-equal codes.
+            _, first, inverse = np.unique(region, return_index=True, return_inverse=True)
+            assert codes[role].data[first][inverse].tobytes() == codes[role].data.tobytes()
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_rows_share_a_group_exactly_when_their_bytes_are_equal(self, dtype):
-        x = self.rows().astype(dtype)
-        self.check(x)
-        assert len(distinct_rows(x)[0]) == 6
-
-    def test_key_clash_falls_back_to_the_bytes(self, monkeypatch):
-        # Every row gets one key: the byte check sees the clash.
-        monkeypatch.setattr(relcap.model, "_row_keys",
-                            lambda words: np.zeros(len(words), dtype=np.uint64))
-        self.check(self.rows())
-        x = np.random.default_rng(4).normal(size=(40, 3)).astype(np.float32)
-        self.check(x[np.arange(80) % 40])
+    def test_distinct_regions_with_equal_codes_keep_their_own_states(self, monkeypatch):
+        cfg = tiny_config(14, 12, name="mttsnet")
+        params = fresh_params(cfg, seed=12)
+        batch = random_pair_batch(cfg, n_pairs=300, n_regions=9, seed=5)
+        batch.features[1] = batch.features[0]
+        with ad.no_grad():
+            code = encode_pair_batch(batch, params, cfg)["subject"].data
+        rows = [np.flatnonzero(batch.subject_index == k)[0] for k in (0, 1)]
+        assert code[rows[0]].tobytes() == code[rows[1]].tobytes()
+        states = self.step_zero(monkeypatch, batch, params, cfg)[0]
+        assert same_groups(states, batch.subject_index)
+        assert states[rows[0]] != states[rows[1]]
 
 
 class TestEmitRows:
-    def test_dense_pass_emits_float64_rows_of_the_float32_states(self):
+    def test_dense_pass_emits_float64_rows_of_the_float32_states(self, monkeypatch):
         """A pass of more than BLOCK rows, whose subject and object streams
         share states, hands ``emit`` float64 rows that hold exactly the
         float32 states the same rows get in passes of at most BLOCK rows
@@ -441,10 +442,13 @@ class TestEmitRows:
 
             with ad.no_grad():
                 codes = encode_pair_batch(sub, params, cfg)
-                run_streams(stream_inputs(codes, params, cfg), params, cfg, steps, emit)
+                run_streams(stream_inputs(codes, params, cfg), params, cfg, steps, emit,
+                            regions=stream_regions(sub, cfg))
             return out
 
-        dense = states(list(range(n)))
+        dense, maps = regroup_inputs(monkeypatch, lambda: states(list(range(n))))
+        subject, _, obj = stream_regions(batch, cfg)
+        assert same_groups(maps[0], subject) and same_groups(maps[1], obj)
         assert np.array_equal(dense.astype(np.float32), dense)
         alone = np.concatenate([states(list(range(lo, min(lo + 100, n))))
                                 for lo in range(0, n, 100)], axis=1)
@@ -846,13 +850,13 @@ class TestFloat32Accuracy:
         params["head.word.w"].data *= 4.0
         query = [4, 7, 5, 9, END_ID]
         steps = np.arange(len(query))
+        batches = [random_pair_batch(cfg, n_pairs=n, n_regions=6, seed=n) for n in range(1, 41)]
         with ad.no_grad():
-            codes = [encode_pair_batch(random_pair_batch(cfg, n_pairs=n, n_regions=6, seed=n),
-                                       params, cfg) for n in range(1, 41)]
+            candidates = [(b, encode_pair_batch(b, params, cfg)) for b in batches]
         got = np.log([score for score, _, _ in
-                      retrieval_scores(query, codes, params, cfg)])
+                      retrieval_scores(query, candidates, params, cfg)])
         want = []
-        for code in codes:
+        for _, code in candidates:
             n = len(code["union"].data)
             hidden = stream_states(code, np.tile(query, (n, 1)), params, cfg)
             assert hidden._parents                      # taped: float64

@@ -91,7 +91,7 @@ class TestBatchAssembly:
         proposals = build_proposals(record, provider, cfg, ProposalSettings())
         batch = build_image_batch(record, proposals, provider, vocab, cfg)
         assert batch.pairs, "union-region proposals must yield caption pairs"
-        assert batch.pairs.subject_index == batch.pairs.object_index
+        assert np.array_equal(batch.pairs.subject_index, batch.pairs.object_index)
 
     def test_direct_union_proposals_cover_distinct_union_boxes(self, toy_world_small):
         records, provider, vocab = toy_world_small
