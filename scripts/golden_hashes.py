@@ -167,16 +167,20 @@ def payload_hashes(outdir: str, paths) -> dict:
     return out
 
 
-def retrieval_table_hash(queries, candidates, params, config) -> str:
+def retrieval_table_hash(queries, batches, params, config) -> str:
     """sha256 of the ``float.hex`` of the score, the best pair and the
     per-word probabilities of every query against every candidate (a list of
-    ``(PairBatch, encode_pair_batch dict)`` pairs), each query scoring all
-    candidates in one ``retrieval_scores`` call."""
+    ``PairBatch``, one per image), each query scoring all candidates in one
+    ``retrieval_scores`` call."""
     from relcap import apps
+    from relcap.autodiff import no_grad
+    from relcap.model import encode_pair_batch
 
+    with no_grad():
+        candidates = [(batch, encode_pair_batch(batch, params, config)) for batch in batches]
     table = [apps.retrieval_scores(query, candidates, params, config) for query in queries]
     digest = hashlib.sha256()
-    for image in range(len(candidates)):
+    for image in range(len(batches)):
         for row in table:
             score, best, probs = row[image]
             line = " ".join([score.hex(), str(best), *(p.hex() for p in probs)])
@@ -203,7 +207,7 @@ def score_hashes(outdir: str) -> dict:
     """sha256 of every retrieval score and importance trace of the golden
     checkpoints on the test split (see the module docstring)."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
-    from relcap.autodiff import Tensor, no_grad
+    from relcap.autodiff import Tensor
     from relcap.data import ToyFeatureProvider, load_dataset
     from relcap.geometry import NMS_IOU, nms
     from relcap.model import encode_pair_batch, importance_trace, load_model
@@ -225,8 +229,7 @@ def score_hashes(outdir: str) -> dict:
             batch, boxes = make_pair_batch(record, nms(proposals, NMS_IOU, 100), provider,
                                            config)
             if boxes:
-                with no_grad():
-                    candidates.append((batch, encode_pair_batch(batch, params, config)))
+                candidates.append(batch)
             if config.streams == "triple":
                 image = build_image_batch(record, proposals, provider, vocab, config)
                 codes = encode_pair_batch(image.pairs, params, config)
@@ -247,8 +250,7 @@ def score_hashes(outdir: str) -> dict:
                                             ProposalSettings(n_background=80))
                 batch, _ = make_pair_batch(record, nms(proposals, NMS_IOU, 50), provider,
                                            config)
-                with no_grad():
-                    dense.append((batch, encode_pair_batch(batch, params, config)))
+                dense.append(batch)
             out[f"scores/{name}/retrieval_score_dense"] = retrieval_table_hash(
                 queries, dense, params, config)
     return out
