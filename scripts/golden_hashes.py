@@ -170,15 +170,16 @@ def payload_hashes(outdir: str, paths) -> dict:
 def retrieval_table_hash(queries, batches, params, config) -> str:
     """sha256 of the ``float.hex`` of the score, the best pair and the
     per-word probabilities of every query against every candidate (a list of
-    ``PairBatch``, one per image), each query scoring all candidates in one
-    ``retrieval_scores`` call."""
+    ``PairBatch``, one per image, encoded in one call as ``PairBatch.stack``),
+    each query scoring all candidates in one ``retrieval_scores`` call."""
     from relcap import apps
     from relcap.autodiff import no_grad
-    from relcap.model import encode_pair_batch
+    from relcap.model import PairBatch, encode_pair_batch
 
+    batch = PairBatch.stack(batches)
     with no_grad():
-        candidates = [(batch, encode_pair_batch(batch, params, config)) for batch in batches]
-    table = [apps.retrieval_scores(query, candidates, params, config) for query in queries]
+        codes = encode_pair_batch(batch, params, config)
+    table = [apps.retrieval_scores(query, batch, codes, params, config) for query in queries]
     digest = hashlib.sha256()
     for image in range(len(batches)):
         for row in table:

@@ -13,8 +13,8 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigError, DataError
 from .geometry import Box, box_rows, iou_matrix
-from .model import (ModelConfig, ModelParams, encode_pair_batch, run_streams, stream_inputs,
-                    stream_regions)
+from .model import (ModelConfig, ModelParams, PairBatch, encode_pair_batch, run_streams,
+                    stream_inputs, stream_regions)
 
 NODE_MERGE_IOU = 0.9     # default IoU at or above which caption-graph nodes merge
 
@@ -114,32 +114,30 @@ def export_graph(graph: CaptionGraph, fmt: str) -> str:
 # retrieval
 # ---------------------------------------------------------------------------
 
-def retrieval_scores(query_ids, candidates, params: ModelParams, config: ModelConfig):
+def retrieval_scores(query_ids, batch: PairBatch, codes, params: ModelParams,
+                     config: ModelConfig):
     """Probability that a query occurs for the best pair of each image.
 
-    ``candidates`` holds each image's ``(PairBatch, encode_pair_batch codes)``.
-    All their rows run through one untaped ``run_streams`` pass, teacher-forced
-    with the query; ``emit`` applies the word head per block and keeps only the
-    query words' log-probabilities, ``(T, P)``, never the hidden states. With
-    each image's region indices offset by the region counts before it, a pass
-    of more than BLOCK rows steps one subject or object state per region. A
-    row's log sum (in step order) does not depend on the other rows (every
-    product runs in fixed tiles); an image's score is the first maximum over
-    its rows. Returns one (score, best pair index within the image, per-word
-    probabilities of that pair) per image. A non-finite score is a ``DataError``.
+    ``batch`` holds the candidate images (``PairBatch.stack``, pairs in image
+    order) and ``codes`` its ``encode_pair_batch`` codes. All its rows run
+    through one untaped ``run_streams`` pass, teacher-forced with the query;
+    ``emit`` applies the word head per block and keeps only the query words'
+    log-probabilities, ``(T, P)``, never the hidden states. A pass of more
+    than BLOCK rows steps one subject or object state per region. A row's
+    log sum (in step order) does not depend on the other rows (every product
+    runs in fixed tiles); an image's score is the first maximum over its
+    rows. Returns one (score, best pair index within the image, per-word
+    probabilities of that pair) per image. A non-finite score is a
+    ``DataError``.
     """
     query = list(query_ids)
     if not query:
         raise ValueError("retrieval needs a non-empty query")
-    sizes = [len(batch) for batch, _ in candidates]
-    if not sizes or min(sizes) == 0:
+    image = np.searchsorted(np.cumsum(batch.image_regions), batch.subject_index, side="right")
+    sizes = np.bincount(image, minlength=len(batch.image_regions))
+    if sizes.min() == 0:
         raise ValueError("retrieval needs at least one candidate pair per image")
-    stacked = {kind: ad.Tensor(np.concatenate([code[kind].data for _, code in candidates]))
-               for kind in candidates[0][1]}
-    starts = np.cumsum([0] + [len(batch.features) for batch, _ in candidates])
-    regions = [None if parts[0] is None else np.concatenate([r + s for r, s in zip(parts, starts)])
-               for parts in zip(*(stream_regions(batch, config) for batch, _ in candidates))]
-    logp = np.empty((len(query), sum(sizes)))
+    logp = np.empty((len(query), len(batch)))
 
     def emit(t, lo, feat):
         logits = ad.affine(ad.Tensor(feat), params["head.word.w"], params["head.word.b"]).data
@@ -147,15 +145,15 @@ def retrieval_scores(query_ids, candidates, params: ModelParams, config: ModelCo
         return np.full(len(feat), query[t])
 
     with ad.no_grad():
-        run_streams(stream_inputs(stacked, params, config), params, config, len(query), emit,
-                    regions=regions)
+        run_streams(stream_inputs(codes, params, config), params, config, len(query), emit,
+                    regions=stream_regions(batch, config))
     log_scores = np.zeros(logp.shape[1])
     for row in logp:
         log_scores += row
     if not np.isfinite(log_scores).all():
         raise DataError("retrieval scores are not finite (diverged parameters?)")
     out, lo = [], 0
-    for size in sizes:
+    for size in sizes.tolist():
         best = lo + int(np.argmax(log_scores[lo:lo + size]))
         probs = np.exp(logp[:, best])
         out.append((float(math.exp(log_scores[best])), best - lo, probs.tolist()))
@@ -186,10 +184,10 @@ def retrieval_eval(scorables, gt_captions, vocab, params, config,
     ``scorables``: list of (image_id, PairBatch) candidates;
     ``gt_captions``: image_id -> list of token lists to sample queries from.
     Query images are drawn among the candidates with at least one caption.
-    Each candidate is encoded once per call; every query then scores all
-    candidates in one ``retrieval_scores`` pass, which holds the query
-    words' log-probabilities of every candidate row, not their hidden
-    states.
+    The candidates are stacked into one ``PairBatch`` and encoded in one
+    ``encode_pair_batch`` call; every query then scores all candidates in
+    one ``retrieval_scores`` pass, which holds the query words'
+    log-probabilities of every candidate row, not their hidden states.
     """
     candidates = list(scorables)[:protocol.num_images]
     if len(candidates) < protocol.num_query_images:
@@ -202,8 +200,9 @@ def retrieval_eval(scorables, gt_captions, vocab, params, config,
         raise DataError(
             f"retrieval needs {protocol.num_query_images} query images with GT "
             f"captions, but only {len(captioned)} of {len(candidates)} candidates have any")
+    batch = PairBatch.stack([batch for _, batch in candidates])
     with ad.no_grad():
-        scored = [(batch, encode_pair_batch(batch, params, config)) for _, batch in candidates]
+        codes = encode_pair_batch(batch, params, config)
 
     per_round_recall = {k: [] for k in protocol.ks}
     per_round_median = []
@@ -223,7 +222,7 @@ def retrieval_eval(scorables, gt_captions, vocab, params, config,
         ranks = []
         for source_id, tokens in queries:
             ids = [vocab.encode_token(t) for t in tokens]
-            scores = [score for score, _, _ in retrieval_scores(ids, scored, params, config)]
+            scores = [score for score, _, _ in retrieval_scores(ids, batch, codes, params, config)]
             order = sorted(zip(candidate_ids, scores), key=lambda s: (-s[1], s[0]))
             rank = 1 + next(i for i, (img, _) in enumerate(order) if img == source_id)
             ranks.append(rank)

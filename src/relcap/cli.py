@@ -441,6 +441,9 @@ def cmd_retrieve(args) -> int:
             continue
         scorables.append((record.image_id, batch))
         gt_captions[record.image_id] = [rel.tokens for rel in record.relations]
+    if len(scorables) < protocol.num_query_images:
+        raise ConfigError(f"retrieval needs at least {protocol.num_query_images} images with a "
+                          f"region pair, got {len(scorables)} of the {len(records)} images read")
     result = retrieval_eval(scorables, gt_captions, vocab, params, config, protocol,
                             seed=settings.seed)
     payload = {"retrieval": result,

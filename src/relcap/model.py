@@ -209,60 +209,92 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
 # forward passes
 # ---------------------------------------------------------------------------
 
-def rem_forward(x: Tensor, params: ModelParams) -> Tensor:
-    """Relational embedding: attention over all regions, residually added.
+def _attend(a: Tensor, b: Tensor, v: Tensor) -> Tensor:
+    return ad.matmul(ad.row_softmax(ad.matmul(a, ad.transpose(b))), v)
+
+
+def rem_forward(x: Tensor, params: ModelParams, sizes=()) -> Tensor:
+    """Relational embedding: attention among the regions of each image,
+    residually added.
 
     R = row_softmax(relu(X Wa) relu(X Wb)^T); Z = X + R relu(X Wx) Wz^T.
-    Row permutations of X permute Z identically.
+    ``sizes`` gives the rows of each image in order (default: one image);
+    R is then block-diagonal, one softmax per image, and every other product
+    runs once over all rows, so an image's rows are the bits it gets alone.
+    Row permutations within an image permute its rows of Z identically.
+    Several images are forward-only: recording them is a ValueError.
     """
     a = ad.relu(ad.matmul(x, params["rem.wa"]))
     b = ad.relu(ad.matmul(x, params["rem.wb"]))
-    r = ad.row_softmax(ad.matmul(a, ad.transpose(b)))
     v = ad.relu(ad.matmul(x, params["rem.wx"]))
-    attended = ad.matmul(ad.matmul(r, v), ad.transpose(params["rem.wz"]))
-    return ad.add(x, attended)
+    if len(sizes) > 1:
+        if ad.is_recording():
+            raise ValueError("REM over several images is forward-only; run it under no_grad")
+        cuts = np.cumsum(sizes)[:-1]
+        images = zip(*(np.split(t.data, cuts) for t in (a, b, v)))
+        attended = Tensor(np.concatenate([_attend(*map(Tensor, m)).data for m in images]))
+    else:
+        attended = _attend(a, b, v)
+    return ad.add(x, ad.matmul(attended, ad.transpose(params["rem.wz"])))
 
 
 def encode_regions(features: np.ndarray, params: ModelParams, config: ModelConfig,
-                   rng: np.random.Generator | None = None):
+                   rng: np.random.Generator | None = None, sizes=()):
     """Shared first FC over all B regions; returns (x, z) at width d_subj_obj.
 
     ``x`` feeds the detection and box heads; ``z`` (REM-refined when
-    enabled) feeds the subject/object code FCs. Dropout runs when an
-    ``rng`` is given.
+    enabled, within each image of ``sizes``) feeds the subject/object code
+    FCs. Dropout runs when an ``rng`` is given.
     """
     x = ad.relu(ad.affine(Tensor(features), params["enc.first.w"], params["enc.first.b"]))
     x = ad.dropout(x, config.dropout, rng)
-    z = rem_forward(x, params) if config.rem else x
+    z = rem_forward(x, params, sizes) if config.rem else x
     return x, z
 
 
 @dataclass
 class PairBatch:
-    """Per-image batch of region pairs ready for encoding/decoding; the one
-    pair representation after the combination layer, in training and
-    inference alike."""
+    """A batch of region pairs ready for encoding/decoding; the one pair
+    representation after the combination layer, in training and inference
+    alike. It holds one image, or several from ``stack`` (forward-only)."""
 
     features: np.ndarray            # (B, feature_width) all proposals
     subject_index: np.ndarray       # (P,) intp: per pair, row into features
     object_index: np.ndarray        # (P,) intp
     union_features: np.ndarray      # (P, feature_width)
     geos: np.ndarray                # (P, 6)
+    image_regions: tuple = ()       # rows of features per image, in order (): one image
 
     def __post_init__(self):
         self.subject_index = np.asarray(self.subject_index, dtype=np.intp).reshape(-1)
         self.object_index = np.asarray(self.object_index, dtype=np.intp).reshape(-1)
+        self.image_regions = tuple(self.image_regions) or (len(self.features),)
 
     def __len__(self):
         return len(self.subject_index)
+
+    @staticmethod
+    def stack(batches) -> "PairBatch":
+        """The batches as one, image after image: their rows concatenated,
+        each image's region indices offset by the regions before it."""
+        starts = np.cumsum([0] + [len(b.features) for b in batches[:-1]])
+        return PairBatch(
+            np.concatenate([b.features for b in batches]),
+            np.concatenate([b.subject_index + s for b, s in zip(batches, starts)]),
+            np.concatenate([b.object_index + s for b, s in zip(batches, starts)]),
+            np.concatenate([b.union_features for b in batches]),
+            np.concatenate([b.geos for b in batches]),
+            [n for b in batches for n in b.image_regions])
 
 
 def encode_pair_batch(batch: PairBatch, params: ModelParams, config: ModelConfig,
                       z: Tensor | None = None, rng: np.random.Generator | None = None):
     """Region codes for every pair in the batch, keyed by input kind; with
-    an ``rng``, dropout runs as in training."""
+    an ``rng``, dropout runs as in training. Every product runs once over
+    the rows of all the batch's images, so each pair's codes are the bits
+    its image gets alone."""
     if z is None:
-        _, z = encode_regions(batch.features, params, config, rng)
+        _, z = encode_regions(batch.features, params, config, rng, batch.image_regions)
     codes = {}
     if config.use_subject:
         rows = ad.gather_rows(z, batch.subject_index)

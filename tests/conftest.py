@@ -197,18 +197,19 @@ def same_groups(a, b) -> bool:
     return len(set(zip(a, b))) == len(set(a)) == len(set(b))
 
 
-def block_retrieval_scores(query, candidates, params, config):
-    """Reference of ``apps.retrieval_scores`` that never shares a state:
-    ``stream_states`` over consecutive chunks of at most BLOCK of the
-    concatenated candidate rows (so every row keeps its own state), one
-    word head and log-softmax over every row's states at once, log sums in
-    step order, then each image's first maximum."""
-    rows = {kind: np.concatenate([code[kind].data for _, code in candidates])
-            for kind in candidates[0][1]}
-    n = sum(len(batch) for batch, _ in candidates)
+def block_retrieval_scores(query, batches, params, config):
+    """Reference of ``apps.retrieval_scores`` over the images ``batches``
+    that never stacks an image and never shares a state: each image encoded
+    alone, ``stream_states`` over consecutive chunks of at most BLOCK of the
+    concatenated codes (so every row keeps its own state), one word head and
+    log-softmax over every row's states at once, log sums in step order,
+    then each image's first maximum."""
     steps = len(query)
     chunks = []
     with no_grad():
+        codes = [encode_pair_batch(batch, params, config) for batch in batches]
+        rows = {kind: np.concatenate([code[kind].data for code in codes]) for kind in codes[0]}
+        n = sum(len(batch) for batch in batches)
         for lo in range(0, n, BLOCK):
             chunk = {kind: Tensor(x[lo:lo + BLOCK]) for kind, x in rows.items()}
             targets = np.tile(query, (min(BLOCK, n - lo), 1))
@@ -221,7 +222,7 @@ def block_retrieval_scores(query, candidates, params, config):
     for t, word in enumerate(query):
         log_scores += logp[t, :, word]
     out, lo = [], 0
-    for batch, _ in candidates:
+    for batch in batches:
         hi = lo + len(batch)
         best = lo + int(np.argmax(log_scores[lo:hi]))
         probs = np.exp(logp[np.arange(steps), best, query])
@@ -380,11 +381,11 @@ def reference_combination_layer(confidence, max_pairs=None):
 
 
 def retrieval_score(query_ids, batch, params, config):
-    """``apps.retrieval_scores`` of one image: (score, best pair index,
-    per-word probabilities of that pair)."""
+    """``apps.retrieval_scores`` of one image, encoded alone: (score, best
+    pair index, per-word probabilities of that pair)."""
     with no_grad():
         codes = encode_pair_batch(batch, params, config)
-    return retrieval_scores(query_ids, [(batch, codes)], params, config)[0]
+    return retrieval_scores(query_ids, batch, codes, params, config)[0]
 
 
 def save_attributes(path, records):

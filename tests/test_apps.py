@@ -1,5 +1,6 @@
 """Caption graphs and sentence-based retrieval."""
 
+import dataclasses
 import json
 import math
 
@@ -213,9 +214,10 @@ class TestGroupedRetrieval:
         cfg = tiny_config(14, 10, name="mttsnet,mtl,rem")
         params = fresh_params(cfg, seed=4)
         rng = np.random.default_rng(11)
+        batches = [random_batch(cfg, n, rng) for n in self.SIZES]
+        stacked = PairBatch.stack(batches)
         with ad.no_grad():
-            candidates = [(batch, encode_pair_batch(batch, params, cfg))
-                          for batch in (random_batch(cfg, n, rng) for n in self.SIZES)]
+            codes = encode_pair_batch(stacked, params, cfg)
         ends = np.cumsum(self.SIZES)
         assert BLOCK == 256                  # SIZES are chosen around it
         assert any(lo < 256 < hi for lo, hi in zip(ends - self.SIZES, ends))
@@ -229,8 +231,8 @@ class TestGroupedRetrieval:
 
         monkeypatch.setattr(model, "regroup", counting)
         query = list(rng.integers(0, cfg.vocab_size, cfg.max_len))
-        scores = retrieval_scores(query, candidates, params, cfg)
-        assert scores == block_retrieval_scores(query, candidates, params, cfg)
+        scores = retrieval_scores(query, stacked, codes, params, cfg)
+        assert scores == block_retrieval_scores(query, batches, params, cfg)
         assert shared and all(shared)
         assert [len(probs) for _, _, probs in scores] == [cfg.max_len] * len(self.SIZES)
 
@@ -241,12 +243,13 @@ class TestGroupedRetrieval:
         params = fresh_params(cfg, seed=3)
         rng = np.random.default_rng(7)
         batches = [random_batch(cfg, n, rng) for n in self.SIZES]
+        stacked = PairBatch.stack(batches)
         with ad.no_grad():
-            candidates = [(b, encode_pair_batch(b, params, cfg)) for b in batches]
+            codes = encode_pair_batch(stacked, params, cfg)
         for length in (1, 4, cfg.max_len):
             query = list(rng.integers(0, cfg.vocab_size, length))
-            scores = retrieval_scores(query, candidates, params, cfg)
-            assert scores == block_retrieval_scores(query, candidates, params, cfg), (name, length)
+            scores = retrieval_scores(query, stacked, codes, params, cfg)
+            assert scores == block_retrieval_scores(query, batches, params, cfg), (name, length)
             assert scores == [retrieval_score(query, b, params, cfg) for b in batches]
             assert all(0 <= best < n for (_, best, _), n in zip(scores, self.SIZES))
 
@@ -256,10 +259,11 @@ class TestGroupedRetrieval:
         cfg = tiny_config(14, 10, name="mttsnet,mtl")
         params = fresh_params(cfg, seed=4)
         batch = random_batch(cfg, 200, np.random.default_rng(5))
+        stacked = PairBatch.stack([batch, batch])
         with ad.no_grad():
-            candidates = [(batch, encode_pair_batch(batch, params, cfg))] * 2
+            codes = encode_pair_batch(stacked, params, cfg)
         scores, maps = regroup_inputs(
-            monkeypatch, lambda: retrieval_scores([4, 7], candidates, params, cfg))
+            monkeypatch, lambda: retrieval_scores([4, 7], stacked, codes, params, cfg))
         assert scores[0] == scores[1] and len(maps) == 2
         for states, region in zip(maps, (batch.subject_index, batch.object_index)):
             assert same_groups(states, np.concatenate([region, region + len(batch.features)]))
@@ -281,7 +285,11 @@ class TestGroupedRetrieval:
                                                   captions_per_image=2, ks=(1,),
                                                   rounds=2), seed=0)
         assert result["num_queries"] == 8
-        assert [id(b) for b in calls] == [id(b) for _, b in scorables]
+        assert len(calls) == 1
+        want = PairBatch.stack([b for _, b in scorables])
+        for field in dataclasses.fields(PairBatch):
+            got, expected = getattr(calls[0], field.name), getattr(want, field.name)
+            assert np.array_equal(got, expected), field.name
 
 
 def toy_scorables(cfg, params, n_images, rng):

@@ -421,6 +421,18 @@ class TestExitCodes:
         assert err.startswith("error: ") and "GT captions" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_retrieve_without_pairs_names_the_images_read(self, toy_dir, trained_dir, tmp_path,
+                                                          capsys):
+        # One proposal kept after NMS pairs nothing, so no image has a pair.
+        data = os.path.join(toy_dir, "train.jsonl")
+        n_read = sum(1 for _ in open(data))
+        assert run(["retrieve", "--checkpoint", os.path.join(trained_dir, "model.rckpt"),
+                    "--data", data, "--provider", os.path.join(toy_dir, "provider.json"),
+                    "--keep-after-nms", "1", "--query-images", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert f"2 images with a region pair, got 0 of the {n_read} images read" in err
+
     @pytest.mark.parametrize("command", ["train", "eval", "infer", "retrieve", "enrich"])
     def test_repeated_image_id_is_data_error(self, toy_dir, trained_dir, tmp_path, capsys,
                                              command):

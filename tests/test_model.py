@@ -256,6 +256,97 @@ class TestEncodePair:
             encode_pair_batch(one_pair(feature_width=9), fresh_params(cfg), cfg)
 
 
+STACK_REGIONS = (1, 5, 31, 32, 33, 50)      # images whose rows cross 32-row tile edges
+
+
+def stack_images(cfg):
+    """One random PairBatch per STACK_REGIONS entry, of n + 3 pairs."""
+    return [random_pair_batch(cfg, n_pairs=n + 3, n_regions=n, seed=n) for n in STACK_REGIONS]
+
+
+def graph_nodes(*roots) -> int:
+    """Number of autodiff nodes reachable from ``roots`` (roots included)."""
+    seen = {id(root) for root in roots}
+    stack = list(roots)
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+class TestStackedEncoding:
+    @pytest.mark.parametrize("name", [base + rem for base in MODEL_PRESETS
+                                      for rem in ("", ",rem")])
+    def test_codes_equal_per_image_codes(self, name):
+        cfg = tiny_config(14, 10, name=name)
+        self.assert_codes_equal(cfg, fresh_params(cfg, seed=2))
+
+    def test_codes_equal_per_image_codes_at_default_widths(self):
+        cfg = ModelConfig(14, 10, name="mttsnet,mtl,rem").validate()
+        self.assert_codes_equal(cfg, fresh_params(cfg, seed=2))
+
+    @staticmethod
+    def assert_codes_equal(cfg, params):
+        batches = stack_images(cfg)
+        with ad.no_grad():
+            got = encode_pair_batch(PairBatch.stack(batches), params, cfg)
+            alone = [encode_pair_batch(batch, params, cfg) for batch in batches]
+        assert set(got) == set(alone[0])
+        for kind, code in got.items():
+            want = np.concatenate([codes[kind].data for codes in alone])
+            assert code.data.tobytes() == want.tobytes(), kind
+
+    def test_stack_offsets_each_image_by_the_regions_before_it(self):
+        cfg = tiny_config(14, 10)
+        batches = stack_images(cfg)
+        stacked = PairBatch.stack(batches)
+        assert batches[0].image_regions == (1,) and stacked.image_regions == STACK_REGIONS
+        starts = np.cumsum((0,) + STACK_REGIONS[:-1])
+        for name in ("subject_index", "object_index"):
+            want = np.concatenate([getattr(b, name) + s for b, s in zip(batches, starts)])
+            assert np.array_equal(getattr(stacked, name), want)
+        assert np.array_equal(stacked.geos, np.concatenate([b.geos for b in batches]))
+        # Stacking stacks keeps one entry per image.
+        again = PairBatch.stack([PairBatch.stack(batches[:2]), PairBatch.stack(batches[2:])])
+        for field in dataclasses.fields(PairBatch):
+            assert np.array_equal(getattr(again, field.name), getattr(stacked, field.name))
+
+    def test_rem_attends_within_each_image(self):
+        cfg = tiny_config(14, 10, name="mttsnet,rem")
+        params = fresh_params(cfg, seed=3)
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(sum(STACK_REGIONS), cfg.d_subj_obj))
+        starts = np.cumsum((0,) + STACK_REGIONS[:-1])
+        perm = np.concatenate([s + rng.permutation(n) for s, n in zip(starts, STACK_REGIONS)])
+        with ad.no_grad():
+            z = rem_forward(Tensor(x), params, STACK_REGIONS).data
+            z_perm = rem_forward(Tensor(x[perm]), params, STACK_REGIONS).data
+            for s, n in zip(starts, STACK_REGIONS):
+                assert np.array_equal(z[s:s + n], rem_forward(Tensor(x[s:s + n]), params).data)
+        assert np.max(np.abs(z[perm] - z_perm)) < 1e-12
+
+    def test_several_images_are_forward_only(self):
+        cfg = tiny_config(14, 10, name="mttsnet,rem")
+        stacked = PairBatch.stack(stack_images(cfg))
+        with pytest.raises(ValueError, match="forward-only"):
+            encode_pair_batch(stacked, fresh_params(cfg), cfg)
+
+    def test_one_image_records_the_graph_it_did_before_stacking(self):
+        cfg = tiny_config(14, 10, name="mttsnet,rem")
+        params = fresh_params(cfg)
+        # The counts the encoder and loss recorded before batches could stack.
+        assert graph_nodes(rem_forward(Tensor(np.ones((5, cfg.d_subj_obj))), params)) == 18
+        for name, nodes in (("mttsnet,rem", 73), ("mttsnet", 56)):
+            batch, loss_params, loss_cfg = loss_fixture(name)
+            assert graph_nodes(total_loss(batch, loss_params, loss_cfg)[0]) == nodes
+        batch = random_pair_batch(cfg)
+        one = encode_pair_batch(batch, params, cfg)
+        stacked = encode_pair_batch(PairBatch.stack([batch]), params, cfg)
+        assert graph_nodes(*one.values()) == graph_nodes(*stacked.values()) == 44
+
+
 # ---------------------------------------------------------------------------
 # LSTM cell
 # ---------------------------------------------------------------------------
@@ -851,12 +942,14 @@ class TestFloat32Accuracy:
         query = [4, 7, 5, 9, END_ID]
         steps = np.arange(len(query))
         batches = [random_pair_batch(cfg, n_pairs=n, n_regions=6, seed=n) for n in range(1, 41)]
+        stacked = PairBatch.stack(batches)
         with ad.no_grad():
-            candidates = [(b, encode_pair_batch(b, params, cfg)) for b in batches]
+            codes = encode_pair_batch(stacked, params, cfg)
+            alone = [encode_pair_batch(b, params, cfg) for b in batches]
         got = np.log([score for score, _, _ in
-                      retrieval_scores(query, candidates, params, cfg)])
+                      retrieval_scores(query, stacked, codes, params, cfg)])
         want = []
-        for _, code in candidates:
+        for code in alone:
             n = len(code["union"].data)
             hidden = stream_states(code, np.tile(query, (n, 1)), params, cfg)
             assert hidden._parents                      # taped: float64
