@@ -214,15 +214,13 @@ def _attend(a: Tensor, b: Tensor, v: Tensor) -> Tensor:
 
 
 def rem_forward(x: Tensor, params: ModelParams, sizes=()) -> Tensor:
-    """Relational embedding: attention among the regions of each image,
-    residually added.
+    """Relational embedding: attention among the regions of each image of
+    ``sizes`` (row counts, in order; default one image), residually added.
 
     R = row_softmax(relu(X Wa) relu(X Wb)^T); Z = X + R relu(X Wx) Wz^T.
-    ``sizes`` gives the rows of each image in order (default: one image);
-    R is then block-diagonal, one softmax per image, and every other product
-    runs once over all rows, so an image's rows are the bits it gets alone.
-    Row permutations within an image permute its rows of Z identically.
-    Several images are forward-only: recording them is a ValueError.
+    Only R and its product run image by image. Row permutations within an
+    image permute its rows of Z identically. Several images are
+    forward-only: recording them is a ValueError.
     """
     a = ad.relu(ad.matmul(x, params["rem.wa"]))
     b = ad.relu(ad.matmul(x, params["rem.wb"]))
@@ -256,14 +254,14 @@ def encode_regions(features: np.ndarray, params: ModelParams, config: ModelConfi
 class PairBatch:
     """A batch of region pairs ready for encoding/decoding; the one pair
     representation after the combination layer, in training and inference
-    alike. It holds one image, or several from ``stack`` (forward-only)."""
+    alike. It holds one image, or several from ``stack``."""
 
     features: np.ndarray            # (B, feature_width) all proposals
     subject_index: np.ndarray       # (P,) intp: per pair, row into features
     object_index: np.ndarray        # (P,) intp
     union_features: np.ndarray      # (P, feature_width)
     geos: np.ndarray                # (P, 6)
-    image_regions: tuple = ()       # rows of features per image, in order (): one image
+    image_regions: tuple = ()       # per image in order, its rows of features; (): one image
 
     def __post_init__(self):
         self.subject_index = np.asarray(self.subject_index, dtype=np.intp).reshape(-1)
@@ -290,9 +288,8 @@ class PairBatch:
 def encode_pair_batch(batch: PairBatch, params: ModelParams, config: ModelConfig,
                       z: Tensor | None = None, rng: np.random.Generator | None = None):
     """Region codes for every pair in the batch, keyed by input kind; with
-    an ``rng``, dropout runs as in training. Every product runs once over
-    the rows of all the batch's images, so each pair's codes are the bits
-    its image gets alone."""
+    an ``rng``, dropout runs as in training. A stacked batch's codes are
+    the bits each image gets alone."""
     if z is None:
         _, z = encode_regions(batch.features, params, config, rng, batch.image_regions)
     codes = {}
