@@ -1,6 +1,6 @@
 """Run the golden command list and print the sha256 of every output.
 
-Usage: python3 scripts/golden_hashes.py OUTDIR
+Usage: python3 scripts/golden_hashes.py OUTDIR [--write FILE | --check FILE]
 
 OUTDIR must be missing or empty. The ``relcap`` commands below run there
 with this checkout's ``src`` on PYTHONPATH and OPENBLAS_NUM_THREADS=1: the
@@ -45,6 +45,14 @@ candidates of the dense infers (80 background proposals, NMS keep 50: 2,450
 pairs per image), so the scores of passes far above BLOCK rows, whose
 subject and object streams share states across pairs, are pinned too.
 
+``--write FILE`` also saves the lines to FILE after a machine block: ``#``
+lines naming the CPU model and the Python, numpy and BLAS versions, which
+are what last bits of floating point depend on. ``--check FILE`` prints,
+instead of the lines, every line of this run that moved from FILE's, is
+missing from it or is new, and whether the machine blocks match. It exits 1
+only when lines moved on a matching machine; moved lines on another machine,
+or missing and new lines alone, are reported with exit 0.
+
 The eval reports round the caption scores away as well, so one more line per
 golden checkpoint pins them: ``scores/<model>/pair_scores``, the sha256 of
 every ``score_pairs`` table (image id, prediction rows, and the bytes of the
@@ -62,9 +70,11 @@ boxes read from its proposal boxes) plus its caption token ids and POS tags.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 
@@ -316,18 +326,57 @@ def perfbench_hashes(env) -> dict:
     return out
 
 
+def machine_block() -> list:
+    """``#`` lines naming the CPU model and the Python, numpy and BLAS versions."""
+    import numpy as np
+    cpu = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return [f"# cpu: {cpu}", f"# python: {platform.python_version()}",
+            f"# numpy: {np.__version__}", f"# blas: {blas['name']} {blas['version']}"]
+
+
+def check(lines, machine, path) -> int:
+    """Print what moved, is missing or is new against the golden file ``path``."""
+    with open(path, encoding="utf-8") as fh:
+        golden = [line.rstrip("\n") for line in fh if line.strip()]
+    golden_machine = [line for line in golden if line.startswith("#")]
+    want = dict(reversed(line.split("  ", 1)) for line in golden if not line.startswith("#"))
+    have = dict(reversed(line.split("  ", 1)) for line in lines)
+    moved = sorted(p for p in want.keys() & have.keys() if want[p] != have[p])
+    for label, paths in (("moved", moved), ("missing", sorted(want.keys() - have.keys())),
+                         ("new", sorted(have.keys() - want.keys()))):
+        for p in paths:
+            print(f"{label}: {p}")
+    same_machine = golden_machine == machine
+    print(f"{len(have) - len(moved) - len(have.keys() - want.keys())} of {len(want)} golden "
+          f"lines equal; machine block {'matches' if same_machine else 'differs'}")
+    if not same_machine:
+        print("\n".join(["golden machine:", *golden_machine, "this machine:", *machine]))
+    return 1 if moved and same_machine else 0
+
+
 def main(argv) -> int:
-    if len(argv) != 1:
-        sys.exit(__doc__.strip().splitlines()[2])
-    outdir = os.path.abspath(argv[0])
+    parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
+    parser.add_argument("outdir")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--write", metavar="FILE", help="also save the lines and a machine block")
+    mode.add_argument("--check", metavar="FILE", help="compare the lines with a saved file")
+    args = parser.parse_args(argv)
+    outdir = os.path.abspath(args.outdir)
     os.makedirs(outdir, exist_ok=True)
     if os.listdir(outdir):
         sys.exit(f"{outdir} is not empty")
     os.environ["OPENBLAS_NUM_THREADS"] = "1"        # before score_hashes imports numpy
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     relcap = [sys.executable, "-m", "relcap.cli"]
-    for args in relcap_commands():
-        run(relcap + args, outdir, env)
+    for cmd in relcap_commands():
+        run(relcap + cmd, outdir, env)
     with open(os.path.join(outdir, "greedy_mttsnet_mtl_rem.jsonl")) as fh:
         first_image = json.loads(fh.readline())["image_id"]
     run(relcap + ["graph", "--predictions", "greedy_mttsnet_mtl_rem.jsonl",
@@ -335,8 +384,13 @@ def main(argv) -> int:
     files = file_hashes(outdir)
     hashes = (files | token_hashes(outdir) | payload_hashes(outdir, files)
               | score_hashes(outdir) | pair_hashes(outdir) | perfbench_hashes(env))
-    for path in sorted(hashes):
-        print(f"{hashes[path]}  {path}")
+    lines = [f"{hashes[path]}  {path}" for path in sorted(hashes)]
+    if args.check:
+        return check(lines, machine_block(), args.check)
+    print("\n".join(lines))
+    if args.write:
+        with open(args.write, "w", encoding="utf-8") as fh:
+            fh.write("\n".join([*machine_block(), *lines]) + "\n")
     return 0
 
 
