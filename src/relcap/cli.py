@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -30,7 +31,8 @@ from .data import (SCHEMA_VERSION, PosTag, ToyFeatureProvider, ToyWorldConfig, V
 from .errors import ConfigError, DataError
 from .geometry import NMS_IOU, Box, nms
 from .metrics import MetricConfig, PredictionRecord, Predictions
-from .model import DECODE_MODES, MODEL_PRESETS, ModelConfig, load_model, save_model
+from .model import (DECODE_MODES, LOSS_COMPONENTS, MODEL_PRESETS, ModelConfig, load_model,
+                    save_model)
 from .pipeline import (ProposalSettings, TrainSettings, build_proposals, evaluate_model,
                        history_to_csv, make_pair_batch, predict_image, train_model)
 
@@ -256,7 +258,13 @@ _MODEL_SETTINGS = {"model": "name", "hidden": "hidden", "d-subj-obj": "d_subj_ob
                    "dropout": "dropout"}
 
 
-def _check_vocab(vocab, records) -> None:
+def _check_checkpoint_inputs(config, vocab, provider, records) -> None:
+    """A checkpoint's model must read the provider's features and most of the
+    dataset's words."""
+    if provider.feature_width != config.feature_width:
+        raise ConfigError(
+            f"provider feature width {provider.feature_width} does not match "
+            f"checkpoint feature width {config.feature_width}")
     tokens = [t for record in records for rel in record.relations for t in rel.tokens]
     if not tokens:
         return
@@ -324,7 +332,7 @@ def cmd_train(args) -> int:
             args.min_count = meta["provenance"]["settings"]["min-count"]
         except (KeyError, TypeError):
             args.min_count = None
-        _check_vocab(vocab, records)
+        _check_checkpoint_inputs(config, vocab, provider, records)
     else:
         vocab = build_vocab(records, min_count=args.min_count)
         config = ModelConfig(provider.feature_width, len(vocab),
@@ -333,9 +341,17 @@ def cmd_train(args) -> int:
     prov = run_provenance(args, dataset=args.data, provider=args.provider,
                           checkpoint=args.resume)
 
-    def on_epoch(_epoch, _row, cur_params, cur_opt):
+    started = time.perf_counter()   # epoch 1 also counts building the batches
+
+    def on_epoch(_epoch, row, cur_params, cur_opt):
+        nonlocal started
+        rate = len(records) / (time.perf_counter() - started)
+        print(" ".join([f"epoch {row['epoch']}:",
+                        *(f"{key} {row[key]!r}" for key in LOSS_COMPONENTS),
+                        f"images/s {rate:.1f}"]), file=sys.stderr, flush=True)
         save_model(ckpt_path, cur_params, config, vocab, optimizer=cur_opt,
                    extra_meta={"provenance": prov})
+        started = time.perf_counter()
 
     params, optimizer, history = train_model(
         records, provider, vocab, config, settings,
@@ -359,11 +375,7 @@ def _eval_like_setup(args):
     params, config, vocab, _, _ = load_model(_require_file(args.checkpoint, "checkpoint"))
     records = load_dataset(_require_file(args.data, "dataset"))
     provider = _load_provider(args.provider)
-    if provider.feature_width != config.feature_width:
-        raise ConfigError(
-            f"provider feature width {provider.feature_width} does not match "
-            f"checkpoint feature width {config.feature_width}")
-    _check_vocab(vocab, records)
+    _check_checkpoint_inputs(config, vocab, provider, records)
     settings = ProposalSettings(args.proposal_seed, args.jitter, args.background)
     return params, config, vocab, records, provider, settings
 

@@ -12,11 +12,12 @@ from __future__ import annotations
 import math
 import warnings
 from collections import defaultdict
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
 
+from .data import PosTag
 from .geometry import Box, box_rows, iou_matrix, union_rows
 from .stemming import porter_stem
 
@@ -387,26 +388,16 @@ def vrd_recall_at_k(scores, k: int, mode: str, config: MetricConfig = MetricConf
     return float(np.mean(recalls))
 
 
-def pos_accuracy(predicted_tags, gt_tags):
-    """Token-level tag accuracy, overall and per class.
-
-    Both arguments are sequences of aligned tag-name sequences; a length
-    mismatch within any pair is a contract violation.
-    """
-    counts = {"SUBJ": [0, 0], "PRED": [0, 0], "OBJ": [0, 0]}
-    total = [0, 0]
-    for pred_seq, gt_seq in zip(predicted_tags, gt_tags, strict=True):
-        if len(pred_seq) != len(gt_seq):
-            raise ValueError(f"tag sequences of length {len(pred_seq)} vs {len(gt_seq)}")
-        for p, g in zip(pred_seq, gt_seq):
-            hit = 1 if p == g else 0
-            counts[g][0] += hit
-            counts[g][1] += 1
-            total[0] += hit
-            total[1] += 1
-    out = {"overall": total[0] / total[1] if total[1] else 0.0}
-    for tag, (hit, seen) in counts.items():
-        out[tag] = hit / seen if seen else 0.0
+def pos_accuracy(predicted, reference):
+    """Token-level tag accuracy, overall and per ``PosTag`` class of the
+    reference, of two aligned 1-D arrays of tag ids."""
+    if predicted.shape != reference.shape:
+        raise ValueError(f"tag arrays of shape {predicted.shape} vs {reference.shape}")
+    hit = predicted == reference
+    out = {"overall": float(hit.mean()) if hit.size else 0.0}
+    for tag in PosTag:
+        seen = reference == tag
+        out[tag.name] = float(hit[seen].mean()) if seen.any() else 0.0
     return out
 
 
@@ -438,16 +429,10 @@ class EvalReport:
         return self
 
     def to_json(self) -> dict:
-        return {
-            "map_percent": self.map_percent,
-            "image_level_recall": self.image_level_recall,
-            "mean_meteor": self.mean_meteor,
-            "words_per_img": self.words_per_img,
-            "words_per_box": self.words_per_box,
-            "vrd_phrase_recall": {str(k): v for k, v in self.vrd_phrase_recall.items()},
-            "vrd_relationship_recall": {str(k): v for k, v in self.vrd_relationship_recall.items()},
-            "pos_accuracy": self.pos_accuracy,
-        }
+        out = asdict(self)
+        for key in ("vrd_phrase_recall", "vrd_relationship_recall"):
+            out[key] = {str(k): v for k, v in out[key].items()}
+        return out
 
     def render_table(self) -> str:
         rows = [

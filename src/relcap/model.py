@@ -603,7 +603,7 @@ def caption_losses(codes, token_ids, tags, params: ModelParams, config: ModelCon
         ad.affine(hidden, params["head.word.w"], params["head.word.b"]),
         targets.T.reshape(-1), flat_weights)
     if config.mtl:
-        tag_targets = _pad_targets([[int(x) for x in seq] for seq in tags], 0)
+        tag_targets = _pad_targets(tags, 0)
         l_pos = ad.weighted_cross_entropy(
             ad.affine(hidden, params["head.pos.w"], params["head.pos.b"]),
             tag_targets.T.reshape(-1), flat_weights)

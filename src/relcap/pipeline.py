@@ -250,13 +250,12 @@ def predict_image(record: RelationalRecord, params: ModelParams, config: ModelCo
 
 
 def predicted_pos_tags(token_ids, codes, params, config):
-    """Teacher-forced POS argmax per step of each caption; call under ``no_grad``."""
+    """Teacher-forced POS argmax id per step, a ``(P, T)`` array over the
+    captions padded to the longest; call under ``no_grad``."""
     padded = _pad_targets(token_ids, 0)
     hidden = stream_states(codes, padded, params, config)
     logits = ad.affine(hidden, params["head.pos.w"], params["head.pos.b"]).data
-    picks = logits.argmax(axis=1).reshape(padded.shape[::-1]).T
-    return [[PosTag(int(x)).name for x in picks[i, :len(ids)]]
-            for i, ids in enumerate(token_ids)]
+    return logits.argmax(axis=1).reshape(padded.shape[::-1]).T
 
 
 def model_pos_accuracy(records, proposals, params, config: ModelConfig, vocab, provider):
@@ -269,11 +268,13 @@ def model_pos_accuracy(records, proposals, params, config: ModelConfig, vocab, p
             if not batch.pairs:
                 continue
             codes = encode_pair_batch(batch.pairs, params, config)
-            predicted.extend(predicted_pos_tags(batch.token_ids, codes, params, config))
-            reference.extend([[PosTag(int(x)).name for x in tags] for tags in batch.tags])
+            tags = _pad_targets(batch.tags, -1)
+            real = tags >= 0
+            predicted.append(predicted_pos_tags(batch.token_ids, codes, params, config)[real])
+            reference.append(tags[real])
     if not predicted:
         raise ConfigError("no GT-matched pairs available for POS evaluation")
-    return pos_accuracy(predicted, reference)
+    return pos_accuracy(np.concatenate(predicted), np.concatenate(reference))
 
 
 def evaluate_model(records, params, config: ModelConfig, vocab: Vocabulary, provider,

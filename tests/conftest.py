@@ -14,7 +14,8 @@ from relcap.geometry import Box, box_rows, iou_matrix, nms, union_rows
 from relcap.metrics import MetricConfig, PredictionRecord, Predictions
 from relcap.model import (BLOCK, ModelConfig, PairBatch, decode_arrays, encode_pair_batch,
                           init_params, stream_states)
-from relcap.pipeline import ProposalSettings, make_pair_batch
+from relcap.pipeline import (ProposalSettings, build_image_batch, make_pair_batch,
+                             predicted_pos_tags)
 
 
 # Scalar box geometry: the oracles of ``geometry.iou_matrix`` and
@@ -315,6 +316,49 @@ def reference_predictions(record, proposals, params, config, vocab, provider,
                 [PosTag(x).name for x in pos[:e]] if config.mtl else [], word_probs[:k],
                 confidence).validate())
     return out
+
+
+# Tag names: the oracle of ``metrics.pos_accuracy`` over tag-name sequences,
+# and of ``pipeline.model_pos_accuracy`` through an id -> name round trip.
+
+def pos_accuracy_by_name(predicted_tags, gt_tags):
+    """Token-level tag accuracy, overall and per class, of aligned sequences
+    of tag-name sequences; a length mismatch within any pair is a ValueError."""
+    counts = {"SUBJ": [0, 0], "PRED": [0, 0], "OBJ": [0, 0]}
+    total = [0, 0]
+    for pred_seq, gt_seq in zip(predicted_tags, gt_tags, strict=True):
+        if len(pred_seq) != len(gt_seq):
+            raise ValueError(f"tag sequences of length {len(pred_seq)} vs {len(gt_seq)}")
+        for p, g in zip(pred_seq, gt_seq):
+            hit = 1 if p == g else 0
+            counts[g][0] += hit
+            counts[g][1] += 1
+            total[0] += hit
+            total[1] += 1
+    out = {"overall": total[0] / total[1] if total[1] else 0.0}
+    for tag, (hit, seen) in counts.items():
+        out[tag] = hit / seen if seen else 0.0
+    return out
+
+
+def tag_names(ids):
+    return [PosTag(int(x)).name for x in ids]
+
+
+def reference_pos_accuracy(records, proposals, params, config, vocab, provider):
+    """``pos_accuracy_by_name`` over the tag names of every GT-matched
+    caption's teacher-forced predictions and references, caption by caption."""
+    predicted, reference = [], []
+    with no_grad():
+        for record, props in zip(records, proposals, strict=True):
+            batch = build_image_batch(record, props, provider, vocab, config)
+            if not batch.pairs:
+                continue
+            codes = encode_pair_batch(batch.pairs, params, config)
+            picks = predicted_pos_tags(batch.token_ids, codes, params, config)
+            predicted += [tag_names(row[:len(ids)]) for row, ids in zip(picks, batch.token_ids)]
+            reference += [tag_names(tags) for tags in batch.tags]
+    return pos_accuracy_by_name(predicted, reference)
 
 
 def geometric_feature(subject, obj):

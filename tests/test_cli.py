@@ -1,6 +1,7 @@
 """End-to-end command-line checks on tiny configurations."""
 
 import argparse
+import csv
 import gc
 import json
 import os
@@ -25,7 +26,7 @@ from relcap.data import ImageAttributes, AttributeRecord
 from relcap.errors import DataError
 from relcap.geometry import Box
 from relcap.metrics import PredictionRecord
-from relcap.model import ModelConfig, load_model
+from relcap.model import LOSS_COMPONENTS, ModelConfig, load_model
 
 
 def run(argv):
@@ -112,6 +113,24 @@ class TestTrain:
         log = open(os.path.join(trained_dir, "train_log.csv")).read().strip().split("\n")
         assert log[0] == "epoch,l_cap,l_pos,l_det,l_box,total"
         assert len(log) == 4
+
+    def test_one_progress_line_per_epoch(self, toy_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(["train", "--data", os.path.join(toy_dir, "train.jsonl"),
+                    "--provider", os.path.join(toy_dir, "provider.json"), "--out", str(out),
+                    "--epochs", "3", "--hidden", "8", "--d-subj-obj", "10", "--d-union", "8",
+                    "--rem-dim", "6", "--seed", "1"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        with open(out / "train_log.csv", encoding="utf-8") as fh:
+            log = list(csv.DictReader(fh))
+        assert len(err) == len(log) == 3
+        for line, row in zip(err, log):
+            words = line.split()
+            assert words[:2] == ["epoch", f"{row['epoch']}:"]
+            shown = dict(zip(words[2::2], words[3::2]))
+            assert list(shown) == [*LOSS_COMPONENTS, "images/s"]
+            assert all(shown[key] == row[key] for key in LOSS_COMPONENTS)
+            assert float(shown["images/s"]) > 0
 
     def test_variant_parameter_inventories(self, toy_dir, tmp_path):
         inventories = {}
@@ -689,6 +708,22 @@ class TestExitCodes:
         with open(os.path.join(out, "train_manifest.json"), encoding="utf-8") as fh:
             settings = json.load(fh)["provenance"]["settings"]
         assert settings["min-count"] is None and settings["hidden"] == 8
+
+    def test_resume_with_another_feature_width_is_config_error(self, toy_dir, trained_dir,
+                                                               tmp_path, capsys):
+        with open(os.path.join(toy_dir, "provider.json"), encoding="utf-8") as fh:
+            spec = json.load(fh)
+        spec["shapes"].append("hexagon")
+        spec["feature_width"] += 1
+        provider = tmp_path / "provider.json"
+        provider.write_text(json.dumps(spec))
+        out = tmp_path / "resumed"
+        assert run(["train", "--data", os.path.join(toy_dir, "train.jsonl"),
+                    "--provider", str(provider), "--out", str(out), "--epochs", "1",
+                    "--resume", os.path.join(trained_dir, "model.rckpt")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: provider feature width ")
+        assert not (out / "model.rckpt").exists()
 
     def _dataset_variant(self, toy_dir, tmp_path, name, edit):
         with open(os.path.join(toy_dir, "test.jsonl")) as fh:

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fresh_params, iou, table_of, tiny_config, union_box
+from conftest import (fresh_params, iou, pos_accuracy_by_name, table_of, tag_names, tiny_config,
+                      union_box)
 from relcap import metrics
 from relcap.data import GroundTruthRelation, PosTag
 from relcap.geometry import Box, box_rows
@@ -564,21 +565,25 @@ class TestPredictionsTable:
             table_of([good, bad]).validate()
 
 
+def tag_ids(*names):
+    return np.array([PosTag[name] for name in names], dtype=np.intp)
+
+
 class TestPosAccuracy:
     def test_identical(self):
-        seqs = [["SUBJ", "PRED", "OBJ"]]
-        assert pos_accuracy(seqs, seqs)["overall"] == 1.0
+        ids = tag_ids("SUBJ", "PRED", "OBJ")
+        assert pos_accuracy(ids, ids)["overall"] == 1.0
 
     def test_complementary(self):
-        out = pos_accuracy([["SUBJ", "SUBJ"]], [["PRED", "OBJ"]])
+        out = pos_accuracy(tag_ids("SUBJ", "SUBJ"), tag_ids("PRED", "OBJ"))
         assert out["overall"] == 0.0
 
     def test_partial_counts(self):
-        # 5/5 correct in the first pair, 2/5 in the second: 7/10 overall
-        predicted = [["SUBJ", "SUBJ", "PRED", "OBJ", "OBJ"],
-                     ["SUBJ", "PRED", "PRED", "SUBJ", "SUBJ"]]
-        reference = [["SUBJ", "SUBJ", "PRED", "OBJ", "OBJ"],
-                     ["SUBJ", "SUBJ", "PRED", "OBJ", "OBJ"]]
+        # 5/5 correct in the first caption, 2/5 in the second: 7/10 overall
+        predicted = tag_ids("SUBJ", "SUBJ", "PRED", "OBJ", "OBJ",
+                            "SUBJ", "PRED", "PRED", "SUBJ", "SUBJ")
+        reference = tag_ids("SUBJ", "SUBJ", "PRED", "OBJ", "OBJ",
+                            "SUBJ", "SUBJ", "PRED", "OBJ", "OBJ")
         out = pos_accuracy(predicted, reference)
         assert out["overall"] == pytest.approx(0.7)
         assert out["SUBJ"] == pytest.approx(3 / 4)
@@ -586,8 +591,24 @@ class TestPosAccuracy:
         assert out["OBJ"] == pytest.approx(2 / 4)
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            pos_accuracy([["SUBJ"]], [["SUBJ", "OBJ"]])
+        # Broadcasting would compare a length-1 array with any other.
+        pair = tag_ids("SUBJ", "OBJ")
+        for predicted, reference in ((tag_ids("SUBJ"), pair), (pair, tag_ids("SUBJ")),
+                                     (pair[None], pair)):
+            with pytest.raises(ValueError):
+                pos_accuracy(predicted, reference)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.sets(st.sampled_from(list(PosTag)), min_size=1).flatmap(
+        lambda classes: st.lists(st.tuples(st.sampled_from(list(PosTag)),
+                                           st.sampled_from(sorted(classes))), max_size=200)))
+    def test_equals_the_name_oracle(self, pairs):
+        predicted = np.array([p for p, _ in pairs], dtype=np.intp)
+        reference = np.array([g for _, g in pairs], dtype=np.intp)
+        want = pos_accuracy_by_name([tag_names(predicted)], [tag_names(reference)])
+        got = pos_accuracy(predicted, reference)
+        assert list(got) == list(want)
+        assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
 
 
 class TestEvalReport:

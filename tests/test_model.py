@@ -1046,7 +1046,7 @@ class TestBatchInvariance:
             with ad.no_grad():
                 tags = predicted_pos_tags([query] * len(subset),
                                           encode_pair_batch(sub, params, cfg), params, cfg)
-            assert tags == [full_tags[k] for k in subset]
+            assert np.array_equal(tags, full_tags[subset])
             _, _, sub_probs = retrieval_score(query, sub, params, cfg)
             # The subset's best pair scores exactly as in the full batch.
             assert any(sub_probs == retrieval_score(query, pair_rows(batch, [k]), params, cfg)[2]

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import (decode_batch, fresh_params, gt_captions, object_proposals, pair_rows,
-                      reference_predictions, table_of, tiny_config, union_box)
+                      reference_pos_accuracy, reference_predictions, table_of, tiny_config,
+                      union_box)
 from relcap.cli import prediction_to_json, write_predictions
 from relcap.data import (END_ID, GroundTruthRelation, ObjectAnnotation, RelationalRecord,
                          ToyWorldConfig, encode_caption, generate_toy_world,
@@ -511,6 +512,17 @@ class TestEvaluation:
                                    ProposalSettings(), vrd_ks=(50,))
         assert report.pos_accuracy is not None
         assert calls == [r.image_id for r in records[:3]]
+
+    @pytest.mark.parametrize("name", ["mttsnet,mtl", "subj-obj,mtl", "direct-union,mtl"])
+    def test_pos_accuracy_equals_the_name_oracle(self, toy_world_small, name):
+        records, provider, vocab = toy_world_small
+        cfg = cfg_for(provider, vocab, name=name)
+        params = fresh_params(cfg, seed=4)
+        proposals = [build_proposals(r, provider, cfg, ProposalSettings()) for r in records]
+        got = pipeline.model_pos_accuracy(records, proposals, params, cfg, vocab, provider)
+        want = reference_pos_accuracy(records, proposals, params, cfg, vocab, provider)
+        assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
+        assert 0.0 < got["overall"] < 1.0
 
     def test_pos_accuracy_requires_mtl_for_report(self, toy_world_small):
         records, provider, vocab = toy_world_small
