@@ -143,13 +143,16 @@ _AT_LEAST_1 = "at least 1", lambda value: value >= 1
 _POSITIVE = "above 0", lambda value: value > 0
 _UNIT = "in [0, 1]", lambda value: 0 <= value <= 1
 _MODES = " or ".join(DECODE_MODES), lambda value: value in DECODE_MODES
+# Training and POS accuracy pair every proposal with every other: ~1M pairs, 200 MB.
+MAX_BACKGROUND = 1024
+_BACKGROUND = f"in [0, {MAX_BACKGROUND}]", lambda value: 0 <= value <= MAX_BACKGROUND
 
 # name -> (type, default, range) of every setting a config-reading command
 # resolves; ``--name`` is the flag and ``name`` the config-file key. A default is
 # the library's own, but for gen-toy's seed and retrieve's keep-after-nms.
 _PROPOSAL_SETTINGS = {"proposal-seed": (int, ProposalSettings.seed, _NON_NEGATIVE),
                       "jitter": (float, ProposalSettings.jitter, None),  # range: ProposalSettings
-                      "background": (int, ProposalSettings.n_background, _NON_NEGATIVE)}
+                      "background": (int, ProposalSettings.n_background, _BACKGROUND)}
 _PREDICT_SETTINGS = {**_PROPOSAL_SETTINGS,
                      "keep-after-nms": (int, MetricConfig.keep_after_nms, _NON_NEGATIVE),
                      "nms-iou": (float, NMS_IOU, _UNIT), "pair-cap": (int, None, _NON_NEGATIVE),
@@ -310,9 +313,6 @@ def cmd_train(args) -> int:
                              beta=args.beta, gamma=args.gamma, seed=args.seed,
                              proposals=ProposalSettings(args.proposal_seed, args.jitter,
                                                         args.background))
-    out_dir = _make_dir(args.out)
-    ckpt_path = os.path.join(out_dir, "model.rckpt")
-
     params = optimizer = None
     if args.resume:
         params, config, vocab, optimizer, meta = load_model(
@@ -340,6 +340,9 @@ def cmd_train(args) -> int:
                                 for name, field in _MODEL_SETTINGS.items()}).validate()
     prov = run_provenance(args, dataset=args.data, provider=args.provider,
                           checkpoint=args.resume)
+    # Made once every check passed, so that a rejected run leaves no directory.
+    out_dir = _make_dir(args.out)
+    ckpt_path = os.path.join(out_dir, "model.rckpt")
 
     started = time.perf_counter()   # epoch 1 also counts building the batches
 
@@ -381,7 +384,7 @@ def _eval_like_setup(args):
 
 
 def _predict_options(args) -> dict:
-    """predict_image keyword options shared by eval and infer."""
+    """Keyword options of ``predict_proposals`` shared by eval and infer."""
     return {"metric_config": MetricConfig(keep_after_nms=args.keep_after_nms),
             "nms_iou": args.nms_iou, "pair_cap": args.pair_cap,
             "min_confidence": args.min_confidence}

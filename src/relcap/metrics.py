@@ -9,6 +9,7 @@ caption metrics read one per-image table of pair scores (``score_pairs``).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from collections import defaultdict
@@ -25,11 +26,9 @@ _STEM_CACHE: dict[str, str] = {}
 
 
 def _stem(token: str) -> str:
-    s = _STEM_CACHE.get(token)
-    if s is None:
-        s = porter_stem(token)
-        _STEM_CACHE[token] = s
-    return s
+    if token not in _STEM_CACHE:
+        _STEM_CACHE[token] = porter_stem(token)
+    return _STEM_CACHE[token]
 
 
 class EmptyCaptionWarning(UserWarning):
@@ -173,6 +172,18 @@ class Predictions:
                    _split(self.word_probs.tolist(), self.counts), self.confidence.tolist())
 
 
+@functools.lru_cache(maxsize=4096)
+def _prepared(caption: tuple):
+    """A caption's lower-cased tokens, their stems, which copy of its token
+    each one is, and each token's and each stem's positions in order."""
+    tokens = [t.lower() for t in caption]
+    stems = [_stem(t) for t in tokens]
+    copy = [tokens[:i].count(t) for i, t in enumerate(tokens)]
+    at = [{w: [j for j, v in enumerate(words) if v == w] for w in words}
+          for words in (tokens, stems)]
+    return tokens, stems, copy, *at
+
+
 def meteor_lite(candidate, reference) -> float:
     """Unigram alignment score in [0, 1].
 
@@ -180,46 +191,34 @@ def meteor_lite(candidate, reference) -> float:
     first, then Porter-stem matches, each token used at most once.
     With m matches: P = m/|cand|, R = m/|ref|, F = 10PR / (R + 9P),
     and the fragmentation penalty is 0.5 * (chunks / m)^3.
+    Per token class, as that scan does: the k-th candidate copy of a token
+    takes the k-th reference copy, then each unaligned one its stem's first.
     """
-    cand = [t.lower() for t in candidate]
-    ref = [t.lower() for t in reference]
+    cand, cand_stems, copy, _, _ = _prepared(tuple(candidate))
+    ref, _, _, ref_at, ref_stem_at = _prepared(tuple(reference))
     if not cand or not ref:
         warnings.warn("empty candidate or reference caption scores 0", EmptyCaptionWarning)
         return 0.0
 
-    align = [-1] * len(cand)
-    used = [False] * len(ref)
-    for i, tok in enumerate(cand):
-        for j, rtok in enumerate(ref):
-            if not used[j] and rtok == tok:
-                align[i] = j
-                used[j] = True
-                break
-    for i, tok in enumerate(cand):
-        if align[i] >= 0:
-            continue
-        st = _stem(tok)
-        for j, rtok in enumerate(ref):
-            if not used[j] and _stem(rtok) == st:
-                align[i] = j
-                used[j] = True
-                break
+    align = [at[k] if k < len(at) else -1
+             for at, k in zip([ref_at.get(t, ()) for t in cand], copy)]
+    free = {}    # per stem, its free reference positions, last first
+    for i, st in enumerate(cand_stems):
+        if align[i] < 0 and st in ref_stem_at:
+            if st not in free:
+                free[st] = [j for j in ref_stem_at[st] if j not in align][::-1]
+            if free[st]:
+                align[i] = free[st].pop()
 
-    m = sum(1 for a in align if a >= 0)
+    m = len(align) - align.count(-1)
     if m == 0:
         return 0.0
     precision = m / len(cand)
     recall = m / len(ref)
     fmean = 10.0 * precision * recall / (recall + 9.0 * precision)
 
-    chunks = 0
-    prev = None
-    for i, a in enumerate(align):
-        if a < 0:
-            continue
-        if prev is None or i != prev[0] + 1 or a != prev[1] + 1:
-            chunks += 1
-        prev = (i, a)
+    # a chunk goes on where the next token takes the next reference position
+    chunks = m - sum(1 for p, a in zip(align, align[1:]) if p >= 0 and a == p + 1)
     penalty = 0.5 * (chunks / m) ** 3
     return fmean * (1.0 - penalty)
 

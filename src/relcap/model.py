@@ -274,7 +274,10 @@ class PairBatch:
     @staticmethod
     def stack(batches) -> "PairBatch":
         """The batches as one, image after image: their rows concatenated,
-        each image's region indices offset by the regions before it."""
+        each image's region indices offset by the regions before it. One
+        batch is returned as it is."""
+        if len(batches) == 1:
+            return batches[0]
         starts = np.cumsum([0] + [len(b.features) for b in batches[:-1]])
         return PairBatch(
             np.concatenate([b.features for b in batches]),

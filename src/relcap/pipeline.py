@@ -210,42 +210,69 @@ def make_pair_batch(record: RelationalRecord, proposals, provider,
     return batch, [(boxes[i], boxes[j]) for i, j in zip(subject.tolist(), obj.tolist())]
 
 
-def predict_proposals(record: RelationalRecord, proposals, params: ModelParams,
-                      config: ModelConfig, vocab: Vocabulary, provider,
-                      metric_config: MetricConfig = MetricConfig(), nms_iou: float = NMS_IOU,
-                      pair_cap: int | None = None, min_confidence: float | None = None,
-                      mode: str = DECODE_MODES[0], rng: np.random.Generator | None = None):
-    """Decode captions for every pair of the ``proposals`` that survive NMS
-    (``decode_arrays``) into a ``Predictions`` table. A pair whose caption is
-    empty, or whose confidence is below ``min_confidence``, gets no row. Word
-    probabilities that are not finite are a ``DataError``."""
-    kept = nms(proposals, nms_iou, metric_config.keep_after_nms)
-    batch, _ = make_pair_batch(record, kept, provider, config, pair_cap)
-    if not len(batch):
-        return Predictions.of(())
-    picks, chosen_probs, tags, emitted, taken = decode_arrays(batch, params, config, mode, rng)
-    if not np.isfinite(chosen_probs).all():
-        raise DataError(f"image {record.image_id}: caption confidences are not finite "
-                        "(diverged parameters?)")
-    confidence = row_products(chosen_probs, taken)
-    keep = (emitted > 0) & (min_confidence is None or confidence >= min_confidence)
-    steps = np.arange(config.max_len)
-    caption = steps < emitted[keep, None]
+# Pairs one stacked decode or POS pass takes at most; an image of more runs alone.
+STACK_ROWS = 4096
+
+
+def _chunks(items, budget: int):
+    """Runs of consecutive ``(pairs, ...)`` items, ``budget`` pairs at most or one item."""
+    chunk, total = [], 0
+    for item in items:
+        if chunk and total + item[0] > budget:
+            yield chunk
+            chunk, total = [], 0
+        chunk.append(item)
+        total += item[0]
+    if chunk:
+        yield chunk
+
+
+def predict_proposals(images, params: ModelParams, config: ModelConfig, vocab: Vocabulary,
+                      provider, metric_config: MetricConfig = MetricConfig(),
+                      nms_iou: float = NMS_IOU, pair_cap: int | None = None,
+                      min_confidence: float | None = None, mode: str = DECODE_MODES[0],
+                      rng: np.random.Generator | None = None):
+    """Decode every pair of the proposals that survive NMS, over the ``(record,
+    proposals)`` ``images``, into one ``Predictions`` table: greedy stacks whole
+    images up to ``STACK_ROWS`` pairs a ``decode_arrays`` call, stochastic (whose
+    draws follow the rows) runs each alone. A pair whose caption is empty or below
+    ``min_confidence`` gets no row; non-finite word probabilities are a ``DataError``."""
+    survivors = ((r, nms(props, nms_iou, metric_config.keep_after_nms)) for r, props in images)
+    pairs = ((r, k, make_pair_batch(r, k, provider, config, pair_cap)[0]) for r, k in survivors)
     words = np.array(list(map(vocab.decode_id, range(len(vocab)))), dtype=object)
     tag_names = np.array([tag.name for tag in PosTag], dtype=object)   # by the tag's value
-    return Predictions(
-        np.full(int(keep.sum()), record.image_id, dtype=object), kept.boxes,
-        batch.subject_index[keep], batch.object_index[keep],
-        words[picks[keep][caption]], emitted[keep],
-        tag_names[tags[keep][caption]] if config.mtl else tag_names[:0],
-        chosen_probs[keep][steps < taken[keep, None]], taken[keep], confidence[keep]).validate()
+    steps = np.arange(config.max_len)
+    tables = []
+    for chunk in _chunks(((len(b), r, k, b) for r, k, b in pairs if len(b)),
+                         STACK_ROWS if mode == "greedy" else 0):
+        sizes, records, kept, batches = zip(*chunk)
+        batch = PairBatch.stack(batches)
+        picks, chosen_probs, tags, emitted, taken = decode_arrays(batch, params, config, mode,
+                                                                  rng)
+        bad = ~np.isfinite(chosen_probs).all(axis=1)
+        if bad.any():
+            record = records[np.searchsorted(np.cumsum(sizes), bad.argmax(), side="right")]
+            raise DataError(f"image {record.image_id}: caption confidences are not finite "
+                            "(diverged parameters?)")
+        confidence = row_products(chosen_probs, taken)
+        keep = (emitted > 0) & (min_confidence is None or confidence >= min_confidence)
+        caption = steps < emitted[keep, None]
+        tables.append(Predictions(
+            np.repeat(np.array([r.image_id for r in records], dtype=object), sizes)[keep],
+            np.concatenate([k.boxes for k in kept]),
+            batch.subject_index[keep], batch.object_index[keep],
+            words[picks[keep][caption]], emitted[keep],
+            tag_names[tags[keep][caption]] if config.mtl else tag_names[:0],
+            chosen_probs[keep][steps < taken[keep, None]], taken[keep],
+            confidence[keep]).validate())
+    return tables[0] if len(tables) == 1 else Predictions.of(tables)
 
 
 def predict_image(record: RelationalRecord, params: ModelParams, config: ModelConfig,
                   vocab: Vocabulary, provider, settings: ProposalSettings, **options):
     """``predict_proposals`` (with its keyword ``options``) over the image's
     own ``build_proposals``."""
-    return predict_proposals(record, build_proposals(record, provider, config, settings),
+    return predict_proposals([(record, build_proposals(record, provider, config, settings))],
                              params, config, vocab, provider, **options)
 
 
@@ -260,17 +287,17 @@ def predicted_pos_tags(token_ids, codes, params, config):
 
 def model_pos_accuracy(records, proposals, params, config: ModelConfig, vocab, provider):
     """Teacher-forced tag accuracy over all GT-matched pairs of each record
-    and its proposals."""
+    and its proposals, whole images stacked up to ``STACK_ROWS`` pairs a pass."""
     predicted, reference = [], []
     with ad.no_grad():
-        for record, props in zip(records, proposals, strict=True):
-            batch = build_image_batch(record, props, provider, vocab, config)
-            if not batch.pairs:
-                continue
-            codes = encode_pair_batch(batch.pairs, params, config)
-            tags = _pad_targets(batch.tags, -1)
+        batches = (build_image_batch(record, props, provider, vocab, config)
+                   for record, props in zip(records, proposals, strict=True))
+        for chunk in _chunks(((len(b.pairs), b) for b in batches if b.pairs), STACK_ROWS):
+            token_ids = [ids for _, b in chunk for ids in b.token_ids]
+            tags = _pad_targets([t for _, b in chunk for t in b.tags], -1)
+            codes = encode_pair_batch(PairBatch.stack([b.pairs for _, b in chunk]), params, config)
             real = tags >= 0
-            predicted.append(predicted_pos_tags(batch.token_ids, codes, params, config)[real])
+            predicted.append(predicted_pos_tags(token_ids, codes, params, config)[real])
             reference.append(tags[real])
     if not predicted:
         raise ConfigError("no GT-matched pairs available for POS evaluation")
@@ -287,11 +314,9 @@ def evaluate_model(records, params, config: ModelConfig, vocab: Vocabulary, prov
         raise DataError("evaluation needs ground-truth relations; the dataset has none")
     # One proposal set per record, shared by decoding and POS accuracy.
     proposals = [build_proposals(record, provider, config, settings) for record in records]
-    predictions = Predictions.of(
-        predict_proposals(record, props, params, config, vocab, provider,
-                          metric_config=metric_config, nms_iou=nms_iou, pair_cap=pair_cap,
-                          min_confidence=min_confidence)
-        for record, props in zip(records, proposals))
+    predictions = predict_proposals(zip(records, proposals), params, config, vocab, provider,
+                                    metric_config=metric_config, nms_iou=nms_iou,
+                                    pair_cap=pair_cap, min_confidence=min_confidence)
     words_img, words_box = diversity_stats(predictions)
     scores = score_pairs(predictions, gts)
     report = EvalReport(

@@ -16,6 +16,7 @@ from relcap.model import (BLOCK, ModelConfig, PairBatch, decode_arrays, encode_p
                           init_params, stream_states)
 from relcap.pipeline import (ProposalSettings, build_image_batch, make_pair_batch,
                              predicted_pos_tags)
+from relcap.stemming import porter_stem
 
 
 # Scalar box geometry: the oracles of ``geometry.iou_matrix`` and
@@ -316,6 +317,43 @@ def reference_predictions(record, proposals, params, config, vocab, provider,
                 [PosTag(x).name for x in pos[:e]] if config.mtl else [], word_probs[:k],
                 confidence).validate())
     return out
+
+
+def reference_meteor(candidate, reference) -> float:
+    """Left-to-right reference of ``metrics.meteor_lite``: each candidate
+    token in order takes the first unused reference token equal to it, then
+    each still unaligned one the first unused reference token of its stem.
+    Empty captions score 0 (``meteor_lite`` also warns)."""
+    cand = [t.lower() for t in candidate]
+    ref = [t.lower() for t in reference]
+    if not cand or not ref:
+        return 0.0
+    align = [-1] * len(cand)
+    used = [False] * len(ref)
+    for same in (lambda a, b: a == b, lambda a, b: porter_stem(a) == porter_stem(b)):
+        for i, tok in enumerate(cand):
+            if align[i] >= 0:
+                continue
+            for j, rtok in enumerate(ref):
+                if not used[j] and same(rtok, tok):
+                    align[i] = j
+                    used[j] = True
+                    break
+    m = sum(1 for a in align if a >= 0)
+    if m == 0:
+        return 0.0
+    precision = m / len(cand)
+    recall = m / len(ref)
+    fmean = 10.0 * precision * recall / (recall + 9.0 * precision)
+    chunks = 0
+    prev = None
+    for i, a in enumerate(align):
+        if a < 0:
+            continue
+        if prev is None or i != prev[0] + 1 or a != prev[1] + 1:
+            chunks += 1
+        prev = (i, a)
+    return fmean * (1.0 - 0.5 * (chunks / m) ** 3)
 
 
 # Tag names: the oracle of ``metrics.pos_accuracy`` over tag-name sequences,

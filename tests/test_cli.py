@@ -20,8 +20,8 @@ from conftest import save_attributes, table_of
 import relcap
 from relcap import cli, schemas
 from relcap.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from relcap.cli import (SETTINGS, build_parser, main, prediction_to_json, read_predictions,
-                        resolve_settings, run_provenance, write_predictions)
+from relcap.cli import (MAX_BACKGROUND, SETTINGS, build_parser, main, prediction_to_json,
+                        read_predictions, resolve_settings, run_provenance, write_predictions)
 from relcap.data import ImageAttributes, AttributeRecord
 from relcap.errors import DataError
 from relcap.geometry import Box
@@ -672,9 +672,9 @@ class TestExitCodes:
             config.write_text(json.dumps(option))
             option = ["--config", str(config)]
         assert run(argv + option) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: --{name}") and "Traceback" not in err
-        assert not os.path.exists(str(tmp_path / "resumed" / "model.rckpt"))
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: --{name}")
+        assert not os.path.exists(str(tmp_path / "resumed"))
 
     @pytest.mark.parametrize("option", [[], ["--hidden", "8", "--model", "mttsnet",
                                              "--dropout", "0.0"]],
@@ -723,7 +723,38 @@ class TestExitCodes:
                     "--resume", os.path.join(trained_dir, "model.rckpt")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: provider feature width ")
-        assert not (out / "model.rckpt").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option,message", [
+        (["--dropout", "1.5"], "dropout must lie in [0, 1)"),
+        (["--max-len", "1"], "max_len must leave room"),
+    ], ids=["dropout", "max-len"])
+    def test_rejected_model_config_leaves_no_directory(self, toy_dir, tmp_path, capsys,
+                                                       option, message):
+        out = tmp_path / "run"
+        assert run(["train", "--data", os.path.join(toy_dir, "train.jsonl"),
+                    "--provider", os.path.join(toy_dir, "provider.json"), "--out", str(out),
+                    "--epochs", "1", *option]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "infer", "retrieve"])
+    def test_background_above_its_bound_is_config_error(self, tmp_path, capsys, command):
+        # No input exists: the bound is checked before anything loads.
+        argv = [command, *(a if a.startswith("--") else str(tmp_path / a)
+                           for a in _REQUIRED[command])]
+        assert run(argv + ["--background", str(MAX_BACKGROUND + 1)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: --background must be in [0, {MAX_BACKGROUND}], "
+                       f"got {MAX_BACKGROUND + 1}"]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"background": MAX_BACKGROUND + 1}))
+        assert run(argv + ["--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith("error: config key 'background' must be")
+        assert _resolved(argv + ["--background", str(MAX_BACKGROUND)])["background"] \
+            == MAX_BACKGROUND
+        assert os.listdir(tmp_path) == ["config.json"]
 
     def _dataset_variant(self, toy_dir, tmp_path, name, edit):
         with open(os.path.join(toy_dir, "test.jsonl")) as fh:

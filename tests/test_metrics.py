@@ -4,6 +4,7 @@ and diversity examples, and ranking invariances."""
 import json
 import math
 import os
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -11,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (fresh_params, iou, pos_accuracy_by_name, table_of, tag_names, tiny_config,
-                      union_box)
+from conftest import (fresh_params, iou, pos_accuracy_by_name, reference_meteor, table_of,
+                      tag_names, tiny_config, union_box)
 from relcap import metrics
 from relcap.data import GroundTruthRelation, PosTag
 from relcap.geometry import Box, box_rows
@@ -91,6 +92,36 @@ class TestMeteorLite:
     def test_self_score_approaches_one(self):
         long = ["w%d" % i for i in range(40)]
         assert meteor_lite(long, long) > 0.99
+
+    # Case variants and stem collisions: run/runs/Running share a stem, ran
+    # does not; car/cars/Car share one too.
+    CAPTION = st.lists(st.sampled_from("run runs Running RUN ran car cars Car the The a red"
+                                       .split()), max_size=10)
+
+    @given(CAPTION, CAPTION)
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_equals_the_left_to_right_reference(self, candidate, reference):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = meteor_lite(candidate, reference)
+        assert got == reference_meteor(candidate, reference)
+        empty = not candidate or not reference
+        assert [w.category for w in caught] == [EmptyCaptionWarning] * empty
+
+    def test_stem_matches_take_the_first_free_reference_position(self):
+        # Exact: run -> 0, ran -> 1. Stem: runs -> 2 and Running -> 3, the
+        # free copies of "run" in order. All four match (F = 1) in four
+        # chunks, (0,0) (1,2) (2,1) (3,3), so the penalty is 0.5; taking the
+        # copies in the other order would join (2,1) (3,2) into one chunk.
+        candidate, reference = "run runs ran Running".split(), "run ran run RUN".split()
+        assert meteor_lite(candidate, reference) == 0.5
+
+    def test_list_and_tuple_score_alike(self):
+        candidate, reference = "a Red car runs".split(), "the red cars run".split()
+        score = meteor_lite(candidate, reference)
+        assert score > 0.0
+        assert meteor_lite(tuple(candidate), tuple(reference)) == score
+        assert meteor_lite(tuple(candidate), reference) == score
 
 
 # ---------------------------------------------------------------------------

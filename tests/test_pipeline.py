@@ -391,7 +391,7 @@ class TestPrediction:
                 if row.token_ids]
         floor = sorted(w[-1] for w in want)[len(want) // 2]     # a record sits on the floor
         for min_confidence, kept in ((None, want), (floor, [w for w in want if w[-1] >= floor])):
-            got = predict_proposals(records[0], proposals, params, cfg, vocab, provider,
+            got = predict_proposals([(records[0], proposals)], params, cfg, vocab, provider,
                                     min_confidence=min_confidence, mode=mode, rng=rng())
             assert [(p.subject_box, p.object_box, p.tokens, p.pos, p.word_probs, p.confidence)
                     for p in got] == kept
@@ -447,7 +447,9 @@ class TestPredictionsTable:
                                 min_confidence=min_confidence, mode=mode, rng=rng)
                         for record, props in zip(records[:4], proposals)]
 
-            tables, want = run(predict_proposals), run(reference_predictions)
+            tables = run(lambda record, props, *args, **options:
+                         predict_proposals([(record, props)], *args, **options))
+            want = run(reference_predictions)
             assert [list(t) for t in tables] == want
             assert all("records" in vars(t) for t in tables)
             flat = [p for rows in want for p in rows]
@@ -462,6 +464,26 @@ class TestPredictionsTable:
         batch, _ = make_pair_batch(records[0], nms(proposals[0], 0.5, 50), provider, cfg,
                                    pair_cap)
         assert 0 < sizes[1][1] < sizes[0][1] and sizes[0][0] < len(batch)
+
+    @pytest.mark.parametrize("mode", ["greedy", "stochastic"])
+    def test_one_call_equals_one_call_per_image(self, toy_world_small, mode):
+        # Greedy stacks the images; stochastic must draw as image after image.
+        records, provider, vocab = toy_world_small
+        cfg = cfg_for(provider, vocab, name="mttsnet,mtl,rem")
+        params = rigged_params(records[0], provider, vocab, cfg)
+        items = [(r, build_proposals(r, provider, cfg, ProposalSettings())) for r in records]
+
+        def rng():
+            return np.random.default_rng(5) if mode == "stochastic" else None
+
+        one = predict_proposals(items, params, cfg, vocab, provider, mode=mode, rng=rng())
+        shared = rng()
+        want = Predictions.of([predict_proposals([item], params, cfg, vocab, provider,
+                                                 mode=mode, rng=shared) for item in items])
+        for f in dataclasses.fields(Predictions):
+            got, expected = getattr(one, f.name), getattr(want, f.name)
+            assert got.shape == expected.shape and got.tolist() == expected.tolist(), f.name
+        assert len({r.image_id for r in one}) > 5
 
     def test_direct_union_iou_union_equals_union_box_path(self, toy_world_small):
         # A self-pair's union row is union_box(b, b), whose corner round trip
@@ -484,6 +506,138 @@ class TestPredictionsTable:
             assert scores.iou_union.tobytes() == want.tobytes()
             moved += sum(u != p.subject_box for u, p in zip(unions, preds))
         assert moved
+
+
+def run_sizes(recorded, sizes, budget):
+    """``recorded`` (per pass, its images' pair counts) cuts ``sizes`` into
+    runs of whole images, each over ``budget`` pairs only when alone, and
+    each as long as it can be."""
+    assert [n for run in recorded for n in run] == sizes
+    assert all(sum(run) <= budget for run in recorded if len(run) > 1)
+    assert all(sum(run) + after[0] > budget for run, after in zip(recorded, recorded[1:]))
+
+
+class TestStackedEvaluation:
+    """``evaluate_model`` runs whole images stacked, up to ``STACK_ROWS``
+    pairs per decode and per POS pass; its table and report equal the
+    one-image-at-a-time references."""
+
+    @pytest.fixture
+    def world(self, toy_world_small, monkeypatch):
+        """Records, proposals, provider, vocab, config and parameters. Image 3
+        keeps one proposal, so no pair; the end-token bias is rigged so that
+        exactly one other image's captions are all empty."""
+        records, provider, vocab = toy_world_small
+        cfg = cfg_for(provider, vocab, name="mttsnet,mtl,rem")
+        params = fresh_params(cfg, seed=7)
+        build = pipeline.build_proposals
+        lonely = records[3].image_id
+
+        def one_lonely(record, *args):
+            props = build(record, *args)
+            return props[:1] if record.image_id == lonely else props
+
+        monkeypatch.setattr(pipeline, "build_proposals", one_lonely)
+        proposals = [one_lonely(r, provider, cfg, ProposalSettings()) for r in records]
+        margins = {}    # per image, its pairs' best step-0 margin of a word over the end token
+        for record, props in zip(records, proposals):
+            batch, _ = make_pair_batch(record, nms(props, 0.5, 50), provider, cfg)
+            if len(batch):
+                logits = step_logits(encode_pair_batch(batch, params, cfg), [[]] * len(batch),
+                                     params, cfg)[0]
+                margin = np.delete(logits, END_ID, axis=1).max(axis=1) - logits[:, END_ID]
+                margins[record.image_id] = margin.max()
+        low, next_low = sorted(margins.values())[:2]
+        params["head.word.b"].data[END_ID] += (low + next_low) / 2
+        assert lonely not in margins and len(margins) == len(records) - 1
+        return records, proposals, provider, vocab, cfg, params
+
+    def evaluate(self, world, monkeypatch, budget, **options):
+        """``evaluate_model`` at a ``STACK_ROWS`` of ``budget``, with the
+        image pair counts of each decode pass and each POS pass."""
+        records, _, provider, vocab, cfg, params = world
+        passes = {"decode": [], "pos": []}
+        decode, encode = pipeline.decode_arrays, pipeline.encode_pair_batch
+
+        def counted(kind, run):
+            def wrapper(batch, *args, **kwargs):
+                ends = np.cumsum(batch.image_regions)
+                image = np.searchsorted(ends, batch.subject_index, side="right")
+                passes[kind].append(np.bincount(image, minlength=len(ends)).tolist())
+                return run(batch, *args, **kwargs)
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "STACK_ROWS", budget)
+            patch.setattr(pipeline, "decode_arrays", counted("decode", decode))
+            patch.setattr(pipeline, "encode_pair_batch", counted("pos", encode))
+            report, table = evaluate_model(records, params, cfg, vocab, provider,
+                                           ProposalSettings(), vrd_ks=(5, 50), **options)
+        return report, table, passes
+
+    @pytest.mark.parametrize("options", [{}, {"pair_cap": 7, "min_confidence": "median"}],
+                             ids=["defaults", "pair-cap-min-confidence"])
+    def test_table_and_report_equal_the_per_image_references(self, world, monkeypatch,
+                                                            options):
+        records, proposals, provider, vocab, cfg, params = world
+        if options.get("min_confidence") == "median":
+            confidences = sorted(p.confidence for r, props in zip(records, proposals)
+                                 for p in reference_predictions(r, props, params, cfg, vocab,
+                                                                provider, pair_cap=7))
+            options = {**options, "min_confidence": confidences[len(confidences) // 2]}
+        per_image = [predict_proposals([item], params, cfg, vocab, provider, **options)
+                     for item in zip(records, proposals)]
+        want = [reference_predictions(r, props, params, cfg, vocab, provider, **options)
+                for r, props in zip(records, proposals)]
+        assert [list(t) for t in per_image] == want
+        sizes = [len(rows) for rows in want]
+        assert sizes[3] == 0 and sizes.count(0) >= 2 and sum(sizes) > 5
+        pair_counts = [len(make_pair_batch(r, nms(props, 0.5, 50), provider, cfg,
+                                           options.get("pair_cap"))[0])
+                       for r, props in zip(records, proposals)]
+        gt_counts = [len(build_image_batch(r, props, provider, vocab, cfg).pairs)
+                     for r, props in zip(records, proposals)]
+        pair_counts = [n for n in pair_counts if n]
+        gt_counts = [n for n in gt_counts if n]
+        reference = Predictions.of(per_image)
+        pos = reference_pos_accuracy(records, proposals, params, cfg, vocab, provider)
+        reports = []
+        # one image per pass; the first two images exactly, for each kind of
+        # pass, and one row fewer; everything in one pass
+        budgets = (0, sum(pair_counts[:2]), sum(pair_counts[:2]) - 1, sum(gt_counts[:2]),
+                   sum(gt_counts[:2]) - 1, pipeline.STACK_ROWS)
+        for budget in budgets:
+            report, table, passes = self.evaluate(world, monkeypatch, budget, **options)
+            for f in dataclasses.fields(Predictions):
+                got, expected = getattr(table, f.name), getattr(reference, f.name)
+                assert got.dtype == expected.dtype and got.shape == expected.shape, f.name
+                assert (got.tolist() == expected.tolist() if got.dtype == object
+                        else got.tobytes() == expected.tobytes()), f.name
+            assert {k: v.hex() for k, v in report.pos_accuracy.items()} == \
+                {k: v.hex() for k, v in pos.items()}
+            run_sizes(passes["decode"], pair_counts, budget)
+            run_sizes(passes["pos"], gt_counts, budget)
+            reports.append(report.to_json())
+        assert all(r == reports[0] for r in reports)
+        assert max(len(run) for run in passes["decode"]) == len(pair_counts)
+        assert len(passes["pos"]) == 1
+
+    def test_non_finite_confidences_name_their_image(self, world, monkeypatch):
+        records, proposals, provider, vocab, cfg, params = world
+        bad = records[5].image_id
+        build = pipeline.make_pair_batch
+
+        def poisoned(record, *args):
+            batch, boxes = build(record, *args)
+            if record.image_id == bad:
+                batch.union_features = np.full_like(batch.union_features, np.nan)
+            return batch, boxes
+
+        monkeypatch.setattr(pipeline, "make_pair_batch", poisoned)
+        with pytest.raises(DataError, match=rf"^image {bad}: caption confidences are not finite"):
+            self.evaluate(world, monkeypatch, 10 ** 6)
+        with pytest.raises(DataError, match=rf"^image {bad}: "):
+            predict_proposals(zip(records, proposals), params, cfg, vocab, provider)
 
 
 class TestEvaluation:
