@@ -161,12 +161,14 @@ def custom_op(data, parents, backward) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def tile_rows(x: np.ndarray) -> np.ndarray:
-    """``x`` as ``(tiles, TILE, K)``, zero-padded in its own dtype to a
-    multiple of TILE rows; no copy when the row count already is one."""
-    pad = -len(x) % TILE
+    """``x``, rows on its second-last axis, as ``(..., tiles, TILE, K)``,
+    zero-padded in its own dtype to a multiple of TILE rows; no copy when
+    the row count already is one."""
+    *lead, n, k = x.shape
+    pad = -n % TILE
     if pad:
-        x = np.concatenate([x, np.zeros((pad, x.shape[1]), x.dtype)])
-    return x.reshape(-1, TILE, x.shape[1])
+        x = np.concatenate([x, np.zeros((*lead, pad, k), x.dtype)], axis=-2)
+    return x.reshape(*lead, -1, TILE, k)
 
 
 def _tile_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -177,10 +179,15 @@ def _tile_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     Whole tiles are multiplied as a view of ``x``; only a last partial tile
     is zero-padded (``tile_rows``), and its padding rows are dropped. An
     input of less than one tile, or of whole tiles only, is one product.
+
+    A leading image axis, ``x`` of ``(I, n, K)`` and ``w`` of ``(I, K, M)``,
+    multiplies each image by its own ``w`` in the same tiles, each image
+    padded to whole tiles, so image i's rows are the bits of ``x[i] @ w[i]``.
     """
-    n, full = len(x), len(x) - len(x) % TILE
-    if full in (0, n):
-        return np.matmul(tile_rows(x), w).reshape(-1, w.shape[1])[:n]
+    n, full = x.shape[-2], x.shape[-2] - x.shape[-2] % TILE
+    if x.ndim > 2 or full in (0, n):
+        tiles = np.matmul(tile_rows(x), w[:, None] if w.ndim > 2 else w)
+        return tiles.reshape(*x.shape[:-2], -1, w.shape[-1])[..., :n, :]
     out = np.empty((n, w.shape[1]), np.result_type(x, w))
     np.matmul(x[:full].reshape(-1, TILE, x.shape[1]), w,
               out=out[:full].reshape(-1, TILE, w.shape[1]))
@@ -256,9 +263,10 @@ def relu(x: Tensor) -> Tensor:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over each row of a plain array, stabilized by max subtraction."""
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    """Softmax over the last axis of a plain array (each row of a matrix),
+    stabilized by max subtraction."""
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:

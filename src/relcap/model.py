@@ -220,7 +220,10 @@ def rem_forward(x: Tensor, params: ModelParams, sizes=()) -> Tensor:
     R = row_softmax(relu(X Wa) relu(X Wb)^T); Z = X + R relu(X Wx) Wz^T.
     Only R and its product run image by image. Row permutations within an
     image permute its rows of Z identically. Several images are
-    forward-only: recording them is a ValueError.
+    forward-only: recording them is a ValueError. Their attention runs once
+    per distinct region count, on the images of that count stacked on a
+    leading axis (``_tile_matmul``), so each image's rows are the bits it
+    gets alone.
     """
     a = ad.relu(ad.matmul(x, params["rem.wa"]))
     b = ad.relu(ad.matmul(x, params["rem.wb"]))
@@ -228,9 +231,15 @@ def rem_forward(x: Tensor, params: ModelParams, sizes=()) -> Tensor:
     if len(sizes) > 1:
         if ad.is_recording():
             raise ValueError("REM over several images is forward-only; run it under no_grad")
-        cuts = np.cumsum(sizes)[:-1]
-        images = zip(*(np.split(t.data, cuts) for t in (a, b, v)))
-        attended = Tensor(np.concatenate([_attend(*map(Tensor, m)).data for m in images]))
+        sizes = np.asarray(sizes)
+        starts = np.cumsum(sizes) - sizes
+        attended = np.empty_like(v.data)
+        for n in sorted(set(sizes.tolist())):    # np.unique would keep 0.6 MiB resident
+            rows = (starts[sizes == n, None] + np.arange(n)).reshape(-1)
+            a_n, b_n, v_n = (t.data[rows].reshape(-1, n, t.shape[1]) for t in (a, b, v))
+            r_n = ad.softmax(ad._tile_matmul(a_n, b_n.transpose(0, 2, 1)))
+            attended[rows] = ad._tile_matmul(r_n, v_n).reshape(len(rows), -1)
+        attended = Tensor(attended)
     else:
         attended = _attend(a, b, v)
     return ad.add(x, ad.matmul(attended, ad.transpose(params["rem.wz"])))
@@ -292,16 +301,23 @@ def encode_pair_batch(batch: PairBatch, params: ModelParams, config: ModelConfig
                       z: Tensor | None = None, rng: np.random.Generator | None = None):
     """Region codes for every pair in the batch, keyed by input kind; with
     an ``rng``, dropout runs as in training. A stacked batch's codes are
-    the bits each image gets alone."""
+    the bits each image gets alone.
+
+    Untaped (under ``no_grad``), the subject and object FCs run once per
+    region and each pair gathers its regions' rows; taped, they run on the
+    gathered pair rows. Both give the same bits."""
     if z is None:
         _, z = encode_regions(batch.features, params, config, rng, batch.image_regions)
     codes = {}
-    if config.use_subject:
-        rows = ad.gather_rows(z, batch.subject_index)
-        codes["subject"] = ad.affine(rows, params["enc.subject.w"], params["enc.subject.b"])
-    if config.use_object:
-        rows = ad.gather_rows(z, batch.object_index)
-        codes["object"] = ad.affine(rows, params["enc.object.w"], params["enc.object.b"])
+    for role in ("subject", "object"):
+        if role in config.inputs:
+            index, w, b = (getattr(batch, f"{role}_index"), params[f"enc.{role}.w"],
+                           params[f"enc.{role}.b"])
+            # Per region gives the same bits (every product runs in fixed
+            # tiles), but taped it would sum the weight gradient over
+            # regions instead of pair rows and move every checkpoint.
+            codes[role] = (ad.affine(ad.gather_rows(z, index), w, b) if ad.is_recording()
+                           else ad.gather_rows(ad.affine(z, w, b), index))
     geo64 = None
     if config.use_coord:
         geo64 = ad.relu(ad.affine(Tensor(batch.geos), params["geo.w"], params["geo.b"]))
@@ -397,6 +413,12 @@ def regroup(states: np.ndarray, words: np.ndarray, vocab: int):
     return row_map, parent, word
 
 
+def split_states(states, parent):
+    """Each of ``states`` (a stream's hidden and cell rows) with one row per
+    new state, a copy of its ``parent`` state's row."""
+    return [x[parent] for x in states]
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def run_streams(first, params: ModelParams, config: ModelConfig, n_steps: int, emit,
                 tape=None, regions=None):
@@ -414,10 +436,13 @@ def run_streams(first, params: ModelParams, config: ModelConfig, n_steps: int, e
     (their codes are byte-equal: every product runs in fixed tiles), and a
     state fed one word at step t becomes one new state (``regroup``), so
     the subject and object streams of a dense batch step far fewer states
-    than rows. A stream keeps the identity map instead, one state per row
-    updated in place, when the run keeps a tape, when it has at most BLOCK
-    rows, or when it has no regions (the union-fed predicate stream, a
-    fused single stream).
+    than rows. A step that feeds every state one word (every step of a
+    retrieval pass, whose rows are all fed the query's word) keeps the
+    states where they are; only a step that splits a state copies them to
+    their new rows (``split_states``). A stream keeps the identity map
+    instead, one state per row updated in place, when the run keeps a tape,
+    when it has at most BLOCK rows, or when it has no regions (the
+    union-fed predicate stream, a fused single stream).
 
     States are padded to a multiple of TILE and each step runs them in
     blocks of BLOCK, stream by stream. Gates are kept gate-major, so every
@@ -479,8 +504,9 @@ def run_streams(first, params: ModelParams, config: ModelConfig, n_steps: int, e
             if t and maps[s] is not None:
                 maps[s], parent, words = regroup(maps[s], ids[:n], vocab)
                 pad = (0, -len(parent) % ad.TILE)           # pad states: state 0, word 0
-                parent, fed_s = np.pad(parent, pad), np.pad(words, pad) + offsets
-                h[s], c[s] = h[s][parent], c[s][parent]
+                fed_s = np.pad(words, pad) + offsets
+                if parent[-1] + 1 < len(parent):            # a state was fed two words
+                    h[s], c[s] = split_states((h[s], c[s]), np.pad(parent, pad))
             for lo in range(0, len(h[s]), block):
                 hidden, cell = h[s][lo:lo + block], c[s][lo:lo + block]
                 z = np.matmul(hidden.reshape(-1, ad.TILE, hid), w_h[:, None])

@@ -116,12 +116,18 @@ def build_image_batch(record: RelationalRecord, proposals, provider,
                       vocab: Vocabulary, config: ModelConfig) -> ImageBatch:
     """Assemble proposals, match labels and one caption pair per GT caption
     for one image; each distinct captioned pair's union box is featurised
-    once."""
+    once.
+
+    Captions are keyed by GT indices, which no NEGATIVE or IGNORE label
+    equals, so only the pairs of GT-matched proposals are enumerated and
+    given geometry: ``caption_pairs`` over those proposals, in the order of
+    all pairs."""
     gt_boxes, captions = _gt_captions(record, config)
     labels = match_to_gt(proposals.boxes, gt_boxes)
-    subject, obj, unions, geos = caption_pairs(proposals, config)
+    matched = np.flatnonzero(labels >= 0)
+    subject, obj, unions, geos = caption_pairs(proposals[matched], config)
+    subject, obj = matched[subject], matched[obj]
     rows, token_ids, tags = [], [], []
-    # captions are keyed by GT indices, which no NEGATIVE or IGNORE label equals
     for k, key in enumerate(zip(labels[subject].tolist(), labels[obj].tolist())):
         for rel in captions.get(key, ()):
             ids, pos = encode_caption(rel.tokens, rel.pos, vocab, config.max_len)

@@ -8,14 +8,14 @@ import relcap.model
 from relcap.apps import retrieval_scores
 from relcap.autodiff import Tensor, affine, backward, log_softmax, no_grad
 from relcap.data import (SCHEMA_VERSION, TOY_SIZE, PosTag, ToyWorldConfig, build_vocab,
-                         generate_toy_world, proposals_for_record, save_jsonl)
+                         encode_caption, generate_toy_world, proposals_for_record, save_jsonl)
 from relcap.errors import ConfigError, DataError
-from relcap.geometry import Box, box_rows, iou_matrix, nms, union_rows
+from relcap.geometry import Box, box_rows, iou_matrix, match_to_gt, nms, union_rows
 from relcap.metrics import MetricConfig, PredictionRecord, Predictions
-from relcap.model import (BLOCK, ModelConfig, PairBatch, decode_arrays, encode_pair_batch,
-                          init_params, stream_states)
-from relcap.pipeline import (ProposalSettings, build_image_batch, make_pair_batch,
-                             predicted_pos_tags)
+from relcap.model import (BLOCK, ImageBatch, ModelConfig, PairBatch, decode_arrays,
+                          encode_pair_batch, init_params, stream_states)
+from relcap.pipeline import (ProposalSettings, _gt_captions, build_image_batch, caption_pairs,
+                             make_pair_batch, predicted_pos_tags)
 from relcap.stemming import porter_stem
 
 
@@ -377,6 +377,25 @@ def pos_accuracy_by_name(predicted_tags, gt_tags):
     for tag, (hit, seen) in counts.items():
         out[tag] = hit / seen if seen else 0.0
     return out
+
+
+def all_pairs_image_batch(record, proposals, provider, vocab, config):
+    """Reference of ``build_image_batch`` that gives every ordered pair of
+    proposals its geometry and keeps the rows whose two labels key a caption."""
+    gt_boxes, captions = _gt_captions(record, config)
+    labels = match_to_gt(proposals.boxes, gt_boxes)
+    subject, obj, unions, geos = caption_pairs(proposals, config)
+    rows, token_ids, tags = [], [], []
+    for k, key in enumerate(zip(labels[subject].tolist(), labels[obj].tolist())):
+        for rel in captions.get(key, ()):
+            ids, pos = encode_caption(rel.tokens, rel.pos, vocab, config.max_len)
+            rows.append(k)
+            token_ids.append(ids)
+            tags.append(pos)
+    return ImageBatch(pairs=PairBatch(proposals.features, subject[rows], obj[rows],
+                                      provider.features_many(record, unions[rows]), geos[rows]),
+                      token_ids=token_ids, tags=tags, prop_boxes=proposals.boxes,
+                      gt_boxes=gt_boxes, labels=labels)
 
 
 def tag_names(ids):

@@ -18,7 +18,7 @@ from relcap.geometry import Box
 from relcap.metrics import PredictionRecord
 from relcap.model import BLOCK, PairBatch, encode_pair_batch
 
-from test_model import chain_batch, rigged_chain_model
+from test_model import chain_batch, rigged_chain_model, split_calls
 
 
 def prediction(subject_box, object_box, tokens, pos, confidence, image_id=0):
@@ -235,6 +235,23 @@ class TestGroupedRetrieval:
         assert scores == block_retrieval_scores(query, batches, params, cfg)
         assert shared and all(shared)
         assert [len(probs) for _, _, probs in scores] == [cfg.max_len] * len(self.SIZES)
+
+    def test_pass_gathers_no_state_after_step_zero(self, monkeypatch):
+        # Every row is fed the query's word, so no state ever splits and
+        # the shared states keep their rows.
+        cfg = tiny_config(14, 10, name="mttsnet,mtl,rem")
+        params = fresh_params(cfg, seed=4)
+        rng = np.random.default_rng(12)
+        batches = [random_batch(cfg, n, rng) for n in self.SIZES]
+        stacked = PairBatch.stack(batches)
+        with ad.no_grad():
+            codes = encode_pair_batch(stacked, params, cfg)
+        query = list(rng.integers(0, cfg.vocab_size, cfg.max_len))
+        gathered = split_calls(monkeypatch)
+        scores, maps = regroup_inputs(
+            monkeypatch, lambda: retrieval_scores(query, stacked, codes, params, cfg))
+        assert len(maps) == 2 * (cfg.max_len - 1) and gathered == []
+        assert scores == block_retrieval_scores(query, batches, params, cfg)
 
     @pytest.mark.parametrize("name", ["union", "union-coord", "subj-obj", "subj-obj-coord",
                                       "uuu", "tsnet,rem", "mttsnet,mtl"])

@@ -257,11 +257,15 @@ class TestEncodePair:
 
 
 STACK_REGIONS = (1, 5, 31, 32, 33, 50)      # images whose rows cross 32-row tile edges
+MIXED_REGIONS = (1, 4, 4, 5, 31, 33, 33, 50)     # counts shared by several images
 
 
-def stack_images(cfg):
-    """One random PairBatch per STACK_REGIONS entry, of n + 3 pairs."""
-    return [random_pair_batch(cfg, n_pairs=n + 3, n_regions=n, seed=n) for n in STACK_REGIONS]
+def stack_images(cfg, counts=STACK_REGIONS):
+    """One random PairBatch per ``counts`` entry n, of n + 3 pairs; a
+    repeated count draws another batch."""
+    return [random_pair_batch(cfg, n_pairs=n + 3, n_regions=n,
+                              seed=n + 1000 * counts[:k].count(n))
+            for k, n in enumerate(counts)]
 
 
 def graph_nodes(*roots) -> int:
@@ -287,9 +291,28 @@ class TestStackedEncoding:
         cfg = ModelConfig(14, 10, name="mttsnet,mtl,rem").validate()
         self.assert_codes_equal(cfg, fresh_params(cfg, seed=2))
 
+    @pytest.mark.parametrize("name", [base + rem for base in MODEL_PRESETS
+                                      for rem in ("", ",rem")])
+    def test_mixed_region_counts_attend_once_per_count(self, monkeypatch, name):
+        cfg = tiny_config(14, 10, name=name)
+        softmax, attended = ad.softmax, []
+
+        def spy(logits):
+            attended.append(logits.shape)
+            return softmax(logits)
+
+        monkeypatch.setattr(ad, "softmax", spy)
+        self.assert_codes_equal(cfg, fresh_params(cfg, seed=2), MIXED_REGIONS)
+        # One (images, n, n) attention per distinct count n, then the
+        # per-image references' one (n, n) attention each.
+        counts = sorted(set(MIXED_REGIONS))
+        stacked = [(MIXED_REGIONS.count(n), n, n) for n in counts]
+        alone = [(n, n) for n in MIXED_REGIONS]
+        assert attended == (stacked + alone if cfg.rem else [])
+
     @staticmethod
-    def assert_codes_equal(cfg, params):
-        batches = stack_images(cfg)
+    def assert_codes_equal(cfg, params, counts=STACK_REGIONS):
+        batches = stack_images(cfg, counts)
         with ad.no_grad():
             got = encode_pair_batch(PairBatch.stack(batches), params, cfg)
             alone = [encode_pair_batch(batch, params, cfg) for batch in batches]
@@ -297,6 +320,20 @@ class TestStackedEncoding:
         for kind, code in got.items():
             want = np.concatenate([codes[kind].data for codes in alone])
             assert code.data.tobytes() == want.tobytes(), kind
+
+    @pytest.mark.parametrize("name", ["mttsnet", "mttsnet,rem", "subj-obj", "subj-obj-coord,rem",
+                                      "tsnet"])
+    def test_untaped_codes_equal_the_taped_gather_then_fc(self, name):
+        cfg = tiny_config(14, 10, name=name)
+        params = fresh_params(cfg, seed=5)
+        batch = random_pair_batch(cfg, n_pairs=70, n_regions=40, seed=6)
+        taped = encode_pair_batch(batch, params, cfg)
+        with ad.no_grad():
+            untaped = encode_pair_batch(batch, params, cfg)
+        for role in ("subject", "object"):
+            # Taped, the FC reads the gathered pair rows, one per pair.
+            assert taped[role]._parents[0].shape == (len(batch), cfg.d_subj_obj)
+            assert untaped[role].data.tobytes() == taped[role].data.tobytes(), role
 
     def test_stack_offsets_each_image_by_the_regions_before_it(self):
         cfg = tiny_config(14, 10)
@@ -508,6 +545,36 @@ class TestStepZeroSharing:
         states = self.step_zero(monkeypatch, batch, params, cfg)[0]
         assert same_groups(states, batch.subject_index)
         assert states[rows[0]] != states[rows[1]]
+
+
+def split_calls(monkeypatch):
+    """The row counts of the ``split_states`` calls a run makes from now on."""
+    split, calls = relcap.model.split_states, []
+
+    def spy(states, parent):
+        calls.append(len(parent))
+        return split(states, parent)
+
+    monkeypatch.setattr(relcap.model, "split_states", spy)
+    return calls
+
+
+class TestSplitSteps:
+    def test_dense_decode_whose_states_split_equals_its_block_reference(self, monkeypatch):
+        """States that split are copied to their new rows; decoding in
+        passes of at most BLOCK rows (one state per row) gives the same
+        bits."""
+        cfg = tiny_config(14, 12, name="mttsnet,mtl,rem")
+        params = fresh_params(cfg, seed=12)
+        n = 300
+        batch = random_pair_batch(cfg, n_pairs=n, n_regions=9, seed=5)
+        blocks = [decode_arrays(pair_rows(batch, list(range(lo, min(lo + 100, n)))), params, cfg)
+                  for lo in range(0, n, 100)]
+        calls = split_calls(monkeypatch)
+        dense = decode_arrays(batch, params, cfg)
+        assert calls                    # some step fed a state two words
+        for got, parts in zip(dense, zip(*blocks), strict=True):
+            assert got.tobytes() == np.concatenate(parts).tobytes()
 
 
 class TestEmitRows:

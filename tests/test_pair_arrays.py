@@ -3,13 +3,16 @@ and region proposals against ``scalar_features``, ``caption_pairs`` against
 ``union_box``, ``geometric_feature`` and the list references of the
 combination layer, bit for bit."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (geometric_feature, intersection_area, iou, reference_combination_layer,
-                      reference_top_pairs, scalar_features, tiny_config, union_box)
+from conftest import (all_pairs_image_batch, geometric_feature, intersection_area, iou,
+                      reference_combination_layer, reference_top_pairs, scalar_features,
+                      tiny_config, union_box)
 from relcap.data import RelationalRecord, SceneObject, ToyFeatureProvider, proposals_for_record
 from relcap.errors import DataError
 from relcap.geometry import Box, Proposals, box_rows, nms
@@ -251,6 +254,34 @@ class TestCaptionPairs:
         want = np.vstack([scalar_features(provider, record, ub) for ub in unions])
         assert batch.union_features.tobytes() == want.tobytes()
         assert boxes == [(kept_boxes[i], kept_boxes[j]) for i, j in pairs]
+
+
+class TestImageBatchPairs:
+    @pytest.mark.parametrize("config", [object_config, union_config])
+    def test_equal_the_all_pairs_reference(self, toy_world_small, config):
+        """Only the pairs of GT-matched proposals get geometry; the batch is
+        the one that keeps the captioned rows of all pairs. The proposals
+        include background boxes and a second proposal of some GT boxes."""
+        records, provider, vocab = toy_world_small
+        cfg = dataclasses.replace(config(), feature_width=provider.feature_width,
+                                  vocab_size=len(vocab))
+        settings = ProposalSettings(seed=4, n_background=30)
+        rows = 0
+        for record in records:
+            props = build_proposals(record, provider, cfg, settings)
+            again = props[np.arange(len(props)) % 3 == 0]
+            props = Proposals(np.concatenate([props.boxes, again.boxes + 0.25]),
+                              np.concatenate([props.confidence, again.confidence]),
+                              np.concatenate([props.features, again.features]))
+            got = build_image_batch(record, props, provider, vocab, cfg)
+            want = all_pairs_image_batch(record, props, provider, vocab, cfg)
+            for name in ("features", "subject_index", "object_index", "union_features", "geos"):
+                assert getattr(got.pairs, name).tobytes() == getattr(want.pairs, name).tobytes()
+            for name in ("prop_boxes", "gt_boxes", "labels"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            assert (got.token_ids, got.tags) == (want.token_ids, want.tags)
+            rows += len(got.pairs)
+        assert rows
 
 
 class TestEmptyBatches:
