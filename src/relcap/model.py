@@ -218,7 +218,7 @@ def rem_forward(x: Tensor, params: ModelParams, sizes=()) -> Tensor:
     ``sizes`` (row counts, in order; default one image), residually added.
 
     R = row_softmax(relu(X Wa) relu(X Wb)^T); Z = X + R relu(X Wx) Wz^T.
-    Only R and its product run image by image. Row permutations within an
+    Only R and its product are per image. Row permutations within an
     image permute its rows of Z identically. Several images are
     forward-only: recording them is a ValueError. Their attention runs once
     per distinct region count, on the images of that count stacked on a
