@@ -121,8 +121,9 @@ def retrieval_scores(query_ids, batch: PairBatch, codes, params: ModelParams,
     ``batch`` holds the candidate images (``PairBatch.stack``, pairs in image
     order) and ``codes`` its ``encode_pair_batch`` codes. All its rows run
     through one untaped ``run_streams`` pass, teacher-forced with the query;
-    ``emit`` applies the word head per block and keeps only the query words'
-    log-probabilities, ``(T, P)``, never the hidden states. A pass of more
+    ``emit`` applies the word head per block as a plain tiled product and
+    keeps only the query words' log-probabilities (``log_softmax`` of the
+    word's column), ``(T, P)``, never the hidden states. A pass of more
     than BLOCK rows steps one subject or object state per region. A row's
     log sum (in step order) does not depend on the other rows (every product
     runs in fixed tiles); an image's score is the first maximum over its
@@ -138,10 +139,10 @@ def retrieval_scores(query_ids, batch: PairBatch, codes, params: ModelParams,
     if sizes.min() == 0:
         raise ValueError("retrieval needs at least one candidate pair per image")
     logp = np.empty((len(query), len(batch)))
+    w, b = params["head.word.w"].data, params["head.word.b"].data
 
     def emit(t, lo, feat):
-        logits = ad.affine(ad.Tensor(feat), params["head.word.w"], params["head.word.b"]).data
-        logp[t, lo:lo + len(feat)] = ad.log_softmax(logits)[:, query[t]]
+        logp[t, lo:lo + len(feat)] = ad.log_softmax(ad._tile_matmul(feat, w) + b, query[t])
         return np.full(len(feat), query[t])
 
     with ad.no_grad():

@@ -262,17 +262,25 @@ def relu(x: Tensor) -> Tensor:
     return _node(np.maximum(x.data, 0.0), (x,), lambda g: _accumulate(x, g * (x.data > 0)))
 
 
+def _row_max(x: np.ndarray) -> np.ndarray:
+    # One pass over a transposed copy, far faster than a reduce over a short
+    # last axis; a max does not depend on the order it is taken in.
+    return np.ascontiguousarray(np.swapaxes(x, -1, -2)).max(axis=-2)[..., None]
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of a plain array (each row of a matrix),
     stabilized by max subtraction."""
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    e = np.exp(logits - _row_max(logits))
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Log-softmax over each row of a plain array."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+def log_softmax(logits: np.ndarray, column: int | None = None) -> np.ndarray:
+    """Log-softmax over each row of a plain matrix; with ``column``, that
+    column's entries only, ``(rows,)``."""
+    shifted = logits - _row_max(logits)
+    total = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return shifted - total if column is None else shifted[:, column] - total[:, 0]
 
 
 def row_softmax(x: Tensor) -> Tensor:

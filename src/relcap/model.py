@@ -304,8 +304,9 @@ def encode_pair_batch(batch: PairBatch, params: ModelParams, config: ModelConfig
     the bits each image gets alone.
 
     Untaped (under ``no_grad``), the subject and object FCs run once per
-    region and each pair gathers its regions' rows; taped, they run on the
-    gathered pair rows. Both give the same bits."""
+    region and each pair gathers its regions' rows, and the union and
+    coordinate codes run per BLOCK of pair rows, only the codes joined;
+    taped, all run on the whole batch's pair rows. Both give the same bits."""
     if z is None:
         _, z = encode_regions(batch.features, params, config, rng, batch.image_regions)
     codes = {}
@@ -318,19 +319,24 @@ def encode_pair_batch(batch: PairBatch, params: ModelParams, config: ModelConfig
             # regions instead of pair rows and move every checkpoint.
             codes[role] = (ad.affine(ad.gather_rows(z, index), w, b) if ad.is_recording()
                            else ad.gather_rows(ad.affine(z, w, b), index))
-    geo64 = None
-    if config.use_coord:
-        geo64 = ad.relu(ad.affine(Tensor(batch.geos), params["geo.w"], params["geo.b"]))
-    if config.use_union:
-        u = ad.relu(ad.affine(Tensor(batch.union_features),
-                              params["union.first.w"], params["union.first.b"]))
-        u = ad.dropout(u, config.dropout, rng)
+
+    def pair_codes(rows):
+        out = {}
         if config.use_coord:
-            u = ad.concat([u, geo64])
-        codes["union"] = ad.affine(u, params["union.code.w"], params["union.code.b"])
-    elif config.use_coord:
-        codes["geo"] = geo64
-    return codes
+            out["geo"] = ad.relu(ad.affine(Tensor(batch.geos[rows]), params["geo.w"], params["geo.b"]))
+        if config.use_union:
+            u = ad.relu(ad.affine(Tensor(batch.union_features[rows]),
+                                  params["union.first.w"], params["union.first.b"]))
+            u = ad.dropout(u, config.dropout, rng)
+            if config.use_coord:
+                u = ad.concat([u, out.pop("geo")])
+            out["union"] = ad.affine(u, params["union.code.w"], params["union.code.b"])
+        return out
+
+    if ad.is_recording():
+        return codes | pair_codes(slice(None))
+    blocks = [pair_codes(slice(lo, lo + BLOCK)) for lo in range(0, max(len(batch), 1), BLOCK)]
+    return codes | {k: Tensor(np.concatenate([part[k].data for part in blocks])) for k in blocks[0]}
 
 
 def _stream_names(config: ModelConfig):
@@ -427,9 +433,10 @@ def run_streams(first, params: ModelParams, config: ModelConfig, n_steps: int, e
     ``first`` holds each stream's step-0 input (a ``(P, hidden)`` Tensor,
     see ``stream_inputs``), ``regions`` the region each of its rows starts
     from, ``(P,)`` indices or None per stream (``stream_regions``; all None
-    if not given). Step t >= 1 feeds every stream the shared embedding of
-    the word chosen for the row at step t - 1; its input term is then a row
-    of the per-stream table ``embed.table @ W_x + b``.
+    if not given). Step 0's input term ``x @ W_x + b`` is computed per block
+    of states inside the step. Step t >= 1 feeds every stream the shared
+    embedding of the word chosen for the row at step t - 1; its input term
+    is then a row of the per-stream table ``embed.table @ W_x + b``.
 
     A stream with regions keeps one state per distinct (region, fed-word
     prefix), not one per row. Rows of one region start from one state
@@ -462,10 +469,10 @@ def run_streams(first, params: ModelParams, config: ModelConfig, n_steps: int, e
     for the backward pass of ``stream_states``.
 
     The run is float64 exactly when it keeps a tape. Without one (decoding
-    and every other forward-only pass) the gate weights, step-0 inputs, word
-    tables and states are cast to float32, and ``emit`` receives the float32
-    states cast exactly to float64, so float64 heads read them without a
-    cast of their own; the parameters themselves stay float64.
+    and every other forward-only pass) the gate weights, each block's step-0
+    inputs, word tables and states are cast to float32, and ``emit``
+    receives the float32 states cast exactly to float64, so float64 heads
+    read them without a cast of their own; the parameters stay float64.
 
     Overflow and invalid-value warnings are off inside the run: a diverged
     checkpoint's states are not finite, and the callers' finite checks
@@ -479,14 +486,12 @@ def run_streams(first, params: ModelParams, config: ModelConfig, n_steps: int, e
     rows = n + (-n % ad.TILE)
     block = max(rows, 1) if tape is not None else BLOCK
     # per stream: the step-0 input of each state; row -> state, or None for one per row
-    inputs, maps = [x.data.astype(dtype, copy=False) for x in first], [None] * len(first)
+    inputs, maps = [x.data for x in first], [None] * len(first)
     for s, region in enumerate(regions or ()):
         if region is not None and tape is None and n > BLOCK:
             _, keep, maps[s] = np.unique(region, return_index=True, return_inverse=True)
             inputs[s] = inputs[s][keep]
-    start = [np.matmul(ad.tile_rows(x), w_x[:, None]).reshape(4, -1, hid) + b
-             for x, (w_x, _, b) in zip(inputs, weights)]
-    h = [np.zeros((x.shape[1], hid), dtype) for x in start]
+    h = [np.zeros((len(x) + -len(x) % ad.TILE, hid), dtype) for x in inputs]
     c = [np.zeros_like(x) for x in h]
     vocab = len(embed)
     out = np.empty((min(block, n), len(weights) * hid))     # emit's rows, reused
@@ -499,20 +504,23 @@ def run_streams(first, params: ModelParams, config: ModelConfig, n_steps: int, e
             c = [cell.copy() for cell in c]
             tape.append(([], c))
         fed = ids + offsets if t else None       # rows of the stacked word tables
-        for s, (_, w_h, _) in enumerate(weights):
+        for s, (w_x, w_h, b) in enumerate(weights):
             fed_s = fed
             if t and maps[s] is not None:
                 maps[s], parent, words = regroup(maps[s], ids[:n], vocab)
-                pad = (0, -len(parent) % ad.TILE)           # pad states: state 0, word 0
-                fed_s = np.pad(words, pad) + offsets
+                pad = np.zeros(-len(parent) % ad.TILE, np.intp)  # pad states: state 0, word 0
+                fed_s = np.concatenate([words, pad]) + offsets
                 if parent[-1] + 1 < len(parent):            # a state was fed two words
-                    h[s], c[s] = split_states((h[s], c[s]), np.pad(parent, pad))
+                    h[s], c[s] = split_states((h[s], c[s]), np.concatenate([parent, pad]))
             for lo in range(0, len(h[s]), block):
                 hidden, cell = h[s][lo:lo + block], c[s][lo:lo + block]
                 z = np.matmul(hidden.reshape(-1, ad.TILE, hid), w_h[:, None])
                 z = z.reshape(4, len(hidden), hid)
-                z += (start[s][:, lo:lo + block] if t == 0
-                      else np.take(lookup[s], fed_s[:, lo:lo + block], axis=0))
+                if t == 0:                       # the block's step-0 input term
+                    x = ad.tile_rows(inputs[s][lo:lo + block].astype(dtype, copy=False))
+                    z += np.matmul(x, w_x[:, None]).reshape(z.shape) + b
+                else:
+                    z += np.take(lookup[s], fed_s[:, lo:lo + block], axis=0)
                 np.tanh(z, out=z)
                 z[:3] *= 0.5                     # i, f, o: 0.5 tanh(0.5 x) + 0.5
                 z[:3] += 0.5
@@ -764,10 +772,12 @@ def decode_arrays(batch: PairBatch, params: ModelParams, config: ModelConfig,
     tags = np.zeros((n, config.max_len), dtype=np.intp)
     uniforms = np.zeros(n)
 
+    def head(kind, feat):       # affine's bits, without a graph node
+        return ad._tile_matmul(feat, params[f"head.{kind}.w"].data) + params[f"head.{kind}.b"].data
+
     def emit(t, lo, feat):
         top = lo + len(feat)
-        word = ad.affine(Tensor(feat), params["head.word.w"], params["head.word.b"])
-        probs = ad.softmax(word.data)
+        probs = ad.softmax(head("word", feat))
         if mode == "stochastic" and lo == 0:
             uniforms[~done] = rng.random(n - int(done.sum()))
         active = ~done[lo:top]
@@ -780,8 +790,7 @@ def decode_arrays(batch: PairBatch, params: ModelParams, config: ModelConfig,
         picks[lo:top, t] = prev
         chosen_probs[lo:top, t] = probs[np.arange(len(feat)), prev]
         if config.mtl:
-            pos = ad.affine(Tensor(feat), params["head.pos.w"], params["head.pos.b"])
-            tags[lo:top, t] = pos.data.argmax(axis=1)
+            tags[lo:top, t] = head("pos", feat).argmax(axis=1)
         taken[lo:top] += active
         done[lo:top] |= prev == END_ID
         return None if top == n and done.all() else prev

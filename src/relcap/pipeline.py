@@ -206,14 +206,20 @@ def history_to_csv(history) -> str:
 # prediction and evaluation
 # ---------------------------------------------------------------------------
 
+def pair_batch(record: RelationalRecord, proposals, provider, config: ModelConfig,
+               pair_cap: int | None = None) -> PairBatch:
+    """PairBatch over kept proposals: the ``caption_pairs`` and their union features."""
+    subject, obj, unions, geos = caption_pairs(proposals, config, pair_cap)
+    return PairBatch(proposals.features, subject, obj, provider.features_many(record, unions),
+                     geos)
+
+
 def make_pair_batch(record: RelationalRecord, proposals, provider,
                     config: ModelConfig, pair_cap: int | None = None):
-    """PairBatch over kept proposals plus per-pair (subject, object) boxes."""
-    subject, obj, unions, geos = caption_pairs(proposals, config, pair_cap)
-    batch = PairBatch(proposals.features, subject, obj, provider.features_many(record, unions),
-                      geos)
+    """``pair_batch`` plus per-pair (subject, object) boxes."""
+    batch = pair_batch(record, proposals, provider, config, pair_cap)
     boxes = [Box(*row) for row in proposals.boxes.tolist()]
-    return batch, [(boxes[i], boxes[j]) for i, j in zip(subject.tolist(), obj.tolist())]
+    return batch, [(boxes[i], boxes[j]) for i, j in zip(batch.subject_index, batch.object_index)]
 
 
 # Pairs one stacked decode or POS pass takes at most; an image of more runs alone.
@@ -244,7 +250,7 @@ def predict_proposals(images, params: ModelParams, config: ModelConfig, vocab: V
     draws follow the rows) runs each alone. A pair whose caption is empty or below
     ``min_confidence`` gets no row; non-finite word probabilities are a ``DataError``."""
     survivors = ((r, nms(props, nms_iou, metric_config.keep_after_nms)) for r, props in images)
-    pairs = ((r, k, make_pair_batch(r, k, provider, config, pair_cap)[0]) for r, k in survivors)
+    pairs = ((r, k, pair_batch(r, k, provider, config, pair_cap)) for r, k in survivors)
     words = np.array(list(map(vocab.decode_id, range(len(vocab)))), dtype=object)
     tag_names = np.array([tag.name for tag in PosTag], dtype=object)   # by the tag's value
     steps = np.arange(config.max_len)

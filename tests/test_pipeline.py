@@ -625,15 +625,15 @@ class TestStackedEvaluation:
     def test_non_finite_confidences_name_their_image(self, world, monkeypatch):
         records, proposals, provider, vocab, cfg, params = world
         bad = records[5].image_id
-        build = pipeline.make_pair_batch
+        build = pipeline.pair_batch
 
         def poisoned(record, *args):
-            batch, boxes = build(record, *args)
+            batch = build(record, *args)
             if record.image_id == bad:
                 batch.union_features = np.full_like(batch.union_features, np.nan)
-            return batch, boxes
+            return batch
 
-        monkeypatch.setattr(pipeline, "make_pair_batch", poisoned)
+        monkeypatch.setattr(pipeline, "pair_batch", poisoned)
         with pytest.raises(DataError, match=rf"^image {bad}: caption confidences are not finite"):
             self.evaluate(world, monkeypatch, 10 ** 6)
         with pytest.raises(DataError, match=rf"^image {bad}: "):
