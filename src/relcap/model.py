@@ -323,7 +323,8 @@ def encode_pair_batch(batch: PairBatch, params: ModelParams, config: ModelConfig
     def pair_codes(rows):
         out = {}
         if config.use_coord:
-            out["geo"] = ad.relu(ad.affine(Tensor(batch.geos[rows]), params["geo.w"], params["geo.b"]))
+            out["geo"] = ad.relu(ad.affine(Tensor(batch.geos[rows]), params["geo.w"],
+                                           params["geo.b"]))
         if config.use_union:
             u = ad.relu(ad.affine(Tensor(batch.union_features[rows]),
                                   params["union.first.w"], params["union.first.b"]))

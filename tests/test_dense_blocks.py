@@ -14,14 +14,15 @@ from hypothesis import strategies as st
 from conftest import fresh_params, pair_rows, tiny_config
 from relcap import autodiff as ad
 from relcap.apps import retrieval_scores
-from relcap.model import BLOCK, MODEL_PRESETS, ModelConfig, PairBatch, decode_arrays, encode_pair_batch
+from relcap.model import (BLOCK, MODEL_PRESETS, ModelConfig, PairBatch, decode_arrays,
+                          encode_pair_batch)
 
 ALL_PRESETS = [base + rem for base in MODEL_PRESETS for rem in ("", ",rem")]
 SPECIALS = (0.0, -0.0, np.inf, -np.inf, np.nan)
 
 
 def last_axis_softmax(x):
-    """The softmax as it was written before the column pass: max over the last axis."""
+    """Reference softmax: the row max reduced over the last axis."""
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
@@ -137,9 +138,9 @@ def test_retrieval_above_block_equals_each_image_scored_alone(name):
 
 
 def test_untaped_dense_encode_peak_stays_within_block_sized_temporaries():
-    """2,450 pairs of 50 regions at the default widths: the whole-batch
-    float64 union and coordinate temporaries peaked at about 6.7 MiB, the
-    block-wise pass at about 3.7 MiB (the three final codes are 2.7)."""
+    """2,450 pairs of 50 regions at the default widths: whole-batch float64
+    union and coordinate temporaries peak at about 6.7 MiB, the block-wise
+    pass at about 3.6 MiB (the three final codes are 2.7 of it)."""
     cfg = ModelConfig(14, 20).validate()
     params = fresh_params(cfg, seed=1)
     rng = np.random.default_rng(2)
