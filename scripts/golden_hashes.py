@@ -39,11 +39,12 @@ score, the best pair and the per-word probabilities of every GT caption of
 the split against every image (NMS keep 100, as ``relcap retrieve``; each
 caption scores all images in one ``retrieval_scores`` call), and
 for triple-stream models ``scores/<model>/importance_trace``, the sha256 of
-the bytes of the trace of every GT-matched pair. For ``mttsnet,mtl,rem``,
-``scores/<model>/retrieval_score_dense`` hashes the same table over the
-candidates of the dense infers (80 background proposals, NMS keep 50: 2,450
-pairs per image), so the scores of passes far above BLOCK rows, whose
-subject and object streams share states across pairs, are pinned too.
+the bytes of the trace of every GT-matched pair, each encoded alone. For
+``mttsnet,mtl,rem``, ``scores/<model>/retrieval_score_dense`` hashes the
+same table over the candidates of the dense infers (80 background
+proposals, NMS keep 50: 2,450 pairs per image), so the scores of passes far
+above BLOCK rows, whose subject and object streams share states across
+pairs, are pinned too.
 
 ``--write FILE`` also saves the lines to FILE after a machine block: ``#``
 lines naming the CPU model and the Python, numpy and BLAS versions, which
@@ -218,10 +219,9 @@ def score_hashes(outdir: str) -> dict:
     """sha256 of every retrieval score and importance trace of the golden
     checkpoints on the test split (see the module docstring)."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
-    from relcap.autodiff import Tensor
     from relcap.data import ToyFeatureProvider, load_dataset
     from relcap.geometry import NMS_IOU, nms
-    from relcap.model import encode_pair_batch, importance_trace, load_model
+    from relcap.model import PairBatch, encode_pair_batch, importance_trace, load_model
     from relcap.pipeline import (ProposalSettings, build_image_batch, build_proposals,
                                  evaluate_model, make_pair_batch)
 
@@ -243,10 +243,15 @@ def score_hashes(outdir: str) -> dict:
                 candidates.append(batch)
             if config.streams == "triple":
                 image = build_image_batch(record, proposals, provider, vocab, config)
-                codes = encode_pair_batch(image.pairs, params, config)
+                pairs = image.pairs
                 for k, token_ids in enumerate(image.token_ids):
-                    pair = {kind: Tensor(code.data[k:k + 1]) for kind, code in codes.items()}
-                    traces.update(importance_trace(pair, token_ids, params, config).tobytes())
+                    # Pair k encoded alone: its codes are the bits it gets in
+                    # the whole batch (every product runs in fixed tiles).
+                    pair = PairBatch(pairs.features, pairs.subject_index[k:k + 1],
+                                     pairs.object_index[k:k + 1],
+                                     pairs.union_features[k:k + 1], pairs.geos[k:k + 1])
+                    codes = encode_pair_batch(pair, params, config)
+                    traces.update(importance_trace(codes, token_ids, params, config).tobytes())
         out[f"scores/{name}/retrieval_score"] = retrieval_table_hash(queries, candidates,
                                                                      params, config)
         if config.streams == "triple":
