@@ -14,7 +14,7 @@ from . import autodiff as ad
 from .errors import ConfigError, DataError
 from .geometry import Box, box_rows, iou_matrix
 from .model import (ModelConfig, ModelParams, PairBatch, encode_pair_batch, run_streams,
-                    stream_inputs, stream_regions)
+                    stream_inputs)
 
 NODE_MERGE_IOU = 0.9     # default IoU at or above which caption-graph nodes merge
 
@@ -146,8 +146,7 @@ def retrieval_scores(query_ids, batch: PairBatch, codes, params: ModelParams,
         return np.full(len(feat), query[t])
 
     with ad.no_grad():
-        run_streams(stream_inputs(codes, params, config), params, config, len(query), emit,
-                    regions=stream_regions(batch, config))
+        run_streams(stream_inputs(codes, params, config), params, config, len(query), emit)
     log_scores = np.zeros(logp.shape[1])
     for row in logp:
         log_scores += row

@@ -299,13 +299,14 @@ class PairBatch:
 
 def encode_pair_batch(batch: PairBatch, params: ModelParams, config: ModelConfig,
                       z: Tensor | None = None, rng: np.random.Generator | None = None):
-    """Region codes for every pair in the batch, keyed by input kind; with
-    an ``rng``, dropout runs as in training. A stacked batch's codes are
-    the bits each image gets alone.
+    """Region codes for every pair in the batch, keyed by input kind, each
+    ``(rows, index)``: pair p reads row ``index[p]`` of the Tensor ``rows``
+    (row p when ``index`` is None). With an ``rng``, dropout runs as in
+    training. A stacked batch's codes are the bits each image gets alone.
 
     Untaped (under ``no_grad``), the subject and object FCs run once per
-    region and each pair gathers its regions' rows, and the union and
-    coordinate codes run per BLOCK of pair rows, only the codes joined;
+    region, indexed by the batch's subject / object indices, and the union
+    and coordinate codes per BLOCK of pair rows, only the codes joined;
     taped, all run on the whole batch's pair rows. Both give the same bits."""
     if z is None:
         _, z = encode_regions(batch.features, params, config, rng, batch.image_regions)
@@ -317,8 +318,8 @@ def encode_pair_batch(batch: PairBatch, params: ModelParams, config: ModelConfig
             # Per region gives the same bits (every product runs in fixed
             # tiles), but taped it would sum the weight gradient over
             # regions instead of pair rows and move every checkpoint.
-            codes[role] = (ad.affine(ad.gather_rows(z, index), w, b) if ad.is_recording()
-                           else ad.gather_rows(ad.affine(z, w, b), index))
+            codes[role] = ((ad.affine(ad.gather_rows(z, index), w, b), None) if ad.is_recording()
+                           else (ad.affine(z, w, b), index))
 
     def pair_codes(rows):
         out = {}
@@ -335,9 +336,10 @@ def encode_pair_batch(batch: PairBatch, params: ModelParams, config: ModelConfig
         return out
 
     if ad.is_recording():
-        return codes | pair_codes(slice(None))
+        return codes | {k: (x, None) for k, x in pair_codes(slice(None)).items()}
     blocks = [pair_codes(slice(lo, lo + BLOCK)) for lo in range(0, max(len(batch), 1), BLOCK)]
-    return codes | {k: Tensor(np.concatenate([part[k].data for part in blocks])) for k in blocks[0]}
+    return codes | {k: (Tensor(np.concatenate([part[k].data for part in blocks])), None)
+                    for k in blocks[0]}
 
 
 def _stream_names(config: ModelConfig):
@@ -345,25 +347,17 @@ def _stream_names(config: ModelConfig):
 
 
 def stream_inputs(codes: dict, params: ModelParams, config: ModelConfig):
-    """The step-0 input of each stream, in stream order: the region codes
-    (one per role for triple streams, fused for a single stream)."""
+    """The step-0 input of each stream, in stream order, as ``(rows, index)``
+    codes: one role's codes per triple stream; for a single stream its code,
+    or the ``fuse`` FC over its codes gathered per pair."""
     if config.streams == "triple":
         union = codes["union"]
         return [codes.get("subject", union), union, codes.get("object", union)]
     parts = [codes[k] for k in ("subject", "object", "union", "geo") if k in codes]
     if not config.fuse:
         return [parts[0]]
-    return [ad.affine(ad.concat(parts), params["fuse.w"], params["fuse.b"])]
-
-
-def stream_regions(batch: PairBatch, config: ModelConfig):
-    """Per ``stream_inputs`` entry, the region each row starts from: the
-    batch's subject or object indices for a stream fed subject or object
-    codes, None for one fed per-pair (union or fused) codes."""
-    if config.streams != "triple":
-        return [None]
-    return [batch.subject_index if config.use_subject else None, None,
-            batch.object_index if config.use_object else None]
+    rows = [x if index is None else ad.gather_rows(x, index) for x, index in parts]
+    return [(ad.affine(ad.concat(rows), params["fuse.w"], params["fuse.b"]), None)]
 
 
 # ---------------------------------------------------------------------------
@@ -427,30 +421,31 @@ def split_states(states, parent):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def run_streams(first, params: ModelParams, config: ModelConfig, n_steps: int, emit,
-                tape=None, regions=None):
+def run_streams(first, params: ModelParams, config: ModelConfig, n_steps: int, emit):
     """Run every LSTM stream over up to ``n_steps`` steps on raw arrays.
 
-    ``first`` holds each stream's step-0 input (a ``(P, hidden)`` Tensor,
-    see ``stream_inputs``), ``regions`` the region each of its rows starts
-    from, ``(P,)`` indices or None per stream (``stream_regions``; all None
-    if not given). Step 0's input term ``x @ W_x + b`` is computed per block
-    of states inside the step. Step t >= 1 feeds every stream the shared
-    embedding of the word chosen for the row at step t - 1; its input term
-    is then a row of the per-stream table ``embed.table @ W_x + b``.
+    ``first`` holds each stream's step-0 input as a ``(rows, index)`` code
+    of P pairs (``stream_inputs``): row p starts from row ``index[p]`` of
+    ``rows``, or from row p when ``index`` is None. Step 0's input term
+    ``x @ W_x + b`` is computed per block of states inside the step. Step
+    t >= 1 feeds every stream the shared embedding of the word chosen for
+    the row at step t - 1; its input term is then a row of the per-stream
+    table ``embed.table @ W_x + b``.
 
-    A stream with regions keeps one state per distinct (region, fed-word
-    prefix), not one per row. Rows of one region start from one state
-    (their codes are byte-equal: every product runs in fixed tiles), and a
-    state fed one word at step t becomes one new state (``regroup``), so
-    the subject and object streams of a dense batch step far fewer states
-    than rows. A step that feeds every state one word (every step of a
-    retrieval pass, whose rows are all fed the query's word) keeps the
-    states where they are; only a step that splits a state copies them to
-    their new rows (``split_states``). A stream keeps the identity map
-    instead, one state per row updated in place, when the run keeps a tape,
-    when it has at most BLOCK rows, or when it has no regions (the
-    union-fed predicate stream, a fused single stream).
+    An indexed stream (fed subject or object codes, one row per region)
+    keeps one state per (region, fed-word prefix), not one per pair row:
+    step 0 steps one state per row of ``rows``, every region, ``index``
+    mapping pair rows to them, and a state fed one word at step t becomes
+    one new state (``regroup``), so the subject and object streams of a
+    dense batch step far fewer states than rows. A step whose new states
+    are the old ones in order (every step of a retrieval pass after the
+    first, whose rows are all fed the query's word) keeps the states where
+    they are; any other step copies them to their new rows
+    (``split_states``), also step 1 when some region starts no row. A run
+    that keeps a tape or has at most BLOCK rows gathers ``rows.data[index]``
+    once instead and keeps the identity map, one state per row updated in
+    place, as do the streams without an index (the union-fed predicate
+    stream, a single stream).
 
     States are padded to a multiple of TILE and each step runs them in
     blocks of BLOCK, stream by stream. Gates are kept gate-major, so every
@@ -464,10 +459,10 @@ def run_streams(first, params: ModelParams, config: ModelConfig, n_steps: int, e
     by side, as float64 rows ``(rows, S * hidden)`` of one buffer that the
     run reuses: they are valid until the next ``emit`` call. It returns the
     word ids fed to those rows at step t + 1, or None to end the run after
-    step t. With a ``tape`` list, all rows run as one block and each step
-    appends (gates, cell states), one ``(4, rows, hidden)`` array of
-    activated i, f, o, g gates and one ``(rows, hidden)`` array per stream,
-    for the backward pass of ``stream_states``.
+    step t. Under ``ad.is_recording()`` the run keeps a tape, which it
+    returns (else None): all rows run as one block and each step appends
+    (gates, cell states), one ``(4, rows, hidden)`` array of activated i, f,
+    o, g gates and one ``(rows, hidden)`` array per stream, for ``stream_states``.
 
     The run is float64 exactly when it keeps a tape. Without one (decoding
     and every other forward-only pass) the gate weights, each block's step-0
@@ -480,18 +475,17 @@ def run_streams(first, params: ModelParams, config: ModelConfig, n_steps: int, e
     report it.
     """
     hid = config.hidden
+    tape = [] if ad.is_recording() else None
     dtype = np.float64 if tape is not None else np.float32
     weights = _gate_weights(params, config, dtype)
     embed = params["embed.table"].data.astype(dtype, copy=False)
-    n = len(first[0].data)
+    n = len(first[0][0].data if first[0][1] is None else first[0][1])     # pairs
     rows = n + (-n % ad.TILE)
     block = max(rows, 1) if tape is not None else BLOCK
     # per stream: the step-0 input of each state; row -> state, or None for one per row
-    inputs, maps = [x.data for x in first], [None] * len(first)
-    for s, region in enumerate(regions or ()):
-        if region is not None and tape is None and n > BLOCK:
-            _, keep, maps[s] = np.unique(region, return_index=True, return_inverse=True)
-            inputs[s] = inputs[s][keep]
+    share = tape is None and n > BLOCK
+    inputs = [x.data if index is None or share else x.data[index] for x, index in first]
+    maps = [index if share else None for _, index in first]
     h = [np.zeros((len(x) + -len(x) % ad.TILE, hid), dtype) for x in inputs]
     c = [np.zeros_like(x) for x in h]
     vocab = len(embed)
@@ -511,7 +505,7 @@ def run_streams(first, params: ModelParams, config: ModelConfig, n_steps: int, e
                 maps[s], parent, words = regroup(maps[s], ids[:n], vocab)
                 pad = np.zeros(-len(parent) % ad.TILE, np.intp)  # pad states: state 0, word 0
                 fed_s = np.concatenate([words, pad]) + offsets
-                if parent[-1] + 1 < len(parent):            # a state was fed two words
+                if not np.array_equal(parent, np.arange(len(h[s]) - len(pad))):  # a state moves
                     h[s], c[s] = split_states((h[s], c[s]), np.concatenate([parent, pad]))
             for lo in range(0, len(h[s]), block):
                 hidden, cell = h[s][lo:lo + block], c[s][lo:lo + block]
@@ -546,6 +540,7 @@ def run_streams(first, params: ModelParams, config: ModelConfig, n_steps: int, e
         if next_ids.size and (next_ids.min() < 0 or next_ids.max() >= vocab):
             raise IndexError(f"run_streams: word id out of range for {vocab} words")
         ids = next_ids
+    return tape
 
 
 def stream_states(codes, targets: np.ndarray, params: ModelParams, config: ModelConfig):
@@ -563,18 +558,19 @@ def stream_states(codes, targets: np.ndarray, params: ModelParams, config: Model
     to float32 rounding; the result is a float64 array either way.
     """
     first = stream_inputs(codes, params, config)
+    if ad.is_recording():           # the backward pass reads one row per pair
+        first = [(x if index is None else ad.gather_rows(x, index), None) for x, index in first]
     names = _stream_names(config)
     n, steps = targets.shape
     hid = config.hidden
     width = len(names) * hid
     hidden = np.empty((steps, n, width))
-    tape = [] if ad.is_recording() else None
 
     def emit(t, lo, feat):
         hidden[t, lo:lo + len(feat)] = feat
         return targets[lo:lo + len(feat), t]
 
-    run_streams(first, params, config, steps, emit, tape=tape)
+    tape = run_streams(first, params, config, steps, emit)
     embed = params["embed.table"]
     fed = targets[:, :-1].T.reshape(-1)          # word ids of steps 1.., step-major
 
@@ -601,7 +597,7 @@ def stream_states(codes, targets: np.ndarray, params: ModelParams, config: Model
                 dh_next = dz[t] @ w[hid:].T
             flat = dz.reshape(-1, 4 * hid)
             h_prev = np.concatenate([np.zeros((n, hid)), hidden[:-1, :, cols].reshape(-1, hid)])
-            x_in = np.concatenate([first[s].data, embed.data[fed]])
+            x_in = np.concatenate([first[s][0].data, embed.data[fed]])
             d_x = flat @ w[:hid].T
             np.add.at(d_embed, fed, d_x[n:])
             d_first.append(d_x[:n])
@@ -609,7 +605,8 @@ def stream_states(codes, targets: np.ndarray, params: ModelParams, config: Model
         return [*d_first, *d_params, d_embed]
 
     lstm = [params[f"lstm.{name}.{kind}"] for name in names for kind in ("w", "b")]
-    return ad.custom_op(hidden.reshape(-1, width), [*first, *lstm, embed], backward)
+    return ad.custom_op(hidden.reshape(-1, width), [x for x, _ in first] + [*lstm, embed],
+                        backward)
 
 
 def _pad_targets(sequences, pad_value):
@@ -798,8 +795,7 @@ def decode_arrays(batch: PairBatch, params: ModelParams, config: ModelConfig,
 
     with ad.no_grad():
         codes = encode_pair_batch(batch, params, config)
-        run_streams(stream_inputs(codes, params, config), params, config, config.max_len, emit,
-                    regions=stream_regions(batch, config))
+        run_streams(stream_inputs(codes, params, config), params, config, config.max_len, emit)
     # A finished row's last pick is the end token, which has a probability
     # but is not emitted.
     return picks, chosen_probs, tags, taken - done, taken
@@ -809,7 +805,8 @@ def importance_trace(codes, gt_token_ids, params: ModelParams,
                      config: ModelConfig) -> np.ndarray:
     """Per-step L2 norms of the three stream hidden states, mean-centered.
 
-    ``codes`` are the region codes of one pair. Returns a T x 3 matrix
+    ``codes`` are the ``encode_pair_batch`` codes of a one-pair batch, each
+    ``(rows, index)``, taped or not. Returns a T x 3 matrix
     ordered (subject, predicate, object); each column sums to zero. Only
     defined for triple-stream configurations.
     """

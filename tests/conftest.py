@@ -177,6 +177,13 @@ def pair_rows(pairs, rows):
                      geos=pairs.geos[rows])
 
 
+def per_pair(code):
+    """An ``encode_pair_batch`` (or ``stream_inputs``) code ``(rows, index)``
+    as its ``(P, width)`` array, one row per pair."""
+    rows, index = code
+    return rows.data if index is None else rows.data[index]
+
+
 def regroup_inputs(monkeypatch, run):
     """``run()``'s result and the ``states`` of each ``regroup`` call it
     made, in call order. In a ``run_streams`` pass of two steps or more,
@@ -210,10 +217,11 @@ def block_retrieval_scores(query, batches, params, config):
     chunks = []
     with no_grad():
         codes = [encode_pair_batch(batch, params, config) for batch in batches]
-        rows = {kind: np.concatenate([code[kind].data for code in codes]) for kind in codes[0]}
+        rows = {kind: np.concatenate([per_pair(code[kind]) for code in codes])
+                for kind in codes[0]}
         n = sum(len(batch) for batch in batches)
         for lo in range(0, n, BLOCK):
-            chunk = {kind: Tensor(x[lo:lo + BLOCK]) for kind, x in rows.items()}
+            chunk = {kind: (Tensor(x[lo:lo + BLOCK]), None) for kind, x in rows.items()}
             targets = np.tile(query, (min(BLOCK, n - lo), 1))
             hidden = stream_states(chunk, targets, params, config).data
             chunks.append(hidden.reshape(steps, len(targets), -1))

@@ -236,22 +236,32 @@ class TestGroupedRetrieval:
         assert shared and all(shared)
         assert [len(probs) for _, _, probs in scores] == [cfg.max_len] * len(self.SIZES)
 
-    def test_pass_gathers_no_state_after_step_zero(self, monkeypatch):
-        # Every row is fed the query's word, so no state ever splits and
-        # the shared states keep their rows.
+    def test_pass_copies_states_only_to_drop_regions_without_rows(self, monkeypatch):
+        # Every row is fed the query's word, so no state ever splits: the
+        # shared states keep their rows, but for step 1's copy, one per
+        # shared stream, that keeps the regions that start a row. Random
+        # pairs leave some regions without a row; all pairs leave none.
         cfg = tiny_config(14, 10, name="mttsnet,mtl,rem")
         params = fresh_params(cfg, seed=4)
         rng = np.random.default_rng(12)
-        batches = [random_batch(cfg, n, rng) for n in self.SIZES]
-        stacked = PairBatch.stack(batches)
-        with ad.no_grad():
-            codes = encode_pair_batch(stacked, params, cfg)
         query = list(rng.integers(0, cfg.vocab_size, cfg.max_len))
-        gathered = split_calls(monkeypatch)
-        scores, maps = regroup_inputs(
-            monkeypatch, lambda: retrieval_scores(query, stacked, codes, params, cfg))
-        assert len(maps) == 2 * (cfg.max_len - 1) and gathered == []
-        assert scores == block_retrieval_scores(query, batches, params, cfg)
+        sparse = [random_batch(cfg, n, rng) for n in self.SIZES]
+        every = [PairBatch(rng.normal(size=(k, cfg.feature_width)),
+                           *np.nonzero(~np.eye(k, dtype=bool)),
+                           rng.normal(size=(k * k - k, cfg.feature_width)),
+                           rng.normal(size=(k * k - k, 6))) for k in (2, 5, 17, 3, 9)]
+        for batches, copies in ((sparse, True), (every, False)):
+            stacked = PairBatch.stack(batches)
+            assert len(stacked) > BLOCK
+            with ad.no_grad():
+                codes = encode_pair_batch(stacked, params, cfg)
+            gathered = split_calls(monkeypatch)
+            scores, maps = regroup_inputs(
+                monkeypatch, lambda: retrieval_scores(query, stacked, codes, params, cfg))
+            used = [len(np.unique(x)) for x in (stacked.subject_index, stacked.object_index)]
+            assert len(maps) == 2 * (cfg.max_len - 1) and bool(gathered) == copies
+            assert gathered == [k + -k % ad.TILE for k in used if k < len(stacked.features)]
+            assert scores == block_retrieval_scores(query, batches, params, cfg)
 
     @pytest.mark.parametrize("name", ["union", "union-coord", "subj-obj", "subj-obj-coord",
                                       "uuu", "tsnet,rem", "mttsnet,mtl"])

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fresh_params, pair_rows, tiny_config
+from conftest import fresh_params, pair_rows, per_pair, tiny_config
 from relcap import autodiff as ad
 from relcap.apps import retrieval_scores
 from relcap.model import (BLOCK, MODEL_PRESETS, ModelConfig, PairBatch, decode_arrays,
@@ -95,7 +95,7 @@ def test_untaped_block_codes_equal_the_taped_whole_batch_codes(name):
             untaped = encode_pair_batch(batch, params, cfg)
         assert list(untaped) == list(taped)
         for kind, code in taped.items():
-            assert untaped[kind].data.tobytes() == code.data.tobytes(), (n, kind)
+            assert per_pair(untaped[kind]).tobytes() == per_pair(code).tobytes(), (n, kind)
 
 
 DENSE_PRESETS = ["mttsnet,mtl,rem", "subj-obj-coord", "union,mtl"]

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (decode_batch, finite_diff_check, fresh_params, geometric_feature,
-                      pair_rows, regroup_inputs, retrieval_score, same_groups, tiny_config,
-                      zero_grad)
+from conftest import (block_retrieval_scores, decode_batch, finite_diff_check, fresh_params,
+                      geometric_feature, pair_rows, per_pair, regroup_inputs, retrieval_score,
+                      same_groups, tiny_config, zero_grad)
 import relcap.model
 from relcap import autodiff as ad
 from relcap.apps import retrieval_scores
@@ -23,7 +23,7 @@ from relcap.model import (MODEL_PRESETS, ImageBatch, ModelConfig, PairBatch,
                           caption_losses, decode_arrays, encode_pair_batch, encode_regions,
                           importance_trace, init_params, load_model, regroup,
                           rem_forward, run_streams, sample_rows, save_model, stream_inputs,
-                          stream_regions, stream_states, total_loss)
+                          stream_states, total_loss)
 from relcap.pipeline import predicted_pos_tags
 
 S, P, O = PosTag.SUBJ, PosTag.PRED, PosTag.OBJ
@@ -224,7 +224,7 @@ class TestEncodePair:
         batch = one_pair()
         codes = encode_pair_batch(batch, params, cfg)
         for code in (codes["subject"], codes["object"], codes["union"]):
-            assert np.allclose(code.data, beta, atol=1e-15)
+            assert np.allclose(per_pair(code), beta, atol=1e-15)
 
     def test_shared_first_fc_with_equalized_second_fcs(self):
         # identical inputs and manually equalized second FCs: equality of the
@@ -235,7 +235,7 @@ class TestEncodePair:
         params["enc.object.b"].data[...] = params["enc.subject.b"].data
         feat = np.random.default_rng(3).normal(size=(1, 14))
         codes = encode_pair_batch(two_region_batch(feat, feat, feat), params, cfg)
-        assert np.array_equal(codes["subject"].data, codes["object"].data)
+        assert np.array_equal(per_pair(codes["subject"]), per_pair(codes["object"]))
 
     def test_two_region_hand_evaluation(self):
         cfg = tiny_config(2, 20, d_subj_obj=2, d_union=2, code_width=2, hidden=2)
@@ -248,7 +248,7 @@ class TestEncodePair:
         feat_b = np.array([[0.5, 0.25]])
         codes = encode_pair_batch(two_region_batch(feat_a, feat_b, feat_b), params, cfg)
         # relu([1, -2]) = [1, 0]; affine: [1*1+0.5, 0*2-0.5]
-        assert np.allclose(codes["subject"].data, [[1.5, -0.5]], atol=1e-15)
+        assert np.allclose(per_pair(codes["subject"]), [[1.5, -0.5]], atol=1e-15)
 
     def test_feature_width_mismatch_raises_dimension_error(self):
         cfg = tiny_config(14, 20)
@@ -318,8 +318,8 @@ class TestStackedEncoding:
             alone = [encode_pair_batch(batch, params, cfg) for batch in batches]
         assert set(got) == set(alone[0])
         for kind, code in got.items():
-            want = np.concatenate([codes[kind].data for codes in alone])
-            assert code.data.tobytes() == want.tobytes(), kind
+            want = np.concatenate([per_pair(codes[kind]) for codes in alone])
+            assert per_pair(code).tobytes() == want.tobytes(), kind
 
     @pytest.mark.parametrize("name", ["mttsnet", "mttsnet,rem", "subj-obj", "subj-obj-coord,rem",
                                       "tsnet"])
@@ -331,9 +331,14 @@ class TestStackedEncoding:
         with ad.no_grad():
             untaped = encode_pair_batch(batch, params, cfg)
         for role in ("subject", "object"):
-            # Taped, the FC reads the gathered pair rows, one per pair.
-            assert taped[role]._parents[0].shape == (len(batch), cfg.d_subj_obj)
-            assert untaped[role].data.tobytes() == taped[role].data.tobytes(), role
+            # Taped, the FC reads the gathered pair rows, one per pair;
+            # untaped, it reads the regions, which the batch's index maps
+            # to pairs, and no pair row is gathered.
+            assert taped[role][0]._parents[0].shape == (len(batch), cfg.d_subj_obj)
+            assert taped[role][1] is None
+            assert untaped[role][0].shape == (len(batch.features), cfg.hidden)
+            assert untaped[role][1] is getattr(batch, f"{role}_index")
+            assert per_pair(untaped[role]).tobytes() == per_pair(taped[role]).tobytes(), role
 
     def test_stack_offsets_each_image_by_the_regions_before_it(self):
         cfg = tiny_config(14, 10)
@@ -381,7 +386,8 @@ class TestStackedEncoding:
         batch = random_pair_batch(cfg)
         one = encode_pair_batch(batch, params, cfg)
         stacked = encode_pair_batch(PairBatch.stack([batch]), params, cfg)
-        assert graph_nodes(*one.values()) == graph_nodes(*stacked.values()) == 44
+        assert (graph_nodes(*(x for x, _ in one.values()))
+                == graph_nodes(*(x for x, _ in stacked.values())) == 44)
 
 
 # ---------------------------------------------------------------------------
@@ -425,14 +431,14 @@ def kernel_states(x0, words, params, cfg):
     """Hidden and cell states after every step of ``run_streams``, each
     ``(T, P, width)``: step 0 reads ``x0``, step t feeds ``words[:, t - 1]``."""
     n = len(x0)
-    hiddens, tape = [], []
+    hiddens = []
 
     def emit(t, lo, feat):
         hiddens.append(feat.copy())
         return words[:, t] if t < words.shape[1] else None
 
-    run_streams([Tensor(x0)] * (3 if cfg.streams == "triple" else 1), params, cfg,
-                words.shape[1] + 1, emit, tape=tape)
+    tape = run_streams([(Tensor(x0), None)] * (3 if cfg.streams == "triple" else 1), params,
+                       cfg, words.shape[1] + 1, emit)
     return np.array(hiddens), np.array([np.concatenate([x[:n] for x in c], axis=1)
                                         for _, c in tape])
 
@@ -531,7 +537,14 @@ class TestStepZeroSharing:
             # The row independence that makes the grouping exact: the rows
             # of one region have byte-equal codes.
             _, first, inverse = np.unique(region, return_index=True, return_inverse=True)
-            assert codes[role].data[first][inverse].tobytes() == codes[role].data.tobytes()
+            code = per_pair(codes[role])
+            assert code[first][inverse].tobytes() == code.tobytes()
+
+    def test_passes_of_at_most_block_rows_keep_one_state_per_row(self, monkeypatch):
+        cfg = tiny_config(14, 12, name="mttsnet")
+        params = fresh_params(cfg, seed=12)
+        batch = random_pair_batch(cfg, n_pairs=relcap.model.BLOCK, n_regions=9, seed=5)
+        assert self.step_zero(monkeypatch, batch, params, cfg) == []
 
     def test_distinct_regions_with_equal_codes_keep_their_own_states(self, monkeypatch):
         cfg = tiny_config(14, 12, name="mttsnet")
@@ -539,7 +552,7 @@ class TestStepZeroSharing:
         batch = random_pair_batch(cfg, n_pairs=300, n_regions=9, seed=5)
         batch.features[1] = batch.features[0]
         with ad.no_grad():
-            code = encode_pair_batch(batch, params, cfg)["subject"].data
+            code = per_pair(encode_pair_batch(batch, params, cfg)["subject"])
         rows = [np.flatnonzero(batch.subject_index == k)[0] for k in (0, 1)]
         assert code[rows[0]].tobytes() == code[rows[1]].tobytes()
         states = self.step_zero(monkeypatch, batch, params, cfg)[0]
@@ -577,6 +590,61 @@ class TestSplitSteps:
             assert got.tobytes() == np.concatenate(parts).tobytes()
 
 
+def even_regions(batch):
+    """``batch`` with every subject and object index rounded down to an even
+    region: the odd regions start no row."""
+    batch.subject_index, batch.object_index = batch.subject_index & -2, batch.object_index & -2
+    return batch
+
+
+class TestRegionsWithoutRows:
+    """Step 0 steps a state for every region, also for the regions that
+    start no row; step 1 then keeps only the states of the regions that do,
+    so a pass of more than BLOCK rows whose odd regions start no row gives
+    the bits of passes of at most 200 rows (one state per row)."""
+
+    @pytest.mark.parametrize("name", ["mttsnet,mtl,rem", "tsnet"])
+    def test_decode_equals_passes_of_at_most_200_rows(self, name):
+        cfg = tiny_config(14, 12, name=name)
+        params = fresh_params(cfg, seed=12)
+        params["head.word.w"].data *= 6.0
+        n = 2 * relcap.model.BLOCK + 1
+        # More regions than rows: most start one row, so step 1 splits few states.
+        batch = even_regions(random_pair_batch(cfg, n_pairs=n, n_regions=1000, seed=5))
+        parts = [decode_arrays(pair_rows(batch, list(range(lo, min(lo + 200, n)))), params, cfg)
+                 for lo in range(0, n, 200)]
+        for got, want in zip(decode_arrays(batch, params, cfg), zip(*parts), strict=True):
+            assert got.tobytes() == np.concatenate(want).tobytes()
+
+    @pytest.mark.parametrize("name", ["mttsnet,mtl,rem", "tsnet"])
+    def test_retrieval_equals_images_scored_alone(self, name):
+        cfg = tiny_config(14, 12, name=name)
+        params = fresh_params(cfg, seed=13)
+        params["head.word.w"].data *= 6.0
+        images = [even_regions(random_pair_batch(cfg, n_pairs=n, n_regions=10, seed=n))
+                  for n in (200, 200, 113)]
+        stacked = PairBatch.stack(images)
+        query = [4, 7, 5, 9, END_ID]
+        with ad.no_grad():
+            codes = encode_pair_batch(stacked, params, cfg)
+        assert len(stacked) > relcap.model.BLOCK
+        assert (retrieval_scores(query, stacked, codes, params, cfg)
+                == [retrieval_score(query, image, params, cfg) for image in images])
+
+    def test_retrieval_over_trailing_regions_without_rows(self):
+        # Regions 0-8 start every row and 9-99 none: step 1 keeps states
+        # 0-8 in order, fewer than step 0 stepped, so it still copies them.
+        cfg = tiny_config(14, 12, name="mttsnet,mtl,rem")
+        params = fresh_params(cfg, seed=13)
+        batch = random_pair_batch(cfg, n_pairs=300, n_regions=9, seed=6)
+        batch.features = np.concatenate([batch.features, np.ones((91, cfg.feature_width))])
+        query = [4, 7, 5, 9, END_ID]
+        with ad.no_grad():
+            codes = encode_pair_batch(batch, params, cfg)
+        assert (retrieval_scores(query, batch, codes, params, cfg)
+                == block_retrieval_scores(query, [batch], params, cfg))
+
+
 class TestEmitRows:
     def test_dense_pass_emits_float64_rows_of_the_float32_states(self, monkeypatch):
         """A pass of more than BLOCK rows, whose subject and object streams
@@ -600,13 +668,12 @@ class TestEmitRows:
 
             with ad.no_grad():
                 codes = encode_pair_batch(sub, params, cfg)
-                run_streams(stream_inputs(codes, params, cfg), params, cfg, steps, emit,
-                            regions=stream_regions(sub, cfg))
+                run_streams(stream_inputs(codes, params, cfg), params, cfg, steps, emit)
             return out
 
         dense, maps = regroup_inputs(monkeypatch, lambda: states(list(range(n))))
-        subject, _, obj = stream_regions(batch, cfg)
-        assert same_groups(maps[0], subject) and same_groups(maps[1], obj)
+        assert same_groups(maps[0], batch.subject_index)
+        assert same_groups(maps[1], batch.object_index)
         assert np.array_equal(dense.astype(np.float32), dense)
         alone = np.concatenate([states(list(range(lo, min(lo + 100, n))))
                                 for lo in range(0, n, 100)], axis=1)
@@ -626,7 +693,7 @@ class TestStreamGradients:
         cfg = tiny_config(14, 9, name=name, hidden=3, code_width=3)
         params = fresh_params(cfg, seed=4)
         rng = np.random.default_rng(5)
-        codes = {kind: ad.Parameter(kind, rng.normal(size=(4, 3))) for kind in inputs}
+        codes = {kind: (ad.Parameter(kind, rng.normal(size=(4, 3))), None) for kind in inputs}
         targets = np.array([[4, 6, 1, 0], [5, 1, 0, 0], [8, 7, 6, 1], [4, 4, 1, 0]])
         mix = Tensor(rng.normal(size=(3 * len(stream_inputs(codes, params, cfg)), 4)))
         rows = targets.size
@@ -638,7 +705,7 @@ class TestStreamGradients:
                                              np.linspace(0.1, 1.0, rows))
 
         lstm = [p for p in params.values() if p.name.startswith(("lstm.", "embed."))]
-        err = finite_diff_check(forward, [*codes.values(), *lstm], eps=1e-4,
+        err = finite_diff_check(forward, [*(x for x, _ in codes.values()), *lstm], eps=1e-4,
                                 max_coords_per_param=12, rng=np.random.default_rng(0))
         assert err < 1e-6
 
@@ -847,8 +914,8 @@ def reference_decode(batch, params, cfg, mode="greedy", rng=None, dtype=np.float
     margin per step) per row."""
     n = len(batch)
     with ad.no_grad():
-        first = [x.data for x in stream_inputs(encode_pair_batch(batch, params, cfg),
-                                               params, cfg)]
+        first = [per_pair(x) for x in stream_inputs(encode_pair_batch(batch, params, cfg),
+                                                    params, cfg)]
     zeros = np.zeros(cfg.hidden, dtype)
     states = [[(zeros, zeros)] * len(first) for _ in range(n)]
     prev = [None] * n
@@ -1017,7 +1084,7 @@ class TestFloat32Accuracy:
                       retrieval_scores(query, stacked, codes, params, cfg)])
         want = []
         for code in alone:
-            n = len(code["union"].data)
+            n = len(per_pair(code["union"]))
             hidden = stream_states(code, np.tile(query, (n, 1)), params, cfg)
             assert hidden._parents                      # taped: float64
             logits = hidden.data @ params["head.word.w"].data + params["head.word.b"].data
@@ -1040,9 +1107,9 @@ class TestFloat32Accuracy:
         targets = np.random.default_rng(2).integers(0, cfg.vocab_size, (5, 4))
         tapes, kernel = [], relcap.model.run_streams
 
-        def spy(*args, tape=None):
-            tapes.append(tape)
-            return kernel(*args, tape=tape)
+        def spy(*args):
+            tapes.append(kernel(*args))
+            return tapes[-1]
 
         monkeypatch.setattr(relcap.model, "run_streams", spy)
         stream_states(codes, targets, params, cfg)
@@ -1053,6 +1120,26 @@ class TestFloat32Accuracy:
         for gates, cells in taped:
             assert len(gates) == len(cells) == 3
             assert all(x.dtype == np.float64 for x in (*gates, *cells))
+
+    def test_run_streams_returns_a_tape_exactly_when_recording(self):
+        # Untaped codes of 300 pairs over 9 regions: the taped run still
+        # steps one state per row (300, padded to 320).
+        cfg = tiny_config(14, 10, name="mttsnet")
+        params = fresh_params(cfg, seed=3)
+        with ad.no_grad():
+            batch = random_pair_batch(cfg, n_pairs=300, n_regions=9)
+            first = stream_inputs(encode_pair_batch(batch, params, cfg), params, cfg)
+
+        def emit(t, lo, feat):
+            return np.full(len(feat), 4)
+
+        tape = run_streams(first, params, cfg, 3, emit)
+        assert len(tape) == 3
+        for gates, cells in tape:
+            assert [z.shape for z in gates] == [(4, 320, cfg.hidden)] * 3
+            assert [x.shape for x in cells] == [(320, cfg.hidden)] * 3
+        with ad.no_grad():
+            assert run_streams(first, params, cfg, 3, emit) is None
 
 
 class TestSampleRows:
@@ -1188,7 +1275,7 @@ class TestTeacherForcing:
         targets = np.array([[4, 5, END_ID], [6, END_ID, 0]])
         hidden = stream_states(codes, targets, params, cfg).data
         assert hidden.shape == (3 * 2, 3 * cfg.hidden)
-        first = [x.data for x in stream_inputs(codes, params, cfg)]
+        first = [per_pair(x) for x in stream_inputs(codes, params, cfg)]
         zeros = np.zeros(cfg.hidden)
         for row in range(2):
             state, prev = [(zeros, zeros)] * 3, None
@@ -1372,7 +1459,7 @@ class TestWeightSharing:
         for which in ("subject", "object"):
             for p in params.values():
                 zero_grad(p)
-            target = encode_pair_batch(batch, params, cfg)[which]
+            target, _ = encode_pair_batch(batch, params, cfg)[which]
             loss = ad.matmul(ad.matmul(Tensor(np.ones((1, 1))), target),
                              Tensor(np.ones((cfg.code_width, 1))))
             ad.backward(loss)
@@ -1462,12 +1549,12 @@ class TestFiniteness:
                           union_features=rng.uniform(-5, 5, (2, 14)),
                           geos=rng.uniform(-3, 3, (2, 6)))
         codes = encode_pair_batch(batch, params, cfg)
-        tape, hidden = [], []
-        run_streams(stream_inputs(codes, params, cfg), params, cfg, 1,
-                    lambda t, lo, feat: hidden.append(feat.copy()), tape=tape)
+        hidden = []
+        tape = run_streams(stream_inputs(codes, params, cfg), params, cfg, 1,
+                           lambda t, lo, feat: hidden.append(feat.copy()))
         word_logits, pos_logits = (ad.affine(Tensor(hidden[0]), params[f"head.{k}.w"],
                                              params[f"head.{k}.b"]) for k in ("word", "pos"))
-        for t in (word_logits, pos_logits, *codes.values()):
+        for t in (word_logits, pos_logits, *(x for x, _ in codes.values())):
             assert np.all(np.isfinite(t.data))
         gates, cells = tape[0]
         assert all(np.all(np.isfinite(z)) for z in gates)
