@@ -33,8 +33,8 @@ from .geometry import NMS_IOU, Box, nms
 from .metrics import MetricConfig, PredictionRecord, Predictions
 from .model import (DECODE_MODES, LOSS_COMPONENTS, MODEL_PRESETS, ModelConfig, load_model,
                     save_model)
-from .pipeline import (ProposalSettings, TrainSettings, build_proposals, evaluate_model,
-                       history_to_csv, make_pair_batch, predict_image, train_model)
+from .pipeline import (STACK_ROWS, ProposalSettings, TrainSettings, build_proposals,
+                       evaluate_model, history_to_csv, pair_batch, predict_image, train_model)
 
 
 def _sha256_file(path: str) -> str:
@@ -146,6 +146,17 @@ _MODES = " or ".join(DECODE_MODES), lambda value: value in DECODE_MODES
 # Training and POS accuracy pair every proposal with every other: ~1M pairs, 200 MB.
 MAX_BACKGROUND = 1024
 _BACKGROUND = f"in [0, {MAX_BACKGROUND}]", lambda value: 0 <= value <= MAX_BACKGROUND
+# Model sizes share one memory budget. At every width MAX_WIDTH, the float64
+# parameters, gradients and two Adam moments of 32 W x W blocks fit it (the
+# largest preset, mttsnet,rem, has 31: 24 in the LSTMs, 4 in REM, the subject,
+# object and union code FCs; the 32nd covers the feature, vocabulary and bias
+# rows of a toy-sized vocabulary), and so do a stacked decode's per-step
+# picks, probabilities and tags (STACK_ROWS rows, 8 bytes each) at MAX_LEN.
+MEMORY_BUDGET = 2 ** 30
+MAX_WIDTH = math.isqrt(MEMORY_BUDGET // (4 * 8 * 32))       # 1,024
+MAX_LEN = MEMORY_BUDGET // (3 * 8 * STACK_ROWS)             # 10,922
+_WIDTH = f"in [1, {MAX_WIDTH}]", lambda value: 1 <= value <= MAX_WIDTH
+_LEN = f"at most {MAX_LEN}", lambda value: value <= MAX_LEN    # the model checks >= 2
 
 # name -> (type, default, range) of every setting a config-reading command
 # resolves; ``--name`` is the flag and ``name`` the config-file key. A default is
@@ -163,15 +174,15 @@ SETTINGS = {
                 "max-objects": (int, ToyWorldConfig.max_objects, None),
                 "inside-prob": (float, ToyWorldConfig.inside_prob, _UNIT)},
     "train": {"seed": (int, TrainSettings.seed, _NON_NEGATIVE),
-              "model": (str, ModelConfig.name, None), "max-len": (int, ModelConfig.max_len, None),
+              "model": (str, ModelConfig.name, None), "max-len": (int, ModelConfig.max_len, _LEN),
               "epochs": (int, TrainSettings.epochs, _AT_LEAST_1),
               "lr": (float, TrainSettings.lr, _POSITIVE),
               **{name: (float, getattr(TrainSettings, name), _NON_NEGATIVE)
                  for name in ("alpha", "beta", "gamma")},
-              "hidden": (int, ModelConfig.hidden, _AT_LEAST_1),
-              "d-subj-obj": (int, ModelConfig.d_subj_obj, _AT_LEAST_1),
-              "d-union": (int, ModelConfig.d_union, _AT_LEAST_1),
-              "rem-dim": (int, ModelConfig.rem_dim, _AT_LEAST_1),
+              "hidden": (int, ModelConfig.hidden, _WIDTH),
+              "d-subj-obj": (int, ModelConfig.d_subj_obj, _WIDTH),
+              "d-union": (int, ModelConfig.d_union, _WIDTH),
+              "rem-dim": (int, ModelConfig.rem_dim, _WIDTH),
               "dropout": (float, ModelConfig.dropout, None),
               "min-count": (int, Vocabulary.min_count, _AT_LEAST_1), **_PROPOSAL_SETTINGS},
     "eval": _PREDICT_SETTINGS,
@@ -451,8 +462,8 @@ def cmd_retrieve(args) -> int:
     for record in records:
         kept = nms(build_proposals(record, provider, config, settings), args.nms_iou,
                    args.keep_after_nms)
-        batch, boxes = make_pair_batch(record, kept, provider, config)
-        if not boxes:
+        batch = pair_batch(record, kept, provider, config)
+        if len(batch) == 0:
             continue
         scorables.append((record.image_id, batch))
         gt_captions[record.image_id] = [rel.tokens for rel in record.relations]

@@ -26,7 +26,8 @@ from relcap.data import ImageAttributes, AttributeRecord
 from relcap.errors import DataError
 from relcap.geometry import Box
 from relcap.metrics import PredictionRecord
-from relcap.model import LOSS_COMPONENTS, ModelConfig, load_model
+from relcap.model import LOSS_COMPONENTS, ModelConfig, load_model, param_shapes
+from relcap.pipeline import STACK_ROWS
 
 
 def run(argv):
@@ -755,6 +756,36 @@ class TestExitCodes:
         assert _resolved(argv + ["--background", str(MAX_BACKGROUND)])["background"] \
             == MAX_BACKGROUND
         assert os.listdir(tmp_path) == ["config.json"]
+
+    @pytest.mark.parametrize("flag,bound", [
+        ("hidden", cli.MAX_WIDTH), ("d-subj-obj", cli.MAX_WIDTH), ("d-union", cli.MAX_WIDTH),
+        ("rem-dim", cli.MAX_WIDTH), ("max-len", cli.MAX_LEN)])
+    def test_model_size_above_its_bound_is_config_error(self, tmp_path, capsys, flag, bound):
+        # No input exists: the bound is checked before anything loads.
+        argv = ["train", *(a if a.startswith("--") else str(tmp_path / a)
+                           for a in _REQUIRED["train"])]
+        for value in (bound + 1, 1000000):
+            assert run(argv + [f"--{flag}", str(value)]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"error: --{flag} must be ")
+            assert err[0].endswith(f"{bound}], got {value}" if flag != "max-len"
+                                   else f"at most {bound}, got {value}")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({flag: bound + 1}))
+        assert run(argv + ["--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: config key '{flag}' must be")
+        assert _resolved(argv + [f"--{flag}", str(bound)])[flag.replace("-", "_")] == bound
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    def test_model_size_bounds_share_one_budget(self):
+        # The largest preset at every width MAX_WIDTH, its float64 parameters
+        # with their gradients and Adam moments, fits on a 200-word
+        # vocabulary, and so do a stacked decode's three arrays at MAX_LEN.
+        wide = ModelConfig(14, 200, d_subj_obj=cli.MAX_WIDTH, d_union=cli.MAX_WIDTH,
+                           hidden=cli.MAX_WIDTH, rem_dim=cli.MAX_WIDTH, name="mttsnet,mtl,rem")
+        size = sum(np.prod(shape) for shape in param_shapes(wide).values())
+        assert 4 * 8 * size <= cli.MEMORY_BUDGET < 4 * 8 * size * 1.1
+        assert 3 * 8 * STACK_ROWS * cli.MAX_LEN <= cli.MEMORY_BUDGET
 
     def _dataset_variant(self, toy_dir, tmp_path, name, edit):
         with open(os.path.join(toy_dir, "test.jsonl")) as fh:
