@@ -276,6 +276,9 @@ class PairBatch:
         self.subject_index = np.asarray(self.subject_index, dtype=np.intp).reshape(-1)
         self.object_index = np.asarray(self.object_index, dtype=np.intp).reshape(-1)
         self.image_regions = tuple(self.image_regions) or (len(self.features),)
+        for index in (self.subject_index, self.object_index):   # untaped codes read them raw
+            if index.size and not 0 <= index.min() <= index.max() < len(self.features):
+                raise IndexError(f"PairBatch: region index out of range for {len(self.features)}")
 
     def __len__(self):
         return len(self.subject_index)
@@ -505,7 +508,7 @@ def run_streams(first, params: ModelParams, config: ModelConfig, n_steps: int, e
                 maps[s], parent, words = regroup(maps[s], ids[:n], vocab)
                 pad = np.zeros(-len(parent) % ad.TILE, np.intp)  # pad states: state 0, word 0
                 fed_s = np.concatenate([words, pad]) + offsets
-                if not np.array_equal(parent, np.arange(len(h[s]) - len(pad))):  # a state moves
+                if not np.array_equal(parent, np.arange(len(h[s]) - len(pad))):  # not all in place
                     h[s], c[s] = split_states((h[s], c[s]), np.concatenate([parent, pad]))
             for lo in range(0, len(h[s]), block):
                 hidden, cell = h[s][lo:lo + block], c[s][lo:lo + block]

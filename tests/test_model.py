@@ -250,6 +250,13 @@ class TestEncodePair:
         # relu([1, -2]) = [1, 0]; affine: [1*1+0.5, 0*2-0.5]
         assert np.allclose(per_pair(codes["subject"]), [[1.5, -0.5]], atol=1e-15)
 
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_region_index_out_of_range_raises(self, index):
+        # Untaped codes are indexed without a gather, so the batch checks.
+        with pytest.raises(IndexError, match="out of range"):
+            PairBatch(features=np.zeros((2, 14)), subject_index=[0, index], object_index=[1, 0],
+                      union_features=np.zeros((2, 14)), geos=np.zeros((2, 6)))
+
     def test_feature_width_mismatch_raises_dimension_error(self):
         cfg = tiny_config(14, 20)
         with pytest.raises(ValueError):
