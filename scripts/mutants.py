@@ -31,6 +31,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 _UNUSED = "tests/test_model.py::TestRegionsWithoutRows::"
 _DENSE = "tests/test_dense_blocks.py::test_untaped_block_codes_equal_the_taped_whole_batch_codes"
+_BUDGET = "tests/test_cli.py::TestExitCodes::"
+_GT_STEP = "tests/test_pipeline.py::TestGtStep::"
 MUTANTS = [
     ("no-split shortcut", "src/relcap/model.py",
      "if not np.array_equal(parent, np.arange(len(h[s]) - len(pad))):",
@@ -60,6 +62,50 @@ MUTANTS = [
       _DENSE + "[tsnet]", _DENSE + "[subj-obj,rem]",
       "tests/test_model.py::TestTeacherForcing::test_logits_bitwise_equal_with_tape_on_and_off"
       "[triple]"]),
+    ("budget summed with np.prod", "src/relcap/model.py",
+     "sum(map(math.prod, shapes.values()))", "sum(map(np.prod, shapes.values()))",
+     [_BUDGET + "test_model_size_above_the_budget_is_config_error[hidden]"]),
+    ("budget without the stacked decode", "src/relcap/model.py",
+     " + 3 * 8 * STACK_ROWS * self.max_len", "",
+     [_BUDGET + "test_a_model_of_exactly_the_budget_fits"]),
+    ("a model of exactly the budget rejected", "src/relcap/model.py",
+     "if need > MEMORY_BUDGET:", "if need >= MEMORY_BUDGET:",
+     [_BUDGET + "test_a_model_of_exactly_the_budget_fits"]),
+    ("training pairs skip GT 0", "src/relcap/pipeline.py",
+     "matched = np.flatnonzero(labels >= 0)", "matched = np.flatnonzero(labels > 0)",
+     ["tests/test_pipeline.py::TestBatchAssembly::test_targets_mirror_gt_relations",
+      "tests/test_pair_arrays.py::TestImageBatchPairs::"
+      "test_equal_the_all_pairs_reference[object_config]"]),
+    ("regroup ranks reversed", "src/relcap/model.py",
+     "rank[present] = np.arange(len(present))", "rank[present] = np.arange(len(present))[::-1]",
+     ["tests/test_model.py::TestRegroup::test_equal_pairs_share_a_state_and_remember_it",
+      "tests/test_dense_blocks.py::"
+      "test_decode_above_block_equals_passes_of_at_most_block_rows[mttsnet,mtl,rem]"]),
+    ("nms ties by the later row", "src/relcap/geometry.py",
+     'order = np.argsort(-proposals.confidence, kind="stable")',
+     'order = len(proposals.confidence) - 1 - np.argsort(-proposals.confidence[::-1], '
+     'kind="stable")',
+     ["tests/test_geometry.py::TestNms::test_tie_broken_by_id",
+      "tests/test_geometry.py::TestNms::test_tied_confidences_match_scalar_reference"]),
+    ("top_pairs ties by the later position", "src/relcap/geometry.py",
+     'return np.sort(np.argsort(-products, kind="stable")[:max_pairs])',
+     'return np.sort(len(products) - 1 - np.argsort(-products[::-1], kind="stable")'
+     "[:max_pairs])",
+     ["tests/test_geometry.py::TestCombinationLayer::test_equals_list_reference_at_every_cap"]),
+    ("match_to_gt takes the last best GT", "src/relcap/geometry.py",
+     "labels[positive] = ious[positive].argmax(axis=1)",
+     "labels[positive] = ious.shape[1] - 1 - ious[positive][:, ::-1].argmax(axis=1)",
+     ["tests/test_geometry.py::TestMatchToGt::test_positive_takes_argmax_gt"]),
+    ("caption endpoints take the last exact GT", "src/relcap/pipeline.py",
+     "index, inexact = exact.argmax(axis=1), ~exact.any(axis=1)",
+     "index, inexact = len(rows) - 1 - exact[:, ::-1].argmax(axis=1), ~exact.any(axis=1)",
+     [_GT_STEP + "test_equal_to_box_reference_on_toy_worlds[mttsnet,mtl,rem]"]),
+    ("caption endpoints take the last best-IoU GT", "src/relcap/pipeline.py",
+     "index[inexact] = iou_matrix(ends[inexact], rows).argmax(axis=1)",
+     "index[inexact] = len(rows) - 1 - iou_matrix(ends[inexact], rows)[:, ::-1].argmax(axis=1)",
+     ["tests/test_pipeline.py::TestBatchAssembly::"
+      "test_inexact_endpoint_maps_to_the_first_object_at_equal_iou",
+      _GT_STEP + "test_endpoint_at_equal_iou_and_a_shared_union[mttsnet,mtl,rem]"]),
 ]
 
 

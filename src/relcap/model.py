@@ -25,6 +25,11 @@ STREAM_NAMES = ("subject", "predicate", "object")
 GEO_DIM = 64                    # width of the coordinate (geometry) code
 LOSS_WEIGHT = 0.1               # default alpha, beta and gamma of total_loss
 DECODE_MODES = ("greedy", "stochastic")     # the first is the default
+# Pairs one stacked decode or POS pass takes at most; an image of more runs alone.
+STACK_ROWS = 4096
+# The bytes ModelConfig.validate allows a model: float64 parameters, gradients
+# and Adam moments, plus a stacked decode's picks, probabilities and tags.
+MEMORY_BUDGET = 2 ** 30
 
 # Table of named model variants: (streams, inputs, mtl). The w/MTL and +REM
 # switches are appended to the name with commas, e.g. "union,mtl" or
@@ -119,6 +124,14 @@ class ModelConfig:
             raise ConfigError("max_len must leave room for one word plus the end token")
         if self.vocab_size <= len(RESERVED_TOKENS):
             raise ConfigError("vocabulary must contain at least one real word")
+        shapes = param_shapes(self)     # math.prod of Python ints: np.prod wraps at 1e11
+        need = 4 * 8 * sum(map(math.prod, shapes.values())) + 3 * 8 * STACK_ROWS * self.max_len
+        if need > MEMORY_BUDGET:
+            big = max(shapes, key=lambda name: math.prod(shapes[name]))
+            raise ConfigError(f"model needs {need / 2 ** 30:.6g} GiB for its parameters, "
+                              f"gradients, Adam moments and stacked decode, above the "
+                              f"{MEMORY_BUDGET / 2 ** 30:g} GiB budget; largest block "
+                              f"{big} {shapes[big]}")
         return self
 
     @staticmethod
@@ -154,7 +167,6 @@ class ModelConfig:
 def param_shapes(config: ModelConfig) -> dict:
     """Name -> shape of every parameter ``config`` has, in creation order:
     the checkpoint layout. Weights are ``(fan_in, fan_out)``, biases 1-D."""
-    config.validate()
     shapes = {}
 
     def fc(prefix, fan_in, fan_out):
@@ -196,7 +208,7 @@ def param_shapes(config: ModelConfig) -> dict:
 
 def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
     """Glorot-uniform weights, zero biases, LSTM forget-gate bias 1."""
-    params = ModelParams(param_shapes(config))
+    params = ModelParams(param_shapes(config.validate()))
     for p in params.values():
         if p.data.ndim == 2:
             p.data[...] = ad.glorot_init(*p.shape, rng)

@@ -16,9 +16,9 @@ from .geometry import (NMS_IOU, Box, box_rows, combination_layer, iou_matrix, ma
 from .metrics import (EvalReport, MetricConfig, Predictions, diversity_stats,
                       image_level_recall, mean_meteor, pos_accuracy, relational_map, row_products,
                       score_pairs, vrd_recall_at_k)
-from .model import (DECODE_MODES, LOSS_COMPONENTS, LOSS_WEIGHT, ImageBatch, ModelConfig,
-                    ModelParams, PairBatch, _pad_targets, decode_arrays, encode_pair_batch,
-                    init_params, stream_states, total_loss)
+from .model import (DECODE_MODES, LOSS_COMPONENTS, LOSS_WEIGHT, STACK_ROWS, ImageBatch,
+                    ModelConfig, ModelParams, PairBatch, _pad_targets, decode_arrays,
+                    encode_pair_batch, init_params, stream_states, total_loss)
 
 
 @dataclass
@@ -220,10 +220,6 @@ def make_pair_batch(record: RelationalRecord, proposals, provider,
     batch = pair_batch(record, proposals, provider, config, pair_cap)
     boxes = [Box(*row) for row in proposals.boxes.tolist()]
     return batch, [(boxes[i], boxes[j]) for i, j in zip(batch.subject_index, batch.object_index)]
-
-
-# Pairs one stacked decode or POS pass takes at most; an image of more runs alone.
-STACK_ROWS = 4096
 
 
 def _chunks(items, budget: int):

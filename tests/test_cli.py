@@ -4,6 +4,7 @@ import argparse
 import csv
 import gc
 import json
+import math
 import os
 import struct
 import subprocess
@@ -23,11 +24,11 @@ from relcap.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from relcap.cli import (MAX_BACKGROUND, SETTINGS, build_parser, main, prediction_to_json,
                         read_predictions, resolve_settings, run_provenance, write_predictions)
 from relcap.data import ImageAttributes, AttributeRecord
-from relcap.errors import DataError
+from relcap.errors import ConfigError, DataError
 from relcap.geometry import Box
 from relcap.metrics import PredictionRecord
-from relcap.model import LOSS_COMPONENTS, ModelConfig, load_model, param_shapes
-from relcap.pipeline import STACK_ROWS
+from relcap.model import (LOSS_COMPONENTS, MEMORY_BUDGET, STACK_ROWS, ModelConfig, load_model,
+                          param_shapes)
 
 
 def run(argv):
@@ -757,35 +758,87 @@ class TestExitCodes:
             == MAX_BACKGROUND
         assert os.listdir(tmp_path) == ["config.json"]
 
-    @pytest.mark.parametrize("flag,bound", [
-        ("hidden", cli.MAX_WIDTH), ("d-subj-obj", cli.MAX_WIDTH), ("d-union", cli.MAX_WIDTH),
-        ("rem-dim", cli.MAX_WIDTH), ("max-len", cli.MAX_LEN)])
-    def test_model_size_above_its_bound_is_config_error(self, tmp_path, capsys, flag, bound):
-        # No input exists: the bound is checked before anything loads.
-        argv = ["train", *(a if a.startswith("--") else str(tmp_path / a)
-                           for a in _REQUIRED["train"])]
-        for value in (bound + 1, 1000000):
-            assert run(argv + [f"--{flag}", str(value)]) == 2
+    @staticmethod
+    def _model_bytes(config):
+        """float64 parameters, gradients and two Adam moments, plus a stacked
+        decode's picks, probabilities and tags: counted here apart from validate."""
+        return (4 * 8 * sum(math.prod(shape) for shape in param_shapes(config).values())
+                + 3 * 8 * STACK_ROWS * config.max_len)
+
+    @pytest.mark.parametrize("flag,model", [
+        ("hidden", "mttsnet"), ("d-subj-obj", "mttsnet"), ("d-union", "mttsnet"),
+        ("rem-dim", "mttsnet,rem"), ("max-len", "mttsnet")],
+        ids=["hidden", "d-subj-obj", "d-union", "rem-dim", "max-len"])
+    def test_model_size_above_the_budget_is_config_error(self, toy_dir, trained_dir, tmp_path,
+                                                         capsys, flag, model):
+        # The toy's feature width and vocabulary, as the check reads them once the inputs load.
+        _, toy, _, _, _ = load_model(os.path.join(trained_dir, "model.rckpt"))
+
+        def config(value):
+            return ModelConfig(toy.feature_width, toy.vocab_size, name=model,
+                               **{flag.replace("-", "_"): value})
+
+        low, high = 1, 2 ** 40      # the largest value whose model fits, the others at default
+        while low < high:
+            mid = (low + high + 1) // 2
+            low, high = (mid, high) if self._model_bytes(config(mid)) <= MEMORY_BUDGET \
+                else (low, mid - 1)
+        config(low).validate()      # the check only: a model at the edge takes 1 GiB to train
+        out = tmp_path / "run"
+        argv = ["train", "--data", os.path.join(toy_dir, "train.jsonl"),
+                "--provider", os.path.join(toy_dir, "provider.json"), "--out", str(out),
+                "--epochs", "1", "--model", model]
+        file = tmp_path / "config.json"
+        file.write_text(json.dumps({flag: low + 1}))
+        # 10^11 wide: np.prod of a (2e11, 4e11) block wraps below 0.
+        for option in ([f"--{flag}", str(low + 1)], [f"--{flag}", "100000000000"],
+                       ["--config", str(file)]):
+            assert run(argv + option) == 2
             err = capsys.readouterr().err.splitlines()
-            assert len(err) == 1 and err[0].startswith(f"error: --{flag} must be ")
-            assert err[0].endswith(f"{bound}], got {value}" if flag != "max-len"
-                                   else f"at most {bound}, got {value}")
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({flag: bound + 1}))
-        assert run(argv + ["--config", str(config)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: config key '{flag}' must be")
-        assert _resolved(argv + [f"--{flag}", str(bound)])[flag.replace("-", "_")] == bound
+            assert len(err) == 1 and err[0].startswith("error: model needs "), err
+            assert "GiB budget; largest block " in err[0]
         assert os.listdir(tmp_path) == ["config.json"]
 
-    def test_model_size_bounds_share_one_budget(self):
-        # The largest preset at every width MAX_WIDTH, its float64 parameters
-        # with their gradients and Adam moments, fits on a 200-word
-        # vocabulary, and so do a stacked decode's three arrays at MAX_LEN.
-        wide = ModelConfig(14, 200, d_subj_obj=cli.MAX_WIDTH, d_union=cli.MAX_WIDTH,
-                           hidden=cli.MAX_WIDTH, rem_dim=cli.MAX_WIDTH, name="mttsnet,mtl,rem")
-        size = sum(np.prod(shape) for shape in param_shapes(wide).values())
-        assert 4 * 8 * size <= cli.MEMORY_BUDGET < 4 * 8 * size * 1.1
-        assert 3 * 8 * STACK_ROWS * cli.MAX_LEN <= cli.MEMORY_BUDGET
+    @pytest.mark.parametrize("widths", [
+        {"d_subj_obj": 4096, "d_union": 512, "hidden": 512, "rem_dim": 512, "dropout": 0.5},
+        {"d_subj_obj": 1024, "d_union": 1024, "hidden": 1024, "rem_dim": 1024}],
+        ids=["paper", "all-1024"])
+    def test_wide_models_fit_the_budget(self, widths):
+        # The check only, on a feature width of 14 and a 200-word vocabulary.
+        config = ModelConfig(14, 200, name="mttsnet,mtl,rem", **widths).validate()
+        assert self._model_bytes(config) <= MEMORY_BUDGET
+
+    def test_a_model_of_exactly_the_budget_fits(self):
+        exact = ModelConfig(14, 205, d_union=34, max_len=10909, name="union")
+        assert self._model_bytes(exact) == MEMORY_BUDGET
+        exact.validate()
+        with pytest.raises(ConfigError, match=r"model needs 1\.00009 GiB"):
+            ModelConfig(14, 205, d_union=34, max_len=10910, name="union").validate()
+
+    def test_the_paper_subject_object_width_trains(self, seed3_toy_dir, tmp_path):
+        assert run(["train", "--data", os.path.join(seed3_toy_dir, "train.jsonl"),
+                    "--provider", os.path.join(seed3_toy_dir, "provider.json"),
+                    "--out", str(tmp_path / "run"), "--epochs", "1",
+                    "--d-subj-obj", "4096"]) == 0
+
+    def test_checkpoint_above_the_budget_is_data_error(self, toy_dir, trained_dir, tmp_path,
+                                                       capsys):
+        arrays, meta = load_checkpoint(os.path.join(trained_dir, "model.rckpt"))
+        long = str(tmp_path / "long.rckpt")
+        save_checkpoint(long, arrays,
+                        {**meta, "model_config": {**meta["model_config"], "max_len": 10 ** 9}})
+        inputs = ["--data", os.path.join(toy_dir, "train.jsonl"),
+                  "--provider", os.path.join(toy_dir, "provider.json")]
+        for argv in (["eval", "--checkpoint", long, *inputs],
+                     ["infer", "--checkpoint", long, *inputs, "--out", str(tmp_path / "p")],
+                     ["retrieve", "--checkpoint", long, *inputs],
+                     ["train", "--resume", long, *inputs, "--out", str(tmp_path / "run"),
+                      "--epochs", "1"]):
+            assert run(argv) == 3, argv[0]
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"error: {long}: bad checkpoint: "), err
+            assert "model needs 91552.7 GiB" in err[0]
+        assert os.listdir(tmp_path) == ["long.rckpt"]
 
     def _dataset_variant(self, toy_dir, tmp_path, name, edit):
         with open(os.path.join(toy_dir, "test.jsonl")) as fh:
