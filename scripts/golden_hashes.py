@@ -63,8 +63,8 @@ defaults. A last-bit move in scoring then shows in the same ``diff``.
 
 Two lines per golden checkpoint pin the pair path at its source, on
 ``toy/test.jsonl``: ``pairs/<model>/pair_batch``, the sha256 of
-``make_pair_batch``'s union features, geometry, subject and object indices
-and (subject, object) boxes of every image at NMS keep 50 and keep 100, and
+``pair_batch``'s union features, geometry, subject and object indices and
+(subject, object) proposal boxes of every image at NMS keep 50 and 100, and
 ``pairs/<model>/image_batch``, the same fields of ``build_image_batch`` (the
 boxes read from its proposal boxes) plus its caption token ids and POS tags.
 """
@@ -223,7 +223,7 @@ def score_hashes(outdir: str) -> dict:
     from relcap.geometry import NMS_IOU, nms
     from relcap.model import PairBatch, encode_pair_batch, importance_trace, load_model
     from relcap.pipeline import (ProposalSettings, build_image_batch, build_proposals,
-                                 evaluate_model, make_pair_batch)
+                                 evaluate_model, pair_batch)
 
     records = load_dataset(os.path.join(outdir, "toy", "test.jsonl"))
     with open(os.path.join(outdir, "toy", "provider.json"), encoding="utf-8") as fh:
@@ -237,9 +237,8 @@ def score_hashes(outdir: str) -> dict:
         candidates, traces = [], hashlib.sha256()
         for record in records:
             proposals = build_proposals(record, provider, config, ProposalSettings())
-            batch, boxes = make_pair_batch(record, nms(proposals, NMS_IOU, 100), provider,
-                                           config)
-            if boxes:
+            batch = pair_batch(record, nms(proposals, NMS_IOU, 100), provider, config)
+            if len(batch):
                 candidates.append(batch)
             if config.streams == "triple":
                 image = build_image_batch(record, proposals, provider, vocab, config)
@@ -264,23 +263,24 @@ def score_hashes(outdir: str) -> dict:
             for record in records:
                 proposals = build_proposals(record, provider, config,
                                             ProposalSettings(n_background=80))
-                batch, _ = make_pair_batch(record, nms(proposals, NMS_IOU, 50), provider,
-                                           config)
-                dense.append(batch)
+                dense.append(pair_batch(record, nms(proposals, NMS_IOU, 50), provider,
+                                        config))
             out[f"scores/{name}/retrieval_score_dense"] = retrieval_table_hash(
                 queries, dense, params, config)
     return out
 
 
-def pair_batch_bytes(pairs, box_pairs) -> bytes:
-    """The arrays of a PairBatch and the float.hex of its box pairs."""
+def pair_batch_bytes(pairs, boxes) -> bytes:
+    """The arrays of a PairBatch and the float.hex of each pair's subject and
+    object rows of the (N, 4) centre-form proposal ``boxes``."""
     import numpy as np
-    boxes = " ".join(v.hex() for s, o in box_pairs for b in (s, o) for v in (b.x, b.y, b.w, b.h))
+    rows = np.stack([boxes[pairs.subject_index], boxes[pairs.object_index]], axis=1)
+    hexes = " ".join(v.hex() for v in rows.reshape(-1).tolist())
     return b"".join([np.ascontiguousarray(pairs.union_features).tobytes(),
                      np.ascontiguousarray(pairs.geos).tobytes(),
                      np.asarray(pairs.subject_index, dtype=np.int64).tobytes(),
                      np.asarray(pairs.object_index, dtype=np.int64).tobytes(),
-                     boxes.encode("ascii"), b"\n"])
+                     hexes.encode("ascii"), b"\n"])
 
 
 def pair_hashes(outdir: str) -> dict:
@@ -288,10 +288,9 @@ def pair_hashes(outdir: str) -> dict:
     the test split (see the module docstring)."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from relcap.data import ToyFeatureProvider, load_dataset
-    from relcap.geometry import NMS_IOU, Box, nms
+    from relcap.geometry import NMS_IOU, nms
     from relcap.model import load_model
-    from relcap.pipeline import (ProposalSettings, build_image_batch, build_proposals,
-                                 make_pair_batch)
+    from relcap.pipeline import ProposalSettings, build_image_batch, build_proposals, pair_batch
 
     records = load_dataset(os.path.join(outdir, "toy", "test.jsonl"))
     with open(os.path.join(outdir, "toy", "provider.json"), encoding="utf-8") as fh:
@@ -304,15 +303,11 @@ def pair_hashes(outdir: str) -> dict:
         for record in records:
             proposals = build_proposals(record, provider, config, ProposalSettings())
             for keep in (50, 100):
-                batch, boxes = make_pair_batch(record, nms(proposals, NMS_IOU, keep), provider,
-                                               config)
-                pair.update(pair_batch_bytes(batch, boxes))
+                kept = nms(proposals, NMS_IOU, keep)
+                pair.update(pair_batch_bytes(pair_batch(record, kept, provider, config),
+                                             kept.boxes))
             built = build_image_batch(record, proposals, provider, vocab, config)
-            pairs = built.pairs
-            prop_boxes = [Box(*b) for b in built.prop_boxes]
-            boxes = [(prop_boxes[i], prop_boxes[j])
-                     for i, j in zip(pairs.subject_index, pairs.object_index)]
-            image.update(pair_batch_bytes(pairs, boxes))
+            image.update(pair_batch_bytes(built.pairs, built.prop_boxes))
             image.update(repr((built.token_ids, built.tags)).encode("ascii") + b"\n")
         out[f"pairs/{name}/pair_batch"] = pair.hexdigest()
         out[f"pairs/{name}/image_batch"] = image.hexdigest()
