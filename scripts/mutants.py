@@ -33,6 +33,7 @@ _UNUSED = "tests/test_model.py::TestRegionsWithoutRows::"
 _DENSE = "tests/test_dense_blocks.py::test_untaped_block_codes_equal_the_taped_whole_batch_codes"
 _BUDGET = "tests/test_cli.py::TestExitCodes::"
 _GT_STEP = "tests/test_pipeline.py::TestGtStep::"
+_SHARING = "tests/test_model.py::TestStepZeroSharing::"
 MUTANTS = [
     ("no-split shortcut", "src/relcap/model.py",
      "if not np.array_equal(parent, np.arange(len(h[s]) - len(pad))):",
@@ -45,14 +46,50 @@ MUTANTS = [
      "if not np.array_equal(parent, np.arange(len(h[s]) - len(pad))):",
      "if not np.array_equal(parent, np.arange(len(parent))):",
      [_UNUSED + "test_retrieval_over_trailing_regions_without_rows"]),
-    ("taped run steps one state per region", "src/relcap/model.py",
-     "share = tape is None and n > BLOCK", "share = n > BLOCK",
-     ["tests/test_model.py::TestFloat32Accuracy::"
-      "test_run_streams_returns_a_tape_exactly_when_recording"]),
-    ("passes of at most BLOCK rows share states", "src/relcap/model.py",
-     "share = tape is None and n > BLOCK", "share = tape is None",
-     ["tests/test_model.py::TestStepZeroSharing::"
-      "test_passes_of_at_most_block_rows_keep_one_state_per_row"]),
+    ("no state sharing", "src/relcap/model.py",
+     "maps = [index for _, index in first]", "maps = [None for _ in first]",
+     [_SHARING + "test_passes_of_at_most_block_rows_step_one_state_per_region",
+      _SHARING + "test_rows_of_one_region_share_one_state[mttsnet-roles0]"]),
+    ("the BLOCK-rows fork restored", "src/relcap/model.py",
+     "    inputs = [x.data for x, _ in first]\n    maps = [index for _, index in first]",
+     "    inputs = [x.data if index is None or n > BLOCK else x.data[index]\n"
+     "              for x, index in first]\n"
+     "    maps = [index if n > BLOCK else None for _, index in first]",
+     [_SHARING + "test_passes_of_at_most_block_rows_step_one_state_per_region"]),
+    ("untaped one-image REM through _attend", "src/relcap/model.py",
+     "    if ad.is_recording():\n        if len(sizes) > 1:",
+     "    if ad.is_recording() or len(sizes) <= 1:\n        if len(sizes) > 1:",
+     ["tests/test_model.py::TestStackedEncoding::"
+      "test_mixed_region_counts_attend_once_per_count[mttsnet,rem]"]),
+    ("taped stream_states keeps the region index", "src/relcap/model.py",
+     "if ad.is_recording():           # the backward pass reads one row per pair",
+     "if False:",
+     ["tests/test_model.py::TestTeacherForcing::"
+      "test_taped_run_over_untaped_codes_gathers_them_per_pair"]),
+    ("REM pairs an image with another image's keys", "src/relcap/model.py",
+     "ad._tile_matmul(a_n, b_n.transpose(0, 2, 1))",
+     "ad._tile_matmul(a_n, np.roll(b_n, 1, axis=0).transpose(0, 2, 1))",
+     ["tests/test_model.py::TestStackedEncoding::"
+      "test_mixed_region_counts_attend_once_per_count[mttsnet,rem]"]),
+    ("encode blocks step 2 * BLOCK", "src/relcap/model.py",
+     "for lo in range(0, max(len(batch), 1), BLOCK)]",
+     "for lo in range(0, max(len(batch), 1), 2 * BLOCK)]",
+     [_DENSE + "[tsnet]"]),
+    ("a float32 emit buffer", "src/relcap/model.py",
+     "out = np.empty((min(block, n), len(weights) * hid))",
+     "out = np.empty((min(block, n), len(weights) * hid), np.float32)",
+     ["tests/test_model.py::TestEmitRows::"
+      "test_dense_pass_emits_float64_rows_of_the_float32_states"]),
+    ("run_streams without errstate", "src/relcap/model.py",
+     '@np.errstate(over="ignore", invalid="ignore")\ndef run_streams', "def run_streams",
+     ["tests/test_cli.py::TestNonFiniteOutputs::test_diverged_checkpoint_is_data_error[eval]"]),
+    ("METEOR exact pass takes the first copy", "src/relcap/metrics.py",
+     "align = [at[k] if k < len(at) else -1", "align = [at[0] if k < len(at) else -1",
+     ["tests/test_metrics.py::TestMeteorLite::test_equals_the_left_to_right_reference"]),
+    ("checkpoint tensors sized with np.prod", "src/relcap/checkpoint.py",
+     "nbytes = math.prod(shape) * 8", "nbytes = int(np.prod(shape)) * 8",
+     ["tests/test_cli.py::TestExitCodes::"
+      "test_tensor_shape_numpy_cannot_make_is_data_error[wraps-to-0]"]),
     ("untaped subject and object indices swapped", "src/relcap/model.py",
      "else (ad.affine(z, w, b), index))",
      'else (ad.affine(z, w, b), batch.object_index if role == "subject" '
@@ -66,8 +103,12 @@ MUTANTS = [
      "sum(map(math.prod, shapes.values()))", "sum(map(np.prod, shapes.values()))",
      [_BUDGET + "test_model_size_above_the_budget_is_config_error[hidden]"]),
     ("budget without the stacked decode", "src/relcap/model.py",
-     " + 3 * 8 * STACK_ROWS * self.max_len", "",
+     "sum(map(math.prod, shapes.values())) + decode", "sum(map(math.prod, shapes.values()))",
      [_BUDGET + "test_a_model_of_exactly_the_budget_fits"]),
+    ("over-budget message always names the largest block", "src/relcap/model.py",
+     "if 2 * decode > need", "if False",
+     [_BUDGET + "test_checkpoint_above_the_budget_is_data_error",
+      _BUDGET + "test_model_size_above_the_budget_is_config_error[max-len]"]),
     ("a model of exactly the budget rejected", "src/relcap/model.py",
      "if need > MEMORY_BUDGET:", "if need >= MEMORY_BUDGET:",
      [_BUDGET + "test_a_model_of_exactly_the_budget_fits"]),

@@ -123,13 +123,13 @@ def retrieval_scores(query_ids, batch: PairBatch, codes, params: ModelParams,
     through one untaped ``run_streams`` pass, teacher-forced with the query;
     ``emit`` applies the word head per block as a plain tiled product and
     keeps only the query words' log-probabilities (``log_softmax`` of the
-    word's column), ``(T, P)``, never the hidden states. A pass of more
-    than BLOCK rows steps one subject or object state per region. A row's
-    log sum (in step order) does not depend on the other rows (every product
-    runs in fixed tiles); an image's score is the first maximum over its
-    rows. Returns one (score, best pair index within the image, per-word
-    probabilities of that pair) per image. A non-finite score is a
-    ``DataError``.
+    word's column), ``(T, P)``, never the hidden states. Like every untaped
+    pass, at any size, it steps one subject or object state per region and
+    fed prefix (``run_streams``). A row's log sum (in step order) does not
+    depend on the other rows (every product runs in fixed tiles); an image's
+    score is the first maximum over its rows. Returns one (score, best pair
+    index within the image, per-word probabilities of that pair) per image.
+    A non-finite score is a ``DataError``.
     """
     query = list(query_ids)
     if not query:

@@ -16,6 +16,7 @@ echo (model config, vocabulary, optimizer step, ...).
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -99,10 +100,13 @@ def load_checkpoint(path: str):
             raise CheckpointError(f"{path}: bad tensor entry {entry!r}") from exc
         if any(d < 0 for d in shape):
             raise CheckpointError(f"{path}: bad tensor entry {entry!r}")
-        nbytes = int(np.prod(shape)) * 8
+        nbytes = math.prod(shape) * 8           # Python ints: np.prod wraps
         if offset + nbytes > len(blob):
             raise CheckpointError(f"{path}: truncated payload for tensor {name!r}")
-        arrays[name] = np.frombuffer(blob, "<f8", nbytes // 8, offset).reshape(shape)
+        try:
+            arrays[name] = np.frombuffer(blob, "<f8", nbytes // 8, offset).reshape(shape)
+        except (ValueError, OverflowError) as exc:    # a shape numpy cannot make
+            raise CheckpointError(f"{path}: bad tensor entry {entry!r}: {exc}") from exc
         offset += nbytes
     if offset != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - offset} trailing bytes after payload")

@@ -143,7 +143,8 @@ _AT_LEAST_1 = "at least 1", lambda value: value >= 1
 _POSITIVE = "above 0", lambda value: value > 0
 _UNIT = "in [0, 1]", lambda value: 0 <= value <= 1
 _MODES = " or ".join(DECODE_MODES), lambda value: value in DECODE_MODES
-# Training and POS accuracy pair every proposal with every other: ~1M pairs, 200 MB.
+# NMS's IoU table and training's REM attention grow as B^2 with B proposals;
+# training and POS accuracy pair only GT-matched proposals.
 MAX_BACKGROUND = 1024
 _BACKGROUND = f"in [0, {MAX_BACKGROUND}]", lambda value: 0 <= value <= MAX_BACKGROUND
 # name -> (type, default, range) of every setting a config-reading command
@@ -449,6 +450,8 @@ def cmd_retrieve(args) -> int:
     scorables = []
     gt_captions = {}
     for record in records:
+        if len(scorables) == protocol.num_images:       # retrieval_eval keeps no more
+            break
         kept = nms(build_proposals(record, provider, config, settings), args.nms_iou,
                    args.keep_after_nms)
         batch = pair_batch(record, kept, provider, config)

@@ -125,13 +125,15 @@ class ModelConfig:
         if self.vocab_size <= len(RESERVED_TOKENS):
             raise ConfigError("vocabulary must contain at least one real word")
         shapes = param_shapes(self)     # math.prod of Python ints: np.prod wraps at 1e11
-        need = 4 * 8 * sum(map(math.prod, shapes.values())) + 3 * 8 * STACK_ROWS * self.max_len
+        decode = 3 * 8 * STACK_ROWS * self.max_len
+        need = 4 * 8 * sum(map(math.prod, shapes.values())) + decode
         if need > MEMORY_BUDGET:
             big = max(shapes, key=lambda name: math.prod(shapes[name]))
+            blame = (f"the stacked decode at max_len {self.max_len}" if 2 * decode > need
+                     else f"largest block {big} {shapes[big]}")
             raise ConfigError(f"model needs {need / 2 ** 30:.6g} GiB for its parameters, "
                               f"gradients, Adam moments and stacked decode, above the "
-                              f"{MEMORY_BUDGET / 2 ** 30:g} GiB budget; largest block "
-                              f"{big} {shapes[big]}")
+                              f"{MEMORY_BUDGET / 2 ** 30:g} GiB budget; {blame}")
         return self
 
     @staticmethod
@@ -227,23 +229,25 @@ def _attend(a: Tensor, b: Tensor, v: Tensor) -> Tensor:
 
 def rem_forward(x: Tensor, params: ModelParams, sizes=()) -> Tensor:
     """Relational embedding: attention among the regions of each image of
-    ``sizes`` (row counts, in order; default one image), residually added.
+    ``sizes`` (row counts, in order; empty: one image), residually added.
 
     R = row_softmax(relu(X Wa) relu(X Wb)^T); Z = X + R relu(X Wx) Wz^T.
     Only R and its product are per image. Row permutations within an
-    image permute its rows of Z identically. Several images are
-    forward-only: recording them is a ValueError. Their attention runs once
-    per distinct region count, on the images of that count stacked on a
-    leading axis (``_tile_matmul``), so each image's rows are the bits it
-    gets alone.
+    image permute its rows of Z identically. A taped pass attends over its
+    one image with graph ops (several are a ValueError); every untaped
+    pass, one image included, attends once per distinct region count, on
+    the images of that count stacked on a leading axis (``_tile_matmul``),
+    so each image's rows are the bits it gets alone.
     """
     a = ad.relu(ad.matmul(x, params["rem.wa"]))
     b = ad.relu(ad.matmul(x, params["rem.wb"]))
     v = ad.relu(ad.matmul(x, params["rem.wx"]))
-    if len(sizes) > 1:
-        if ad.is_recording():
+    if ad.is_recording():
+        if len(sizes) > 1:
             raise ValueError("REM over several images is forward-only; run it under no_grad")
-        sizes = np.asarray(sizes)
+        attended = _attend(a, b, v)
+    else:
+        sizes = np.asarray(sizes if len(sizes) else [len(x.data)])
         starts = np.cumsum(sizes) - sizes
         attended = np.empty_like(v.data)
         for n in sorted(set(sizes.tolist())):    # np.unique would keep 0.6 MiB resident
@@ -252,8 +256,6 @@ def rem_forward(x: Tensor, params: ModelParams, sizes=()) -> Tensor:
             r_n = ad.softmax(ad._tile_matmul(a_n, b_n.transpose(0, 2, 1)))
             attended[rows] = ad._tile_matmul(r_n, v_n).reshape(len(rows), -1)
         attended = Tensor(attended)
-    else:
-        attended = _attend(a, b, v)
     return ad.add(x, ad.matmul(attended, ad.transpose(params["rem.wz"])))
 
 
@@ -447,20 +449,18 @@ def run_streams(first, params: ModelParams, config: ModelConfig, n_steps: int, e
     the row at step t - 1; its input term is then a row of the per-stream
     table ``embed.table @ W_x + b``.
 
-    An indexed stream (fed subject or object codes, one row per region)
-    keeps one state per (region, fed-word prefix), not one per pair row:
-    step 0 steps one state per row of ``rows``, every region, ``index``
-    mapping pair rows to them, and a state fed one word at step t becomes
-    one new state (``regroup``), so the subject and object streams of a
-    dense batch step far fewer states than rows. A step whose new states
+    An indexed stream (fed untaped subject or object codes, one row per
+    region) keeps one state per (region, fed-word prefix) at any pass size,
+    not one per pair row: step 0 steps one state per row of ``rows``, every
+    region, ``index`` mapping pair rows to them, and a state fed one word
+    at step t becomes one new state (``regroup``). A step whose new states
     are the old ones in order (every step of a retrieval pass after the
     first, whose rows are all fed the query's word) keeps the states where
     they are; any other step copies them to their new rows
-    (``split_states``), also step 1 when some region starts no row. A run
-    that keeps a tape or has at most BLOCK rows gathers ``rows.data[index]``
-    once instead and keeps the identity map, one state per row updated in
-    place, as do the streams without an index (the union-fed predicate
-    stream, a single stream).
+    (``split_states``), also step 1 when some region starts no row. A
+    stream without an index (the union-fed predicate stream, a single
+    stream, every stream of a taped run, whose codes ``stream_states``
+    gathers per pair) keeps one state per row, updated in place.
 
     States are padded to a multiple of TILE and each step runs them in
     blocks of BLOCK, stream by stream. Gates are kept gate-major, so every
@@ -498,9 +498,8 @@ def run_streams(first, params: ModelParams, config: ModelConfig, n_steps: int, e
     rows = n + (-n % ad.TILE)
     block = max(rows, 1) if tape is not None else BLOCK
     # per stream: the step-0 input of each state; row -> state, or None for one per row
-    share = tape is None and n > BLOCK
-    inputs = [x.data if index is None or share else x.data[index] for x, index in first]
-    maps = [index if share else None for _, index in first]
+    inputs = [x.data for x, _ in first]
+    maps = [index for _, index in first]
     h = [np.zeros((len(x) + -len(x) % ad.TILE, hid), dtype) for x in inputs]
     c = [np.zeros_like(x) for x in h]
     vocab = len(embed)

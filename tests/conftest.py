@@ -184,6 +184,17 @@ def per_pair(code):
     return rows.data if index is None else rows.data[index]
 
 
+def per_row_decode(batch, params, config):
+    """``decode_arrays`` with every stream's step-0 codes gathered per pair,
+    so ``run_streams`` keeps one state per row and never regroups: the
+    reference that state sharing must equal bit for bit."""
+    inputs = relcap.model.stream_inputs
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(relcap.model, "stream_inputs", lambda *args: [
+            (Tensor(per_pair(code)), None) for code in inputs(*args)])
+        return decode_arrays(batch, params, config)
+
+
 def regroup_inputs(monkeypatch, run):
     """``run()``'s result and the ``states`` of each ``regroup`` call it
     made, in call order. In a ``run_streams`` pass of two steps or more,

@@ -429,6 +429,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "step_count 2.7" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("shape,message", [
+        ([2 ** 32, 2 ** 32], "truncated payload for tensor 'embed.table'"),  # np.prod wraps to 0
+        ([0, 2 ** 62], "bad tensor entry"), ([0, 2 ** 63], "bad tensor entry")],
+        ids=["wraps-to-0", "too-big", "above-int64"])
+    def test_tensor_shape_numpy_cannot_make_is_data_error(self, toy_dir, tmp_path, shape,
+                                                          message, capsys):
+        path = str(tmp_path / "huge.rckpt")
+        head = json.dumps({"format_version": 1, "meta": {},
+                           "tensors": [{"name": "embed.table", "shape": shape}]}).encode()
+        with open(path, "wb") as fh:
+            fh.write(MAGIC + struct.pack("<I", len(head)) + head)
+        assert run(["eval", "--checkpoint", path, "--data", os.path.join(toy_dir, "test.jsonl"),
+                    "--provider", os.path.join(toy_dir, "provider.json")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {path}: {message}"), err
+
     def test_retrieve_without_gt_captions_is_data_error(self, toy_dir, trained_dir,
                                                          tmp_path, capsys):
         records = [json.loads(line) for line in open(os.path.join(toy_dir, "train.jsonl"))]
@@ -453,6 +469,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert f"2 images with a region pair, got 0 of the {n_read} images read" in err
+
+    def test_retrieve_builds_pairs_for_its_candidates_only(self, toy_dir, trained_dir,
+                                                           monkeypatch, capsys):
+        built, pair_batch = [], cli.pair_batch
+        monkeypatch.setattr(cli, "pair_batch", lambda *args: built.append(args[0].image_id)
+                            or pair_batch(*args))
+        data = os.path.join(toy_dir, "train.jsonl")
+        n_read = sum(1 for _ in open(data))
+        argv = ["retrieve", "--checkpoint", os.path.join(trained_dir, "model.rckpt"),
+                "--data", data, "--provider", os.path.join(toy_dir, "provider.json")]
+        assert run(argv + ["--images", "4", "--query-images", "2"]) == 0
+        assert len(built) == 4 < n_read
+        # More query images than --images: building stops at the candidates.
+        assert run(argv + ["--images", "2", "--query-images", "3"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: retrieval needs at least 3 images with a region pair, "
+                       f"got 2 of the {n_read} images read"]
 
     @pytest.mark.parametrize("command", ["train", "eval", "infer", "retrieve", "enrich"])
     def test_repeated_image_id_is_data_error(self, toy_dir, trained_dir, tmp_path, capsys,
@@ -796,7 +829,8 @@ class TestExitCodes:
             assert run(argv + option) == 2
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("error: model needs "), err
-            assert "GiB budget; largest block " in err[0]
+            assert ("GiB budget; the stacked decode at max_len " if flag == "max-len"
+                    else "GiB budget; largest block ") in err[0]
         assert os.listdir(tmp_path) == ["config.json"]
 
     @pytest.mark.parametrize("widths", [
@@ -838,6 +872,7 @@ class TestExitCodes:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith(f"error: {long}: bad checkpoint: "), err
             assert "model needs 91552.7 GiB" in err[0]
+            assert err[0].endswith("budget; the stacked decode at max_len 1000000000')"), err
         assert os.listdir(tmp_path) == ["long.rckpt"]
 
     def _dataset_variant(self, toy_dir, tmp_path, name, edit):

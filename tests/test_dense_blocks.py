@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fresh_params, pair_rows, per_pair, tiny_config
+from conftest import fresh_params, pair_rows, per_pair, per_row_decode, tiny_config
 from relcap import autodiff as ad
 from relcap.apps import retrieval_scores
 from relcap.model import (BLOCK, MODEL_PRESETS, ModelConfig, PairBatch, decode_arrays,
@@ -114,7 +114,7 @@ def test_decode_above_block_equals_passes_of_at_most_block_rows(name):
     params = sharpened(cfg, seed=21)
     n, part = 2 * BLOCK + 1, 200
     batch = random_batch(cfg, n, seed=4)
-    parts = [decode_arrays(pair_rows(batch, list(range(lo, min(lo + part, n)))), params, cfg)
+    parts = [per_row_decode(pair_rows(batch, list(range(lo, min(lo + part, n)))), params, cfg)
              for lo in range(0, n, part)]
     for got, want in zip(decode_arrays(batch, params, cfg), zip(*parts), strict=True):
         assert got.tobytes() == np.concatenate(want).tobytes()

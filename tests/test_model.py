@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (block_retrieval_scores, decode_batch, finite_diff_check, fresh_params,
-                      geometric_feature, pair_rows, per_pair, regroup_inputs, retrieval_score,
-                      same_groups, tiny_config, zero_grad)
+                      geometric_feature, pair_rows, per_pair, per_row_decode, regroup_inputs,
+                      retrieval_score, same_groups, tiny_config, zero_grad)
 import relcap.model
 from relcap import autodiff as ad
 from relcap.apps import retrieval_scores
@@ -311,10 +311,11 @@ class TestStackedEncoding:
         monkeypatch.setattr(ad, "softmax", spy)
         self.assert_codes_equal(cfg, fresh_params(cfg, seed=2), MIXED_REGIONS)
         # One (images, n, n) attention per distinct count n, then the
-        # per-image references' one (n, n) attention each.
+        # per-image references' one (1, n, n) attention each: an untaped
+        # pass of one image takes the same stacked path.
         counts = sorted(set(MIXED_REGIONS))
         stacked = [(MIXED_REGIONS.count(n), n, n) for n in counts]
-        alone = [(n, n) for n in MIXED_REGIONS]
+        alone = [(1, n, n) for n in MIXED_REGIONS]
         assert attended == (stacked + alone if cfg.rem else [])
 
     @staticmethod
@@ -515,10 +516,10 @@ class TestRegroup:
 
 
 class TestStepZeroSharing:
-    """Step-0 grouping by region: in an untaped pass of more than BLOCK
-    rows, the rows of a stream fed subject (object) codes share a step-0
-    state exactly when they share a subject (object) region; the predicate
-    stream and a single stream keep one state per row."""
+    """Step-0 grouping by region: in an untaped pass of any size, the rows
+    of a stream fed subject (object) codes share a step-0 state exactly when
+    they share a subject (object) region; the predicate stream and a single
+    stream keep one state per row."""
 
     @staticmethod
     def step_zero(monkeypatch, batch, params, cfg):
@@ -547,11 +548,34 @@ class TestStepZeroSharing:
             code = per_pair(codes[role])
             assert code[first][inverse].tobytes() == code.tobytes()
 
-    def test_passes_of_at_most_block_rows_keep_one_state_per_row(self, monkeypatch):
+    def test_passes_of_at_most_block_rows_step_one_state_per_region(self, monkeypatch):
         cfg = tiny_config(14, 12, name="mttsnet")
         params = fresh_params(cfg, seed=12)
-        batch = random_pair_batch(cfg, n_pairs=relcap.model.BLOCK, n_regions=9, seed=5)
-        assert self.step_zero(monkeypatch, batch, params, cfg) == []
+        n, steps = relcap.model.BLOCK, 4
+        batch = random_pair_batch(cfg, n_pairs=n, n_regions=9, seed=5)
+        maps = self.step_zero(monkeypatch, batch, params, cfg)
+        assert len(maps) == 2
+        assert same_groups(maps[0], batch.subject_index)
+        assert same_groups(maps[1], batch.object_index)
+        # Three words, so rows of one region share some prefixes and split
+        # at others; the states match per-row passes bit for bit.
+        targets = np.random.default_rng(6).integers(0, 3, (n, steps))
+        with ad.no_grad():
+            first = stream_inputs(encode_pair_batch(batch, params, cfg), params, cfg)
+
+        def states(codes):
+            out = np.zeros((steps, n, 3 * cfg.hidden))
+
+            def emit(t, lo, feat):
+                out[t, lo:lo + len(feat)] = feat
+                return targets[lo:lo + len(feat), t]
+
+            with ad.no_grad():
+                run_streams(codes, params, cfg, steps, emit)
+            return out
+
+        per_row = [(Tensor(per_pair(code)), None) for code in first]
+        assert states(first).tobytes() == states(per_row).tobytes()
 
     def test_distinct_regions_with_equal_codes_keep_their_own_states(self, monkeypatch):
         cfg = tiny_config(14, 12, name="mttsnet")
@@ -588,8 +612,8 @@ class TestSplitSteps:
         params = fresh_params(cfg, seed=12)
         n = 300
         batch = random_pair_batch(cfg, n_pairs=n, n_regions=9, seed=5)
-        blocks = [decode_arrays(pair_rows(batch, list(range(lo, min(lo + 100, n)))), params, cfg)
-                  for lo in range(0, n, 100)]
+        blocks = [per_row_decode(pair_rows(batch, list(range(lo, min(lo + 100, n)))), params,
+                                 cfg) for lo in range(0, n, 100)]
         calls = split_calls(monkeypatch)
         dense = decode_arrays(batch, params, cfg)
         assert calls                    # some step fed a state two words
@@ -618,8 +642,8 @@ class TestRegionsWithoutRows:
         n = 2 * relcap.model.BLOCK + 1
         # More regions than rows: most start one row, so step 1 splits few states.
         batch = even_regions(random_pair_batch(cfg, n_pairs=n, n_regions=1000, seed=5))
-        parts = [decode_arrays(pair_rows(batch, list(range(lo, min(lo + 200, n)))), params, cfg)
-                 for lo in range(0, n, 200)]
+        parts = [per_row_decode(pair_rows(batch, list(range(lo, min(lo + 200, n)))), params,
+                                cfg) for lo in range(0, n, 200)]
         for got, want in zip(decode_arrays(batch, params, cfg), zip(*parts), strict=True):
             assert got.tobytes() == np.concatenate(want).tobytes()
 
@@ -664,7 +688,7 @@ class TestEmitRows:
         batch = random_pair_batch(cfg, n_pairs=n, n_regions=9, seed=5)
         targets = np.random.default_rng(6).integers(0, cfg.vocab_size, (n, steps))
 
-        def states(rows):
+        def states(rows, share=True):
             out = np.zeros((steps, len(rows), 3 * cfg.hidden))
             sub = pair_rows(batch, rows)
 
@@ -674,15 +698,17 @@ class TestEmitRows:
                 return targets[rows[lo:lo + len(feat)], t]
 
             with ad.no_grad():
-                codes = encode_pair_batch(sub, params, cfg)
-                run_streams(stream_inputs(codes, params, cfg), params, cfg, steps, emit)
+                first = stream_inputs(encode_pair_batch(sub, params, cfg), params, cfg)
+                if not share:
+                    first = [(Tensor(per_pair(code)), None) for code in first]
+                run_streams(first, params, cfg, steps, emit)
             return out
 
         dense, maps = regroup_inputs(monkeypatch, lambda: states(list(range(n))))
         assert same_groups(maps[0], batch.subject_index)
         assert same_groups(maps[1], batch.object_index)
         assert np.array_equal(dense.astype(np.float32), dense)
-        alone = np.concatenate([states(list(range(lo, min(lo + 100, n))))
+        alone = np.concatenate([states(list(range(lo, min(lo + 100, n))), share=False)
                                 for lo in range(0, n, 100)], axis=1)
         assert dense.tobytes() == alone.tobytes()
 
@@ -1129,13 +1155,14 @@ class TestFloat32Accuracy:
             assert all(x.dtype == np.float64 for x in (*gates, *cells))
 
     def test_run_streams_returns_a_tape_exactly_when_recording(self):
-        # Untaped codes of 300 pairs over 9 regions: the taped run still
-        # steps one state per row (300, padded to 320).
+        # Per-pair codes of 300 pairs over 9 regions, as stream_states feeds
+        # a taped run: it steps one state per row (300, padded to 320).
         cfg = tiny_config(14, 10, name="mttsnet")
         params = fresh_params(cfg, seed=3)
         with ad.no_grad():
             batch = random_pair_batch(cfg, n_pairs=300, n_regions=9)
-            first = stream_inputs(encode_pair_batch(batch, params, cfg), params, cfg)
+            first = [(Tensor(per_pair(code)), None) for code in
+                     stream_inputs(encode_pair_batch(batch, params, cfg), params, cfg)]
 
         def emit(t, lo, feat):
             return np.full(len(feat), 4)
@@ -1326,6 +1353,28 @@ class TestTeacherForcing:
         for recorded, plain in zip(head_logits(free), free_logits):
             assert recorded._parents
             assert np.array_equal(recorded.data, plain.data)
+
+    def test_taped_run_over_untaped_codes_gathers_them_per_pair(self):
+        # Codes encoded under no_grad carry their region index; a taped
+        # stream_states gathers them per pair, so its states and its BPTT
+        # gradients are those of codes encoded with the tape on.
+        cfg = tiny_config(14, 10, name="mttsnet,mtl")
+        params = fresh_params(cfg, seed=7)
+        batch = random_pair_batch(cfg, n_pairs=40, n_regions=9, seed=3)
+        token_ids = [[4 + k % 5, 5, END_ID] for k in range(len(batch))]
+        tags = [[S, P, O]] * len(batch)
+        with ad.no_grad():
+            untaped = encode_pair_batch(batch, params, cfg)
+        assert untaped["subject"][1] is not None
+        runs = []
+        for codes in (untaped, encode_pair_batch(batch, params, cfg)):
+            for p in params.values():
+                zero_grad(p)
+            l_cap, l_pos = caption_losses(codes, token_ids, tags, params, cfg)
+            ad.backward(ad.add_scalars([l_cap, l_pos]))
+            runs.append([float(l_cap.data)] + [params[f"lstm.{name}.w"].grad.tobytes()
+                                                for name in ("subject", "predicate", "object")])
+        assert runs[0] == runs[1]
 
     def test_uniform_model_gives_log_vocab(self):
         cfg = tiny_config(14, 20)
