@@ -34,6 +34,10 @@ _DENSE = "tests/test_dense_blocks.py::test_untaped_block_codes_equal_the_taped_w
 _BUDGET = "tests/test_cli.py::TestExitCodes::"
 _GT_STEP = "tests/test_pipeline.py::TestGtStep::"
 _SHARING = "tests/test_model.py::TestStepZeroSharing::"
+_REM_GRADIENTS = [
+    "tests/test_model.py::TestRem::test_gradients_match_finite_differences_at_every_coordinate",
+    "tests/test_model.py::TestGradientCheck::test_full_model_small_instance",
+    "tests/test_acceptance.py::TestCriterion1Gradients::test_full_mttsnet_rem_gradient_check"]
 MUTANTS = [
     ("no-split shortcut", "src/relcap/model.py",
      "if not np.array_equal(parent, np.arange(len(h[s]) - len(pad))):",
@@ -56,11 +60,19 @@ MUTANTS = [
      "              for x, index in first]\n"
      "    maps = [index if n > BLOCK else None for _, index in first]",
      [_SHARING + "test_passes_of_at_most_block_rows_step_one_state_per_region"]),
-    ("untaped one-image REM through _attend", "src/relcap/model.py",
-     "    if ad.is_recording():\n        if len(sizes) > 1:",
-     "    if ad.is_recording() or len(sizes) <= 1:\n        if len(sizes) > 1:",
-     ["tests/test_model.py::TestStackedEncoding::"
-      "test_mixed_region_counts_attend_once_per_count[mttsnet,rem]"]),
+    ("REM backward r @ g for r.T @ g", "src/relcap/model.py",
+     "r.T @ g]", "r @ g]", _REM_GRADIENTS),
+    ("REM backward without the softmax's row term", "src/relcap/model.py",
+     "d_s = (d_r - (d_r * r).sum(axis=1, keepdims=True)) * r", "d_s = d_r * r",
+     _REM_GRADIENTS),
+    ("REM backward d_s.T @ b for d_s @ b", "src/relcap/model.py",
+     "[d_s @ b.data,", "[d_s.T @ b.data,", _REM_GRADIENTS),
+    ("REM attends over images of 0 regions", "src/relcap/model.py",
+     "sorted(set(sizes.tolist()) - {0})", "sorted(set(sizes.tolist()))",
+     ["tests/test_model.py::TestRem::test_an_image_of_no_regions_attends_to_nothing"]),
+    ("taped REM over several images", "src/relcap/model.py",
+     "if ad.is_recording() and len(sizes) > 1:", "if False:",
+     ["tests/test_model.py::TestStackedEncoding::test_several_images_are_forward_only"]),
     ("taped stream_states keeps the region index", "src/relcap/model.py",
      "if ad.is_recording():           # the backward pass reads one row per pair",
      "if False:",
@@ -71,6 +83,25 @@ MUTANTS = [
      "ad._tile_matmul(a_n, np.roll(b_n, 1, axis=0).transpose(0, 2, 1))",
      ["tests/test_model.py::TestStackedEncoding::"
       "test_mixed_region_counts_attend_once_per_count[mttsnet,rem]"]),
+    ("a block's step-0 term read one tile back", "src/relcap/model.py",
+     "x = ad.tile_rows(inputs[s][lo:lo + block].astype(dtype, copy=False))",
+     "x = ad.tile_rows(inputs[s][max(lo - ad.TILE, 0):][:len(hidden)]"
+     ".astype(dtype, copy=False))",
+     ["tests/test_dense_blocks.py::"
+      "test_decode_above_block_equals_passes_of_at_most_block_rows[mttsnet,mtl,rem]",
+      "tests/test_dense_blocks.py::"
+      "test_retrieval_above_block_equals_each_image_scored_alone[union,mtl]"]),
+    ("retrieval log-probabilities written one tile back", "src/relcap/apps.py",
+     "logp[t, lo:lo + len(feat)] = ",
+     "logp[t, max(lo - ad.TILE, 0):max(lo - ad.TILE, 0) + len(feat)] = ",
+     ["tests/test_apps.py::TestGroupedRetrieval::"
+      "test_segments_across_block_edges_score_as_the_block_reference",
+      "tests/test_model.py::TestFloat32Accuracy::test_retrieval_ranks"]),
+    ("retrieval scores the next query word", "src/relcap/apps.py",
+     'head_logits(feat, params, "word"), query[t])',
+     'head_logits(feat, params, "word"), query[min(t + 1, len(query) - 1)])',
+     ["tests/test_apps.py::TestRetrievalScore::test_rigged_model_scores_its_sequence_near_one",
+      "tests/test_apps.py::TestGroupedRetrieval::test_grouped_equals_per_image_bit_for_bit[uuu]"]),
     ("encode blocks step 2 * BLOCK", "src/relcap/model.py",
      "for lo in range(0, max(len(batch), 1), BLOCK)]",
      "for lo in range(0, max(len(batch), 1), 2 * BLOCK)]",

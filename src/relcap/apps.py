@@ -13,8 +13,8 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigError, DataError
 from .geometry import Box, box_rows, iou_matrix
-from .model import (ModelConfig, ModelParams, PairBatch, encode_pair_batch, run_streams,
-                    stream_inputs)
+from .model import (ModelConfig, ModelParams, PairBatch, encode_pair_batch, head_logits,
+                    run_streams, stream_inputs)
 
 NODE_MERGE_IOU = 0.9     # default IoU at or above which caption-graph nodes merge
 
@@ -121,7 +121,7 @@ def retrieval_scores(query_ids, batch: PairBatch, codes, params: ModelParams,
     ``batch`` holds the candidate images (``PairBatch.stack``, pairs in image
     order) and ``codes`` its ``encode_pair_batch`` codes. All its rows run
     through one untaped ``run_streams`` pass, teacher-forced with the query;
-    ``emit`` applies the word head per block as a plain tiled product and
+    ``emit`` applies the word head per block (``head_logits``) and
     keeps only the query words' log-probabilities (``log_softmax`` of the
     word's column), ``(T, P)``, never the hidden states. Like every untaped
     pass, at any size, it steps one subject or object state per region and
@@ -139,10 +139,9 @@ def retrieval_scores(query_ids, batch: PairBatch, codes, params: ModelParams,
     if sizes.min() == 0:
         raise ValueError("retrieval needs at least one candidate pair per image")
     logp = np.empty((len(query), len(batch)))
-    w, b = params["head.word.w"].data, params["head.word.b"].data
 
     def emit(t, lo, feat):
-        logp[t, lo:lo + len(feat)] = ad.log_softmax(ad._tile_matmul(feat, w) + b, query[t])
+        logp[t, lo:lo + len(feat)] = ad.log_softmax(head_logits(feat, params, "word"), query[t])
         return np.full(len(feat), query[t])
 
     with ad.no_grad():

@@ -283,19 +283,6 @@ def log_softmax(logits: np.ndarray, column: int | None = None) -> np.ndarray:
     return shifted - total if column is None else shifted[:, column] - total[:, 0]
 
 
-def row_softmax(x: Tensor) -> Tensor:
-    """Softmax over each row, stabilized by per-row max subtraction."""
-    if x.data.ndim != 2:
-        raise ValueError(f"row_softmax expects a 2-D tensor, got shape {x.data.shape}")
-    y = softmax(x.data)
-
-    def _back(g):
-        dot = (g * y).sum(axis=1, keepdims=True)
-        _accumulate(x, (g - dot) * y)
-
-    return _node(y, (x,), _back)
-
-
 def concat(tensors) -> Tensor:
     tensors = tuple(tensors)
 

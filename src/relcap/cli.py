@@ -29,7 +29,7 @@ from .data import (SCHEMA_VERSION, PosTag, ToyFeatureProvider, ToyWorldConfig, V
                    load_attributes, load_dataset, load_jsonl, load_pos_lexicon, read_text,
                    save_dataset, save_jsonl, split_records)
 from .errors import ConfigError, DataError
-from .geometry import NMS_IOU, Box, nms
+from .geometry import NMS_IOU, Box, json_number, nms
 from .metrics import MetricConfig, PredictionRecord, Predictions
 from .model import (DECODE_MODES, LOSS_COMPONENTS, MODEL_PRESETS, ModelConfig, load_model,
                     save_model)
@@ -86,19 +86,18 @@ def prediction_to_json(pred: PredictionRecord) -> dict:
 def prediction_from_json(obj: dict) -> PredictionRecord:
     """A prediction line as a record: ``image_id`` must be an integer,
     ``caption`` a string, every ``pos`` entry a ``PosTag`` name and
-    ``confidence`` and each ``word_probs`` entry a number, not a boolean."""
+    ``confidence``, each ``word_probs`` entry and each box coordinate a
+    number (``json_number``)."""
     if not isinstance(obj["caption"], str):
         raise TypeError(f"caption must be a string, got {obj['caption']!r}")
-    if any(isinstance(v, bool) for v in (obj["confidence"], *obj["word_probs"])):
-        raise TypeError("confidence and word_probs must be numbers, not booleans")
     return PredictionRecord(
         image_id=image_id_from_json(obj),
         subject_box=Box.from_json(obj["subject_box"]),
         object_box=Box.from_json(obj["object_box"]),
         tokens=obj["caption"].split(),
         pos=[PosTag.parse(p).name for p in obj["pos"]],
-        word_probs=[float(p) for p in obj["word_probs"]],
-        confidence=float(obj["confidence"]),
+        word_probs=[json_number(p, "word_probs entry") for p in obj["word_probs"]],
+        confidence=json_number(obj["confidence"], "confidence"),
     ).validate()
 
 
@@ -443,6 +442,8 @@ def cmd_retrieve(args) -> int:
         raise ConfigError(f"bad --k list: {exc}") from exc
     if min(ks) < 1:
         raise ConfigError(f"--k values must be at least 1, got {args.k}")
+    if args.query_images > args.images:
+        raise ConfigError(f"--query-images {args.query_images} exceeds --images {args.images}")
     protocol = RetrievalProtocol(num_images=args.images, num_query_images=args.query_images,
                                  captions_per_image=args.captions_per_image, ks=ks,
                                  rounds=args.rounds)

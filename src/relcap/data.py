@@ -19,7 +19,7 @@ import numpy as np
 
 from .checkpoint import write_atomic
 from .errors import ConfigError, DataError
-from .geometry import Box, Proposals, box_rows, iou_matrix
+from .geometry import Box, Proposals, box_rows, iou_matrix, json_number
 
 log = logging.getLogger(__name__)
 
@@ -192,8 +192,8 @@ def record_from_json(obj: dict) -> RelationalRecord:
                  for s in obj["scene"]]
     return RelationalRecord(
         image_id=image_id,
-        width=float(obj["width"]),
-        height=float(obj["height"]),
+        width=json_number(obj["width"], "width"),
+        height=json_number(obj["height"], "height"),
         relations=relations,
         objects=objects,
         scene=scene,

@@ -22,6 +22,13 @@ NEGATIVE = -1        # match_to_gt label of a proposal below NEGATIVE_IOU with e
 IGNORE = -2          # match_to_gt label of a proposal neither positive nor negative
 
 
+def json_number(value, what: str) -> float:
+    """``value`` as a float if it is a JSON number (an int or a float, no bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{what} {value!r}: must be a number, not booleans or strings")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned box with center (x, y) and extents (w, h) in pixels: one
@@ -54,7 +61,7 @@ class Box:
 
     @staticmethod
     def from_json(obj) -> "Box":
-        return Box(float(obj["x"]), float(obj["y"]), float(obj["w"]), float(obj["h"]))
+        return Box(*(json_number(obj[key], f"box {key}") for key in "xywh"))
 
 
 @dataclass

@@ -223,39 +223,40 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
 # forward passes
 # ---------------------------------------------------------------------------
 
-def _attend(a: Tensor, b: Tensor, v: Tensor) -> Tensor:
-    return ad.matmul(ad.row_softmax(ad.matmul(a, ad.transpose(b))), v)
-
-
 def rem_forward(x: Tensor, params: ModelParams, sizes=()) -> Tensor:
     """Relational embedding: attention among the regions of each image of
     ``sizes`` (row counts, in order; empty: one image), residually added.
 
-    R = row_softmax(relu(X Wa) relu(X Wb)^T); Z = X + R relu(X Wx) Wz^T.
-    Only R and its product are per image. Row permutations within an
-    image permute its rows of Z identically. A taped pass attends over its
-    one image with graph ops (several are a ValueError); every untaped
-    pass, one image included, attends once per distinct region count, on
-    the images of that count stacked on a leading axis (``_tile_matmul``),
-    so each image's rows are the bits it gets alone.
+    R = softmax(relu(X Wa) relu(X Wb)^T) by rows; Z = X + R relu(X Wx) Wz^T.
+    Only R and its product are per image; permuting an image's rows permutes
+    its rows of Z. Every pass attends once per distinct region count, on the
+    images of that count stacked on a leading axis (``_tile_matmul``), so each
+    image's rows are the bits it gets alone (0 regions: none). Taped (one
+    image; several are a ValueError), the attended rows are one node whose
+    backward is the softmax attention's over the forward's R.
     """
     a = ad.relu(ad.matmul(x, params["rem.wa"]))
     b = ad.relu(ad.matmul(x, params["rem.wb"]))
     v = ad.relu(ad.matmul(x, params["rem.wx"]))
-    if ad.is_recording():
-        if len(sizes) > 1:
-            raise ValueError("REM over several images is forward-only; run it under no_grad")
-        attended = _attend(a, b, v)
-    else:
-        sizes = np.asarray(sizes if len(sizes) else [len(x.data)])
-        starts = np.cumsum(sizes) - sizes
-        attended = np.empty_like(v.data)
-        for n in sorted(set(sizes.tolist())):    # np.unique would keep 0.6 MiB resident
-            rows = (starts[sizes == n, None] + np.arange(n)).reshape(-1)
-            a_n, b_n, v_n = (t.data[rows].reshape(-1, n, t.shape[1]) for t in (a, b, v))
-            r_n = ad.softmax(ad._tile_matmul(a_n, b_n.transpose(0, 2, 1)))
-            attended[rows] = ad._tile_matmul(r_n, v_n).reshape(len(rows), -1)
-        attended = Tensor(attended)
+    if ad.is_recording() and len(sizes) > 1:
+        raise ValueError("REM over several images is forward-only; run it under no_grad")
+    sizes = np.asarray(sizes if len(sizes) else [len(x.data)])
+    starts = np.cumsum(sizes) - sizes
+    attended = np.empty_like(v.data)
+    r_n = np.zeros((1, 0, 0))                   # an image of 0 regions: no softmax
+    for n in sorted(set(sizes.tolist()) - {0}):  # np.unique would keep 0.6 MiB resident
+        rows = (starts[sizes == n, None] + np.arange(n)).reshape(-1)
+        a_n, b_n, v_n = (t.data[rows].reshape(-1, n, t.shape[1]) for t in (a, b, v))
+        r_n = ad.softmax(ad._tile_matmul(a_n, b_n.transpose(0, 2, 1)))
+        attended[rows] = ad._tile_matmul(r_n, v_n).reshape(len(rows), -1)
+
+    def backward(g):                # taped: one image, whose softmax is r_n[0]
+        r = r_n[0]
+        d_r = g @ v.data.T
+        d_s = (d_r - (d_r * r).sum(axis=1, keepdims=True)) * r
+        return [d_s @ b.data, (a.data.T @ d_s).T, r.T @ g]
+
+    attended = ad.custom_op(attended, [a, b, v], backward)
     return ad.add(x, ad.matmul(attended, ad.transpose(params["rem.wz"])))
 
 
@@ -743,6 +744,12 @@ def total_loss(batch: ImageBatch, params: ModelParams, config: ModelConfig,
 # decoding
 # ---------------------------------------------------------------------------
 
+def head_logits(feat: np.ndarray, params: ModelParams, kind: str) -> np.ndarray:
+    """The ``kind`` ("word" or "pos") head over the plain rows ``feat``:
+    ``affine``'s bits, without a graph node."""
+    return ad._tile_matmul(feat, params[f"head.{kind}.w"].data) + params[f"head.{kind}.b"].data
+
+
 def sample_rows(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Per row of ``probs``, the id ``Generator.choice(V, p=row)`` picks when
     its uniform draw is the row's entry of ``uniforms``: the number of
@@ -784,12 +791,9 @@ def decode_arrays(batch: PairBatch, params: ModelParams, config: ModelConfig,
     tags = np.zeros((n, config.max_len), dtype=np.intp)
     uniforms = np.zeros(n)
 
-    def head(kind, feat):       # affine's bits, without a graph node
-        return ad._tile_matmul(feat, params[f"head.{kind}.w"].data) + params[f"head.{kind}.b"].data
-
     def emit(t, lo, feat):
         top = lo + len(feat)
-        probs = ad.softmax(head("word", feat))
+        probs = ad.softmax(head_logits(feat, params, "word"))
         if mode == "stochastic" and lo == 0:
             uniforms[~done] = rng.random(n - int(done.sum()))
         active = ~done[lo:top]
@@ -802,7 +806,7 @@ def decode_arrays(batch: PairBatch, params: ModelParams, config: ModelConfig,
         picks[lo:top, t] = prev
         chosen_probs[lo:top, t] = probs[np.arange(len(feat)), prev]
         if config.mtl:
-            tags[lo:top, t] = head("pos", feat).argmax(axis=1)
+            tags[lo:top, t] = head_logits(feat, params, "pos").argmax(axis=1)
         taken[lo:top] += active
         done[lo:top] |= prev == END_ID
         return None if top == n and done.all() else prev

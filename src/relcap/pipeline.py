@@ -18,7 +18,7 @@ from .metrics import (EvalReport, MetricConfig, Predictions, diversity_stats,
                       score_pairs, vrd_recall_at_k)
 from .model import (DECODE_MODES, LOSS_COMPONENTS, LOSS_WEIGHT, STACK_ROWS, ImageBatch,
                     ModelConfig, ModelParams, PairBatch, _pad_targets, decode_arrays,
-                    encode_pair_batch, init_params, stream_states, total_loss)
+                    encode_pair_batch, head_logits, init_params, stream_states, total_loss)
 
 
 @dataclass
@@ -289,7 +289,7 @@ def predicted_pos_tags(token_ids, codes, params, config):
     captions padded to the longest; call under ``no_grad``."""
     padded = _pad_targets(token_ids, 0)
     hidden = stream_states(codes, padded, params, config)
-    logits = ad.affine(hidden, params["head.pos.w"], params["head.pos.b"]).data
+    logits = head_logits(hidden.data, params, "pos")
     return logits.argmax(axis=1).reshape(padded.shape[::-1]).T
 
 

@@ -73,28 +73,30 @@ class TestActivations:
 
 
 class TestRowSoftmax:
+    """``ad.softmax`` over the rows of a plain matrix."""
+
     def test_uniform_on_zeros(self):
-        out = ad.row_softmax(Tensor(np.zeros((1, 3))))
-        assert np.allclose(out.data, 1.0 / 3.0, atol=1e-15)
+        out = ad.softmax(np.zeros((1, 3)))
+        assert np.allclose(out, 1.0 / 3.0, atol=1e-15)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
-        out = ad.row_softmax(Tensor(rng.uniform(-5, 5, size=(6, 9))))
-        assert np.all(np.abs(out.data.sum(axis=1) - 1.0) <= 1e-12)
-        assert np.all(out.data >= 0)
+        out = ad.softmax(rng.uniform(-5, 5, size=(6, 9)))
+        assert np.all(np.abs(out.sum(axis=1) - 1.0) <= 1e-12)
+        assert np.all(out >= 0)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(1)
         x = rng.uniform(-2, 2, size=(4, 5))
         shifted = x + rng.uniform(-10, 10, size=(4, 1))
-        a = ad.row_softmax(Tensor(x)).data
-        b = ad.row_softmax(Tensor(shifted)).data
+        a = ad.softmax(x)
+        b = ad.softmax(shifted)
         assert np.allclose(a, b, atol=1e-12)
         assert np.array_equal(a.argmax(axis=1), b.argmax(axis=1))
 
     def test_hand_evaluation(self):
-        out = ad.row_softmax(Tensor([[math.log(1.0), math.log(3.0)]]))
-        assert np.allclose(out.data, [[0.25, 0.75]], atol=1e-15)
+        out = ad.softmax(np.array([[math.log(1.0), math.log(3.0)]]))
+        assert np.allclose(out, [[0.25, 0.75]], atol=1e-15)
 
     def test_log_softmax_is_log_of_array_softmax(self):
         x = np.array([[math.log(1.0), math.log(3.0)], [1000.0, 1000.0]])
@@ -145,7 +147,8 @@ class TestBackward:
         x = rng.uniform(-1, 1, size=(4, 3))
 
         def forward():
-            return scalarize(ad.row_softmax(ad.affine(Tensor(x), w, b)))
+            return ad.weighted_cross_entropy(ad.affine(Tensor(x), w, b), [0, 1, 1, 0],
+                                             [0.4, 0.3, 0.2, 0.1])
 
         ad.backward(forward())
         for p in (w, b):
@@ -158,7 +161,6 @@ class TestPrimitiveGradients:
 
     @pytest.mark.parametrize("name,builder", [
         ("relu", lambda p: ad.relu(p)),
-        ("row_softmax", lambda p: ad.row_softmax(p)),
         ("transpose", lambda p: ad.transpose(p)),
         ("scale", lambda p: ad.scale(p, -1.7)),
         ("dropout_eval", lambda p: ad.dropout(p, 0.5, None)),
@@ -440,9 +442,9 @@ class TestNoGrad:
         w = Parameter("w", rng.normal(size=(3, 2)))
         b = Parameter("b", rng.normal(size=2))
         x = Tensor(rng.normal(size=(4, 3)))
-        taped = ad.row_softmax(ad.affine(x, w, b))
+        taped = ad.relu(ad.affine(x, w, b))
         with ad.no_grad():
-            free = ad.row_softmax(ad.affine(x, w, b))
+            free = ad.relu(ad.affine(x, w, b))
         assert taped._parents and taped._backward is not None
         assert free._parents == () and free._backward is None
         assert np.array_equal(taped.data, free.data)

@@ -481,11 +481,12 @@ class TestExitCodes:
                 "--data", data, "--provider", os.path.join(toy_dir, "provider.json")]
         assert run(argv + ["--images", "4", "--query-images", "2"]) == 0
         assert len(built) == 4 < n_read
-        # More query images than --images: building stops at the candidates.
+        # More query images than --images: rejected before the checkpoint is read.
+        monkeypatch.setattr(cli, "load_model", None)
         assert run(argv + ["--images", "2", "--query-images", "3"]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert err == [f"error: retrieval needs at least 3 images with a region pair, "
-                       f"got 2 of the {n_read} images read"]
+        assert len(built) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --query-images 3 exceeds --images 2"]
 
     @pytest.mark.parametrize("command", ["train", "eval", "infer", "retrieve", "enrich"])
     def test_repeated_image_id_is_data_error(self, toy_dir, trained_dir, tmp_path, capsys,
@@ -1358,6 +1359,38 @@ class TestStrictRecordReaders:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}:1: bad prediction record") and message in err
         assert not os.path.exists(str(tmp_path / "g.dot"))
+
+    @pytest.mark.parametrize("key,value", [("x", "12.5"), ("w", True)], ids=["str", "bool"])
+    def test_box_coordinate_that_is_not_a_number_is_data_error(self, tmp_path, capsys,
+                                                               key, value):
+        obj = json.loads(_prediction_line())
+        obj["subject_box"][key] = value
+        path = str(tmp_path / "preds.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(obj) + "\n")
+        assert run(["graph", "--predictions", path, "--out", str(tmp_path / "g")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {path}:1: bad prediction record")
+        assert f"box {key} {value!r}: must be a number" in err[0]
+
+    @pytest.mark.parametrize("field,value", [("width", "128"), ("h", True)],
+                             ids=["str-width", "bool-box-h"])
+    def test_dataset_number_that_is_not_a_number_is_data_error(self, toy_dir, trained_dir,
+                                                               tmp_path, capsys, field, value):
+        lines = _lines(os.path.join(toy_dir, "test.jsonl"))
+        obj = json.loads(lines[0])
+        if field == "width":
+            obj["width"] = value
+        else:
+            obj["relations"][0]["subject_box"][field] = value
+        path = str(tmp_path / "data.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join([json.dumps(obj)] + lines[1:]) + "\n")
+        assert run(["eval", "--checkpoint", os.path.join(trained_dir, "model.rckpt"),
+                    "--data", path, "--provider", os.path.join(toy_dir, "provider.json")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {path}:1: bad dataset record")
+        assert f"{value!r}: must be a number" in err[0]
 
     @pytest.mark.parametrize("value", [1.5, 1.0, True, "1"])
     def test_non_integer_dataset_image_id_is_data_error(self, toy_dir, trained_dir,

@@ -189,11 +189,40 @@ class TestRem:
 
     def test_rows_of_association_sum_to_one(self):
         params, _ = self._params()
-        x = Tensor(np.random.default_rng(4).normal(size=(5, 4)))
-        a = ad.relu(ad.matmul(x, params["rem.wa"]))
-        b = ad.relu(ad.matmul(x, params["rem.wb"]))
-        r = ad.row_softmax(ad.matmul(a, ad.transpose(b)))
-        assert np.allclose(r.data.sum(axis=1), 1.0, atol=1e-12)
+        x = np.random.default_rng(4).normal(size=(5, 4))
+        a = np.maximum(x @ params["rem.wa"].data, 0.0)
+        b = np.maximum(x @ params["rem.wb"].data, 0.0)
+        r = ad.softmax(a @ b.T)
+        assert np.allclose(r.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_gradients_match_finite_differences_at_every_coordinate(self):
+        # The attention's backward is hand-written (one custom_op): probe
+        # every coordinate of the input and of all four REM weights.
+        params, _ = self._params(d=4, r=3, seed=6)
+        rng = np.random.default_rng(7)
+        x = ad.Parameter("x", rng.normal(size=(5, 4)))
+        targets, weights = rng.integers(0, 4, size=5), rng.uniform(0.1, 1.0, size=5)
+
+        def forward():
+            return ad.weighted_cross_entropy(rem_forward(x, params), targets, weights)
+
+        rem = [params[name] for name in ("rem.wa", "rem.wb", "rem.wx", "rem.wz")]
+        assert finite_diff_check(forward, [x, *rem], eps=1e-5, max_coords_per_param=20) < 1e-6
+
+    def test_an_image_of_no_regions_attends_to_nothing(self):
+        params, _ = self._params(seed=8)
+        x = ad.Parameter("x", np.zeros((0, 4)))
+        z = rem_forward(x, params)
+        assert z.shape == (0, 4)
+        ad.backward(ad.weighted_cross_entropy(z, np.zeros(0, np.intp), np.zeros(0)))
+        assert x.grad.shape == (0, 4) and not params.grad.any()
+        rows = np.random.default_rng(9).normal(size=(5, 4))
+        with ad.no_grad():
+            assert rem_forward(Tensor(x.data), params).shape == (0, 4)
+            # An empty image among others leaves theirs as they are alone.
+            z = rem_forward(Tensor(rows), params, (2, 0, 3)).data
+            for lo, hi in ((0, 2), (2, 5)):
+                assert np.array_equal(z[lo:hi], rem_forward(Tensor(rows[lo:hi]), params).data)
 
 
 # ---------------------------------------------------------------------------
@@ -386,16 +415,17 @@ class TestStackedEncoding:
     def test_one_image_records_the_graph_it_did_before_stacking(self):
         cfg = tiny_config(14, 10, name="mttsnet,rem")
         params = fresh_params(cfg)
-        # The counts the encoder and loss recorded before batches could stack.
-        assert graph_nodes(rem_forward(Tensor(np.ones((5, cfg.d_subj_obj))), params)) == 18
-        for name, nodes in (("mttsnet,rem", 73), ("mttsnet", 56)):
+        # The counts the encoder and loss record; REM's attention is one
+        # custom_op node.
+        assert graph_nodes(rem_forward(Tensor(np.ones((5, cfg.d_subj_obj))), params)) == 15
+        for name, nodes in (("mttsnet,rem", 70), ("mttsnet", 56)):
             batch, loss_params, loss_cfg = loss_fixture(name)
             assert graph_nodes(total_loss(batch, loss_params, loss_cfg)[0]) == nodes
         batch = random_pair_batch(cfg)
         one = encode_pair_batch(batch, params, cfg)
         stacked = encode_pair_batch(PairBatch.stack([batch]), params, cfg)
         assert (graph_nodes(*(x for x, _ in one.values()))
-                == graph_nodes(*(x for x, _ in stacked.values())) == 44)
+                == graph_nodes(*(x for x, _ in stacked.values())) == 41)
 
 
 # ---------------------------------------------------------------------------
